@@ -15,12 +15,11 @@
 //!
 //! [`finish`]: IncrementalStitcher::finish
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use stitch_core::{
     AbsolutePositions, Correlator, FailurePolicy, FaultTracker, GlobalOptimizer, GridShape,
-    OpCounters, PairKind, PooledSpectrum, StitchError, StitchResult, TileId, TileSource,
+    OpCounters, PairLedger, PooledSpectrum, StitchError, StitchResult, TileId, TileSource,
     TransformKind,
 };
 use stitch_fft::{PlanMode, Planner};
@@ -66,13 +65,20 @@ pub struct IncrementalOutcome {
     pub moved: u64,
 }
 
-/// A tile resident during registration: its pixels (shared with the
-/// canvas placement) and, until every neighbor pair is registered, its
-/// forward transform (early release, as in the batch stitchers).
-struct Arrived {
+/// A tile resident for registration: its forward transform and pixels
+/// (shared with the canvas placement), held by the ledger until every
+/// neighbor pair is registered or written off — the batch stitchers'
+/// §IV-A early release.
+struct Resident {
     img: Arc<Image<u16>>,
-    fft: Option<PooledSpectrum>,
-    remaining: usize,
+    fft: PooledSpectrum,
+}
+
+/// An offered tile's pixels and its committed canvas position.
+#[derive(Clone)]
+struct Placed {
+    img: Arc<Image<u16>>,
+    pos: (i64, i64),
 }
 
 /// Streams tiles in arrival order into registration, periodic solves,
@@ -83,10 +89,10 @@ pub struct IncrementalStitcher {
     cfg: IncrementalConfig,
     ctx: Correlator,
     result: StitchResult,
-    arrived: HashMap<TileId, Arrived>,
+    ledger: PairLedger<Resident>,
     canvas: Arc<SharedCanvas>,
-    /// Committed canvas position per tile index (None = not arrived).
-    committed: Vec<Option<(i64, i64)>>,
+    /// Per tile index; `None` = not offered.
+    placed: Vec<Option<Placed>>,
     last_solve: Option<AbsolutePositions>,
     pairs_registered: usize,
     since_solve: usize,
@@ -119,9 +125,9 @@ impl IncrementalStitcher {
             cfg,
             ctx,
             result: StitchResult::empty(shape),
-            arrived: HashMap::new(),
+            ledger: PairLedger::new(shape),
             canvas,
-            committed: vec![None; shape.tiles()],
+            placed: vec![None; shape.tiles()],
             last_solve: None,
             pairs_registered: 0,
             since_solve: 0,
@@ -137,7 +143,12 @@ impl IncrementalStitcher {
 
     /// Tiles offered so far.
     pub fn arrived(&self) -> usize {
-        self.arrived.len()
+        self.placed.iter().flatten().count()
+    }
+
+    /// Forward transforms currently held for pairs still to register.
+    pub fn live_transforms(&self) -> usize {
+        self.ledger.live()
     }
 
     /// Offers one arrived tile. Registers it against every
@@ -154,39 +165,29 @@ impl IncrementalStitcher {
             self.shape.rows,
             self.shape.cols
         );
+        let idx = self.shape.index(id);
         assert!(
-            !self.arrived.contains_key(&id),
+            self.placed[idx].is_none(),
             "tile r{}c{} offered twice",
             id.row,
             id.col
         );
         assert_eq!(image.dims(), self.tile_dims, "tile dimension mismatch");
         let img = Arc::new(image);
-        let fft = self.ctx.forward_fft(&img);
-        let neighbors = [
-            self.shape.west(id),
-            self.shape.north(id),
-            self.shape.east(id),
-            self.shape.south(id),
-        ];
-        let remaining = neighbors.iter().flatten().count();
-        self.arrived.insert(
-            id,
-            Arrived {
-                img: Arc::clone(&img),
-                fft: Some(fft),
-                remaining,
-            },
-        );
+        let resident = Resident {
+            img: Arc::clone(&img),
+            fft: self.ctx.forward_fft(&img),
+        };
         // register against neighbors that have already arrived; the
-        // canonical slot and operand order match the batch stitchers
-        // (pair = (west-or-north tile, tile), stored at the second's
-        // index), so the result is bit-identical to a batch run
-        for nb in neighbors.into_iter().flatten() {
-            if self.arrived.contains_key(&nb) {
-                self.register_pair(nb.min(id), nb.max(id));
-            }
-        }
+        // ledger's canonical slot and operand order are the batch
+        // stitchers', so the result is bit-identical to a batch run
+        self.ledger.arrive(id, resident, |a, b, kind, slot| {
+            let d = self
+                .ctx
+                .displacement_oriented(&a.fft, &b.fft, &a.img, &b.img, Some(kind));
+            self.result.set(kind, slot, d);
+            self.pairs_registered += 1;
+        });
         // provisional placement: last solve if one exists, else the
         // nominal (non-overlapping) grid position — a later solve
         // re-anchors it
@@ -197,8 +198,8 @@ impl IncrementalStitcher {
                 id.row as i64 * self.tile_dims.1 as i64,
             ),
         };
-        self.canvas.place_tile(id, pos, img);
-        self.committed[self.shape.index(id)] = Some(pos);
+        self.canvas.place_tile(id, pos, Arc::clone(&img));
+        self.placed[idx] = Some(Placed { img, pos });
         self.since_solve += 1;
         if self.cfg.solve_every > 0
             && self.since_solve >= self.cfg.solve_every
@@ -208,35 +209,11 @@ impl IncrementalStitcher {
         }
     }
 
-    /// Registers the pair `(a, b)` where `a` is the west or north tile.
-    /// Both tiles must have arrived.
-    fn register_pair(&mut self, a: TileId, b: TileId) {
-        let kind = if a.row == b.row {
-            PairKind::West
-        } else {
-            PairKind::North
-        };
-        let (ia, ib) = (
-            Arc::clone(&self.arrived[&a].img),
-            Arc::clone(&self.arrived[&b].img),
-        );
-        // each arrived tile's transform was computed once at offer time
-        let fa = self.arrived[&a].fft.as_ref().expect("fft of a alive");
-        let fb = self.arrived[&b].fft.as_ref().expect("fft of b alive");
-        let d = self.ctx.displacement_oriented(fa, fb, &ia, &ib, Some(kind));
-        let slot = self.shape.index(b);
-        match kind {
-            PairKind::West => self.result.west[slot] = Some(d),
-            PairKind::North => self.result.north[slot] = Some(d),
-        }
-        self.pairs_registered += 1;
-        for id in [a, b] {
-            let t = self.arrived.get_mut(&id).expect("arrived");
-            t.remaining -= 1;
-            if t.remaining == 0 {
-                t.fft = None; // early release (§IV-A recycling)
-            }
-        }
+    /// Declares that `id` will never be offered (it failed permanently):
+    /// its pairs are written off, so neighbors waiting only on it release
+    /// their transforms now instead of at [`finish`](Self::finish).
+    pub fn skip(&mut self, id: TileId) {
+        self.ledger.fail(id);
     }
 
     /// Solves the partial graph now and re-anchors the canvas: every
@@ -252,15 +229,13 @@ impl IncrementalStitcher {
         let mut moved_now = 0;
         // deterministic re-anchor order (row-major)
         for id in self.shape.ids() {
-            let idx = self.shape.index(id);
-            let Some(committed) = self.committed[idx] else {
+            let Some(placed) = &mut self.placed[self.shape.index(id)] else {
                 continue;
             };
             let p = positions.get(id);
-            if p != committed {
-                let img = Arc::clone(&self.arrived[&id].img);
-                self.canvas.place_tile(id, p, img);
-                self.committed[idx] = Some(p);
+            if p != placed.pos {
+                self.canvas.place_tile(id, p, Arc::clone(&placed.img));
+                placed.pos = p;
                 moved_now += 1;
                 self.moved += 1;
             }
@@ -292,21 +267,22 @@ impl IncrementalStitcher {
             }
         });
         IncrementalOutcome {
+            placed: self.arrived(),
             result: self.result,
             positions,
-            placed: self.arrived.len(),
             solves: self.solves,
             moved: self.moved,
         }
     }
 }
 
-/// Drives a full incremental run: loads `order` (the arrival order) from
-/// `source` under `policy`, offers each tile, and finishes. The canvas
+/// Drives a full incremental run: loads `order` (the arrival order, which
+/// may stop early) from `source` under `policy`, offers each tile — or
+/// writes it off when it fails permanently — and finishes. The canvas
 /// ends bit-identical to one-shot composition of the same source.
 pub fn run_incremental(
     source: &dyn TileSource,
-    order: &[TileId],
+    order: impl IntoIterator<Item = TileId>,
     cfg: IncrementalConfig,
     canvas: Arc<SharedCanvas>,
     policy: &FailurePolicy,
@@ -314,9 +290,10 @@ pub fn run_incremental(
     let shape = source.shape();
     let mut inc = IncrementalStitcher::new(shape, source.tile_dims(), cfg, canvas);
     let tracker = FaultTracker::new(shape);
-    for &id in order {
-        if let Some(img) = tracker.load(source, id, &policy.retry) {
-            inc.offer(id, img);
+    for id in order {
+        match tracker.load(source, id, &policy.retry) {
+            Some(img) => inc.offer(id, img),
+            None => inc.skip(id),
         }
     }
     let mut outcome = inc.finish();
@@ -360,7 +337,7 @@ mod tests {
         }));
         let out = run_incremental(
             &src,
-            &order,
+            order,
             IncrementalConfig::default(),
             canvas,
             &FailurePolicy::default(),
@@ -395,7 +372,7 @@ mod tests {
         };
         let out = run_incremental(
             &src,
-            &order,
+            order,
             cfg,
             Arc::clone(&canvas),
             &FailurePolicy::default(),
@@ -431,6 +408,54 @@ mod tests {
         inc.offer(TileId::new(1, 1), src.load(TileId::new(1, 1)).unwrap());
         let out = inc.finish();
         assert_eq!(out.placed, 4);
+    }
+
+    #[test]
+    fn failed_tile_releases_neighbor_transforms_before_finish() {
+        use stitch_core::{FaultSpec, FaultySource};
+        let faulty = FaultySource::new(plate(3, 3), FaultSpec::parse("corrupt=1.1").unwrap());
+        let policy = FailurePolicy::partial();
+        let batch = SimpleCpuStitcher::default()
+            .try_compute_displacements(&faulty, &policy)
+            .expect("partial batch run");
+        let canvas = || Arc::new(SharedCanvas::new(CanvasConfig::default()));
+
+        // the driver's loop, by hand, to look at the stitcher before finish
+        let shape = faulty.shape();
+        let mut inc = IncrementalStitcher::new(
+            shape,
+            faulty.tile_dims(),
+            IncrementalConfig::default(),
+            canvas(),
+        );
+        for id in shape.ids() {
+            match faulty.load(id) {
+                Ok(img) => inc.offer(id, img),
+                Err(_) => inc.skip(id),
+            }
+        }
+        assert_eq!(inc.arrived(), 8);
+        assert_eq!(
+            inc.live_transforms(),
+            0,
+            "the four neighbors of the failed center must not wait for it"
+        );
+        let by_hand = inc.finish();
+
+        let driven = run_incremental(
+            &faulty,
+            shape.ids(),
+            IncrementalConfig::default(),
+            canvas(),
+            &policy,
+        )
+        .expect("allow_partial run");
+        assert_eq!(driven.result.health.failed_tiles(), vec![TileId::new(1, 1)]);
+        for out in [&by_hand, &driven] {
+            assert_eq!(out.result.west, batch.west);
+            assert_eq!(out.result.north, batch.north);
+            assert_eq!(out.placed, 8);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::opcount::OpCounters;
 use crate::pciam::PciamContext;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::{Displacement, PairKind, TileId};
+use crate::types::{PairKind, TileId};
 
 /// Per-pair-recomputation baseline, optionally multi-threaded (the plugin
 /// is "fully multithreaded taking advantage of multi-core CPUs").
@@ -78,8 +78,7 @@ impl Stitcher for FijiStyleStitcher {
                 pairs.push((north, id, PairKind::North));
             }
         }
-        let west: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);
-        let north: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);
+        let result = Mutex::new(StitchResult::empty(shape));
         let cursor = AtomicUsize::new(0);
         let planner = Planner::new(PlanMode::Estimate);
         let pool = SpectrumPool::new(w * h);
@@ -90,8 +89,7 @@ impl Stitcher for FijiStyleStitcher {
                 let pairs = &pairs;
                 let cursor = &cursor;
                 let planner = &planner;
-                let west = &west;
-                let north = &north;
+                let result = &result;
                 let tracker = &tracker;
                 let trace = self.trace.clone();
                 let pool = pool.clone();
@@ -125,19 +123,13 @@ impl Stitcher for FijiStyleStitcher {
                         let fb = ctx.forward_fft(&img_b);
                         let d = ctx.displacement_oriented(&fa, &fb, &img_a, &img_b, Some(kind));
                         trace.record(&track, "compute", format!("pair {i}"), c0, trace.now_ns());
-                        let slot = shape.index(b);
-                        match kind {
-                            PairKind::West => west.lock()[slot] = Some(d),
-                            PairKind::North => north.lock()[slot] = Some(d),
-                        }
+                        result.lock().set(kind, shape.index(b), d);
                     }
                 });
             }
         });
 
-        let mut result = StitchResult::empty(shape);
-        result.west = west.into_inner();
-        result.north = north.into_inner();
+        let mut result = result.into_inner();
         result.elapsed = t0.elapsed();
         result.ops = counters.snapshot();
         result.peak_live_tiles = 2 * self.threads;

@@ -27,7 +27,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use stitch_image::Image;
+use stitch_image::{Fnv64, Image};
 
 use crate::grid::GridShape;
 use crate::source::TileSource;
@@ -381,7 +381,7 @@ impl FaultSpec {
         }
         let key = self
             .seed
-            .wrapping_mul(0x100000001b3)
+            .wrapping_mul(Fnv64::PRIME)
             .wrapping_add((id.row as u64) << 40)
             .wrapping_add((id.col as u64) << 20)
             .wrapping_add(attempt as u64);

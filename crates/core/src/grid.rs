@@ -10,7 +10,8 @@
 //! ensures that the system starts recycling GPU buffers as early as
 //! possible" (§IV-B).
 
-use crate::types::TileId;
+use crate::pairgraph::PairLedger;
+use crate::types::{PairKind, TileId};
 
 /// Grid dimensions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,14 +69,26 @@ impl GridShape {
         (id.row + 1 < self.rows).then(|| TileId::new(id.row + 1, id.col))
     }
 
+    /// The pairs tile `id` participates in, as `(a, b, kind)` with `a`
+    /// the west or north tile of the pair and `b` the other (the tile
+    /// whose index the displacement is stored at), in west, north, east,
+    /// south order of the neighbor.
+    pub fn pairs_of(&self, id: TileId) -> impl Iterator<Item = (TileId, TileId, PairKind)> {
+        [
+            self.west(id).map(|w| (w, id, PairKind::West)),
+            self.north(id).map(|n| (n, id, PairKind::North)),
+            self.east(id).map(|e| (id, e, PairKind::West)),
+            self.south(id).map(|s| (id, s, PairKind::North)),
+        ]
+        .into_iter()
+        .flatten()
+    }
+
     /// Number of displacement computations tile `id` participates in
     /// (its degree in the adjacency graph) — the initial reference count
     /// for transform recycling.
     pub fn degree(&self, id: TileId) -> usize {
-        [self.west(id), self.north(id), self.east(id), self.south(id)]
-            .iter()
-            .flatten()
-            .count()
+        self.pairs_of(id).count()
     }
 
     /// All tile ids in row-major order.
@@ -173,38 +186,11 @@ impl Traversal {
     /// that makes chained-diagonal the right default (it bounds the GPU
     /// pool size, §IV-B).
     pub fn peak_live(&self, shape: GridShape) -> usize {
-        let order = self.order(shape);
-        let mut remaining: Vec<usize> = shape.ids().map(|id| shape.degree(id)).collect();
-        let mut arrived = vec![false; shape.tiles()];
-        let mut live = 0usize;
-        let mut peak = 0usize;
-        for id in order {
-            arrived[shape.index(id)] = true;
-            live += 1;
-            // both endpoints must be resident while their pair computes,
-            // so the peak is observed before any completion frees them
-            peak = peak.max(live);
-            // complete every pair whose two endpoints have both arrived
-            for (a, b) in [
-                (Some(id), shape.west(id)),
-                (Some(id), shape.north(id)),
-                (shape.east(id), Some(id)),
-                (shape.south(id), Some(id)),
-            ] {
-                if let (Some(a), Some(b)) = (a, b) {
-                    if arrived[shape.index(a)] && arrived[shape.index(b)] {
-                        for t in [a, b] {
-                            let i = shape.index(t);
-                            remaining[i] -= 1;
-                            if remaining[i] == 0 {
-                                live -= 1;
-                            }
-                        }
-                    }
-                }
-            }
+        let mut ledger = PairLedger::new(shape);
+        for id in self.order(shape) {
+            ledger.arrive(id, (), |_, _, _, _| {});
         }
-        peak
+        ledger.peak_live()
     }
 }
 
@@ -278,6 +264,25 @@ mod tests {
             chained <= 2 * shape.rows.min(shape.cols) + 2,
             "peak {chained}"
         );
+    }
+
+    #[test]
+    fn pairs_of_is_canonical() {
+        let s = GridShape::new(3, 3);
+        let t = TileId::new;
+        let center: Vec<_> = s.pairs_of(t(1, 1)).collect();
+        assert_eq!(
+            center,
+            vec![
+                (t(1, 0), t(1, 1), PairKind::West),
+                (t(0, 1), t(1, 1), PairKind::North),
+                (t(1, 1), t(1, 2), PairKind::West),
+                (t(1, 1), t(2, 1), PairKind::North),
+            ]
+        );
+        assert_eq!(s.pairs_of(t(2, 2)).count(), 2);
+        let total: usize = s.ids().map(|id| s.pairs_of(id).count()).sum();
+        assert_eq!(total, 2 * s.pairs());
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod hostpool;
 pub mod memlimit;
 pub mod mt_cpu;
 pub mod opcount;
+pub mod pairgraph;
 pub mod pciam;
 pub mod pciam_padded;
 pub mod pciam_real;
@@ -76,6 +77,7 @@ pub use grid::{GridShape, Traversal};
 pub use hostpool::{PooledSpectrum, SpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
+pub use pairgraph::PairLedger;
 pub use pciam::PciamContext;
 pub use pciam_padded::PaddedPciamContext;
 pub use pciam_real::{Correlator, RealPciamContext, TransformKind};

@@ -22,7 +22,6 @@
 //!   tile's resources when its reference count reaches zero — releasing a
 //!   pool permit back to the reader.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,10 +36,11 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::opcount::OpCounters;
+use crate::pairgraph::PairLedger;
 use crate::pciam_real::{Correlator, TransformKind};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::{Displacement, PairKind, TileId};
+use crate::types::{PairKind, TileId};
 use stitch_pipeline::{Pipeline, Queue};
 
 /// Configuration for the CPU pipeline.
@@ -93,6 +93,7 @@ pub struct PipelinedCpuStitcher {
     shared_planner: Option<Arc<Planner>>,
 }
 
+#[derive(Clone)]
 struct TileData {
     img: Arc<Image<u16>>,
     /// Dropping the last clone returns the spectrum to the shared pool.
@@ -126,9 +127,10 @@ struct FftDone {
     permit: OwnedPermit,
 }
 
+/// What bookkeeping holds per resident tile; dropping it releases the
+/// tile's pool permit back to the reader.
 struct BookEntry {
     data: TileData,
-    remaining: usize,
     _permit: OwnedPermit,
 }
 
@@ -233,9 +235,6 @@ impl Stitcher for PipelinedCpuStitcher {
             }
             None => Correlator::spectrum_pool(self.config.transform, w, h),
         };
-        let total_pairs = shape.pairs();
-        let total_tiles = shape.tiles();
-
         let floor = self.config.queue_floor;
         let q_ids: Queue<TileId> = Queue::new(floor.unwrap_or(64).max(1));
         let q_work: Queue<Work> = Queue::new((2 * pool_size).max(floor.unwrap_or(8).max(1)));
@@ -248,11 +247,8 @@ impl Stitcher for PipelinedCpuStitcher {
         let w_work_guard = q_work.writer();
         let w_bk_guard = q_bk.writer();
 
-        let west: Arc<Mutex<Vec<Option<Displacement>>>> =
-            Arc::new(Mutex::new(vec![None; shape.tiles()]));
-        let north: Arc<Mutex<Vec<Option<Displacement>>>> =
-            Arc::new(Mutex::new(vec![None; shape.tiles()]));
-        let live_peak = Arc::new(AtomicUsize::new(0));
+        let result = Mutex::new(StitchResult::empty(shape));
+        let live_peak = AtomicUsize::new(0);
 
         // The scoped-thread trick is unnecessary: the source reference only
         // needs to outlive the pipeline, which `join` below guarantees.
@@ -327,8 +323,7 @@ impl Stitcher for PipelinedCpuStitcher {
                 let w_bk = q_bk.writer();
                 let planner = Arc::clone(&planner);
                 let counters = Arc::clone(&counters);
-                let west = Arc::clone(&west);
-                let north = Arc::clone(&north);
+                let result = &result;
                 let transform = self.config.transform;
                 let trace = self.trace.clone();
                 let spectra = spectra.clone();
@@ -382,10 +377,7 @@ impl Stitcher for PipelinedCpuStitcher {
                                     c0,
                                     trace.now_ns(),
                                 );
-                                match kind {
-                                    PairKind::West => west.lock()[slot] = Some(d),
-                                    PairKind::North => north.lock()[slot] = Some(d),
-                                }
+                                result.lock().set(kind, slot, d);
                             }
                         }
                     }
@@ -396,130 +388,41 @@ impl Stitcher for PipelinedCpuStitcher {
             {
                 let q_bk2 = q_bk.clone();
                 let w_work = q_work.writer();
-                let live_peak = Arc::clone(&live_peak);
+                let live_peak = &live_peak;
                 let trace = self.trace.clone();
                 scope.spawn(move || {
-                    let mut book: HashMap<TileId, BookEntry> = HashMap::new();
-                    let mut failed: HashSet<TileId> = HashSet::new();
-                    // pairs written off because an endpoint never arrived,
-                    // keyed by (slot, kind) so a pair counts once even if
-                    // both of its endpoints fail
-                    let mut voided: HashSet<(usize, PairKind)> = HashSet::new();
-                    let mut tiles_seen = 0usize;
-                    let mut pairs_emitted = 0usize;
-                    loop {
+                    let mut ledger: PairLedger<BookEntry> = PairLedger::new(shape);
+                    let mut open = true;
+                    while open && !ledger.is_drained() {
                         let w0 = trace.now_ns();
                         let Some(msg) = q_bk2.pop() else { break };
                         trace.record("bk", "wait", "wait", w0, trace.now_ns());
                         let s0 = trace.now_ns();
-                        tiles_seen += 1;
                         match msg {
-                            BkMsg::Failed(id) => {
-                                failed.insert(id);
-                                for (a, b, kind) in [
-                                    (shape.west(id), Some(id), PairKind::West),
-                                    (shape.north(id), Some(id), PairKind::North),
-                                    (Some(id), shape.east(id), PairKind::West),
-                                    (Some(id), shape.south(id), PairKind::North),
-                                ] {
-                                    if let (Some(_a), Some(b)) = (a, b) {
-                                        voided.insert((shape.index(b), kind));
-                                    }
-                                }
-                                // resident neighbors will never pair with
-                                // this tile: drop their claim on it
-                                for nb in [
-                                    shape.west(id),
-                                    shape.north(id),
-                                    shape.east(id),
-                                    shape.south(id),
-                                ]
-                                .into_iter()
-                                .flatten()
-                                {
-                                    if let Some(e) = book.get_mut(&nb) {
-                                        e.remaining -= 1;
-                                        if e.remaining == 0 {
-                                            book.remove(&nb); // releases the pool permit
-                                        }
-                                    }
-                                }
-                            }
-                            BkMsg::Done(done) => {
-                                let id = done.id;
-                                // neighbors already written off reduce this
-                                // tile's reference count up front
-                                let already_voided = [
-                                    shape.west(id),
-                                    shape.north(id),
-                                    shape.east(id),
-                                    shape.south(id),
-                                ]
-                                .into_iter()
-                                .flatten()
-                                .filter(|nb| failed.contains(nb))
-                                .count();
-                                let remaining = shape.degree(id) - already_voided;
-                                if remaining > 0 {
-                                    book.insert(
-                                        id,
-                                        BookEntry {
-                                            data: done.data,
-                                            remaining,
-                                            _permit: done.permit,
-                                        },
-                                    );
-                                }
-                                let peak = book.len();
-                                live_peak.fetch_max(peak, Ordering::Relaxed);
-                                // emit every pair that just became ready
-                                let mut ready: Vec<(TileId, TileId, PairKind)> =
-                                    Vec::with_capacity(4);
-                                for (a, b, kind) in [
-                                    (shape.west(id), Some(id), PairKind::West),
-                                    (shape.north(id), Some(id), PairKind::North),
-                                    (Some(id), shape.east(id), PairKind::West),
-                                    (Some(id), shape.south(id), PairKind::North),
-                                ] {
-                                    if let (Some(a), Some(b)) = (a, b) {
-                                        if book.contains_key(&a) && book.contains_key(&b) {
-                                            ready.push((a, b, kind));
-                                        }
-                                    }
-                                }
-                                for (a, b, kind) in ready {
-                                    let work = Work::Pair {
-                                        a: TileData {
-                                            img: Arc::clone(&book[&a].data.img),
-                                            fft: Arc::clone(&book[&a].data.fft),
-                                        },
-                                        b: TileData {
-                                            img: Arc::clone(&book[&b].data.img),
-                                            fft: Arc::clone(&book[&b].data.fft),
-                                        },
+                            BkMsg::Failed(id) => ledger.fail(id),
+                            // emit every pair that just became ready; a
+                            // released entry returns its pool permit
+                            BkMsg::Done(done) => ledger.arrive(
+                                done.id,
+                                BookEntry {
+                                    data: done.data,
+                                    _permit: done.permit,
+                                },
+                                |a, b, kind, slot| {
+                                    open &= w_work.push(Work::Pair {
+                                        a: a.data.clone(),
+                                        b: b.data.clone(),
                                         kind,
-                                        slot: shape.index(b),
-                                    };
-                                    if !w_work.push(work) {
-                                        return;
-                                    }
-                                    pairs_emitted += 1;
-                                    for t in [a, b] {
-                                        let e = book.get_mut(&t).expect("endpoint resident");
-                                        e.remaining -= 1;
-                                        if e.remaining == 0 {
-                                            book.remove(&t); // releases the pool permit
-                                        }
-                                    }
-                                }
-                            }
+                                        slot,
+                                    });
+                                },
+                            ),
                         }
                         trace.record("bk", "stage", "bookkeep", s0, trace.now_ns());
-                        if tiles_seen == total_tiles && pairs_emitted + voided.len() == total_pairs
-                        {
-                            break; // all work emitted; drop our work-queue writer
-                        }
                     }
+                    // all work emitted; dropping our work-queue writer
+                    // lets the workers finish
+                    live_peak.store(ledger.peak_live(), Ordering::Relaxed);
                 });
             }
 
@@ -540,9 +443,7 @@ impl Stitcher for PipelinedCpuStitcher {
             });
         }
 
-        let mut result = StitchResult::empty(shape);
-        result.west = Arc::try_unwrap(west).expect("sole owner").into_inner();
-        result.north = Arc::try_unwrap(north).expect("sole owner").into_inner();
+        let mut result = result.into_inner();
         result.elapsed = t0.elapsed();
         result.ops = counters.snapshot();
         result.peak_live_tiles = live_peak.load(Ordering::Relaxed);

@@ -32,7 +32,7 @@
 //! cross-device traffic (the paper defers peer-to-peer copies to future
 //! work).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,6 +46,7 @@ use stitch_trace::TraceHandle;
 use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::{GridShape, Traversal};
 use crate::opcount::OpCounters;
+use crate::pairgraph::PairLedger;
 use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -182,9 +183,7 @@ struct CopiedTile {
 /// A tile whose forward transform is on the device.
 struct TransformedTile {
     id: TileId,
-    img: Arc<Image<u16>>,
-    buf: Arc<PooledBuffer<C64>>,
-    transformed: Event,
+    share: TransformedShare,
 }
 
 /// Stage 4 → 5 payload: both transforms ready.
@@ -211,11 +210,6 @@ struct CcfTask {
     slot: usize,
 }
 
-struct BookEntry {
-    share: TransformedShare,
-    remaining: usize,
-}
-
 /// One device's slice of the grid: owned columns `[col_lo, col_hi)` plus
 /// the ghost column `col_lo − 1` it must also transform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -229,41 +223,9 @@ impl Partition {
         self.col_lo.saturating_sub(1)
     }
 
-    /// Tiles this pipeline reads/transforms (owned + ghost).
-    fn reads(&self, id: TileId) -> bool {
-        id.col >= self.read_lo() && id.col < self.col_hi
-    }
-
     /// Pairs this pipeline computes: those whose *second* tile is owned.
     fn owns_pair(&self, b: TileId) -> bool {
         b.col >= self.col_lo && b.col < self.col_hi
-    }
-
-    /// Reference count of `id` within this pipeline: the number of owned
-    /// pairs it participates in.
-    fn refcount(&self, shape: GridShape, id: TileId) -> usize {
-        let mut n = 0;
-        // as the second tile of its own west/north pairs
-        if self.owns_pair(id) {
-            if shape.west(id).is_some() {
-                n += 1;
-            }
-            if shape.north(id).is_some() {
-                n += 1;
-            }
-        }
-        // as the first tile of a pair owned here
-        if let Some(east) = shape.east(id) {
-            if self.owns_pair(east) {
-                n += 1;
-            }
-        }
-        if let Some(south) = shape.south(id) {
-            if self.owns_pair(south) {
-                n += 1;
-            }
-        }
-        n
     }
 }
 
@@ -344,26 +306,6 @@ impl PipelinedGpuStitcher {
         let pool = device
             .buffer_pool::<C64>(n, pool_size)
             .expect("transform pool fits device memory");
-        // number of pairs this pipeline owns (for bookkeeping shutdown)
-        let mut total_pairs = 0usize;
-        let mut total_tiles = 0usize;
-        for id in shape.ids() {
-            if partition.reads(id) {
-                total_tiles += 1;
-            }
-            if partition.owns_pair(id) {
-                if shape.west(id).is_some() {
-                    total_pairs += 1;
-                }
-                if shape.north(id).is_some() {
-                    total_pairs += 1;
-                }
-            }
-        }
-        if total_tiles == 0 {
-            return;
-        }
-
         let q12: Queue<ReadTile> = Queue::new(4);
         let q23: Queue<CopiedMsg> = Queue::new(pool_size);
         let q34: Queue<TransformedMsg> = Queue::new(pool_size);
@@ -560,9 +502,11 @@ impl PipelinedGpuStitcher {
                     }
                     if !w34.push(TransformedMsg::Tile(TransformedTile {
                         id: t.id,
-                        img: t.img,
-                        buf: t.buf,
-                        transformed,
+                        share: TransformedShare {
+                            img: t.img,
+                            buf: t.buf,
+                            transformed,
+                        },
                     })) {
                         break;
                     }
@@ -578,119 +522,32 @@ impl PipelinedGpuStitcher {
             let trace = self.trace.clone();
             scope.spawn(move || {
                 let track = format!("pipe{dev_id}/bk");
-                let mut book: HashMap<TileId, BookEntry> = HashMap::new();
-                let mut failed: HashSet<TileId> = HashSet::new();
-                // pairs written off because an endpoint never arrived,
-                // keyed by (slot, kind) so a pair counts once even when
-                // both of its endpoints fail
-                let mut voided: HashSet<(usize, PairKind)> = HashSet::new();
-                let mut seen = 0usize;
-                let mut emitted = 0usize;
-                loop {
+                let mut ledger: PairLedger<TransformedShare> =
+                    PairLedger::with_owner(shape, |b| partition.owns_pair(b));
+                let mut open = true;
+                while open && !ledger.is_drained() {
                     let w0 = trace.now_ns();
                     let Some(msg) = q34.pop() else { break };
                     trace.record(&track, "wait", "wait", w0, trace.now_ns());
                     let s0 = trace.now_ns();
-                    seen += 1;
                     match msg {
-                        TransformedMsg::Failed(id) => {
-                            failed.insert(id);
-                            for (a, b, kind) in [
-                                (shape.west(id), Some(id), PairKind::West),
-                                (shape.north(id), Some(id), PairKind::North),
-                                (Some(id), shape.east(id), PairKind::West),
-                                (Some(id), shape.south(id), PairKind::North),
-                            ] {
-                                if let (Some(a), Some(b)) = (a, b) {
-                                    if partition.owns_pair(b) {
-                                        voided.insert((shape.index(b), kind));
-                                        // the surviving endpoint's claim on
-                                        // this pair is gone
-                                        let other = if b == id { a } else { b };
-                                        if let Some(e) = book.get_mut(&other) {
-                                            e.remaining -= 1;
-                                            if e.remaining == 0 {
-                                                book.remove(&other); // recycle
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        TransformedMsg::Failed(id) => ledger.fail(id),
+                        // a released share recycles its device buffer once
+                        // the pair tasks holding clones have executed
                         TransformedMsg::Tile(t) => {
-                            let id = t.id;
-                            // neighbors already written off reduce this
-                            // tile's reference count up front
-                            let mut refcount = partition.refcount(shape, id);
-                            for (a, b) in [
-                                (shape.west(id), Some(id)),
-                                (shape.north(id), Some(id)),
-                                (Some(id), shape.east(id)),
-                                (Some(id), shape.south(id)),
-                            ] {
-                                if let (Some(a), Some(b)) = (a, b) {
-                                    let other = if b == id { a } else { b };
-                                    if partition.owns_pair(b) && failed.contains(&other) {
-                                        refcount -= 1;
-                                    }
-                                }
-                            }
-                            if refcount > 0 {
-                                book.insert(
-                                    id,
-                                    BookEntry {
-                                        share: TransformedShare {
-                                            img: t.img,
-                                            buf: t.buf,
-                                            transformed: t.transformed,
-                                        },
-                                        remaining: refcount,
-                                    },
-                                );
-                            }
-                            live_peak.fetch_max(book.len(), Ordering::Relaxed);
-                            let mut ready: Vec<(TileId, TileId, PairKind)> = Vec::with_capacity(4);
-                            for (a, b, kind) in [
-                                (shape.west(id), Some(id), PairKind::West),
-                                (shape.north(id), Some(id), PairKind::North),
-                                (Some(id), shape.east(id), PairKind::West),
-                                (Some(id), shape.south(id), PairKind::North),
-                            ] {
-                                if let (Some(a), Some(b)) = (a, b) {
-                                    if partition.owns_pair(b)
-                                        && book.contains_key(&a)
-                                        && book.contains_key(&b)
-                                    {
-                                        ready.push((a, b, kind));
-                                    }
-                                }
-                            }
-                            for (a, b, kind) in ready {
-                                let task = PairTask {
-                                    a: book[&a].share.clone(),
-                                    b: book[&b].share.clone(),
+                            ledger.arrive(t.id, t.share, |a, b, kind, slot| {
+                                open &= w45.push(PairTask {
+                                    a: a.clone(),
+                                    b: b.clone(),
                                     kind,
-                                    slot: shape.index(b),
-                                };
-                                if !w45.push(task) {
-                                    return;
-                                }
-                                emitted += 1;
-                                for t in [a, b] {
-                                    let e = book.get_mut(&t).expect("endpoint resident");
-                                    e.remaining -= 1;
-                                    if e.remaining == 0 {
-                                        book.remove(&t); // recycle when pairs done
-                                    }
-                                }
-                            }
+                                    slot,
+                                });
+                            })
                         }
                     }
                     trace.record(&track, "stage", "bookkeep", s0, trace.now_ns());
-                    if seen == total_tiles && emitted + voided.len() == total_pairs {
-                        break;
-                    }
                 }
+                live_peak.fetch_max(ledger.peak_live(), Ordering::Relaxed);
                 q34.record_to_trace(&trace, &format!("gpu{dev_id}.q34"));
             });
         }
@@ -763,8 +620,7 @@ impl Stitcher for PipelinedGpuStitcher {
         }
         let counters = OpCounters::new_shared();
         let tracker = FaultTracker::new(shape);
-        let west = Mutex::new(vec![None; shape.tiles()]);
-        let north = Mutex::new(vec![None; shape.tiles()]);
+        let result = Mutex::new(StitchResult::empty(shape));
         let live_peak = AtomicUsize::new(0);
         let partitions = column_bands(shape.cols, self.devices.len());
         // one export table per internal boundary (peer-to-peer mode only)
@@ -813,8 +669,7 @@ impl Stitcher for PipelinedGpuStitcher {
             for worker in 0..self.config.ccf_threads {
                 let q56 = q56.clone();
                 let counters = Arc::clone(&counters);
-                let west = &west;
-                let north = &north;
+                let result = &result;
                 let trace = self.trace.clone();
                 scope.spawn(move || {
                     let track = format!("ccf.{worker}");
@@ -842,10 +697,7 @@ impl Stitcher for PipelinedGpuStitcher {
                             s0,
                             trace.now_ns(),
                         );
-                        match task.kind {
-                            PairKind::West => west.lock()[task.slot] = Some(d),
-                            PairKind::North => north.lock()[task.slot] = Some(d),
-                        }
+                        result.lock().set(task.kind, task.slot, d);
                     }
                 });
             }
@@ -857,9 +709,7 @@ impl Stitcher for PipelinedGpuStitcher {
                 .export_to_trace(&self.trace, &format!("gpu{}", device.id()));
         }
 
-        let mut result = StitchResult::empty(shape);
-        result.west = west.into_inner();
-        result.north = north.into_inner();
+        let mut result = result.into_inner();
         result.elapsed = t0.elapsed();
         result.ops = counters.snapshot();
         result.peak_live_tiles = live_peak.load(Ordering::Relaxed);
@@ -919,21 +769,21 @@ mod tests {
     }
 
     #[test]
-    fn partition_refcounts_sum_to_pair_endpoints() {
+    fn bands_emit_every_pair_exactly_once() {
         let shape = GridShape::new(3, 7);
         for parts in 1..=3 {
-            let bands = column_bands(shape.cols, parts);
-            let total: usize = bands
-                .iter()
-                .flat_map(|p| {
-                    shape
-                        .ids()
-                        .filter(|id| p.reads(*id))
-                        .map(|id| p.refcount(shape, id))
-                        .collect::<Vec<_>>()
-                })
-                .sum();
-            assert_eq!(total, 2 * shape.pairs(), "parts={parts}");
+            let mut emitted = 0;
+            for p in column_bands(shape.cols, parts) {
+                let mut ledger: PairLedger<()> = PairLedger::with_owner(shape, |b| p.owns_pair(b));
+                for id in shape
+                    .ids()
+                    .filter(|id| (p.read_lo()..p.col_hi).contains(&id.col))
+                {
+                    ledger.arrive(id, (), |_, _, _, _| emitted += 1);
+                }
+                assert!(ledger.is_drained(), "parts={parts} band={p:?}");
+            }
+            assert_eq!(emitted, shape.pairs(), "parts={parts}");
         }
     }
 

@@ -7,7 +7,6 @@
 //! effectiveness depends on the traversal order (chained-diagonal wins,
 //! and became the default).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,6 +18,7 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::hostpool::PooledSpectrum;
 use crate::opcount::OpCounters;
+use crate::pairgraph::PairLedger;
 use crate::pciam_real::{Correlator, TransformKind};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -39,13 +39,13 @@ impl Default for SimpleCpuStitcher {
 }
 
 /// A tile resident in memory: its pixels (needed by the CCF stage) and
-/// its forward transform, plus the outstanding-pair reference count.
-/// When the count hits zero the `PooledSpectrum` drops and its storage
-/// returns to the correlator's pool for the next tile (§IV-A recycling).
+/// its forward transform. When the ledger releases it the
+/// `PooledSpectrum` drops and its storage returns to the correlator's
+/// pool for the next tile (§IV-A recycling).
 struct LiveTile {
-    img: Arc<Image<u16>>,
-    fft: Arc<PooledSpectrum>,
-    remaining: usize,
+    id: TileId,
+    img: Image<u16>,
+    fft: PooledSpectrum,
 }
 
 impl SimpleCpuStitcher {
@@ -97,18 +97,7 @@ impl Stitcher for SimpleCpuStitcher {
         let mut ctx = Correlator::new(self.transform, &planner, w, h, Arc::clone(&counters));
         let mut result = StitchResult::empty(shape);
         let tracker = FaultTracker::new(shape);
-        let mut live: HashMap<TileId, LiveTile> = HashMap::new();
-        let mut peak_live = 0usize;
-        let neighbors = |id: TileId| {
-            [
-                shape.west(id),
-                shape.north(id),
-                shape.east(id),
-                shape.south(id),
-            ]
-            .into_iter()
-            .flatten()
-        };
+        let mut ledger: PairLedger<LiveTile> = PairLedger::new(shape);
 
         for id in self.traversal.order(shape) {
             let r0 = self.trace.now_ns();
@@ -120,25 +109,13 @@ impl Stitcher for SimpleCpuStitcher {
                 r0,
                 self.trace.now_ns(),
             );
-            let img = match loaded {
-                Some(img) => Arc::new(img),
-                None => {
-                    // the tile is gone: every pair it participates in is
-                    // void, so release resident neighbors waiting on it
-                    for n in neighbors(id) {
-                        if let Some(entry) = live.get_mut(&n) {
-                            entry.remaining -= 1;
-                            if entry.remaining == 0 {
-                                live.remove(&n);
-                            }
-                        }
-                    }
-                    continue;
-                }
+            let Some(img) = loaded else {
+                ledger.fail(id);
+                continue;
             };
             counters.count_read();
             let f0 = self.trace.now_ns();
-            let fft = Arc::new(ctx.forward_fft(&img));
+            let fft = ctx.forward_fft(&img);
             self.trace.record(
                 "cpu/main",
                 "compute",
@@ -146,87 +123,21 @@ impl Stitcher for SimpleCpuStitcher {
                 f0,
                 self.trace.now_ns(),
             );
-            // pairs to already-failed neighbors will never complete;
-            // inserting with remaining == 0 would leak the transform
-            let voided = neighbors(id).filter(|n| tracker.is_failed(*n)).count();
-            let remaining = shape.degree(id) - voided;
-            if remaining > 0 {
-                live.insert(
-                    id,
-                    LiveTile {
-                        img,
-                        fft,
-                        remaining,
-                    },
-                );
-            }
-            peak_live = peak_live.max(live.len());
-
-            // complete every pair whose other endpoint is already resident
-            let mut done_pairs: Vec<(TileId, TileId, bool)> = Vec::with_capacity(4);
-            if let Some(west) = shape.west(id) {
-                if live.contains_key(&west) {
-                    done_pairs.push((west, id, true));
-                }
-            }
-            if let Some(north) = shape.north(id) {
-                if live.contains_key(&north) {
-                    done_pairs.push((north, id, false));
-                }
-            }
-            if let Some(east) = shape.east(id) {
-                if live.contains_key(&east) {
-                    done_pairs.push((id, east, true));
-                }
-            }
-            if let Some(south) = shape.south(id) {
-                if live.contains_key(&south) {
-                    done_pairs.push((id, south, false));
-                }
-            }
-            for (a, b, is_west_pair) in done_pairs {
-                let (fa, fb, ia, ib) = {
-                    let ta = &live[&a];
-                    let tb = &live[&b];
-                    (
-                        Arc::clone(&ta.fft),
-                        Arc::clone(&tb.fft),
-                        Arc::clone(&ta.img),
-                        Arc::clone(&tb.img),
-                    )
-                };
-                let kind = if is_west_pair {
-                    crate::types::PairKind::West
-                } else {
-                    crate::types::PairKind::North
-                };
+            ledger.arrive(id, LiveTile { id, img, fft }, |a, b, kind, slot| {
                 let c0 = self.trace.now_ns();
-                let d = ctx.displacement_oriented(&fa, &fb, &ia, &ib, Some(kind));
+                let d = ctx.displacement_oriented(&a.fft, &b.fft, &a.img, &b.img, Some(kind));
                 self.trace.record(
                     "cpu/main",
                     "compute",
-                    format!("ccf r{}c{}-r{}c{}", a.row, a.col, b.row, b.col),
+                    format!("ccf r{}c{}-r{}c{}", a.id.row, a.id.col, b.id.row, b.id.col),
                     c0,
                     self.trace.now_ns(),
                 );
-                let slot = shape.index(b);
-                if is_west_pair {
-                    result.west[slot] = Some(d);
-                } else {
-                    result.north[slot] = Some(d);
-                }
-                // decrement both endpoints; free at zero (the paper's
-                // early-release policy)
-                for t in [a, b] {
-                    let entry = live.get_mut(&t).expect("endpoint resident");
-                    entry.remaining -= 1;
-                    if entry.remaining == 0 {
-                        live.remove(&t);
-                    }
-                }
-            }
+                result.set(kind, slot, d);
+            });
         }
-        debug_assert!(live.is_empty(), "all transforms must be released");
+        debug_assert!(ledger.is_drained(), "all transforms must be released");
+        let peak_live = ledger.peak_live();
         result.elapsed = t0.elapsed();
         result.ops = counters.snapshot();
         result.peak_live_tiles = peak_live;

@@ -9,7 +9,6 @@
 //! and kept in device memory, a pre-allocated buffer pool with
 //! reference-count recycling, and only reduction scalars copied back.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,10 +20,11 @@ use stitch_trace::TraceHandle;
 use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::opcount::OpCounters;
+use crate::pairgraph::PairLedger;
 use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::{Displacement, PairKind, TileId};
+use crate::types::Displacement;
 
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
@@ -36,9 +36,8 @@ pub struct SimpleGpuStitcher {
 }
 
 struct DeviceTile {
-    img: Arc<Image<u16>>,
+    img: Image<u16>,
     buf: PooledBuffer<C64>,
-    remaining: usize,
 }
 
 impl SimpleGpuStitcher {
@@ -103,8 +102,7 @@ impl Stitcher for SimpleGpuStitcher {
         let scratch = self.device.alloc::<C64>(n).expect("fft scratch");
         let pair_buf = self.device.alloc::<C64>(n).expect("pair buffer");
 
-        let mut live: HashMap<TileId, DeviceTile> = HashMap::new();
-        let mut peak_live = 0usize;
+        let mut ledger: PairLedger<DeviceTile> = PairLedger::new(shape);
         // host-side scratch reused across the whole run: the synchronous
         // h2d below means the upload buffer is unique again right after
         // each synchronize, so one allocation serves every tile
@@ -112,16 +110,6 @@ impl Stitcher for SimpleGpuStitcher {
         let mut indices: Vec<usize> = Vec::with_capacity(DEFAULT_PEAK_COUNT);
         let mut scored: Vec<(f64, Displacement)> = Vec::new();
 
-        let neighbors = |id: TileId| {
-            [
-                shape.west(id),
-                shape.north(id),
-                shape.east(id),
-                shape.south(id),
-            ]
-            .into_iter()
-            .flatten()
-        };
         for id in self.traversal.order(shape) {
             // read tile (host), copy synchronously, transform
             let r0 = self.trace.now_ns();
@@ -133,21 +121,9 @@ impl Stitcher for SimpleGpuStitcher {
                 r0,
                 self.trace.now_ns(),
             );
-            let img = match loaded {
-                Some(img) => Arc::new(img),
-                None => {
-                    // release resident neighbors whose pair with this
-                    // tile will never complete
-                    for nb in neighbors(id) {
-                        if let Some(e) = live.get_mut(&nb) {
-                            e.remaining -= 1;
-                            if e.remaining == 0 {
-                                live.remove(&nb); // recycles the device buffer
-                            }
-                        }
-                    }
-                    continue;
-                }
+            let Some(img) = loaded else {
+                ledger.fail(id); // stranded neighbors recycle their device buffers
+                continue;
             };
             counters.count_read();
             let buf = pool.acquire();
@@ -162,78 +138,39 @@ impl Stitcher for SimpleGpuStitcher {
             stream.fft2d(w, h, Direction::Forward, &buf, &scratch);
             stream.synchronize();
             counters.count_forward_fft();
-            let voided = neighbors(id).filter(|nb| tracker.is_failed(*nb)).count();
-            let remaining = shape.degree(id) - voided;
-            if remaining > 0 {
-                live.insert(
-                    id,
-                    DeviceTile {
-                        img,
-                        buf,
-                        remaining,
-                    },
-                );
-            }
-            peak_live = peak_live.max(live.len());
 
-            // complete ready pairs, one fully synchronous op at a time
-            let mut ready: Vec<(TileId, TileId, PairKind)> = Vec::with_capacity(4);
-            for (a, b, kind) in [
-                (shape.west(id), Some(id), PairKind::West),
-                (shape.north(id), Some(id), PairKind::North),
-                (Some(id), shape.east(id), PairKind::West),
-                (Some(id), shape.south(id), PairKind::North),
-            ] {
-                if let (Some(a), Some(b)) = (a, b) {
-                    if live.contains_key(&a) && live.contains_key(&b) {
-                        ready.push((a, b, kind));
-                    }
-                }
-            }
-            for (a, b, kind) in ready {
-                {
-                    let ta = &live[&a];
-                    let tb = &live[&b];
-                    stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, n);
-                    stream.synchronize();
-                    counters.count_elementwise();
-                    stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
-                    stream.synchronize();
-                    counters.count_inverse_fft();
-                    let peaks = stream
-                        .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
-                        .wait();
-                    counters.count_max_reduction();
-                    // CCF disambiguation on the CPU (host images)
-                    indices.clear();
-                    indices.extend(peaks.iter().map(|p| p.index));
-                    let d = resolve_peaks_oriented_into(
-                        &indices,
-                        w,
-                        h,
-                        &ta.img,
-                        &tb.img,
-                        Some(kind),
-                        &mut scored,
-                    );
-                    counters.count_ccf_group();
-                    let slot = shape.index(b);
-                    match kind {
-                        PairKind::West => result.west[slot] = Some(d),
-                        PairKind::North => result.north[slot] = Some(d),
-                    }
-                }
-                for t in [a, b] {
-                    let e = live.get_mut(&t).expect("endpoint resident");
-                    e.remaining -= 1;
-                    if e.remaining == 0 {
-                        live.remove(&t); // recycles the device buffer
-                    }
-                }
-            }
+            // complete ready pairs, one fully synchronous op at a time;
+            // a released endpoint recycles its device buffer
+            ledger.arrive(id, DeviceTile { img, buf }, |ta, tb, kind, slot| {
+                stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, n);
+                stream.synchronize();
+                counters.count_elementwise();
+                stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
+                stream.synchronize();
+                counters.count_inverse_fft();
+                let peaks = stream
+                    .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
+                    .wait();
+                counters.count_max_reduction();
+                // CCF disambiguation on the CPU (host images)
+                indices.clear();
+                indices.extend(peaks.iter().map(|p| p.index));
+                let d = resolve_peaks_oriented_into(
+                    &indices,
+                    w,
+                    h,
+                    &ta.img,
+                    &tb.img,
+                    Some(kind),
+                    &mut scored,
+                );
+                counters.count_ccf_group();
+                result.set(kind, slot, d);
+            });
         }
         stream.synchronize();
-        debug_assert!(live.is_empty(), "all device tiles must be recycled");
+        debug_assert!(ledger.is_drained(), "all device tiles must be recycled");
+        let peak_live = ledger.peak_live();
         result.elapsed = t0.elapsed();
         result.ops = counters.snapshot();
         result.peak_live_tiles = peak_live;

@@ -7,7 +7,7 @@ use crate::fault::{FailurePolicy, HealthReport, StitchError, TileStatus};
 use crate::grid::GridShape;
 use crate::opcount::OpCounts;
 use crate::source::TileSource;
-use crate::types::{Displacement, TileId};
+use crate::types::{Displacement, PairKind, TileId};
 
 /// Phase-1 output: per-pair relative displacements.
 ///
@@ -45,6 +45,15 @@ impl StitchResult {
             ops: OpCounts::default(),
             peak_live_tiles: 0,
             health: HealthReport::new(shape),
+        }
+    }
+
+    /// Stores the displacement of the `kind` pair whose second tile has
+    /// row-major index `slot`.
+    pub fn set(&mut self, kind: PairKind, slot: usize, d: Displacement) {
+        match kind {
+            PairKind::West => self.west[slot] = Some(d),
+            PairKind::North => self.north[slot] = Some(d),
         }
     }
 

@@ -7,6 +7,7 @@
 //! * [`tiff`] — minimal TIFF 6.0 baseline codec (uncompressed grayscale
 //!   strips, both byte orders on read);
 //! * [`pgm`] — binary PGM for quick visual output of composed plates;
+//! * [`Fnv64`] — the workspace's one content digest (FNV-1a 64);
 //! * [`synth`] — procedural cell-colony plate generator with ground-truth
 //!   stage positions, substituting for the paper's A10 dataset.
 //!
@@ -19,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod error;
 pub mod flatfield;
 pub mod image;
@@ -26,6 +28,7 @@ pub mod pgm;
 pub mod synth;
 pub mod tiff;
 
+pub use digest::Fnv64;
 pub use error::{ImageError, Result};
 pub use flatfield::{FlatField, FlatFieldEstimator};
 pub use image::Image;

@@ -44,14 +44,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use stitch_canvas::{CanvasConfig, IncrementalConfig, IncrementalStitcher, SharedCanvas};
+use stitch_canvas::{run_incremental, CanvasConfig, IncrementalConfig, SharedCanvas};
 use stitch_core::{
     Blend, Composer, FailurePolicy, GlobalOptimizer, MtCpuStitcher, PipelinedCpuConfig,
     PipelinedCpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, Stitcher, TransformKind,
 };
 use stitch_core::{
-    Correlator, FaultTracker, FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher,
-    StitchError, StitchResult, SyntheticSource, TileSource,
+    Correlator, FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher, StitchError,
+    StitchResult, SyntheticSource, TileSource,
 };
 use stitch_fft::PlanMode;
 use stitch_gpu::Device;
@@ -202,6 +202,12 @@ struct QueueState {
     running: usize,
     running_jobs: Vec<RunningJob>,
     dispatch_log: Vec<String>,
+    /// Dispatch is held ([`Scheduler::pause`]). Lives under the queue
+    /// lock because the dispatcher reads it and then waits on `wake`
+    /// under that lock: a writer outside it could clear the flag and
+    /// notify between the read and the wait, and the wakeup would be
+    /// lost with every job still queued.
+    paused: bool,
 }
 
 struct SchedInner {
@@ -214,7 +220,6 @@ struct SchedInner {
     wake: Condvar,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    paused: AtomicBool,
 }
 
 /// The multi-job scheduler. Dropping it drains every queued and running
@@ -244,11 +249,11 @@ impl Scheduler {
                 running: 0,
                 running_jobs: Vec::new(),
                 dispatch_log: Vec::new(),
+                paused: false,
             }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
         });
         let pool = WorkerPool::new(workers);
         let dispatcher = {
@@ -295,12 +300,12 @@ impl Scheduler {
     /// jobs wait, running jobs continue. Lets tests submit a batch
     /// atomically before any dispatch order is decided.
     pub fn pause(&self) {
-        self.inner.paused.store(true, Ordering::Release);
+        self.inner.queue.lock().paused = true;
     }
 
     /// Resumes dispatching after [`Scheduler::pause`].
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::Release);
+        self.inner.queue.lock().paused = false;
         self.inner.wake.notify_all();
     }
 
@@ -443,8 +448,13 @@ impl Drop for Scheduler {
     fn drop(&mut self) {
         // Drain: the dispatcher keeps dispatching until the queue is
         // empty, then exits; dropping the pool joins the running jobs.
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.paused.store(false, Ordering::Release);
+        {
+            // `shutdown` is also read by the dispatcher just before it
+            // waits, so it is set under the queue lock like `paused`
+            let mut q = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+            q.paused = false;
+        }
         self.inner.wake.notify_all();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
@@ -499,7 +509,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
         }
 
         let mut dispatched = false;
-        if !inner.paused.load(Ordering::Acquire) && q.running < inner.workers {
+        if !q.paused && q.running < inner.workers {
             // Stride pick: lowest class pass wins; ties prefer heavier
             // weight, then submission order. Skip jobs whose reservation
             // does not currently fit (they stay queued).
@@ -717,38 +727,25 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
     handle.finish(out);
 }
 
-/// Preview-path phase 1: feed tiles in row-major order through an
-/// [`IncrementalStitcher`] so the job's [`SharedCanvas`] (installed on
-/// the handle at submit) fills in as registration proceeds. The
-/// returned displacements are bit-identical to the batch stitchers —
-/// phase 1 is a pure per-pair function, so arrival order is
-/// irrelevant — and cancellation is honored between tiles.
+/// Preview-path phase 1: feed tiles in row-major order through the
+/// incremental driver so the job's [`SharedCanvas`] (installed on the
+/// handle at submit) fills in as registration proceeds. The returned
+/// displacements are bit-identical to the batch stitchers — phase 1 is
+/// a pure per-pair function, so arrival order is irrelevant. A cancel
+/// stops the arrivals between tiles; the partial result is finalized
+/// and the caller resolves the job as cancelled.
 fn run_preview(source: &dyn TileSource, handle: &JobHandle) -> Result<StitchResult, StitchError> {
     let canvas = handle
         .preview_canvas()
         .expect("preview canvas installed at submit");
-    let shape = source.shape();
-    let mut inc = IncrementalStitcher::new(
-        shape,
-        source.tile_dims(),
+    run_incremental(
+        source,
+        source.shape().ids().take_while(|_| !handle.cancelled()),
         IncrementalConfig::default(),
         canvas,
-    );
-    let policy = FailurePolicy::default();
-    let tracker = FaultTracker::new(shape);
-    for id in shape.ids() {
-        if handle.cancelled() {
-            // Stop offering tiles; the partial result is finalized below
-            // and the caller resolves the job as cancelled.
-            break;
-        }
-        if let Some(img) = tracker.load(source, id, &policy.retry) {
-            inc.offer(id, img);
-        }
-    }
-    let mut outcome = inc.finish();
-    outcome.result.health = tracker.finish(&policy)?;
-    Ok(outcome.result)
+        &FailurePolicy::default(),
+    )
+    .map(|outcome| outcome.result)
 }
 
 fn build_stitcher(

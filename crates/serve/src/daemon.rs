@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use stitch_canvas::SharedCanvas;
 use stitch_gpu::{Device, DeviceConfig};
+use stitch_image::Fnv64;
 use stitch_sched::{
     DrainPolicy, DrainReport, JobHandle, JobStatus, Scheduler, SchedulerConfig, StitchJob,
     SubmitError,
@@ -769,14 +770,9 @@ impl Inner {
 /// FNV-1a over the region's pixel bytes (little-endian); the `region`
 /// reply's change-detection digest.
 fn fnv64(pixels: &[u16]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &p in pixels {
-        for b in p.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    }
-    hash
+    let mut hash = Fnv64::new();
+    hash.write_u16s(pixels);
+    hash.finish()
 }
 
 #[cfg(test)]

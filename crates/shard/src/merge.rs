@@ -145,11 +145,7 @@ pub fn merge_results(
         peak_live = peak_live.max(local.peak_live_tiles);
     }
     for (pair, d) in &seams.displacements {
-        let slot = plan.grid.index(pair.b);
-        match pair.kind {
-            stitch_core::PairKind::West => merged.west[slot] = Some(*d),
-            stitch_core::PairKind::North => merged.north[slot] = Some(*d),
-        }
+        merged.set(pair.kind, plan.grid.index(pair.b), *d);
     }
     for id in plan.grid.ids() {
         merge_tile_status(

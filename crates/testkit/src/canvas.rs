@@ -18,7 +18,7 @@ use stitch_core::{
     pyramid, Blend, Composer, FailurePolicy, GlobalOptimizer, GridShape, SimpleCpuStitcher,
     Stitcher, SyntheticSource, TileId, TileSource,
 };
-use stitch_image::{ScanConfig, SyntheticPlate};
+use stitch_image::{Fnv64, ScanConfig, SyntheticPlate};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,14 +49,6 @@ impl CanvasReport {
     pub fn is_clean(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Seeded Fisher-Yates over the grid's row-major id list.
@@ -97,7 +89,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
         (Blend::Overlay, true, "overlay+highlight"),
     ];
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv64::new();
 
     for (case, &(blend, highlight, name)) in specs.iter().enumerate() {
         let label = format!("{name} seed={seed}");
@@ -119,7 +111,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
         };
         let out = match run_incremental(
             &source,
-            &order,
+            order.iter().copied(),
             cfg,
             Arc::clone(&canvas),
             &FailurePolicy::default(),
@@ -170,9 +162,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
                     detail: format!("scale {scale}: {diff} pixels differ from oracle pyramid"),
                 });
             }
-            for px in got.pixels() {
-                digest = fnv_fold(digest, &px.to_le_bytes());
-            }
+            digest.write_u16s(got.pixels());
         }
 
         // Peak residency bound: the reads above touch at most the
@@ -204,7 +194,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
     CanvasReport {
         cases: specs.len(),
         mismatches,
-        digest,
+        digest: digest.finish(),
     }
 }
 
@@ -232,7 +222,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xca57);
     let iterations = 4usize;
     let mut fates = Vec::with_capacity(iterations);
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv64::new();
 
     for i in 0..iterations {
         let rows = rng.gen_range(2usize..=3);
@@ -267,7 +257,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
         };
         let out = run_incremental(
             &source,
-            &order,
+            order.iter().copied(),
             cfg,
             Arc::clone(&canvas),
             &FailurePolicy::default(),
@@ -282,9 +272,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
             let w = rng.gen_range(1usize..=50);
             let h = rng.gen_range(1usize..=50);
             let img = canvas.get_region(scale, x, y, w, h);
-            for px in img.pixels() {
-                digest = fnv_fold(digest, &px.to_le_bytes());
-            }
+            digest.write_u16s(img.pixels());
         }
         let stats = canvas.stats();
         let reset = rng.gen_range(0u32..3) == 0;
@@ -306,7 +294,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
                 " reset=DIRTY"
             });
         }
-        digest = fnv_fold(digest, fate.as_bytes());
+        digest.write(fate.as_bytes());
         fates.push(fate);
     }
 
@@ -314,6 +302,6 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
         seed,
         iterations,
         fates,
-        digest,
+        digest: digest.finish(),
     }
 }

@@ -26,7 +26,7 @@ use stitch_core::{
     run_channel_plan, Blend, ChannelPlan, ChannelSession, Composer, FailurePolicy, GlobalOptimizer,
     SimpleCpuStitcher, Stitcher, TruthVector, ZMode,
 };
-use stitch_image::{Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
+use stitch_image::{Fnv64, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
 use stitch_sched::{run_channel_batch, ChannelBatchOptions, JobStatus, Scheduler, SchedulerConfig};
 
 use stitch_core::MultiSyntheticSource;
@@ -80,21 +80,6 @@ impl ChannelReport {
     pub fn is_clean(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn digest_mosaic(mut h: u64, m: &Image<u16>) -> u64 {
-    for px in m.pixels() {
-        h = fnv_fold(h, &px.to_le_bytes());
-    }
-    h
 }
 
 /// Ground-truth displacement vectors of a multi-channel plate, in the
@@ -200,7 +185,7 @@ const IMPROVEMENT_THRESHOLD: f64 = 0.45;
 /// the same report digest.
 pub fn run_channel_differential(seed: u64) -> ChannelReport {
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv64::new();
     let stitcher = SimpleCpuStitcher::default();
 
     // ------------------------------------------------------- replay identity
@@ -306,11 +291,11 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
         sched.join();
 
         for p in &run.positions.positions {
-            digest = fnv_fold(digest, &p.0.to_le_bytes());
-            digest = fnv_fold(digest, &p.1.to_le_bytes());
+            digest.write_u64(p.0 as u64);
+            digest.write_u64(p.1 as u64);
         }
         for (_, m) in &run.mosaics {
-            digest = digest_mosaic(digest, m);
+            digest.write_u16s(m.pixels());
         }
     }
 
@@ -374,9 +359,9 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
                 ),
             });
         }
-        digest = fnv_fold(digest, &vignette.to_bits().to_le_bytes());
-        digest = fnv_fold(digest, &(point.uncorrected_errors as u64).to_le_bytes());
-        digest = fnv_fold(digest, &(point.corrected_errors as u64).to_le_bytes());
+        digest.write_u64(vignette.to_bits());
+        digest.write_u64(point.uncorrected_errors as u64);
+        digest.write_u64(point.corrected_errors as u64);
         accuracy.push(point);
     }
 
@@ -385,7 +370,7 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
         mismatches,
         accuracy,
         improvement_threshold: IMPROVEMENT_THRESHOLD,
-        digest,
+        digest: digest.finish(),
     }
 }
 

@@ -15,7 +15,7 @@ use stitch_core::{
     Blend, Composer, FailurePolicy, FaultSpec, FaultySource, GlobalOptimizer, SimpleCpuStitcher,
     Stitcher, SyntheticSource, TileId, TileSource,
 };
-use stitch_image::SyntheticPlate;
+use stitch_image::{Fnv64, SyntheticPlate};
 use stitch_sched::{JobStatus, JobVariant, StitchJob};
 use stitch_shard::{stitch_sharded, ShardConfig, ShardError, ShardPlan};
 
@@ -125,23 +125,17 @@ pub fn shard_cases(seed: u64) -> Vec<ShardCaseSpec> {
     ]
 }
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn digest_displacements(h: u64, v: &[Option<Displacement2>]) -> u64 {
-    v.iter().fold(h, |h, d| match d {
-        Some(d) => {
-            let h = fnv_fold(h, &d.x.to_le_bytes());
-            let h = fnv_fold(h, &d.y.to_le_bytes());
-            fnv_fold(h, &d.correlation_bits.to_le_bytes())
+fn digest_displacements(h: &mut Fnv64, v: &[Option<Displacement2>]) {
+    for d in v {
+        match d {
+            Some(d) => {
+                h.write_u64(d.x as u64);
+                h.write_u64(d.y as u64);
+                h.write_u64(d.correlation_bits);
+            }
+            None => h.write(&[0xFF]),
         }
-        None => fnv_fold(h, &[0xFF]),
-    })
+    }
 }
 
 fn to_bits(v: &[Option<stitch_core::Displacement>]) -> Vec<Option<Displacement2>> {
@@ -153,7 +147,7 @@ fn to_bits(v: &[Option<stitch_core::Displacement>]) -> Vec<Option<Displacement2>
 pub fn run_shard_differential(seed: u64) -> ShardReport {
     let specs = shard_cases(seed);
     let mut mismatches = Vec::new();
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv64::new();
     for spec in &specs {
         let label = spec.label();
         let source: Arc<dyn TileSource> = Arc::new(spec.case.source());
@@ -243,22 +237,20 @@ pub fn run_shard_differential(seed: u64) -> ShardReport {
             });
         }
 
-        digest = digest_displacements(digest, &sw);
-        digest = digest_displacements(digest, &sn);
+        digest_displacements(&mut digest, &sw);
+        digest_displacements(&mut digest, &sn);
         for p in &sharded.positions.positions {
-            digest = fnv_fold(digest, &p.0.to_le_bytes());
-            digest = fnv_fold(digest, &p.1.to_le_bytes());
+            digest.write_u64(p.0 as u64);
+            digest.write_u64(p.1 as u64);
         }
         if let Some(m) = &sharded.mosaic {
-            for px in m.pixels() {
-                digest = fnv_fold(digest, &px.to_le_bytes());
-            }
+            digest.write_u16s(m.pixels());
         }
     }
     ShardReport {
         cases: specs.len(),
         mismatches,
-        digest,
+        digest: digest.finish(),
     }
 }
 
@@ -318,7 +310,7 @@ pub fn run_shard_stress(seed: u64) -> ShardStressOutcome {
 fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
     let iterations = 5usize;
     let mut fates = Vec::with_capacity(iterations);
-    let mut digest = 0xcbf29ce484222325u64;
+    let mut digest = Fnv64::new();
     let mut leaked_reservations = 0usize;
     let mut leaked_spectra = 0usize;
     let mut high_water_ok = true;
@@ -430,13 +422,11 @@ fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
                 leaked_spectra += out.leaked_spectra;
                 high_water_ok &= out.high_water <= config.memory_budget;
                 for p in &out.positions.positions {
-                    digest = fnv_fold(digest, &p.0.to_le_bytes());
-                    digest = fnv_fold(digest, &p.1.to_le_bytes());
+                    digest.write_u64(p.0 as u64);
+                    digest.write_u64(p.1 as u64);
                 }
                 if let Some(m) = &out.mosaic {
-                    for px in m.pixels() {
-                        digest = fnv_fold(digest, &px.to_le_bytes());
-                    }
+                    digest.write_u16s(m.pixels());
                 }
                 format!(
                     "ok shards={} seams={} retries={} composed={}",
@@ -465,7 +455,7 @@ fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
         let fate = format!(
             "iter{i} {rows}x{cols}/{shard_rows}x{shard_cols} {tw}x{th} {scenario:?}: {fate}"
         );
-        digest = fnv_fold(digest, fate.as_bytes());
+        digest.write(fate.as_bytes());
         fates.push(fate);
     }
 
@@ -473,7 +463,7 @@ fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
         seed,
         iterations,
         fates,
-        digest,
+        digest: digest.finish(),
         leaked_reservations,
         leaked_spectra,
         high_water_ok,

@@ -1,12 +1,16 @@
 //! Workspace-level property tests: invariants that span crates.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use stitching::core::grid::{GridShape, Traversal};
+use stitching::core::pairgraph::PairLedger;
 use stitching::core::pciam::{ccf_at, overlap_pixels, peak_candidates};
 use stitching::core::prelude::*;
 use stitching::core::stitcher::StitchResult;
 use stitching::image::{
     FlatFieldEstimator, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, Scene, SceneParams,
+    SyntheticPlate,
 };
 
 proptest! {
@@ -247,5 +251,196 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One random walk of a [`PairLedger`]: the tiles the ledger expects, in
+/// a seeded shuffle, each arriving or (about one in five) failing.
+struct LedgerWalk {
+    shape: GridShape,
+    /// `owned[index(b)]`: the ledger owns the pairs whose second tile is `b`.
+    owned: Vec<bool>,
+    /// `(tile, failed)` in walk order.
+    steps: Vec<(TileId, bool)>,
+}
+
+impl LedgerWalk {
+    /// `band == 0` owns every pair; otherwise the columns are split into
+    /// `band + 1` bands and the walk covers the one picked by the seed.
+    fn new(rows: usize, cols: usize, band: usize, seed: u64) -> LedgerWalk {
+        let shape = GridShape::new(rows, cols);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (lo, hi) = if band == 0 {
+            (0, cols)
+        } else {
+            let parts = (band + 1).min(cols);
+            let pick = rng.gen_range(0..parts);
+            (pick * cols / parts, (pick + 1) * cols / parts)
+        };
+        let owned: Vec<bool> = shape.ids().map(|b| (lo..hi).contains(&b.col)).collect();
+        // expected: owned tiles plus the first tile of every owned pair
+        let mut tiles: Vec<TileId> = shape
+            .ids()
+            .filter(|&id| {
+                owned[shape.index(id)]
+                    || shape.east(id).is_some_and(|e| owned[shape.index(e)])
+                    || shape.south(id).is_some_and(|s| owned[shape.index(s)])
+            })
+            .collect();
+        for i in (1..tiles.len()).rev() {
+            tiles.swap(i, rng.gen_range(0..=i));
+        }
+        let steps = tiles
+            .into_iter()
+            .map(|id| (id, rng.gen_range(0..5) == 0))
+            .collect();
+        LedgerWalk {
+            shape,
+            owned,
+            steps,
+        }
+    }
+
+    fn ledger<T>(&self) -> PairLedger<T> {
+        let (shape, owned) = (self.shape, self.owned.clone());
+        PairLedger::with_owner(shape, move |b| owned[shape.index(b)])
+    }
+
+    /// Every owned pair as `(a, b, kind)`, enumerated from the second
+    /// tile — independently of `GridShape::pairs_of`.
+    fn owned_pairs(&self) -> Vec<(TileId, TileId, PairKind)> {
+        let mut out = Vec::new();
+        for b in self
+            .shape
+            .ids()
+            .filter(|&b| self.owned[self.shape.index(b)])
+        {
+            if b.col > 0 {
+                out.push((TileId::new(b.row, b.col - 1), b, PairKind::West));
+            }
+            if b.row > 0 {
+                out.push((TileId::new(b.row - 1, b.col), b, PairKind::North));
+            }
+        }
+        out
+    }
+
+    /// Step at which `id` arrives or fails.
+    fn time(&self, id: TileId) -> usize {
+        self.steps
+            .iter()
+            .position(|&(t, _)| t == id)
+            .expect("expected tile")
+    }
+
+    fn failed(&self, id: TileId) -> bool {
+        self.steps[self.time(id)].1
+    }
+
+    /// Model of residency, stated without reference counts: after step
+    /// `s` completes, an arrived tile is still held iff one of its owned
+    /// pairs has an endpoint that arrives or fails later than `s`.
+    fn held_after(&self, s: usize) -> usize {
+        let pairs = self.owned_pairs();
+        self.steps[..=s]
+            .iter()
+            .filter(|&&(t, failed)| {
+                !failed
+                    && pairs.iter().any(|&(a, b, _)| {
+                        (a == t && self.time(b) > s) || (b == t && self.time(a) > s)
+                    })
+            })
+            .count()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The §IV-A rule as the ledger must implement it, for any shape
+    /// (1×1, 1×N and N×1 included), arrival order, failed set and
+    /// optional column-band ownership: every owned pair with two arrived
+    /// endpoints is emitted exactly once in canonical form, no pair with
+    /// a failed endpoint is emitted, residency follows the model at every
+    /// step, and the ledger ends drained.
+    #[test]
+    fn pair_ledger_follows_the_lifetime_rule(
+        rows in 1usize..7,
+        cols in 1usize..7,
+        band in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let walk = LedgerWalk::new(rows, cols, band, seed);
+        let shape = walk.shape;
+        let mut ledger: PairLedger<TileId> = walk.ledger();
+        let mut emitted: Vec<(TileId, TileId, PairKind)> = Vec::new();
+        let mut peak = 0;
+        for (s, &(id, failed)) in walk.steps.iter().enumerate() {
+            prop_assert!(!ledger.is_drained(), "drained with {:?} still to come", id);
+            if failed {
+                ledger.fail(id);
+            } else {
+                let before = emitted.len();
+                ledger.arrive(id, id, |&a, &b, kind, slot| {
+                    assert_eq!(slot, shape.index(b), "slot is the second tile's index");
+                    emitted.push((a, b, kind));
+                });
+                // measured after the arrival, before its pairs complete:
+                // the newcomer plus everything held after the last step
+                let held_before = if s == 0 { 0 } else { walk.held_after(s - 1) };
+                peak = peak.max(held_before + 1);
+                for &(a, b, _) in &emitted[before..] {
+                    prop_assert!(a == id || b == id, "pair {:?}-{:?} not completed by {:?}", a, b, id);
+                }
+            }
+            prop_assert_eq!(ledger.live(), walk.held_after(s), "step {} ({:?})", s, id);
+        }
+        let mut want: Vec<_> = walk
+            .owned_pairs()
+            .into_iter()
+            .filter(|&(a, b, _)| !walk.failed(a) && !walk.failed(b))
+            .collect();
+        let key = |p: &(TileId, TileId, PairKind)| (p.1, p.2 == PairKind::North);
+        want.sort_by_key(key);
+        emitted.sort_by_key(key);
+        prop_assert_eq!(emitted, want);
+        prop_assert!(ledger.is_drained());
+        prop_assert_eq!(ledger.live(), 0);
+        prop_assert_eq!(ledger.peak_live(), peak);
+    }
+}
+
+/// `Traversal::peak_live` is a `PairLedger<()>` walked over the order;
+/// these are the values its own counting loop produced before the ledger
+/// existed (orders as in `Traversal::ALL`: row, column, diagonal,
+/// chained-diagonal, chained-row), and the sequential stitcher — the same
+/// ledger holding real transforms — reports the same number.
+#[test]
+fn ledger_peaks_match_the_pinned_traversal_values() {
+    for ((rows, cols), want) in [
+        ((1, 1), [1, 1, 1, 1, 1]),
+        ((1, 10), [2, 2, 2, 2, 2]),
+        ((10, 1), [2, 2, 2, 2, 2]),
+        ((3, 3), [4, 4, 4, 4, 4]),
+        ((4, 6), [7, 5, 6, 6, 7]),
+        ((6, 3), [4, 7, 4, 5, 4]),
+        ((8, 12), [13, 9, 10, 10, 13]),
+        ((42, 59), [60, 43, 44, 44, 60]),
+    ] {
+        let shape = GridShape::new(rows, cols);
+        let got = Traversal::ALL.map(|t| t.peak_live(shape));
+        assert_eq!(got, want, "{rows}x{cols}");
+    }
+    let source = SyntheticSource::new(SyntheticPlate::generate(ScanConfig {
+        grid_rows: 4,
+        grid_cols: 6,
+        tile_width: 32,
+        tile_height: 24,
+        ..ScanConfig::default()
+    }));
+    for t in Traversal::ALL {
+        let result = SimpleCpuStitcher::new(t, stitching::fft::PlanMode::Estimate)
+            .compute_displacements(&source);
+        assert_eq!(result.peak_live_tiles, t.peak_live(source.shape()), "{t:?}");
     }
 }

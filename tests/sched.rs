@@ -269,3 +269,62 @@ fn job_storm_never_overcommits_the_budget() {
     );
     assert_eq!(sched.arbiter().active_reservations(), 0);
 }
+
+/// `pause → submit 4 toy jobs → resume → wait`, `rounds` times over one
+/// scheduler. Each submit wakes the dispatcher, which re-reads `paused`
+/// under the queue lock and goes back to sleep; a `resume` that stores
+/// and notifies without that lock can land between the read and the
+/// sleep, and then nothing ever dispatches. A round that does not finish
+/// within the timeout is that lost wakeup.
+fn pause_submit_resume_rounds(rounds: usize) {
+    use std::sync::mpsc;
+
+    let sched = Scheduler::new(SchedulerConfig {
+        workers: 2,
+        ..SchedulerConfig::default()
+    });
+    let toy = ScanConfig::for_grid(1, 2, 32, 24, 0.25, 3);
+    for round in 0..rounds {
+        sched.pause();
+        let handles: Vec<_> = (0..4)
+            .map(|j| {
+                sched
+                    .submit(StitchJob::new(format!("toy{round}.{j}"), toy.clone()).compose(false))
+                    .unwrap()
+            })
+            .collect();
+        // The submits' notifies have the dispatcher looping right now;
+        // sweep a sub-microsecond gap so some rounds call `resume` while
+        // it is between reading `paused` and going back to sleep.
+        for _ in 0..(round % 128) * 4 {
+            std::hint::spin_loop();
+        }
+        sched.resume();
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let all_completed = handles
+                .iter()
+                .all(|h| h.wait().status == JobStatus::Completed);
+            let _ = tx.send(all_completed);
+        });
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(all_completed) => assert!(all_completed, "round {round}: a toy job failed"),
+            Err(_) => panic!("round {round}: jobs still queued 20 s after resume (lost wakeup)"),
+        }
+        waiter.join().expect("waiter thread");
+    }
+    sched.join();
+    assert_eq!(sched.arbiter().active_reservations(), 0);
+}
+
+#[test]
+fn resume_never_loses_the_dispatcher_wakeup() {
+    pause_submit_resume_rounds(500);
+}
+
+/// The CI `sched` job's longer run of the same loop.
+#[test]
+#[ignore]
+fn resume_never_loses_the_dispatcher_wakeup_long() {
+    pause_submit_resume_rounds(20_000);
+}
