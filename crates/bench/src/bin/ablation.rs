@@ -124,8 +124,8 @@ fn main() {
     // 3b. end-to-end: complex vs real transform path in a full stitch
     {
         use stitch_bench::{scaled_scan, synthetic_source};
-        use stitch_core::pciam_real::TransformKind;
         use stitch_core::prelude::*;
+        use stitch_core::TransformKind;
         let src = synthetic_source(scaled_scan(6, 8, 96, 72));
         let mut e = ResultTable::new(
             "ablation_r2c_stitch",

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use stitch_bench::{fmt_ns, scaled_scan, synthetic_source};
 use stitch_core::prelude::*;
-use stitch_core::{Correlator, OpCounters, OpCounts, TransformKind};
+use stitch_core::{OpCounters, OpCounts, PciamContext};
 use stitch_fft::backend;
 use stitch_fft::{BackendChoice, PlanMode, Planner};
 use stitch_gpu::{Device, DeviceConfig};
@@ -287,17 +287,9 @@ fn run_backend_bench() -> Vec<BackendStats> {
 
     // One long-lived context per choice, allocated before any timing so
     // the measured loops stay allocation-free.
-    let mut ctxs: Vec<Correlator> = CHOICES
+    let mut ctxs: Vec<PciamContext> = CHOICES
         .iter()
-        .map(|_| {
-            Correlator::new(
-                TransformKind::Complex,
-                &planner,
-                w,
-                h,
-                OpCounters::new_shared(),
-            )
-        })
+        .map(|_| PciamContext::new(&planner, w, h, OpCounters::new_shared()))
         .collect();
     let mut walls = vec![Vec::with_capacity(PAIR_REPEATS); CHOICES.len()];
     let mut allocs = vec![Vec::with_capacity(PAIR_REPEATS); CHOICES.len()];

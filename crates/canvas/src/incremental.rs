@@ -2,7 +2,7 @@
 //!
 //! Tiles are offered in whatever order they arrive from the microscope.
 //! Each arrival is registered against its already-arrived grid
-//! neighbors through the exact `Correlator` kernel the batch stitchers
+//! neighbors through the exact `PciamContext` kernel the batch stitchers
 //! use — phase 1 is a pure per-pair function, so the accumulated
 //! west/north displacement sets are bit-identical to a batch run no
 //! matter the arrival order. Every [`IncrementalConfig::solve_every`]
@@ -18,9 +18,8 @@
 use std::sync::Arc;
 
 use stitch_core::{
-    AbsolutePositions, Correlator, FailurePolicy, FaultTracker, GlobalOptimizer, GridShape,
-    OpCounters, PairLedger, PooledSpectrum, StitchError, StitchResult, TileId, TileSource,
-    TransformKind,
+    AbsolutePositions, FailurePolicy, FaultTracker, GlobalOptimizer, GridShape, OpCounters,
+    PairLedger, PciamContext, PooledSpectrum, StitchError, StitchResult, TileId, TileSource,
 };
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::Image;
@@ -87,7 +86,7 @@ pub struct IncrementalStitcher {
     shape: GridShape,
     tile_dims: (usize, usize),
     cfg: IncrementalConfig,
-    ctx: Correlator,
+    ctx: PciamContext,
     result: StitchResult,
     ledger: PairLedger<Resident>,
     canvas: Arc<SharedCanvas>,
@@ -112,13 +111,7 @@ impl IncrementalStitcher {
         let (w, h) = tile_dims;
         assert!(w > 0 && h > 0, "tile dims must be positive");
         let planner = Planner::new(cfg.plan_mode);
-        let ctx = Correlator::new(
-            TransformKind::Complex,
-            &planner,
-            w,
-            h,
-            OpCounters::new_shared(),
-        );
+        let ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
         IncrementalStitcher {
             shape,
             tile_dims,

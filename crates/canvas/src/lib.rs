@@ -19,7 +19,7 @@
 //!
 //! [`IncrementalStitcher`] feeds the canvas as tiles *arrive* (any
 //! order): phase-1 registration runs against already-arrived neighbors
-//! through the same `Correlator` kernel the batch stitchers use, the
+//! through the same `PciamContext` kernel the batch stitchers use, the
 //! global optimizer re-solves periodically, and when a solve shifts
 //! previously committed positions the canvas **re-anchors** — only the
 //! tiles whose committed position actually changed are re-placed.

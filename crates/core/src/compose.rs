@@ -32,6 +32,133 @@ pub enum Blend {
     Linear,
 }
 
+/// The one blend loop: accumulates tiles into a `w × h` window at
+/// `(x0, y0)` (signed pixel coordinates in whatever frame the caller
+/// places tiles in) and resolves it to pixels. Every blend mode resolves
+/// a pixel from the tiles covering *that pixel* alone, added in a fixed
+/// order, so any partition of a mosaic into windows — whole, banded, or
+/// canvas chunks — produces the same pixels.
+pub struct BlendWindow {
+    blend: Blend,
+    x0: i64,
+    y0: i64,
+    w: usize,
+    h: usize,
+    acc: Vec<f64>,
+    weight: Vec<f64>,
+    /// Fig-14 highlight: tile-border pixels, stamped at full intensity
+    /// after resolution so they beat the blend.
+    border_mask: Option<Vec<bool>>,
+    covered: bool,
+}
+
+impl BlendWindow {
+    /// An empty window; `highlight` draws 1-px tile borders.
+    pub fn new(blend: Blend, highlight: bool, x0: i64, y0: i64, w: usize, h: usize) -> BlendWindow {
+        BlendWindow {
+            blend,
+            x0,
+            y0,
+            w,
+            h,
+            acc: vec![0.0; w * h],
+            weight: vec![0.0; w * h],
+            border_mask: highlight.then(|| vec![false; w * h]),
+            covered: false,
+        }
+    }
+
+    /// Whether a `tw × th` tile at `pos` touches the window.
+    pub fn intersects(&self, pos: (i64, i64), tw: usize, th: usize) -> bool {
+        let (x1, y1) = (self.x0 + self.w as i64, self.y0 + self.h as i64);
+        pos.0 < x1 && pos.0 + tw as i64 > self.x0 && pos.1 < y1 && pos.1 + th as i64 > self.y0
+    }
+
+    /// Blends in the part of `tile`, placed at `pos`, that falls inside
+    /// the window. Order matters for [`Blend::Overlay`] / [`Blend::First`].
+    pub fn add(&mut self, pos: (i64, i64), tile: &Image<u16>) {
+        let (px, py) = pos;
+        let (tw, th) = tile.dims();
+        if !self.intersects(pos, tw, th) {
+            return;
+        }
+        self.covered = true;
+        let (x0, y0, w) = (self.x0, self.y0, self.w);
+        let (ix0, iy0) = (px.max(x0), py.max(y0));
+        let ix1 = (px + tw as i64).min(x0 + w as i64);
+        let iy1 = (py + th as i64).min(y0 + self.h as i64);
+        let (acc, weight) = (&mut self.acc[..], &mut self.weight[..]);
+        let mut border_mask = self.border_mask.as_deref_mut();
+        for gy in iy0..iy1 {
+            let ty = (gy - py) as usize;
+            let row = tile.row(ty);
+            let out_row = (gy - y0) as usize * w;
+            for gx in ix0..ix1 {
+                let tx = (gx - px) as usize;
+                let v = row[tx] as f64;
+                let oi = out_row + (gx - x0) as usize;
+                if let Some(mask) = border_mask.as_deref_mut() {
+                    if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
+                        mask[oi] = true;
+                    }
+                }
+                match self.blend {
+                    Blend::Overlay => {
+                        acc[oi] = v;
+                        weight[oi] = 1.0;
+                    }
+                    Blend::First => {
+                        if weight[oi] == 0.0 {
+                            acc[oi] = v;
+                            weight[oi] = 1.0;
+                        }
+                    }
+                    Blend::Average => {
+                        acc[oi] += v;
+                        weight[oi] += 1.0;
+                    }
+                    Blend::Linear => {
+                        // weight by distance to the nearest tile edge
+                        let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
+                        let dye = (ty.min(th - 1 - ty) + 1) as f64;
+                        let wgt = dxe * dye;
+                        acc[oi] += v * wgt;
+                        weight[oi] += wgt;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Resolves the window to row-major pixels (uncovered pixels are 0);
+    /// `None` when no added tile intersected it.
+    pub fn finish(self) -> Option<Vec<u16>> {
+        if !self.covered {
+            return None;
+        }
+        let mut pixels: Vec<u16> = self
+            .acc
+            .into_iter()
+            .zip(self.weight)
+            .map(|(a, wt)| {
+                if wt > 0.0 {
+                    (a / wt).clamp(0.0, 65535.0).round() as u16
+                } else {
+                    0
+                }
+            })
+            .collect();
+        if let Some(mask) = self.border_mask {
+            for (px, is_border) in pixels.iter_mut().zip(mask) {
+                if is_border {
+                    *px = 65535;
+                }
+            }
+        }
+        Some(pixels)
+    }
+}
+
 /// Mosaic composer: absolute positions + blend mode.
 pub struct Composer {
     positions: AbsolutePositions,
@@ -138,24 +265,15 @@ impl Composer {
     ) -> Image<u16> {
         let (tw, th) = source.tile_dims();
         let (ox, oy) = self.origin;
-        let shape = self.positions.shape;
-        let mut acc = vec![0.0f64; w * h];
-        let mut weight = vec![0.0f64; w * h];
-        // borders beat the blend: marked here, stamped after resolution
-        let mut border_mask = self.highlight_tiles.then(|| vec![false; w * h]);
-        let (rx0, ry0, rx1, ry1) = (x0 as i64, y0 as i64, (x0 + w) as i64, (y0 + h) as i64);
+        let mut window =
+            BlendWindow::new(self.blend, self.highlight_tiles, x0 as i64, y0 as i64, w, h);
         let _span = self
             .trace
             .scope("compose", "compute", format!("region {w}x{h}@({x0},{y0})"));
-        for id in shape.ids() {
+        for id in self.positions.shape.ids() {
             let (px, py) = self.positions.get(id);
-            let (px, py) = (px - ox, py - oy);
-            // intersect tile rectangle with the requested window
-            let ix0 = px.max(rx0);
-            let iy0 = py.max(ry0);
-            let ix1 = (px + tw as i64).min(rx1);
-            let iy1 = (py + th as i64).min(ry1);
-            if ix0 >= ix1 || iy0 >= iy1 {
+            let pos = (px - ox, py - oy);
+            if !window.intersects(pos, tw, th) {
                 continue;
             }
             // a tile that can't be read leaves a hole in the mosaic
@@ -178,64 +296,9 @@ impl Composer {
                     owned.insert(loaded)
                 }
             };
-            for gy in iy0..iy1 {
-                let ty = (gy - py) as usize;
-                let row = tile.row(ty);
-                let out_row = (gy - ry0) as usize * w;
-                for gx in ix0..ix1 {
-                    let tx = (gx - px) as usize;
-                    let v = row[tx] as f64;
-                    let oi = out_row + (gx - rx0) as usize;
-                    if let Some(mask) = border_mask.as_deref_mut() {
-                        if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
-                            mask[oi] = true;
-                        }
-                    }
-                    match self.blend {
-                        Blend::Overlay => {
-                            acc[oi] = v;
-                            weight[oi] = 1.0;
-                        }
-                        Blend::First => {
-                            if weight[oi] == 0.0 {
-                                acc[oi] = v;
-                                weight[oi] = 1.0;
-                            }
-                        }
-                        Blend::Average => {
-                            acc[oi] += v;
-                            weight[oi] += 1.0;
-                        }
-                        Blend::Linear => {
-                            // weight by distance to the nearest tile edge
-                            let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
-                            let dye = (ty.min(th - 1 - ty) + 1) as f64;
-                            let wgt = dxe * dye;
-                            acc[oi] += v * wgt;
-                            weight[oi] += wgt;
-                        }
-                    }
-                }
-            }
+            window.add(pos, tile);
         }
-        let mut pixels: Vec<u16> = acc
-            .into_iter()
-            .zip(weight)
-            .map(|(a, wt)| {
-                if wt > 0.0 {
-                    (a / wt).clamp(0.0, 65535.0).round() as u16
-                } else {
-                    0
-                }
-            })
-            .collect();
-        if let Some(mask) = border_mask {
-            for (px, is_border) in pixels.iter_mut().zip(mask) {
-                if is_border {
-                    *px = 65535;
-                }
-            }
-        }
+        let pixels = window.finish().unwrap_or_else(|| vec![0; w * h]);
         Image::from_vec(w, h, pixels)
     }
 

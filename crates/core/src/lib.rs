@@ -49,8 +49,6 @@ pub mod mt_cpu;
 pub mod opcount;
 pub mod pairgraph;
 pub mod pciam;
-pub mod pciam_padded;
-pub mod pciam_real;
 pub mod pipelined_cpu;
 pub mod pipelined_gpu;
 pub mod quality;
@@ -67,7 +65,7 @@ pub use channel::{
     ComposeUnit, CorrectedSource, MaxZSource, MultiDirSource, MultiSyntheticSource,
     MultiTileSource, PlaneSource, ZMode,
 };
-pub use compose::{pyramid, Blend, Composer};
+pub use compose::{pyramid, Blend, BlendWindow, Composer};
 pub use fault::{
     load_with_retry, FailurePolicy, FaultSpec, FaultTracker, FaultySource, HealthReport,
     RetryPolicy, SourceError, StitchError, TileStatus,
@@ -78,9 +76,7 @@ pub use hostpool::{PooledSpectrum, SpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
-pub use pciam::PciamContext;
-pub use pciam_padded::PaddedPciamContext;
-pub use pciam_real::{Correlator, RealPciamContext, TransformKind};
+pub use pciam::{PciamContext, TransformKind};
 pub use pipelined_cpu::{PipelinedCpuConfig, PipelinedCpuStitcher};
 pub use pipelined_gpu::{GhostMode, PipelinedGpuConfig, PipelinedGpuStitcher};
 pub use quality::{correlation_stats, coverage, seam_error, CorrelationStats, SeamError};

@@ -23,7 +23,9 @@
 
 use std::sync::Arc;
 
-use stitch_fft::{c64, Direction, Fft2d, Planner, C64};
+use stitch_fft::factor::next_smooth;
+use stitch_fft::vectorops::top_peaks_into;
+use stitch_fft::{c64, Direction, Fft2d, Planner, RealFft2d, C64};
 use stitch_image::Image;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
@@ -42,24 +44,88 @@ const MIN_OVERLAP_PIXELS: i64 = 4;
 /// costs four cheap CCF evaluations each and removes that failure mode.
 pub const DEFAULT_PEAK_COUNT: usize = 8;
 
-/// Chebyshev radius within which nearby maxima are considered the same
-/// peak during top-K extraction.
-const PEAK_SUPPRESSION_RADIUS: usize = 2;
-
 /// How many of the best-scoring candidates get CCF refinement. All
 /// candidates are refined: the pre-refinement score of a peak one pixel
 /// off the truth is a poor predictor of its refined score.
 const REFINE_CANDIDATES: usize = usize::MAX;
 
+/// Which spectrum layout phase 1 computes on. The algorithm of Fig 2 is
+/// the same for all three; §VI-A's two proposed optimizations change only
+/// how a tile's spectrum is stored and transformed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum TransformKind {
+    /// Full complex-to-complex transforms (the paper's implementation).
+    #[default]
+    Complex,
+    /// Real-to-complex half-spectrum transforms (§VI-A future work): a
+    /// real tile's spectrum is Hermitian, so `(w/2+1)·h` bins carry it,
+    /// the NCC of two Hermitian spectra is Hermitian, and c2r inverts it
+    /// straight to the real correlation surface — less work, half the
+    /// memory.
+    Real,
+    /// Complex transforms on tiles mean-padded to the next 7-smooth size
+    /// (§VI-A future work — faster radix schedules at a few % more
+    /// pixels). Mean padding keeps the DC bin honest and avoids the hard
+    /// zero edge that would inject spurious axis correlations.
+    PaddedComplex,
+}
+
+impl TransformKind {
+    /// The period `(w, h)` of the torus the correlation surface of two
+    /// `width × height` tiles lives on: peak indices are row-major over
+    /// it and displacements are defined modulo it. The tile size, except
+    /// on the padded layout.
+    fn period(self, width: usize, height: usize) -> (usize, usize) {
+        match self {
+            TransformKind::PaddedComplex => (next_smooth(width), next_smooth(height)),
+            TransformKind::Complex | TransformKind::Real => (width, height),
+        }
+    }
+
+    /// Element count of one tile spectrum over `width × height` tiles —
+    /// the `buf_len` a [`SpectrumPool`] shared with a [`PciamContext`] of
+    /// this kind must be built with.
+    pub fn spectrum_len(self, width: usize, height: usize) -> usize {
+        let (pw, ph) = self.period(width, height);
+        match self {
+            TransformKind::Real => stitch_fft::real::spectrum_len(pw) * ph,
+            TransformKind::Complex | TransformKind::PaddedComplex => pw * ph,
+        }
+    }
+}
+
+/// Plans and work buffers of one spectrum layout — with the period,
+/// everything about PCIAM that depends on [`TransformKind`]. A layout
+/// supplies the forward transform of a tile into a pooled spectrum and
+/// the correlation surface of two spectra.
+enum Layout {
+    /// Full spectrum over the period: the tile itself for
+    /// [`TransformKind::Complex`], its 7-smooth padding for
+    /// [`TransformKind::PaddedComplex`].
+    Full {
+        forward: Fft2d,
+        inverse: Fft2d,
+        scratch: Vec<C64>,
+        work: Vec<C64>,
+    },
+    /// Half spectrum of the unpadded tile; the surface is real.
+    Half {
+        fft: RealFft2d,
+        work: Vec<C64>,
+        surface: Vec<f64>,
+        real_in: Vec<f64>,
+    },
+}
+
 /// Reusable per-pair working vectors (peak gather/output buffers, peak
 /// indices, scored CCF candidates). Capacities converge after the first
 /// pair, making the steady-state pair computation allocation-free.
 #[derive(Default)]
-pub(crate) struct PairScratch {
-    pub(crate) cand: Vec<(usize, f64)>,
-    pub(crate) peaks: Vec<(usize, f64)>,
-    pub(crate) indices: Vec<usize>,
-    pub(crate) scored: Vec<(f64, Displacement)>,
+struct PairScratch {
+    cand: Vec<(usize, f64)>,
+    peaks: Vec<(usize, f64)>,
+    indices: Vec<usize>,
+    scored: Vec<(f64, Displacement)>,
 }
 
 /// Per-thread context for PCIAM computations over one tile geometry:
@@ -69,21 +135,27 @@ pub(crate) struct PairScratch {
 pub struct PciamContext {
     width: usize,
     height: usize,
-    forward: Fft2d,
-    inverse: Fft2d,
-    scratch: Vec<C64>,
-    work: Vec<C64>,
+    /// See [`TransformKind::period`].
+    period: (usize, usize),
+    layout: Layout,
     pool: SpectrumPool,
     pair: PairScratch,
     counters: Arc<OpCounters>,
 }
 
 impl PciamContext {
-    /// Builds a context for `width × height` tiles with a private
-    /// spectrum pool. Plans come from (and are cached by) `planner`.
+    /// Builds a complex-layout context for `width × height` tiles with a
+    /// private spectrum pool. Plans come from (and are cached by)
+    /// `planner`.
     pub fn new(planner: &Planner, width: usize, height: usize, counters: Arc<OpCounters>) -> Self {
-        let pool = SpectrumPool::new(width * height);
-        Self::with_pool(planner, width, height, counters, pool)
+        Self::for_transform(
+            TransformKind::Complex,
+            planner,
+            width,
+            height,
+            counters,
+            None,
+        )
     }
 
     /// Like [`PciamContext::new`] but recycling spectra through a shared
@@ -96,14 +168,50 @@ impl PciamContext {
         counters: Arc<OpCounters>,
         pool: SpectrumPool,
     ) -> Self {
-        assert_eq!(pool.buf_len(), width * height, "pool sized for other tiles");
+        Self::for_transform(
+            TransformKind::Complex,
+            planner,
+            width,
+            height,
+            counters,
+            Some(pool),
+        )
+    }
+
+    /// Builds a context computing on `kind`'s spectrum layout. `pool`
+    /// must hold buffers of [`TransformKind::spectrum_len`] elements;
+    /// `None` creates a private one.
+    pub fn for_transform(
+        kind: TransformKind,
+        planner: &Planner,
+        width: usize,
+        height: usize,
+        counters: Arc<OpCounters>,
+        pool: Option<SpectrumPool>,
+    ) -> Self {
+        let (pw, ph) = kind.period(width, height);
+        let len = kind.spectrum_len(width, height);
+        let pool = pool.unwrap_or_else(|| SpectrumPool::new(len));
+        assert_eq!(pool.buf_len(), len, "pool sized for other tiles");
+        let layout = match kind {
+            TransformKind::Real => Layout::Half {
+                fft: RealFft2d::new(planner, width, height),
+                work: vec![C64::ZERO; len],
+                surface: vec![0.0; width * height],
+                real_in: vec![0.0; width * height],
+            },
+            TransformKind::Complex | TransformKind::PaddedComplex => Layout::Full {
+                forward: Fft2d::new(planner, pw, ph, Direction::Forward),
+                inverse: Fft2d::new(planner, pw, ph, Direction::Inverse),
+                scratch: vec![C64::ZERO; len],
+                work: vec![C64::ZERO; len],
+            },
+        };
         PciamContext {
             width,
             height,
-            forward: Fft2d::new(planner, width, height, Direction::Forward),
-            inverse: Fft2d::new(planner, width, height, Direction::Inverse),
-            scratch: vec![C64::ZERO; width * height],
-            work: vec![C64::ZERO; width * height],
+            period: (pw, ph),
+            layout,
             pool,
             pair: PairScratch::default(),
             counters,
@@ -129,14 +237,33 @@ impl PciamContext {
     /// spectrum's storage comes from (and returns to) the context's
     /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
-        assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
-        let mut data = self.pool.acquire();
-        for (d, &p) in data.iter_mut().zip(img.pixels()) {
-            *d = c64(p as f64, 0.0);
+        let (w, h) = (self.width, self.height);
+        assert_eq!(img.dims(), (w, h), "tile dims mismatch");
+        let mut spec = self.pool.acquire();
+        match &mut self.layout {
+            Layout::Full {
+                forward, scratch, ..
+            } => {
+                if self.period != (w, h) {
+                    spec.fill(c64(img.mean(), 0.0));
+                }
+                let rows = spec.chunks_exact_mut(self.period.0);
+                for (dst, src) in rows.zip(img.pixels().chunks_exact(w)) {
+                    for (d, &p) in dst.iter_mut().zip(src) {
+                        *d = c64(p as f64, 0.0);
+                    }
+                }
+                forward.process(&mut spec, scratch);
+            }
+            Layout::Half { fft, real_in, .. } => {
+                for (r, &p) in real_in.iter_mut().zip(img.pixels()) {
+                    *r = p as f64;
+                }
+                fft.forward(real_in, &mut spec);
+            }
         }
-        self.forward.process(&mut data, &mut self.scratch);
         self.counters.count_forward_fft();
-        data
+        spec
     }
 
     /// Steps 4–7 of Fig 2: NCC, inverse FFT, max reduction. Returns the
@@ -148,6 +275,8 @@ impl PciamContext {
 
     /// Like [`PciamContext::correlation_peak`] but returns up to `k`
     /// distinct peaks (suppressing near-duplicates), strongest first.
+    /// Indices are row-major over the layout's torus — the tile itself
+    /// except on the padded layout.
     pub fn correlation_peaks(&mut self, fa: &[C64], fb: &[C64], k: usize) -> Vec<(usize, f64)> {
         self.correlation_peaks_into(fa, fb, k);
         self.pair.peaks.clone()
@@ -156,31 +285,44 @@ impl PciamContext {
     /// Allocation-free core of [`PciamContext::correlation_peaks`]: the
     /// result lands in `self.pair.peaks`.
     fn correlation_peaks_into(&mut self, fa: &[C64], fb: &[C64], k: usize) {
-        let n = self.width * self.height;
-        assert_eq!(fa.len(), n);
-        assert_eq!(fb.len(), n);
-        assert!(k >= 1);
-        // NCC (the paper's first hand-vectorized kernel, §IV-A) fused with
-        // the inverse transform's row pass: each row is normalized and
-        // row-transformed while cache-hot, through the process-wide
-        // compute backend. Unscaled — scaling does not move the argmax.
+        assert_eq!(fa.len(), self.pool.buf_len());
+        assert_eq!(fb.len(), self.pool.buf_len());
+        // The NCC is the paper's first hand-vectorized kernel (§IV-A) and
+        // goes through the process-wide compute backend.
         let backend = stitch_fft::backend::active();
-        self.inverse
-            .process_ncc_fused(backend, fa, fb, &mut self.work, &mut self.scratch);
+        let PairScratch { cand, peaks, .. } = &mut self.pair;
+        match &mut self.layout {
+            Layout::Full {
+                inverse,
+                scratch,
+                work,
+                ..
+            } => {
+                // Fused with the inverse transform's row pass: each row is
+                // normalized and row-transformed while cache-hot. The
+                // transform is unscaled — scaling does not move the argmax
+                // — so only the k reported magnitudes are scaled.
+                inverse.process_ncc_fused(backend, fa, fb, work, scratch);
+                top_peaks_into(work, self.period.0, k, C64::norm_sqr, cand, peaks);
+                let scale = 1.0 / work.len() as f64;
+                for p in peaks.iter_mut() {
+                    p.1 = p.1.sqrt() * scale;
+                }
+            }
+            Layout::Half {
+                fft, work, surface, ..
+            } => {
+                // Unfused: the c2r column pass gathers/scatters through
+                // the half-spectrum, so there is no cache-hot row pass to
+                // fuse the NCC into.
+                backend.ncc(fa, fb, work);
+                fft.inverse(work, surface);
+                top_peaks_into(surface, self.period.0, k, f64::abs, cand, peaks);
+            }
+        }
         self.counters.count_elementwise();
         self.counters.count_inverse_fft();
-        top_peaks_into(
-            &self.work,
-            self.width,
-            k,
-            &mut self.pair.cand,
-            &mut self.pair.peaks,
-        );
         self.counters.count_max_reduction();
-        let scale = 1.0 / n as f64;
-        for p in &mut self.pair.peaks {
-            p.1 *= scale;
-        }
     }
 
     /// Full pair computation from precomputed transforms plus the pixel
@@ -212,19 +354,16 @@ impl PciamContext {
         kind: Option<PairKind>,
     ) -> Displacement {
         self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT);
-        self.pair.indices.clear();
-        self.pair
-            .indices
-            .extend(self.pair.peaks.iter().map(|&(i, _)| i));
-        let d = resolve_peaks_oriented_into(
-            &self.pair.indices,
-            self.width,
-            self.height,
-            img_a,
-            img_b,
-            kind,
-            &mut self.pair.scored,
-        );
+        let (pw, ph) = self.period;
+        let PairScratch {
+            peaks,
+            indices,
+            scored,
+            ..
+        } = &mut self.pair;
+        indices.clear();
+        indices.extend(peaks.iter().map(|&(i, _)| i));
+        let d = resolve_peaks_oriented_into(indices, pw, ph, img_a, img_b, kind, scored);
         self.counters.count_ccf_group();
         d
     }
@@ -281,7 +420,9 @@ pub fn resolve_peaks(
 }
 
 /// [`resolve_peaks`] with an optional pair-orientation constraint; see
-/// [`PciamContext::displacement_oriented`].
+/// [`PciamContext::displacement_oriented`]. `width × height` is the period
+/// the peak indices are taken modulo — the tile size, except for peaks
+/// from the padded layout.
 pub fn resolve_peaks_oriented(
     peaks: &[usize],
     width: usize,
@@ -296,6 +437,10 @@ pub fn resolve_peaks_oriented(
 
 /// Allocation-free core of [`resolve_peaks_oriented`]: candidate scoring
 /// reuses the caller's `scored` buffer (cleared on entry).
+///
+/// `width × height` is only the *period* of the torus the peak indices
+/// address (the padded size on the padded layout); overlap areas are
+/// scored with the tiles' own dims, which is what the CCF ran over.
 pub(crate) fn resolve_peaks_oriented_into(
     peaks: &[usize],
     width: usize,
@@ -306,6 +451,7 @@ pub(crate) fn resolve_peaks_oriented_into(
     scored: &mut Vec<(f64, Displacement)>,
 ) -> Displacement {
     let (center_a, center_b) = (img_a.mean(), img_b.mean());
+    let (tile_w, tile_h) = img_a.dims();
     scored.clear();
     for &peak in peaks {
         for (dx, dy) in peak_candidates(peak, width, height) {
@@ -313,7 +459,7 @@ pub(crate) fn resolve_peaks_oriented_into(
                 continue;
             }
             if let Some(ccf) = ccf_at_centered(img_a, img_b, center_a, center_b, dx, dy) {
-                let score = candidate_score(width, height, dx, dy, ccf);
+                let score = candidate_score(tile_w, tile_h, dx, dy, ccf);
                 scored.push((score, Displacement::new(dx, dy, ccf)));
             }
         }
@@ -336,7 +482,7 @@ pub(crate) fn resolve_peaks_oriented_into(
     let mut best_score = f64::NEG_INFINITY;
     for &(_, cand) in scored.iter().take(REFINE_CANDIDATES) {
         let refined = refine_ccf_centered(img_a, img_b, center_a, center_b, cand, kind);
-        let score = candidate_score(width, height, refined.x, refined.y, refined.correlation);
+        let score = candidate_score(tile_w, tile_h, refined.x, refined.y, refined.correlation);
         if score > best_score {
             best_score = score;
             best = refined;
@@ -453,65 +599,6 @@ pub fn overlap_pixels(width: usize, height: usize, dx: i64, dy: i64) -> i64 {
     }
 }
 
-/// Extracts up to `k` distinct maxima of `|data|`, strongest first,
-/// merging maxima within a small Chebyshev radius. Single pass with a
-/// small insertion buffer — O(n·k) worst case, and k is single digits.
-pub fn top_peaks(data: &[C64], width: usize, k: usize) -> Vec<(usize, f64)> {
-    let mut cand = Vec::new();
-    let mut out = Vec::new();
-    top_peaks_into(data, width, k, &mut cand, &mut out);
-    out
-}
-
-/// Allocation-free core of [`top_peaks`]: `cand` is the gather buffer,
-/// `out` receives the result (both cleared on entry; capacities persist
-/// across calls, so reuse makes the steady state allocation-free).
-pub(crate) fn top_peaks_into(
-    data: &[C64],
-    width: usize,
-    k: usize,
-    cand: &mut Vec<(usize, f64)>,
-    out: &mut Vec<(usize, f64)>,
-) {
-    // Gather generously (peaks can shadow each other inside the
-    // suppression radius), then suppress.
-    let gather = (4 * k).max(16);
-    cand.clear();
-    cand.reserve(gather + 1);
-    let mut floor = f64::MIN;
-    for (i, v) in data.iter().enumerate() {
-        let m = v.norm_sqr();
-        if m <= floor {
-            continue;
-        }
-        let pos = cand.partition_point(|&(_, cm)| cm >= m);
-        cand.insert(pos, (i, m));
-        if cand.len() > gather {
-            cand.pop();
-            floor = cand.last().unwrap().1;
-        }
-    }
-    let r = PEAK_SUPPRESSION_RADIUS as i64;
-    out.clear();
-    out.reserve(k.min(gather));
-    'cands: for &(i, m) in cand.iter() {
-        let (x, y) = ((i % width) as i64, (i / width) as i64);
-        for &(j, _) in out.iter() {
-            let (px, py) = ((j % width) as i64, (j / width) as i64);
-            if (x - px).abs() <= r && (y - py).abs() <= r {
-                continue 'cands;
-            }
-        }
-        out.push((i, m));
-        if out.len() == k {
-            break;
-        }
-    }
-    for p in out.iter_mut() {
-        p.1 = p.1.sqrt();
-    }
-}
-
 /// The cross-correlation factor of Fig 3 evaluated at a *signed*
 /// displacement: Pearson correlation of the pixels where tile `b`,
 /// placed at offset `(dx, dy)` inside tile `a`'s frame, overlaps `a`.
@@ -602,6 +689,39 @@ mod tests {
 
     fn ctx(w: usize, h: usize) -> PciamContext {
         PciamContext::new(&Planner::default(), w, h, OpCounters::new_shared())
+    }
+
+    const KINDS: [TransformKind; 3] = [
+        TransformKind::Complex,
+        TransformKind::Real,
+        TransformKind::PaddedComplex,
+    ];
+
+    /// Like [`scene_pair`] but vignetted and noisy, from its own scene.
+    fn rough_pair(w: usize, h: usize, dx: i64, dy: i64, seed: u64) -> (Image<u16>, Image<u16>) {
+        let scene = Scene::generate(
+            w as f64 * 3.0,
+            h as f64 * 3.0,
+            SceneParams {
+                colony_count: 24,
+                seed,
+                ..SceneParams::default()
+            },
+        );
+        let (x, y) = (w as f64, h as f64);
+        let a = scene.render_region(x, y, w, h, 0.02, 30.0, 1);
+        let b = scene.render_region(x + dx as f64, y + dy as f64, w, h, 0.02, 30.0, 2);
+        (a, b)
+    }
+
+    /// West-pair displacement of `(a, b)` on `kind`'s layout.
+    fn west(kind: TransformKind, a: &Image<u16>, b: &Image<u16>) -> Displacement {
+        let (w, h) = a.dims();
+        let counters = OpCounters::new_shared();
+        let mut ctx = PciamContext::for_transform(kind, &Planner::default(), w, h, counters, None);
+        let fa = ctx.forward_fft(a);
+        let fb = ctx.forward_fft(b);
+        ctx.displacement_oriented(&fa, &fb, a, b, Some(PairKind::West))
     }
 
     #[test]
@@ -709,5 +829,118 @@ mod tests {
         let (a, b) = scene_pair(w, h, 43, 2, 0.0);
         let d = ctx(w, h).pciam(&a, &b);
         assert_eq!((d.x, d.y), (43, 2));
+    }
+
+    #[test]
+    fn spectrum_len_matches_every_layout() {
+        // half spectrum: (w/2+1)·h bins; padded: the 7-smooth rectangle
+        // (87 = 3·29 → 90, 58 = 2·29 → 60); smooth sizes pad to themselves
+        assert_eq!(TransformKind::Real.spectrum_len(96, 64), (96 / 2 + 1) * 64);
+        assert_eq!(TransformKind::PaddedComplex.spectrum_len(87, 58), 90 * 60);
+        assert_eq!(TransformKind::PaddedComplex.spectrum_len(96, 64), 96 * 64);
+        let planner = Planner::default();
+        for (w, h) in [(96usize, 64usize), (87, 58)] {
+            let img = Image::from_fn(w, h, |x, y| (x * 31 + y * 17) as u16);
+            for kind in KINDS {
+                let counters = OpCounters::new_shared();
+                let mut ctx = PciamContext::for_transform(kind, &planner, w, h, counters, None);
+                assert_eq!(
+                    ctx.forward_fft(&img).len(),
+                    kind.spectrum_len(w, h),
+                    "{kind:?} {w}x{h}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool sized for other tiles")]
+    fn rejects_a_pool_sized_for_another_layout() {
+        let pool = SpectrumPool::new(TransformKind::Complex.spectrum_len(96, 64));
+        let counters = OpCounters::new_shared();
+        PciamContext::for_transform(
+            TransformKind::Real,
+            &Planner::default(),
+            96,
+            64,
+            counters,
+            Some(pool),
+        );
+    }
+
+    #[test]
+    fn every_layout_recovers_the_shift() {
+        let (a, b) = rough_pair(64, 48, 44, 1, 4242);
+        for kind in KINDS {
+            let d = west(kind, &a, &b);
+            assert_eq!((d.x, d.y), (44, 1), "{kind:?}");
+        }
+        let (a, b) = rough_pair(96, 64, 70, 3, 4242);
+        let d = west(TransformKind::Real, &a, &b);
+        assert_eq!((d.x, d.y), (70, 3));
+        // awkward on purpose: both dims carry a factor 29
+        let (a, b) = rough_pair(87, 58, 64, 2, 777);
+        let d = west(TransformKind::PaddedComplex, &a, &b);
+        assert_eq!((d.x, d.y), (64, 2));
+    }
+
+    #[test]
+    fn real_and_complex_layouts_agree() {
+        for (dx, dy) in [(45i64, 2i64), (48, -3), (40, 0)] {
+            let (a, b) = rough_pair(64, 48, dx, dy, 4242);
+            let d_complex = west(TransformKind::Complex, &a, &b);
+            let d_real = west(TransformKind::Real, &a, &b);
+            assert_eq!(
+                (d_real.x, d_real.y),
+                (d_complex.x, d_complex.y),
+                "({dx},{dy})"
+            );
+            assert!((d_real.correlation - d_complex.correlation).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn padded_layout_agrees_with_exact_path() {
+        // 87×58 pads by 3×2; 131×67 → 135×70 and 107×89 → 108×90
+        for (w, h) in [(87usize, 58usize), (131, 67), (107, 89)] {
+            let step = (w * 7 / 10) as i64;
+            for (dx, dy) in [(step, 3i64), (step + 6, -2), (step - 2, 0)] {
+                let (a, b) = rough_pair(w, h, dx, dy, 777);
+                let exact = west(TransformKind::Complex, &a, &b);
+                let padded = west(TransformKind::PaddedComplex, &a, &b);
+                assert_eq!(padded, exact, "{w}x{h} ({dx},{dy})");
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_is_scored_with_tile_dims_not_the_period() {
+        // White-noise 20×20 tiles whose CCF has exactly two bumps: columns
+        // 0..3 of `b` copy `a` at dx = 17 (ccf ≈ 0.84 over a 3×20 strip),
+        // columns 3..15 copy it at dx = 5 (ccf ≈ 0.68 over 15×20). By the
+        // t-statistic the wide strip wins, 10.6 to 8.2. Peaks addressed on
+        // a 40×40 torus must rank the same way: counting overlap with the
+        // period instead (23×40 vs 35×40) hands the win to the thin strip.
+        let lcg = |state: &mut u64| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((*state >> 33) % 2001) as i64 - 1000
+        };
+        let (mut sa, mut sb) = (12345u64, 999u64);
+        let a = Image::from_fn(20, 20, |_, _| (30000 + lcg(&mut sa) * 10) as u16);
+        let b = Image::from_fn(20, 20, |x, y| {
+            let n = lcg(&mut sb);
+            match x {
+                0..=2 => (a.get(x + 17, y) as i64 + n * 6) as u16,
+                3..=14 => (a.get(x + 5, y) as i64 + n * 6) as u16,
+                _ => (30000 + n * 10) as u16,
+            }
+        });
+        assert!(ccf_at(&a, &b, 17, 0).unwrap() > ccf_at(&a, &b, 5, 0).unwrap());
+        for period in [20, 40] {
+            let d = resolve_peaks_oriented(&[17, 5], period, period, &a, &b, Some(PairKind::West));
+            assert_eq!((d.x, d.y), (5, 0), "period {period}");
+        }
     }
 }

@@ -37,7 +37,7 @@ use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam_real::{Correlator, TransformKind};
+use crate::pciam::{PciamContext, TransformKind};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -217,11 +217,12 @@ impl Stitcher for PipelinedCpuStitcher {
         // spectra released by bookkeeping recycle through a pool shared by
         // all fft/displacement workers (externally owned when the batch
         // scheduler injected a quota pool)
+        let spectrum_len = self.config.transform.spectrum_len(w, h);
         let spectra = match &self.shared_spectra {
             Some(p) => {
                 assert_eq!(
                     p.buf_len(),
-                    Correlator::spectrum_len(self.config.transform, w, h),
+                    spectrum_len,
                     "shared spectrum pool sized for different tile dims/transform"
                 );
                 if let Some(cap) = p.cap() {
@@ -233,7 +234,7 @@ impl Stitcher for PipelinedCpuStitcher {
                 }
                 p.clone()
             }
-            None => Correlator::spectrum_pool(self.config.transform, w, h),
+            None => SpectrumPool::new(spectrum_len),
         };
         let floor = self.config.queue_floor;
         let q_ids: Queue<TileId> = Queue::new(floor.unwrap_or(64).max(1));
@@ -329,13 +330,13 @@ impl Stitcher for PipelinedCpuStitcher {
                 let spectra = spectra.clone();
                 scope.spawn(move || {
                     let track = format!("fft.{t}");
-                    let mut ctx = Correlator::with_pool(
+                    let mut ctx = PciamContext::for_transform(
                         transform,
                         &planner,
                         w,
                         h,
                         Arc::clone(&counters),
-                        spectra,
+                        Some(spectra),
                     );
                     loop {
                         let w0 = trace.now_ns();
@@ -551,7 +552,6 @@ mod tests {
 
     #[test]
     fn real_transform_path_matches_complex() {
-        use crate::pciam_real::TransformKind;
         let src = source(3, 4, 57);
         let complex = PipelinedCpuStitcher::new(2).compute_displacements(&src);
         let real = PipelinedCpuStitcher::with_config(PipelinedCpuConfig {

@@ -19,7 +19,7 @@ use crate::grid::Traversal;
 use crate::hostpool::PooledSpectrum;
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam_real::{Correlator, TransformKind};
+use crate::pciam::{PciamContext, TransformKind};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::TileId;
@@ -40,7 +40,7 @@ impl Default for SimpleCpuStitcher {
 
 /// A tile resident in memory: its pixels (needed by the CCF stage) and
 /// its forward transform. When the ledger releases it the
-/// `PooledSpectrum` drops and its storage returns to the correlator's
+/// `PooledSpectrum` drops and its storage returns to the context's
 /// pool for the next tile (§IV-A recycling).
 struct LiveTile {
     id: TileId,
@@ -94,7 +94,14 @@ impl Stitcher for SimpleCpuStitcher {
         let (w, h) = source.tile_dims();
         let counters = OpCounters::new_shared();
         let planner = Planner::new(self.plan_mode);
-        let mut ctx = Correlator::new(self.transform, &planner, w, h, Arc::clone(&counters));
+        let mut ctx = PciamContext::for_transform(
+            self.transform,
+            &planner,
+            w,
+            h,
+            Arc::clone(&counters),
+            None,
+        );
         let mut result = StitchResult::empty(shape);
         let tracker = FaultTracker::new(shape);
         let mut ledger: PairLedger<LiveTile> = PairLedger::new(shape);
@@ -223,7 +230,6 @@ mod tests {
 
     #[test]
     fn real_transform_path_matches_complex() {
-        use crate::pciam_real::TransformKind;
         let plate = test_plate(3, 4);
         let src = SyntheticSource::new(plate);
         let complex = SimpleCpuStitcher::default().compute_displacements(&src);
@@ -237,7 +243,6 @@ mod tests {
 
     #[test]
     fn padded_transform_path_matches_complex() {
-        use crate::pciam_real::TransformKind;
         let plate = test_plate(3, 3);
         let src = SyntheticSource::new(plate);
         let complex = SimpleCpuStitcher::default().compute_displacements(&src);

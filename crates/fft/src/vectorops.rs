@@ -169,6 +169,66 @@ pub(crate) fn merge_lanes_and_tail(
     found.then_some((best, best_m))
 }
 
+/// Chebyshev radius within which a weaker maximum counts as the same
+/// peak as a stronger one during top-k extraction.
+pub const PEAK_SUPPRESSION_RADIUS: usize = 2;
+
+/// The top-k reduction of PCIAM (Fig 2 step 5, widened from the single
+/// max): up to `k` distinct maxima of `key` over `data` viewed as a
+/// row-major surface of width `width`, strongest first, as
+/// `(flat index, key)`. The one copy shared by every spectrum layout on
+/// the host (`key` = `C64::norm_sqr` or `f64::abs`) and by the simulated
+/// device's kernel.
+///
+/// Single pass with a small sorted gather buffer — O(n·k) worst case, k
+/// is single digits. Gathers `max(4k, 16)` candidates (peaks can shadow
+/// each other inside the suppression radius), then drops any within
+/// [`PEAK_SUPPRESSION_RADIUS`] of a stronger survivor. Equal keys keep
+/// the lower index first. `cand` is the gather buffer and `out` receives
+/// the result — both cleared on entry, and their capacities persist, so
+/// reuse is allocation-free.
+pub fn top_peaks_into<T: Copy>(
+    data: &[T],
+    width: usize,
+    k: usize,
+    key: impl Fn(T) -> f64,
+    cand: &mut Vec<(usize, f64)>,
+    out: &mut Vec<(usize, f64)>,
+) {
+    assert!(width > 0 && k >= 1);
+    let gather = (4 * k).max(16);
+    cand.clear();
+    cand.reserve(gather + 1);
+    let mut floor = f64::MIN;
+    for (i, &v) in data.iter().enumerate() {
+        let m = key(v);
+        if m <= floor {
+            continue;
+        }
+        let pos = cand.partition_point(|&(_, cm)| cm >= m);
+        cand.insert(pos, (i, m));
+        if cand.len() > gather {
+            cand.pop();
+            floor = cand[gather - 1].1;
+        }
+    }
+    let r = PEAK_SUPPRESSION_RADIUS;
+    out.clear();
+    out.reserve(k.min(gather));
+    for &(i, m) in cand.iter() {
+        let (x, y) = (i % width, i / width);
+        let shadowed = out
+            .iter()
+            .any(|&(j, _)| x.abs_diff(j % width) <= r && y.abs_diff(j / width) <= r);
+        if !shadowed {
+            out.push((i, m));
+            if out.len() == k {
+                break;
+            }
+        }
+    }
+}
+
 /// Scalar reference: centered dot-product accumulators for the CCF
 /// (Σa, Σb, Σab, Σa², Σb² over pre-centered values).
 pub fn comoment_scalar(a: &[f64], b: &[f64]) -> [f64; 5] {
@@ -385,6 +445,95 @@ mod tests {
             assert!(s.is_some());
             assert!(s.unwrap().1 >= 0.0);
         }
+    }
+
+    /// 12×10 surface with a distinct small background and one planted
+    /// feature per case; see [`top_peaks_match_the_three_retired_copies`].
+    fn peak_surface(case: usize) -> (Vec<f64>, usize) {
+        let (w, h) = (12usize, 10usize);
+        let mut d: Vec<f64> = (0..w * h)
+            .map(|i| {
+                let v = ((i * 37 + 11) % 101) as f64 / 101.0;
+                if i % 3 == 0 {
+                    -v
+                } else {
+                    v
+                }
+            })
+            .collect();
+        match case {
+            // ties: equal magnitudes, mixed sign, far apart
+            0 => {
+                d[3 * w + 9] = 5.0;
+                d[w + 2] = -5.0;
+                d[8 * w + 5] = 5.0;
+                d[6 * w] = 4.0;
+            }
+            // suppression radius: dx = 2 / dy = 2 shadowed, 3 kept
+            1 => {
+                d[5 * w + 5] = 10.0;
+                d[5 * w + 7] = -9.0;
+                d[5 * w + 8] = 8.0;
+                d[7 * w + 5] = 7.0;
+                d[8 * w + 5] = -6.0;
+                d[2 * w + 3] = 5.0;
+            }
+            // a 5×5 plateau fills the gather buffer and shadows the rest
+            2 => {
+                for y in 2..7 {
+                    for x in 3..8 {
+                        d[y * w + x] = 20.0 + (y * 5 + x) as f64;
+                    }
+                }
+                d[9 * w + 11] = 15.0;
+            }
+            // flat-adjacent across a row wrap are not neighbours
+            _ => {
+                d[2 * w + 11] = 9.0;
+                d[3 * w] = -8.0;
+                d[4 * w + 1] = 7.0;
+            }
+        }
+        (d, w)
+    }
+
+    #[test]
+    fn top_peaks_match_the_three_retired_copies() {
+        // Indices computed at the last commit that still had three scans
+        // (host complex, host real, device kernel); all three agreed.
+        const PINNED: [[&[usize]; 3]; 4] = [
+            [&[14], &[14, 45, 101], &[14, 45, 101, 72, 117, 5, 65, 81]],
+            [&[65], &[65, 68, 101], &[65, 68, 101, 27, 117, 35, 24, 84]],
+            // k = 8 yields 7: the plateau used up 25 of the 32 gathered
+            [&[79], &[79, 76, 43], &[79, 76, 43, 40, 119, 46, 5]],
+            [&[35], &[35, 36, 87], &[35, 36, 87, 16, 117, 54, 84, 114]],
+        ];
+        let (mut cand, mut out) = (Vec::new(), Vec::new());
+        for (case, rows) in PINNED.iter().enumerate() {
+            let (real, w) = peak_surface(case);
+            let complex: Vec<C64> = real.iter().map(|&v| c64(v, 0.0)).collect();
+            for (&k, want) in [1usize, 3, 8].iter().zip(rows) {
+                top_peaks_into(&real, w, k, f64::abs, &mut cand, &mut out);
+                let got: Vec<usize> = out.iter().map(|p| p.0).collect();
+                assert_eq!(&got, want, "real case={case} k={k}");
+                assert!(out.iter().all(|&(i, m)| m == real[i].abs()));
+                top_peaks_into(&complex, w, k, C64::norm_sqr, &mut cand, &mut out);
+                let got: Vec<usize> = out.iter().map(|p| p.0).collect();
+                assert_eq!(&got, want, "complex case={case} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_peaks_suppress_within_the_radius() {
+        let mut data = vec![0.0; 100]; // 10x10
+        data[5 * 10 + 5] = 10.0;
+        data[5 * 10 + 6] = 9.0; // within radius — suppressed
+        data[10 + 1] = 8.0;
+        let (mut cand, mut peaks) = (Vec::new(), Vec::new());
+        top_peaks_into(&data, 10, 3, f64::abs, &mut cand, &mut peaks);
+        assert_eq!(peaks[0], (55, 10.0));
+        assert_eq!(peaks[1], (11, 8.0));
     }
 
     #[test]

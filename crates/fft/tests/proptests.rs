@@ -227,4 +227,39 @@ proptest! {
             prop_assert!((spec[n - j] - spec[j].conj()).abs() < 1e-6);
         }
     }
+
+    /// The shared top-k extractor: peaks come out strongest first, no two
+    /// within the suppression radius, and keying a real surface by `|v|`
+    /// or (widened to complex) by `|z|²` selects the same indices — the
+    /// property that lets every spectrum layout and the device kernel
+    /// share one scan.
+    #[test]
+    fn top_peaks_sorted_distinct_and_key_agnostic(seed in 0u64..5000, k in 1usize..8) {
+        use stitch_fft::vectorops::{top_peaks_into, PEAK_SUPPRESSION_RADIUS};
+        let (w, h) = (24usize, 16usize);
+        // integer-valued so squaring cannot merge distinct magnitudes
+        let real: Vec<f64> = (0..w * h)
+            .map(|i| {
+                let v = (i as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed);
+                ((v >> 16) % 2000) as f64 - 1000.0
+            })
+            .collect();
+        let complex: Vec<C64> = real.iter().map(|&v| c64(v, 0.0)).collect();
+        let (mut cand, mut by_abs, mut by_sqr) = (Vec::new(), Vec::new(), Vec::new());
+        top_peaks_into(&real, w, k, f64::abs, &mut cand, &mut by_abs);
+        top_peaks_into(&complex, w, k, C64::norm_sqr, &mut cand, &mut by_sqr);
+        prop_assert!(!by_abs.is_empty() && by_abs.len() <= k);
+        let indices = |p: &[(usize, f64)]| p.iter().map(|&(i, _)| i).collect::<Vec<_>>();
+        prop_assert_eq!(indices(&by_abs), indices(&by_sqr));
+        for (a, &(i, m)) in by_abs.iter().enumerate() {
+            prop_assert_eq!(m, real[i].abs());
+            for &(j, n) in &by_abs[a + 1..] {
+                prop_assert!(m >= n, "descending order");
+                prop_assert!(
+                    (i % w).abs_diff(j % w) > PEAK_SUPPRESSION_RADIUS
+                        || (i / w).abs_diff(j / w) > PEAK_SUPPRESSION_RADIUS
+                );
+            }
+        }
+    }
 }

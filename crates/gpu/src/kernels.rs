@@ -6,6 +6,7 @@
 //! only its index scalar ("minimizes transfers from device to host memory
 //! by only copying the result of the parallel reduction").
 
+use stitch_fft::vectorops::top_peaks_into;
 use stitch_fft::{Direction, Fft2d, C64};
 
 use crate::memory::DeviceBuffer;
@@ -114,43 +115,15 @@ impl Stream {
         let buf = buf.clone();
         let (tx, fut) = HostFuture::pair();
         self.launch("top_peaks", move |tok| {
-            let out = buf.map(tok, |d| {
-                // gather generously, then suppress near-duplicates
-                let gather = (4 * k).max(16);
-                let mut cand: Vec<(usize, f64)> = Vec::with_capacity(gather + 1);
-                let mut floor = f64::MIN;
-                for (i, v) in d[..len].iter().enumerate() {
-                    let m = v.norm_sqr();
-                    if m <= floor {
-                        continue;
-                    }
-                    let pos = cand.partition_point(|&(_, cm)| cm >= m);
-                    cand.insert(pos, (i, m));
-                    if cand.len() > gather {
-                        cand.pop();
-                        floor = cand.last().unwrap().1;
-                    }
-                }
-                let mut peaks: Vec<MaxLoc> = Vec::with_capacity(k);
-                'cands: for (i, m) in cand {
-                    let (x, y) = ((i % width) as i64, (i / width) as i64);
-                    for p in &peaks {
-                        let (px, py) = ((p.index % width) as i64, (p.index / width) as i64);
-                        if (x - px).abs() <= 2 && (y - py).abs() <= 2 {
-                            continue 'cands;
-                        }
-                    }
-                    peaks.push(MaxLoc {
-                        index: i,
-                        value: m.sqrt(),
-                    });
-                    if peaks.len() == k {
-                        break;
-                    }
-                }
-                peaks
+            let (mut cand, mut peaks) = (Vec::new(), Vec::new());
+            buf.map(tok, |d| {
+                top_peaks_into(&d[..len], width, k, C64::norm_sqr, &mut cand, &mut peaks)
             });
-            let _ = tx.send(out);
+            let out = peaks.into_iter().map(|(index, m)| MaxLoc {
+                index,
+                value: m.sqrt(),
+            });
+            let _ = tx.send(out.collect());
         });
         fut
     }

@@ -281,7 +281,7 @@ impl StitchJob {
     /// budget is never over-committed by jobs that allocate less.
     pub fn estimated_bytes(&self) -> usize {
         let (w, h) = (self.scan.tile_width, self.scan.tile_height);
-        let buf_len = stitch_core::Correlator::spectrum_len(TransformKind::Complex, w, h);
+        let buf_len = TransformKind::Complex.spectrum_len(w, h);
         let quota = self.spectrum_quota();
         let spectra = quota * buf_len * std::mem::size_of::<stitch_fft::C64>();
         let tiles = quota * w * h * std::mem::size_of::<u16>();

@@ -50,8 +50,8 @@ use stitch_core::{
     PipelinedCpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, Stitcher, TransformKind,
 };
 use stitch_core::{
-    Correlator, FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher, StitchError,
-    StitchResult, SyntheticSource, TileSource,
+    FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher, StitchError, StitchResult,
+    SyntheticSource, TileSource,
 };
 use stitch_fft::PlanMode;
 use stitch_gpu::Device;
@@ -763,11 +763,8 @@ fn build_stitcher(
         JobVariant::PipelinedCpu => {
             // The arbitrated substrates: a bounded per-job pool quota and
             // the shared FFT plan cache.
-            let buf_len = Correlator::spectrum_len(
-                TransformKind::Complex,
-                job.scan.tile_width,
-                job.scan.tile_height,
-            );
+            let buf_len =
+                TransformKind::Complex.spectrum_len(job.scan.tile_width, job.scan.tile_height);
             let pool = inner.arbiter.quota_pool(buf_len, job.spectrum_quota());
             let planner = inner.arbiter.planner(PlanMode::Estimate);
             Box::new(

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use stitch_core::{
-    AbsolutePositions, Correlator, Displacement, FailurePolicy, FaultTracker, GlobalOptimizer,
-    HealthReport, OpCounters, StitchError, StitchResult, TileSource, TileStatus, TransformKind,
+    AbsolutePositions, Displacement, FailurePolicy, FaultTracker, GlobalOptimizer, HealthReport,
+    OpCounters, PciamContext, StitchError, StitchResult, TileSource, TileStatus,
 };
 use stitch_fft::Planner;
 use stitch_trace::TraceHandle;
@@ -55,7 +55,7 @@ pub fn register_seams(
 ) -> Result<SeamOutcome, StitchError> {
     let (w, h) = source.tile_dims();
     let counters = OpCounters::new_shared();
-    let mut ctx = Correlator::new(TransformKind::Complex, planner, w, h, Arc::clone(&counters));
+    let mut ctx = PciamContext::new(planner, w, h, Arc::clone(&counters));
     let tracker = FaultTracker::new(plan.grid);
     let mut displacements = Vec::new();
     let _span = trace.scope("shard/merge", "compute", "register seams");

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use stitch_core::pciam_real::TransformKind;
 use stitch_core::prelude::*;
+use stitch_core::TransformKind;
 use stitch_fft::BackendChoice;
 use stitch_gpu::{Device, DeviceConfig, GpuFaultConfig};
 use stitch_image::{pgm, tiff, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate};
@@ -40,8 +40,8 @@ pub enum Command {
     Stitch {
         /// Dataset directory (with `manifest.tsv`).
         dataset: PathBuf,
-        /// Implementation name.
-        implementation: Implementation,
+        /// Implementation (`--impl`, one of [`JobVariant::parse`]'s tokens).
+        implementation: JobVariant,
         /// Worker threads (CPU variants) or CCF threads (GPU variants).
         threads: usize,
         /// Simulated GPU count (GPU variants).
@@ -99,7 +99,7 @@ pub enum Command {
         /// Concurrent shard jobs.
         workers: usize,
         /// Per-shard stitcher (CPU variants only).
-        implementation: Implementation,
+        implementation: JobVariant,
         /// Compute threads per shard job.
         threads: usize,
         /// Blend mode for composition.
@@ -186,40 +186,6 @@ pub enum Command {
     Help,
 }
 
-/// Stitcher implementation selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Implementation {
-    /// Sequential reference.
-    SimpleCpu,
-    /// SPMD row bands.
-    MtCpu,
-    /// 3-stage CPU pipeline (default).
-    PipelinedCpu,
-    /// Synchronous single-stream GPU port.
-    SimpleGpu,
-    /// Six-stage multi-GPU pipeline.
-    PipelinedGpu,
-    /// Per-pair-recompute baseline.
-    Fiji,
-}
-
-impl Implementation {
-    fn parse(s: &str) -> Result<Implementation, String> {
-        match s {
-            "simple-cpu" => Ok(Implementation::SimpleCpu),
-            "mt-cpu" => Ok(Implementation::MtCpu),
-            "pipelined-cpu" => Ok(Implementation::PipelinedCpu),
-            "simple-gpu" => Ok(Implementation::SimpleGpu),
-            "pipelined-gpu" => Ok(Implementation::PipelinedGpu),
-            "fiji" => Ok(Implementation::Fiji),
-            other => Err(format!(
-                "unknown implementation {other:?} (expected simple-cpu, mt-cpu, \
-                 pipelined-cpu, simple-gpu, pipelined-gpu, or fiji)"
-            )),
-        }
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 stitch — hybrid CPU-GPU microscopy image stitching (ICPP 2014 reproduction)
@@ -227,7 +193,7 @@ stitch — hybrid CPU-GPU microscopy image stitching (ICPP 2014 reproduction)
 USAGE:
   stitch generate --out DIR [--rows N] [--cols N] [--tile-width N]
                   [--tile-height N] [--overlap F] [--seed N]
-                  [--channels N] [--z-planes N]
+                  [--jitter PX] [--noise SIGMA] [--channels N] [--z-planes N]
   stitch stitch --dataset DIR [--impl NAME] [--threads N] [--gpus N]
                 [--transform complex|real|padded] [--blend overlay|first|average|linear]
                 [--out mosaic.pgm|.tif] [--positions out.tsv] [--highlight]
@@ -271,6 +237,8 @@ and job lifecycle stream back as `event=... key=value` lines):
 
 IMPLEMENTATIONS: simple-cpu, mt-cpu, pipelined-cpu (default), simple-gpu,
                  pipelined-gpu, fiji
+  --transform real|padded (the paper's §VI-A spectrum layouts) is accepted
+  by simple-cpu and pipelined-cpu only.
 
 BACKENDS (phase-1 compute kernels; all bit-identical on displacements):
   auto     pick the fastest the host supports (default)
@@ -295,18 +263,49 @@ FAULT SPEC (comma-separated key=value):
   gpu-oom=RATE gpu-retries=N                             (device ops)
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flags that take no value.
+const BOOLEAN_FLAGS: [&str; 4] = ["highlight", "allow-partial", "correct-illumination", "maxz"];
+
+/// Every flag a sub-command reads (space-separated): anything else on
+/// its command line is a typo, not a no-op. `None` for `help` and unknown
+/// sub-commands, which [`parse`] settles without looking at flags.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "generate" => {
+            "out rows cols tile-width tile-height overlap seed jitter noise channels z-planes"
+        }
+        "stitch" => {
+            "dataset impl threads gpus transform blend out positions highlight retries \
+             retry-backoff-ms fault-spec allow-partial health-json trace-json run-report \
+             backend ref-channel correct-illumination maxz"
+        }
+        "shard" => {
+            "dataset rows cols tile-width tile-height overlap seed shard-rows shard-cols \
+             mem-budget-mb workers impl threads blend out positions band-rows preview \
+             preview-scale trace-json"
+        }
+        "serve" => {
+            "workers budget-mb max-pending watchdog-ms tenant-jobs rate-burst rate-per-sec \
+             tenant-cap-mb breaker-threshold drain socket trace-json reports-dir"
+        }
+        "serve-batch" => "jobs workers budget-mb stream-slots trace-json reports-dir",
+        "info" => "dataset",
+        "simulate" => "machine rows cols",
+        _ => return None,
+    })
+}
+
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = known_flags(cmd);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
-            // boolean flags take no value
-            if name == "highlight"
-                || name == "allow-partial"
-                || name == "correct-illumination"
-                || name == "maxz"
-            {
+            if known.is_some_and(|known| !known.split(' ').any(|k| k == name)) {
+                return Err(format!("unknown flag --{name} for '{cmd}'"));
+            }
+            if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "true".to_string());
                 i += 1;
                 continue;
@@ -321,6 +320,44 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         }
     }
     Ok(flags)
+}
+
+fn get_blend(flags: &HashMap<String, String>) -> Result<Blend, String> {
+    match flags.get("blend").map(String::as_str) {
+        None | Some("overlay") => Ok(Blend::Overlay),
+        Some("first") => Ok(Blend::First),
+        Some("average") => Ok(Blend::Average),
+        Some("linear") => Ok(Blend::Linear),
+        Some(other) => Err(format!("bad --blend {other:?}")),
+    }
+}
+
+/// `--impl`, one of [`JobVariant::parse`]'s six tokens.
+fn get_variant(flags: &HashMap<String, String>, default: JobVariant) -> Result<JobVariant, String> {
+    flags
+        .get("impl")
+        .map_or(Ok(default), |v| JobVariant::parse(v))
+        .map_err(|e| format!("bad --impl: {e}"))
+}
+
+/// `stitch --transform`. Only Simple-CPU and Pipelined-CPU build their
+/// kernel from a [`TransformKind`]; the other variants would silently run
+/// complex, so a non-default layout with one of them is an error.
+fn get_transform(flags: &HashMap<String, String>) -> Result<TransformKind, String> {
+    let transform = match flags.get("transform").map(String::as_str) {
+        None | Some("complex") => return Ok(TransformKind::Complex),
+        Some("real") => TransformKind::Real,
+        Some("padded") => TransformKind::PaddedComplex,
+        Some(other) => return Err(format!("bad --transform {other:?}")),
+    };
+    match get_variant(flags, JobVariant::PipelinedCpu)? {
+        JobVariant::SimpleCpu | JobVariant::PipelinedCpu => Ok(transform),
+        other => Err(format!(
+            "--transform {} is supported only by --impl simple-cpu and pipelined-cpu, not {}",
+            flags["transform"],
+            other.token()
+        )),
+    }
 }
 
 fn get_num<T: std::str::FromStr>(
@@ -341,7 +378,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags(cmd, &args[1..])?;
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "generate" => {
@@ -373,27 +410,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .get("dataset")
                 .ok_or("stitch requires --dataset DIR")?
                 .into(),
-            implementation: Implementation::parse(
-                flags
-                    .get("impl")
-                    .map(String::as_str)
-                    .unwrap_or("pipelined-cpu"),
-            )?,
+            implementation: get_variant(&flags, JobVariant::PipelinedCpu)?,
             threads: get_num(&flags, "threads", 4)?,
             gpus: get_num(&flags, "gpus", 1)?,
-            transform: match flags.get("transform").map(String::as_str) {
-                None | Some("complex") => TransformKind::Complex,
-                Some("real") => TransformKind::Real,
-                Some("padded") => TransformKind::PaddedComplex,
-                Some(other) => return Err(format!("bad --transform {other:?}")),
-            },
-            blend: match flags.get("blend").map(String::as_str) {
-                None | Some("overlay") => Blend::Overlay,
-                Some("first") => Blend::First,
-                Some("average") => Blend::Average,
-                Some("linear") => Blend::Linear,
-                Some(other) => return Err(format!("bad --blend {other:?}")),
-            },
+            transform: get_transform(&flags)?,
+            blend: get_blend(&flags)?,
             out: flags.get("out").map(PathBuf::from),
             positions_out: flags.get("positions").map(PathBuf::from),
             highlight: flags.contains_key("highlight"),
@@ -430,20 +451,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             shard_cols: get_num(&flags, "shard-cols", 4)?,
             budget_mb: get_num(&flags, "mem-budget-mb", 256)?,
             workers: get_num(&flags, "workers", 2)?,
-            implementation: Implementation::parse(
-                flags
-                    .get("impl")
-                    .map(String::as_str)
-                    .unwrap_or("simple-cpu"),
-            )?,
+            implementation: get_variant(&flags, JobVariant::SimpleCpu)?,
             threads: get_num(&flags, "threads", 2)?,
-            blend: match flags.get("blend").map(String::as_str) {
-                None | Some("overlay") => Blend::Overlay,
-                Some("first") => Blend::First,
-                Some("average") => Blend::Average,
-                Some("linear") => Blend::Linear,
-                Some(other) => return Err(format!("bad --blend {other:?}")),
-            },
+            blend: get_blend(&flags)?,
             out: flags.get("out").map(PathBuf::from),
             positions_out: flags.get("positions").map(PathBuf::from),
             band_rows: get_num(&flags, "band-rows", 64)?,
@@ -902,18 +912,12 @@ pub fn run(cmd: Command) -> i32 {
             preview_scale,
             trace_out,
         } => {
-            let variant = match implementation {
-                Implementation::SimpleCpu => JobVariant::SimpleCpu,
-                Implementation::MtCpu => JobVariant::MtCpu,
-                Implementation::PipelinedCpu => JobVariant::PipelinedCpu,
-                Implementation::Fiji => JobVariant::FijiStyle,
-                Implementation::SimpleGpu | Implementation::PipelinedGpu => {
-                    eprintln!(
-                        "error: shard runs CPU variants only (the shard scheduler shares no GPU)"
-                    );
-                    return 1;
-                }
-            };
+            if implementation.needs_device() {
+                eprintln!(
+                    "error: shard runs CPU variants only (the shard scheduler shares no GPU)"
+                );
+                return 1;
+            }
             let source: Arc<dyn TileSource> = match &dataset {
                 Some(dir) => match DirSource::open(dir) {
                     Ok(s) => Arc::new(s),
@@ -934,7 +938,7 @@ pub fn run(cmd: Command) -> i32 {
                 shard_cols,
                 workers,
                 memory_budget: budget_mb << 20,
-                variant,
+                variant: implementation,
                 threads,
                 compose: (out.is_some() || preview_out.is_some()).then_some(blend),
                 band_rows,
@@ -976,12 +980,7 @@ pub fn run(cmd: Command) -> i32 {
                 outcome.hierarchical_deviation.0, outcome.hierarchical_deviation.1
             );
             if let Some(path) = positions_out {
-                let mut tsv = String::from("row\tcol\tx\ty\n");
-                for id in outcome.result.shape.ids() {
-                    let (x, y) = outcome.positions.get(id);
-                    tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
-                }
-                if let Err(e) = std::fs::write(&path, tsv) {
+                if let Err(e) = write_positions(&path, &outcome.positions) {
                     eprintln!("error writing positions: {e}");
                     return 1;
                 }
@@ -1000,11 +999,7 @@ pub fn run(cmd: Command) -> i32 {
             if let (Some(path), Some(mosaic)) =
                 (&out, canvas_mosaic.as_ref().or(outcome.mosaic.as_ref()))
             {
-                let res = match path.extension().and_then(|e| e.to_str()) {
-                    Some("tif") | Some("tiff") => tiff::write_tiff(path, mosaic),
-                    _ => pgm::write_pgm(path, mosaic),
-                };
-                match res {
+                match write_image(path, mosaic) {
                     Ok(()) => println!(
                         "{}x{} mosaic (banded, {} rows/band) -> {}",
                         mosaic.width(),
@@ -1023,11 +1018,7 @@ pub fn run(cmd: Command) -> i32 {
                 let scale = preview_scale.min(canvas.max_scale());
                 let (pw, ph) = ((mw >> scale).max(1), (mh >> scale).max(1));
                 let overview = canvas.get_region(scale, 0, 0, pw, ph);
-                let res = match path.extension().and_then(|e| e.to_str()) {
-                    Some("tif") | Some("tiff") => tiff::write_tiff(path, &overview),
-                    _ => pgm::write_pgm(path, &overview),
-                };
-                match res {
+                match write_image(path, &overview) {
                     Ok(()) => println!(
                         "scale-{scale} overview {pw}x{ph} ({} live canvas chunks) -> {}",
                         canvas.stats().live_chunks,
@@ -1112,26 +1103,26 @@ pub fn run(cmd: Command) -> i32 {
                 ..DeviceConfig::default()
             };
             let stitcher: Box<dyn Stitcher> = match implementation {
-                Implementation::SimpleCpu => Box::new(
+                JobVariant::SimpleCpu => Box::new(
                     SimpleCpuStitcher::default()
                         .with_transform(transform)
                         .with_trace(trace.clone()),
                 ),
-                Implementation::MtCpu => {
+                JobVariant::MtCpu => {
                     Box::new(MtCpuStitcher::new(threads).with_trace(trace.clone()))
                 }
-                Implementation::PipelinedCpu => Box::new(
+                JobVariant::PipelinedCpu => Box::new(
                     PipelinedCpuStitcher::with_config(stitch_core::PipelinedCpuConfig {
                         transform,
                         ..stitch_core::PipelinedCpuConfig::with_threads(threads)
                     })
                     .with_trace(trace.clone()),
                 ),
-                Implementation::SimpleGpu => Box::new(
+                JobVariant::SimpleGpu => Box::new(
                     SimpleGpuStitcher::new(Device::new(0, device_config.clone()))
                         .with_trace(trace.clone()),
                 ),
-                Implementation::PipelinedGpu => {
+                JobVariant::PipelinedGpu => {
                     let devices: Vec<Device> = (0..gpus.max(1))
                         .map(|i| Device::new(i, device_config.clone()))
                         .collect();
@@ -1146,7 +1137,7 @@ pub fn run(cmd: Command) -> i32 {
                         .with_trace(trace.clone()),
                     )
                 }
-                Implementation::Fiji => {
+                JobVariant::FijiStyle => {
                     Box::new(FijiStyleStitcher::new(threads).with_trace(trace.clone()))
                 }
             };
@@ -1229,12 +1220,7 @@ pub fn run(cmd: Command) -> i32 {
             );
             let positions = GlobalOptimizer::default().solve(&result);
             if let Some(path) = positions_out {
-                let mut tsv = String::from("row\tcol\tx\ty\n");
-                for id in result.shape.ids() {
-                    let (x, y) = positions.get(id);
-                    tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
-                }
-                if let Err(e) = std::fs::write(&path, tsv) {
+                if let Err(e) = write_positions(&path, &positions) {
                     eprintln!("error writing positions: {e}");
                     return 1;
                 }
@@ -1244,11 +1230,7 @@ pub fn run(cmd: Command) -> i32 {
                 let mut composer = Composer::new(positions, blend).with_trace(trace.clone());
                 composer.highlight_tiles = highlight;
                 let mosaic = composer.compose(source.as_ref());
-                let res = match path.extension().and_then(|e| e.to_str()) {
-                    Some("tif") | Some("tiff") => tiff::write_tiff(&path, &mosaic),
-                    _ => pgm::write_pgm(&path, &mosaic),
-                };
-                match res {
+                match write_image(&path, &mosaic) {
                     Ok(()) => println!(
                         "phase 3: {}x{} mosaic -> {}",
                         mosaic.width(),
@@ -1284,6 +1266,28 @@ pub fn run(cmd: Command) -> i32 {
             0
         }
     }
+}
+
+/// Writes `image` as TIFF when `path` ends in `.tif`/`.tiff`, as PGM
+/// otherwise.
+fn write_image(
+    path: &std::path::Path,
+    image: &stitch_image::Image<u16>,
+) -> Result<(), stitch_image::ImageError> {
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("tif") | Some("tiff") => tiff::write_tiff(path, image),
+        _ => pgm::write_pgm(path, image),
+    }
+}
+
+/// Writes absolute tile positions as a `row col x y` TSV.
+fn write_positions(path: &std::path::Path, positions: &AbsolutePositions) -> std::io::Result<()> {
+    let mut tsv = String::from("row\tcol\tx\ty\n");
+    for id in positions.shape.ids() {
+        let (x, y) = positions.get(id);
+        tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
+    }
+    std::fs::write(path, tsv)
 }
 
 /// Splices a compose-unit label into an output path before the
@@ -1355,12 +1359,7 @@ fn run_channel_stitch(
         run.mosaics.len()
     );
     if let Some(path) = positions_out {
-        let mut tsv = String::from("row\tcol\tx\ty\n");
-        for id in run.registration.shape.ids() {
-            let (x, y) = run.positions.get(id);
-            tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
-        }
-        if let Err(e) = std::fs::write(path, tsv) {
+        if let Err(e) = write_positions(path, &run.positions) {
             eprintln!("error writing positions: {e}");
             return 1;
         }
@@ -1369,11 +1368,7 @@ fn run_channel_stitch(
     if let Some(base) = out {
         for (unit, mosaic) in &run.mosaics {
             let path = unit_output_path(base, &unit.label());
-            let res = match path.extension().and_then(|e| e.to_str()) {
-                Some("tif") | Some("tiff") => tiff::write_tiff(&path, mosaic),
-                _ => pgm::write_pgm(&path, mosaic),
-            };
-            match res {
+            match write_image(&path, mosaic) {
                 Ok(()) => println!(
                     "phase 3: {}x{} mosaic ({}) -> {}",
                     mosaic.width(),
@@ -1422,7 +1417,7 @@ mod tests {
     fn parses_stitch_flags() {
         let cmd = parse(&argv(
             "stitch --dataset /d --impl pipelined-gpu --gpus 2 --threads 8 \
-             --transform real --blend linear --out m.tif --highlight",
+             --transform complex --blend linear --out m.tif --highlight",
         ))
         .unwrap();
         match cmd {
@@ -1436,10 +1431,10 @@ mod tests {
                 highlight,
                 ..
             } => {
-                assert_eq!(implementation, Implementation::PipelinedGpu);
+                assert_eq!(implementation, JobVariant::PipelinedGpu);
                 assert_eq!(gpus, 2);
                 assert_eq!(threads, 8);
-                assert_eq!(transform, TransformKind::Real);
+                assert_eq!(transform, TransformKind::Complex);
                 assert_eq!(blend, Blend::Linear);
                 assert_eq!(out, Some(PathBuf::from("m.tif")));
                 assert!(highlight);
@@ -1480,7 +1475,7 @@ mod tests {
                 assert_eq!((shard_rows, shard_cols), (2, 3));
                 assert_eq!(budget_mb, 64);
                 assert_eq!(workers, 3);
-                assert_eq!(implementation, Implementation::MtCpu);
+                assert_eq!(implementation, JobVariant::MtCpu);
                 assert_eq!(threads, 4);
                 assert_eq!(out, Some(PathBuf::from("m.pgm")));
                 assert_eq!(positions_out, Some(PathBuf::from("p.tsv")));
@@ -1819,7 +1814,7 @@ mod tests {
     fn default_implementation_is_pipelined_cpu() {
         match parse(&argv("stitch --dataset /d")).unwrap() {
             Command::Stitch { implementation, .. } => {
-                assert_eq!(implementation, Implementation::PipelinedCpu)
+                assert_eq!(implementation, JobVariant::PipelinedCpu)
             }
             other => panic!("{other:?}"),
         }

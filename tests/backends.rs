@@ -10,7 +10,7 @@
 //! `conformance.rs`, whose tests assume the backend never moves under
 //! them.
 
-use stitch_core::{Correlator, OpCounters, PairKind, TransformKind};
+use stitch_core::{OpCounters, PairKind, PciamContext, TransformKind};
 use stitch_fft::backend::{self, BackendChoice};
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::{Scene, SceneParams};
@@ -67,8 +67,8 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
     let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
     let b = scene.render_region(w as f64 * 1.75, h as f64 + 2.0, w, h, 0.02, 30.0, 2);
     let planner = Planner::new(PlanMode::Estimate);
-    let mut ctx = Correlator::new(kind, &planner, w, h, OpCounters::new_shared());
-    let run_pair = |ctx: &mut Correlator| {
+    let mut ctx = PciamContext::for_transform(kind, &planner, w, h, OpCounters::new_shared(), None);
+    let run_pair = |ctx: &mut PciamContext| {
         let fa = ctx.forward_fft(&a);
         let fb = ctx.forward_fft(&b);
         ctx.displacement_oriented(&fa, &fb, &a, &b, Some(PairKind::West))
@@ -92,7 +92,11 @@ fn every_backend_is_allocation_free_in_steady_state() {
     for choice in choices() {
         backend::select(choice);
         let name = backend::resolved_name(choice);
-        for kind in [TransformKind::Complex, TransformKind::Real] {
+        for kind in [
+            TransformKind::Complex,
+            TransformKind::Real,
+            TransformKind::PaddedComplex,
+        ] {
             let allocs = steady_state_pair_allocations(kind, 3, 5);
             assert_eq!(
                 allocs, 0,

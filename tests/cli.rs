@@ -112,6 +112,63 @@ fn generate_then_stitch_multichannel_stack() {
 }
 
 #[test]
+fn transform_is_accepted_only_where_it_is_honoured() {
+    for (name, kind) in [
+        ("real", stitching::core::TransformKind::Real),
+        ("padded", stitching::core::TransformKind::PaddedComplex),
+    ] {
+        for variant in ["simple-cpu", "pipelined-cpu"] {
+            let line = format!("stitch --dataset /d --impl {variant} --transform {name}");
+            match parse(&argv(&line)).unwrap() {
+                Command::Stitch { transform, .. } => assert_eq!(transform, kind),
+                other => panic!("{other:?}"),
+            }
+        }
+        // the other four variants used to run complex and say nothing
+        for variant in ["mt-cpu", "simple-gpu", "pipelined-gpu", "fiji"] {
+            let line = format!("stitch --dataset /d --impl {variant} --transform {name}");
+            let err = parse(&argv(&line)).unwrap_err();
+            assert!(
+                err.contains("simple-cpu") && err.contains("pipelined-cpu"),
+                "{err}"
+            );
+            assert!(err.contains(variant), "{err}");
+        }
+    }
+    assert!(parse(&argv("stitch --dataset /d --impl fiji --transform complex")).is_ok());
+    assert!(parse(&argv("stitch --dataset /d --transform cosine")).is_err());
+}
+
+#[test]
+fn unknown_flags_are_rejected_per_subcommand() {
+    // `--thread 8` used to be swallowed and the run kept 4 threads
+    let err = parse(&argv("stitch --dataset /d --thread 8")).unwrap_err();
+    assert_eq!(err, "unknown flag --thread for 'stitch'");
+    // a flag of one sub-command is unknown to another
+    let err = parse(&argv("info --dataset /d --threads 2")).unwrap_err();
+    assert_eq!(err, "unknown flag --threads for 'info'");
+    assert!(parse(&argv("shard --jitter 1.0")).is_err());
+    // generate's two undocumented-until-now flags stay accepted
+    match parse(&argv("generate --out /tmp/x --jitter 0.5 --noise 7")).unwrap() {
+        Command::Generate { config, .. } => {
+            assert_eq!((config.stage_jitter, config.noise_sigma), (0.5, 7.0));
+        }
+        other => panic!("{other:?}"),
+    }
+    let err = parse(&argv("stitch --dataset /d --impl nope")).unwrap_err();
+    for token in [
+        "simple-cpu",
+        "mt-cpu",
+        "pipelined-cpu",
+        "fiji",
+        "simple-gpu",
+        "pipelined-gpu",
+    ] {
+        assert!(err.contains(token), "{err}");
+    }
+}
+
+#[test]
 fn stitch_missing_dataset_fails_cleanly() {
     let cmd = parse(&argv("stitch --dataset /nonexistent/place")).unwrap();
     assert_eq!(run(cmd), 1);

@@ -11,7 +11,7 @@
 //! the hot-path invariant directly: steady-state PCIAM pair computation
 //! performs zero heap allocations after warmup.
 
-use stitch_core::{Correlator, OpCounters, PairKind, TransformKind};
+use stitch_core::{OpCounters, PairKind, PciamContext, TransformKind};
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::{Scene, SceneParams};
 use stitch_testkit::alloc::CountingAllocator;
@@ -38,8 +38,8 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
     let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
     let b = scene.render_region(w as f64 * 1.75, h as f64 + 2.0, w, h, 0.02, 30.0, 2);
     let planner = Planner::new(PlanMode::Estimate);
-    let mut ctx = Correlator::new(kind, &planner, w, h, OpCounters::new_shared());
-    let run_pair = |ctx: &mut Correlator| {
+    let mut ctx = PciamContext::for_transform(kind, &planner, w, h, OpCounters::new_shared(), None);
+    let run_pair = |ctx: &mut PciamContext| {
         let fa = ctx.forward_fft(&a);
         let fb = ctx.forward_fft(&b);
         ctx.displacement_oriented(&fa, &fb, &a, &b, Some(PairKind::West))
@@ -60,7 +60,11 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
 
 #[test]
 fn steady_state_pair_computation_is_allocation_free() {
-    for kind in [TransformKind::Complex, TransformKind::Real] {
+    for kind in [
+        TransformKind::Complex,
+        TransformKind::Real,
+        TransformKind::PaddedComplex,
+    ] {
         let allocs = steady_state_pair_allocations(kind, 3, 5);
         assert_eq!(
             allocs, 0,
