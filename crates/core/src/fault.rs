@@ -161,6 +161,14 @@ impl fmt::Display for StitchError {
 
 impl std::error::Error for StitchError {}
 
+impl From<stitch_pipeline::PipelineError> for StitchError {
+    fn from(e: stitch_pipeline::PipelineError) -> StitchError {
+        StitchError::Pipeline {
+            detail: e.to_string(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // retry policy
 // ---------------------------------------------------------------------------
@@ -233,7 +241,9 @@ impl FailurePolicy {
 /// of attempts made (1 = first try succeeded). Retries only
 /// [retryable](SourceError::is_retryable) errors, sleeping the policy's
 /// exponential backoff between attempts and giving up when the per-tile
-/// deadline elapses.
+/// deadline elapses. A tile that decodes to other dimensions than the
+/// source declares is [`SourceError::Corrupt`]: every kernel downstream
+/// is planned for `tile_dims()`.
 pub fn load_with_retry(
     source: &dyn TileSource,
     id: TileId,
@@ -243,6 +253,13 @@ pub fn load_with_retry(
     let mut attempt = 1u32;
     loop {
         match source.load(id) {
+            Ok(img) if img.dims() != source.tile_dims() => {
+                let ((w, h), (mw, mh)) = (img.dims(), source.tile_dims());
+                return Err(SourceError::Corrupt {
+                    id,
+                    detail: format!("tile is {w}x{h}, manifest says {mw}x{mh}"),
+                });
+            }
             Ok(img) => return Ok((img, attempt)),
             Err(e) if !e.is_retryable() => return Err(e),
             Err(e) => {

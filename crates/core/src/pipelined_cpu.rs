@@ -5,10 +5,13 @@
 //! GPU counterpart. The CPU pipeline consists of three stages: reader,
 //! displacement/fft, and bookkeeping."
 //!
-//! Structure (all queues are bounded monitors from `stitch-pipeline`):
+//! Structure (bounded monitor queues between stages of one
+//! `stitch_pipeline::Pipeline`, which owns the threads, the `wait`/`stage`
+//! spans and the per-stage statistics, and turns a stage panic into
+//! [`StitchError::Pipeline`]):
 //!
 //! ```text
-//! traversal ─Q01→ [reader ×R] ─Q12→ [fft/displacement ×N] ⇄ [bookkeeping ×1]
+//! traversal ─Q01→ [read ×R] ─Q12→ [fft ×N] ⇄ [bk ×1]
 //! ```
 //!
 //! * the reader loads tiles from disk, throttled by a transform-pool
@@ -91,6 +94,9 @@ pub struct PipelinedCpuStitcher {
     trace: TraceHandle,
     shared_spectra: Option<SpectrumPool>,
     shared_planner: Option<Arc<Planner>>,
+    /// Test seam: the fft stage panics when it meets this tile.
+    #[cfg(test)]
+    fft_panic_at: Option<TileId>,
 }
 
 #[derive(Clone)]
@@ -148,6 +154,8 @@ impl PipelinedCpuStitcher {
             trace: TraceHandle::disabled(),
             shared_spectra: None,
             shared_planner: None,
+            #[cfg(test)]
+            fft_panic_at: None,
         }
     }
 
@@ -173,8 +181,9 @@ impl PipelinedCpuStitcher {
 
     /// Records every stage's spans into `trace`: reader tracks
     /// `"read.{i}"`, compute-worker tracks `"fft.{i}"`, bookkeeping track
-    /// `"bk"`, each with `"wait"` spans around queue pops; queue statistics
-    /// are snapshotted after the run.
+    /// `"bk.0"`, each with the pipeline's `"wait"`/`"stage"` spans around
+    /// the bodies' own `"io"`/`"compute"` spans; per-stage and per-queue
+    /// statistics are recorded after the run.
     pub fn with_trace(mut self, trace: TraceHandle) -> PipelinedCpuStitcher {
         self.trace = trace;
         self
@@ -240,209 +249,150 @@ impl Stitcher for PipelinedCpuStitcher {
         let q_ids: Queue<TileId> = Queue::new(floor.unwrap_or(64).max(1));
         let q_work: Queue<Work> = Queue::new((2 * pool_size).max(floor.unwrap_or(8).max(1)));
         let q_bk: Queue<BkMsg> = Queue::new(pool_size.max(floor.unwrap_or(8).max(1)));
-        // q_work and q_bk each have producers in two different stages.
-        // Writer-counted queues close for good when the count hits zero,
-        // so hold guard writers until every stage has registered its own —
-        // otherwise a fast early stage can finish, drop the last writer,
-        // and close the queue before a later stage's writer exists.
-        let w_work_guard = q_work.writer();
-        let w_bk_guard = q_bk.writer();
 
         let result = Mutex::new(StitchResult::empty(shape));
         let live_peak = AtomicUsize::new(0);
-
-        // The scoped-thread trick is unnecessary: the source reference only
-        // needs to outlive the pipeline, which `join` below guarantees.
-        let joined = std::thread::scope(|scope| {
-            let mut pipeline = Pipeline::with_trace(self.trace.clone());
+        let trace = &self.trace;
+        let joined = {
+            let (tracker, result, live_peak) = (&tracker, &result, &live_peak);
+            let (pool, counters) = (&pool, &counters);
+            let mut pipeline = Pipeline::with_trace(trace.clone());
 
             // Stage 0 — feed tile ids in traversal order.
-            {
-                let ids = self.config.traversal.order(shape);
-                let w_ids = q_ids.writer();
-                pipeline.add_source("traversal", move || {
-                    for id in ids {
-                        if !w_ids.push(id) {
-                            break;
-                        }
+            let ids = self.config.traversal.order(shape);
+            let w_ids = q_ids.writer();
+            pipeline.add_source("traversal", move || {
+                for id in ids {
+                    if !w_ids.push(id) {
+                        break;
                     }
-                });
-            }
+                }
+            });
 
             // Stage 1 — reader(s): disk → memory, throttled by the pool.
-            // `source` borrows the caller's TileSource; a scoped spawn
-            // inside Pipeline isn't possible, so readers run on scoped
-            // threads of our own mirroring a pipeline stage.
-            for rt in 0..self.config.read_threads {
-                let w_work = q_work.writer();
-                let w_bk = q_bk.writer();
-                let pool = Arc::clone(&pool);
-                let counters = Arc::clone(&counters);
-                let q_ids = q_ids.clone();
-                let tracker = &tracker;
-                let trace = self.trace.clone();
-                scope.spawn(move || {
-                    let track = format!("read.{rt}");
-                    loop {
-                        let w0 = trace.now_ns();
-                        let Some(id) = q_ids.pop() else { break };
-                        trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                        let permit = pool.acquire_owned();
-                        let l0 = trace.now_ns();
-                        let loaded = tracker.load(source, id, &policy.retry);
-                        trace.record(
-                            &track,
-                            "io",
-                            format!("read r{}c{}", id.row, id.col),
-                            l0,
-                            trace.now_ns(),
-                        );
-                        match loaded {
-                            Some(img) => {
-                                counters.count_read();
-                                if !w_work.push(Work::Fft(id, Arc::new(img), permit)) {
-                                    break;
-                                }
-                            }
-                            None => {
-                                // tell bookkeeping directly so it can write
-                                // off this tile's pairs; the permit goes
-                                // straight back to the pool
-                                drop(permit);
-                                if !w_bk.push(BkMsg::Failed(id)) {
-                                    break;
-                                }
-                            }
+            let readers = (0..self.config.read_threads).map(|rt| {
+                let (w_work, w_bk) = (q_work.writer(), q_bk.writer());
+                let track = format!("read.{rt}");
+                move |id: TileId| {
+                    let permit = pool.acquire_owned();
+                    let l0 = trace.now_ns();
+                    let loaded = tracker.load(source, id, &policy.retry);
+                    trace.record(
+                        &track,
+                        "io",
+                        format!("read r{}c{}", id.row, id.col),
+                        l0,
+                        trace.now_ns(),
+                    );
+                    match loaded {
+                        Some(img) => {
+                            counters.count_read();
+                            w_work.push(Work::Fft(id, Arc::new(img), permit));
+                        }
+                        None => {
+                            // tell bookkeeping directly so it can write off
+                            // this tile's pairs; the permit goes straight
+                            // back to the pool
+                            drop(permit);
+                            w_bk.push(BkMsg::Failed(id));
                         }
                     }
-                });
-            }
+                }
+            });
+            pipeline.add_stage_with("read", q_ids.clone(), readers);
 
             // Stage 2 — fft/displacement workers.
-            for t in 0..self.config.threads {
-                let q_work = q_work.clone();
+            let workers = (0..self.config.threads).map(|t| {
                 let w_bk = q_bk.writer();
-                let planner = Arc::clone(&planner);
-                let counters = Arc::clone(&counters);
-                let result = &result;
-                let transform = self.config.transform;
-                let trace = self.trace.clone();
-                let spectra = spectra.clone();
-                scope.spawn(move || {
-                    let track = format!("fft.{t}");
-                    let mut ctx = PciamContext::for_transform(
-                        transform,
-                        &planner,
-                        w,
-                        h,
-                        Arc::clone(&counters),
-                        Some(spectra),
-                    );
-                    loop {
-                        let w0 = trace.now_ns();
-                        let Some(work) = q_work.pop() else { break };
-                        trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                        match work {
-                            Work::Fft(id, img, permit) => {
-                                let f0 = trace.now_ns();
-                                let fft = Arc::new(ctx.forward_fft(&img));
-                                trace.record(
-                                    &track,
-                                    "compute",
-                                    format!("fft r{}c{}", id.row, id.col),
-                                    f0,
-                                    trace.now_ns(),
-                                );
-                                let done = FftDone {
-                                    id,
-                                    data: TileData { img, fft },
-                                    permit,
-                                };
-                                if !w_bk.push(BkMsg::Done(done)) {
-                                    break;
-                                }
-                            }
-                            Work::Pair { a, b, kind, slot } => {
-                                let c0 = trace.now_ns();
-                                let d = ctx.displacement_oriented(
-                                    &a.fft,
-                                    &b.fft,
-                                    &a.img,
-                                    &b.img,
-                                    Some(kind),
-                                );
-                                trace.record(
-                                    &track,
-                                    "compute",
-                                    format!("ccf slot {slot}"),
-                                    c0,
-                                    trace.now_ns(),
-                                );
-                                result.lock().set(kind, slot, d);
-                            }
-                        }
+                let track = format!("fft.{t}");
+                let mut ctx = PciamContext::for_transform(
+                    self.config.transform,
+                    &planner,
+                    w,
+                    h,
+                    Arc::clone(counters),
+                    Some(spectra.clone()),
+                );
+                #[cfg(test)]
+                let fft_panic_at = self.fft_panic_at;
+                move |work: Work| match work {
+                    Work::Fft(id, img, permit) => {
+                        #[cfg(test)]
+                        assert_ne!(Some(id), fft_panic_at, "injected fft-stage panic");
+                        let f0 = trace.now_ns();
+                        let fft = Arc::new(ctx.forward_fft(&img));
+                        trace.record(
+                            &track,
+                            "compute",
+                            format!("fft r{}c{}", id.row, id.col),
+                            f0,
+                            trace.now_ns(),
+                        );
+                        let done = FftDone {
+                            id,
+                            data: TileData { img, fft },
+                            permit,
+                        };
+                        w_bk.push(BkMsg::Done(done));
                     }
-                });
-            }
+                    Work::Pair { a, b, kind, slot } => {
+                        let c0 = trace.now_ns();
+                        let d =
+                            ctx.displacement_oriented(&a.fft, &b.fft, &a.img, &b.img, Some(kind));
+                        trace.record(
+                            &track,
+                            "compute",
+                            format!("ccf slot {slot}"),
+                            c0,
+                            trace.now_ns(),
+                        );
+                        result.lock().set(kind, slot, d);
+                    }
+                }
+            });
+            pipeline.add_stage_with("fft", q_work.clone(), workers);
 
             // Stage 3 — bookkeeping: dependency resolution + recycling.
-            {
-                let q_bk2 = q_bk.clone();
-                let w_work = q_work.writer();
-                let live_peak = &live_peak;
-                let trace = self.trace.clone();
-                scope.spawn(move || {
-                    let mut ledger: PairLedger<BookEntry> = PairLedger::new(shape);
-                    let mut open = true;
-                    while open && !ledger.is_drained() {
-                        let w0 = trace.now_ns();
-                        let Some(msg) = q_bk2.pop() else { break };
-                        trace.record("bk", "wait", "wait", w0, trace.now_ns());
-                        let s0 = trace.now_ns();
-                        match msg {
-                            BkMsg::Failed(id) => ledger.fail(id),
-                            // emit every pair that just became ready; a
-                            // released entry returns its pool permit
-                            BkMsg::Done(done) => ledger.arrive(
-                                done.id,
-                                BookEntry {
-                                    data: done.data,
-                                    _permit: done.permit,
-                                },
-                                |a, b, kind, slot| {
-                                    open &= w_work.push(Work::Pair {
-                                        a: a.data.clone(),
-                                        b: b.data.clone(),
-                                        kind,
-                                        slot,
-                                    });
-                                },
-                            ),
-                        }
-                        trace.record("bk", "stage", "bookkeep", s0, trace.now_ns());
-                    }
-                    // all work emitted; dropping our work-queue writer
-                    // lets the workers finish
+            let mut ledger: PairLedger<BookEntry> = PairLedger::new(shape);
+            let (w_work, bk_in) = (q_work.writer(), q_bk.clone());
+            let bookkeeper = move |msg: BkMsg| {
+                match msg {
+                    BkMsg::Failed(id) => ledger.fail(id),
+                    // emit every pair that just became ready; a released
+                    // entry returns its pool permit
+                    BkMsg::Done(done) => ledger.arrive(
+                        done.id,
+                        BookEntry {
+                            data: done.data,
+                            _permit: done.permit,
+                        },
+                        |a, b, kind, slot| {
+                            w_work.push(Work::Pair {
+                                a: a.data.clone(),
+                                b: b.data.clone(),
+                                kind,
+                                slot,
+                            });
+                        },
+                    ),
+                }
+                if ledger.is_drained() {
+                    // every tile is accounted for: end this stage (the
+                    // workers still feed its input, so it would never
+                    // close by itself), which drops the work-queue writer
+                    // and lets the workers finish
                     live_peak.store(ledger.peak_live(), Ordering::Relaxed);
-                });
-            }
-
-            // every stage's writers are registered; release the guards
-            drop(w_work_guard);
-            drop(w_bk_guard);
+                    bk_in.close();
+                }
+            };
+            pipeline.add_stage_with("bk", q_bk.clone(), [bookkeeper]);
 
             pipeline.join()
-            // the scope now waits for reader/workers/bookkeeping threads
-        });
-        // snapshot queue metrics into the trace once every thread is done
-        q_ids.record_to_trace(&self.trace, "read.in");
-        q_work.record_to_trace(&self.trace, "fft.in");
-        q_bk.record_to_trace(&self.trace, "bk.in");
-        if let Err(e) = joined {
-            return Err(StitchError::Pipeline {
-                detail: e.to_string(),
-            });
-        }
+        };
+        q_ids.record_to_trace(trace, "read.in");
+        q_work.record_to_trace(trace, "fft.in");
+        q_bk.record_to_trace(trace, "bk.in");
+        joined?;
 
         let mut result = result.into_inner();
         result.elapsed = t0.elapsed();
@@ -575,6 +525,33 @@ mod tests {
         assert_eq!(r.west, seq.west);
         assert_eq!(r.north, seq.north);
         assert_eq!(r.ops.reads, 12);
+    }
+
+    #[test]
+    fn fft_stage_panic_is_an_error_not_a_hang() {
+        for threads in [1, 2] {
+            let spectra = SpectrumPool::new(64 * 48);
+            let mut stitcher =
+                PipelinedCpuStitcher::new(threads).with_spectrum_pool(spectra.clone());
+            stitcher.fft_panic_at = Some(TileId::new(1, 2));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run =
+                    stitcher.try_compute_displacements(&source(3, 4, 59), &Default::default());
+                let _ = tx.send(run.map(|_| ()));
+            });
+            let run = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a panicking fft stage hung the pipeline");
+            match run {
+                Err(StitchError::Pipeline { detail }) => assert!(
+                    detail.contains("stage 'fft' panicked: ") && detail.contains("injected"),
+                    "{detail}"
+                ),
+                other => panic!("threads={threads}: {other:?}"),
+            }
+            assert_eq!(spectra.leased(), 0, "threads={threads}");
+        }
     }
 
     #[test]

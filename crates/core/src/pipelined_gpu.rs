@@ -1,9 +1,13 @@
 //! Pipelined-GPU: the paper's contribution (§IV-B, Fig 8).
 //!
-//! One six-stage execution pipeline per GPU:
+//! One six-stage execution pipeline per GPU — all of them, and the CCF
+//! stage they share, registered on one `stitch_pipeline::Pipeline` (stage
+//! names `pipe{gpu}/read` … `pipe{gpu}/disp`, `ccf`), which owns the
+//! threads, the `wait`/`stage` spans and the per-stage statistics, and
+//! turns a stage panic into [`StitchError::Pipeline`]:
 //!
 //! ```text
-//! Q01→[read]→Q12→[copier]→Q23→[FFT]→Q34→[BK]→Q45→[Disp]→Q56→[CCF ×N]
+//! [read]→Q12→[copier]→Q23→[FFT]→Q34→[BK]→Q45→[Disp]→Q56→[CCF ×N]
 //! ```
 //!
 //! 1. **read** — one thread reads image tiles from the source;
@@ -51,7 +55,7 @@ use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
-use stitch_pipeline::Queue;
+use stitch_pipeline::{Pipeline, Queue};
 
 /// Configuration for the GPU pipeline.
 #[derive(Clone, Debug)]
@@ -101,6 +105,9 @@ pub struct PipelinedGpuStitcher {
     devices: Vec<Device>,
     config: PipelinedGpuConfig,
     trace: TraceHandle,
+    /// Test seam: a device's FFT stage panics when it meets this tile.
+    #[cfg(test)]
+    fft_panic_at: Option<TileId>,
 }
 
 /// Stage 1 → 2 payload.
@@ -256,6 +263,8 @@ impl PipelinedGpuStitcher {
             devices,
             config,
             trace: TraceHandle::disabled(),
+            #[cfg(test)]
+            fft_panic_at: None,
         }
     }
 
@@ -264,11 +273,11 @@ impl PipelinedGpuStitcher {
         PipelinedGpuStitcher::new(vec![device], PipelinedGpuConfig::default())
     }
 
-    /// Records host-side stage spans (tracks `"pipe{id}/read"` …
-    /// `"pipe{id}/disp"`, CCF workers on `"ccf.{i}"`), per-queue
-    /// occupancy stats, and — at the end of the run — each device
-    /// profiler's H2D/D2H/kernel/sync spans on the same clock (tracks
-    /// `"gpu{id}/{stream}"`).
+    /// Records host-side stage spans (tracks `"pipe{id}/read"`,
+    /// `"pipe{id}/copy.0"` … `"pipe{id}/disp.0"`, CCF workers on
+    /// `"ccf.{i}"`), per-stage and per-queue stats, and — at the end of
+    /// the run — each device profiler's H2D/D2H/kernel/sync spans on the
+    /// same clock (tracks `"gpu{id}/{stream}"`).
     pub fn with_trace(mut self, trace: TraceHandle) -> PipelinedGpuStitcher {
         self.trace = trace;
         self
@@ -279,14 +288,15 @@ impl PipelinedGpuStitcher {
         self.devices.len()
     }
 
+    /// Registers one device's five stages on `pipeline`. Returns the
+    /// closure that snapshots its queues' statistics after the run.
     #[allow(clippy::too_many_arguments)]
-    fn run_pipeline<'scope, 'env>(
+    fn add_device_stages<'env>(
         &'env self,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
+        pipeline: &mut Pipeline<'env>,
         device: &'env Device,
         partition: Partition,
         source: &'env dyn TileSource,
-        shape: GridShape,
         counters: &'env Arc<OpCounters>,
         live_peak: &'env AtomicUsize,
         tracker: &'env FaultTracker,
@@ -294,7 +304,8 @@ impl PipelinedGpuStitcher {
         import_table: Option<Arc<ExportTable>>,
         export_table: Option<Arc<ExportTable>>,
         q56: &Queue<CcfTask>,
-    ) {
+    ) -> impl FnOnce(&TraceHandle) {
+        let shape = source.shape();
         let (w, h) = source.tile_dims();
         let n = w * h;
         let part_cols = partition.col_hi - partition.read_lo();
@@ -320,17 +331,17 @@ impl PipelinedGpuStitcher {
             .into_iter()
             .map(|t| TileId::new(t.row, t.col + partition.read_lo()))
             .collect();
+        let trace = &self.trace;
+        let dev_id = device.id();
+        let stage = |name: &str| format!("pipe{dev_id}/{name}");
 
         // Stage 1 — read. In peer-to-peer ghost mode the ghost column is
         // not read at all: the copier imports it from the neighbor.
-        let dev_id = device.id();
         {
             let w12 = q12.writer();
-            let counters = Arc::clone(counters);
             let p2p_ghosts = import_table.is_some();
-            let trace = self.trace.clone();
-            scope.spawn(move || {
-                let track = format!("pipe{dev_id}/read");
+            let track = stage("read");
+            pipeline.add_source(&track.clone(), move || {
                 for id in order {
                     let payload = if p2p_ghosts && id.col < partition.col_lo {
                         ReadPayload::Import
@@ -361,240 +372,192 @@ impl PipelinedGpuStitcher {
 
         // Stage 2 — copier (owns the copy stream and the buffer pool).
         {
-            let q12 = q12.clone();
             let w23 = q23.writer();
             let stream = device.create_stream("copy");
             let staging = device.alloc::<u16>(n).expect("staging buffer");
-            let import_table = import_table.clone();
-            let trace = self.trace.clone();
-            scope.spawn(move || {
-                let track = format!("pipe{dev_id}/copy");
-                loop {
-                    let w0 = trace.now_ns();
-                    let Some(t) = q12.pop() else { break };
-                    trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                    let s0 = trace.now_ns();
-                    let span_name = format!("copy r{}c{}", t.id.row, t.id.col);
-                    let item = match t.payload {
-                        ReadPayload::Img(img) => {
-                            let buf = Arc::new(pool.acquire()); // back-pressure
-                                                                // async upload + widen; the staging buffer is
-                                                                // reused, which is safe because commands on one
-                                                                // stream are ordered
-                            stream.h2d(Arc::new(img.pixels().to_vec()), &staging);
-                            stream.convert_u16_to_complex(&staging, buf.buffer());
-                            let copied = stream.record_event();
-                            CopiedMsg::Tile(CopiedTile {
-                                id: t.id,
-                                img,
-                                buf,
-                                copied,
-                                already_transformed: false,
-                            })
-                        }
-                        ReadPayload::Import => {
-                            // peer-to-peer ghost import: block until the
-                            // western pipeline publishes the transform,
-                            // then copy device-to-device
-                            let export = import_table
-                                .as_ref()
-                                .expect("ghost request implies import table")
-                                .take(t.id);
-                            match export {
-                                Some(export) => {
-                                    let buf = Arc::new(pool.acquire());
-                                    stream.wait_event(&export.transformed);
-                                    let src = Arc::clone(&export.buf);
-                                    let dst = buf.buffer().clone();
-                                    stream.launch("p2p_ghost_import", move |tok| {
-                                        src.buffer().map(tok, |s| {
-                                            dst.map(tok, |d| d.copy_from_slice(s));
-                                        });
-                                        // `src` drops here: the producer's buffer
-                                        // may recycle only after the copy executed
-                                    });
-                                    let copied = stream.record_event();
-                                    CopiedMsg::Tile(CopiedTile {
-                                        id: t.id,
-                                        img: export.img,
-                                        buf,
-                                        copied,
-                                        already_transformed: true,
-                                    })
-                                }
-                                // the neighbor never produced this tile
-                                None => CopiedMsg::Failed(t.id),
-                            }
-                        }
-                        ReadPayload::Failed => CopiedMsg::Failed(t.id),
-                    };
-                    trace.record(&track, "stage", span_name, s0, trace.now_ns());
-                    if !w23.push(item) {
-                        break;
+            let copier = move |t: ReadTile| {
+                let item = match t.payload {
+                    ReadPayload::Img(img) => {
+                        // back-pressure: blocks until a transform buffer is free
+                        let buf = Arc::new(pool.acquire());
+                        // async upload + widen; the staging buffer is
+                        // reused, which is safe because commands on one
+                        // stream are ordered
+                        stream.h2d(Arc::new(img.pixels().to_vec()), &staging);
+                        stream.convert_u16_to_complex(&staging, buf.buffer());
+                        let copied = stream.record_event();
+                        CopiedMsg::Tile(CopiedTile {
+                            id: t.id,
+                            img,
+                            buf,
+                            copied,
+                            already_transformed: false,
+                        })
                     }
-                }
-                q12.record_to_trace(&trace, &format!("gpu{dev_id}.q12"));
-            });
+                    ReadPayload::Import => {
+                        // peer-to-peer ghost import: block until the
+                        // western pipeline publishes the transform, then
+                        // copy device-to-device
+                        let export = import_table
+                            .as_ref()
+                            .expect("ghost request implies import table")
+                            .take(t.id);
+                        match export {
+                            Some(export) => {
+                                let buf = Arc::new(pool.acquire());
+                                stream.wait_event(&export.transformed);
+                                let src = Arc::clone(&export.buf);
+                                let dst = buf.buffer().clone();
+                                stream.launch("p2p_ghost_import", move |tok| {
+                                    src.buffer().map(tok, |s| {
+                                        dst.map(tok, |d| d.copy_from_slice(s));
+                                    });
+                                    // `src` drops here: the producer's buffer
+                                    // may recycle only after the copy executed
+                                });
+                                let copied = stream.record_event();
+                                CopiedMsg::Tile(CopiedTile {
+                                    id: t.id,
+                                    img: export.img,
+                                    buf,
+                                    copied,
+                                    already_transformed: true,
+                                })
+                            }
+                            // the neighbor never produced this tile
+                            None => CopiedMsg::Failed(t.id),
+                        }
+                    }
+                    ReadPayload::Failed => CopiedMsg::Failed(t.id),
+                };
+                w23.push(item);
+            };
+            pipeline.add_stage_with(&stage("copy"), q12.clone(), [copier]);
         }
 
         // Stage 3 — FFT (owns the fft stream).
         {
-            let q23 = q23.clone();
             let w34 = q34.writer();
             let stream = device.create_stream("fft");
             let scratch = device.alloc::<C64>(n).expect("fft scratch");
-            let counters = Arc::clone(counters);
-            let export_table = export_table.clone();
-            let trace = self.trace.clone();
-            scope.spawn(move || {
-                let track = format!("pipe{dev_id}/fft");
-                loop {
-                    let w0 = trace.now_ns();
-                    let Some(msg) = q23.pop() else { break };
-                    trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                    let t = match msg {
-                        CopiedMsg::Tile(t) => t,
-                        CopiedMsg::Failed(id) => {
-                            // the eastern neighbor may be waiting on this
-                            // tile as its ghost: publish the failure so
-                            // its copier doesn't block forever
-                            if let Some(exports) = &export_table {
-                                if id.col + 1 == partition.col_hi {
-                                    exports.publish(id, None);
-                                }
+            #[cfg(test)]
+            let fft_panic_at = self.fft_panic_at;
+            let transformer = move |msg: CopiedMsg| {
+                let t = match msg {
+                    CopiedMsg::Tile(t) => t,
+                    CopiedMsg::Failed(id) => {
+                        // the eastern neighbor may be waiting on this
+                        // tile as its ghost: publish the failure so its
+                        // copier doesn't block forever
+                        if let Some(exports) = &export_table {
+                            if id.col + 1 == partition.col_hi {
+                                exports.publish(id, None);
                             }
-                            if !w34.push(TransformedMsg::Failed(id)) {
-                                break;
-                            }
-                            continue;
                         }
-                    };
-                    let s0 = trace.now_ns();
-                    let transformed = if t.already_transformed {
-                        // ghost import: the buffer already holds a transform
-                        t.copied
-                    } else {
-                        stream.wait_event(&t.copied);
-                        stream.fft2d(w, h, Direction::Forward, t.buf.buffer(), &scratch);
-                        counters.count_forward_fft();
-                        stream.record_event()
-                    };
-                    trace.record(
-                        &track,
-                        "stage",
-                        format!("fft r{}c{}", t.id.row, t.id.col),
-                        s0,
-                        trace.now_ns(),
-                    );
-                    // publish boundary-column transforms for the eastern
-                    // neighbor's ghost imports
-                    if let Some(exports) = &export_table {
-                        if t.id.col + 1 == partition.col_hi {
-                            exports.publish(
-                                t.id,
-                                Some(ExportedTile {
-                                    img: Arc::clone(&t.img),
-                                    buf: Arc::clone(&t.buf),
-                                    transformed: transformed.clone(),
-                                }),
-                            );
-                        }
+                        w34.push(TransformedMsg::Failed(id));
+                        return;
                     }
-                    if !w34.push(TransformedMsg::Tile(TransformedTile {
-                        id: t.id,
-                        share: TransformedShare {
-                            img: t.img,
-                            buf: t.buf,
-                            transformed,
-                        },
-                    })) {
-                        break;
+                };
+                #[cfg(test)]
+                assert_ne!(Some(t.id), fft_panic_at, "injected fft-stage panic");
+                let transformed = if t.already_transformed {
+                    // ghost import: the buffer already holds a transform
+                    t.copied
+                } else {
+                    stream.wait_event(&t.copied);
+                    stream.fft2d(w, h, Direction::Forward, t.buf.buffer(), &scratch);
+                    counters.count_forward_fft();
+                    stream.record_event()
+                };
+                // publish boundary-column transforms for the eastern
+                // neighbor's ghost imports
+                if let Some(exports) = &export_table {
+                    if t.id.col + 1 == partition.col_hi {
+                        exports.publish(
+                            t.id,
+                            Some(ExportedTile {
+                                img: Arc::clone(&t.img),
+                                buf: Arc::clone(&t.buf),
+                                transformed: transformed.clone(),
+                            }),
+                        );
                     }
                 }
-                q23.record_to_trace(&trace, &format!("gpu{dev_id}.q23"));
-            });
+                w34.push(TransformedMsg::Tile(TransformedTile {
+                    id: t.id,
+                    share: TransformedShare {
+                        img: t.img,
+                        buf: t.buf,
+                        transformed,
+                    },
+                }));
+            };
+            pipeline.add_stage_with(&stage("fft"), q23.clone(), [transformer]);
         }
 
         // Stage 4 — bookkeeping.
         {
-            let q34 = q34.clone();
             let w45 = q45.writer();
-            let trace = self.trace.clone();
-            scope.spawn(move || {
-                let track = format!("pipe{dev_id}/bk");
-                let mut ledger: PairLedger<TransformedShare> =
-                    PairLedger::with_owner(shape, |b| partition.owns_pair(b));
-                let mut open = true;
-                while open && !ledger.is_drained() {
-                    let w0 = trace.now_ns();
-                    let Some(msg) = q34.pop() else { break };
-                    trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                    let s0 = trace.now_ns();
-                    match msg {
-                        TransformedMsg::Failed(id) => ledger.fail(id),
-                        // a released share recycles its device buffer once
-                        // the pair tasks holding clones have executed
-                        TransformedMsg::Tile(t) => {
-                            ledger.arrive(t.id, t.share, |a, b, kind, slot| {
-                                open &= w45.push(PairTask {
-                                    a: a.clone(),
-                                    b: b.clone(),
-                                    kind,
-                                    slot,
-                                });
-                            })
-                        }
-                    }
-                    trace.record(&track, "stage", "bookkeep", s0, trace.now_ns());
+            let bk_in = q34.clone();
+            let mut ledger: PairLedger<TransformedShare> =
+                PairLedger::with_owner(shape, |b| partition.owns_pair(b));
+            let bookkeeper = move |msg: TransformedMsg| {
+                match msg {
+                    TransformedMsg::Failed(id) => ledger.fail(id),
+                    // a released share recycles its device buffer once
+                    // the pair tasks holding clones have executed
+                    TransformedMsg::Tile(t) => ledger.arrive(t.id, t.share, |a, b, kind, slot| {
+                        w45.push(PairTask {
+                            a: a.clone(),
+                            b: b.clone(),
+                            kind,
+                            slot,
+                        });
+                    }),
                 }
-                live_peak.fetch_max(ledger.peak_live(), Ordering::Relaxed);
-                q34.record_to_trace(&trace, &format!("gpu{dev_id}.q34"));
-            });
+                if ledger.is_drained() {
+                    live_peak.fetch_max(ledger.peak_live(), Ordering::Relaxed);
+                    bk_in.close();
+                }
+            };
+            pipeline.add_stage_with(&stage("bk"), q34.clone(), [bookkeeper]);
         }
 
         // Stage 5 — displacement (owns the disp stream).
         {
-            let q45 = q45.clone();
             let w56 = q56.writer();
             let stream = device.create_stream("disp");
             let pair_buf = device.alloc::<C64>(n).expect("pair buffer");
             let scratch = device.alloc::<C64>(n).expect("disp scratch");
-            let counters = Arc::clone(counters);
-            let trace = self.trace.clone();
-            scope.spawn(move || {
-                let track = format!("pipe{dev_id}/disp");
-                loop {
-                    let w0 = trace.now_ns();
-                    let Some(task) = q45.pop() else { break };
-                    trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                    let s0 = trace.now_ns();
-                    stream.wait_event(&task.a.transformed);
-                    stream.wait_event(&task.b.transformed);
-                    stream.ncc(task.a.buf.buffer(), task.b.buf.buffer(), &pair_buf, n);
-                    counters.count_elementwise();
-                    stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
-                    counters.count_inverse_fft();
-                    let peaks = stream
-                        .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
-                        .wait();
-                    counters.count_max_reduction();
-                    // device buffers release here (Arc drop) — after the
-                    // kernels that read them have executed
-                    let ccf = CcfTask {
-                        peaks: peaks.iter().map(|p| p.index).collect(),
-                        img_a: task.a.img.clone(),
-                        img_b: task.b.img.clone(),
-                        kind: task.kind,
-                        slot: task.slot,
-                    };
-                    let s1 = trace.now_ns();
-                    trace.record(&track, "stage", format!("disp slot {}", ccf.slot), s0, s1);
-                    if !w56.push(ccf) {
-                        break;
-                    }
-                }
-                q45.record_to_trace(&trace, &format!("gpu{dev_id}.q45"));
-            });
+            let displacer = move |task: PairTask| {
+                stream.wait_event(&task.a.transformed);
+                stream.wait_event(&task.b.transformed);
+                stream.ncc(task.a.buf.buffer(), task.b.buf.buffer(), &pair_buf, n);
+                counters.count_elementwise();
+                stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
+                counters.count_inverse_fft();
+                let peaks = stream
+                    .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
+                    .wait();
+                counters.count_max_reduction();
+                // device buffers release here (Arc drop) — after the
+                // kernels that read them have executed
+                w56.push(CcfTask {
+                    peaks: peaks.iter().map(|p| p.index).collect(),
+                    img_a: task.a.img.clone(),
+                    img_b: task.b.img.clone(),
+                    kind: task.kind,
+                    slot: task.slot,
+                });
+            };
+            pipeline.add_stage_with(&stage("disp"), q45.clone(), [displacer]);
+        }
+
+        move |trace: &TraceHandle| {
+            q12.record_to_trace(trace, &format!("gpu{dev_id}.q12"));
+            q23.record_to_trace(trace, &format!("gpu{dev_id}.q23"));
+            q34.record_to_trace(trace, &format!("gpu{dev_id}.q34"));
+            q45.record_to_trace(trace, &format!("gpu{dev_id}.q45"));
         }
     }
 }
@@ -633,81 +596,74 @@ impl Stitcher for PipelinedGpuStitcher {
         };
 
         // Stage 6 is *shared* across the per-GPU pipelines (Fig 8 shows
-        // every pipeline's Q56 feeding one CCF worker group).
+        // every pipeline's Q56 feeding one CCF worker group), so every
+        // device's stages and the CCF stage run on one `Pipeline`.
         let q56: Queue<CcfTask> = Queue::new(16 * self.devices.len());
         let (w, h) = source.tile_dims();
-
-        // q56 gets a producer from each pipeline's stage 5. The queue
-        // closes for good when its writer count hits zero, so hold a
-        // guard writer until every pipeline has registered its own —
-        // otherwise a fast early pipeline can finish and close the queue
-        // before a later pipeline's writer exists.
-        let w56_guard = q56.writer();
-        std::thread::scope(|scope| {
-            for (p, (device, partition)) in self.devices.iter().zip(&partitions).enumerate() {
-                let import_table = (p > 0).then(|| tables.get(p - 1).cloned()).flatten();
-                let export_table = tables.get(p).cloned();
-                self.run_pipeline(
-                    scope,
-                    device,
-                    *partition,
-                    source,
-                    shape,
-                    &counters,
-                    &live_peak,
-                    &tracker,
-                    policy,
-                    import_table,
-                    export_table,
-                    &q56,
-                );
-            }
-            // every pipeline's stage-5 writer is registered; release the
-            // guard so q56 can close when the real producers finish
-            drop(w56_guard);
+        let trace = &self.trace;
+        let joined = {
+            let (counters, result) = (&counters, &result);
+            let mut pipeline = Pipeline::with_trace(trace.clone());
+            let queue_stats: Vec<_> = self
+                .devices
+                .iter()
+                .zip(&partitions)
+                .enumerate()
+                .map(|(p, (device, partition))| {
+                    self.add_device_stages(
+                        &mut pipeline,
+                        device,
+                        *partition,
+                        source,
+                        counters,
+                        &live_peak,
+                        &tracker,
+                        policy,
+                        (p > 0).then(|| tables.get(p - 1).cloned()).flatten(),
+                        tables.get(p).cloned(),
+                        &q56,
+                    )
+                })
+                .collect();
             // Stage 6 — CCF workers (host), shared by all pipelines.
-            for worker in 0..self.config.ccf_threads {
-                let q56 = q56.clone();
-                let counters = Arc::clone(&counters);
-                let result = &result;
-                let trace = self.trace.clone();
-                scope.spawn(move || {
-                    let track = format!("ccf.{worker}");
-                    // per-worker CCF scratch, reused across pairs
-                    let mut scored: Vec<(f64, crate::types::Displacement)> = Vec::new();
-                    loop {
-                        let w0 = trace.now_ns();
-                        let Some(task) = q56.pop() else { break };
-                        trace.record(&track, "wait", "wait", w0, trace.now_ns());
-                        let s0 = trace.now_ns();
-                        let d = resolve_peaks_oriented_into(
-                            &task.peaks,
-                            w,
-                            h,
-                            &task.img_a,
-                            &task.img_b,
-                            Some(task.kind),
-                            &mut scored,
-                        );
-                        counters.count_ccf_group();
-                        trace.record(
-                            &track,
-                            "compute",
-                            format!("ccf slot {}", task.slot),
-                            s0,
-                            trace.now_ns(),
-                        );
-                        result.lock().set(task.kind, task.slot, d);
-                    }
-                });
-            }
-        });
-        q56.record_to_trace(&self.trace, "q56");
+            let ccf_workers = (0..self.config.ccf_threads).map(|worker| {
+                let track = format!("ccf.{worker}");
+                // per-worker CCF scratch, reused across pairs
+                let mut scored: Vec<(f64, crate::types::Displacement)> = Vec::new();
+                move |task: CcfTask| {
+                    let s0 = trace.now_ns();
+                    let d = resolve_peaks_oriented_into(
+                        &task.peaks,
+                        w,
+                        h,
+                        &task.img_a,
+                        &task.img_b,
+                        Some(task.kind),
+                        &mut scored,
+                    );
+                    counters.count_ccf_group();
+                    trace.record(
+                        &track,
+                        "compute",
+                        format!("ccf slot {}", task.slot),
+                        s0,
+                        trace.now_ns(),
+                    );
+                    result.lock().set(task.kind, task.slot, d);
+                }
+            });
+            pipeline.add_stage_with("ccf", q56.clone(), ccf_workers);
+            let joined = pipeline.join();
+            queue_stats.into_iter().for_each(|record| record(trace));
+            joined
+        };
+        q56.record_to_trace(trace, "q56");
         for device in &self.devices {
             device
                 .profiler()
-                .export_to_trace(&self.trace, &format!("gpu{}", device.id()));
+                .export_to_trace(trace, &format!("gpu{}", device.id()));
         }
+        joined?;
 
         let mut result = result.into_inner();
         result.elapsed = t0.elapsed();
@@ -910,6 +866,34 @@ mod tests {
         .compute_displacements(&src);
         for d in handles {
             assert_eq!(d.memory_used(), 0, "device {}", d.id());
+        }
+    }
+
+    #[test]
+    fn fft_stage_panic_is_an_error_not_a_hang() {
+        for gpus in [1, 2] {
+            let devices: Vec<Device> = (0..gpus).map(device).collect();
+            let mut stitcher =
+                PipelinedGpuStitcher::new(devices.clone(), PipelinedGpuConfig::default());
+            stitcher.fft_panic_at = Some(TileId::new(1, 1));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = stitcher.try_compute_displacements(&source(3, 6), &Default::default());
+                let _ = tx.send(run.map(|_| ()));
+            });
+            let run = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a panicking fft stage hung the pipeline");
+            match run {
+                Err(StitchError::Pipeline { detail }) => assert!(
+                    detail.contains("stage 'pipe0/fft' panicked: ") && detail.contains("injected"),
+                    "{detail}"
+                ),
+                other => panic!("gpus={gpus}: {other:?}"),
+            }
+            for d in devices {
+                assert_eq!(d.memory_used(), 0, "gpus={gpus}: device {} leaked", d.id());
+            }
         }
     }
 

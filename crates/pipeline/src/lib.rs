@@ -34,4 +34,4 @@ pub mod stage;
 
 pub use pool::{PoolSubmitter, WorkerPool};
 pub use queue::{Queue, QueueMetrics, QueueWriter};
-pub use stage::{Pipeline, PipelineError, StageMetrics, StageReport};
+pub use stage::{Pipeline, PipelineError, StageReport};

@@ -165,6 +165,21 @@ impl<T> Queue<T> {
         self.inner.not_full.notify_all();
     }
 
+    /// Poison-close: closes the queue *and drops the items parked in
+    /// it*, so blocked producers and consumers return at once and
+    /// whatever the items held (pool permits, device buffers) is
+    /// released. The pipeline's abort path; idempotent.
+    pub fn abort(&self) {
+        let mut st = self.inner.state.lock();
+        st.closed = true;
+        let parked = std::mem::take(&mut st.items);
+        drop(st);
+        self.inner.not_empty.notify_all();
+        self.inner.not_full.notify_all();
+        // outside the lock: an item's drop may take other locks
+        drop(parked);
+    }
+
     /// Current item count.
     pub fn len(&self) -> usize {
         self.inner.state.lock().items.len()

@@ -2,26 +2,40 @@
 //!
 //! The paper's §VI-A closes by promising "a general purpose API for the
 //! pipeline ... so it can be applied to other problems". This module is
-//! that API: a [`Pipeline`] owns stages; each stage runs one or more
-//! worker threads (Fig 8 annotates the thread count of every stage) that
-//! pop from an input [`Queue`] and push wherever their closure decides.
+//! that API. A [`Pipeline`] *collects* stages — a name, a thread count
+//! (Fig 8 annotates one per stage), an input [`Queue`] and a body — and
+//! [`Pipeline::join`] runs them: it opens one [`std::thread::scope`],
+//! starts every worker, waits, and returns one [`StageReport`] per stage.
+//! Because the threads are scoped, stage bodies may borrow from the
+//! caller's stack (`'env`); because nothing runs before every stage is
+//! registered, every [`QueueWriter`](crate::QueueWriter) a body captured
+//! exists before the first item moves, so a writer-counted queue cannot
+//! close early.
+//!
+//! Every worker of every stage runs the same loop: pop, time the wait,
+//! run the body, time the work. The framework emits the `"wait"` and
+//! `"stage"` spans on track `"{stage}.{thread}"` and the per-stage
+//! busy/wait/items totals; a body only adds spans for what happens
+//! inside it. A stage ends when its input is closed and drained; one
+//! whose work is complete earlier (a bookkeeping stage that has seen
+//! every tile) closes its own input from inside the body.
 //!
 //! ## Panic containment
 //!
-//! A panicking stage worker must not hang the rest of the pipeline:
-//! without containment, its consumers block forever on a queue no one
-//! feeds and its producers block forever on a queue no one drains. Each
-//! worker therefore catches its own panic, closes its *input* queue
-//! (failing producers fast and releasing sibling workers), and lets the
-//! unwind drop its captured output writers (closing downstream queues so
-//! consumers drain out). [`Pipeline::join`] then reports the first panic
-//! as a [`PipelineError`] instead of aborting the calling thread.
+//! A panicking worker must not hang the rest of the pipeline, and
+//! "close my input, drop my writers" is not enough when stages form a
+//! cycle or block on a resource carried by queued items (a pool permit,
+//! a device buffer). So the first contained panic **aborts the whole
+//! pipeline**: every registered input queue is poison-closed
+//! ([`Queue::abort`]) — blocked pushes and pops return, parked items are
+//! dropped and release what they hold — every worker falls out of its
+//! loop, and [`Pipeline::join`] reports the panic as a [`PipelineError`]
+//! instead of unwinding into the caller.
 
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -58,38 +72,10 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Lifetime counters for one stage (aggregated over its threads).
 #[derive(Default)]
-pub struct StageMetrics {
+struct StageMetrics {
     items: AtomicU64,
     busy_nanos: AtomicU64,
     wait_nanos: AtomicU64,
-}
-
-impl StageMetrics {
-    /// Items processed.
-    pub fn items(&self) -> u64 {
-        self.items.load(Ordering::Relaxed)
-    }
-
-    /// Time spent inside the stage body, summed across threads.
-    pub fn busy_nanos(&self) -> u64 {
-        self.busy_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Time spent blocked waiting for input, summed across threads.
-    pub fn wait_nanos(&self) -> u64 {
-        self.wait_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of wall time the stage's threads were doing work.
-    pub fn utilization(&self) -> f64 {
-        let busy = self.busy_nanos() as f64;
-        let total = busy + self.wait_nanos() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            busy / total
-        }
-    }
 }
 
 /// Snapshot of one stage's metrics with its name and thread count.
@@ -119,25 +105,28 @@ impl StageReport {
     }
 }
 
-struct StageHandle {
+type Worker<'env> = Box<dyn FnOnce() + Send + 'env>;
+
+struct Stage<'env> {
     name: String,
-    threads: Vec<JoinHandle<()>>,
+    workers: Vec<Worker<'env>>,
     metrics: Arc<StageMetrics>,
 }
 
-/// A set of stages forming one execution pipeline (the paper instantiates
-/// one of these per GPU). Stages are wired together by the caller through
-/// shared [`Queue`]s; the pipeline only owns threads and metrics.
+/// A set of stages forming one execution pipeline. Stages are wired
+/// together by the caller through shared [`Queue`]s; the pipeline owns
+/// the threads, their instrumentation and their failure handling.
 #[derive(Default)]
-pub struct Pipeline {
-    stages: Vec<StageHandle>,
-    error: Arc<Mutex<Option<PipelineError>>>,
+pub struct Pipeline<'env> {
+    stages: Vec<Stage<'env>>,
+    /// One per stage input: poison-closes that queue.
+    aborts: Vec<Box<dyn Fn() + Send + Sync + 'env>>,
     trace: TraceHandle,
 }
 
-impl Pipeline {
+impl<'env> Pipeline<'env> {
     /// An empty pipeline.
-    pub fn new() -> Pipeline {
+    pub fn new() -> Pipeline<'env> {
         Pipeline::default()
     }
 
@@ -147,7 +136,7 @@ impl Pipeline {
     /// bodies; [`Pipeline::join`] additionally records one [`StageStat`]
     /// per stage. With a disabled handle this is identical to
     /// [`Pipeline::new`].
-    pub fn with_trace(trace: TraceHandle) -> Pipeline {
+    pub fn with_trace(trace: TraceHandle) -> Pipeline<'env> {
         Pipeline {
             trace,
             ..Pipeline::default()
@@ -156,142 +145,149 @@ impl Pipeline {
 
     /// Adds a stage of `threads` workers consuming `input`. Each worker
     /// runs `work(item)` until the queue closes and drains; `work` is
-    /// cloned per thread so it may carry per-thread state (scratch
-    /// buffers, planners, device streams…).
+    /// cloned per thread so it may carry per-thread state.
     pub fn add_stage<I, F>(&mut self, name: &str, threads: usize, input: Queue<I>, work: F)
     where
-        I: Send + 'static,
-        F: FnMut(I) + Clone + Send + 'static,
+        I: Send + 'env,
+        F: FnMut(I) + Clone + Send + 'env,
     {
-        assert!(threads >= 1, "a stage needs at least one thread");
+        self.add_stage_with(name, input, (0..threads).map(|_| work.clone()));
+    }
+
+    /// Adds a stage with one worker thread per element of `bodies`, all
+    /// consuming `input`: worker `t` runs `bodies[t](item)` until the
+    /// queue closes and drains. Each body owns its per-thread state
+    /// (scratch buffers, a kernel context, a device stream…) and its own
+    /// output writers.
+    pub fn add_stage_with<I, W>(
+        &mut self,
+        name: &str,
+        input: Queue<I>,
+        bodies: impl IntoIterator<Item = W>,
+    ) where
+        I: Send + 'env,
+        W: FnMut(I) + Send + 'env,
+    {
         let metrics = Arc::new(StageMetrics::default());
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let input = input.clone();
-            let mut work = work.clone();
-            let metrics = Arc::clone(&metrics);
-            let error = Arc::clone(&self.error);
-            let trace = self.trace.clone();
-            let stage_name = name.to_string();
-            let thread_name = format!("{name}-{t}");
-            let track = format!("{name}.{t}");
-            handles.push(
-                std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || {
-                        // the catch closure owns `work` (and through it the
-                        // stage's output writers): unwinding drops them,
-                        // closing downstream queues so consumers drain out
-                        let inner = input.clone();
-                        let span_name = stage_name.clone();
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(move || loop {
-                            let w0 = Instant::now();
-                            let w0_ns = trace.now_ns();
-                            let Some(item) = inner.pop() else { break };
-                            metrics
-                                .wait_nanos
-                                .fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            trace.record(&track, "wait", "wait", w0_ns, trace.now_ns());
-                            let b0 = Instant::now();
-                            let b0_ns = trace.now_ns();
-                            work(item);
-                            metrics
-                                .busy_nanos
-                                .fetch_add(b0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            trace.record(&track, "stage", span_name.clone(), b0_ns, trace.now_ns());
-                            metrics.items.fetch_add(1, Ordering::Relaxed);
-                        }));
-                        if let Err(payload) = caught {
-                            // close our input: producers fail fast instead of
-                            // blocking on a queue nobody drains, and sibling
-                            // workers of this stage exit
-                            input.close();
-                            error.lock().get_or_insert_with(|| PipelineError {
-                                stage: stage_name,
-                                panic: panic_text(payload),
-                            });
-                        }
-                    })
-                    .expect("spawn stage thread"),
-            );
-        }
-        self.stages.push(StageHandle {
+        let workers: Vec<Worker<'env>> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(t, mut work)| {
+                let input = input.clone();
+                let metrics = Arc::clone(&metrics);
+                let trace = self.trace.clone();
+                let track = format!("{name}.{t}");
+                let span = name.to_string();
+                Box::new(move || loop {
+                    let w0 = Instant::now();
+                    let w0_ns = trace.now_ns();
+                    let Some(item) = input.pop() else { break };
+                    metrics
+                        .wait_nanos
+                        .fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    trace.record(&track, "wait", "wait", w0_ns, trace.now_ns());
+                    let b0 = Instant::now();
+                    let b0_ns = trace.now_ns();
+                    work(item);
+                    metrics
+                        .busy_nanos
+                        .fetch_add(b0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    trace.record(&track, "stage", span.as_str(), b0_ns, trace.now_ns());
+                    metrics.items.fetch_add(1, Ordering::Relaxed);
+                }) as Worker<'env>
+            })
+            .collect();
+        assert!(!workers.is_empty(), "a stage needs at least one thread");
+        self.aborts.push(Box::new(move || input.abort()));
+        self.stages.push(Stage {
             name: name.to_string(),
-            threads: handles,
+            workers,
             metrics,
         });
     }
 
     /// Adds a source: a single thread that runs `produce()` once (pushing
-    /// into downstream queues through writers it captured) and exits.
+    /// into downstream queues through writers it captured) and exits. Its
+    /// one `"stage"` span is recorded on the track `name`.
     pub fn add_source<F>(&mut self, name: &str, produce: F)
     where
-        F: FnOnce() + Send + 'static,
+        F: FnOnce() + Send + 'env,
     {
         let metrics = Arc::new(StageMetrics::default());
         let m2 = Arc::clone(&metrics);
-        let error = Arc::clone(&self.error);
         let trace = self.trace.clone();
-        let stage_name = name.to_string();
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                // unwinding drops `produce`'s captured writers, closing the
-                // queues this source fed so consumers finish instead of hang
-                let span_name = stage_name.clone();
-                let caught = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    let t0 = Instant::now();
-                    let _span = trace.scope(&span_name, "stage", span_name.clone());
-                    produce();
-                    m2.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    m2.items.fetch_add(1, Ordering::Relaxed);
-                }));
-                if let Err(payload) = caught {
-                    error.lock().get_or_insert_with(|| PipelineError {
-                        stage: stage_name,
-                        panic: panic_text(payload),
-                    });
-                }
-            })
-            .expect("spawn source thread");
-        self.stages.push(StageHandle {
+        let span = name.to_string();
+        self.stages.push(Stage {
             name: name.to_string(),
-            threads: vec![handle],
+            workers: vec![Box::new(move || {
+                let t0 = Instant::now();
+                let _span = trace.scope(&span, "stage", span.as_str());
+                produce();
+                m2.busy_nanos
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                m2.items.fetch_add(1, Ordering::Relaxed);
+            })],
             metrics,
         });
     }
 
-    /// Waits for every stage thread to finish. Returns per-stage reports
-    /// in registration order, or the first [`PipelineError`] if any
-    /// worker panicked (the join itself never hangs: a panicking worker
-    /// closes its queues on the way down, unblocking every other stage).
+    /// Runs the pipeline: starts every worker of every stage on a scoped
+    /// thread and waits for all of them. Returns per-stage reports in
+    /// registration order, or the first [`PipelineError`] if any worker
+    /// panicked (the join itself never hangs: a contained panic aborts
+    /// every stage input, see the module docs).
     pub fn join(self) -> Result<Vec<StageReport>, PipelineError> {
-        let mut reports = Vec::with_capacity(self.stages.len());
-        for stage in self.stages {
-            let threads = stage.threads.len();
-            for h in stage.threads {
-                // worker bodies catch their own panics; a join error here
-                // would mean the containment wrapper itself failed
-                h.join().expect("stage thread infrastructure panicked");
+        let Pipeline {
+            mut stages,
+            aborts,
+            trace,
+        } = self;
+        let error: Mutex<Option<PipelineError>> = Mutex::new(None);
+        let threads: Vec<usize> = stages.iter().map(|s| s.workers.len()).collect();
+        std::thread::scope(|scope| {
+            for stage in &mut stages {
+                let name = &stage.name;
+                for (t, worker) in stage.workers.drain(..).enumerate() {
+                    let (error, aborts) = (&error, &aborts);
+                    std::thread::Builder::new()
+                        .name(format!("{name}-{t}"))
+                        .spawn_scoped(scope, move || {
+                            // unwinding drops the body and, with it, the
+                            // writers, permits and buffers it captured
+                            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(worker))
+                            {
+                                error.lock().get_or_insert_with(|| PipelineError {
+                                    stage: name.clone(),
+                                    panic: panic_text(payload),
+                                });
+                                aborts.iter().for_each(|abort| abort());
+                            }
+                        })
+                        .expect("spawn stage thread");
+                }
             }
-            let report = StageReport {
+        });
+        let reports: Vec<StageReport> = stages
+            .into_iter()
+            .zip(threads)
+            .map(|(stage, threads)| StageReport {
                 name: stage.name,
                 threads,
-                items: stage.metrics.items(),
-                busy_nanos: stage.metrics.busy_nanos(),
-                wait_nanos: stage.metrics.wait_nanos(),
-            };
-            self.trace.record_stage(StageStat {
+                items: stage.metrics.items.load(Ordering::Relaxed),
+                busy_nanos: stage.metrics.busy_nanos.load(Ordering::Relaxed),
+                wait_nanos: stage.metrics.wait_nanos.load(Ordering::Relaxed),
+            })
+            .collect();
+        for report in &reports {
+            trace.record_stage(StageStat {
                 name: report.name.clone(),
                 threads: report.threads,
                 items: report.items,
                 busy_ns: report.busy_nanos,
                 wait_ns: report.wait_nanos,
             });
-            reports.push(report);
         }
-        match self.error.lock().take() {
+        match error.into_inner() {
             Some(e) => Err(e),
             None => Ok(reports),
         }

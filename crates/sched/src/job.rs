@@ -167,12 +167,6 @@ pub struct StitchJob {
     /// source's geometry: it is what [`StitchJob::estimated_bytes`]
     /// sizes the admission-control reservation from.
     pub source: Option<JobSource>,
-    /// When set, phases 1–2 are skipped entirely and the job composes
-    /// its source with this already-solved frame — the channel-replay
-    /// path, where one registration run's positions are replayed across
-    /// every (channel, plane) compose job. The outcome carries the given
-    /// positions and no phase-1 result.
-    pub fixed_positions: Option<AbsolutePositions>,
 }
 
 impl StitchJob {
@@ -191,7 +185,6 @@ impl StitchJob {
             preview: false,
             chaos: ChaosHooks::default(),
             source: None,
-            fixed_positions: None,
         }
     }
 
@@ -208,14 +201,6 @@ impl StitchJob {
     /// Sets a caller-supplied tile source (see [`StitchJob::source`]).
     pub fn with_source(mut self, source: Arc<dyn TileSource>) -> StitchJob {
         self.source = Some(JobSource::new(source));
-        self
-    }
-
-    /// Replays an already-solved frame: the job skips registration and
-    /// global optimization and goes straight to composition with these
-    /// positions (see [`StitchJob::fixed_positions`]).
-    pub fn fixed_positions(mut self, positions: AbsolutePositions) -> StitchJob {
-        self.fixed_positions = Some(positions);
         self
     }
 

@@ -47,7 +47,6 @@
 
 pub mod arbiter;
 pub mod batch;
-pub mod channels;
 pub mod job;
 pub mod scheduler;
 
@@ -56,6 +55,5 @@ pub use batch::{
     parse_job_file, parse_job_file_lenient, parse_job_line, run_batch, run_batch_text,
     BatchOptions, BatchReport, LineError,
 };
-pub use channels::{run_channel_batch, ChannelBatch, ChannelBatchError, ChannelBatchOptions};
 pub use job::{ChaosHooks, JobHandle, JobOutcome, JobSource, JobStatus, JobVariant, StitchJob};
 pub use scheduler::{DrainPolicy, DrainReport, Scheduler, SchedulerConfig, SubmitError};

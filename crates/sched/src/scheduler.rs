@@ -659,61 +659,34 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
         }
     };
     let mut out = JobOutcome::unstarted(&job.name, JobStatus::Completed);
-    if let Some(positions) = job.fixed_positions.clone() {
-        // Replay path: the frame was solved elsewhere (e.g. on a
-        // reference channel), so phases 1–2 are skipped and the job goes
-        // straight to composition. No phase-1 result exists.
-        let replay = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if job.chaos.panic_at_start {
-                panic!("chaos: injected job panic");
-            }
-            if handle.cancelled() || !job.compose {
-                None
-            } else {
-                Some(Composer::new(positions.clone(), Blend::Overlay).compose(source))
-            }
-        }));
-        match replay {
-            Err(_) => out.status = JobStatus::Failed("composer panicked".into()),
-            Ok(mosaic) => {
-                if handle.cancelled() {
-                    out.status = handle.cancel_status();
-                }
-                out.mosaic = mosaic;
-                out.positions = Some(positions);
-            }
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if job.chaos.panic_at_start {
+            panic!("chaos: injected job panic");
         }
-    } else {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if job.chaos.panic_at_start {
-                panic!("chaos: injected job panic");
-            }
-            if job.preview {
-                run_preview(source, &handle)
+        if job.preview {
+            run_preview(source, &handle)
+        } else {
+            let stitcher = build_stitcher(inner, &job, &job_trace);
+            stitcher.try_compute_displacements(source, &FailurePolicy::default())
+        }
+    }));
+    match outcome {
+        Err(_) => out.status = JobStatus::Failed("stitcher panicked".into()),
+        Ok(Err(e)) => out.status = JobStatus::Failed(e.to_string()),
+        Ok(Ok(result)) => {
+            if handle.cancelled() {
+                out.status = handle.cancel_status();
+                out.result = Some(result);
             } else {
-                let stitcher = build_stitcher(inner, &job, &job_trace);
-                stitcher.try_compute_displacements(source, &FailurePolicy::default())
-            }
-        }));
-        match outcome {
-            Err(_) => out.status = JobStatus::Failed("stitcher panicked".into()),
-            Ok(Err(e)) => out.status = JobStatus::Failed(e.to_string()),
-            Ok(Ok(result)) => {
+                let positions = GlobalOptimizer::default().solve(&result);
                 if handle.cancelled() {
                     out.status = handle.cancel_status();
-                    out.result = Some(result);
-                } else {
-                    let positions = GlobalOptimizer::default().solve(&result);
-                    if handle.cancelled() {
-                        out.status = handle.cancel_status();
-                    } else if job.compose {
-                        let mosaic =
-                            Composer::new(positions.clone(), Blend::Overlay).compose(source);
-                        out.mosaic = Some(mosaic);
-                    }
-                    out.result = Some(result);
-                    out.positions = Some(positions);
+                } else if job.compose {
+                    let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(source);
+                    out.mosaic = Some(mosaic);
                 }
+                out.result = Some(result);
+                out.positions = Some(positions);
             }
         }
     }

@@ -6,9 +6,7 @@
 //! 1. **Replay bit-identity** — a multi-channel run registers *once* on
 //!    the reference channel and replays the solved frame everywhere, so
 //!    every channel's mosaic must be composed with positions
-//!    bit-identical to a solo run over the reference source, and the
-//!    scheduler-backed batch driver must reproduce the sequential
-//!    driver's mosaics bit-for-bit.
+//!    bit-identical to a solo run over the reference source.
 //! 2. **Correction helps where it should** — radial vignetting is
 //!    tile-fixed, so uncorrected it correlates between overlapping tiles
 //!    at zero displacement and drags phase-correlation peaks off the
@@ -26,8 +24,7 @@ use stitch_core::{
     run_channel_plan, Blend, ChannelPlan, ChannelSession, Composer, FailurePolicy, GlobalOptimizer,
     SimpleCpuStitcher, Stitcher, TruthVector, ZMode,
 };
-use stitch_image::{Fnv64, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
-use stitch_sched::{run_channel_batch, ChannelBatchOptions, JobStatus, Scheduler, SchedulerConfig};
+use stitch_image::{Fnv64, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
 
 use stitch_core::MultiSyntheticSource;
 
@@ -237,58 +234,6 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
                 });
             }
         }
-
-        // Scheduler-backed batch: same frame, same pixels.
-        let sched = Scheduler::new(SchedulerConfig {
-            workers: 2,
-            ..SchedulerConfig::default()
-        });
-        match run_channel_batch(&sched, "diff", &session, &ChannelBatchOptions::default()) {
-            Ok(batch) => {
-                if batch.positions != run.positions {
-                    mismatches.push(ChannelMismatch {
-                        label: label.clone(),
-                        detail: "scheduler batch solved a different frame".into(),
-                    });
-                }
-                if batch.units.len() != run.mosaics.len() {
-                    mismatches.push(ChannelMismatch {
-                        label: label.clone(),
-                        detail: format!(
-                            "scheduler batch produced {} units, sequential {}",
-                            batch.units.len(),
-                            run.mosaics.len()
-                        ),
-                    });
-                } else {
-                    for ((unit, out), (seq_unit, seq_mosaic)) in
-                        batch.units.iter().zip(run.mosaics.iter())
-                    {
-                        if unit != seq_unit || out.status != JobStatus::Completed {
-                            mismatches.push(ChannelMismatch {
-                                label: label.clone(),
-                                detail: format!("unit {} ended {:?}", unit.label(), out.status),
-                            });
-                            continue;
-                        }
-                        if out.mosaic.as_ref().map(Image::pixels) != Some(seq_mosaic.pixels()) {
-                            mismatches.push(ChannelMismatch {
-                                label: label.clone(),
-                                detail: format!(
-                                    "scheduler unit {} mosaic diverged from sequential",
-                                    unit.label()
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-            Err(e) => mismatches.push(ChannelMismatch {
-                label: label.clone(),
-                detail: format!("scheduler batch failed: {e}"),
-            }),
-        }
-        sched.join();
 
         for p in &run.positions.positions {
             digest.write_u64(p.0 as u64);

@@ -1,13 +1,14 @@
 //! Multi-channel / z-stack conformance battery: registration runs once
-//! on the reference channel and replays everywhere, flat-field
-//! correction helps exactly where it should, and the scheduler-backed
-//! batch driver is a drop-in for the sequential one.
+//! on the reference channel and replays everywhere, and flat-field
+//! correction helps exactly where it should.
 
 use std::sync::Arc;
 
-use stitch_core::{ChannelPlan, ChannelSession, MultiSyntheticSource, ZMode};
+use stitch_core::{
+    run_channel_plan, Blend, ChannelPlan, ChannelSession, MultiSyntheticSource, SimpleCpuStitcher,
+    ZMode,
+};
 use stitch_image::{MultiChannelPlate, MultiScanConfig, ScanConfig};
-use stitch_sched::{run_channel_batch, ChannelBatchOptions, JobStatus, Scheduler, SchedulerConfig};
 use stitch_testkit::run_channel_differential;
 
 #[test]
@@ -74,50 +75,6 @@ fn correction_is_noop_when_flat_and_wins_when_vignetted() {
     }
 }
 
-/// Scheduler batch over a 3-channel × 2-plane acquisition: one
-/// registration job, six replay jobs, every replay sharing the solved
-/// frame and skipping phase 1.
-#[test]
-fn scheduler_batch_registers_once_and_replays_each_unit() {
-    let cfg = MultiScanConfig::for_channels(
-        ScanConfig {
-            grid_rows: 2,
-            grid_cols: 2,
-            tile_width: 48,
-            tile_height: 36,
-            ..ScanConfig::default()
-        },
-        3,
-        2,
-    );
-    let source = Arc::new(MultiSyntheticSource::new(MultiChannelPlate::generate(cfg)));
-    let session = ChannelSession::new(source, ChannelPlan::default()).expect("valid plan");
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 2,
-        ..SchedulerConfig::default()
-    });
-    let batch = run_channel_batch(&sched, "plate", &session, &ChannelBatchOptions::default())
-        .expect("batch completes");
-    assert_eq!(batch.registration.status, JobStatus::Completed);
-    assert!(
-        batch.registration.result.is_some(),
-        "registration runs phase 1"
-    );
-    assert_eq!(batch.units.len(), 6);
-    for (unit, out) in &batch.units {
-        assert_eq!(out.status, JobStatus::Completed, "{}", unit.label());
-        assert!(out.result.is_none(), "replay jobs skip phase 1");
-        assert_eq!(out.positions.as_ref(), Some(&batch.positions));
-        assert!(out.mosaic.is_some());
-    }
-    // Dispatch order shows exactly one registration before the replays.
-    let order = sched.dispatch_order();
-    assert_eq!(order[0], "plate.reg");
-    assert_eq!(order.len(), 7);
-    sched.join();
-    assert_eq!(sched.arbiter().active_reservations(), 0);
-}
-
 /// Max-z projection mode: one mosaic per channel, and the projection is
 /// a pixelwise upper bound of every plane's mosaic at the same frame.
 #[test]
@@ -142,12 +99,10 @@ fn maxz_mode_produces_one_mosaic_per_channel() {
         },
     )
     .expect("valid plan");
-    let sched = Scheduler::new(SchedulerConfig::default());
-    let batch = run_channel_batch(&sched, "mz", &session, &ChannelBatchOptions::default())
-        .expect("batch completes");
-    assert_eq!(batch.units.len(), 2);
-    for (unit, out) in &batch.units {
+    let run = run_channel_plan(&session, &SimpleCpuStitcher::default(), Blend::Overlay)
+        .expect("plan completes");
+    assert_eq!(run.mosaics.len(), 2);
+    for (unit, _) in &run.mosaics {
         assert!(unit.plane.is_none(), "max-z units carry no plane index");
-        assert_eq!(out.status, JobStatus::Completed);
     }
 }

@@ -168,6 +168,54 @@ fn unknown_flags_are_rejected_per_subcommand() {
     }
 }
 
+/// One tile of the dataset has other dimensions than the manifest says:
+/// every implementation reports it as a lost tile (exit 2, tile named)
+/// instead of panicking in a kernel or never returning.
+#[test]
+fn wrong_sized_tile_aborts_with_the_tile_named() {
+    use std::time::{Duration, Instant};
+    use stitching::image::{tiff::write_tiff, Image, SyntheticPlate};
+
+    let dir = std::env::temp_dir().join("stitch_cli_it_wrong_size");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.display().to_string();
+    let cmd = parse(&argv(&format!(
+        "generate --out {dir_s} --rows 3 --cols 4 --tile-width 64 --tile-height 48"
+    )))
+    .unwrap();
+    assert_eq!(run(cmd), 0);
+    write_tiff(
+        dir.join(SyntheticPlate::tile_file_name(0, 0, 1, 1)),
+        &Image::<u16>::filled(40, 32, 7),
+    )
+    .unwrap();
+
+    for variant in ["pipelined-cpu", "pipelined-gpu", "simple-cpu"] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_stitch"))
+            .args(["stitch", "--dataset", &dir_s, "--impl", variant])
+            .stderr(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let t0 = Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if t0.elapsed() > Duration::from_secs(20) {
+                child.kill().ok();
+                panic!("--impl {variant} did not return within 20 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--impl {variant}: {stderr}");
+        assert!(
+            stderr.contains("error: tile (1,1)") && stderr.contains("tile is 40x32"),
+            "--impl {variant}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stitch_missing_dataset_fails_cleanly() {
     let cmd = parse(&argv("stitch --dataset /nonexistent/place")).unwrap();

@@ -2,10 +2,13 @@
 //! injection against every stitcher variant, checking (a) transient
 //! faults + retries leave the output bit-identical, (b) a permanently
 //! corrupt tile degrades to a partial result under `--allow-partial`,
-//! and (c) strict mode aborts cleanly instead of hanging.
+//! (c) strict mode aborts cleanly instead of hanging, (d) a tile of the
+//! wrong size is a failed tile, and (e) a panicking read stage becomes a
+//! `StitchError::Pipeline` with nothing leaked.
 
 use std::time::Duration;
 
+use stitching::core::{PipelinedGpuConfig, SpectrumPool};
 use stitching::gpu::{Device, DeviceConfig, GpuFaultConfig};
 use stitching::image::{ScanConfig, SyntheticPlate};
 use stitching::prelude::*;
@@ -243,5 +246,155 @@ fn both_endpoints_of_a_pair_can_fail() {
             s.name()
         );
         assert!(r.is_complete_modulo_failures(), "{}", s.name());
+    }
+}
+
+/// Runs `f` on a helper thread and fails — instead of hanging the suite —
+/// if it has not finished within ten seconds.
+fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("stitcher did not return within 10 s (hang)")
+}
+
+#[test]
+fn wrong_sized_tile_is_a_failed_tile_in_every_variant() {
+    use stitching::image::tiff::write_tiff;
+    let dir = std::env::temp_dir().join("stitch_ft_wrong_size");
+    let _ = std::fs::remove_dir_all(&dir);
+    SyntheticPlate::generate(scan(3, 4, 1606))
+        .write_to_dir(&dir)
+        .unwrap();
+    let odd = TileId::new(1, 1);
+    write_tiff(
+        dir.join(SyntheticPlate::tile_file_name(0, 0, odd.row, odd.col)),
+        &Image::<u16>::filled(40, 32, 7),
+    )
+    .unwrap();
+    let source = std::sync::Arc::new(DirSource::open(&dir).unwrap());
+
+    for allow_partial in [false, true] {
+        for variant in 0..variants().len() {
+            let source = std::sync::Arc::clone(&source);
+            let (name, outcome) = within_10s(move || {
+                let s = variants().swap_remove(variant);
+                let policy = FailurePolicy {
+                    retry: fast_retry(),
+                    allow_partial,
+                };
+                let outcome = s.try_compute_displacements(source.as_ref(), &policy);
+                (s.name(), outcome)
+            });
+            if allow_partial {
+                let r = outcome.unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(r.health.failed_tiles(), vec![odd], "{name}");
+                assert!(r.is_complete_modulo_failures(), "{name}");
+            } else {
+                match outcome {
+                    Err(StitchError::Tile { id, error }) => {
+                        assert_eq!(id, odd, "{name}");
+                        assert!(matches!(error, SourceError::Corrupt { .. }), "{name}");
+                        let text = error.to_string();
+                        assert!(
+                            text.contains("40x32") && text.contains("64x48"),
+                            "{name}: {text}"
+                        );
+                    }
+                    other => panic!("{name}: expected a tile error, got {other:?}"),
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A source whose `load` panics on one tile — a stand-in for a decoder
+/// bug, the failure the stage framework has to contain.
+struct PanickingSource {
+    inner: SyntheticSource,
+    bomb: TileId,
+}
+
+impl TileSource for PanickingSource {
+    fn shape(&self) -> GridShape {
+        self.inner.shape()
+    }
+    fn tile_dims(&self) -> (usize, usize) {
+        self.inner.tile_dims()
+    }
+    fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
+        assert_ne!(id, self.bomb, "injected decoder panic");
+        self.inner.load(id)
+    }
+}
+
+fn panicking_source(rows: usize, cols: usize, bomb: TileId) -> PanickingSource {
+    PanickingSource {
+        inner: SyntheticSource::new(SyntheticPlate::generate(scan(rows, cols, 1707))),
+        bomb,
+    }
+}
+
+fn assert_read_stage_panic(err: StitchError, read_stage: &str, case: &str) {
+    match err {
+        StitchError::Pipeline { detail } => {
+            assert!(
+                detail.contains(&format!("stage '{read_stage}' panicked")),
+                "{case}: {detail}"
+            );
+            assert!(
+                detail.contains("injected decoder panic"),
+                "{case}: {detail}"
+            );
+        }
+        other => panic!("{case}: expected a pipeline error, got {other:?}"),
+    }
+}
+
+#[test]
+fn pipelined_cpu_contains_a_panicking_read() {
+    for threads in [1, 2] {
+        let (w, h) = (64, 48);
+        let spectra = SpectrumPool::new(w * h);
+        let pool = spectra.clone();
+        let err = within_10s(move || {
+            PipelinedCpuStitcher::new(threads)
+                .with_spectrum_pool(pool)
+                .try_compute_displacements(
+                    &panicking_source(4, 5, TileId::new(2, 2)),
+                    &FailurePolicy::default(),
+                )
+        })
+        .expect_err("a panicking read cannot produce a result");
+        let case = format!("Pipelined-CPU({threads})");
+        assert_read_stage_panic(err, "read", &case);
+        assert_eq!(spectra.leased(), 0, "{case}: a spectrum was stranded");
+    }
+}
+
+#[test]
+fn pipelined_gpu_contains_a_panicking_read() {
+    for gpus in [1, 2] {
+        let devices: Vec<Device> = (0..gpus)
+            .map(|id| Device::new(id, DeviceConfig::small(128 << 20)))
+            .collect();
+        let handles = devices.clone();
+        // column 1 belongs to device 0 with one device and with two
+        let err = within_10s(move || {
+            PipelinedGpuStitcher::new(devices, PipelinedGpuConfig::default())
+                .try_compute_displacements(
+                    &panicking_source(4, 6, TileId::new(2, 1)),
+                    &FailurePolicy::default(),
+                )
+        })
+        .expect_err("a panicking read cannot produce a result");
+        let case = format!("Pipelined-GPU({gpus})");
+        assert_read_stage_panic(err, "pipe0/read", &case);
+        for d in handles {
+            assert_eq!(d.memory_used(), 0, "{case}: device {} leaked", d.id());
+        }
     }
 }

@@ -219,6 +219,72 @@ fn panicking_job_is_contained_and_siblings_complete() {
     assert_eq!(after.wait().status, JobStatus::Completed);
 }
 
+/// A panic *inside a pipeline stage* (here: a tile decoder that panics in
+/// Pipelined-CPU's read stage) is contained by the stage framework: the
+/// job ends `Failed` with the stage named instead of hanging its worker,
+/// every lease comes back, and the scheduler keeps serving.
+#[test]
+fn stage_panic_fails_the_job_and_frees_the_scheduler() {
+    use stitching::image::{Image, SyntheticPlate};
+    use stitching::prelude::{GridShape, SourceError, SyntheticSource, TileId, TileSource};
+
+    struct PanickingSource(SyntheticSource);
+    impl TileSource for PanickingSource {
+        fn shape(&self) -> GridShape {
+            self.0.shape()
+        }
+        fn tile_dims(&self) -> (usize, usize) {
+            self.0.tile_dims()
+        }
+        fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
+            assert_ne!(id, TileId::new(1, 1), "injected decoder panic");
+            self.0.load(id)
+        }
+    }
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let plate = SyntheticPlate::generate(ScanConfig::for_grid(3, 4, 32, 24, 0.25, 3));
+        let source = std::sync::Arc::new(PanickingSource(SyntheticSource::new(plate)));
+        let bomb = sched
+            .submit(
+                StitchJob::over_source("bomb", source)
+                    .variant(JobVariant::PipelinedCpu)
+                    .threads(2)
+                    .compose(false),
+            )
+            .unwrap();
+        let status = bomb.wait().status;
+        sched.join();
+        let leases = (
+            sched.arbiter().leased_spectra(),
+            sched.arbiter().active_reservations(),
+        );
+        let after = sched
+            .submit(
+                StitchJob::new("after", ScanConfig::for_grid(2, 2, 32, 24, 0.25, 9))
+                    .variant(JobVariant::PipelinedCpu)
+                    .compose(false),
+            )
+            .unwrap();
+        let _ = tx.send((status, leases, after.wait().status));
+    });
+    let (status, leases, after) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a panicking stage hung its job");
+    match status {
+        JobStatus::Failed(why) => assert!(
+            why.starts_with("pipeline failure: stage 'read' panicked: ")
+                && why.contains("injected decoder panic"),
+            "{why}"
+        ),
+        other => panic!("bomb should fail, got {other:?}"),
+    }
+    assert_eq!(leases, (0, 0), "(leased spectra, active reservations)");
+    assert_eq!(after, JobStatus::Completed);
+}
+
 /// Randomized job storm against a deliberately tight budget: admissions
 /// may queue and interleave arbitrarily, but the arbiter's high-water
 /// mark never exceeds the budget, and only impossible jobs are rejected.

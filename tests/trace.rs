@@ -103,6 +103,57 @@ fn chrome_trace_merges_host_and_device_rows() {
     json::validate(&rep.to_json()).expect("well-formed report JSON");
 }
 
+/// `RunReport.stages` lists the real stages of both pipelined variants,
+/// with the framework's own item counts and busy time.
+#[test]
+fn run_report_lists_every_pipeline_stage() {
+    let src = SyntheticSource::new(SyntheticPlate::generate(ScanConfig::for_grid(
+        3, 4, 64, 48, 0.25, 21,
+    )));
+    let (tiles, pairs) = (12, 17);
+    let stages_of = |trace: &TraceHandle| -> Vec<(String, usize, u64)> {
+        let stages = RunReport::from_trace(trace).stages;
+        for s in &stages {
+            assert!(s.busy_ns > 0, "stage {} reports no busy time", s.name);
+        }
+        stages
+            .into_iter()
+            .map(|s| (s.name, s.threads, s.items))
+            .collect()
+    };
+
+    let trace = TraceHandle::new();
+    PipelinedCpuStitcher::new(2)
+        .with_trace(trace.clone())
+        .compute_displacements(&src);
+    let stage = |name: &str, threads, items| (name.to_string(), threads, items);
+    assert_eq!(
+        stages_of(&trace),
+        [
+            stage("traversal", 1, 1),
+            stage("read", 1, tiles),
+            stage("fft", 2, tiles + pairs),
+            stage("bk", 1, tiles),
+        ]
+    );
+
+    let trace = TraceHandle::new();
+    PipelinedGpuStitcher::single(transfer_device(0))
+        .with_trace(trace.clone())
+        .compute_displacements(&src);
+    assert_eq!(
+        stages_of(&trace),
+        [
+            stage("pipe0/read", 1, 1), // a source: one run, not one item per tile
+            stage("pipe0/copy", 1, tiles),
+            stage("pipe0/fft", 1, tiles),
+            stage("pipe0/bk", 1, tiles),
+            stage("pipe0/disp", 1, pairs),
+            stage("ccf", 4, pairs),
+        ]
+    );
+}
+
 /// `--trace-json` / `--run-report` work end to end through the CLI.
 #[test]
 fn cli_writes_trace_and_report() {
