@@ -8,7 +8,8 @@
 //!    trimming them) to have smaller prime factors ... is known to
 //!    enhance the performance of FFTW and cuFFT";
 //! 3. **Real-to-complex transforms** — §VI-A future work: "will further
-//!    improve performance by doing less work";
+//!    improve performance by doing less work" (the transform every
+//!    stitcher now runs on; both stay in `stitch-fft` as a library);
 //! 4. **Traversal orders** — §IV-A: chained-diagonal frees memory
 //!    earliest (peak-live-transform comparison).
 //!
@@ -120,42 +121,6 @@ fn main() {
     }
     r.note("r2c halves the spectrum memory footprint (the paper's stated second win)");
     r.emit();
-
-    // 3b. end-to-end: complex vs real transform path in a full stitch
-    {
-        use stitch_bench::{scaled_scan, synthetic_source};
-        use stitch_core::prelude::*;
-        use stitch_core::TransformKind;
-        let src = synthetic_source(scaled_scan(6, 8, 96, 72));
-        let mut e = ResultTable::new(
-            "ablation_r2c_stitch",
-            "end-to-end Simple-CPU stitch: complex vs real vs padded transform path",
-            &["path", "time", "per-tile spectrum bytes"],
-        );
-        let (tw2, th2) = (96usize, 72usize);
-        for (label, kind, bytes) in [
-            ("complex", TransformKind::Complex, tw2 * th2 * 16),
-            (
-                "real-to-complex",
-                TransformKind::Real,
-                (tw2 / 2 + 1) * th2 * 16,
-            ),
-            (
-                "padded complex",
-                TransformKind::PaddedComplex,
-                tw2 * th2 * 16,
-            ),
-        ] {
-            let t0 = Instant::now();
-            let r = SimpleCpuStitcher::default()
-                .with_transform(kind)
-                .compute_displacements(&src);
-            assert!(r.is_complete());
-            e.row(label, &[format!("{:.2?}", t0.elapsed()), bytes.to_string()]);
-        }
-        e.note("identical displacements, less transform work and memory on the real path");
-        e.emit();
-    }
 
     // 4. traversal orders: peak live transforms
     let shape = GridShape::new(42, 59);

@@ -81,7 +81,7 @@ impl Stitcher for FijiStyleStitcher {
         let result = Mutex::new(StitchResult::empty(shape));
         let cursor = AtomicUsize::new(0);
         let planner = Planner::new(PlanMode::Estimate);
-        let pool = SpectrumPool::new(w * h);
+        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
 
         std::thread::scope(|scope| {
             for worker in 0..self.threads.min(pairs.len()).max(1) {

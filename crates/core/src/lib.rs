@@ -76,7 +76,9 @@ pub use hostpool::{PooledSpectrum, SpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
-pub use pciam::{PciamContext, TransformKind};
+pub use pciam::PciamContext;
+#[doc(hidden)]
+pub use pipelined_cpu::TransformKind;
 pub use pipelined_cpu::{PipelinedCpuConfig, PipelinedCpuStitcher};
 pub use pipelined_gpu::{GhostMode, PipelinedGpuConfig, PipelinedGpuStitcher};
 pub use quality::{correlation_stats, coverage, seam_error, CorrelationStats, SeamError};

@@ -100,7 +100,7 @@ impl Stitcher for MtCpuStitcher {
         let bands = row_bands(shape.rows, self.threads);
         // one pool shared by all band workers: transforms released by one
         // band are recycled by whichever band acquires next
-        let pool = SpectrumPool::new(w * h);
+        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
 
         std::thread::scope(|scope| {
             for (band, &(r0, r1)) in bands.iter().enumerate() {

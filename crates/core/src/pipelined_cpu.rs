@@ -40,11 +40,26 @@ use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{PciamContext, TransformKind};
+use crate::pciam::PciamContext;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
 use stitch_pipeline::{Pipeline, Queue};
+
+/// Shim, read by no code. There is one spectrum layout and nothing
+/// selects it; this enum and the `transform` field of
+/// [`PipelinedCpuConfig`] survive only because the frozen benchmark
+/// (`benchmark/src/flows.rs`, its `core.transform.{real,padded}.phase1_ms`
+/// rows) names them. The `[benchmark]` PR that drops those now-redundant
+/// rows deletes both.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub enum TransformKind {
+    #[default]
+    Complex,
+    Real,
+    PaddedComplex,
+}
 
 /// Configuration for the CPU pipeline.
 #[derive(Clone, Debug)]
@@ -62,7 +77,8 @@ pub struct PipelinedCpuConfig {
     pub traversal: Traversal,
     /// FFT planning effort.
     pub plan_mode: PlanMode,
-    /// Transform path: complex (paper) or real-to-complex (§VI-A).
+    /// Inert; see [`TransformKind`].
+    #[doc(hidden)]
     pub transform: TransformKind,
     /// Capacity floor for the inter-stage queues. `None` keeps the
     /// defaults (id queue 64; work/bookkeeping queues floored at 8 on top
@@ -82,7 +98,7 @@ impl PipelinedCpuConfig {
             pool_size: None,
             traversal: Traversal::ChainedDiagonal,
             plan_mode: PlanMode::Estimate,
-            transform: TransformKind::Complex,
+            transform: Default::default(),
             queue_floor: None,
         }
     }
@@ -164,8 +180,8 @@ impl PipelinedCpuStitcher {
     /// pool may be [`SpectrumPool::bounded`], in which case its cap must
     /// be at least the transform-pool size (each in-flight tile holds at
     /// most one spectrum) or the run will stall on acquire. The pool's
-    /// `buf_len` must match this configuration's transform kind and the
-    /// source's tile dims (checked at run time).
+    /// `buf_len` must be [`PciamContext::spectrum_len`] of the source's
+    /// tile dims (checked at run time).
     pub fn with_spectrum_pool(mut self, pool: SpectrumPool) -> PipelinedCpuStitcher {
         self.shared_spectra = Some(pool);
         self
@@ -226,13 +242,13 @@ impl Stitcher for PipelinedCpuStitcher {
         // spectra released by bookkeeping recycle through a pool shared by
         // all fft/displacement workers (externally owned when the batch
         // scheduler injected a quota pool)
-        let spectrum_len = self.config.transform.spectrum_len(w, h);
+        let spectrum_len = PciamContext::spectrum_len(w, h);
         let spectra = match &self.shared_spectra {
             Some(p) => {
                 assert_eq!(
                     p.buf_len(),
                     spectrum_len,
-                    "shared spectrum pool sized for different tile dims/transform"
+                    "shared spectrum pool sized for different tile dims"
                 );
                 if let Some(cap) = p.cap() {
                     assert!(
@@ -305,14 +321,8 @@ impl Stitcher for PipelinedCpuStitcher {
             let workers = (0..self.config.threads).map(|t| {
                 let w_bk = q_bk.writer();
                 let track = format!("fft.{t}");
-                let mut ctx = PciamContext::for_transform(
-                    self.config.transform,
-                    &planner,
-                    w,
-                    h,
-                    Arc::clone(counters),
-                    Some(spectra.clone()),
-                );
+                let mut ctx =
+                    PciamContext::with_pool(&planner, w, h, Arc::clone(counters), spectra.clone());
                 #[cfg(test)]
                 let fft_panic_at = self.fft_panic_at;
                 move |work: Work| match work {
@@ -501,19 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn real_transform_path_matches_complex() {
-        let src = source(3, 4, 57);
-        let complex = PipelinedCpuStitcher::new(2).compute_displacements(&src);
-        let real = PipelinedCpuStitcher::with_config(PipelinedCpuConfig {
-            transform: TransformKind::Real,
-            ..PipelinedCpuConfig::with_threads(2)
-        })
-        .compute_displacements(&src);
-        assert_eq!(real.west, complex.west);
-        assert_eq!(real.north, complex.north);
-    }
-
-    #[test]
     fn multiple_reader_threads() {
         let src = source(3, 4, 58);
         let seq = PipelinedCpuStitcher::new(2).compute_displacements(&src);
@@ -530,7 +527,7 @@ mod tests {
     #[test]
     fn fft_stage_panic_is_an_error_not_a_hang() {
         for threads in [1, 2] {
-            let spectra = SpectrumPool::new(64 * 48);
+            let spectra = SpectrumPool::new(PciamContext::spectrum_len(64, 48));
             let mut stitcher =
                 PipelinedCpuStitcher::new(threads).with_spectrum_pool(spectra.clone());
             stitcher.fft_panic_at = Some(TileId::new(1, 2));

@@ -14,11 +14,12 @@
 //! 2. **copier** — one thread owns the *copy* stream: leases a transform
 //!    buffer from the device pool (blocking — this is the back-pressure
 //!    that keeps the pipeline inside GPU memory), uploads the tile
-//!    asynchronously, runs the widening kernel, records an event;
+//!    asynchronously into a staging buffer, records an event;
 //! 3. **FFT** — one thread owns the *fft* stream: waits on the copy event
-//!    and launches the 2-D transform ("the pipeline architecture handles
-//!    [Fermi's cuFFT serialization] by launching one such computation at a
-//!    time" — our device enforces it with its FFT lock);
+//!    and launches the forward transform, staging → half spectrum ("the
+//!    pipeline architecture handles [Fermi's cuFFT serialization] by
+//!    launching one such computation at a time" — our device enforces it
+//!    with its FFT lock);
 //! 4. **BK** — one bookkeeping thread resolves dependencies and advances
 //!    ready pairs; it decrements per-tile reference counts and recycles
 //!    device buffers at zero;
@@ -42,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use stitch_fft::{Direction, C64};
+use stitch_fft::{RealFft2d, C64};
 use stitch_gpu::{Device, Event, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -51,7 +52,7 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::{GridShape, Traversal};
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolve_peaks_oriented_into, PciamContext, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -138,29 +139,53 @@ struct ExportedTile {
 /// ghost mode). Consumers block until the producer publishes. A `None`
 /// slot means the owner failed to produce that tile — publishing the
 /// failure (instead of nothing) is what keeps the importer from blocking
-/// forever on a tile that will never exist.
+/// forever on a tile that will never exist. The rendezvous is outside the
+/// pipeline's queues, so the pipeline's abort path calls
+/// [`ExportTable::abort`].
 #[derive(Default)]
 struct ExportTable {
-    slots: Mutex<HashMap<TileId, Option<ExportedTile>>>,
+    state: Mutex<ExportState>,
     cv: parking_lot::Condvar,
+}
+
+#[derive(Default)]
+struct ExportState {
+    slots: HashMap<TileId, Option<ExportedTile>>,
+    aborted: bool,
 }
 
 impl ExportTable {
     fn publish(&self, id: TileId, tile: Option<ExportedTile>) {
-        self.slots.lock().insert(id, tile);
-        self.cv.notify_all();
+        let mut state = self.state.lock();
+        if !state.aborted {
+            state.slots.insert(id, tile);
+            self.cv.notify_all();
+        }
     }
 
     /// Blocking take: removes and returns the export for `id` (`None` if
-    /// the owning pipeline could not read the tile).
+    /// the owning pipeline could not read the tile, or the run aborted).
     fn take(&self, id: TileId) -> Option<ExportedTile> {
-        let mut slots = self.slots.lock();
+        let mut state = self.state.lock();
         loop {
-            if let Some(t) = slots.remove(&id) {
+            if let Some(t) = state.slots.remove(&id) {
                 return t;
             }
-            self.cv.wait(&mut slots);
+            if state.aborted {
+                return None;
+            }
+            self.cv.wait(&mut state);
         }
+    }
+
+    /// Wakes every blocked [`ExportTable::take`] with `None` and drops the
+    /// parked exports (and every later one), releasing the device buffers
+    /// they pin.
+    fn abort(&self) {
+        let mut state = self.state.lock();
+        state.aborted = true;
+        state.slots.clear();
+        self.cv.notify_all();
     }
 }
 
@@ -182,9 +207,10 @@ struct CopiedTile {
     img: Arc<Image<u16>>,
     buf: Arc<PooledBuffer<C64>>,
     copied: Event,
-    /// True when the buffer already holds the *transform* (peer-to-peer
-    /// ghost import) — stage 3 passes it through without another FFT.
-    already_transformed: bool,
+    /// The uploaded pixels stage 3 transforms into `buf`. `None` when
+    /// `buf` already holds the *transform* (peer-to-peer ghost import) —
+    /// stage 3 passes it through without another FFT.
+    staging: Option<PooledBuffer<u16>>,
 }
 
 /// A tile whose forward transform is on the device.
@@ -308,6 +334,8 @@ impl PipelinedGpuStitcher {
         let shape = source.shape();
         let (w, h) = source.tile_dims();
         let n = w * h;
+        let spectrum_len = PciamContext::spectrum_len(w, h);
+        let plan = Arc::new(RealFft2d::new(device.planner(), w, h));
         let part_cols = partition.col_hi - partition.read_lo();
         let pool_size = self
             .config
@@ -315,7 +343,7 @@ impl PipelinedGpuStitcher {
             .unwrap_or(2 * shape.rows.min(part_cols) + 4)
             .max(4);
         let pool = device
-            .buffer_pool::<C64>(n, pool_size)
+            .buffer_pool::<C64>(spectrum_len, pool_size)
             .expect("transform pool fits device memory");
         let q12: Queue<ReadTile> = Queue::new(4);
         let q23: Queue<CopiedMsg> = Queue::new(pool_size);
@@ -374,24 +402,24 @@ impl PipelinedGpuStitcher {
         {
             let w23 = q23.writer();
             let stream = device.create_stream("copy");
-            let staging = device.alloc::<u16>(n).expect("staging buffer");
+            // two staging buffers: the upload of one tile overlaps the
+            // transform of the previous one, whose kernel returns its
+            // staging lease once it has read it
+            let staging = device.buffer_pool::<u16>(n, 2).expect("staging buffers");
             let copier = move |t: ReadTile| {
                 let item = match t.payload {
                     ReadPayload::Img(img) => {
                         // back-pressure: blocks until a transform buffer is free
                         let buf = Arc::new(pool.acquire());
-                        // async upload + widen; the staging buffer is
-                        // reused, which is safe because commands on one
-                        // stream are ordered
+                        let staging = staging.acquire();
                         stream.h2d(Arc::new(img.pixels().to_vec()), &staging);
-                        stream.convert_u16_to_complex(&staging, buf.buffer());
                         let copied = stream.record_event();
                         CopiedMsg::Tile(CopiedTile {
                             id: t.id,
                             img,
                             buf,
                             copied,
-                            already_transformed: false,
+                            staging: Some(staging),
                         })
                     }
                     ReadPayload::Import => {
@@ -421,7 +449,7 @@ impl PipelinedGpuStitcher {
                                     img: export.img,
                                     buf,
                                     copied,
-                                    already_transformed: true,
+                                    staging: None,
                                 })
                             }
                             // the neighbor never produced this tile
@@ -439,7 +467,8 @@ impl PipelinedGpuStitcher {
         {
             let w34 = q34.writer();
             let stream = device.create_stream("fft");
-            let scratch = device.alloc::<C64>(n).expect("fft scratch");
+            let real = device.alloc::<f64>(n).expect("fft workspace");
+            let plan = Arc::clone(&plan);
             #[cfg(test)]
             let fft_panic_at = self.fft_panic_at;
             let transformer = move |msg: CopiedMsg| {
@@ -460,14 +489,15 @@ impl PipelinedGpuStitcher {
                 };
                 #[cfg(test)]
                 assert_ne!(Some(t.id), fft_panic_at, "injected fft-stage panic");
-                let transformed = if t.already_transformed {
+                let transformed = match t.staging {
                     // ghost import: the buffer already holds a transform
-                    t.copied
-                } else {
-                    stream.wait_event(&t.copied);
-                    stream.fft2d(w, h, Direction::Forward, t.buf.buffer(), &scratch);
-                    counters.count_forward_fft();
-                    stream.record_event()
+                    None => t.copied,
+                    Some(staging) => {
+                        stream.wait_event(&t.copied);
+                        stream.fft2d_forward(&plan, staging, &real, t.buf.buffer());
+                        counters.count_forward_fft();
+                        stream.record_event()
+                    }
                 };
                 // publish boundary-column transforms for the eastern
                 // neighbor's ghost imports
@@ -527,17 +557,18 @@ impl PipelinedGpuStitcher {
         {
             let w56 = q56.writer();
             let stream = device.create_stream("disp");
-            let pair_buf = device.alloc::<C64>(n).expect("pair buffer");
-            let scratch = device.alloc::<C64>(n).expect("disp scratch");
+            let pair_buf = device.alloc::<C64>(spectrum_len).expect("pair buffer");
+            let surface = device.alloc::<f64>(n).expect("correlation surface");
             let displacer = move |task: PairTask| {
                 stream.wait_event(&task.a.transformed);
                 stream.wait_event(&task.b.transformed);
-                stream.ncc(task.a.buf.buffer(), task.b.buf.buffer(), &pair_buf, n);
+                let (fa, fb) = (task.a.buf.buffer(), task.b.buf.buffer());
+                stream.ncc(fa, fb, &pair_buf, spectrum_len);
                 counters.count_elementwise();
-                stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
+                stream.fft2d_inverse(&plan, &pair_buf, &surface);
                 counters.count_inverse_fft();
                 let peaks = stream
-                    .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
+                    .top_abs_peaks(&surface, n, w, DEFAULT_PEAK_COUNT)
                     .wait();
                 counters.count_max_reduction();
                 // device buffers release here (Arc drop) — after the
@@ -604,6 +635,9 @@ impl Stitcher for PipelinedGpuStitcher {
         let joined = {
             let (counters, result) = (&counters, &result);
             let mut pipeline = Pipeline::with_trace(trace.clone());
+            for table in &tables {
+                pipeline.on_abort(|| table.abort());
+            }
             let queue_stats: Vec<_> = self
                 .devices
                 .iter()

@@ -19,7 +19,7 @@ use crate::grid::Traversal;
 use crate::hostpool::PooledSpectrum;
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{PciamContext, TransformKind};
+use crate::pciam::PciamContext;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::TileId;
@@ -28,7 +28,6 @@ use crate::types::TileId;
 pub struct SimpleCpuStitcher {
     traversal: Traversal,
     plan_mode: PlanMode,
-    transform: TransformKind,
     trace: TraceHandle,
 }
 
@@ -55,16 +54,8 @@ impl SimpleCpuStitcher {
         SimpleCpuStitcher {
             traversal,
             plan_mode,
-            transform: TransformKind::Complex,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Switches phase 1 to the requested transform path (the §VI-A
-    /// real-to-complex optimization when [`TransformKind::Real`]).
-    pub fn with_transform(mut self, transform: TransformKind) -> SimpleCpuStitcher {
-        self.transform = transform;
-        self
     }
 
     /// Records read/FFT/CCF spans into `trace` (track `"cpu/main"`).
@@ -94,14 +85,7 @@ impl Stitcher for SimpleCpuStitcher {
         let (w, h) = source.tile_dims();
         let counters = OpCounters::new_shared();
         let planner = Planner::new(self.plan_mode);
-        let mut ctx = PciamContext::for_transform(
-            self.transform,
-            &planner,
-            w,
-            h,
-            Arc::clone(&counters),
-            None,
-        );
+        let mut ctx = PciamContext::new(&planner, w, h, Arc::clone(&counters));
         let mut result = StitchResult::empty(shape);
         let tracker = FaultTracker::new(shape);
         let mut ledger: PairLedger<LiveTile> = PairLedger::new(shape);
@@ -226,31 +210,6 @@ mod tests {
         let row =
             SimpleCpuStitcher::new(Traversal::Row, PlanMode::Estimate).compute_displacements(&src);
         assert!(r.peak_live_tiles <= row.peak_live_tiles);
-    }
-
-    #[test]
-    fn real_transform_path_matches_complex() {
-        let plate = test_plate(3, 4);
-        let src = SyntheticSource::new(plate);
-        let complex = SimpleCpuStitcher::default().compute_displacements(&src);
-        let real = SimpleCpuStitcher::default()
-            .with_transform(TransformKind::Real)
-            .compute_displacements(&src);
-        assert_eq!(real.west, complex.west);
-        assert_eq!(real.north, complex.north);
-        assert_eq!(real.ops, complex.ops, "same op counts, half the memory");
-    }
-
-    #[test]
-    fn padded_transform_path_matches_complex() {
-        let plate = test_plate(3, 3);
-        let src = SyntheticSource::new(plate);
-        let complex = SimpleCpuStitcher::default().compute_displacements(&src);
-        let padded = SimpleCpuStitcher::default()
-            .with_transform(TransformKind::PaddedComplex)
-            .compute_displacements(&src);
-        assert_eq!(padded.west, complex.west);
-        assert_eq!(padded.north, complex.north);
     }
 
     #[test]

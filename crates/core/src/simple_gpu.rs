@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use stitch_fft::{Direction, C64};
+use stitch_fft::{RealFft2d, C64};
 use stitch_gpu::{Device, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -21,7 +21,7 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{resolve_peaks_oriented_into, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolve_peaks_oriented_into, PciamContext, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::Displacement;
@@ -93,14 +93,19 @@ impl Stitcher for SimpleGpuStitcher {
             .pool_size
             .unwrap_or(2 * shape.rows.min(shape.cols) + 4)
             .max(4);
+        let spectrum_len = PciamContext::spectrum_len(w, h);
         let pool = self
             .device
-            .buffer_pool::<C64>(n, pool_size)
+            .buffer_pool::<C64>(spectrum_len, pool_size)
             .expect("transform pool fits device memory");
         let stream = self.device.create_stream("default");
-        let staging = self.device.alloc::<u16>(n).expect("staging buffer");
-        let scratch = self.device.alloc::<C64>(n).expect("fft scratch");
-        let pair_buf = self.device.alloc::<C64>(n).expect("pair buffer");
+        let plan = Arc::new(RealFft2d::new(self.device.planner(), w, h));
+        let staging = Arc::new(self.device.alloc::<u16>(n).expect("staging buffer"));
+        // one real workspace serves both transforms (the widened tile of
+        // the forward one, the correlation surface of the inverse one):
+        // every operation below is synchronous on one stream
+        let real = self.device.alloc::<f64>(n).expect("real workspace");
+        let pair_buf = self.device.alloc::<C64>(spectrum_len).expect("pair buffer");
 
         let mut ledger: PairLedger<DeviceTile> = PairLedger::new(shape);
         // host-side scratch reused across the whole run: the synchronous
@@ -133,24 +138,20 @@ impl Stitcher for SimpleGpuStitcher {
             }
             stream.h2d(Arc::clone(&upload), &staging);
             stream.synchronize(); // synchronous cudaMemcpy
-            stream.convert_u16_to_complex(&staging, &buf);
-            stream.synchronize();
-            stream.fft2d(w, h, Direction::Forward, &buf, &scratch);
+            stream.fft2d_forward(&plan, Arc::clone(&staging), &real, &buf);
             stream.synchronize();
             counters.count_forward_fft();
 
             // complete ready pairs, one fully synchronous op at a time;
             // a released endpoint recycles its device buffer
             ledger.arrive(id, DeviceTile { img, buf }, |ta, tb, kind, slot| {
-                stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, n);
+                stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, spectrum_len);
                 stream.synchronize();
                 counters.count_elementwise();
-                stream.fft2d(w, h, Direction::Inverse, &pair_buf, &scratch);
+                stream.fft2d_inverse(&plan, &pair_buf, &real);
                 stream.synchronize();
                 counters.count_inverse_fft();
-                let peaks = stream
-                    .top_abs_peaks(&pair_buf, n, w, DEFAULT_PEAK_COUNT)
-                    .wait();
+                let peaks = stream.top_abs_peaks(&real, n, w, DEFAULT_PEAK_COUNT).wait();
                 counters.count_max_reduction();
                 // CCF disambiguation on the CPU (host images)
                 indices.clear();

@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use crate::backend::ComputeBackend;
 use crate::complex::C64;
 use crate::plan::{FftPlan, Planner};
 use crate::radix::Direction;
@@ -106,46 +105,6 @@ impl Fft2d {
         transpose(scratch, data, w, h);
     }
 
-    /// Fused NCC-normalize → 2-D transform: computes the normalized
-    /// cross-power spectrum of `fa` and `fb` row by row into `data` and
-    /// immediately row-transforms each row while it is still cache-hot,
-    /// then finishes with the usual transpose / column / transpose steps.
-    ///
-    /// Bit-identical to `backend.ncc(fa, fb, data)` followed by
-    /// [`Fft2d::process`] — only the traversal order changes, never the
-    /// arithmetic. This is the phase-1 inverse-transform entry point for
-    /// the PCIAM hot loop; the fusion removes one full `width × height`
-    /// pass over memory per tile pair.
-    pub fn process_ncc_fused(
-        &self,
-        backend: &dyn ComputeBackend,
-        fa: &[C64],
-        fb: &[C64],
-        data: &mut [C64],
-        scratch: &mut [C64],
-    ) {
-        let (w, h) = (self.width, self.height);
-        assert_eq!(fa.len(), w * h, "fa length != width*height");
-        assert_eq!(fb.len(), w * h, "fb length != width*height");
-        assert_eq!(data.len(), w * h, "data length != width*height");
-        assert_eq!(scratch.len(), w * h, "scratch length != width*height");
-        // 1. Per row: NCC into data, then row transform data → scratch.
-        for ((ra, rb), (dst, tmp)) in fa
-            .chunks_exact(w)
-            .zip(fb.chunks_exact(w))
-            .zip(data.chunks_exact_mut(w).zip(scratch.chunks_exact_mut(w)))
-        {
-            backend.ncc(ra, rb, dst);
-            self.row_plan.process(dst, tmp);
-        }
-        // 2-4. Identical to `process`.
-        transpose(scratch, data, h, w);
-        for (src, dst) in data.chunks_exact(h).zip(scratch.chunks_exact_mut(h)) {
-            self.col_plan.process(src, dst);
-        }
-        transpose(scratch, data, w, h);
-    }
-
     /// Divides every element by `width × height` — the normalization an
     /// inverse transform needs for a true round trip.
     pub fn normalize(&self, data: &mut [C64]) {
@@ -153,35 +112,6 @@ impl Fft2d {
         for v in data.iter_mut() {
             *v = v.scale(s);
         }
-    }
-}
-
-/// A forward/inverse pair for one transform size, as the stitching kernels
-/// need both directions over the same geometry.
-pub struct Fft2dPair {
-    /// Forward transform.
-    pub forward: Fft2d,
-    /// Inverse (unscaled) transform.
-    pub inverse: Fft2d,
-}
-
-impl Fft2dPair {
-    /// Plans both directions for `width × height`.
-    pub fn new(planner: &Planner, width: usize, height: usize) -> Fft2dPair {
-        Fft2dPair {
-            forward: Fft2d::new(planner, width, height, Direction::Forward),
-            inverse: Fft2d::new(planner, width, height, Direction::Inverse),
-        }
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// True only for the degenerate empty case (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.forward.is_empty()
     }
 }
 
@@ -267,10 +197,10 @@ mod tests {
         let original = ramp(w * h);
         let mut data = original.clone();
         let mut scratch = vec![C64::ZERO; w * h];
-        let pair = Fft2dPair::new(&planner, w, h);
-        pair.forward.process(&mut data, &mut scratch);
-        pair.inverse.process(&mut data, &mut scratch);
-        pair.inverse.normalize(&mut data);
+        let inverse = Fft2d::new(&planner, w, h, Direction::Inverse);
+        Fft2d::new(&planner, w, h, Direction::Forward).process(&mut data, &mut scratch);
+        inverse.process(&mut data, &mut scratch);
+        inverse.normalize(&mut data);
         assert!(max_err(&data, &original) < 1e-9 * (w * h) as f64);
     }
 
@@ -297,28 +227,6 @@ mod tests {
         let mut scratch = vec![C64::ZERO; w * h];
         Fft2d::new(&planner, w, h, Direction::Forward).process(&mut data, &mut scratch);
         assert!(max_err(&data, &reference) < 1e-7 * (w * h) as f64);
-    }
-
-    #[test]
-    fn fused_ncc_pass_is_bit_identical_to_unfused() {
-        let planner = Planner::default();
-        for (w, h) in [(16usize, 12usize), (13, 20), (37, 9)] {
-            let n = w * h;
-            let fa = ramp(n);
-            let fb: Vec<C64> = ramp(n).iter().map(|z| z.conj() + c64(0.25, -0.5)).collect();
-            let plan = Fft2d::new(&planner, w, h, Direction::Inverse);
-            let backend = crate::backend::active();
-            let mut fused = vec![C64::ZERO; n];
-            let mut scratch = vec![C64::ZERO; n];
-            plan.process_ncc_fused(backend, &fa, &fb, &mut fused, &mut scratch);
-            let mut unfused = vec![C64::ZERO; n];
-            backend.ncc(&fa, &fb, &mut unfused);
-            plan.process(&mut unfused, &mut scratch);
-            for (a, b) in fused.iter().zip(&unfused) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{w}x{h}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{w}x{h}");
-            }
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod vectorops;
 pub use backend::{BackendChoice, ComputeBackend};
 pub use bluestein::BluesteinPlan;
 pub use complex::{c64, C64};
-pub use fft2d::{transpose, Fft2d, Fft2dPair};
+pub use fft2d::{transpose, Fft2d};
 pub use plan::{fft_forward, fft_inverse, global_planner, FftPlan, PlanMode, Planner};
 pub use radix::{dft_naive, Direction, MixedRadixPlan};
 pub use real::{RealFft, RealFft2d};

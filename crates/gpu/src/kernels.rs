@@ -6,8 +6,11 @@
 //! only its index scalar ("minimizes transfers from device to host memory
 //! by only copying the result of the parallel reduction").
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use stitch_fft::vectorops::top_peaks_into;
-use stitch_fft::{Direction, Fft2d, C64};
+use stitch_fft::{RealFft2d, C64};
 
 use crate::memory::DeviceBuffer;
 use crate::profile::SpanKind;
@@ -23,51 +26,64 @@ pub struct MaxLoc {
 }
 
 impl Stream {
-    /// Kernel: widen a `u16` tile into the complex transform buffer
-    /// (`re = pixel`, `im = 0`).
-    pub fn convert_u16_to_complex(&self, src: &DeviceBuffer<u16>, dst: &DeviceBuffer<C64>) {
-        assert!(src.len() <= dst.len(), "convert destination too small");
-        let src = src.clone();
-        let dst = dst.clone();
-        self.launch("u16_to_c64", move |tok| {
-            src.map(tok, |s| {
-                dst.map(tok, |d| {
-                    for (o, &p) in d.iter_mut().zip(s.iter()) {
-                        *o = C64 {
-                            re: p as f64,
-                            im: 0.0,
-                        };
+    /// Kernel: forward real-input 2-D FFT of a `u16` tile. Widens
+    /// `staging` into the `width × height` workspace `real` and
+    /// transforms that into the half spectrum `out` (`plan.spectrum_len()`
+    /// bins). Flagged as an FFT so the device's Fermi serialization
+    /// applies. Build `plan` from the device's plan cache
+    /// ([`crate::Device::planner`]).
+    ///
+    /// `staging` is held until the kernel has executed, so a pooled lease
+    /// handed over here returns to its pool only once it has been read.
+    pub fn fft2d_forward(
+        &self,
+        plan: &Arc<RealFft2d>,
+        staging: impl Deref<Target = DeviceBuffer<u16>> + Send + 'static,
+        real: &DeviceBuffer<f64>,
+        out: &DeviceBuffer<C64>,
+    ) {
+        let n = plan.width() * plan.height();
+        assert!(staging.len() >= n, "fft2d_forward staging too small");
+        assert!(real.len() >= n, "fft2d_forward workspace too small");
+        assert!(
+            out.len() >= plan.spectrum_len(),
+            "fft2d_forward output too small"
+        );
+        let (plan, real, out) = (Arc::clone(plan), real.clone(), out.clone());
+        self.enqueue(SpanKind::Kernel, true, "fft2d_fwd", 0, move |tok| {
+            staging.map(tok, |s| {
+                real.map(tok, |r| {
+                    for (dst, &p) in r.iter_mut().zip(&s[..n]) {
+                        *dst = p as f64;
                     }
+                    out.map(tok, |o| {
+                        plan.forward(&r[..n], &mut o[..plan.spectrum_len()])
+                    });
                 });
             });
         });
     }
 
-    /// Kernel: in-place 2-D FFT of `buf` (`w × h` row-major) using
-    /// `scratch` as workspace. Flagged as an FFT so the device's Fermi
-    /// serialization applies. Plans come from the device's plan cache.
-    pub fn fft2d(
+    /// Kernel: inverse 2-D FFT of the half spectrum `spectrum` into the
+    /// real `width × height` surface `surface`. Flagged as an FFT, like
+    /// [`Stream::fft2d_forward`].
+    pub fn fft2d_inverse(
         &self,
-        width: usize,
-        height: usize,
-        direction: Direction,
-        buf: &DeviceBuffer<C64>,
-        scratch: &DeviceBuffer<C64>,
+        plan: &Arc<RealFft2d>,
+        spectrum: &DeviceBuffer<C64>,
+        surface: &DeviceBuffer<f64>,
     ) {
-        assert!(buf.len() >= width * height, "fft2d buffer too small");
-        assert!(scratch.len() >= width * height, "fft2d scratch too small");
-        let buf = buf.clone();
-        let scratch = scratch.clone();
-        let device = std::sync::Arc::clone(self.device());
-        let name = match direction {
-            Direction::Forward => "fft2d_fwd",
-            Direction::Inverse => "fft2d_inv",
-        };
-        self.enqueue(SpanKind::Kernel, true, name, 0, move |tok| {
-            let plan = Fft2d::new(&device.planner, width, height, direction);
-            buf.map(tok, |b| {
-                scratch.map(tok, |s| {
-                    plan.process(&mut b[..width * height], &mut s[..width * height]);
+        let n = plan.width() * plan.height();
+        assert!(
+            spectrum.len() >= plan.spectrum_len(),
+            "fft2d_inverse input too small"
+        );
+        assert!(surface.len() >= n, "fft2d_inverse surface too small");
+        let (plan, spectrum, surface) = (Arc::clone(plan), spectrum.clone(), surface.clone());
+        self.enqueue(SpanKind::Kernel, true, "fft2d_inv", 0, move |tok| {
+            spectrum.map(tok, |s| {
+                surface.map(tok, |o| {
+                    plan.inverse(&s[..plan.spectrum_len()], &mut o[..n])
                 });
             });
         });
@@ -102,11 +118,11 @@ impl Stream {
     /// Kernel + copy-back: top-`k` |·| maxima over `buf[..len]` viewed as a
     /// row-major image of width `width`, suppressing maxima within a small
     /// Chebyshev radius of a stronger one. Only the tiny `(index, value)`
-    /// list crosses back to the host — the same "copy only the reduction
-    /// result" discipline as [`Stream::max_abs_index`].
+    /// list crosses back to the host ("minimizes transfers from device to
+    /// host memory by only copying the result of the parallel reduction").
     pub fn top_abs_peaks(
         &self,
-        buf: &DeviceBuffer<C64>,
+        buf: &DeviceBuffer<f64>,
         len: usize,
         width: usize,
         k: usize,
@@ -117,41 +133,12 @@ impl Stream {
         self.launch("top_peaks", move |tok| {
             let (mut cand, mut peaks) = (Vec::new(), Vec::new());
             buf.map(tok, |d| {
-                top_peaks_into(&d[..len], width, k, C64::norm_sqr, &mut cand, &mut peaks)
+                top_peaks_into(&d[..len], width, k, f64::abs, &mut cand, &mut peaks)
             });
-            let out = peaks.into_iter().map(|(index, m)| MaxLoc {
-                index,
-                value: m.sqrt(),
-            });
+            let out = peaks
+                .into_iter()
+                .map(|(index, value)| MaxLoc { index, value });
             let _ = tx.send(out.collect());
-        });
-        fut
-    }
-
-    /// Kernel + copy-back: max-|·| reduction over `buf[..len]`, returning
-    /// only the `(index, value)` scalar to the host.
-    pub fn max_abs_index(&self, buf: &DeviceBuffer<C64>, len: usize) -> HostFuture<MaxLoc> {
-        assert!(buf.len() >= len);
-        let buf = buf.clone();
-        let (tx, fut) = HostFuture::pair();
-        self.launch("max_reduce", move |tok| {
-            let loc = buf.map(tok, |d| {
-                // multi-lane reduction (Harris-style, §IV-A) on squared
-                // magnitudes; sqrt once at the end. An empty or all-NaN
-                // surface has no peak: keep the NaN value (callers treat it
-                // as "no correlation") at a well-defined index 0.
-                match stitch_fft::backend::active().max_norm_sqr(&d[..len]) {
-                    Some((index, m)) => MaxLoc {
-                        index,
-                        value: m.sqrt(),
-                    },
-                    None => MaxLoc {
-                        index: 0,
-                        value: f64::NAN,
-                    },
-                }
-            });
-            let _ = tx.send(loc);
         });
         fut
     }
@@ -161,43 +148,34 @@ impl Stream {
 mod tests {
     use super::*;
     use crate::device::{Device, DeviceConfig};
-    use std::sync::Arc;
-    use stitch_fft::{c64, fft_forward};
+    use stitch_fft::c64;
 
     fn device() -> Device {
         Device::new(0, DeviceConfig::small(64 << 20))
     }
 
     #[test]
-    fn convert_widens_pixels() {
+    fn device_fft_matches_host_fft_and_round_trips() {
         let dev = device();
         let s = dev.create_stream("s");
-        let src = dev.alloc::<u16>(4).unwrap();
-        let dst = dev.alloc::<C64>(4).unwrap();
-        s.h2d(Arc::new(vec![1u16, 2, 3, 4]), &src);
-        s.convert_u16_to_complex(&src, &dst);
-        let out = s.d2h(&dst).wait();
-        assert_eq!(out[2], c64(3.0, 0.0));
-    }
-
-    #[test]
-    fn device_fft_matches_host_fft() {
-        let dev = device();
-        let s = dev.create_stream("s");
-        let (w, h) = (8usize, 4usize);
-        let host: Vec<C64> = (0..w * h).map(|k| c64(k as f64, 0.0)).collect();
-        let buf = dev.alloc::<C64>(w * h).unwrap();
-        let scratch = dev.alloc::<C64>(w * h).unwrap();
-        s.h2d(Arc::new(host.clone()), &buf);
-        s.fft2d(w, h, Direction::Forward, &buf, &scratch);
-        let got = s.d2h(&buf).wait();
-        // host reference: rows then cols via 1-D FFTs
-        let planner = stitch_fft::Planner::default();
-        let mut reference = host;
-        let mut scr = vec![C64::ZERO; w * h];
-        Fft2d::new(&planner, w, h, Direction::Forward).process(&mut reference, &mut scr);
-        for (a, b) in got.iter().zip(&reference) {
-            assert!((*a - *b).abs() < 1e-9);
+        let (w, h) = (9usize, 4usize); // odd width: no even-length fast path
+        let plan = Arc::new(RealFft2d::new(dev.planner(), w, h));
+        let pixels: Vec<u16> = (0..w * h).map(|k| (k * 37 % 101) as u16).collect();
+        let staging = Arc::new(dev.alloc::<u16>(w * h).unwrap());
+        let real = dev.alloc::<f64>(w * h).unwrap();
+        let spec = dev.alloc::<C64>(plan.spectrum_len()).unwrap();
+        s.h2d(Arc::new(pixels.clone()), &staging);
+        s.fft2d_forward(&plan, Arc::clone(&staging), &real, &spec);
+        let got = s.d2h(&spec).wait();
+        let input: Vec<f64> = pixels.iter().map(|&p| p as f64).collect();
+        let mut reference = vec![C64::ZERO; plan.spectrum_len()];
+        plan.forward(&input, &mut reference);
+        assert_eq!(got, reference, "same code, same bits");
+        // the inverse is scaled: forward ∘ inverse is the identity
+        s.fft2d_inverse(&plan, &spec, &real);
+        let back = s.d2h(&real).wait();
+        for (b, &p) in back.iter().zip(&pixels) {
+            assert!((b - p as f64).abs() < 1e-9);
         }
     }
 
@@ -224,38 +202,28 @@ mod tests {
     }
 
     #[test]
-    fn max_reduction_finds_peak() {
-        let dev = device();
-        let s = dev.create_stream("s");
-        let buf = dev.alloc::<C64>(100).unwrap();
-        let mut host = vec![c64(0.1, 0.0); 100];
-        host[63] = c64(-5.0, 12.0); // |·| = 13
-        s.h2d(Arc::new(host), &buf);
-        let loc = s.max_abs_index(&buf, 100).wait();
-        assert_eq!(loc.index, 63);
-        assert!((loc.value - 13.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn full_phase_correlation_on_device() {
-        // end-to-end sanity: fft → ncc → ifft → max on a shifted signal
+        // end-to-end sanity: fft → ncc → ifft → peak on a shifted signal
         let dev = device();
         let s = dev.create_stream("s");
         let n = 32usize;
-        let base: Vec<f64> = (0..n).map(|k| ((k * k) % 17) as f64).collect();
+        let plan = Arc::new(RealFft2d::new(dev.planner(), n, 1));
+        let base: Vec<u16> = (0..n).map(|k| ((k * k) % 17) as u16).collect();
         let shift = 5usize;
-        let shifted: Vec<f64> = (0..n).map(|k| base[(k + n - shift) % n]).collect();
-        let fa = fft_forward(&base.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
-        let fb = fft_forward(&shifted.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
-        let a = dev.alloc::<C64>(n).unwrap();
-        let b = dev.alloc::<C64>(n).unwrap();
-        let nccb = dev.alloc::<C64>(n).unwrap();
-        let scratch = dev.alloc::<C64>(n).unwrap();
-        s.h2d(Arc::new(fb), &a); // note: shifted as "i", base as "j"
-        s.h2d(Arc::new(fa), &b);
-        s.ncc(&a, &b, &nccb, n);
-        s.fft2d(n, 1, Direction::Inverse, &nccb, &scratch);
-        let loc = s.max_abs_index(&nccb, n).wait();
-        assert_eq!(loc.index, shift);
+        let shifted: Vec<u16> = (0..n).map(|k| base[(k + n - shift) % n]).collect();
+        let staging = Arc::new(dev.alloc::<u16>(n).unwrap());
+        let real = dev.alloc::<f64>(n).unwrap();
+        let spectra = [base, shifted].map(|signal| {
+            let spec = dev.alloc::<C64>(plan.spectrum_len()).unwrap();
+            s.h2d(Arc::new(signal), &staging);
+            s.fft2d_forward(&plan, Arc::clone(&staging), &real, &spec);
+            spec
+        });
+        let pair = dev.alloc::<C64>(plan.spectrum_len()).unwrap();
+        // note: shifted as "a", base as "b"
+        s.ncc(&spectra[1], &spectra[0], &pair, plan.spectrum_len());
+        s.fft2d_inverse(&plan, &pair, &real);
+        let peaks = s.top_abs_peaks(&real, n, n, 1).wait();
+        assert_eq!(peaks[0].index, shift);
     }
 }

@@ -14,8 +14,9 @@
 //! * [`DeviceBuffer`] / [`BufferPool`] — device-resident memory the host
 //!   cannot touch (copies only), pre-allocated pools with blocking
 //!   acquisition (§IV-B memory pool);
-//! * [`kernels`] — the stitching kernels: 2-D FFT (device plan cache =
-//!   "cuFFT"), normalized correlation, max reduction returning a scalar;
+//! * [`kernels`] — the stitching kernels: real-input 2-D FFT and its
+//!   inverse (device plan cache = "cuFFT"), normalized correlation, peak
+//!   reduction returning only its scalars;
 //! * [`Profiler`] — per-stream span timeline standing in for the NVIDIA
 //!   visual profiler (Figs 7 and 9), with the kernel-density metric the
 //!   paper reads off those screenshots.

@@ -103,7 +103,6 @@ impl Event {
 /// Dropping the stream drains remaining commands and joins the worker.
 pub struct Stream {
     name: String,
-    device: Arc<DeviceInner>,
     tx: Option<mpsc::Sender<Payload>>,
     worker: Option<JoinHandle<()>>,
 }
@@ -111,10 +110,10 @@ pub struct Stream {
 impl Stream {
     pub(crate) fn spawn(device: Arc<DeviceInner>, name: &str) -> Stream {
         let (tx, rx) = mpsc::channel::<Payload>();
-        let dev = Arc::clone(&device);
+        let dev = device;
         let stream_name = name.to_string();
         let worker = std::thread::Builder::new()
-            .name(format!("gpu{}-{}", device.id, name))
+            .name(format!("gpu{}-{}", dev.id, name))
             .spawn(move || {
                 let token = KernelToken::new();
                 while let Ok(payload) = rx.recv() {
@@ -178,7 +177,6 @@ impl Stream {
             .expect("spawn stream worker");
         Stream {
             name: name.to_string(),
-            device,
             tx: Some(tx),
             worker: Some(worker),
         }
@@ -212,10 +210,6 @@ impl Stream {
             bytes,
             work: Box::new(work),
         });
-    }
-
-    pub(crate) fn device(&self) -> &Arc<DeviceInner> {
-        &self.device
     }
 
     /// Asynchronous host→device copy. The source is shared with the

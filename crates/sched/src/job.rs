@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use stitch_canvas::SharedCanvas;
-use stitch_core::{AbsolutePositions, StitchResult, TileSource, TransformKind};
+use stitch_core::{AbsolutePositions, PciamContext, StitchResult, TileSource};
 use stitch_image::{Image, ScanConfig};
 use stitch_trace::RunReport;
 
@@ -266,7 +266,7 @@ impl StitchJob {
     /// budget is never over-committed by jobs that allocate less.
     pub fn estimated_bytes(&self) -> usize {
         let (w, h) = (self.scan.tile_width, self.scan.tile_height);
-        let buf_len = TransformKind::Complex.spectrum_len(w, h);
+        let buf_len = PciamContext::spectrum_len(w, h);
         let quota = self.spectrum_quota();
         let spectra = quota * buf_len * std::mem::size_of::<stitch_fft::C64>();
         let tiles = quota * w * h * std::mem::size_of::<u16>();
@@ -344,7 +344,7 @@ pub(crate) struct JobShared {
     pub(crate) done: Condvar,
     /// Pokes the scheduler's dispatcher so a cancelled *queued* job is
     /// finalized promptly instead of at the next natural wakeup.
-    pub(crate) wake_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    pub(crate) wake_hook: Box<dyn Fn() + Send + Sync>,
     /// Live preview canvas, installed at submit time for preview jobs
     /// so callers can read regions while the job runs.
     pub(crate) preview: Mutex<Option<Arc<SharedCanvas>>>,
@@ -356,7 +356,7 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    pub(crate) fn new(name: &str) -> JobHandle {
+    pub(crate) fn new(name: &str, wake_hook: impl Fn() + Send + Sync + 'static) -> JobHandle {
         JobHandle {
             shared: Arc::new(JobShared {
                 name: name.to_string(),
@@ -364,7 +364,7 @@ impl JobHandle {
                 timed_out: AtomicBool::new(false),
                 outcome: Mutex::new(None),
                 done: Condvar::new(),
-                wake_hook: Mutex::new(None),
+                wake_hook: Box::new(wake_hook),
                 preview: Mutex::new(None),
             }),
         }
@@ -380,10 +380,15 @@ impl JobHandle {
     /// lease it holds. Idempotent; racing a natural completion is fine
     /// (the job just completes).
     pub fn cancel(&self) {
+        self.signal_cancel();
+        (self.shared.wake_hook)();
+    }
+
+    /// [`JobHandle::cancel`] without the poke, for the scheduler's own
+    /// paths: they hold the queue lock the poke takes, and wake the
+    /// dispatcher themselves (or are it).
+    pub(crate) fn signal_cancel(&self) {
         self.shared.cancel.store(true, Ordering::Release);
-        if let Some(hook) = self.shared.wake_hook.lock().as_ref() {
-            hook();
-        }
     }
 
     /// True once a terminal outcome is available.
@@ -399,10 +404,6 @@ impl JobHandle {
             self.shared.done.wait(&mut slot);
         }
         slot.clone().expect("outcome present")
-    }
-
-    pub(crate) fn set_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        *self.shared.wake_hook.lock() = Some(Box::new(hook));
     }
 
     /// The job's live preview canvas, when it was submitted with
@@ -426,7 +427,7 @@ impl JobHandle {
     /// the terminal status becomes [`JobStatus::TimedOut`].
     pub(crate) fn cancel_timeout(&self) {
         self.shared.timed_out.store(true, Ordering::Release);
-        self.cancel();
+        self.signal_cancel();
     }
 
     /// The status a cancellation should resolve to: `TimedOut` when the

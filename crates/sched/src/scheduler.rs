@@ -46,8 +46,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use stitch_canvas::{run_incremental, CanvasConfig, IncrementalConfig, SharedCanvas};
 use stitch_core::{
-    Blend, Composer, FailurePolicy, GlobalOptimizer, MtCpuStitcher, PipelinedCpuConfig,
-    PipelinedCpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, Stitcher, TransformKind,
+    Blend, Composer, FailurePolicy, GlobalOptimizer, MtCpuStitcher, PciamContext,
+    PipelinedCpuConfig, PipelinedCpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, Stitcher,
 };
 use stitch_core::{
     FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher, StitchError, StitchResult,
@@ -366,11 +366,14 @@ impl Scheduler {
         if q.names_in_flight.iter().any(|n| n == &job.name) {
             return Err(SubmitError::DuplicateName(job.name.clone()));
         }
-        let handle = JobHandle::new(&job.name);
-        {
-            let inner = Arc::clone(&self.inner);
-            handle.set_wake_hook(move || inner.wake.notify_all());
-        }
+        let inner = Arc::clone(&self.inner);
+        // The poke takes the queue lock, like `resume`: the dispatcher holds
+        // it from its scan of `pending` until it waits, so the notify cannot
+        // fall between the two and be lost.
+        let handle = JobHandle::new(&job.name, move || {
+            let _q = inner.queue.lock();
+            inner.wake.notify_all();
+        });
         if job.preview {
             // Installed before the job is queued so the caller can start
             // polling regions immediately; unplaced areas read as zeros.
@@ -418,13 +421,13 @@ impl Scheduler {
             let q = self.inner.queue.lock();
             if matches!(policy, DrainPolicy::CancelPending | DrainPolicy::CancelAll) {
                 for p in &q.pending {
-                    p.handle.cancel();
+                    p.handle.signal_cancel();
                     cancelled_queued += 1;
                 }
             }
             if matches!(policy, DrainPolicy::CancelAll) {
                 for r in &q.running_jobs {
-                    r.handle.cancel();
+                    r.handle.signal_cancel();
                     signalled_running += 1;
                 }
             }
@@ -727,17 +730,12 @@ fn build_stitcher(
     trace: &TraceHandle,
 ) -> Box<dyn Stitcher> {
     match job.variant {
-        JobVariant::SimpleCpu => Box::new(
-            SimpleCpuStitcher::default()
-                .with_transform(TransformKind::Complex)
-                .with_trace(trace.clone()),
-        ),
+        JobVariant::SimpleCpu => Box::new(SimpleCpuStitcher::default().with_trace(trace.clone())),
         JobVariant::MtCpu => Box::new(MtCpuStitcher::new(job.threads).with_trace(trace.clone())),
         JobVariant::PipelinedCpu => {
             // The arbitrated substrates: a bounded per-job pool quota and
             // the shared FFT plan cache.
-            let buf_len =
-                TransformKind::Complex.spectrum_len(job.scan.tile_width, job.scan.tile_height);
+            let buf_len = PciamContext::spectrum_len(job.scan.tile_width, job.scan.tile_height);
             let pool = inner.arbiter.quota_pool(buf_len, job.spectrum_quota());
             let planner = inner.arbiter.planner(PlanMode::Estimate);
             Box::new(

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use stitch_core::prelude::*;
 use stitch_core::{
     FijiStyleStitcher, MtCpuStitcher, PipelinedCpuConfig, PipelinedCpuStitcher, PipelinedGpuConfig,
-    PipelinedGpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, TransformKind,
+    PipelinedGpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher,
 };
 use stitch_gpu::{Device, DeviceConfig};
 use stitch_image::{Fnv64, Image, ScanConfig, SyntheticPlate};
@@ -259,9 +259,7 @@ pub fn run_job_solo(job: &StitchJob) -> JobDigest {
     let source = SyntheticSource::new(plate);
     let device = || Device::new(0, DeviceConfig::small(256 << 20));
     let stitcher: Box<dyn Stitcher> = match job.variant {
-        JobVariant::SimpleCpu => {
-            Box::new(SimpleCpuStitcher::default().with_transform(TransformKind::Complex))
-        }
+        JobVariant::SimpleCpu => Box::new(SimpleCpuStitcher::default()),
         JobVariant::MtCpu => Box::new(MtCpuStitcher::new(job.threads)),
         JobVariant::PipelinedCpu => Box::new(PipelinedCpuStitcher::with_config(
             PipelinedCpuConfig::with_threads(job.threads),

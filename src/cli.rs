@@ -14,7 +14,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use stitch_core::prelude::*;
-use stitch_core::TransformKind;
 use stitch_fft::BackendChoice;
 use stitch_gpu::{Device, DeviceConfig, GpuFaultConfig};
 use stitch_image::{pgm, tiff, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate};
@@ -46,8 +45,6 @@ pub enum Command {
         threads: usize,
         /// Simulated GPU count (GPU variants).
         gpus: usize,
-        /// Transform path.
-        transform: TransformKind,
         /// Blend mode for composition.
         blend: Blend,
         /// Mosaic output path (`.pgm` or `.tif`); `None` skips composing.
@@ -195,7 +192,7 @@ USAGE:
                   [--tile-height N] [--overlap F] [--seed N]
                   [--jitter PX] [--noise SIGMA] [--channels N] [--z-planes N]
   stitch stitch --dataset DIR [--impl NAME] [--threads N] [--gpus N]
-                [--transform complex|real|padded] [--blend overlay|first|average|linear]
+                [--blend overlay|first|average|linear]
                 [--out mosaic.pgm|.tif] [--positions out.tsv] [--highlight]
                 [--retries N] [--retry-backoff-ms N] [--allow-partial]
                 [--fault-spec SPEC] [--health-json out.json]
@@ -237,8 +234,6 @@ and job lifecycle stream back as `event=... key=value` lines):
 
 IMPLEMENTATIONS: simple-cpu, mt-cpu, pipelined-cpu (default), simple-gpu,
                  pipelined-gpu, fiji
-  --transform real|padded (the paper's §VI-A spectrum layouts) is accepted
-  by simple-cpu and pipelined-cpu only.
 
 BACKENDS (phase-1 compute kernels; all bit-identical on displacements):
   auto     pick the fastest the host supports (default)
@@ -275,7 +270,7 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
             "out rows cols tile-width tile-height overlap seed jitter noise channels z-planes"
         }
         "stitch" => {
-            "dataset impl threads gpus transform blend out positions highlight retries \
+            "dataset impl threads gpus blend out positions highlight retries \
              retry-backoff-ms fault-spec allow-partial health-json trace-json run-report \
              backend ref-channel correct-illumination maxz"
         }
@@ -340,26 +335,6 @@ fn get_variant(flags: &HashMap<String, String>, default: JobVariant) -> Result<J
         .map_err(|e| format!("bad --impl: {e}"))
 }
 
-/// `stitch --transform`. Only Simple-CPU and Pipelined-CPU build their
-/// kernel from a [`TransformKind`]; the other variants would silently run
-/// complex, so a non-default layout with one of them is an error.
-fn get_transform(flags: &HashMap<String, String>) -> Result<TransformKind, String> {
-    let transform = match flags.get("transform").map(String::as_str) {
-        None | Some("complex") => return Ok(TransformKind::Complex),
-        Some("real") => TransformKind::Real,
-        Some("padded") => TransformKind::PaddedComplex,
-        Some(other) => return Err(format!("bad --transform {other:?}")),
-    };
-    match get_variant(flags, JobVariant::PipelinedCpu)? {
-        JobVariant::SimpleCpu | JobVariant::PipelinedCpu => Ok(transform),
-        other => Err(format!(
-            "--transform {} is supported only by --impl simple-cpu and pipelined-cpu, not {}",
-            flags["transform"],
-            other.token()
-        )),
-    }
-}
-
 fn get_num<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
@@ -413,7 +388,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             implementation: get_variant(&flags, JobVariant::PipelinedCpu)?,
             threads: get_num(&flags, "threads", 4)?,
             gpus: get_num(&flags, "gpus", 1)?,
-            transform: get_transform(&flags)?,
             blend: get_blend(&flags)?,
             out: flags.get("out").map(PathBuf::from),
             positions_out: flags.get("positions").map(PathBuf::from),
@@ -1044,7 +1018,6 @@ pub fn run(cmd: Command) -> i32 {
             implementation,
             threads,
             gpus,
-            transform,
             blend,
             out,
             positions_out,
@@ -1103,21 +1076,15 @@ pub fn run(cmd: Command) -> i32 {
                 ..DeviceConfig::default()
             };
             let stitcher: Box<dyn Stitcher> = match implementation {
-                JobVariant::SimpleCpu => Box::new(
-                    SimpleCpuStitcher::default()
-                        .with_transform(transform)
-                        .with_trace(trace.clone()),
-                ),
+                JobVariant::SimpleCpu => {
+                    Box::new(SimpleCpuStitcher::default().with_trace(trace.clone()))
+                }
                 JobVariant::MtCpu => {
                     Box::new(MtCpuStitcher::new(threads).with_trace(trace.clone()))
                 }
-                JobVariant::PipelinedCpu => Box::new(
-                    PipelinedCpuStitcher::with_config(stitch_core::PipelinedCpuConfig {
-                        transform,
-                        ..stitch_core::PipelinedCpuConfig::with_threads(threads)
-                    })
-                    .with_trace(trace.clone()),
-                ),
+                JobVariant::PipelinedCpu => {
+                    Box::new(PipelinedCpuStitcher::new(threads).with_trace(trace.clone()))
+                }
                 JobVariant::SimpleGpu => Box::new(
                     SimpleGpuStitcher::new(Device::new(0, device_config.clone()))
                         .with_trace(trace.clone()),
@@ -1417,7 +1384,7 @@ mod tests {
     fn parses_stitch_flags() {
         let cmd = parse(&argv(
             "stitch --dataset /d --impl pipelined-gpu --gpus 2 --threads 8 \
-             --transform complex --blend linear --out m.tif --highlight",
+             --blend linear --out m.tif --highlight",
         ))
         .unwrap();
         match cmd {
@@ -1425,7 +1392,6 @@ mod tests {
                 implementation,
                 gpus,
                 threads,
-                transform,
                 blend,
                 out,
                 highlight,
@@ -1434,7 +1400,6 @@ mod tests {
                 assert_eq!(implementation, JobVariant::PipelinedGpu);
                 assert_eq!(gpus, 2);
                 assert_eq!(threads, 8);
-                assert_eq!(transform, TransformKind::Complex);
                 assert_eq!(blend, Blend::Linear);
                 assert_eq!(out, Some(PathBuf::from("m.tif")));
                 assert!(highlight);

@@ -10,7 +10,7 @@
 //! `conformance.rs`, whose tests assume the backend never moves under
 //! them.
 
-use stitch_core::{OpCounters, PairKind, PciamContext, TransformKind};
+use stitch_core::{OpCounters, PairKind, PciamContext};
 use stitch_fft::backend::{self, BackendChoice};
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::{Scene, SceneParams};
@@ -53,7 +53,7 @@ fn all_backends_bit_identical_across_sweep() {
 /// the measured iterations performed on this thread. Mirrors the
 /// conformance suite's probe; the warmup also absorbs the backend
 /// module's one-time `STITCH_BACKEND` environment read.
-fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usize) -> u64 {
+fn steady_state_pair_allocations(warmup: usize, pairs: usize) -> u64 {
     let (w, h) = (64usize, 48usize);
     let scene = Scene::generate(
         w as f64 * 3.0,
@@ -67,7 +67,7 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
     let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
     let b = scene.render_region(w as f64 * 1.75, h as f64 + 2.0, w, h, 0.02, 30.0, 2);
     let planner = Planner::new(PlanMode::Estimate);
-    let mut ctx = PciamContext::for_transform(kind, &planner, w, h, OpCounters::new_shared(), None);
+    let mut ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
     let run_pair = |ctx: &mut PciamContext| {
         let fa = ctx.forward_fft(&a);
         let fb = ctx.forward_fft(&b);
@@ -92,18 +92,11 @@ fn every_backend_is_allocation_free_in_steady_state() {
     for choice in choices() {
         backend::select(choice);
         let name = backend::resolved_name(choice);
-        for kind in [
-            TransformKind::Complex,
-            TransformKind::Real,
-            TransformKind::PaddedComplex,
-        ] {
-            let allocs = steady_state_pair_allocations(kind, 3, 5);
-            assert_eq!(
-                allocs, 0,
-                "backend {name} / {kind:?}: steady-state pair computation \
-                 allocated {allocs} times"
-            );
-        }
+        let allocs = steady_state_pair_allocations(3, 5);
+        assert_eq!(
+            allocs, 0,
+            "backend {name}: steady-state pair computation allocated {allocs} times"
+        );
     }
     backend::select(BackendChoice::Auto);
 }

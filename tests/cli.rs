@@ -45,13 +45,6 @@ fn generate_then_info_then_stitch() {
     let img = stitching::image::pgm::read_pgm(&mosaic).unwrap();
     assert!(img.width() > 64 && img.height() > 48);
 
-    // real-transform path also works end to end
-    let cmd = parse(&argv(&format!(
-        "stitch --dataset {dir_s} --impl pipelined-cpu --transform real"
-    )))
-    .unwrap();
-    assert_eq!(run(cmd), 0);
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -111,32 +104,23 @@ fn generate_then_stitch_multichannel_stack() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// There is one spectrum layout and no flag selects it: `--transform`
+/// is an unknown flag like any other, whatever the implementation.
 #[test]
-fn transform_is_accepted_only_where_it_is_honoured() {
-    for (name, kind) in [
-        ("real", stitching::core::TransformKind::Real),
-        ("padded", stitching::core::TransformKind::PaddedComplex),
-    ] {
-        for variant in ["simple-cpu", "pipelined-cpu"] {
-            let line = format!("stitch --dataset /d --impl {variant} --transform {name}");
-            match parse(&argv(&line)).unwrap() {
-                Command::Stitch { transform, .. } => assert_eq!(transform, kind),
-                other => panic!("{other:?}"),
-            }
-        }
-        // the other four variants used to run complex and say nothing
-        for variant in ["mt-cpu", "simple-gpu", "pipelined-gpu", "fiji"] {
-            let line = format!("stitch --dataset /d --impl {variant} --transform {name}");
-            let err = parse(&argv(&line)).unwrap_err();
-            assert!(
-                err.contains("simple-cpu") && err.contains("pipelined-cpu"),
-                "{err}"
-            );
-            assert!(err.contains(variant), "{err}");
-        }
+fn transform_flag_is_gone_for_every_impl() {
+    let impls = [
+        "simple-cpu",
+        "mt-cpu",
+        "pipelined-cpu",
+        "simple-gpu",
+        "pipelined-gpu",
+        "fiji",
+    ];
+    for variant in impls {
+        let line = format!("stitch --dataset /d --impl {variant} --transform real");
+        let err = parse(&argv(&line)).unwrap_err();
+        assert_eq!(err, "unknown flag --transform for 'stitch'", "{variant}");
     }
-    assert!(parse(&argv("stitch --dataset /d --impl fiji --transform complex")).is_ok());
-    assert!(parse(&argv("stitch --dataset /d --transform cosine")).is_err());
 }
 
 #[test]

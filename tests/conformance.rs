@@ -11,9 +11,11 @@
 //! the hot-path invariant directly: steady-state PCIAM pair computation
 //! performs zero heap allocations after warmup.
 
-use stitch_core::{OpCounters, PairKind, PciamContext, TransformKind};
-use stitch_fft::{PlanMode, Planner};
-use stitch_image::{Scene, SceneParams};
+use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
+use stitch_core::{OpCounters, PairKind, PciamContext, SyntheticSource, TileSource};
+use stitch_fft::vectorops::top_peaks_into;
+use stitch_fft::{backend, c64, Direction, Fft2d, PlanMode, Planner, C64};
+use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
 use stitch_testkit::alloc::CountingAllocator;
 use stitch_testkit::{run_case, run_stress, sweep};
 
@@ -24,7 +26,7 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// inverse + peaks + CCF refine) after `warmup` of the same, returning
 /// the number of heap allocations the measured iterations performed on
 /// this thread.
-fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usize) -> u64 {
+fn steady_state_pair_allocations(warmup: usize, pairs: usize) -> u64 {
     let (w, h) = (64usize, 48usize);
     let scene = Scene::generate(
         w as f64 * 3.0,
@@ -38,7 +40,7 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
     let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
     let b = scene.render_region(w as f64 * 1.75, h as f64 + 2.0, w, h, 0.02, 30.0, 2);
     let planner = Planner::new(PlanMode::Estimate);
-    let mut ctx = PciamContext::for_transform(kind, &planner, w, h, OpCounters::new_shared(), None);
+    let mut ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
     let run_pair = |ctx: &mut PciamContext| {
         let fa = ctx.forward_fft(&a);
         let fb = ctx.forward_fft(&b);
@@ -60,17 +62,89 @@ fn steady_state_pair_allocations(kind: TransformKind, warmup: usize, pairs: usiz
 
 #[test]
 fn steady_state_pair_computation_is_allocation_free() {
-    for kind in [
-        TransformKind::Complex,
-        TransformKind::Real,
-        TransformKind::PaddedComplex,
-    ] {
-        let allocs = steady_state_pair_allocations(kind, 3, 5);
-        assert_eq!(
-            allocs, 0,
-            "{kind:?}: steady-state pair computation allocated {allocs} times"
-        );
+    let allocs = steady_state_pair_allocations(3, 5);
+    assert_eq!(
+        allocs, 0,
+        "steady-state pair computation allocated {allocs} times"
+    );
+}
+
+/// Fig 2 steps 2–7 the way the paper published them — full
+/// complex-to-complex transforms of both tiles, NCC, inverse transform,
+/// top-`k` of |·|² — from `stitch-fft`'s public pieces only. Shares no
+/// code with `PciamContext` or the half-spectrum transforms, so it is the
+/// reference the one production layout is compared against.
+fn complex_reference_peaks(a: &Image<u16>, b: &Image<u16>, k: usize) -> Vec<usize> {
+    let (w, h) = a.dims();
+    let planner = Planner::new(PlanMode::Estimate);
+    let forward = Fft2d::new(&planner, w, h, Direction::Forward);
+    let mut scratch = vec![C64::ZERO; w * h];
+    let mut spectrum = |img: &Image<u16>| {
+        let mut f: Vec<C64> = img.pixels().iter().map(|&p| c64(p as f64, 0.0)).collect();
+        forward.process(&mut f, &mut scratch);
+        f
+    };
+    let (fa, fb) = (spectrum(a), spectrum(b));
+    let mut surface = vec![C64::ZERO; w * h];
+    backend::active().ncc(&fa, &fb, &mut surface);
+    Fft2d::new(&planner, w, h, Direction::Inverse).process(&mut surface, &mut scratch);
+    let (mut cand, mut peaks) = (Vec::new(), Vec::new());
+    top_peaks_into(&surface, w, k, C64::norm_sqr, &mut cand, &mut peaks);
+    peaks.into_iter().map(|(i, _)| i).collect()
+}
+
+/// Every adjacent pair of `source`: the kernel's peaks must be the
+/// reference's, index for index, and its displacement the one those
+/// peaks resolve to.
+fn assert_kernel_matches_complex_reference(source: &dyn TileSource, label: &str) {
+    let shape = source.shape();
+    let (w, h) = source.tile_dims();
+    let planner = Planner::new(PlanMode::Estimate);
+    let mut ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
+    let tiles: Vec<Image<u16>> = shape.ids().map(|id| source.load(id).unwrap()).collect();
+    let spectra: Vec<_> = tiles.iter().map(|t| ctx.forward_fft(t)).collect();
+    for id in shape.ids() {
+        let pairs = [
+            (shape.west(id), PairKind::West),
+            (shape.north(id), PairKind::North),
+        ];
+        for (neighbour, kind) in pairs {
+            let Some(neighbour) = neighbour else { continue };
+            let (ia, ib) = (shape.index(neighbour), shape.index(id));
+            let reference = complex_reference_peaks(&tiles[ia], &tiles[ib], DEFAULT_PEAK_COUNT);
+            let peaks = ctx.correlation_peaks(&spectra[ia], &spectra[ib], DEFAULT_PEAK_COUNT);
+            let indices: Vec<usize> = peaks.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, reference, "{label}: {kind:?} pair into {id:?}");
+            let d = ctx.displacement_oriented(
+                &spectra[ia],
+                &spectra[ib],
+                &tiles[ia],
+                &tiles[ib],
+                Some(kind),
+            );
+            let expected =
+                resolve_peaks_oriented(&reference, w, h, &tiles[ia], &tiles[ib], Some(kind));
+            assert_eq!(d, expected, "{label}: {kind:?} pair into {id:?}");
+        }
     }
+}
+
+#[test]
+fn kernel_matches_the_complex_reference_across_sweep() {
+    for case in sweep() {
+        assert_kernel_matches_complex_reference(&case.source(), &case.label());
+    }
+}
+
+#[test]
+fn kernel_matches_the_complex_reference_at_paper_tile_size() {
+    let pair = SyntheticPlate::generate(ScanConfig {
+        noise_sigma: 50.0,
+        stage_jitter: 3.0,
+        vignette: 0.03,
+        ..ScanConfig::for_grid(1, 2, 1392, 1040, 0.10, 2014)
+    });
+    assert_kernel_matches_complex_reference(&SyntheticSource::new(pair), "1392x1040");
 }
 
 #[test]

@@ -18,7 +18,9 @@ use std::time::Duration;
 use stitch_testkit::{run_sched_stress, solo_digests};
 use stitching::gpu::{Device, DeviceConfig};
 use stitching::image::ScanConfig;
-use stitching::sched::{JobStatus, JobVariant, Scheduler, SchedulerConfig, StitchJob, SubmitError};
+use stitching::sched::{
+    ChaosHooks, JobStatus, JobVariant, Scheduler, SchedulerConfig, StitchJob, SubmitError,
+};
 
 /// Differential oracle: for every stress seed, each job that completed
 /// under the scheduler — sharing the plan cache, pool quotas, device
@@ -381,6 +383,92 @@ fn pause_submit_resume_rounds(rounds: usize) {
     }
     sched.join();
     assert_eq!(sched.arbiter().active_reservations(), 0);
+}
+
+/// One worker, held by a job that hangs until cancelled, and a standing
+/// queue of jobs that can therefore only wait. Then, `rounds` times:
+/// submit one more, cancel the *oldest* queued job, wait for it. The
+/// submit's notify has the dispatcher scanning `pending` front to back
+/// and going back to sleep; a cancel of the front job whose notify lands
+/// anywhere between that job's check and the sleep is lost unless it
+/// synchronizes with the queue lock — and nothing else will ever wake the
+/// dispatcher (no completion, no later submit, no resume), so the
+/// cancelled job stays queued forever.
+fn cancel_queued_rounds(rounds: usize) {
+    use std::collections::VecDeque;
+    use std::sync::mpsc;
+    use stitching::sched::JobHandle;
+
+    const STANDING: usize = 512;
+    let sched = Scheduler::new(SchedulerConfig {
+        workers: 1,
+        max_pending: 2 * STANDING,
+        ..SchedulerConfig::default()
+    });
+    let toy = ScanConfig::for_grid(1, 2, 32, 24, 0.25, 3);
+    let hang = ChaosHooks {
+        hang_ms: Some(u64::MAX),
+        panic_at_start: false,
+    };
+    let blocker = sched
+        .submit(StitchJob::new("blocker", toy.clone()).chaos(hang))
+        .unwrap();
+    while sched.dispatch_order().is_empty() {
+        std::thread::yield_now();
+    }
+    let submit = |n: usize| {
+        sched
+            .submit(StitchJob::new(format!("queued{n}"), toy.clone()).compose(false))
+            .unwrap()
+    };
+    let mut queued: VecDeque<JobHandle> = (0..STANDING).map(submit).collect();
+    // one long-lived waiter: a handle in, its terminal status out
+    let (to_waiter, handles) = mpsc::channel::<JobHandle>();
+    let (statuses, from_waiter) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        for handle in handles {
+            let _ = statuses.send(handle.wait().status);
+        }
+    });
+    for round in 0..rounds {
+        queued.push_back(submit(STANDING + round));
+        // sweep the gap up to a few hundred microseconds — past the time
+        // the dispatcher takes to wake up — so the cancel lands at every
+        // offset into its scan
+        for _ in 0..(round % 256) * 64 {
+            std::hint::spin_loop();
+        }
+        let oldest = queued.pop_front().unwrap();
+        oldest.cancel();
+        to_waiter.send(oldest).unwrap();
+        match from_waiter.recv_timeout(Duration::from_secs(20)) {
+            Ok(status) => assert_eq!(status, JobStatus::Cancelled, "round {round}"),
+            Err(_) => {
+                blocker.cancel(); // or dropping the scheduler would wait on it forever
+                panic!("round {round}: cancelled job still queued after 20 s (lost wakeup)");
+            }
+        }
+    }
+    assert_eq!(sched.dispatch_order(), ["blocker"], "a queued job ran");
+    drop(to_waiter);
+    waiter.join().expect("waiter thread");
+    queued.iter().for_each(JobHandle::cancel);
+    blocker.cancel();
+    assert_eq!(blocker.wait().status, JobStatus::Cancelled);
+    sched.join();
+    assert_eq!(sched.arbiter().active_reservations(), 0);
+}
+
+#[test]
+fn cancel_of_a_queued_job_never_loses_the_dispatcher_wakeup() {
+    cancel_queued_rounds(10_000);
+}
+
+/// The CI `sched` job's longer run of the same loop.
+#[test]
+#[ignore]
+fn cancel_of_a_queued_job_never_loses_the_dispatcher_wakeup_long() {
+    cancel_queued_rounds(100_000);
 }
 
 #[test]
