@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn failed_tile_releases_neighbor_transforms_before_finish() {
         use stitch_core::{FaultSpec, FaultySource};
-        let faulty = FaultySource::new(plate(3, 3), FaultSpec::parse("corrupt=1.1").unwrap());
+        let faulty = FaultySource::new(plate(3, 3), FaultSpec::parse("corrupt=1.1").unwrap().0);
         let policy = FailurePolicy::partial();
         let batch = SimpleCpuStitcher::default()
             .try_compute_displacements(&faulty, &policy)

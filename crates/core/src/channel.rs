@@ -119,18 +119,7 @@ impl MultiDirSource {
         let m = MultiGridManifest::load(dir).map_err(|e| SourceError::Manifest {
             detail: e.to_string(),
         })?;
-        if m.files.is_empty() {
-            return Err(SourceError::EmptyGrid);
-        }
-        let missing: Vec<String> = m
-            .files
-            .iter()
-            .filter(|f| !f.is_file())
-            .map(|f| f.display().to_string())
-            .collect();
-        if !missing.is_empty() {
-            return Err(SourceError::MissingTiles { files: missing });
-        }
+        crate::source::require_files(&m.files)?;
         Ok(MultiDirSource {
             shape: GridShape::new(m.rows, m.cols),
             dims: (m.tile_width, m.tile_height),
@@ -519,11 +508,11 @@ pub struct ChannelRun {
     pub mosaics: Vec<(ComposeUnit, Image<u16>)>,
 }
 
-/// Sequential driver: register once on the session's reference source,
-/// solve, and replay the frame across every compose unit. The
-/// scheduler-backed equivalent lives in `stitch-sched`; both produce
-/// bit-identical mosaics (proved by `stitch_testkit`'s channel
-/// differential).
+/// The one channel driver: register once on the session's reference
+/// source (default [`FailurePolicy`]), solve, and replay the frame across
+/// every compose unit. `stitch_testkit`'s channel differential proves
+/// every unit composed with positions bit-identical to a solo run over
+/// the reference source.
 pub fn run_channel_plan(
     session: &ChannelSession,
     stitcher: &dyn Stitcher,

@@ -32,6 +32,23 @@ pub enum Blend {
     Linear,
 }
 
+/// The `--blend` tokens.
+impl std::str::FromStr for Blend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Blend, String> {
+        match s {
+            "overlay" => Ok(Blend::Overlay),
+            "first" => Ok(Blend::First),
+            "average" => Ok(Blend::Average),
+            "linear" => Ok(Blend::Linear),
+            other => Err(format!(
+                "unknown blend '{other}' (expected overlay, first, average, or linear)"
+            )),
+        }
+    }
+}
+
 /// The one blend loop: accumulates tiles into a `w × h` window at
 /// `(x0, y0)` (signed pixel coordinates in whatever frame the caller
 /// places tiles in) and resolves it to pixels. Every blend mode resolves

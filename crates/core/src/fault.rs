@@ -27,6 +27,8 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use stitch_gpu::GpuFaultConfig;
+use stitch_image::opts::Options;
 use stitch_image::{Fnv64, Image};
 
 use crate::grid::GridShape;
@@ -304,8 +306,8 @@ fn unit(hash: u64) -> f64 {
 /// Parsed from the CLI `--fault-spec` string: comma-separated
 /// `key=value` entries, e.g.
 /// `seed=42,transient=0.2,latency-ms=5,corrupt=0.1+2.3`.
-/// Corrupt tiles are `row.col` coordinates joined by `+`. Keys starting
-/// with `gpu-` are ignored here (the GPU crate parses those).
+/// Corrupt tiles are `row.col` coordinates joined by `+`. The same string
+/// carries the device-level `gpu-` keys; [`FaultSpec::parse`] reads both.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
     /// Seed for all fault decisions.
@@ -332,57 +334,39 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// Parses the `--fault-spec` syntax (see the type docs). Unknown
-    /// non-`gpu-` keys are an error so typos fail loudly.
-    pub fn parse(spec: &str) -> Result<FaultSpec, String> {
-        let mut out = FaultSpec::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault-spec entry '{part}' is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            if key.starts_with("gpu-") {
-                continue; // GPU-side keys: parsed by stitch-gpu
-            }
-            match key {
-                "seed" => {
-                    out.seed = value
-                        .parse()
-                        .map_err(|_| format!("fault-spec seed '{value}' is not a u64"))?;
-                }
-                "transient" => {
-                    let rate: f64 = value
-                        .parse()
-                        .map_err(|_| format!("fault-spec transient '{value}' is not a number"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fault-spec transient {rate} outside [0, 1]"));
-                    }
-                    out.transient_rate = rate;
-                }
-                "latency-ms" => {
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| format!("fault-spec latency-ms '{value}' is not a u64"))?;
-                    out.latency = Duration::from_millis(ms);
-                }
-                "corrupt" => {
-                    for coord in value.split('+').filter(|c| !c.is_empty()) {
-                        let (r, c) = coord.split_once('.').ok_or_else(|| {
-                            format!("fault-spec corrupt tile '{coord}' is not row.col")
-                        })?;
-                        let row = r
-                            .parse()
-                            .map_err(|_| format!("corrupt tile row '{r}' is not a number"))?;
-                        let col = c
-                            .parse()
-                            .map_err(|_| format!("corrupt tile col '{c}' is not a number"))?;
-                        out.corrupt.push(TileId::new(row, col));
-                    }
-                }
-                _ => return Err(format!("unknown fault-spec key '{key}'")),
-            }
-        }
-        Ok(out)
+    /// Parses the `--fault-spec` syntax in one pass: the tile-read keys
+    /// (see the type docs) and the device keys `gpu-seed`, `gpu-h2d`,
+    /// `gpu-d2h`, `gpu-kernel`, `gpu-oom` (rates in `[0, 1]`) and
+    /// `gpu-retries`. The device config is `None` unless a device rate is
+    /// non-zero. Unknown keys are an error so typos fail loudly.
+    pub fn parse(spec: &str) -> Result<(FaultSpec, Option<GpuFaultConfig>), String> {
+        let mut o = Options::from_pairs(spec.split(','))?;
+        let mut rate = |key: &str| match o.take::<f64>(key)? {
+            Some(r) if !(0.0..=1.0).contains(&r) => Err(format!("{key} {r} outside [0, 1]")),
+            r => Ok(r.unwrap_or(0.0)),
+        };
+        let transient_rate = rate("transient")?;
+        let (h2d_fail_rate, d2h_fail_rate) = (rate("gpu-h2d")?, rate("gpu-d2h")?);
+        let (kernel_fail_rate, oom_spike_rate) = (rate("gpu-kernel")?, rate("gpu-oom")?);
+        let corrupt = o.take_pairs("corrupt", '.', '+')?;
+        let defaults = GpuFaultConfig::default();
+        let tile = FaultSpec {
+            seed: o.take("seed")?.unwrap_or(FaultSpec::default().seed),
+            transient_rate,
+            corrupt: corrupt.iter().map(|&(r, c)| TileId::new(r, c)).collect(),
+            latency: Duration::from_millis(o.take("latency-ms")?.unwrap_or(0)),
+        };
+        let device = GpuFaultConfig {
+            seed: o.take("gpu-seed")?.unwrap_or(defaults.seed),
+            h2d_fail_rate,
+            d2h_fail_rate,
+            kernel_fail_rate,
+            oom_spike_rate,
+            max_retries: o.take("gpu-retries")?.unwrap_or(defaults.max_retries),
+        };
+        o.finish()?;
+        let injects = h2d_fail_rate + d2h_fail_rate + kernel_fail_rate + oom_spike_rate > 0.0;
+        Ok((tile, injects.then_some(device)))
     }
 
     /// True when the spec injects nothing.
@@ -730,22 +714,47 @@ mod tests {
 
     #[test]
     fn spec_parse_round_trip() {
-        let spec = FaultSpec::parse("seed=7,transient=0.25,latency-ms=2,corrupt=0.1+2.3").unwrap();
+        let (spec, device) =
+            FaultSpec::parse("seed=7,transient=0.25,latency-ms=2,corrupt=0.1+2.3").unwrap();
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.transient_rate, 0.25);
         assert_eq!(spec.latency, Duration::from_millis(2));
         assert_eq!(spec.corrupt, vec![TileId::new(0, 1), TileId::new(2, 3)]);
+        assert!(device.is_none(), "no gpu- keys means no gpu config");
     }
 
     #[test]
-    fn spec_parse_ignores_gpu_keys_rejects_typos() {
+    fn spec_parse_splits_gpu_keys_rejects_typos() {
         assert!(FaultSpec::parse("gpu-h2d=0.5,gpu-oom=0.1")
             .unwrap()
+            .0
             .is_noop());
         assert!(FaultSpec::parse("transeint=0.5").is_err());
         assert!(FaultSpec::parse("transient=1.5").is_err());
         assert!(FaultSpec::parse("corrupt=12").is_err());
-        assert!(FaultSpec::parse("").unwrap().is_noop());
+        assert!(FaultSpec::parse("").unwrap().0.is_noop());
+    }
+
+    #[test]
+    fn parse_reads_gpu_keys() {
+        let (_, cfg) =
+            FaultSpec::parse("transient=0.2,gpu-h2d=0.1,gpu-retries=3,gpu-seed=7").unwrap();
+        let cfg = cfg.unwrap();
+        assert_eq!(cfg.h2d_fail_rate, 0.1);
+        assert_eq!(cfg.max_retries, 3);
+        assert_eq!(cfg.seed, 7);
+        assert_eq!(cfg.d2h_fail_rate, 0.0);
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_rate() {
+        assert!(FaultSpec::parse("gpu-kernel=1.5").is_err());
+        assert!(FaultSpec::parse("gpu-kernel=-0.1").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_unknown_gpu_key() {
+        assert!(FaultSpec::parse("gpu-banana=1").is_err());
     }
 
     #[test]

@@ -212,23 +212,27 @@ impl DirSource {
         let m = GridManifest::load(dir).map_err(|e| SourceError::Manifest {
             detail: e.to_string(),
         })?;
-        if m.files.is_empty() {
-            return Err(SourceError::EmptyGrid);
-        }
-        let missing: Vec<String> = m
-            .files
-            .iter()
-            .filter(|f| !f.is_file())
-            .map(|f| f.display().to_string())
-            .collect();
-        if !missing.is_empty() {
-            return Err(SourceError::MissingTiles { files: missing });
-        }
+        require_files(&m.files)?;
         Ok(DirSource {
             shape: GridShape::new(m.rows, m.cols),
             dims: (m.tile_width, m.tile_height),
             files: m.files,
         })
+    }
+}
+
+/// Every file a manifest lists must exist; all absences are reported at
+/// once.
+pub(crate) fn require_files(files: &[PathBuf]) -> Result<(), SourceError> {
+    let missing: Vec<String> = files
+        .iter()
+        .filter(|f| !f.is_file())
+        .map(|f| f.display().to_string())
+        .collect();
+    if missing.is_empty() {
+        Ok(())
+    } else {
+        Err(SourceError::MissingTiles { files: missing })
     }
 }
 

@@ -117,9 +117,11 @@ pub enum BackendChoice {
     Simd,
 }
 
-impl BackendChoice {
-    /// Parses a `--backend` / `STITCH_BACKEND` value.
-    pub fn parse(s: &str) -> Result<BackendChoice, String> {
+/// The `--backend` / `STITCH_BACKEND` tokens.
+impl std::str::FromStr for BackendChoice {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<BackendChoice, String> {
         match s {
             "auto" => Ok(BackendChoice::Auto),
             "scalar" => Ok(BackendChoice::Scalar),
@@ -130,8 +132,10 @@ impl BackendChoice {
             )),
         }
     }
+}
 
-    /// Every valid `parse` input.
+impl BackendChoice {
+    /// Every valid token.
     pub const NAMES: [&'static str; 4] = ["auto", "scalar", "portable", "simd"];
 }
 
@@ -187,7 +191,7 @@ pub fn select(choice: BackendChoice) {
 /// (the zero-alloc conformance test runs on every backend).
 fn resolve_from_env() -> u8 {
     let choice = match std::env::var("STITCH_BACKEND") {
-        Ok(v) => BackendChoice::parse(&v).unwrap_or_default(),
+        Ok(v) => v.parse().unwrap_or_default(),
         Err(_) => BackendChoice::Auto,
     };
     resolve(choice)
@@ -254,14 +258,14 @@ mod tests {
 
     #[test]
     fn parse_choices() {
-        assert_eq!(BackendChoice::parse("auto"), Ok(BackendChoice::Auto));
-        assert_eq!(BackendChoice::parse("scalar"), Ok(BackendChoice::Scalar));
+        assert_eq!("auto".parse::<BackendChoice>(), Ok(BackendChoice::Auto));
+        assert_eq!("scalar".parse::<BackendChoice>(), Ok(BackendChoice::Scalar));
         assert_eq!(
-            BackendChoice::parse("portable"),
+            "portable".parse::<BackendChoice>(),
             Ok(BackendChoice::Portable)
         );
-        assert_eq!(BackendChoice::parse("simd"), Ok(BackendChoice::Simd));
-        assert!(BackendChoice::parse("cuda").is_err());
+        assert_eq!("simd".parse::<BackendChoice>(), Ok(BackendChoice::Simd));
+        assert!("cuda".parse::<BackendChoice>().is_err());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! a clean decision. A fault that survives every retry is a dead device,
 //! reported by panicking the stream worker with a clear message.
 //!
-//! Keys in a `--fault-spec` string that start with `gpu-` belong to this
-//! module; the core tile-fault parser ignores them and this parser
-//! ignores everything else, so one spec string can configure both layers.
+//! The `gpu-` keys of a `--fault-spec` string fill a [`GpuFaultConfig`];
+//! `stitch_core::FaultSpec::parse` reads them in the same pass as the
+//! tile-level keys.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,57 +50,6 @@ impl Default for GpuFaultConfig {
             max_retries: 8,
         }
     }
-}
-
-impl GpuFaultConfig {
-    /// Parses the `gpu-` keys out of a comma-separated `key=value` fault
-    /// spec (e.g. `transient=0.1,gpu-h2d=0.05,gpu-retries=4`). Returns
-    /// `None` when the spec names no GPU faults; keys without the `gpu-`
-    /// prefix are ignored (they belong to the tile-level parser).
-    pub fn parse(spec: &str) -> Result<Option<GpuFaultConfig>, String> {
-        let mut cfg = GpuFaultConfig::default();
-        let mut any = false;
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec entry '{part}' is not key=value"))?;
-            let Some(gpu_key) = key.trim().strip_prefix("gpu-") else {
-                continue;
-            };
-            let value = value.trim();
-            match gpu_key {
-                "seed" => {
-                    cfg.seed = value
-                        .parse()
-                        .map_err(|e| format!("gpu-seed '{value}': {e}"))?;
-                }
-                "h2d" => cfg.h2d_fail_rate = parse_rate("gpu-h2d", value)?,
-                "d2h" => cfg.d2h_fail_rate = parse_rate("gpu-d2h", value)?,
-                "kernel" => cfg.kernel_fail_rate = parse_rate("gpu-kernel", value)?,
-                "oom" => cfg.oom_spike_rate = parse_rate("gpu-oom", value)?,
-                "retries" => {
-                    cfg.max_retries = value
-                        .parse()
-                        .map_err(|e| format!("gpu-retries '{value}': {e}"))?;
-                }
-                other => return Err(format!("unknown fault spec key 'gpu-{other}'")),
-            }
-            any = true;
-        }
-        Ok(any.then_some(cfg))
-    }
-}
-
-fn parse_rate(key: &str, value: &str) -> Result<f64, String> {
-    let rate: f64 = value.parse().map_err(|e| format!("{key} '{value}': {e}"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("{key} must be in [0, 1], got {rate}"));
-    }
-    Ok(rate)
 }
 
 /// Counters for injected faults, readable via `Device::fault_stats`.
@@ -217,34 +166,6 @@ fn unit(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_ignores_tile_level_keys() {
-        let cfg = GpuFaultConfig::parse("transient=0.2,seed=9,corrupt=1.2").unwrap();
-        assert!(cfg.is_none(), "no gpu- keys means no gpu config");
-    }
-
-    #[test]
-    fn parse_reads_gpu_keys() {
-        let cfg = GpuFaultConfig::parse("transient=0.2,gpu-h2d=0.1,gpu-retries=3,gpu-seed=7")
-            .unwrap()
-            .unwrap();
-        assert_eq!(cfg.h2d_fail_rate, 0.1);
-        assert_eq!(cfg.max_retries, 3);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.d2h_fail_rate, 0.0);
-    }
-
-    #[test]
-    fn parse_rejects_out_of_range_rate() {
-        assert!(GpuFaultConfig::parse("gpu-kernel=1.5").is_err());
-        assert!(GpuFaultConfig::parse("gpu-kernel=-0.1").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_unknown_gpu_key() {
-        assert!(GpuFaultConfig::parse("gpu-banana=1").is_err());
-    }
 
     #[test]
     fn gate_is_deterministic_per_seed() {

@@ -8,6 +8,8 @@
 //!   strips, both byte orders on read);
 //! * [`pgm`] — binary PGM for quick visual output of composed plates;
 //! * [`Fnv64`] — the workspace's one content digest (FNV-1a 64);
+//! * [`opts`] — the one reader for option text (`--flag value`, `key=value`)
+//!   and the one range check on plate geometry;
 //! * [`synth`] — procedural cell-colony plate generator with ground-truth
 //!   stage positions, substituting for the paper's A10 dataset.
 //!
@@ -24,6 +26,7 @@ pub mod digest;
 pub mod error;
 pub mod flatfield;
 pub mod image;
+pub mod opts;
 pub mod pgm;
 pub mod synth;
 pub mod tiff;

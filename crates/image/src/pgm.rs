@@ -61,9 +61,11 @@ pub fn decode_pgm(bytes: &[u8]) -> Result<Image<u16>> {
     }
     pos += 1; // single whitespace after maxval
     let two_byte = maxval > 255;
-    let need = w * h * if two_byte { 2 } else { 1 };
-    let raw = bytes
-        .get(pos..pos + need)
+    let raw = w
+        .checked_mul(h)
+        .and_then(|px| px.checked_mul(if two_byte { 2 } else { 1 }))
+        .and_then(|need| pos.checked_add(need))
+        .and_then(|end| bytes.get(pos..end))
         .ok_or_else(|| ImageError::Format("PGM pixel data truncated".into()))?;
     let data: Vec<u16> = if two_byte {
         raw.chunks_exact(2)

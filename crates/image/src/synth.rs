@@ -19,7 +19,7 @@
 
 use std::f64::consts::PI;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -27,6 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::{ImageError, Result};
 use crate::image::Image;
+use crate::opts::{Dims, Options};
 use crate::tiff;
 
 /// One fluorescent cell: an oriented anisotropic Gaussian blob.
@@ -421,6 +422,36 @@ impl ScanConfig {
             seed,
             ..ScanConfig::default()
         }
+    }
+
+    /// Range-checks a geometry that came from outside the program: grid
+    /// and tile at least 1×1 with a pixel count that fits `usize`, overlap
+    /// in `[0, 1)`, jitter and noise finite and non-negative. Thin but
+    /// legal overlaps pass — this refuses only what no plate can have.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        let (rows, cols) = (self.grid_rows, self.grid_cols);
+        let (w, h) = (self.tile_width, self.tile_height);
+        if rows == 0 || cols == 0 {
+            return Err(format!("grid must be at least 1x1, got {rows}x{cols}"));
+        }
+        if w == 0 || h == 0 {
+            return Err(format!("tile must be at least 1x1, got {w}x{h}"));
+        }
+        let pixels = [cols, w, h].iter().try_fold(rows, |n, &m| n.checked_mul(m));
+        if pixels.and_then(|n| n.checked_mul(2)).is_none() {
+            return Err(format!(
+                "grid {rows}x{cols} of tile {w}x{h} is out of range"
+            ));
+        }
+        if !(0.0..1.0).contains(&self.overlap) {
+            return Err(format!("overlap must be in [0, 1), got {}", self.overlap));
+        }
+        for (name, v) in [("jitter", self.stage_jitter), ("noise", self.noise_sigma)] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be finite and >= 0, got {v}"));
+            }
+        }
+        Ok(())
     }
 
     /// Compact one-line description of the scan geometry — the key test
@@ -876,73 +907,24 @@ pub struct GridManifest {
 }
 
 impl GridManifest {
-    /// Loads `manifest.tsv` from a dataset directory.
+    /// Loads `manifest.tsv` from a dataset directory: the one-channel ×
+    /// one-plane case of [`MultiGridManifest::load`].
     pub fn load(dir: impl AsRef<Path>) -> Result<GridManifest> {
-        let dir = dir.as_ref();
-        let file = fs::File::open(dir.join("manifest.tsv"))?;
-        let mut lines = BufReader::new(file).lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| ImageError::Format("empty manifest".into()))??;
-        let mut rows = 0usize;
-        let mut cols = 0usize;
-        let mut tile_width = 0usize;
-        let mut tile_height = 0usize;
-        let mut overlap = 0.0f64;
-        for part in header.trim_start_matches('#').split_whitespace() {
-            let mut kv = part.splitn(2, '=');
-            let (k, v) = (kv.next().unwrap_or(""), kv.next().unwrap_or(""));
-            let bad = || ImageError::Format(format!("bad manifest header field {part}"));
-            match k {
-                "rows" => rows = v.parse().map_err(|_| bad())?,
-                "cols" => cols = v.parse().map_err(|_| bad())?,
-                "tile_w" => tile_width = v.parse().map_err(|_| bad())?,
-                "tile_h" => tile_height = v.parse().map_err(|_| bad())?,
-                "overlap" => overlap = v.parse().map_err(|_| bad())?,
-                _ => {}
-            }
-        }
-        if rows == 0 || cols == 0 {
-            return Err(ImageError::Format("manifest missing grid dims".into()));
-        }
-        let mut files = vec![std::path::PathBuf::new(); rows * cols];
-        let mut truth = vec![(0i64, 0i64); rows * cols];
-        let mut seen = 0usize;
-        for line in lines {
-            let line = line?;
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let f: Vec<&str> = line.split('\t').collect();
-            if f.len() != 5 {
-                return Err(ImageError::Format(format!("bad manifest line: {line}")));
-            }
-            let bad = |what: &str| ImageError::Format(format!("bad {what} in line: {line}"));
-            let r: usize = f[0].parse().map_err(|_| bad("row"))?;
-            let c: usize = f[1].parse().map_err(|_| bad("col"))?;
-            let x: i64 = f[2].parse().map_err(|_| bad("x"))?;
-            let y: i64 = f[3].parse().map_err(|_| bad("y"))?;
-            if r >= rows || c >= cols {
-                return Err(ImageError::Format(format!("tile ({r},{c}) outside grid")));
-            }
-            files[r * cols + c] = dir.join(f[4]);
-            truth[r * cols + c] = (x, y);
-            seen += 1;
-        }
-        if seen != rows * cols {
+        let m = MultiGridManifest::load(dir)?;
+        if m.channels != 1 || m.z_planes != 1 {
             return Err(ImageError::Format(format!(
-                "manifest lists {seen} tiles, expected {}",
-                rows * cols
+                "manifest lists {} channel(s) x {} plane(s), not a single-plane grid",
+                m.channels, m.z_planes
             )));
         }
         Ok(GridManifest {
-            rows,
-            cols,
-            tile_width,
-            tile_height,
-            overlap,
-            files,
-            truth,
+            rows: m.rows,
+            cols: m.cols,
+            tile_width: m.tile_width,
+            tile_height: m.tile_height,
+            overlap: m.overlap,
+            files: m.files,
+            truth: m.truth,
         })
     }
 
@@ -990,50 +972,46 @@ impl MultiGridManifest {
     /// format.
     pub fn load(dir: impl AsRef<Path>) -> Result<MultiGridManifest> {
         let dir = dir.as_ref();
-        let file = fs::File::open(dir.join("manifest.tsv"))?;
-        let mut lines = BufReader::new(file).lines();
-        let header = lines
+        let text = fs::read_to_string(dir.join("manifest.tsv"))?;
+        let header = text
+            .lines()
             .next()
-            .ok_or_else(|| ImageError::Format("empty manifest".into()))??;
-        let mut rows = 0usize;
-        let mut cols = 0usize;
-        let mut tile_width = 0usize;
-        let mut tile_height = 0usize;
-        let mut overlap = 0.0f64;
-        let mut channels = 1usize;
-        let mut z_planes = 1usize;
-        for part in header.trim_start_matches('#').split_whitespace() {
-            let mut kv = part.splitn(2, '=');
-            let (k, v) = (kv.next().unwrap_or(""), kv.next().unwrap_or(""));
-            let bad = || ImageError::Format(format!("bad manifest header field {part}"));
-            match k {
-                "rows" => rows = v.parse().map_err(|_| bad())?,
-                "cols" => cols = v.parse().map_err(|_| bad())?,
-                "tile_w" => tile_width = v.parse().map_err(|_| bad())?,
-                "tile_h" => tile_height = v.parse().map_err(|_| bad())?,
-                "overlap" => overlap = v.parse().map_err(|_| bad())?,
-                "channels" => channels = v.parse().map_err(|_| bad())?,
-                "z_planes" => z_planes = v.parse().map_err(|_| bad())?,
-                _ => {}
-            }
+            .ok_or_else(|| ImageError::Format("empty manifest".into()))?;
+        let bad_header = |e: String| ImageError::Format(format!("manifest header: {e}"));
+        let mut header = Options::from_pairs(header.trim_start_matches('#').split_whitespace())
+            .map_err(bad_header)?;
+        // a header without grid or tile dims reads as 0x0 and is refused
+        let geometry = header
+            .take_scan(
+                ScanConfig::for_grid(0, 0, 0, 0, 0.0, 0),
+                Dims::Each("rows", "cols"),
+                Dims::Each("tile_w", "tile_h"),
+            )
+            .map_err(bad_header)?;
+        let channels = header.take_count("channels").map_err(bad_header)?;
+        let z_planes = header.take_count("z_planes").map_err(bad_header)?;
+        header.finish().map_err(bad_header)?;
+        let (rows, cols) = (geometry.grid_rows, geometry.grid_cols);
+        let (channels, z_planes) = (channels.unwrap_or(1), z_planes.unwrap_or(1));
+
+        // size the tables from the lines actually present, never from the
+        // header alone: one line per image or the manifest is refused
+        let lines = || {
+            let data = text.lines().skip(1);
+            data.filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        };
+        let listed = lines().count();
+        let images = channels
+            .checked_mul(z_planes)
+            .and_then(|n| n.checked_mul(rows * cols));
+        if images != Some(listed) {
+            return Err(ImageError::Format(format!(
+                "manifest lists {listed} images, header says {channels} x {z_planes} x {rows}x{cols}"
+            )));
         }
-        if rows == 0 || cols == 0 {
-            return Err(ImageError::Format("manifest missing grid dims".into()));
-        }
-        if channels == 0 || z_planes == 0 {
-            return Err(ImageError::Format(
-                "manifest has zero channels/planes".into(),
-            ));
-        }
-        let images = channels * z_planes * rows * cols;
-        let mut files = vec![std::path::PathBuf::new(); images];
+        let mut files = vec![std::path::PathBuf::new(); listed];
         let mut truth = vec![(0i64, 0i64); rows * cols];
-        let mut seen = 0usize;
-        for line in lines {
-            let line = line?;
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for line in lines() {
             let f: Vec<&str> = line.split('\t').collect();
             let bad = |what: &str| ImageError::Format(format!("bad {what} in line: {line}"));
             // seven fields carry (ch, z, r, c, x, y, name); legacy five
@@ -1061,19 +1039,13 @@ impl MultiGridManifest {
             }
             files[((ch * z_planes + z) * rows + r) * cols + c] = dir.join(rest[4]);
             truth[r * cols + c] = (x, y);
-            seen += 1;
-        }
-        if seen != images {
-            return Err(ImageError::Format(format!(
-                "manifest lists {seen} images, expected {images}"
-            )));
         }
         Ok(MultiGridManifest {
             rows,
             cols,
-            tile_width,
-            tile_height,
-            overlap,
+            tile_width: geometry.tile_width,
+            tile_height: geometry.tile_height,
+            overlap: geometry.overlap,
             channels,
             z_planes,
             files,

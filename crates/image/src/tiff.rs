@@ -40,7 +40,8 @@ impl<'a> Cursor<'a> {
     fn u16_at(&self, off: usize) -> Result<u16> {
         let b = self
             .bytes
-            .get(off..off + 2)
+            .get(off..)
+            .and_then(|b| b.get(..2))
             .ok_or_else(|| ImageError::Format("truncated file".into()))?;
         Ok(match self.order {
             ByteOrder::Little => u16::from_le_bytes([b[0], b[1]]),
@@ -51,7 +52,8 @@ impl<'a> Cursor<'a> {
     fn u32_at(&self, off: usize) -> Result<u32> {
         let b = self
             .bytes
-            .get(off..off + 4)
+            .get(off..)
+            .and_then(|b| b.get(..4))
             .ok_or_else(|| ImageError::Format("truncated file".into()))?;
         Ok(match self.order {
             ByteOrder::Little => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
@@ -60,11 +62,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// One parsed IFD entry's values (SHORT and LONG widened to u32).
-struct Entry {
-    tag: u16,
-    values: Vec<u32>,
-}
+/// The scalar tags decoding reads, in the order [`decode_tiff`] keeps them.
+const SCALAR_TAGS: [u16; 6] = [
+    TAG_IMAGE_WIDTH,
+    TAG_IMAGE_LENGTH,
+    TAG_BITS_PER_SAMPLE,
+    TAG_COMPRESSION,
+    TAG_SAMPLES_PER_PIXEL,
+    TAG_PHOTOMETRIC,
+];
 
 /// Decodes a TIFF byte stream into a 16-bit grayscale image (8-bit files
 /// are widened with their values preserved, not rescaled).
@@ -83,53 +89,58 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     }
     let ifd_off = cur.u32_at(4)? as usize;
     let n_entries = cur.u16_at(ifd_off)? as usize;
-    let mut entries = Vec::with_capacity(n_entries);
+    // Nothing is reserved on a header's word: only the tags decoding reads
+    // are kept, each the first time it appears (SHORT and LONG widened to
+    // u32) — one value for a scalar, and a strip table grown value by value
+    // as it is read, so a lying count runs into the end of the file, not
+    // into the allocator.
+    let mut scalars = [None; SCALAR_TAGS.len()];
+    let mut strips: [Option<Vec<u32>>; 2] = [None, None];
     for i in 0..n_entries {
         let e = ifd_off + 2 + i * 12;
         let tag = cur.u16_at(e)?;
         let typ = cur.u16_at(e + 2)?;
         let count = cur.u32_at(e + 4)? as usize;
-        let (elem_size, is_short) = match typ {
-            TYPE_SHORT => (2usize, true),
-            TYPE_LONG => (4usize, false),
+        let elem_size = match typ {
+            TYPE_SHORT => 2usize,
+            TYPE_LONG => 4usize,
             // other types (rationals etc.) are skipped — not needed for pixels
             _ => continue,
         };
-        let total = elem_size * count;
-        let val_off = if total <= 4 {
-            e + 8
-        } else {
-            cur.u32_at(e + 8)? as usize
-        };
-        let mut values = Vec::with_capacity(count);
-        for k in 0..count {
-            values.push(if is_short {
-                cur.u16_at(val_off + 2 * k)? as u32
+        let inline = elem_size.checked_mul(count).is_some_and(|total| total <= 4);
+        let value_at = |k: usize| -> Result<u32> {
+            let val_off = if inline {
+                e + 8
             } else {
-                cur.u32_at(val_off + 4 * k)?
-            });
+                cur.u32_at(e + 8)? as usize
+            };
+            if elem_size == 2 {
+                Ok(cur.u16_at(val_off + 2 * k)? as u32)
+            } else {
+                cur.u32_at(val_off + 4 * k)
+            }
+        };
+        if let Some(slot) = SCALAR_TAGS.iter().position(|&t| t == tag) {
+            if scalars[slot].is_none() && count > 0 {
+                scalars[slot] = Some(value_at(0)?);
+            }
+        } else if let TAG_STRIP_OFFSETS | TAG_STRIP_BYTE_COUNTS = tag {
+            let table = &mut strips[(tag == TAG_STRIP_BYTE_COUNTS) as usize];
+            if table.is_none() {
+                let mut values = Vec::new();
+                for k in 0..count {
+                    values.push(value_at(k)?);
+                }
+                *table = Some(values);
+            }
         }
-        entries.push(Entry { tag, values });
     }
-    let find = |tag: u16| {
-        entries
-            .iter()
-            .find(|e| e.tag == tag)
-            .map(|e| e.values.as_slice())
-    };
-    let one = |tag: u16, default: Option<u32>| -> Result<u32> {
-        match find(tag).and_then(|v| v.first().copied()) {
-            Some(v) => Ok(v),
-            None => default.ok_or_else(|| ImageError::Format(format!("missing tag {tag}"))),
-        }
-    };
-
-    let width = one(TAG_IMAGE_WIDTH, None)? as usize;
-    let height = one(TAG_IMAGE_LENGTH, None)? as usize;
-    let bits = one(TAG_BITS_PER_SAMPLE, Some(1))?;
-    let compression = one(TAG_COMPRESSION, Some(1))?;
-    let spp = one(TAG_SAMPLES_PER_PIXEL, Some(1))?;
-    let photometric = one(TAG_PHOTOMETRIC, Some(1))?;
+    let [width, height, bits, compression, spp, photometric] = scalars;
+    let missing = |tag: u16| ImageError::Format(format!("missing tag {tag}"));
+    let width = width.ok_or_else(|| missing(TAG_IMAGE_WIDTH))? as usize;
+    let height = height.ok_or_else(|| missing(TAG_IMAGE_LENGTH))? as usize;
+    let (bits, compression) = (bits.unwrap_or(1), compression.unwrap_or(1));
+    let (spp, photometric) = (spp.unwrap_or(1), photometric.unwrap_or(1));
     if compression != 1 {
         return Err(ImageError::Unsupported(format!(
             "compression {compression}"
@@ -146,10 +157,9 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
             "photometric {photometric}"
         )));
     }
-    let offsets =
-        find(TAG_STRIP_OFFSETS).ok_or_else(|| ImageError::Format("no strip offsets".into()))?;
-    let counts = find(TAG_STRIP_BYTE_COUNTS)
-        .ok_or_else(|| ImageError::Format("no strip byte counts".into()))?;
+    let [offsets, counts] = strips;
+    let offsets = offsets.ok_or_else(|| ImageError::Format("no strip offsets".into()))?;
+    let counts = counts.ok_or_else(|| ImageError::Format("no strip byte counts".into()))?;
     if offsets.len() != counts.len() {
         return Err(ImageError::Format(
             "strip offset/count length mismatch".into(),
@@ -157,14 +167,26 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     }
 
     let bytes_per_px = (bits / 8) as usize;
-    let expected = width * height * bytes_per_px;
+    // the pixels must be in the file: check before reserving for them
+    let expected = width
+        .checked_mul(height)
+        .and_then(|px| px.checked_mul(bytes_per_px))
+        .filter(|&n| n <= bytes.len())
+        .ok_or_else(|| {
+            ImageError::Format(format!(
+                "pixel data truncated: {width}x{height} at {bits} bits in a {}-byte file",
+                bytes.len()
+            ))
+        })?;
     let mut raw = Vec::with_capacity(expected);
-    for (&off, &cnt) in offsets.iter().zip(counts) {
-        let (off, cnt) = (off as usize, cnt as usize);
-        let strip = bytes
-            .get(off..off + cnt)
+    for (&off, &cnt) in offsets.iter().zip(&counts) {
+        let off = off as usize;
+        let strip = off
+            .checked_add(cnt as usize)
+            .and_then(|end| bytes.get(off..end))
             .ok_or_else(|| ImageError::Format("strip beyond end of file".into()))?;
-        raw.extend_from_slice(strip);
+        // strips may overlap or repeat; bytes past the image are not copied
+        raw.extend_from_slice(&strip[..strip.len().min(expected - raw.len())]);
     }
     if raw.len() < expected {
         return Err(ImageError::Format(format!(
@@ -174,9 +196,9 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     }
     let mut data = Vec::with_capacity(width * height);
     if bits == 8 {
-        data.extend(raw[..expected].iter().map(|&b| b as u16));
+        data.extend(raw.iter().map(|&b| b as u16));
     } else {
-        for px in raw[..expected].chunks_exact(2) {
+        for px in raw.chunks_exact(2) {
             data.push(match order {
                 ByteOrder::Little => u16::from_le_bytes([px[0], px[1]]),
                 ByteOrder::Big => u16::from_be_bytes([px[0], px[1]]),

@@ -8,37 +8,18 @@
 //! a comment and blank lines are ignored:
 //!
 //! ```text
-//! # name       implementation    grid      tile      extras
 //! name=fast    variant=mt-cpu    grid=4x5  tile=64x48  threads=2 priority=4
-//! name=slow    variant=pipelined-cpu grid=6x8 tile=64x48 overlap=0.12 seed=9
 //! name=gpu0    variant=simple-gpu    grid=4x4 tile=48x32 deadline-ms=5000
 //! ```
 //!
-//! | key | meaning | default |
-//! |---|---|---|
-//! | `name=` | unique job name (required) | — |
-//! | `variant=` | implementation token (see [`JobVariant::parse`]) | `simple-cpu` |
-//! | `grid=RxC` | grid rows × cols | `4x5` |
-//! | `tile=WxH` | tile width × height in pixels | `64x48` |
-//! | `overlap=` | overlap fraction | `0.10` |
-//! | `seed=` | synthetic-plate seed | `7` |
-//! | `threads=` | compute threads | `1` |
-//! | `priority=` | stride-scheduling weight ≥ 1 | `1` |
-//! | `deadline-ms=` | max queue wait before the job expires | none |
-//! | `watchdog-ms=` | max *run* time before the watchdog cancels the job | none |
-//! | `tenant=` | owning tenant (quota-accounting scope) | none |
-//! | `compose=` | `true`/`false`: build the full mosaic | `true` |
-//! | `preview=` | `true`/`false`: incremental canvas path with live region previews | `false` |
-//! | `hang-ms=` | chaos hook: cancellable hang before doing work | none |
-//! | `panic=` | chaos hook: `true` panics at start (contained) | `false` |
-//!
-//! The same line grammar is the `stitch serve` daemon's submission
-//! payload (`submit <job-line>`), so batch files and daemon clients
-//! share one parser and one failure surface.
+//! Every key, default and range rule is in the README's "Option grammar"
+//! section. The same line is the `stitch serve` daemon's `submit`
+//! payload, so batch files and daemon clients share [`parse_job_line`].
 
 use std::time::{Duration, Instant};
 
 use stitch_gpu::{Device, DeviceConfig};
+use stitch_image::opts::{Dims, Options};
 use stitch_image::ScanConfig;
 use stitch_trace::TraceHandle;
 
@@ -58,18 +39,6 @@ impl std::fmt::Display for LineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "line {}: {}", self.line, self.message)
     }
-}
-
-/// Parses a whole job file; errors carry the offending line number.
-pub fn parse_job_file(text: &str) -> Result<Vec<StitchJob>, String> {
-    let (jobs, errors) = parse_job_file_lenient(text);
-    if let Some(e) = errors.first() {
-        return Err(e.to_string());
-    }
-    if jobs.is_empty() {
-        return Err("job file contains no jobs".into());
-    }
-    Ok(jobs)
 }
 
 /// Parses a whole job file, containing malformed lines instead of
@@ -104,107 +73,32 @@ pub fn parse_job_file_lenient(text: &str) -> (Vec<StitchJob>, Vec<LineError>) {
 
 /// Parses one `key=value ...` job line.
 pub fn parse_job_line(line: &str) -> Result<StitchJob, String> {
-    let mut name: Option<String> = None;
-    let mut scan = ScanConfig::for_grid(4, 5, 64, 48, 0.10, 7);
-    let mut job_tmpl = StitchJob::new("", scan.clone());
-    for token in line.split_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got '{token}'"))?;
-        match key {
-            "name" => name = Some(value.to_string()),
-            "variant" => job_tmpl.variant = crate::job::JobVariant::parse(value)?,
-            "grid" => {
-                let (r, c) = parse_pair(value, 'x')?;
-                scan.grid_rows = r;
-                scan.grid_cols = c;
-            }
-            "tile" => {
-                let (w, h) = parse_pair(value, 'x')?;
-                scan.tile_width = w;
-                scan.tile_height = h;
-            }
-            "overlap" => {
-                scan.overlap = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad overlap '{value}'"))?;
-            }
-            "seed" => {
-                scan.seed = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad seed '{value}'"))?;
-            }
-            "threads" => {
-                job_tmpl.threads = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad threads '{value}'"))?
-                    .max(1);
-            }
-            "priority" => {
-                job_tmpl.priority = value
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad priority '{value}'"))?
-                    .max(1);
-            }
-            "deadline-ms" => {
-                let ms = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad deadline-ms '{value}'"))?;
-                job_tmpl.deadline = Some(Duration::from_millis(ms));
-            }
-            "watchdog-ms" => {
-                let ms = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad watchdog-ms '{value}'"))?;
-                job_tmpl.watchdog = Some(Duration::from_millis(ms));
-            }
-            "tenant" => {
-                if value.is_empty() {
-                    return Err("tenant must be non-empty".into());
-                }
-                job_tmpl.tenant = Some(value.to_string());
-            }
-            "hang-ms" => {
-                job_tmpl.chaos.hang_ms = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad hang-ms '{value}'"))?,
-                );
-            }
-            "panic" => {
-                job_tmpl.chaos.panic_at_start = value
-                    .parse::<bool>()
-                    .map_err(|_| format!("bad panic '{value}' (true/false)"))?;
-            }
-            "compose" => {
-                job_tmpl.compose = value
-                    .parse::<bool>()
-                    .map_err(|_| format!("bad compose '{value}' (true/false)"))?;
-            }
-            "preview" => {
-                job_tmpl.preview = value
-                    .parse::<bool>()
-                    .map_err(|_| format!("bad preview '{value}' (true/false)"))?;
-            }
-            other => return Err(format!("unknown key '{other}'")),
-        }
+    let mut o = Options::from_pairs(line.split_whitespace())?;
+    let name: String = o.take("name")?.ok_or("every job needs a name=")?;
+    let tenant: Option<String> = o.take("tenant")?;
+    if name.is_empty() || tenant.as_deref() == Some("") {
+        return Err("job name and tenant must be non-empty".into());
     }
-    let name = name.ok_or("every job needs a name=")?;
-    if name.is_empty() {
-        return Err("job name must be non-empty".into());
-    }
-    job_tmpl.name = name;
-    job_tmpl.scan = scan;
-    Ok(job_tmpl)
-}
-
-fn parse_pair(value: &str, sep: char) -> Result<(usize, usize), String> {
-    let (a, b) = value
-        .split_once(sep)
-        .ok_or_else(|| format!("expected A{sep}B, got '{value}'"))?;
-    let a = a.parse().map_err(|_| format!("bad number '{a}'"))?;
-    let b = b.parse().map_err(|_| format!("bad number '{b}'"))?;
-    Ok((a, b))
+    let scan = o.take_scan(
+        ScanConfig::for_grid(4, 5, 64, 48, 0.10, 7),
+        Dims::Pair("grid"),
+        Dims::Pair("tile"),
+    )?;
+    let mut job = StitchJob::new(name, scan);
+    job.tenant = tenant;
+    job.variant = o.take("variant")?.unwrap_or(job.variant);
+    job.threads = o.take_count("threads")?.unwrap_or(job.threads);
+    job.priority = o
+        .take::<u32>("priority")?
+        .map_or(job.priority, |p| p.max(1));
+    job.deadline = o.take("deadline-ms")?.map(Duration::from_millis);
+    job.watchdog = o.take("watchdog-ms")?.map(Duration::from_millis);
+    job.chaos.hang_ms = o.take("hang-ms")?;
+    job.chaos.panic_at_start = o.take("panic")?.unwrap_or(false);
+    job.compose = o.take("compose")?.unwrap_or(job.compose);
+    job.preview = o.take("preview")?.unwrap_or(job.preview);
+    o.finish()?;
+    Ok(job)
 }
 
 /// Scheduler sizing for a batch run.
@@ -342,21 +236,22 @@ mod tests {
 
     #[test]
     fn file_parser_skips_comments_and_rejects_duplicates() {
-        let jobs = parse_job_file(
+        let (jobs, errors) = parse_job_file_lenient(
             "# batch of two\n\
              name=a grid=2x2 tile=32x24  # trailing comment\n\
              \n\
              name=b grid=2x3 tile=32x24\n",
-        )
-        .unwrap();
+        );
+        assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[1].name, "b");
 
-        let err = parse_job_file("name=a\nname=a\n").unwrap_err();
+        let first_error = |text| parse_job_file_lenient(text).1[0].to_string();
+        let err = first_error("name=a\nname=a\n");
         assert!(err.contains("duplicate"), "{err}");
-        let err = parse_job_file("variant=mt-cpu\n").unwrap_err();
+        let err = first_error("variant=mt-cpu\n");
         assert!(err.contains("line 1"), "{err}");
-        let err = parse_job_file("name=x bogus=1\n").unwrap_err();
+        let err = first_error("name=x bogus=1\n");
         assert!(err.contains("unknown key"), "{err}");
     }
 

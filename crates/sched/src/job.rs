@@ -41,8 +41,17 @@ impl JobVariant {
         }
     }
 
-    /// Parses a job-file token.
-    pub fn parse(s: &str) -> Result<JobVariant, String> {
+    /// Whether this variant runs on the shared simulated device.
+    pub fn needs_device(&self) -> bool {
+        matches!(self, JobVariant::SimpleGpu | JobVariant::PipelinedGpu)
+    }
+}
+
+/// The `--impl` / `variant=` tokens ([`JobVariant::token`]).
+impl std::str::FromStr for JobVariant {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<JobVariant, String> {
         match s {
             "simple-cpu" => Ok(JobVariant::SimpleCpu),
             "mt-cpu" => Ok(JobVariant::MtCpu),
@@ -55,11 +64,6 @@ impl JobVariant {
                  pipelined-cpu, fiji, simple-gpu, or pipelined-gpu)"
             )),
         }
-    }
-
-    /// Whether this variant runs on the shared simulated device.
-    pub fn needs_device(&self) -> bool {
-        matches!(self, JobVariant::SimpleGpu | JobVariant::PipelinedGpu)
     }
 }
 

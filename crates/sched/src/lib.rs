@@ -52,8 +52,8 @@ pub mod scheduler;
 
 pub use arbiter::{AdmissionError, MemReservation, ResourceArbiter};
 pub use batch::{
-    parse_job_file, parse_job_file_lenient, parse_job_line, run_batch, run_batch_text,
-    BatchOptions, BatchReport, LineError,
+    parse_job_file_lenient, parse_job_line, run_batch, run_batch_text, BatchOptions, BatchReport,
+    LineError,
 };
 pub use job::{ChaosHooks, JobHandle, JobOutcome, JobSource, JobStatus, JobVariant, StitchJob};
 pub use scheduler::{DrainPolicy, DrainReport, Scheduler, SchedulerConfig, SubmitError};

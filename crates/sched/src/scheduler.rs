@@ -167,6 +167,22 @@ pub enum DrainPolicy {
     CancelAll,
 }
 
+/// The `--drain` / `drain policy=` tokens.
+impl std::str::FromStr for DrainPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DrainPolicy, String> {
+        match s {
+            "finish" => Ok(DrainPolicy::Finish),
+            "cancel-pending" => Ok(DrainPolicy::CancelPending),
+            "cancel-all" => Ok(DrainPolicy::CancelAll),
+            other => Err(format!(
+                "unknown policy '{other}' (expected finish, cancel-pending, or cancel-all)"
+            )),
+        }
+    }
+}
+
 /// What a completed [`Scheduler::drain`] observed.
 #[derive(Clone, Debug)]
 pub struct DrainReport {

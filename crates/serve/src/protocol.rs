@@ -2,17 +2,15 @@
 //!
 //! One request per line, `#` starts a comment, blank lines are ignored.
 //! The first token is the verb; everything after it is `key=value`
-//! tokens (a `submit` payload is exactly the `serve-batch` job-line
-//! grammar, parsed by [`stitch_sched::parse_job_line`], so batch files
-//! and daemon clients share one parser):
+//! tokens read by the workspace's one option reader (a `submit` payload
+//! is exactly the `serve-batch` job line, [`stitch_sched::parse_job_line`]).
+//! Every verb, key, default and range rule is in the README's "Option
+//! grammar" section.
 //!
 //! ```text
 //! submit tenant=acme name=p7 variant=pipelined-cpu grid=4x5 tile=64x48
-//! cancel tenant=acme name=p7
 //! region tenant=acme name=p7 scale=2 x=0 y=0 w=64 h=64
-//! stats
 //! drain policy=finish
-//! ping
 //! ```
 //!
 //! Every response line is an event, `event=<kind>` first:
@@ -30,6 +28,7 @@
 
 use std::time::Duration;
 
+use stitch_image::opts::Options;
 use stitch_sched::{parse_job_line, DrainPolicy, JobStatus, StitchJob};
 
 /// A parsed client request.
@@ -87,91 +86,62 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
         Some((v, r)) => (v, r.trim()),
         None => (line, ""),
     };
-    match verb {
-        "submit" => {
-            let job = parse_job_line(rest).map_err(|e| format!("parse: {e}"))?;
-            Ok(Some(Request::Submit(Box::new(job))))
+    let request = match verb {
+        "submit" => parse_job_line(rest).map(|job| Request::Submit(Box::new(job))),
+        "cancel" => keyed(rest, |o| {
+            let (tenant, name) = job_key(o)?;
+            Ok(Request::Cancel { tenant, name })
+        }),
+        "region" => keyed(rest, |o| {
+            let (tenant, name) = job_key(o)?;
+            let (w, h) = (o.take("w")?.unwrap_or(64), o.take("h")?.unwrap_or(64));
+            if !(1..=4096).contains(&w) || !(1..=4096).contains(&h) {
+                return Err(format!("w/h must be 1..=4096, got {w}x{h}"));
+            }
+            Ok(Request::Region {
+                tenant,
+                name,
+                scale: o.take("scale")?.unwrap_or(0),
+                x: o.take("x")?.unwrap_or(0),
+                y: o.take("y")?.unwrap_or(0),
+                w,
+                h,
+            })
+        }),
+        "drain" => keyed(rest, |o| {
+            Ok(Request::Drain(
+                o.take("policy")?.unwrap_or(DrainPolicy::Finish),
+            ))
+        }),
+        "stats" => Ok(Request::Stats),
+        "ping" => Ok(Request::Ping),
+        other => {
+            return Err(format!(
+                "unknown verb '{other}' (submit, cancel, region, stats, drain, ping)"
+            ))
         }
-        "cancel" => {
-            let mut tenant = None;
-            let mut name = None;
-            for token in rest.split_whitespace() {
-                match token.split_once('=') {
-                    Some(("tenant", v)) => tenant = Some(v.to_string()),
-                    Some(("name", v)) => name = Some(v.to_string()),
-                    _ => return Err(format!("cancel: unexpected token '{token}'")),
-                }
-            }
-            match name {
-                Some(name) if !name.is_empty() => Ok(Some(Request::Cancel { tenant, name })),
-                _ => Err("cancel needs name=<job>".into()),
-            }
-        }
-        "region" => {
-            let mut tenant = None;
-            let mut name = None;
-            let (mut scale, mut x, mut y, mut w, mut h) = (0usize, 0i64, 0i64, 64usize, 64usize);
-            for token in rest.split_whitespace() {
-                match token.split_once('=') {
-                    Some(("tenant", v)) => tenant = Some(v.to_string()),
-                    Some(("name", v)) => name = Some(v.to_string()),
-                    Some(("scale", v)) => {
-                        scale = v.parse().map_err(|_| format!("region: bad scale '{v}'"))?;
-                    }
-                    Some(("x", v)) => {
-                        x = v.parse().map_err(|_| format!("region: bad x '{v}'"))?;
-                    }
-                    Some(("y", v)) => {
-                        y = v.parse().map_err(|_| format!("region: bad y '{v}'"))?;
-                    }
-                    Some(("w", v)) => {
-                        w = v.parse().map_err(|_| format!("region: bad w '{v}'"))?;
-                    }
-                    Some(("h", v)) => {
-                        h = v.parse().map_err(|_| format!("region: bad h '{v}'"))?;
-                    }
-                    _ => return Err(format!("region: unexpected token '{token}'")),
-                }
-            }
-            if w == 0 || h == 0 || w > 4096 || h > 4096 {
-                return Err(format!("region: w/h must be 1..=4096, got {w}x{h}"));
-            }
-            match name {
-                Some(name) if !name.is_empty() => Ok(Some(Request::Region {
-                    tenant,
-                    name,
-                    scale,
-                    x,
-                    y,
-                    w,
-                    h,
-                })),
-                _ => Err("region needs name=<job>".into()),
-            }
-        }
-        "stats" => Ok(Some(Request::Stats)),
-        "drain" => {
-            let mut policy = DrainPolicy::Finish;
-            for token in rest.split_whitespace() {
-                match token.split_once('=') {
-                    Some(("policy", "finish")) => policy = DrainPolicy::Finish,
-                    Some(("policy", "cancel-pending")) => policy = DrainPolicy::CancelPending,
-                    Some(("policy", "cancel-all")) => policy = DrainPolicy::CancelAll,
-                    Some(("policy", other)) => {
-                        return Err(format!(
-                            "drain: unknown policy '{other}' \
-                             (finish, cancel-pending, cancel-all)"
-                        ))
-                    }
-                    _ => return Err(format!("drain: unexpected token '{token}'")),
-                }
-            }
-            Ok(Some(Request::Drain(policy)))
-        }
-        "ping" => Ok(Some(Request::Ping)),
-        other => Err(format!(
-            "unknown verb '{other}' (submit, cancel, region, stats, drain, ping)"
-        )),
+    };
+    let scope = if verb == "submit" { "parse" } else { verb };
+    request.map(Some).map_err(|e| format!("{scope}: {e}"))
+}
+
+/// Reads a request's `key=value` arguments with `read`; a key it did not
+/// take is an error.
+fn keyed(
+    rest: &str,
+    read: impl FnOnce(&mut Options) -> Result<Request, String>,
+) -> Result<Request, String> {
+    let mut o = Options::from_pairs(rest.split_whitespace())?;
+    let request = read(&mut o)?;
+    o.finish()?;
+    Ok(request)
+}
+
+/// The `[tenant=…] name=…` pair that addresses an in-flight job.
+fn job_key(o: &mut Options) -> Result<(Option<String>, String), String> {
+    match o.take::<String>("name")? {
+        Some(name) if !name.is_empty() => Ok((o.take("tenant")?, name)),
+        _ => Err("needs name=<job>".into()),
     }
 }
 

@@ -185,7 +185,7 @@ impl CostModel {
 }
 
 /// The virtual machine the simulations run on.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineSpec {
     /// Physical cores (paper testbed: 2× quad-core = 8).
     pub physical_cores: usize,
@@ -203,6 +203,21 @@ pub struct MachineSpec {
     pub gpus: usize,
     /// Main-memory budget in bytes (Fig 5's cliff machine had 24 GB).
     pub ram_bytes: u64,
+}
+
+/// The `simulate --machine` presets.
+impl std::str::FromStr for MachineSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<MachineSpec, String> {
+        match s {
+            "testbed" => Ok(MachineSpec::paper_testbed()),
+            "laptop" => Ok(MachineSpec::paper_laptop()),
+            other => Err(format!(
+                "unknown machine '{other}' (expected testbed or laptop)"
+            )),
+        }
+    }
 }
 
 impl MachineSpec {

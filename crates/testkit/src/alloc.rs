@@ -14,7 +14,8 @@
 //! * process-wide ([`CountingAllocator::allocations`] /
 //!   [`CountingAllocator::bytes_allocated`]) — right for sequential
 //!   whole-run measurements like `perfgate`;
-//! * per-thread ([`CountingAllocator::thread_allocations`]) — right for
+//! * per-thread ([`CountingAllocator::thread_allocations`] /
+//!   [`CountingAllocator::thread_bytes_allocated`]) — right for
 //!   assertions inside a multi-threaded test harness, where unrelated
 //!   tests allocating on sibling threads must not pollute the count.
 
@@ -30,6 +31,7 @@ thread_local! {
     // const-initialized Cell: no lazy init, no destructor — safe to
     // touch from inside the allocator itself.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A `#[global_allocator]`-installable wrapper over [`System`] that
@@ -62,6 +64,11 @@ impl CountingAllocator {
     pub fn thread_allocations() -> u64 {
         THREAD_ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
     }
+
+    /// Total bytes requested from the heap by the *calling thread* only.
+    pub fn thread_bytes_allocated() -> u64 {
+        THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
+    }
 }
 
 impl Default for CountingAllocator {
@@ -77,6 +84,7 @@ fn count(bytes: usize) {
     // try_with: the TLS slot has no destructor, but stay panic-free
     // during thread teardown regardless.
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: delegates verbatim to `System`; the counter updates are

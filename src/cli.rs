@@ -1,25 +1,30 @@
 //! Command-line interface plumbing for the `stitch` binary.
 //!
-//! A small hand-rolled parser (no external dependency) covering the
-//! subcommands: `generate`, `stitch`, `shard`, `serve`, `serve-batch`,
-//! `info`, and `simulate`. Parsing is pure so it is unit-testable; execution
-//! lives in [`run`], and the daemon's line-protocol session loop in the
-//! testable [`serve_session`].
+//! The sub-commands `generate`, `stitch`, `shard`, `serve`, `serve-batch`,
+//! `info` and `simulate`, read through the workspace's one option reader
+//! ([`stitch_image::opts`]). Parsing is pure so it is unit-testable;
+//! execution lives in [`run`], and the daemon's line-protocol session loop
+//! in the testable [`serve_session`].
 
-use std::collections::HashMap;
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use stitch_core::prelude::*;
 use stitch_fft::BackendChoice;
-use stitch_gpu::{Device, DeviceConfig, GpuFaultConfig};
-use stitch_image::{pgm, tiff, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate};
+use stitch_gpu::{Device, DeviceConfig};
+use stitch_image::opts::{Dims, Options};
+use stitch_image::{
+    pgm, tiff, GridManifest, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate,
+};
 use stitch_sched::{DrainPolicy, JobVariant};
 use stitch_serve::{BreakerConfig, RateLimit, ServeConfig, ServeDaemon, TenantPolicy};
 use stitch_shard::{stitch_sharded, stitch_sharded_into_canvas, ShardConfig as ShardRunConfig};
+use stitch_sim::MachineSpec;
+use stitch_trace::TraceHandle;
 
 /// Parsed command line.
 #[derive(Debug, PartialEq)]
@@ -39,7 +44,7 @@ pub enum Command {
     Stitch {
         /// Dataset directory (with `manifest.tsv`).
         dataset: PathBuf,
-        /// Implementation (`--impl`, one of [`JobVariant::parse`]'s tokens).
+        /// Implementation (`--impl`, one of [`JobVariant::token`]'s tokens).
         implementation: JobVariant,
         /// Worker threads (CPU variants) or CCF threads (GPU variants).
         threads: usize,
@@ -152,7 +157,7 @@ pub enum Command {
     /// Run a batch of stitching jobs on the shared scheduler.
     ServeBatch {
         /// Job file (one `key=value ...` job per line; see
-        /// [`stitch_sched::parse_job_file`]).
+        /// [`stitch_sched::parse_job_line`]).
         jobs: PathBuf,
         /// Concurrent job slots.
         workers: usize,
@@ -172,8 +177,8 @@ pub enum Command {
     },
     /// Print the virtual-time Table II for a machine spec.
     Simulate {
-        /// `testbed` or `laptop`.
-        machine: String,
+        /// The `testbed` or `laptop` preset.
+        machine: MachineSpec,
         /// Grid rows.
         rows: usize,
         /// Grid cols.
@@ -219,18 +224,21 @@ USAGE:
   stitch simulate [--machine testbed|laptop] [--rows N] [--cols N]
   stitch help
 
-JOB FILE (serve-batch; one job per line, `#` comments):
-  name=a variant=pipelined-cpu grid=6x8 tile=64x48 overlap=0.1 seed=5
-         threads=2 priority=2 deadline-ms=5000 compose=false
-  (malformed lines are reported per line; the rest of the batch runs)
-
-SERVE PROTOCOL (one request per line on stdin or the socket; responses
-and job lifecycle stream back as `event=... key=value` lines):
-  submit name=a tenant=acme grid=6x8 tile=64x48 [preview=true] ...
-  cancel name=a [tenant=acme]
-  region name=a [tenant=acme] [scale=N] [x=N] [y=N] [w=N] [h=N]
-  stats | ping | drain [policy=finish|cancel-pending|cancel-all]
-  EOF on stdin drains the daemon (--drain policy) and exits.
+OPTION GRAMMAR (README § Option grammar lists every key, default and
+range rule; malformed lines are reported per line, the rest still run):
+  job line (serve-batch --jobs FILE, one per line, `#` comments):
+    name=a variant=pipelined-cpu grid=6x8 tile=64x48 overlap=0.1 seed=5
+           threads=2 priority=2 deadline-ms=5000 compose=false
+  serve request (one per line on stdin or the socket; responses and job
+  lifecycle stream back as `event=... key=value` lines; EOF on stdin
+  drains the daemon with the --drain policy and exits):
+    submit <job line> tenant=acme [preview=true] | cancel name=a |
+    region name=a [scale=N x=N y=N w=N h=N] | stats | ping |
+    drain [policy=finish|cancel-pending|cancel-all]
+  fault spec (--fault-spec, comma-separated, rates in [0, 1]):
+    seed=N transient=RATE corrupt=R.C+R.C latency-ms=N     (tile reads)
+    gpu-seed=N gpu-h2d=RATE gpu-d2h=RATE gpu-kernel=RATE
+    gpu-oom=RATE gpu-retries=N                             (device ops)
 
 IMPLEMENTATIONS: simple-cpu, mt-cpu, pipelined-cpu (default), simple-gpu,
                  pipelined-gpu, fiji
@@ -251,261 +259,134 @@ plane — outputs are suffixed `_cCC_zZZ` / `_cCC_maxz`):
   --correct-illumination   estimate per-channel flat fields from the
                            tile stack and correct before registering
   --maxz                   compose one max-z projection per channel
-
-FAULT SPEC (comma-separated key=value):
-  seed=N transient=RATE corrupt=R.C+R.C latency-ms=N     (tile reads)
-  gpu-seed=N gpu-h2d=RATE gpu-d2h=RATE gpu-kernel=RATE
-  gpu-oom=RATE gpu-retries=N                             (device ops)
+  (--fault-spec, --retries, --retry-backoff-ms, --allow-partial and
+  --highlight are refused on these datasets, not ignored)
 ";
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 4] = ["highlight", "allow-partial", "correct-illumination", "maxz"];
+const SWITCHES: [&str; 4] = ["highlight", "allow-partial", "correct-illumination", "maxz"];
 
-/// Every flag a sub-command reads (space-separated): anything else on
-/// its command line is a typo, not a no-op. `None` for `help` and unknown
-/// sub-commands, which [`parse`] settles without looking at flags.
-fn known_flags(cmd: &str) -> Option<&'static str> {
-    Some(match cmd {
-        "generate" => {
-            "out rows cols tile-width tile-height overlap seed jitter noise channels z-planes"
-        }
-        "stitch" => {
-            "dataset impl threads gpus blend out positions highlight retries \
-             retry-backoff-ms fault-spec allow-partial health-json trace-json run-report \
-             backend ref-channel correct-illumination maxz"
-        }
-        "shard" => {
-            "dataset rows cols tile-width tile-height overlap seed shard-rows shard-cols \
-             mem-budget-mb workers impl threads blend out positions band-rows preview \
-             preview-scale trace-json"
-        }
-        "serve" => {
-            "workers budget-mb max-pending watchdog-ms tenant-jobs rate-burst rate-per-sec \
-             tenant-cap-mb breaker-threshold drain socket trace-json reports-dir"
-        }
-        "serve-batch" => "jobs workers budget-mb stream-slots trace-json reports-dir",
-        "info" => "dataset",
-        "simulate" => "machine rows cols",
-        _ => return None,
-    })
-}
+/// `generate` / `shard` defaults for the synthetic plate.
+const SYNTHETIC_PLATE: ScanConfig = ScanConfig {
+    grid_rows: 8,
+    grid_cols: 12,
+    tile_width: 128,
+    tile_height: 96,
+    overlap: 0.25,
+    stage_jitter: 3.0,
+    backlash_x: 1.5,
+    noise_sigma: 50.0,
+    vignette: 0.03,
+    seed: 2014,
+};
 
-fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
-    let known = known_flags(cmd);
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if known.is_some_and(|known| !known.split(' ').any(|k| k == name)) {
-                return Err(format!("unknown flag --{name} for '{cmd}'"));
-            }
-            if BOOLEAN_FLAGS.contains(&name) {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-                continue;
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
-            i += 2;
-        } else {
-            return Err(format!("unexpected argument {a:?}"));
-        }
-    }
-    Ok(flags)
-}
+/// How `generate` and `shard` spell the plate geometry.
+const GRID: Dims = Dims::Each("rows", "cols");
+const TILE: Dims = Dims::Each("tile-width", "tile-height");
 
-fn get_blend(flags: &HashMap<String, String>) -> Result<Blend, String> {
-    match flags.get("blend").map(String::as_str) {
-        None | Some("overlay") => Ok(Blend::Overlay),
-        Some("first") => Ok(Blend::First),
-        Some("average") => Ok(Blend::Average),
-        Some("linear") => Ok(Blend::Linear),
-        Some(other) => Err(format!("bad --blend {other:?}")),
-    }
-}
-
-/// `--impl`, one of [`JobVariant::parse`]'s six tokens.
-fn get_variant(flags: &HashMap<String, String>, default: JobVariant) -> Result<JobVariant, String> {
-    flags
-        .get("impl")
-        .map_or(Ok(default), |v| JobVariant::parse(v))
-        .map_err(|e| format!("bad --impl: {e}"))
-}
-
-fn get_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad value for --{key}: {v:?}")),
-    }
-}
-
-/// Parses the command line (without the program name).
+/// Parses the command line (without the program name). Every flag goes
+/// through the one option reader: a flag the sub-command does not read is
+/// a typo, not a no-op, and counts and plate geometry are range-checked
+/// here rather than discovered by a worker.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let Some(cmd) = args.first() else {
+    let Some((cmd, flags)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let flags = parse_flags(cmd, &args[1..])?;
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let mut o = Options::from_args(cmd, flags, &SWITCHES)?;
+    let required = |o: &mut Options, flag: &str, what: &str| {
+        o.take::<PathBuf>(flag)?
+            .ok_or_else(|| format!("{cmd} requires --{flag} {what}"))
+    };
+    let command = match cmd.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
         "generate" => {
-            let out = flags
-                .get("out")
-                .ok_or("generate requires --out DIR")?
-                .into();
-            let config = ScanConfig {
-                grid_rows: get_num(&flags, "rows", 8)?,
-                grid_cols: get_num(&flags, "cols", 12)?,
-                tile_width: get_num(&flags, "tile-width", 128)?,
-                tile_height: get_num(&flags, "tile-height", 96)?,
-                overlap: get_num(&flags, "overlap", 0.25)?,
-                stage_jitter: get_num(&flags, "jitter", 3.0)?,
-                backlash_x: 1.5,
-                noise_sigma: get_num(&flags, "noise", 50.0)?,
-                vignette: 0.03,
-                seed: get_num(&flags, "seed", 2014)?,
+            let optics = ScanConfig {
+                stage_jitter: o.take("jitter")?.unwrap_or(SYNTHETIC_PLATE.stage_jitter),
+                noise_sigma: o.take("noise")?.unwrap_or(SYNTHETIC_PLATE.noise_sigma),
+                ..SYNTHETIC_PLATE
             };
-            Ok(Command::Generate {
-                out,
-                config,
-                channels: get_num(&flags, "channels", 1)?,
-                z_planes: get_num(&flags, "z-planes", 1)?,
-            })
+            Command::Generate {
+                out: required(&mut o, "out", "DIR")?,
+                config: o.take_scan(optics, GRID, TILE)?,
+                channels: o.take("channels")?.unwrap_or(1),
+                z_planes: o.take("z-planes")?.unwrap_or(1),
+            }
         }
-        "stitch" => Ok(Command::Stitch {
-            dataset: flags
-                .get("dataset")
-                .ok_or("stitch requires --dataset DIR")?
-                .into(),
-            implementation: get_variant(&flags, JobVariant::PipelinedCpu)?,
-            threads: get_num(&flags, "threads", 4)?,
-            gpus: get_num(&flags, "gpus", 1)?,
-            blend: get_blend(&flags)?,
-            out: flags.get("out").map(PathBuf::from),
-            positions_out: flags.get("positions").map(PathBuf::from),
-            highlight: flags.contains_key("highlight"),
-            retries: get_num(&flags, "retries", 3)?,
-            retry_backoff_ms: get_num(&flags, "retry-backoff-ms", 1)?,
-            fault_spec: flags.get("fault-spec").cloned(),
-            allow_partial: flags.contains_key("allow-partial"),
-            health_out: flags.get("health-json").map(PathBuf::from),
-            trace_out: flags.get("trace-json").map(PathBuf::from),
-            report_out: flags.get("run-report").map(PathBuf::from),
-            backend: flags
-                .get("backend")
-                .map(|v| BackendChoice::parse(v).map_err(|e| format!("bad --backend: {e}")))
-                .transpose()?,
-            ref_channel: get_num(&flags, "ref-channel", 0)?,
-            correct_illumination: flags.contains_key("correct-illumination"),
-            maxz: flags.contains_key("maxz"),
-        }),
-        "shard" => Ok(Command::Shard {
-            dataset: flags.get("dataset").map(PathBuf::from),
-            config: ScanConfig {
-                grid_rows: get_num(&flags, "rows", 8)?,
-                grid_cols: get_num(&flags, "cols", 12)?,
-                tile_width: get_num(&flags, "tile-width", 128)?,
-                tile_height: get_num(&flags, "tile-height", 96)?,
-                overlap: get_num(&flags, "overlap", 0.25)?,
-                stage_jitter: 3.0,
-                backlash_x: 1.5,
-                noise_sigma: 50.0,
-                vignette: 0.03,
-                seed: get_num(&flags, "seed", 2014)?,
-            },
-            shard_rows: get_num(&flags, "shard-rows", 4)?,
-            shard_cols: get_num(&flags, "shard-cols", 4)?,
-            budget_mb: get_num(&flags, "mem-budget-mb", 256)?,
-            workers: get_num(&flags, "workers", 2)?,
-            implementation: get_variant(&flags, JobVariant::SimpleCpu)?,
-            threads: get_num(&flags, "threads", 2)?,
-            blend: get_blend(&flags)?,
-            out: flags.get("out").map(PathBuf::from),
-            positions_out: flags.get("positions").map(PathBuf::from),
-            band_rows: get_num(&flags, "band-rows", 64)?,
-            preview_out: flags.get("preview").map(PathBuf::from),
-            preview_scale: get_num(&flags, "preview-scale", 2)?,
-            trace_out: flags.get("trace-json").map(PathBuf::from),
-        }),
-        "serve" => Ok(Command::Serve {
-            workers: get_num(&flags, "workers", 2)?,
-            budget_mb: get_num(&flags, "budget-mb", 256)?,
-            max_pending: get_num(&flags, "max-pending", 64)?,
-            watchdog_ms: flags
-                .get("watchdog-ms")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("bad value for --watchdog-ms: {v:?}"))
-                })
-                .transpose()?,
-            tenant_jobs: get_num(&flags, "tenant-jobs", 8)?,
-            rate_burst: flags
-                .get("rate-burst")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("bad value for --rate-burst: {v:?}"))
-                })
-                .transpose()?,
-            rate_per_sec: get_num(&flags, "rate-per-sec", 100.0)?,
-            tenant_cap_mb: flags
-                .get("tenant-cap-mb")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("bad value for --tenant-cap-mb: {v:?}"))
-                })
-                .transpose()?,
-            breaker_threshold: get_num(&flags, "breaker-threshold", 8)?,
-            drain: match flags.get("drain").map(String::as_str) {
-                None | Some("finish") => DrainPolicy::Finish,
-                Some("cancel-pending") => DrainPolicy::CancelPending,
-                Some("cancel-all") => DrainPolicy::CancelAll,
-                Some(other) => return Err(format!("bad --drain {other:?}")),
-            },
-            socket: flags.get("socket").map(PathBuf::from),
-            trace_out: flags.get("trace-json").map(PathBuf::from),
-            reports_dir: flags.get("reports-dir").map(PathBuf::from),
-        }),
-        "serve-batch" => Ok(Command::ServeBatch {
-            jobs: flags
-                .get("jobs")
-                .ok_or("serve-batch requires --jobs FILE")?
-                .into(),
-            workers: get_num(&flags, "workers", 2)?,
-            budget_mb: get_num(&flags, "budget-mb", 256)?,
-            stream_slots: flags
-                .get("stream-slots")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("bad value for --stream-slots: {v:?}"))
-                })
-                .transpose()?,
-            trace_out: flags.get("trace-json").map(PathBuf::from),
-            reports_dir: flags.get("reports-dir").map(PathBuf::from),
-        }),
-        "info" => Ok(Command::Info {
-            dataset: flags
-                .get("dataset")
-                .ok_or("info requires --dataset DIR")?
-                .into(),
-        }),
-        "simulate" => Ok(Command::Simulate {
-            machine: flags
-                .get("machine")
-                .cloned()
-                .unwrap_or_else(|| "testbed".to_string()),
-            rows: get_num(&flags, "rows", 42)?,
-            cols: get_num(&flags, "cols", 59)?,
-        }),
-        other => Err(format!("unknown command {other:?}; try `stitch help`")),
-    }
+        "stitch" => Command::Stitch {
+            dataset: required(&mut o, "dataset", "DIR")?,
+            implementation: o.take("impl")?.unwrap_or(JobVariant::PipelinedCpu),
+            threads: o.take_count("threads")?.unwrap_or(4),
+            gpus: o.take("gpus")?.unwrap_or(1),
+            blend: o.take("blend")?.unwrap_or_default(),
+            out: o.take("out")?,
+            positions_out: o.take("positions")?,
+            highlight: o.take("highlight")?.unwrap_or(false),
+            retries: o.take("retries")?.unwrap_or(3),
+            retry_backoff_ms: o.take("retry-backoff-ms")?.unwrap_or(1),
+            fault_spec: o.take("fault-spec")?,
+            allow_partial: o.take("allow-partial")?.unwrap_or(false),
+            health_out: o.take("health-json")?,
+            trace_out: o.take("trace-json")?,
+            report_out: o.take("run-report")?,
+            backend: o.take("backend")?,
+            ref_channel: o.take("ref-channel")?.unwrap_or(0),
+            correct_illumination: o.take("correct-illumination")?.unwrap_or(false),
+            maxz: o.take("maxz")?.unwrap_or(false),
+        },
+        "shard" => Command::Shard {
+            dataset: o.take("dataset")?,
+            config: o.take_scan(SYNTHETIC_PLATE, GRID, TILE)?,
+            shard_rows: o.take_count("shard-rows")?.unwrap_or(4),
+            shard_cols: o.take_count("shard-cols")?.unwrap_or(4),
+            budget_mb: o.take("mem-budget-mb")?.unwrap_or(256),
+            workers: o.take_count("workers")?.unwrap_or(2),
+            implementation: o.take("impl")?.unwrap_or(JobVariant::SimpleCpu),
+            threads: o.take_count("threads")?.unwrap_or(2),
+            blend: o.take("blend")?.unwrap_or_default(),
+            out: o.take("out")?,
+            positions_out: o.take("positions")?,
+            band_rows: o.take("band-rows")?.unwrap_or(64),
+            preview_out: o.take("preview")?,
+            preview_scale: o.take("preview-scale")?.unwrap_or(2),
+            trace_out: o.take("trace-json")?,
+        },
+        "serve" => Command::Serve {
+            workers: o.take_count("workers")?.unwrap_or(2),
+            budget_mb: o.take("budget-mb")?.unwrap_or(256),
+            max_pending: o.take("max-pending")?.unwrap_or(64),
+            watchdog_ms: o.take("watchdog-ms")?,
+            tenant_jobs: o.take("tenant-jobs")?.unwrap_or(8),
+            rate_burst: o.take("rate-burst")?,
+            rate_per_sec: o.take("rate-per-sec")?.unwrap_or(100.0),
+            tenant_cap_mb: o.take("tenant-cap-mb")?,
+            breaker_threshold: o.take("breaker-threshold")?.unwrap_or(8),
+            drain: o.take("drain")?.unwrap_or(DrainPolicy::Finish),
+            socket: o.take("socket")?,
+            trace_out: o.take("trace-json")?,
+            reports_dir: o.take("reports-dir")?,
+        },
+        "serve-batch" => Command::ServeBatch {
+            jobs: required(&mut o, "jobs", "FILE")?,
+            workers: o.take_count("workers")?.unwrap_or(2),
+            budget_mb: o.take("budget-mb")?.unwrap_or(256),
+            stream_slots: o.take("stream-slots")?,
+            trace_out: o.take("trace-json")?,
+            reports_dir: o.take("reports-dir")?,
+        },
+        "info" => Command::Info {
+            dataset: required(&mut o, "dataset", "DIR")?,
+        },
+        "simulate" => Command::Simulate {
+            machine: o
+                .take("machine")?
+                .unwrap_or_else(MachineSpec::paper_testbed),
+            rows: o.take_count("rows")?.unwrap_or(42),
+            cols: o.take_count("cols")?.unwrap_or(59),
+        },
+        other => return Err(format!("unknown command {other:?}; try `stitch help`")),
+    };
+    o.finish()?;
+    Ok(command)
 }
 
 /// Drives one daemon session: requests are read line-by-line from
@@ -565,98 +446,142 @@ where
     })
 }
 
-/// Executes a parsed command. Returns a process exit code.
+/// A failed command: the exit code and the message printed after `error: `.
+type Failure = (i32, String);
+
+/// Exit code 1 (usage, dataset and output errors) with `context: cause`.
+fn because<E: Display>(context: &str) -> impl FnOnce(E) -> Failure + '_ {
+    move |e| (1, format!("{context}: {e}"))
+}
+
+/// The shared recorder, enabled iff some output will read it — tracing
+/// stays free unless an observability flag asked for it.
+fn trace_if(wanted: bool) -> TraceHandle {
+    if wanted {
+        TraceHandle::new()
+    } else {
+        TraceHandle::disabled()
+    }
+}
+
+fn write_file(path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), Failure> {
+    std::fs::write(path, bytes).map_err(|e| (1, format!("cannot write {}: {e}", path.display())))
+}
+
+/// Writes one output file and reports it on stdout as `what -> path`.
+fn emit(what: &str, path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), Failure> {
+    write_file(path, bytes)?;
+    println!("{what} -> {}", path.display());
+    Ok(())
+}
+
+/// Writes `image` as TIFF when `path` ends in `.tif`/`.tiff`, as PGM
+/// otherwise.
+fn emit_image(what: &str, path: &Path, image: &Image<u16>) -> Result<(), Failure> {
+    let bytes = match path.extension().and_then(|e| e.to_str()) {
+        Some("tif") | Some("tiff") => tiff::encode_tiff(image),
+        _ => pgm::encode_pgm(image),
+    };
+    let what = format!("{what}, {}x{}", image.width(), image.height());
+    emit(&what, path, bytes)
+}
+
+/// Absolute tile positions as a `row col x y` TSV.
+fn positions_tsv(positions: &AbsolutePositions) -> String {
+    let mut tsv = String::from("row\tcol\tx\ty\n");
+    for id in positions.shape.ids() {
+        let (x, y) = positions.get(id);
+        tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
+    }
+    tsv
+}
+
+/// Splices a compose-unit label into an output path before the
+/// extension: `m.pgm` + `c01_z02` → `m_c01_z02.pgm`.
+fn unit_output_path(base: &Path, label: &str) -> PathBuf {
+    let stem = base
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("mosaic");
+    let name = match base.extension().and_then(|e| e.to_str()) {
+        Some(ext) => format!("{stem}_{label}.{ext}"),
+        None => format!("{stem}_{label}"),
+    };
+    base.with_file_name(name)
+}
+
+/// Executes a parsed command. Returns a process exit code: 0 ok, 1 usage,
+/// dataset or output errors, 2 a stitch aborted on tile loss (or a batch
+/// with failed jobs).
 pub fn run(cmd: Command) -> i32 {
+    execute(cmd).unwrap_or_else(|(code, message)| {
+        eprintln!("error: {message}");
+        code
+    })
+}
+
+fn execute(cmd: Command) -> Result<i32, Failure> {
     match cmd {
-        Command::Help => {
-            print!("{USAGE}");
-            0
-        }
+        Command::Help => print!("{USAGE}"),
         Command::Generate {
             out,
             config,
             channels,
             z_planes,
         } => {
+            let grid = format!(
+                "{}x{} grid of {}x{}",
+                config.grid_rows, config.grid_cols, config.tile_width, config.tile_height
+            );
             if channels > 1 || z_planes > 1 {
-                let cfg = MultiScanConfig::for_channels(config.clone(), channels, z_planes);
-                let plate = MultiChannelPlate::generate(cfg);
-                match plate.write_to_dir(&out) {
-                    Ok(n) => {
-                        println!(
-                            "wrote {n} images ({}x{} grid of {}x{}, {} channel(s) x {} plane(s)) to {}",
-                            config.grid_rows,
-                            config.grid_cols,
-                            config.tile_width,
-                            config.tile_height,
-                            channels.max(1),
-                            z_planes.max(1),
-                            out.display()
-                        );
-                        return 0;
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            let plate = SyntheticPlate::generate(config.clone());
-            match plate.write_to_dir(&out) {
-                Ok(n) => {
-                    println!(
-                        "wrote {n} tiles ({}x{} grid of {}x{}) to {}",
-                        config.grid_rows,
-                        config.grid_cols,
-                        config.tile_width,
-                        config.tile_height,
-                        out.display()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
+                let cfg = MultiScanConfig::for_channels(config, channels, z_planes);
+                let n = MultiChannelPlate::generate(cfg)
+                    .write_to_dir(&out)
+                    .map_err(because("cannot write dataset"))?;
+                println!(
+                    "wrote {n} images ({grid}, {} channel(s) x {} plane(s)) to {}",
+                    channels.max(1),
+                    z_planes.max(1),
+                    out.display()
+                );
+            } else {
+                let n = SyntheticPlate::generate(config)
+                    .write_to_dir(&out)
+                    .map_err(because("cannot write dataset"))?;
+                println!("wrote {n} tiles ({grid}) to {}", out.display());
             }
         }
-        Command::Info { dataset } => match stitch_image::GridManifest::load(&dataset) {
-            Ok(m) => {
-                println!(
-                    "dataset {}: {}x{} grid, {}x{} px tiles, {:.0}% nominal overlap, {} files",
-                    dataset.display(),
-                    m.rows,
-                    m.cols,
-                    m.tile_width,
-                    m.tile_height,
-                    m.overlap * 100.0,
-                    m.tiles()
-                );
-                println!(
-                    "tile bytes {} ({:.1} MB dataset)",
-                    m.tile_width * m.tile_height * 2,
-                    (m.tiles() * m.tile_width * m.tile_height * 2) as f64 / 1e6
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        },
+        Command::Info { dataset } => {
+            let m = GridManifest::load(&dataset).map_err(because("cannot open dataset"))?;
+            println!(
+                "dataset {}: {}x{} grid, {}x{} px tiles, {:.0}% nominal overlap, {} files",
+                dataset.display(),
+                m.rows,
+                m.cols,
+                m.tile_width,
+                m.tile_height,
+                m.overlap * 100.0,
+                m.tiles()
+            );
+            println!(
+                "tile bytes {} ({:.1} MB dataset)",
+                m.tile_width * m.tile_height * 2,
+                (m.tiles() * m.tile_width * m.tile_height * 2) as f64 / 1e6
+            );
+        }
         Command::Simulate {
-            machine,
+            machine: m,
             rows,
             cols,
         } => {
             use stitch_sim::*;
-            let m = match machine.as_str() {
-                "laptop" => MachineSpec::paper_laptop(),
-                _ => MachineSpec::paper_testbed(),
-            };
             let shape = GridShape::new(rows, cols);
             let cost = CostModel::paper_c2070();
-            println!("virtual {machine} machine, {rows}x{cols} grid of 1392x1040 tiles:");
+            println!(
+                "virtual machine ({} cores / {} threads, {} GPU(s)), \
+                 {rows}x{cols} grid of 1392x1040 tiles:",
+                m.physical_cores, m.logical_cores, m.gpus
+            );
             let simple = simple_cpu_ns(shape, &cost);
             let rows_out = [
                 ("Simple-CPU", simple),
@@ -679,7 +604,6 @@ pub fn run(cmd: Command) -> i32 {
                     simple as f64 / ns as f64
                 );
             }
-            0
         }
         Command::Serve {
             workers,
@@ -696,11 +620,7 @@ pub fn run(cmd: Command) -> i32 {
             trace_out,
             reports_dir,
         } => {
-            let trace = if trace_out.is_some() || reports_dir.is_some() {
-                stitch_trace::TraceHandle::new()
-            } else {
-                stitch_trace::TraceHandle::disabled()
-            };
+            let trace = trace_if(trace_out.is_some() || reports_dir.is_some());
             let daemon = Arc::new(ServeDaemon::new(ServeConfig {
                 workers,
                 memory_budget: budget_mb << 20,
@@ -720,17 +640,12 @@ pub fn run(cmd: Command) -> i32 {
                     threshold: breaker_threshold,
                     ..BreakerConfig::default()
                 },
-                reports_dir: reports_dir.clone(),
+                reports_dir,
             }));
             if let Some(path) = &socket {
                 let _ = std::fs::remove_file(path);
-                let listener = match std::os::unix::net::UnixListener::bind(path) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("error: cannot bind {}: {e}", path.display());
-                        return 1;
-                    }
-                };
+                let listener = std::os::unix::net::UnixListener::bind(path)
+                    .map_err(|e| (1, format!("cannot bind {}: {e}", path.display())))?;
                 eprintln!("serve: listening on {}", path.display());
                 let d = Arc::clone(&daemon);
                 std::thread::spawn(move || {
@@ -752,30 +667,17 @@ pub fn run(cmd: Command) -> i32 {
                 "serve: {workers} worker(s), {budget_mb} MB budget, {max_pending} pending max; \
                  EOF drains ({drain:?})"
             );
-            let stdin = std::io::stdin();
-            let code = match serve_session(
-                &daemon,
-                BufReader::new(stdin),
-                std::io::stdout(),
-                Some(drain),
-            ) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("error: serve session: {e}");
-                    1
-                }
-            };
+            let stdin = BufReader::new(std::io::stdin());
+            let session = serve_session(&daemon, stdin, std::io::stdout(), Some(drain));
+            if let Some(path) = &socket {
+                let _ = std::fs::remove_file(path);
+            }
+            session.map_err(because("serve session"))?;
+            // stdout carries the event stream, so this one goes to stderr
             if let Some(path) = trace_out {
-                if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                    eprintln!("error writing trace: {e}");
-                    return 1;
-                }
+                write_file(&path, trace.to_chrome_json())?;
                 eprintln!("merged trace -> {}", path.display());
             }
-            if let Some(path) = socket {
-                let _ = std::fs::remove_file(&path);
-            }
-            code
         }
         Command::ServeBatch {
             jobs,
@@ -785,24 +687,14 @@ pub fn run(cmd: Command) -> i32 {
             trace_out,
             reports_dir,
         } => {
-            let text = match std::fs::read_to_string(&jobs) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read job file {}: {e}", jobs.display());
-                    return 1;
-                }
-            };
-            let want_observability = trace_out.is_some() || reports_dir.is_some();
-            let trace = if want_observability {
-                stitch_trace::TraceHandle::new()
-            } else {
-                stitch_trace::TraceHandle::disabled()
-            };
+            let text = std::fs::read_to_string(&jobs)
+                .map_err(|e| (1, format!("cannot read job file {}: {e}", jobs.display())))?;
+            let trace = trace_if(trace_out.is_some() || reports_dir.is_some());
             println!("serve-batch: {workers} worker(s), {budget_mb} MB budget");
             // lenient parse (shared with the serve daemon's wire parser):
             // a malformed line becomes a per-line error in the report and
             // the rest of the batch still runs
-            let report = match stitch_sched::run_batch_text(
+            let report = stitch_sched::run_batch_text(
                 &text,
                 &stitch_sched::BatchOptions {
                     workers,
@@ -811,13 +703,8 @@ pub fn run(cmd: Command) -> i32 {
                     device: None,
                     trace: trace.clone(),
                 },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", jobs.display());
-                    return 1;
-                }
-            };
+            )
+            .map_err(|e| (1, format!("{}: {e}", jobs.display())))?;
             for err in &report.parse_errors {
                 println!("  {}: {err}", jobs.display());
             }
@@ -841,32 +728,21 @@ pub fn run(cmd: Command) -> i32 {
                 report.high_water as f64 / (1 << 20) as f64
             );
             if let Some(dir) = reports_dir {
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("error creating {}: {e}", dir.display());
-                    return 1;
-                }
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| (1, format!("cannot create {}: {e}", dir.display())))?;
                 for out in &report.outcomes {
                     if let Some(r) = &out.report {
                         let path = dir.join(format!("report-{}.json", out.name));
-                        if let Err(e) = std::fs::write(&path, r.to_json()) {
-                            eprintln!("error writing {}: {e}", path.display());
-                            return 1;
-                        }
+                        write_file(&path, r.to_json())?;
                     }
                 }
                 println!("per-job run reports -> {}", dir.display());
             }
             if let Some(path) = trace_out {
-                if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                    eprintln!("error writing trace: {e}");
-                    return 1;
-                }
-                println!("merged trace -> {}", path.display());
+                emit("merged trace", &path, trace.to_chrome_json())?;
             }
-            if all_ok {
-                0
-            } else {
-                2
+            if !all_ok {
+                return Ok(2);
             }
         }
         Command::Shard {
@@ -887,26 +763,18 @@ pub fn run(cmd: Command) -> i32 {
             trace_out,
         } => {
             if implementation.needs_device() {
-                eprintln!(
-                    "error: shard runs CPU variants only (the shard scheduler shares no GPU)"
-                );
-                return 1;
+                return Err((
+                    1,
+                    "shard runs CPU variants only (the shard scheduler shares no GPU)".into(),
+                ));
             }
             let source: Arc<dyn TileSource> = match &dataset {
-                Some(dir) => match DirSource::open(dir) {
-                    Ok(s) => Arc::new(s),
-                    Err(e) => {
-                        eprintln!("error: cannot open dataset: {e}");
-                        return 1;
-                    }
-                },
+                Some(dir) => {
+                    Arc::new(DirSource::open(dir).map_err(because("cannot open dataset"))?)
+                }
                 None => Arc::new(SyntheticSource::new(SyntheticPlate::generate(config))),
             };
-            let trace = if trace_out.is_some() {
-                stitch_trace::TraceHandle::new()
-            } else {
-                stitch_trace::TraceHandle::disabled()
-            };
+            let trace = trace_if(trace_out.is_some());
             let shard_config = ShardRunConfig {
                 shard_rows,
                 shard_cols,
@@ -931,17 +799,11 @@ pub fn run(cmd: Command) -> i32 {
             let canvas = preview_out
                 .as_ref()
                 .map(|_| stitch_canvas::SharedCanvas::new(stitch_canvas::CanvasConfig::default()));
-            let run = match &canvas {
+            let outcome = match &canvas {
                 Some(canvas) => stitch_sharded_into_canvas(source, &shard_config, canvas),
                 None => stitch_sharded(source, &shard_config),
-            };
-            let outcome = match run {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            }
+            .map_err(|e| (2, e.to_string()))?;
             println!(
                 "{} shard(s), {} seam pair(s) in {:.2?}; peak arbiter memory {:.1} MB of {budget_mb} MB",
                 outcome.shard_count,
@@ -954,64 +816,30 @@ pub fn run(cmd: Command) -> i32 {
                 outcome.hierarchical_deviation.0, outcome.hierarchical_deviation.1
             );
             if let Some(path) = positions_out {
-                if let Err(e) = write_positions(&path, &outcome.positions) {
-                    eprintln!("error writing positions: {e}");
-                    return 1;
-                }
-                println!("positions -> {}", path.display());
+                emit("positions", &path, positions_tsv(&outcome.positions))?;
             }
+            let (mw, mh) = outcome.positions.mosaic_dims(tile_w, tile_h);
             // In canvas mode the driver never collects the mosaic; a
             // requested --out is materialized from the canvas's scale-0
             // plane instead (bit-identical to the collected path).
-            let canvas_mosaic = match (&canvas, &out) {
-                (Some(canvas), Some(_)) => {
-                    let (mw, mh) = outcome.positions.mosaic_dims(tile_w, tile_h);
-                    Some(canvas.get_region(0, 0, 0, mw, mh))
-                }
-                _ => None,
-            };
+            let canvas_mosaic = canvas.as_ref().map(|c| c.get_region(0, 0, 0, mw, mh));
             if let (Some(path), Some(mosaic)) =
                 (&out, canvas_mosaic.as_ref().or(outcome.mosaic.as_ref()))
             {
-                match write_image(path, mosaic) {
-                    Ok(()) => println!(
-                        "{}x{} mosaic (banded, {} rows/band) -> {}",
-                        mosaic.width(),
-                        mosaic.height(),
-                        band_rows,
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("error writing mosaic: {e}");
-                        return 1;
-                    }
-                }
+                let what = format!("mosaic (banded, {band_rows} rows/band)");
+                emit_image(&what, path, mosaic)?;
             }
             if let (Some(path), Some(canvas)) = (&preview_out, &canvas) {
-                let (mw, mh) = outcome.positions.mosaic_dims(tile_w, tile_h);
                 let scale = preview_scale.min(canvas.max_scale());
                 let (pw, ph) = ((mw >> scale).max(1), (mh >> scale).max(1));
                 let overview = canvas.get_region(scale, 0, 0, pw, ph);
-                match write_image(path, &overview) {
-                    Ok(()) => println!(
-                        "scale-{scale} overview {pw}x{ph} ({} live canvas chunks) -> {}",
-                        canvas.stats().live_chunks,
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("error writing preview: {e}");
-                        return 1;
-                    }
-                }
+                let chunks = canvas.stats().live_chunks;
+                let what = format!("scale-{scale} overview ({chunks} live canvas chunks)");
+                emit_image(&what, path, &overview)?;
             }
             if let Some(path) = trace_out {
-                if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                    eprintln!("error writing trace: {e}");
-                    return 1;
-                }
-                println!("trace -> {}", path.display());
+                emit("trace", &path, trace.to_chrome_json())?;
             }
-            0
         }
         Command::Stitch {
             dataset,
@@ -1040,13 +868,7 @@ pub fn run(cmd: Command) -> i32 {
             if let Some(choice) = backend {
                 stitch_fft::backend::select(choice);
             }
-            // one shared recorder feeds both outputs; stays disabled (and
-            // free) unless an observability flag asked for it
-            let trace = if trace_out.is_some() || report_out.is_some() {
-                stitch_trace::TraceHandle::new()
-            } else {
-                stitch_trace::TraceHandle::disabled()
-            };
+            let trace = trace_if(trace_out.is_some() || report_out.is_some());
             let policy = FailurePolicy {
                 retry: RetryPolicy {
                     max_retries: retries,
@@ -1055,25 +877,19 @@ pub fn run(cmd: Command) -> i32 {
                 },
                 allow_partial,
             };
-            // One spec string configures both injection layers: the core
-            // parser reads the tile-level keys, the gpu parser the gpu- ones.
-            let tile_faults = match fault_spec.as_deref().map(FaultSpec::parse).transpose() {
-                Ok(spec) => spec.filter(|s| !s.is_noop()),
-                Err(e) => {
-                    eprintln!("error: bad --fault-spec: {e}");
-                    return 1;
-                }
-            };
-            let gpu_faults = match fault_spec.as_deref().map(GpuFaultConfig::parse).transpose() {
-                Ok(cfg) => cfg.flatten(),
-                Err(e) => {
-                    eprintln!("error: bad --fault-spec: {e}");
-                    return 1;
-                }
-            };
-            let device_config = DeviceConfig {
-                fault: gpu_faults,
-                ..DeviceConfig::default()
+            // one spec string configures both injection layers
+            let (tile_faults, gpu_faults) = fault_spec
+                .as_deref()
+                .map(FaultSpec::parse)
+                .transpose()
+                .map_err(because("bad --fault-spec"))?
+                .unzip();
+            let device = |i| {
+                let config = DeviceConfig {
+                    fault: gpu_faults.flatten(),
+                    ..DeviceConfig::default()
+                };
+                Device::new(i, config)
             };
             let stitcher: Box<dyn Stitcher> = match implementation {
                 JobVariant::SimpleCpu => {
@@ -1085,25 +901,19 @@ pub fn run(cmd: Command) -> i32 {
                 JobVariant::PipelinedCpu => {
                     Box::new(PipelinedCpuStitcher::new(threads).with_trace(trace.clone()))
                 }
-                JobVariant::SimpleGpu => Box::new(
-                    SimpleGpuStitcher::new(Device::new(0, device_config.clone()))
-                        .with_trace(trace.clone()),
-                ),
-                JobVariant::PipelinedGpu => {
-                    let devices: Vec<Device> = (0..gpus.max(1))
-                        .map(|i| Device::new(i, device_config.clone()))
-                        .collect();
-                    Box::new(
-                        PipelinedGpuStitcher::new(
-                            devices,
-                            stitch_core::PipelinedGpuConfig {
-                                ccf_threads: threads.max(1),
-                                ..Default::default()
-                            },
-                        )
-                        .with_trace(trace.clone()),
-                    )
+                JobVariant::SimpleGpu => {
+                    Box::new(SimpleGpuStitcher::new(device(0)).with_trace(trace.clone()))
                 }
+                JobVariant::PipelinedGpu => Box::new(
+                    PipelinedGpuStitcher::new(
+                        (0..gpus.max(1)).map(device).collect(),
+                        stitch_core::PipelinedGpuConfig {
+                            ccf_threads: threads.max(1),
+                            ..Default::default()
+                        },
+                    )
+                    .with_trace(trace.clone()),
+                ),
                 JobVariant::FijiStyle => {
                     Box::new(FijiStyleStitcher::new(threads).with_trace(trace.clone()))
                 }
@@ -1115,11 +925,29 @@ pub fn run(cmd: Command) -> i32 {
             let is_multi = stitch_image::MultiGridManifest::load(&dataset)
                 .ok()
                 .is_some_and(|m| m.channels > 1 || m.z_planes > 1);
-            if is_multi || ref_channel > 0 || correct_illumination || maxz {
-                return run_channel_stitch(
-                    &dataset,
-                    stitcher.as_ref(),
-                    ChannelPlan {
+            let (health, positions, mosaics) =
+                if is_multi || ref_channel > 0 || correct_illumination || maxz {
+                    // the replay driver reads through its own sources with
+                    // the default policy: refuse what it cannot honour
+                    // rather than accept and ignore it
+                    let default = RetryPolicy::default();
+                    let single_plane_only = [
+                        ("--fault-spec", fault_spec.is_some()),
+                        ("--retries", retries != default.max_retries),
+                        (
+                            "--retry-backoff-ms",
+                            policy.retry.backoff != default.backoff,
+                        ),
+                        ("--allow-partial", allow_partial),
+                        ("--highlight", highlight),
+                    ];
+                    if let Some((flag, _)) = single_plane_only.iter().find(|(_, given)| *given) {
+                        return Err((
+                            1,
+                            format!("{flag} is not supported on multi-channel datasets"),
+                        ));
+                    }
+                    let plan = ChannelPlan {
                         reference_channel: ref_channel,
                         z_mode: if maxz {
                             ZMode::MaxProject
@@ -1128,38 +956,43 @@ pub fn run(cmd: Command) -> i32 {
                         },
                         registration_plane: None,
                         correct_illumination,
-                    },
-                    blend,
-                    out.as_deref(),
-                    positions_out.as_deref(),
-                );
-            }
-            let dir = match DirSource::open(&dataset) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot open dataset: {e}");
-                    return 1;
-                }
-            };
-            let source: Box<dyn TileSource> = match tile_faults {
-                Some(spec) => Box::new(FaultySource::new(dir, spec)),
-                None => Box::new(dir),
-            };
-            println!(
-                "stitching {} ({}x{} grid) with {}",
-                dataset.display(),
-                source.shape().rows,
-                source.shape().cols,
-                stitcher.name()
-            );
-            let result = match stitcher.try_compute_displacements(source.as_ref(), &policy) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
-            let health = &result.health;
+                    };
+                    stitch_channels(&dataset, stitcher.as_ref(), plan, blend, out.as_deref())?
+                } else {
+                    let dir = DirSource::open(&dataset).map_err(because("cannot open dataset"))?;
+                    let source: Box<dyn TileSource> = match tile_faults.filter(|s| !s.is_noop()) {
+                        Some(spec) => Box::new(FaultySource::new(dir, spec)),
+                        None => Box::new(dir),
+                    };
+                    println!(
+                        "stitching {} ({}x{} grid) with {}",
+                        dataset.display(),
+                        source.shape().rows,
+                        source.shape().cols,
+                        stitcher.name()
+                    );
+                    let result = stitcher
+                        .try_compute_displacements(source.as_ref(), &policy)
+                        .map_err(|e| (2, e.to_string()))?;
+                    println!(
+                        "phase 1: {} pairs in {:.2?} ({} forward FFTs, peak {} live tiles)",
+                        source.shape().pairs(),
+                        result.elapsed,
+                        result.ops.forward_ffts,
+                        result.peak_live_tiles
+                    );
+                    let positions = GlobalOptimizer::default().solve(&result);
+                    let mut mosaics = Vec::new();
+                    if let Some(path) = out {
+                        let mut composer =
+                            Composer::new(positions.clone(), blend).with_trace(trace.clone());
+                        composer.highlight_tiles = highlight;
+                        mosaics.push((path, composer.compose(source.as_ref())));
+                    }
+                    (result.health, positions, mosaics)
+                };
+            // one epilogue for both paths: every output flag means the
+            // same thing whatever the dataset's channel count
             if health.is_degraded() || !health.recovered_tiles().is_empty() {
                 println!(
                     "health: {} tile(s) failed, {} recovered, {} retries total",
@@ -1172,133 +1005,50 @@ pub fn run(cmd: Command) -> i32 {
                 }
             }
             if let Some(path) = health_out {
-                if let Err(e) = std::fs::write(&path, health.to_json()) {
-                    eprintln!("error writing health report: {e}");
-                    return 1;
-                }
-                println!("health report -> {}", path.display());
+                emit("health report", &path, health.to_json())?;
             }
-            println!(
-                "phase 1: {} pairs in {:.2?} ({} forward FFTs, peak {} live tiles)",
-                source.shape().pairs(),
-                result.elapsed,
-                result.ops.forward_ffts,
-                result.peak_live_tiles
-            );
-            let positions = GlobalOptimizer::default().solve(&result);
             if let Some(path) = positions_out {
-                if let Err(e) = write_positions(&path, &positions) {
-                    eprintln!("error writing positions: {e}");
-                    return 1;
-                }
-                println!("phase 2: positions -> {}", path.display());
+                emit("phase 2: positions", &path, positions_tsv(&positions))?;
             }
-            if let Some(path) = out {
-                let mut composer = Composer::new(positions, blend).with_trace(trace.clone());
-                composer.highlight_tiles = highlight;
-                let mosaic = composer.compose(source.as_ref());
-                match write_image(&path, &mosaic) {
-                    Ok(()) => println!(
-                        "phase 3: {}x{} mosaic -> {}",
-                        mosaic.width(),
-                        mosaic.height(),
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("error writing mosaic: {e}");
-                        return 1;
-                    }
-                }
+            for (path, mosaic) in &mosaics {
+                emit_image("phase 3: mosaic", path, mosaic)?;
             }
             if let Some(path) = trace_out {
-                if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                    eprintln!("error writing trace: {e}");
-                    return 1;
-                }
-                println!("trace -> {}", path.display());
+                emit("trace", &path, trace.to_chrome_json())?;
             }
             if let Some(path) = report_out {
                 let report = stitch_trace::RunReport::from_trace(&trace);
-                if let Err(e) = std::fs::write(&path, report.to_json()) {
-                    eprintln!("error writing run report: {e}");
-                    return 1;
-                }
-                println!(
-                    "run report -> {} (kernel density {:.3}, copy/compute overlap {:.3})",
-                    path.display(),
-                    report.kernel_density,
-                    report.copy_compute_overlap
+                let what = format!(
+                    "run report (kernel density {:.3}, copy/compute overlap {:.3})",
+                    report.kernel_density, report.copy_compute_overlap
                 );
+                emit(&what, &path, report.to_json())?;
             }
-            0
         }
     }
+    Ok(0)
 }
 
-/// Writes `image` as TIFF when `path` ends in `.tif`/`.tiff`, as PGM
-/// otherwise.
-fn write_image(
-    path: &std::path::Path,
-    image: &stitch_image::Image<u16>,
-) -> Result<(), stitch_image::ImageError> {
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("tif") | Some("tiff") => tiff::write_tiff(path, image),
-        _ => pgm::write_pgm(path, image),
-    }
-}
+/// What either `stitch` path hands the shared epilogue: read health, the
+/// solved frame, and the mosaics `--out` asked for with the file each goes
+/// to (one per compose unit on the channel path).
+type Stitched = (HealthReport, AbsolutePositions, Vec<(PathBuf, Image<u16>)>);
 
-/// Writes absolute tile positions as a `row col x y` TSV.
-fn write_positions(path: &std::path::Path, positions: &AbsolutePositions) -> std::io::Result<()> {
-    let mut tsv = String::from("row\tcol\tx\ty\n");
-    for id in positions.shape.ids() {
-        let (x, y) = positions.get(id);
-        tsv.push_str(&format!("{}\t{}\t{x}\t{y}\n", id.row, id.col));
-    }
-    std::fs::write(path, tsv)
-}
-
-/// Splices a compose-unit label into an output path before the
-/// extension: `m.pgm` + `c01_z02` → `m_c01_z02.pgm`.
-fn unit_output_path(base: &std::path::Path, label: &str) -> PathBuf {
-    let stem = base
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("mosaic");
-    let name = match base.extension().and_then(|e| e.to_str()) {
-        Some(ext) => format!("{stem}_{label}.{ext}"),
-        None => format!("{stem}_{label}"),
-    };
-    base.with_file_name(name)
-}
-
-/// Executes `stitch` on a multi-channel / z-stack dataset: registration
-/// runs once on the reference channel, the solved frame replays across
-/// every (channel, plane) compose unit, and each unit's mosaic lands in
-/// its own label-suffixed file.
-fn run_channel_stitch(
-    dataset: &std::path::Path,
+/// `stitch` on a multi-channel / z-stack dataset: registration runs once
+/// on the reference channel and the solved frame replays across every
+/// (channel, plane) compose unit.
+fn stitch_channels(
+    dataset: &Path,
     stitcher: &dyn Stitcher,
     plan: ChannelPlan,
     blend: Blend,
-    out: Option<&std::path::Path>,
-    positions_out: Option<&std::path::Path>,
-) -> i32 {
-    let source: Arc<dyn MultiTileSource> = match MultiDirSource::open(dataset) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("error: cannot open dataset: {e}");
-            return 1;
-        }
-    };
+    out: Option<&Path>,
+) -> Result<Stitched, Failure> {
+    let source: Arc<dyn MultiTileSource> =
+        Arc::new(MultiDirSource::open(dataset).map_err(because("cannot open dataset"))?);
     let (channels, z_planes) = (source.channels(), source.z_planes());
     let corrected = plan.correct_illumination;
-    let session = match ChannelSession::new(source, plan) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let session = ChannelSession::new(source, plan).map_err(|e| (1, e.to_string()))?;
     println!(
         "stitching {} ({} channel(s) x {} plane(s), registering on channel {}{}) with {}",
         dataset.display(),
@@ -1312,45 +1062,19 @@ fn run_channel_stitch(
         },
         stitcher.name()
     );
-    let run = match run_channel_plan(&session, stitcher, blend) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let run = run_channel_plan(&session, stitcher, blend).map_err(|e| (2, e.to_string()))?;
     println!(
         "phase 1+2: {} pair(s) registered once in {:.2?}; frame replays over {} unit(s)",
         run.registration.shape.pairs(),
         run.registration.elapsed,
         run.mosaics.len()
     );
-    if let Some(path) = positions_out {
-        if let Err(e) = write_positions(path, &run.positions) {
-            eprintln!("error writing positions: {e}");
-            return 1;
-        }
-        println!("positions (shared by all units) -> {}", path.display());
-    }
-    if let Some(base) = out {
-        for (unit, mosaic) in &run.mosaics {
-            let path = unit_output_path(base, &unit.label());
-            match write_image(&path, mosaic) {
-                Ok(()) => println!(
-                    "phase 3: {}x{} mosaic ({}) -> {}",
-                    mosaic.width(),
-                    mosaic.height(),
-                    unit.label(),
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("error writing mosaic: {e}");
-                    return 1;
-                }
-            }
-        }
-    }
-    0
+    // each unit's mosaic lands in its own label-suffixed file
+    let mosaics = run
+        .mosaics
+        .into_iter()
+        .filter_map(|(unit, mosaic)| Some((unit_output_path(out?, &unit.label()), mosaic)));
+    Ok((run.registration.health, run.positions, mosaics.collect()))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use stitching::core::{GhostMode, PciamContext, PipelinedGpuConfig, SpectrumPool};
-use stitching::gpu::{Device, DeviceConfig, GpuFaultConfig};
+use stitching::gpu::{Device, DeviceConfig};
 use stitching::image::{ScanConfig, SyntheticPlate};
 use stitching::prelude::*;
 
@@ -58,7 +58,7 @@ fn transient_faults_with_retries_are_bit_identical() {
     let reference = SimpleCpuStitcher::default().compute_displacements(&clean);
     assert!(reference.is_complete());
 
-    let spec = FaultSpec::parse("seed=7,transient=0.2").unwrap();
+    let spec = FaultSpec::parse("seed=7,transient=0.2").unwrap().0;
     let policy = FailurePolicy {
         retry: fast_retry(),
         allow_partial: false,
@@ -93,7 +93,7 @@ fn corrupt_tile_degrades_to_partial_result() {
     let cfg = scan(3, 4, 1202);
     let truth = SyntheticPlate::generate(cfg.clone()).positions().to_vec();
     let dead = TileId::new(1, 1);
-    let spec = FaultSpec::parse("corrupt=1.1").unwrap();
+    let spec = FaultSpec::parse("corrupt=1.1").unwrap().0;
     let policy = FailurePolicy {
         retry: fast_retry(),
         allow_partial: true,
@@ -149,7 +149,7 @@ fn corrupt_tile_degrades_to_partial_result() {
 #[test]
 fn strict_mode_aborts_cleanly_on_corrupt_tile() {
     let cfg = scan(3, 4, 1303);
-    let spec = FaultSpec::parse("corrupt=2.0").unwrap();
+    let spec = FaultSpec::parse("corrupt=2.0").unwrap().0;
     let policy = FailurePolicy {
         retry: fast_retry(),
         allow_partial: false,
@@ -184,8 +184,8 @@ fn device_faults_and_tile_faults_compose() {
     let reference = SimpleCpuStitcher::default().compute_displacements(&clean);
 
     let spec_str = "seed=5,transient=0.15,gpu-seed=5,gpu-h2d=0.1,gpu-d2h=0.1,gpu-kernel=0.1";
-    let tile_spec = FaultSpec::parse(spec_str).unwrap();
-    let gpu_cfg = GpuFaultConfig::parse(spec_str).unwrap().unwrap();
+    let (tile_spec, gpu_cfg) = FaultSpec::parse(spec_str).unwrap();
+    let gpu_cfg = gpu_cfg.unwrap();
     let device_config = DeviceConfig {
         fault: Some(gpu_cfg),
         ..DeviceConfig::small(128 << 20)
@@ -224,7 +224,7 @@ fn both_endpoints_of_a_pair_can_fail() {
     // adjacent corrupt tiles: the shared pair must be voided exactly once
     // and every variant must still terminate and report both tiles
     let cfg = scan(3, 4, 1505);
-    let spec = FaultSpec::parse("corrupt=1.1+1.2").unwrap();
+    let spec = FaultSpec::parse("corrupt=1.1+1.2").unwrap().0;
     let policy = FailurePolicy {
         retry: fast_retry(),
         allow_partial: true,
