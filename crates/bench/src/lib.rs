@@ -1,15 +1,20 @@
 //! # stitch-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md`'s experiment
-//! index), plus criterion microbenches for the substrates. This library
-//! holds the shared plumbing: standard workloads, results tables, and
-//! machine-readable output for `EXPERIMENTS.md`.
+//! Regenerates every table and figure of the paper (see `DESIGN.md`'s
+//! experiment index): [`figures`] holds one function per experiment and
+//! the registry the `paperfigs` binary runs them from; this module holds
+//! the shared plumbing — standard workloads, result tables and their
+//! machine-readable output for `EXPERIMENTS.md`. Nothing here is a
+//! performance gate: the product is timed by `stitchbench` (`benchmark/`).
 
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::Path;
 
 use stitch_core::prelude::*;
 use stitch_image::{ScanConfig, SyntheticPlate};
+use stitch_trace::json::quote;
+
+pub mod figures;
 
 /// The standard scaled-down experiment workload: the paper's 42×59 grid
 /// shape with smaller tiles, 25 % overlap (small tiles need a larger
@@ -56,6 +61,9 @@ pub struct ResultTable {
     pub rows: Vec<Row>,
     /// Free-form notes (workload, substitutions, caveats).
     pub notes: Vec<String>,
+    /// Raw companions of the table (span CSVs, Chrome traces) as `(file
+    /// name, contents)`, written beside its JSON.
+    pub attachments: Vec<(String, String)>,
 }
 
 impl ResultTable {
@@ -67,6 +75,7 @@ impl ResultTable {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            attachments: Vec::new(),
         }
     }
 
@@ -81,6 +90,11 @@ impl ResultTable {
     /// Appends a note.
     pub fn note(&mut self, note: impl Display) {
         self.notes.push(note.to_string());
+    }
+
+    /// Attaches a raw companion file, written beside the table's JSON.
+    pub fn attach(&mut self, file_name: &str, contents: String) {
+        self.attachments.push((file_name.to_string(), contents));
     }
 
     /// Renders as an aligned text table.
@@ -125,67 +139,44 @@ impl ResultTable {
     /// Renders the table as JSON (hand-rolled: the offline build has no
     /// serde, and the schema is four string fields deep).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn str_array(items: &[String], indent: &str) -> String {
-            let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
+            let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
             format!("[{}]", quoted.join(&format!(",\n{indent} ")))
         }
         let mut rows = Vec::new();
         for r in &self.rows {
             rows.push(format!(
-                "    {{\"label\": \"{}\", \"values\": {}}}",
-                esc(&r.label),
+                "    {{\"label\": {}, \"values\": {}}}",
+                quote(&r.label),
                 str_array(&r.values, "      ")
             ));
         }
         format!(
-            "{{\n  \"experiment\": \"{}\",\n  \"title\": \"{}\",\n  \"columns\": {},\n  \"rows\": [\n{}\n  ],\n  \"notes\": {}\n}}\n",
-            esc(&self.experiment),
-            esc(&self.title),
+            "{{\n  \"experiment\": {},\n  \"title\": {},\n  \"columns\": {},\n  \"rows\": [\n{}\n  ],\n  \"notes\": {}\n}}\n",
+            quote(&self.experiment),
+            quote(&self.title),
             str_array(&self.columns, "   "),
             rows.join(",\n"),
             str_array(&self.notes, "  ")
         )
     }
 
-    /// Prints the table and, when `--json <dir>` was passed on the command
-    /// line, also writes `<dir>/<experiment>.json`.
-    pub fn emit(&self) {
+    /// Prints the table and, given a directory, also writes
+    /// `<dir>/<experiment>.json` and the table's attachments there.
+    pub fn emit(&self, json_dir: Option<&Path>) -> std::io::Result<()> {
         println!("{}", self.render());
-        if let Some(dir) = json_dir() {
-            std::fs::create_dir_all(&dir).expect("create json dir");
-            let path = dir.join(format!("{}.json", self.experiment));
-            std::fs::write(&path, self.to_json()).expect("write json results");
-            eprintln!("(wrote {})", path.display());
+        let Some(dir) = json_dir else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.json", self.experiment));
+        std::fs::write(&path, self.to_json())?;
+        for (name, contents) in &self.attachments {
+            std::fs::write(dir.join(name), contents)?;
         }
+        eprintln!("(wrote {})", path.display());
+        Ok(())
     }
-}
-
-/// The `--json <dir>` command-line option.
-pub fn json_dir() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
-/// True when `--full` was passed (paper-scale workloads).
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
 }
 
 /// Formats a nanosecond duration human-readably.
@@ -213,6 +204,19 @@ mod tests {
         let s = t.render();
         assert!(s.contains("Simple-CPU"));
         assert!(s.contains("note: virtual time"));
+    }
+
+    #[test]
+    fn json_escapes_every_control_character() {
+        let mut t = ResultTable::new("t", "a \"quoted\" title", &["k", "v"]);
+        t.row("tab\there", &["cr\rlf\n".into()]);
+        t.note("bell \u{7} and backslash \\");
+        let json = t.to_json();
+        stitch_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert!(
+            json.contains("cr\\rlf\\n") && json.contains("\\u0007"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -552,11 +552,6 @@ impl HealthReport {
     /// Machine-readable failure summary (hand-rolled JSON; the offline
     /// build has no serde).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
         let failed: Vec<String> = self
             .failed_tiles()
             .into_iter()
@@ -566,10 +561,10 @@ impl HealthReport {
                     _ => unreachable!(),
                 };
                 format!(
-                    "{{\"row\": {}, \"col\": {}, \"error\": \"{}\"}}",
+                    "{{\"row\": {}, \"col\": {}, \"error\": {}}}",
                     id.row,
                     id.col,
-                    esc(&err)
+                    stitch_trace::json::quote(&err)
                 )
             })
             .collect();
@@ -916,5 +911,20 @@ mod tests {
         let report = HealthReport::new(GridShape::new(1, 2));
         assert!(!report.is_degraded());
         assert!(report.to_json().contains("\"failed\": []"));
+    }
+
+    /// The failure text embeds the dataset path, which may hold any byte.
+    #[test]
+    fn report_json_escapes_control_characters() {
+        let mut report = HealthReport::new(GridShape::new(1, 1));
+        report.tiles[0] = TileStatus::Failed {
+            error: "d\ts/img\r \u{1} \"q\" \\".into(),
+        };
+        let json = report.to_json();
+        stitch_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert!(
+            json.contains("d\\ts/img\\r \\u0001 \\\"q\\\" \\\\"),
+            "{json}"
+        );
     }
 }

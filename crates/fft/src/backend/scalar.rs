@@ -1,12 +1,11 @@
 //! The sequential reference backend.
 //!
 //! Every kernel is a plain scalar loop — the ground truth the other
-//! backends are measured (perfgate per-backend columns) and verified
-//! (testkit backend oracle) against. The element-wise kernels and the
-//! max reduction share their expression DAGs with the vectorized
-//! backends and are bit-identical to them; the co-moment reductions
-//! accumulate in strict left-to-right order, which the lane-split
-//! backends re-associate.
+//! backends are measured and verified (testkit backend oracle) against.
+//! The element-wise kernels and the max reduction share their expression
+//! DAGs with the vectorized backends and are bit-identical to them; the
+//! co-moment reductions accumulate in strict left-to-right order, which
+//! the lane-split backends re-associate.
 
 use crate::complex::C64;
 use crate::vectorops;

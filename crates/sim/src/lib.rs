@@ -25,5 +25,6 @@ pub use cost::{CostModel, MachineSpec};
 pub use des::{Server, TokenPool};
 pub use scenarios::{
     fig5_compute_fft_ns, fiji_ns, mt_cpu_ns, pipelined_cpu_ns, pipelined_gpu_lanes_ns,
-    pipelined_gpu_ns, secs, simple_cpu_ns, simple_gpu_ns, FIJI_OVERHEAD_FACTOR,
+    pipelined_gpu_ns, secs, simple_cpu_ns, simple_gpu_ns, table2_rows, Table2Row,
+    FIJI_OVERHEAD_FACTOR,
 };

@@ -430,6 +430,27 @@ pub fn fiji_ns(
 /// and the plugin's 5–6 threads (Table II).
 pub const FIJI_OVERHEAD_FACTOR: f64 = 51.0;
 
+/// One Table II row: `(implementation, virtual ns, the paper's time)`.
+pub type Table2Row = (&'static str, u64, &'static str);
+
+/// Table II on machine `m`, in the paper's row order and at its thread
+/// counts: the ImageJ/Fiji baseline first, then Simple-CPU (the S/CPU
+/// reference) and the five parallel configurations.
+pub fn table2_rows(shape: GridShape, cost: &CostModel, m: &MachineSpec) -> [Table2Row; 7] {
+    let fiji = fiji_ns(shape, cost, m, 6, FIJI_OVERHEAD_FACTOR);
+    let pipelined = pipelined_cpu_ns(shape, cost, m, 16);
+    let gpus = |n| pipelined_gpu_ns(shape, cost, m, n, 4);
+    [
+        ("ImageJ/Fiji", fiji, "3.6h"),
+        ("Simple-CPU", simple_cpu_ns(shape, cost), "10.6min"),
+        ("MT-CPU (16t)", mt_cpu_ns(shape, cost, m, 16), "1.6min"),
+        ("Pipelined-CPU (16t)", pipelined, "1.4min"),
+        ("Simple-GPU", simple_gpu_ns(shape, cost), "9.3min"),
+        ("Pipelined-GPU (1 GPU)", gpus(1), "49.7s"),
+        ("Pipelined-GPU (2 GPUs)", gpus(2), "26.6s"),
+    ]
+}
+
 /// Fig 5 workload: `threads` workers read tiles and compute transforms
 /// *without releasing memory*. Once the working set crosses the machine's
 /// RAM the virtual-memory system pages transform buffers through a single
@@ -491,13 +512,14 @@ mod tests {
         let shape = paper_shape();
         let cost = CostModel::paper_c2070();
         let m = MachineSpec::paper_testbed();
-        let fiji = fiji_ns(shape, &cost, &m, 6, FIJI_OVERHEAD_FACTOR);
-        let simple_cpu = simple_cpu_ns(shape, &cost);
-        let mt = mt_cpu_ns(shape, &cost, &m, 16);
-        let pipe_cpu = pipelined_cpu_ns(shape, &cost, &m, 16);
-        let simple_gpu = simple_gpu_ns(shape, &cost);
-        let pipe_gpu1 = pipelined_gpu_ns(shape, &cost, &m, 1, 4);
-        let pipe_gpu2 = pipelined_gpu_ns(shape, &cost, &m, 2, 4);
+        let rows = table2_rows(shape, &cost, &m);
+        // both callers take row 1 as the S/CPU reference
+        assert_eq!(
+            rows[1],
+            ("Simple-CPU", simple_cpu_ns(shape, &cost), "10.6min")
+        );
+        let [fiji, simple_cpu, mt, pipe_cpu, simple_gpu, pipe_gpu1, pipe_gpu2] =
+            rows.map(|(_, ns, _)| ns);
         // orderings from Table II
         assert!(fiji > simple_cpu);
         assert!(simple_cpu > mt);

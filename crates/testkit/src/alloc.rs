@@ -6,14 +6,14 @@
 //! atomic counters; a test or bench binary installs it with
 //! `#[global_allocator]` and asserts deltas around the region of
 //! interest (the conformance suite pins the steady-state PCIAM pair
-//! computation at **zero** allocations; `perfgate` reports per-run
-//! allocation counts next to wall-clock medians).
+//! computation at **zero** allocations; `stitchbench` reports the same
+//! count per workload as `core.phase1_allocs`).
 //!
 //! Two counter scopes are exposed:
 //!
 //! * process-wide ([`CountingAllocator::allocations`] /
 //!   [`CountingAllocator::bytes_allocated`]) — right for sequential
-//!   whole-run measurements like `perfgate`;
+//!   whole-run measurements in a single-purpose binary;
 //! * per-thread ([`CountingAllocator::thread_allocations`] /
 //!   [`CountingAllocator::thread_bytes_allocated`]) — right for
 //!   assertions inside a multi-threaded test harness, where unrelated

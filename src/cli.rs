@@ -582,22 +582,16 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                  {rows}x{cols} grid of 1392x1040 tiles:",
                 m.physical_cores, m.logical_cores, m.gpus
             );
-            let simple = simple_cpu_ns(shape, &cost);
-            let rows_out = [
-                ("Simple-CPU", simple),
-                ("MT-CPU (16t)", mt_cpu_ns(shape, &cost, &m, 16)),
-                (
-                    "Pipelined-CPU (16t)",
-                    pipelined_cpu_ns(shape, &cost, &m, 16),
-                ),
-                ("Simple-GPU", simple_gpu_ns(shape, &cost)),
-                ("Pipelined-GPU x1", pipelined_gpu_ns(shape, &cost, &m, 1, 4)),
-                (
-                    "Pipelined-GPU x2",
-                    pipelined_gpu_ns(shape, &cost, &m, 2.min(m.gpus), 4),
-                ),
-            ];
-            for (name, ns) in rows_out {
+            let table = table2_rows(shape, &cost, &m);
+            let simple = table[1].1;
+            // the ImageJ/Fiji baseline is Table II's, not a machine preset's
+            for (name, ns, _) in table.into_iter().skip(1) {
+                // the terminal's shorter spelling of the two multi-GPU rows
+                let name = match name {
+                    "Pipelined-GPU (1 GPU)" => "Pipelined-GPU x1",
+                    "Pipelined-GPU (2 GPUs)" => "Pipelined-GPU x2",
+                    other => other,
+                };
                 println!(
                     "  {name:<22} {:>10.1}s  ({:.1}x vs Simple-CPU)",
                     secs(ns),

@@ -33,7 +33,7 @@ fn transfer_device(id: usize) -> Device {
     )
 }
 
-/// The PR's acceptance criterion: on the same transfer-model scenario,
+/// The unified trace's acceptance test: on the same transfer-model scenario,
 /// the *merged-timeline* kernel density of Pipelined-GPU is strictly
 /// greater than Simple-GPU's (the paper's Fig 7 vs Fig 9 contrast, now
 /// measured from the unified trace instead of the raw device profiler).
