@@ -29,22 +29,14 @@ use crate::store::SharedCanvas;
 /// Configuration for [`IncrementalStitcher`].
 #[derive(Clone, Debug)]
 pub struct IncrementalConfig {
-    /// Phase-2 optimizer for the periodic and final solves.
-    pub optimizer: GlobalOptimizer,
     /// Re-solve (and re-anchor) every this many arrivals; `0` solves
     /// only at [`IncrementalStitcher::finish`].
     pub solve_every: usize,
-    /// FFT planning effort for the registration kernel.
-    pub plan_mode: PlanMode,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        IncrementalConfig {
-            optimizer: GlobalOptimizer::default(),
-            solve_every: 8,
-            plan_mode: PlanMode::Estimate,
-        }
+        IncrementalConfig { solve_every: 8 }
     }
 }
 
@@ -110,7 +102,7 @@ impl IncrementalStitcher {
     ) -> IncrementalStitcher {
         let (w, h) = tile_dims;
         assert!(w > 0 && h > 0, "tile dims must be positive");
-        let planner = Planner::new(cfg.plan_mode);
+        let planner = Planner::new(PlanMode::Estimate);
         let ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
         IncrementalStitcher {
             shape,
@@ -137,11 +129,6 @@ impl IncrementalStitcher {
     /// Tiles offered so far.
     pub fn arrived(&self) -> usize {
         self.placed.iter().flatten().count()
-    }
-
-    /// Forward transforms currently held for pairs still to register.
-    pub fn live_transforms(&self) -> usize {
-        self.ledger.live()
     }
 
     /// Offers one arrived tile. Registers it against every
@@ -216,7 +203,7 @@ impl IncrementalStitcher {
         if self.pairs_registered == 0 {
             return 0;
         }
-        let positions = self.cfg.optimizer.solve(&self.result);
+        let positions = GlobalOptimizer::default().solve(&self.result);
         self.solves += 1;
         self.since_solve = 0;
         let mut moved_now = 0;
@@ -359,10 +346,8 @@ mod tests {
             scales: 2,
             ..CanvasConfig::default()
         }));
-        let cfg = IncrementalConfig {
-            solve_every: 2, // force several mid-run re-anchors
-            ..IncrementalConfig::default()
-        };
+        // force several mid-run re-anchors
+        let cfg = IncrementalConfig { solve_every: 2 };
         let out = run_incremental(
             &src,
             order,
@@ -429,7 +414,7 @@ mod tests {
         }
         assert_eq!(inc.arrived(), 8);
         assert_eq!(
-            inc.live_transforms(),
+            inc.ledger.live(),
             0,
             "the four neighbors of the failed center must not wait for it"
         );

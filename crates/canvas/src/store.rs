@@ -112,12 +112,7 @@ impl PyramidCanvas {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> CanvasConfig {
-        self.cfg
-    }
-
-    /// The coarsest readable scale (`config().scales`).
+    /// The coarsest readable scale ([`CanvasConfig::scales`]).
     pub fn max_scale(&self) -> usize {
         self.cfg.scales
     }
@@ -129,11 +124,6 @@ impl PyramidCanvas {
         s.live_chunks = self.levels.iter().map(|l| l.chunks.len()).sum();
         s.chunk_bytes = s.live_chunks * self.cfg.chunk * self.cfg.chunk * 2;
         s
-    }
-
-    /// The committed canvas position of a placed tile.
-    pub fn position_of(&self, id: TileId) -> Option<(i64, i64)> {
-        self.placements.get(&id).map(|p| p.pos)
     }
 
     /// Clears every placement, chunk, and counter; the configuration is

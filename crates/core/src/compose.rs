@@ -212,11 +212,6 @@ impl Composer {
         self
     }
 
-    /// The blend mode.
-    pub fn blend(&self) -> Blend {
-        self.blend
-    }
-
     /// The absolute positions in use.
     pub fn positions(&self) -> &AbsolutePositions {
         &self.positions
@@ -365,18 +360,6 @@ impl Composer {
             // evict tiles whose footprint lies fully above the next band
             cache.retain(|id, _| self.positions.get(*id).1 - oy + th as i64 > y as i64);
         }
-    }
-
-    /// Renders the tile at grid position `id` into mosaic coordinates —
-    /// convenience for spot checks. Positions are translated by
-    /// [`Composer::origin`] first, so a tile legitimately placed at a
-    /// negative coordinate renders its window instead of wrapping to a
-    /// huge offset.
-    pub fn tile_window(&self, source: &dyn TileSource, id: TileId) -> Image<u16> {
-        let (tw, th) = source.tile_dims();
-        let (x, y) = self.positions.get(id);
-        let (ox, oy) = self.origin();
-        self.compose_region(source, (x - ox) as usize, (y - oy) as usize, tw, th)
     }
 }
 
@@ -632,27 +615,6 @@ mod tests {
         )
         .compose(&src);
         assert_eq!(m.pixels(), norm.pixels());
-    }
-
-    #[test]
-    fn tile_window_handles_negative_positions() {
-        let shape = GridShape::new(1, 2);
-        let a = Image::filled(8, 8, 100u16);
-        let b = Image::filled(8, 8, 300u16);
-        let src = MemorySource::new(shape, vec![a, b]);
-        let pos = AbsolutePositions {
-            shape,
-            positions: vec![(-5, -3), (0, 0)],
-        };
-        let c = Composer::new(pos, Blend::First);
-        let wa = c.tile_window(&src, TileId { row: 0, col: 0 });
-        assert_eq!(wa.dims(), (8, 8));
-        assert_eq!(wa.get(0, 0), 100);
-        let wb = c.tile_window(&src, TileId { row: 0, col: 1 });
-        assert_eq!(wb.dims(), (8, 8));
-        // tile a (First blend) still owns the overlapping corner of b's window
-        assert_eq!(wb.get(0, 0), 100);
-        assert_eq!(wb.get(7, 7), 300);
     }
 
     #[test]

@@ -202,17 +202,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (first failure is final).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The backoff before retry number `retry` (1-based), doubled each
     /// time and capped at [`max_backoff`](RetryPolicy::max_backoff).
-    pub fn backoff_for(&self, retry: u32) -> Duration {
+    fn backoff_for(&self, retry: u32) -> Duration {
         let factor = 1u32 << retry.saturating_sub(1).min(16);
         (self.backoff * factor).min(self.max_backoff)
     }
@@ -421,11 +413,6 @@ impl<S: TileSource> FaultySource<S> {
             attempts: Mutex::new(HashMap::new()),
             stats: Mutex::new(FaultStats::default()),
         }
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// Injection counters so far.
@@ -641,7 +628,7 @@ impl FaultTracker {
     }
 
     /// Records a successful read that needed retries.
-    pub fn record_recovered(&self, id: TileId, attempts: u32) {
+    fn record_recovered(&self, id: TileId, attempts: u32) {
         let mut inner = self.inner.lock();
         let slot = self.shape.index(id);
         // a re-read (ghost rows in Mt-CPU) must not downgrade Failed
@@ -653,7 +640,7 @@ impl FaultTracker {
 
     /// Records a permanent failure; the first error is kept for the
     /// `StitchError` when partial output is not allowed.
-    pub fn record_failure(&self, id: TileId, error: SourceError) {
+    fn record_failure(&self, id: TileId, error: SourceError) {
         let mut inner = self.inner.lock();
         let slot = self.shape.index(id);
         if !matches!(inner.report.tiles[slot], TileStatus::Failed { .. }) {
@@ -664,11 +651,6 @@ impl FaultTracker {
         if inner.first_error.is_none() {
             inner.first_error = Some(error);
         }
-    }
-
-    /// True when any tile has failed so far.
-    pub fn any_failed(&self) -> bool {
-        self.inner.lock().report.is_degraded()
     }
 
     /// Is this specific tile recorded as failed?
@@ -875,7 +857,6 @@ mod tests {
                 detail: "bad".into(),
             },
         );
-        assert!(tracker.any_failed());
         assert!(tracker.is_failed(TileId::new(1, 1)));
         assert!(!tracker.is_failed(TileId::new(0, 0)));
 

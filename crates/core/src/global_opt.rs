@@ -35,39 +35,38 @@ pub enum Method {
     LeastSquares,
 }
 
+/// Edges with correlation below this are discarded entirely (they carry
+/// no information; typical featureless-overlap correlations hover near
+/// zero).
+pub const MIN_CORRELATION: f64 = 0.3;
+
+/// After a least-squares solve, edges whose residual exceeds this many
+/// pixels are discarded and the system re-solved. This is what catches
+/// *confident* outliers — a wrong displacement with a high correlation
+/// passes the correlation filter but cannot be reconciled with the
+/// redundant constraints around it.
+const RESIDUAL_FILTER_PX: f64 = 3.0;
+
+/// IRLS rounds before the residual trim.
+const REFILTER_ROUNDS: usize = 2;
+
 /// Phase-2 configuration.
 #[derive(Clone, Debug)]
 pub struct GlobalOptimizer {
     /// Resolution strategy.
     pub method: Method,
-    /// Edges with correlation below this are discarded entirely (they
-    /// carry no information; typical featureless-overlap correlations
-    /// hover near zero).
-    pub min_correlation: f64,
     /// Conjugate-gradient iteration cap (least squares only).
     pub max_iterations: usize,
     /// Conjugate-gradient residual tolerance.
     pub tolerance: f64,
-    /// After a least-squares solve, edges whose residual exceeds this many
-    /// pixels are discarded and the system re-solved (up to
-    /// [`GlobalOptimizer::refilter_rounds`] times). This is what catches
-    /// *confident* outliers — a wrong displacement with a high correlation
-    /// passes the correlation filter but cannot be reconciled with the
-    /// redundant constraints around it. `None` disables refiltering.
-    pub residual_filter_px: Option<f64>,
-    /// Maximum residual-refilter rounds.
-    pub refilter_rounds: usize,
 }
 
 impl Default for GlobalOptimizer {
     fn default() -> Self {
         GlobalOptimizer {
             method: Method::LeastSquares,
-            min_correlation: 0.3,
             max_iterations: 1000,
             tolerance: 1e-9,
-            residual_filter_px: Some(3.0),
-            refilter_rounds: 2,
         }
     }
 }
@@ -150,26 +149,24 @@ impl GlobalOptimizer {
         // by IRLS (a Cauchy-style robust loss that progressively mutes
         // high-residual edges) and only then trimmed and re-solved.
         if self.method == Method::LeastSquares {
-            if let Some(limit) = self.residual_filter_px {
-                let residual = |e: &Edge, pos: &[(f64, f64)]| -> f64 {
-                    let (fx, fy) = pos[e.from];
-                    let (tx, ty) = pos[e.to];
-                    (tx - fx - e.dx).abs().max((ty - fy - e.dy).abs())
-                };
-                for _ in 0..self.refilter_rounds.max(2) {
-                    for e in edges.iter_mut() {
-                        let r = residual(e, &positions) / limit;
-                        e.weight = e.base_weight / (1.0 + r * r);
-                    }
-                    positions = self.solve_least_squares(shape, &edges);
-                }
-                // final hard trim: by now outlier residuals stand out
-                edges.retain(|e| residual(e, &positions) <= limit);
+            let residual = |e: &Edge, pos: &[(f64, f64)]| -> f64 {
+                let (fx, fy) = pos[e.from];
+                let (tx, ty) = pos[e.to];
+                (tx - fx - e.dx).abs().max((ty - fy - e.dy).abs())
+            };
+            for _ in 0..REFILTER_ROUNDS {
                 for e in edges.iter_mut() {
-                    e.weight = e.base_weight;
+                    let r = residual(e, &positions) / RESIDUAL_FILTER_PX;
+                    e.weight = e.base_weight / (1.0 + r * r);
                 }
                 positions = self.solve_least_squares(shape, &edges);
             }
+            // final hard trim: by now outlier residuals stand out
+            edges.retain(|e| residual(e, &positions) <= RESIDUAL_FILTER_PX);
+            for e in edges.iter_mut() {
+                e.weight = e.base_weight;
+            }
+            positions = self.solve_least_squares(shape, &edges);
         }
         // normalize: min coordinate → 0
         let min_x = positions.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
@@ -189,7 +186,7 @@ impl GlobalOptimizer {
         for id in shape.ids() {
             let i = shape.index(id);
             if let (Some(w), Some(d)) = (shape.west(id), result.west[i]) {
-                if d.correlation >= self.min_correlation {
+                if d.correlation >= MIN_CORRELATION {
                     edges.push(Edge {
                         from: shape.index(w),
                         to: i,
@@ -201,7 +198,7 @@ impl GlobalOptimizer {
                 }
             }
             if let (Some(nn), Some(d)) = (shape.north(id), result.north[i]) {
-                if d.correlation >= self.min_correlation {
+                if d.correlation >= MIN_CORRELATION {
                     edges.push(Edge {
                         from: shape.index(nn),
                         to: i,
@@ -545,7 +542,7 @@ mod tests {
     #[test]
     fn both_methods_repair_injected_outlier_identically() {
         // Seeded grids with one injected outlier edge: the outlier's
-        // telltale low correlation puts it below `min_correlation`, so
+        // telltale low correlation puts it below `MIN_CORRELATION`, so
         // *both* strategies must discard it and land exactly on the
         // ground-truth positions — and therefore on each other.
         for seed in [3u64, 17, 92] {

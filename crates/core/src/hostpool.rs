@@ -27,7 +27,7 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use stitch_fft::C64;
 
@@ -139,47 +139,10 @@ impl SpectrumPool {
         }
     }
 
-    /// Non-blocking [`SpectrumPool::acquire`]: returns `None` when a
-    /// bounded pool is at its cap with nothing free.
-    pub fn try_acquire(&self) -> Option<PooledSpectrum> {
-        let mut state = self.shared.lock();
-        if let Some(buf) = state.free.pop() {
-            debug_assert_eq!(buf.len(), self.shared.buf_len);
-            self.shared.reused.fetch_add(1, Ordering::Relaxed);
-            return Some(self.wrap(buf));
-        }
-        match self.shared.cap {
-            Some(cap) if state.population >= cap => None,
-            _ => {
-                state.population += 1;
-                drop(state);
-                self.shared.created.fetch_add(1, Ordering::Relaxed);
-                Some(self.wrap(vec![C64::ZERO; self.shared.buf_len]))
-            }
-        }
-    }
-
     fn wrap(&self, data: Vec<C64>) -> PooledSpectrum {
         PooledSpectrum {
             data,
             pool: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Pre-populates the free list so even the first `n` acquisitions
-    /// come from the pool. A bounded pool pre-populates at most up to its
-    /// cap.
-    pub fn preallocate(&self, n: usize) {
-        let mut state = self.shared.lock();
-        let target = match self.shared.cap {
-            Some(cap) => n.min(cap.saturating_sub(state.population - state.free.len())),
-            None => n,
-        };
-        while state.free.len() < target {
-            self.shared.created.fetch_add(1, Ordering::Relaxed);
-            state.population += 1;
-            let buf = vec![C64::ZERO; self.shared.buf_len];
-            state.free.push(buf);
         }
     }
 
@@ -208,10 +171,21 @@ impl SpectrumPool {
         state.population - state.free.len()
     }
 
-    /// Buffers currently in existence (free + leased). In a bounded pool
-    /// this never exceeds [`SpectrumPool::cap`].
-    pub fn population(&self) -> usize {
-        self.shared.lock().population
+    /// A non-owning handle for an auditor that must not keep the pool's
+    /// buffers alive.
+    pub fn downgrade(&self) -> WeakSpectrumPool {
+        WeakSpectrumPool(Arc::downgrade(&self.shared))
+    }
+}
+
+/// Non-owning view of a [`SpectrumPool`]; see [`SpectrumPool::downgrade`].
+pub struct WeakSpectrumPool(Weak<PoolShared>);
+
+impl WeakSpectrumPool {
+    /// The pool, or `None` once it is gone — which it is only when every
+    /// handle *and every lease* has been dropped.
+    pub fn upgrade(&self) -> Option<SpectrumPool> {
+        self.0.upgrade().map(|shared| SpectrumPool { shared })
     }
 }
 
@@ -268,6 +242,11 @@ mod tests {
     use super::*;
     use stitch_fft::c64;
 
+    /// Buffers in existence (free + leased).
+    fn population(pool: &SpectrumPool) -> usize {
+        pool.shared.lock().population
+    }
+
     #[test]
     fn drop_returns_storage_to_pool() {
         let pool = SpectrumPool::new(16);
@@ -303,17 +282,7 @@ mod tests {
         let v = pool.acquire().into_vec();
         assert_eq!(v.len(), 4);
         assert_eq!(pool.idle(), 0, "detached buffer must not return");
-        assert_eq!(pool.population(), 0, "detached buffer leaves population");
-    }
-
-    #[test]
-    fn preallocate_populates_free_list() {
-        let pool = SpectrumPool::new(4);
-        pool.preallocate(3);
-        assert_eq!(pool.idle(), 3);
-        assert_eq!(pool.created(), 3);
-        let _a = pool.acquire();
-        assert_eq!(pool.reused(), 1);
+        assert_eq!(population(&pool), 0, "detached buffer leaves population");
     }
 
     #[test]
@@ -329,11 +298,10 @@ mod tests {
         let pool = SpectrumPool::bounded(8, 2);
         let a = pool.acquire();
         let b = pool.acquire();
-        assert_eq!(pool.population(), 2);
-        assert!(pool.try_acquire().is_none(), "cap reached: must not grow");
+        assert_eq!(population(&pool), 2);
         drop(a);
-        let c = pool.try_acquire().expect("freed lease must be reusable");
-        assert_eq!(pool.population(), 2);
+        let c = pool.acquire(); // the freed lease, not a third buffer
+        assert_eq!(population(&pool), 2);
         assert_eq!(pool.created(), 2, "no allocation past the cap");
         drop(b);
         drop(c);
@@ -362,16 +330,9 @@ mod tests {
         let v = pool.acquire().into_vec();
         assert_eq!(v.len(), 4);
         // The cap slot came back even though the storage never will.
-        let _b = pool.try_acquire().expect("detached lease frees its slot");
+        assert_eq!(population(&pool), 0, "detached lease frees its slot");
+        let _b = pool.acquire();
         assert_eq!(pool.created(), 2);
-    }
-
-    #[test]
-    fn bounded_preallocate_respects_cap() {
-        let pool = SpectrumPool::bounded(4, 3);
-        pool.preallocate(10);
-        assert_eq!(pool.idle(), 3);
-        assert_eq!(pool.created(), 3);
     }
 
     #[test]
@@ -382,19 +343,22 @@ mod tests {
         let burst = 16;
         let elastic = SpectrumPool::new(4);
         let held: Vec<_> = (0..burst).map(|_| elastic.acquire()).collect();
-        assert_eq!(elastic.population(), burst);
+        assert_eq!(population(&elastic), burst);
         drop(held);
 
+        // the same burst against a cap of 5: the first five get buffers,
+        // the other eleven wait for a return instead of allocating
         let bounded = SpectrumPool::bounded(4, 5);
-        let mut held = Vec::new();
-        for _ in 0..burst {
-            match bounded.try_acquire() {
-                Some(b) => held.push(b),
-                None => break,
+        let held: Vec<_> = (0..5).map(|_| bounded.acquire()).collect();
+        std::thread::scope(|s| {
+            for _ in 5..burst {
+                s.spawn(|| drop(bounded.acquire()));
             }
-        }
-        assert_eq!(held.len(), 5);
-        assert_eq!(bounded.population(), 5, "burst must not grow past cap");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(population(&bounded), 5, "burst must not grow past cap");
+            drop(held);
+        });
+        assert_eq!(population(&bounded), 5);
         assert_eq!(bounded.created(), 5);
     }
 }

@@ -72,7 +72,7 @@ pub use fault::{
 };
 pub use global_opt::{AbsolutePositions, GlobalOptimizer, Method};
 pub use grid::{GridShape, Traversal};
-pub use hostpool::{PooledSpectrum, SpectrumPool};
+pub use hostpool::{PooledSpectrum, SpectrumPool, WeakSpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
@@ -80,7 +80,7 @@ pub use pciam::PciamContext;
 #[doc(hidden)]
 pub use pipelined_cpu::TransformKind;
 pub use pipelined_cpu::{PipelinedCpuConfig, PipelinedCpuStitcher};
-pub use pipelined_gpu::{GhostMode, PipelinedGpuConfig, PipelinedGpuStitcher};
+pub use pipelined_gpu::{PipelinedGpuConfig, PipelinedGpuStitcher};
 pub use quality::{correlation_stats, coverage, seam_error, CorrelationStats, SeamError};
 pub use simple_cpu::SimpleCpuStitcher;
 pub use simple_gpu::SimpleGpuStitcher;

@@ -290,11 +290,6 @@ impl SpillStore {
         }
     }
 
-    /// Bytes currently resident in memory.
-    pub fn resident_bytes(&self) -> usize {
-        self.state.lock().resident_bytes
-    }
-
     /// Number of buffers spilled to disk so far.
     pub fn spill_count(&self) -> u64 {
         self.spill_count.load(Ordering::Relaxed)
@@ -382,7 +377,7 @@ mod tests {
         let h2 = store.insert(buf(2, 100));
         let h3 = store.insert(buf(3, 100)); // evicts h1 (coldest)
         assert_eq!(store.spill_count(), 1);
-        assert!(store.resident_bytes() <= 2 * 1600);
+        assert!(store.state.lock().resident_bytes <= 2 * 1600);
         // h1 faults back intact
         store.with(h1, |d| assert_eq!(d[0].re, 1000.0));
         assert_eq!(store.fault_count(), 1);
@@ -410,7 +405,7 @@ mod tests {
         let store = SpillStore::new(1600).unwrap();
         let h1 = store.insert(buf(1, 100));
         store.remove(h1);
-        assert_eq!(store.resident_bytes(), 0);
+        assert_eq!(store.state.lock().resident_bytes, 0);
         let h2 = store.insert(buf(2, 100));
         assert_eq!(store.spill_count(), 0, "no eviction needed after remove");
         store.with(h2, |d| assert_eq!(d[0].re, 2000.0));

@@ -33,7 +33,6 @@ type CachedTile = (Arc<Image<u16>>, Arc<PooledSpectrum>);
 /// SPMD multi-threaded stitcher.
 pub struct MtCpuStitcher {
     threads: usize,
-    plan_mode: PlanMode,
     trace: TraceHandle,
 }
 
@@ -43,7 +42,6 @@ impl MtCpuStitcher {
         assert!(threads >= 1);
         MtCpuStitcher {
             threads,
-            plan_mode: PlanMode::Estimate,
             trace: TraceHandle::disabled(),
         }
     }
@@ -53,11 +51,6 @@ impl MtCpuStitcher {
     pub fn with_trace(mut self, trace: TraceHandle) -> MtCpuStitcher {
         self.trace = trace;
         self
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -93,7 +86,7 @@ impl Stitcher for MtCpuStitcher {
             return Ok(StitchResult::empty(shape));
         }
         let counters = OpCounters::new_shared();
-        let planner = Planner::new(self.plan_mode);
+        let planner = Planner::new(PlanMode::Estimate);
         let tracker = FaultTracker::new(shape);
         let west: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);
         let north: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);

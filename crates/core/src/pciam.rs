@@ -155,16 +155,9 @@ impl PciamContext {
         spec
     }
 
-    /// Steps 4–7 of Fig 2: NCC, inverse FFT, max reduction. Returns the
-    /// peak's flat index and magnitude.
-    pub fn correlation_peak(&mut self, fa: &[C64], fb: &[C64]) -> (usize, f64) {
-        let peaks = self.correlation_peaks(fa, fb, 1);
-        peaks[0]
-    }
-
-    /// Like [`PciamContext::correlation_peak`] but returns up to `k`
-    /// distinct peaks (suppressing near-duplicates), strongest first.
-    /// Indices are row-major over the tile.
+    /// Steps 4–7 of Fig 2: NCC, inverse FFT, max reduction. Returns up to
+    /// `k` distinct peaks (suppressing near-duplicates) as flat index and
+    /// magnitude, strongest first. Indices are row-major over the tile.
     pub fn correlation_peaks(&mut self, fa: &[C64], fb: &[C64], k: usize) -> Vec<(usize, f64)> {
         self.correlation_peaks_into(fa, fb, k);
         self.pair.peaks.clone()
@@ -187,25 +180,12 @@ impl PciamContext {
     }
 
     /// Full pair computation from precomputed transforms plus the pixel
-    /// data needed for CCF disambiguation. Unconstrained (no scan-geometry
-    /// prior); grid stitchers use
-    /// [`PciamContext::displacement_oriented`] instead.
-    pub fn displacement_from_ffts(
-        &mut self,
-        fa: &[C64],
-        fb: &[C64],
-        img_a: &Image<u16>,
-        img_b: &Image<u16>,
-    ) -> Displacement {
-        self.displacement_oriented(fa, fb, img_a, img_b, None)
-    }
-
-    /// Like [`PciamContext::displacement_from_ffts`] but with the scan
-    /// geometry made explicit: for a [`PairKind::West`] pair tile `b` is
-    /// physically east of `a` (`dx ≥ 1`), for [`PairKind::North`] it is
-    /// physically south (`dy ≥ 1`). The constraint discards
-    /// scene-self-similarity matches in the impossible half-plane — the
-    /// same stage-model prior NIST's production tool applies.
+    /// data needed for CCF disambiguation. `kind` makes the scan geometry
+    /// explicit: for a [`PairKind::West`] pair tile `b` is physically east
+    /// of `a` (`dx ≥ 1`), for [`PairKind::North`] it is physically south
+    /// (`dy ≥ 1`). The constraint discards scene-self-similarity matches
+    /// in the impossible half-plane — the same stage-model prior NIST's
+    /// production tool applies; `None` is unconstrained.
     pub fn displacement_oriented(
         &mut self,
         fa: &[C64],
@@ -233,7 +213,7 @@ impl PciamContext {
     pub fn pciam(&mut self, img_a: &Image<u16>, img_b: &Image<u16>) -> Displacement {
         let fa = self.forward_fft(img_a);
         let fb = self.forward_fft(img_b);
-        self.displacement_from_ffts(&fa, &fb, img_a, img_b)
+        self.displacement_oriented(&fa, &fb, img_a, img_b, None)
     }
 }
 
@@ -247,20 +227,10 @@ pub fn peak_candidates(peak: usize, width: usize, height: usize) -> [(i64, i64);
     [(x, y), (x - w, y), (x, y - h), (x - w, y - h)]
 }
 
-/// Scores the four candidates of `peak` with the CCF and returns the
-/// winner (Fig 2 step 12).
-pub fn resolve_peak(
-    peak: usize,
-    width: usize,
-    height: usize,
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
-) -> Displacement {
-    resolve_peaks(&[peak], width, height, img_a, img_b)
-}
-
 /// Scores the four interpretation candidates of *each* peak with the CCF
-/// and returns the global winner.
+/// and returns the global winner (Fig 2 step 12), under an optional
+/// pair-orientation constraint; see
+/// [`PciamContext::displacement_oriented`].
 ///
 /// Candidates are ranked by correlation *significance* — `ccf · √pixels`
 /// with the pixel count saturating at a small fraction of the tile area —
@@ -270,18 +240,6 @@ pub fn resolve_peak(
 /// The saturation point matters: an unsaturated √n drags the choice toward
 /// larger overlaps (smaller displacements), because on smooth content the
 /// correlation one pixel off is nearly as high while the overlap is larger.
-pub fn resolve_peaks(
-    peaks: &[usize],
-    width: usize,
-    height: usize,
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
-) -> Displacement {
-    resolve_peaks_oriented(peaks, width, height, img_a, img_b, None)
-}
-
-/// [`resolve_peaks`] with an optional pair-orientation constraint; see
-/// [`PciamContext::displacement_oriented`].
 pub fn resolve_peaks_oriented(
     peaks: &[usize],
     width: usize,
@@ -359,22 +317,8 @@ fn orientation_ok(kind: Option<PairKind>, dx: i64, dy: i64) -> bool {
 /// two off the true displacement when the overlap is thin; the CCF
 /// landscape around the truth is smooth, so a short greedy walk snaps the
 /// answer onto it (the same translation refinement the NIST tool grew).
-pub fn refine_ccf(img_a: &Image<u16>, img_b: &Image<u16>, d: Displacement) -> Displacement {
-    refine_ccf_oriented(img_a, img_b, d, None)
-}
-
-/// [`refine_ccf`] constrained to the orientation's legal half-plane.
-pub fn refine_ccf_oriented(
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
-    d: Displacement,
-    kind: Option<PairKind>,
-) -> Displacement {
-    refine_ccf_centered(img_a, img_b, img_a.mean(), img_b.mean(), d, kind)
-}
-
-/// [`refine_ccf_oriented`] with caller-supplied tile means (see
-/// [`ccf_at_centered`]).
+/// The walk stays inside the orientation's legal half-plane and takes the
+/// caller's tile means (see [`ccf_at_centered`]).
 fn refine_ccf_centered(
     img_a: &Image<u16>,
     img_b: &Image<u16>,

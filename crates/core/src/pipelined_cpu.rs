@@ -73,10 +73,6 @@ pub struct PipelinedCpuConfig {
     /// paper's "exceed the smallest grid dimension" minimum, and a tight
     /// pool stalls the reader on recycle latency).
     pub pool_size: Option<usize>,
-    /// Traversal order feeding the reader.
-    pub traversal: Traversal,
-    /// FFT planning effort.
-    pub plan_mode: PlanMode,
     /// Inert; see [`TransformKind`].
     #[doc(hidden)]
     pub transform: TransformKind,
@@ -96,8 +92,6 @@ impl PipelinedCpuConfig {
             threads,
             read_threads: 1,
             pool_size: None,
-            traversal: Traversal::ChainedDiagonal,
-            plan_mode: PlanMode::Estimate,
             transform: Default::default(),
             queue_floor: None,
         }
@@ -204,11 +198,6 @@ impl PipelinedCpuStitcher {
         self.trace = trace;
         self
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelinedCpuConfig {
-        &self.config
-    }
 }
 
 impl Stitcher for PipelinedCpuStitcher {
@@ -231,7 +220,7 @@ impl Stitcher for PipelinedCpuStitcher {
         let tracker = FaultTracker::new(shape);
         let planner = match &self.shared_planner {
             Some(p) => Arc::clone(p),
-            None => Arc::new(Planner::new(self.config.plan_mode)),
+            None => Arc::new(Planner::new(PlanMode::Estimate)),
         };
         let pool_size = self
             .config
@@ -275,7 +264,7 @@ impl Stitcher for PipelinedCpuStitcher {
             let mut pipeline = Pipeline::with_trace(trace.clone());
 
             // Stage 0 — feed tile ids in traversal order.
-            let ids = self.config.traversal.order(shape);
+            let ids = Traversal::ChainedDiagonal.order(shape);
             let w_ids = q_ids.writer();
             pipeline.add_source("traversal", move || {
                 for id in ids {

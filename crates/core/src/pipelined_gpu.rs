@@ -37,7 +37,6 @@
 //! cross-device traffic (the paper defers peer-to-peer copies to future
 //! work).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,27 +66,6 @@ pub struct PipelinedGpuConfig {
     /// Transform-pool buffers per device; `None` sizes from the grid
     /// partition.
     pub pool_size: Option<usize>,
-    /// Traversal order within each partition.
-    pub traversal: Traversal,
-    /// How boundary-column transforms reach the neighboring pipeline in
-    /// multi-GPU runs.
-    pub ghost_mode: GhostMode,
-}
-
-/// Boundary handling between per-GPU column bands.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum GhostMode {
-    /// Each pipeline re-reads and re-transforms the column west of its
-    /// band (simple, no cross-device traffic; one extra column of work
-    /// per GPU).
-    #[default]
-    Recompute,
-    /// The owning pipeline exports its boundary transforms and the
-    /// eastern neighbor copies them device-to-device — the peer-to-peer
-    /// scheme the paper lists as future work for >2-GPU machines (§VI-A:
-    /// "extracting performance from such a machine will require
-    /// peer-to-peer copies between the various cards").
-    PeerToPeer,
 }
 
 impl Default for PipelinedGpuConfig {
@@ -95,8 +73,6 @@ impl Default for PipelinedGpuConfig {
         PipelinedGpuConfig {
             ccf_threads: 4,
             pool_size: None,
-            traversal: Traversal::ChainedDiagonal,
-            ghost_mode: GhostMode::Recompute,
         }
     }
 }
@@ -120,73 +96,9 @@ struct ReadTile {
 enum ReadPayload {
     /// Freshly read pixels.
     Img(Arc<Image<u16>>),
-    /// Peer-to-peer ghost tile: the copier fetches the image and the
-    /// transform from the neighboring pipeline's export table.
-    Import,
     /// The tile could not be read; downstream stages pass the notice on
     /// so bookkeeping can write its pairs off.
     Failed,
-}
-
-/// A boundary transform published for the eastern neighbor pipeline.
-struct ExportedTile {
-    img: Arc<Image<u16>>,
-    buf: Arc<PooledBuffer<C64>>,
-    transformed: Event,
-}
-
-/// Cross-pipeline hand-off of boundary-column transforms (peer-to-peer
-/// ghost mode). Consumers block until the producer publishes. A `None`
-/// slot means the owner failed to produce that tile — publishing the
-/// failure (instead of nothing) is what keeps the importer from blocking
-/// forever on a tile that will never exist. The rendezvous is outside the
-/// pipeline's queues, so the pipeline's abort path calls
-/// [`ExportTable::abort`].
-#[derive(Default)]
-struct ExportTable {
-    state: Mutex<ExportState>,
-    cv: parking_lot::Condvar,
-}
-
-#[derive(Default)]
-struct ExportState {
-    slots: HashMap<TileId, Option<ExportedTile>>,
-    aborted: bool,
-}
-
-impl ExportTable {
-    fn publish(&self, id: TileId, tile: Option<ExportedTile>) {
-        let mut state = self.state.lock();
-        if !state.aborted {
-            state.slots.insert(id, tile);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocking take: removes and returns the export for `id` (`None` if
-    /// the owning pipeline could not read the tile, or the run aborted).
-    fn take(&self, id: TileId) -> Option<ExportedTile> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(t) = state.slots.remove(&id) {
-                return t;
-            }
-            if state.aborted {
-                return None;
-            }
-            self.cv.wait(&mut state);
-        }
-    }
-
-    /// Wakes every blocked [`ExportTable::take`] with `None` and drops the
-    /// parked exports (and every later one), releasing the device buffers
-    /// they pin.
-    fn abort(&self) {
-        let mut state = self.state.lock();
-        state.aborted = true;
-        state.slots.clear();
-        self.cv.notify_all();
-    }
 }
 
 /// Stage 2 → 3 payload.
@@ -207,10 +119,8 @@ struct CopiedTile {
     img: Arc<Image<u16>>,
     buf: Arc<PooledBuffer<C64>>,
     copied: Event,
-    /// The uploaded pixels stage 3 transforms into `buf`. `None` when
-    /// `buf` already holds the *transform* (peer-to-peer ghost import) —
-    /// stage 3 passes it through without another FFT.
-    staging: Option<PooledBuffer<u16>>,
+    /// The uploaded pixels stage 3 transforms into `buf`.
+    staging: PooledBuffer<u16>,
 }
 
 /// A tile whose forward transform is on the device.
@@ -309,11 +219,6 @@ impl PipelinedGpuStitcher {
         self
     }
 
-    /// Number of pipelines (devices).
-    pub fn gpu_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Registers one device's five stages on `pipeline`. Returns the
     /// closure that snapshots its queues' statistics after the run.
     #[allow(clippy::too_many_arguments)]
@@ -327,8 +232,6 @@ impl PipelinedGpuStitcher {
         live_peak: &'env AtomicUsize,
         tracker: &'env FaultTracker,
         policy: &'env FailurePolicy,
-        import_table: Option<Arc<ExportTable>>,
-        export_table: Option<Arc<ExportTable>>,
         q56: &Queue<CcfTask>,
     ) -> impl FnOnce(&TraceHandle) {
         let shape = source.shape();
@@ -352,9 +255,7 @@ impl PipelinedGpuStitcher {
 
         // traversal over the partition's columns (ghost included)
         let sub_shape = GridShape::new(shape.rows, part_cols);
-        let order: Vec<TileId> = self
-            .config
-            .traversal
+        let order: Vec<TileId> = Traversal::ChainedDiagonal
             .order(sub_shape)
             .into_iter()
             .map(|t| TileId::new(t.row, t.col + partition.read_lo()))
@@ -363,33 +264,27 @@ impl PipelinedGpuStitcher {
         let dev_id = device.id();
         let stage = |name: &str| format!("pipe{dev_id}/{name}");
 
-        // Stage 1 — read. In peer-to-peer ghost mode the ghost column is
-        // not read at all: the copier imports it from the neighbor.
+        // Stage 1 — read.
         {
             let w12 = q12.writer();
-            let p2p_ghosts = import_table.is_some();
             let track = stage("read");
             pipeline.add_source(&track.clone(), move || {
                 for id in order {
-                    let payload = if p2p_ghosts && id.col < partition.col_lo {
-                        ReadPayload::Import
-                    } else {
-                        let r0 = trace.now_ns();
-                        let loaded = tracker.load(source, id, &policy.retry);
-                        trace.record(
-                            &track,
-                            "io",
-                            format!("read r{}c{}", id.row, id.col),
-                            r0,
-                            trace.now_ns(),
-                        );
-                        match loaded {
-                            Some(img) => {
-                                counters.count_read();
-                                ReadPayload::Img(Arc::new(img))
-                            }
-                            None => ReadPayload::Failed,
+                    let r0 = trace.now_ns();
+                    let loaded = tracker.load(source, id, &policy.retry);
+                    trace.record(
+                        &track,
+                        "io",
+                        format!("read r{}c{}", id.row, id.col),
+                        r0,
+                        trace.now_ns(),
+                    );
+                    let payload = match loaded {
+                        Some(img) => {
+                            counters.count_read();
+                            ReadPayload::Img(Arc::new(img))
                         }
+                        None => ReadPayload::Failed,
                     };
                     if !w12.push(ReadTile { id, payload }) {
                         break;
@@ -419,42 +314,8 @@ impl PipelinedGpuStitcher {
                             img,
                             buf,
                             copied,
-                            staging: Some(staging),
+                            staging,
                         })
-                    }
-                    ReadPayload::Import => {
-                        // peer-to-peer ghost import: block until the
-                        // western pipeline publishes the transform, then
-                        // copy device-to-device
-                        let export = import_table
-                            .as_ref()
-                            .expect("ghost request implies import table")
-                            .take(t.id);
-                        match export {
-                            Some(export) => {
-                                let buf = Arc::new(pool.acquire());
-                                stream.wait_event(&export.transformed);
-                                let src = Arc::clone(&export.buf);
-                                let dst = buf.buffer().clone();
-                                stream.launch("p2p_ghost_import", move |tok| {
-                                    src.buffer().map(tok, |s| {
-                                        dst.map(tok, |d| d.copy_from_slice(s));
-                                    });
-                                    // `src` drops here: the producer's buffer
-                                    // may recycle only after the copy executed
-                                });
-                                let copied = stream.record_event();
-                                CopiedMsg::Tile(CopiedTile {
-                                    id: t.id,
-                                    img: export.img,
-                                    buf,
-                                    copied,
-                                    staging: None,
-                                })
-                            }
-                            // the neighbor never produced this tile
-                            None => CopiedMsg::Failed(t.id),
-                        }
                     }
                     ReadPayload::Failed => CopiedMsg::Failed(t.id),
                 };
@@ -475,44 +336,16 @@ impl PipelinedGpuStitcher {
                 let t = match msg {
                     CopiedMsg::Tile(t) => t,
                     CopiedMsg::Failed(id) => {
-                        // the eastern neighbor may be waiting on this
-                        // tile as its ghost: publish the failure so its
-                        // copier doesn't block forever
-                        if let Some(exports) = &export_table {
-                            if id.col + 1 == partition.col_hi {
-                                exports.publish(id, None);
-                            }
-                        }
                         w34.push(TransformedMsg::Failed(id));
                         return;
                     }
                 };
                 #[cfg(test)]
                 assert_ne!(Some(t.id), fft_panic_at, "injected fft-stage panic");
-                let transformed = match t.staging {
-                    // ghost import: the buffer already holds a transform
-                    None => t.copied,
-                    Some(staging) => {
-                        stream.wait_event(&t.copied);
-                        stream.fft2d_forward(&plan, staging, &real, t.buf.buffer());
-                        counters.count_forward_fft();
-                        stream.record_event()
-                    }
-                };
-                // publish boundary-column transforms for the eastern
-                // neighbor's ghost imports
-                if let Some(exports) = &export_table {
-                    if t.id.col + 1 == partition.col_hi {
-                        exports.publish(
-                            t.id,
-                            Some(ExportedTile {
-                                img: Arc::clone(&t.img),
-                                buf: Arc::clone(&t.buf),
-                                transformed: transformed.clone(),
-                            }),
-                        );
-                    }
-                }
+                stream.wait_event(&t.copied);
+                stream.fft2d_forward(&plan, t.staging, &real, t.buf.buffer());
+                counters.count_forward_fft();
+                let transformed = stream.record_event();
                 w34.push(TransformedMsg::Tile(TransformedTile {
                     id: t.id,
                     share: TransformedShare {
@@ -617,14 +450,6 @@ impl Stitcher for PipelinedGpuStitcher {
         let result = Mutex::new(StitchResult::empty(shape));
         let live_peak = AtomicUsize::new(0);
         let partitions = column_bands(shape.cols, self.devices.len());
-        // one export table per internal boundary (peer-to-peer mode only)
-        let tables: Vec<Arc<ExportTable>> = if self.config.ghost_mode == GhostMode::PeerToPeer {
-            (0..partitions.len().saturating_sub(1))
-                .map(|_| Arc::new(ExportTable::default()))
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Stage 6 is *shared* across the per-GPU pipelines (Fig 8 shows
         // every pipeline's Q56 feeding one CCF worker group), so every
@@ -635,15 +460,11 @@ impl Stitcher for PipelinedGpuStitcher {
         let joined = {
             let (counters, result) = (&counters, &result);
             let mut pipeline = Pipeline::with_trace(trace.clone());
-            for table in &tables {
-                pipeline.on_abort(|| table.abort());
-            }
             let queue_stats: Vec<_> = self
                 .devices
                 .iter()
                 .zip(&partitions)
-                .enumerate()
-                .map(|(p, (device, partition))| {
+                .map(|(device, partition)| {
                     self.add_device_stages(
                         &mut pipeline,
                         device,
@@ -653,8 +474,6 @@ impl Stitcher for PipelinedGpuStitcher {
                         &live_peak,
                         &tracker,
                         policy,
-                        (p > 0).then(|| tables.get(p - 1).cloned()).flatten(),
-                        tables.get(p).cloned(),
                         &q56,
                     )
                 })
@@ -790,12 +609,15 @@ mod tests {
     fn two_gpus_match_one() {
         let src = source(3, 6);
         let one = PipelinedGpuStitcher::single(device(0)).compute_displacements(&src);
-        let two =
-            PipelinedGpuStitcher::new(vec![device(0), device(1)], PipelinedGpuConfig::default())
-                .compute_displacements(&src);
+        let devices = vec![device(0), device(1)];
+        let two = PipelinedGpuStitcher::new(devices.clone(), PipelinedGpuConfig::default())
+            .compute_displacements(&src);
         assert!(two.is_complete());
         assert_eq!(two.west, one.west);
         assert_eq!(two.north, one.north);
+        for d in devices {
+            assert_eq!(d.memory_used(), 0, "device {}", d.id());
+        }
     }
 
     #[test]
@@ -843,64 +665,6 @@ mod tests {
             pipe_density > simple_density,
             "pipelined {pipe_density:.3} should beat simple {simple_density:.3}"
         );
-    }
-
-    #[test]
-    fn peer_to_peer_ghosts_match_recompute() {
-        let src = source(3, 7);
-        let recompute = PipelinedGpuStitcher::new(
-            vec![device(0), device(1), device(2)],
-            PipelinedGpuConfig::default(),
-        )
-        .compute_displacements(&src);
-        let p2p = PipelinedGpuStitcher::new(
-            vec![device(0), device(1), device(2)],
-            PipelinedGpuConfig {
-                ghost_mode: GhostMode::PeerToPeer,
-                ..PipelinedGpuConfig::default()
-            },
-        )
-        .compute_displacements(&src);
-        assert_eq!(p2p.west, recompute.west);
-        assert_eq!(p2p.north, recompute.north);
-        // p2p must not re-read or re-transform ghost columns: exactly one
-        // read and one forward FFT per grid tile
-        assert_eq!(p2p.ops.reads, 21);
-        assert_eq!(p2p.ops.forward_ffts, 21);
-        assert!(recompute.ops.forward_ffts > 21, "recompute pays ghost FFTs");
-    }
-
-    #[test]
-    fn peer_to_peer_single_gpu_is_noop() {
-        let src = source(2, 3);
-        let r = PipelinedGpuStitcher::new(
-            vec![device(0)],
-            PipelinedGpuConfig {
-                ghost_mode: GhostMode::PeerToPeer,
-                ..PipelinedGpuConfig::default()
-            },
-        )
-        .compute_displacements(&src);
-        assert!(r.is_complete());
-        assert_eq!(r.ops.forward_ffts, 6);
-    }
-
-    #[test]
-    fn peer_to_peer_releases_all_device_memory() {
-        let devs = vec![device(0), device(1)];
-        let handles: Vec<Device> = devs.clone();
-        let src = source(3, 6);
-        PipelinedGpuStitcher::new(
-            devs,
-            PipelinedGpuConfig {
-                ghost_mode: GhostMode::PeerToPeer,
-                ..PipelinedGpuConfig::default()
-            },
-        )
-        .compute_displacements(&src);
-        for d in handles {
-            assert_eq!(d.memory_used(), 0, "device {}", d.id());
-        }
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl SimpleCpuStitcher {
         self.trace = trace;
         self
     }
-
-    /// The traversal order in use.
-    pub fn traversal(&self) -> Traversal {
-        self.traversal
-    }
 }
 
 impl Stitcher for SimpleCpuStitcher {

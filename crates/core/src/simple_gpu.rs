@@ -29,9 +29,6 @@ use crate::types::Displacement;
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
     device: Device,
-    traversal: Traversal,
-    /// Device buffers in the transform pool; `None` sizes from the grid.
-    pool_size: Option<usize>,
     trace: TraceHandle,
 }
 
@@ -45,16 +42,8 @@ impl SimpleGpuStitcher {
     pub fn new(device: Device) -> SimpleGpuStitcher {
         SimpleGpuStitcher {
             device,
-            traversal: Traversal::ChainedDiagonal,
-            pool_size: None,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Overrides the device buffer-pool size.
-    pub fn with_pool_size(mut self, pool_size: usize) -> SimpleGpuStitcher {
-        self.pool_size = Some(pool_size);
-        self
     }
 
     /// Records host read spans into `trace` and, at the end of the run,
@@ -89,10 +78,7 @@ impl Stitcher for SimpleGpuStitcher {
 
         // §IV-A: "allocates a pool of buffers in GPU memory for FFT
         // transforms ... to help manage the limited memory available"
-        let pool_size = self
-            .pool_size
-            .unwrap_or(2 * shape.rows.min(shape.cols) + 4)
-            .max(4);
+        let pool_size = 2 * shape.rows.min(shape.cols) + 4;
         let spectrum_len = PciamContext::spectrum_len(w, h);
         let pool = self
             .device
@@ -115,7 +101,7 @@ impl Stitcher for SimpleGpuStitcher {
         let mut indices: Vec<usize> = Vec::with_capacity(DEFAULT_PEAK_COUNT);
         let mut scored: Vec<(f64, Displacement)> = Vec::new();
 
-        for id in self.traversal.order(shape) {
+        for id in Traversal::ChainedDiagonal.order(shape) {
             // read tile (host), copy synchronously, transform
             let r0 = self.trace.now_ns();
             let loaded = tracker.load(source, id, &policy.retry);
@@ -250,15 +236,5 @@ mod tests {
                 .peak_concurrency(stitch_gpu::SpanKind::Kernel),
             1
         );
-    }
-
-    #[test]
-    fn tiny_pool_still_completes() {
-        let src = source(2, 4);
-        let r = SimpleGpuStitcher::new(device())
-            .with_pool_size(6)
-            .compute_displacements(&src);
-        assert!(r.is_complete());
-        assert!(r.peak_live_tiles <= 6);
     }
 }

@@ -41,8 +41,7 @@ pub struct MemorySource {
 
 impl MemorySource {
     /// Wraps a row-major tile vector. Panics on an empty grid or a
-    /// count/dimension mismatch; use [`try_new`](MemorySource::try_new)
-    /// for the error-returning form.
+    /// count/dimension mismatch.
     pub fn new(shape: GridShape, tiles: Vec<Image<u16>>) -> MemorySource {
         MemorySource::try_new(shape, tiles).unwrap_or_else(|e| panic!("invalid MemorySource: {e}"))
     }
@@ -50,7 +49,7 @@ impl MemorySource {
     /// Wraps a row-major tile vector, rejecting an empty grid (which
     /// would otherwise masquerade as a 0×0-tile source) and mismatched
     /// dimensions.
-    pub fn try_new(shape: GridShape, tiles: Vec<Image<u16>>) -> Result<MemorySource, SourceError> {
+    fn try_new(shape: GridShape, tiles: Vec<Image<u16>>) -> Result<MemorySource, SourceError> {
         if tiles.is_empty() {
             return Err(SourceError::EmptyGrid);
         }

@@ -82,12 +82,6 @@ impl BluesteinPlan {
         self.direction
     }
 
-    /// Inner convolution length (power of two).
-    #[inline]
-    pub fn conv_len(&self) -> usize {
-        self.m
-    }
-
     /// Executes the transform out-of-place; `input` is left untouched.
     /// Allocation-free at steady state: the two length-`m` convolution
     /// buffers come from the thread-local [`crate::scratch`] pool.
@@ -177,8 +171,8 @@ mod tests {
     fn conv_len_is_pow2_and_big_enough() {
         for n in [7usize, 31, 97, 1000] {
             let p = BluesteinPlan::new(n, Direction::Forward);
-            assert!(p.conv_len().is_power_of_two());
-            assert!(p.conv_len() >= 2 * n - 1);
+            assert!(p.m.is_power_of_two());
+            assert!(p.m >= 2 * n - 1);
         }
     }
 

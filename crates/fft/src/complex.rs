@@ -35,7 +35,7 @@ impl C64 {
 
     /// Builds a complex number from polar coordinates.
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> C64 {
+    fn from_polar(r: f64, theta: f64) -> C64 {
         let (s, c) = theta.sin_cos();
         c64(r * c, r * s)
     }
@@ -93,12 +93,6 @@ impl C64 {
     #[inline(always)]
     pub fn scale(self, s: f64) -> C64 {
         c64(self.re * s, self.im * s)
-    }
-
-    /// True if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 
     /// True if both components are finite.

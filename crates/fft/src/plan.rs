@@ -106,19 +106,9 @@ impl Planner {
         }
     }
 
-    /// The planner's search mode.
-    pub fn mode(&self) -> PlanMode {
-        self.mode
-    }
-
     /// Total time spent planning so far, in nanoseconds.
     pub fn planning_nanos(&self) -> u128 {
         *self.planning_nanos.lock().unwrap()
-    }
-
-    /// Number of distinct plans in the cache.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.lock().unwrap().len()
     }
 
     /// Returns the plan for `(n, dir)`, planning and caching it on first use.
@@ -283,9 +273,9 @@ mod tests {
         let a = p.plan(256, Direction::Forward);
         let b = p.plan(256, Direction::Forward);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(p.cached_plans(), 1);
+        assert_eq!(p.cache.lock().unwrap().len(), 1);
         p.plan(256, Direction::Inverse);
-        assert_eq!(p.cached_plans(), 2);
+        assert_eq!(p.cache.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl MixedRadixPlan {
         self.direction
     }
 
-    /// The radix schedule this plan executes.
-    pub fn schedule(&self) -> &[usize] {
-        &self.schedule
-    }
-
     /// Executes the transform out-of-place. `input` is left untouched.
     ///
     /// Panics if the slice lengths differ from the plan length.

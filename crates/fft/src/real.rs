@@ -195,7 +195,7 @@ impl RealFft2d {
     }
 
     /// Spectrum width `w/2 + 1`.
-    pub fn spectrum_width(&self) -> usize {
+    fn spectrum_width(&self) -> usize {
         spectrum_len(self.width)
     }
 

@@ -35,11 +35,6 @@ use crate::stream::Stream;
 pub struct DeviceConfig {
     /// Device memory capacity in bytes (C2070: 6 GB GDDR5).
     pub memory_bytes: usize,
-    /// Maximum concurrently executing kernels (Fermi: 16).
-    pub kernel_slots: usize,
-    /// Whether FFT kernels are serialized device-wide (true on Fermi +
-    /// cuFFT 5.5 due to register pressure — §IV-B).
-    pub serialize_fft: bool,
     /// Simulated host→device bandwidth in bytes/s; `None` disables the
     /// transfer-time model (copies still cost the memcpy itself).
     pub h2d_bytes_per_sec: Option<f64>,
@@ -57,12 +52,13 @@ pub struct DeviceConfig {
     pub stream_slots: Option<usize>,
 }
 
+/// Maximum concurrently executing kernels (Fermi: 16).
+const KERNEL_SLOTS: usize = 16;
+
 impl Default for DeviceConfig {
     fn default() -> Self {
         DeviceConfig {
             memory_bytes: 6 * 1024 * 1024 * 1024, // Tesla C2070
-            kernel_slots: 16,
-            serialize_fft: true,
             h2d_bytes_per_sec: None,
             d2h_bytes_per_sec: None,
             launch_overhead: Duration::ZERO,
@@ -81,17 +77,6 @@ impl DeviceConfig {
             h2d_bytes_per_sec: Some(6.0e9),
             d2h_bytes_per_sec: Some(5.0e9),
             launch_overhead: Duration::from_micros(10),
-            ..DeviceConfig::default()
-        }
-    }
-
-    /// The paper's §VI-A projection: a Kepler GK110-class device whose
-    /// Hyper-Q hardware scheduler lifts the Fermi FFT serialization and
-    /// lets multiple host threads issue concurrent kernels.
-    pub fn kepler_gk110() -> DeviceConfig {
-        DeviceConfig {
-            serialize_fft: false,
-            kernel_slots: 32,
             ..DeviceConfig::default()
         }
     }
@@ -136,7 +121,7 @@ impl Device {
             inner: Arc::new(DeviceInner {
                 id,
                 ledger: Arc::new(MemoryLedger::new(config.memory_bytes)),
-                kernel_slots: Semaphore::new(config.kernel_slots.max(1)),
+                kernel_slots: Semaphore::new(KERNEL_SLOTS),
                 h2d_engine: Semaphore::new(1),
                 d2h_engine: Semaphore::new(1),
                 fft_lock: Mutex::new(()),
@@ -156,11 +141,6 @@ impl Device {
     /// Device id.
     pub fn id(&self) -> usize {
         self.inner.id
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.inner.config
     }
 
     /// The device's timeline profiler (Fig 7/9 recorder).
@@ -215,7 +195,7 @@ impl Device {
     }
 
     /// Device memory capacity in bytes.
-    pub fn memory_capacity(&self) -> usize {
+    fn memory_capacity(&self) -> usize {
         self.inner.ledger.capacity
     }
 
@@ -233,16 +213,6 @@ impl Device {
     pub fn lease_stream(&self, name: &str) -> crate::lease::StreamLease {
         let permit = self.inner.stream_slots.as_ref().map(|s| s.acquire_owned());
         crate::lease::StreamLease::grant(self, name, permit)
-    }
-
-    /// Non-blocking [`Device::lease_stream`]: `None` when every slot is
-    /// taken.
-    pub fn try_lease_stream(&self, name: &str) -> Option<crate::lease::StreamLease> {
-        let permit = match &self.inner.stream_slots {
-            Some(s) => Some(s.try_acquire_owned()?),
-            None => None,
-        };
-        Some(crate::lease::StreamLease::grant(self, name, permit))
     }
 
     /// Streams currently on lease (created through
@@ -280,7 +250,6 @@ mod tests {
     fn defaults_model_c2070() {
         let d = Device::new(0, DeviceConfig::default());
         assert_eq!(d.memory_capacity(), 6 * 1024 * 1024 * 1024);
-        assert!(d.config().serialize_fft);
         assert_eq!(d.memory_used(), 0);
     }
 

@@ -83,6 +83,10 @@ mod tests {
     use crate::device::DeviceConfig;
     use std::sync::Arc;
 
+    fn free_slots(d: &Device) -> usize {
+        d.inner.stream_slots.as_ref().expect("bounded").available()
+    }
+
     #[test]
     fn lease_counters_track_grant_and_drop() {
         let d = Device::new(0, DeviceConfig::small(1 << 20));
@@ -105,10 +109,9 @@ mod tests {
         };
         let d = Device::new(0, cfg);
         let held = d.lease_stream("first");
-        assert!(d.try_lease_stream("second").is_none(), "slot is taken");
+        assert_eq!(free_slots(&d), 0, "slot is taken");
         drop(held);
-        let again = d.try_lease_stream("second").expect("slot freed on drop");
-        drop(again);
+        assert_eq!(free_slots(&d), 1, "slot freed on drop");
         assert_eq!(d.active_stream_leases(), 0);
     }
 
@@ -135,6 +138,6 @@ mod tests {
             panic!("job failure mid-lease");
         });
         assert_eq!(d.active_stream_leases(), 0, "unwind must free the lease");
-        drop(d.try_lease_stream("next").expect("slot must be free again"));
+        assert_eq!(free_slots(&d), 1, "slot must be free again");
     }
 }

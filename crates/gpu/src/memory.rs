@@ -220,15 +220,6 @@ impl<T> BufferPool<T> {
         }
     }
 
-    /// Leases a buffer only if one is immediately free.
-    pub fn try_acquire(&self) -> Option<PooledBuffer<T>> {
-        let buf = self.inner.free.lock().pop()?;
-        Some(PooledBuffer {
-            buf: Some(buf),
-            pool: Arc::clone(&self.inner),
-        })
-    }
-
     /// Buffers currently free.
     pub fn available(&self) -> usize {
         self.inner.free.lock().len()
@@ -330,7 +321,6 @@ mod tests {
         let pool: BufferPool<u8> = BufferPool::create(&l, 16, 2).unwrap();
         let a = pool.acquire();
         let _b = pool.acquire();
-        assert!(pool.try_acquire().is_none());
         assert_eq!(pool.available(), 0);
         let pool2 = pool.clone();
         let h = thread::spawn(move || {

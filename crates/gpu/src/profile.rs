@@ -27,7 +27,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// One-character glyph for timeline rendering.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             SpanKind::H2D => '>',
             SpanKind::D2H => '<',
@@ -198,28 +198,6 @@ impl Profiler {
         }
     }
 
-    /// Density of one span kind over that kind's **own observation window**
-    /// — first start to last end of spans of `kind` only. Unlike
-    /// [`Profiler::kernel_density`], activity of other kinds neither widens
-    /// nor dilutes the window, so `density_of(SpanKind::D2H)` answers "how
-    /// gappy were the D2H copies among themselves", independent of how much
-    /// kernel work surrounded them.
-    pub fn density_of(&self, kind: SpanKind) -> f64 {
-        let intervals: Vec<(u64, u64)> = self
-            .spans
-            .lock()
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| (s.start_ns, s.end_ns))
-            .collect();
-        let t0 = intervals.iter().map(|&(s, _)| s).min();
-        let t1 = intervals.iter().map(|&(_, e)| e).max();
-        match (t0, t1) {
-            (Some(t0), Some(t1)) => Self::density_in_window(intervals, t0, t1),
-            _ => 0.0,
-        }
-    }
-
     /// Fraction of `[t0, t1]` covered by the union of `intervals`.
     fn density_in_window(mut intervals: Vec<(u64, u64)>, t0: u64, t1: u64) -> f64 {
         if intervals.is_empty() || t1 == t0 {
@@ -351,31 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn density_of_uses_kind_filtered_window() {
-        let p = Profiler::new();
-        // A long kernel surrounds two short D2H copies. The D2H density
-        // must be judged over the D2H window [100,400] only — 200/300 —
-        // not diluted to 200/1000 by the kernel span.
-        p.record("exec", SpanKind::Kernel, "k", 0, 1000);
-        p.record("copy", SpanKind::D2H, "a", 100, 200);
-        p.record("copy", SpanKind::D2H, "b", 300, 400);
-        assert!((p.density_of(SpanKind::D2H) - 200.0 / 300.0).abs() < 1e-9);
-        // and the kernel, over its own window, is gapless
-        assert!((p.density_of(SpanKind::Kernel) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn kernel_density_keeps_full_run_window() {
         let p = Profiler::new();
         // h2d [0,100] → kernel [100,200] → d2h [200,400]: the kernel is
-        // gapless among kernels (density_of = 1) but covers only a quarter
-        // of the run (kernel_density = 0.25) — the paper's metric must see
-        // the copy gaps.
+        // gapless among kernels but covers only a quarter of the run
+        // (kernel_density = 0.25) — the paper's metric must see the copy
+        // gaps.
         p.record("copy", SpanKind::H2D, "up", 0, 100);
         p.record("exec", SpanKind::Kernel, "k", 100, 200);
         p.record("copy", SpanKind::D2H, "down", 200, 400);
         assert!((p.kernel_density() - 0.25).abs() < 1e-9);
-        assert!((p.density_of(SpanKind::Kernel) - 1.0).abs() < 1e-9);
     }
 
     #[test]

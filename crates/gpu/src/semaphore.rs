@@ -29,17 +29,6 @@ impl Semaphore {
         SemaphoreGuard { sem: self }
     }
 
-    /// Takes a permit if one is free.
-    pub fn try_acquire(&self) -> Option<SemaphoreGuard<'_>> {
-        let mut p = self.permits.lock();
-        if *p == 0 {
-            None
-        } else {
-            *p -= 1;
-            Some(SemaphoreGuard { sem: self })
-        }
-    }
-
     /// Currently available permits.
     pub fn available(&self) -> usize {
         *self.permits.lock()
@@ -58,20 +47,6 @@ impl Semaphore {
         drop(p);
         OwnedPermit {
             sem: std::sync::Arc::clone(self),
-        }
-    }
-
-    /// Non-blocking [`Semaphore::acquire_owned`].
-    pub fn try_acquire_owned(self: &std::sync::Arc<Self>) -> Option<OwnedPermit> {
-        let mut p = self.permits.lock();
-        if *p == 0 {
-            None
-        } else {
-            *p -= 1;
-            drop(p);
-            Some(OwnedPermit {
-                sem: std::sync::Arc::clone(self),
-            })
         }
     }
 
@@ -114,9 +89,9 @@ mod tests {
         let s = Semaphore::new(2);
         let g1 = s.acquire();
         let g2 = s.acquire();
-        assert!(s.try_acquire().is_none());
+        assert_eq!(s.available(), 0);
         drop(g1);
-        assert!(s.try_acquire().is_some());
+        assert_eq!(s.available(), 1);
         drop(g2);
         assert_eq!(s.available(), 2);
     }

@@ -51,11 +51,6 @@ impl<T> HostFuture<T> {
             .recv()
             .expect("device stream dropped before completing copy")
     }
-
-    /// Returns the value if already produced.
-    pub fn try_get(&self) -> Option<T> {
-        self.rx.try_recv().ok()
-    }
 }
 
 struct EventState {
@@ -91,11 +86,6 @@ impl Event {
         while !*done {
             self.state.cv.wait(&mut done);
         }
-    }
-
-    /// True once the event has fired.
-    pub fn is_ready(&self) -> bool {
-        *self.state.done.lock()
     }
 }
 
@@ -147,12 +137,10 @@ impl Stream {
                             if let Some(fault) = &dev.fault {
                                 fault.gate(kind, &name);
                             }
+                            // Fermi + cuFFT 5.5: one FFT kernel at a time
+                            // device-wide (register pressure, §IV-B)
                             let _fft_guard =
-                                if kind == SpanKind::Kernel && is_fft && dev.config.serialize_fft {
-                                    Some(dev.fft_lock.lock())
-                                } else {
-                                    None
-                                };
+                                (kind == SpanKind::Kernel && is_fft).then(|| dev.fft_lock.lock());
                             if kind == SpanKind::Kernel && !dev.config.launch_overhead.is_zero() {
                                 spin_sleep(dev.config.launch_overhead);
                             }
@@ -235,7 +223,7 @@ impl Stream {
     /// Asynchronous device→host copy of `len` elements starting at
     /// `offset` (the pipelined implementation copies back only the max
     /// index — "a single scalar", §IV-B).
-    pub fn d2h_range<T: Copy + Default + Send + 'static>(
+    fn d2h_range<T: Copy + Default + Send + 'static>(
         &self,
         src: &DeviceBuffer<T>,
         offset: usize,
@@ -388,7 +376,7 @@ mod tests {
         b.wait_event(&ev);
         let read = b.d2h(&buf).wait();
         assert_eq!(read[0], 42, "b must observe a's write");
-        assert!(ev.is_ready());
+        assert!(*ev.state.done.lock());
     }
 
     #[test]
@@ -519,9 +507,10 @@ mod tests {
         let s = dev.create_stream("s0");
         s.launch("sleep", |_| std::thread::sleep(Duration::from_millis(15)));
         let ev = s.record_event();
-        assert!(!ev.is_ready(), "event should not fire before the kernel");
+        let fired = || *ev.state.done.lock();
+        assert!(!fired(), "event should not fire before the kernel");
         ev.wait();
-        assert!(ev.is_ready());
+        assert!(fired());
     }
 
     #[test]

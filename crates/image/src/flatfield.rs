@@ -68,13 +68,8 @@ impl FlatField {
         self.falloff
     }
 
-    /// Dark-field offset.
-    pub fn dark(&self) -> f64 {
-        self.dark
-    }
-
     /// Bright-field gain at a pixel (1 at the optical center).
-    pub fn gain_at(&self, x: usize, y: usize) -> f64 {
+    fn gain_at(&self, x: usize, y: usize) -> f64 {
         if self.falloff == 0.0 {
             return 1.0;
         }

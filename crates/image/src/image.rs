@@ -170,11 +170,6 @@ impl<T: Copy + Default> Image<T> {
 }
 
 impl Image<u16> {
-    /// Converts pixels to `f64`.
-    pub fn to_f64(&self) -> Image<f64> {
-        self.map(|v| v as f64)
-    }
-
     /// Mean pixel value.
     pub fn mean(&self) -> f64 {
         if self.data.is_empty() {
@@ -183,40 +178,10 @@ impl Image<u16> {
         self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
     }
 
-    /// `(min, max)` pixel values; `(0, 0)` for an empty image.
-    pub fn min_max(&self) -> (u16, u16) {
-        let mut lo = u16::MAX;
-        let mut hi = 0u16;
-        for &v in &self.data {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if self.data.is_empty() {
-            (0, 0)
-        } else {
-            (lo, hi)
-        }
-    }
-
     /// Approximate in-memory footprint in bytes (the paper tracks this:
     /// 1392×1040×2 B = 2.76 MB per tile).
     pub fn byte_size(&self) -> usize {
         self.data.len() * 2
-    }
-}
-
-impl Image<f64> {
-    /// Mean pixel value.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f64>() / self.data.len() as f64
-    }
-
-    /// Clamps to `[0, 65535]` and rounds to `u16`.
-    pub fn to_u16_clamped(&self) -> Image<u16> {
-        self.map(|v| v.clamp(0.0, 65535.0).round() as u16)
     }
 }
 
@@ -279,22 +244,7 @@ mod tests {
     fn stats() {
         let img = Image::from_vec(2, 2, vec![1u16, 3, 5, 7]);
         assert_eq!(img.mean(), 4.0);
-        assert_eq!(img.min_max(), (1, 7));
         assert_eq!(img.byte_size(), 8);
-    }
-
-    #[test]
-    fn map_and_round_trip_f64() {
-        let img = Image::from_vec(2, 2, vec![0u16, 100, 60000, 65535]);
-        let f = img.to_f64();
-        let back = f.to_u16_clamped();
-        assert_eq!(img, back);
-    }
-
-    #[test]
-    fn clamping() {
-        let f = Image::from_vec(2, 1, vec![-5.0, 70000.0]);
-        assert_eq!(f.to_u16_clamped().pixels(), &[0, 65535]);
     }
 
     #[test]
@@ -302,7 +252,6 @@ mod tests {
         let img: Image<u16> = Image::new(0, 0);
         assert!(img.is_empty());
         assert_eq!(img.mean(), 0.0);
-        assert_eq!(img.min_max(), (0, 0));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! use stitch_image::opts::Options;
 //! let mut o = Options::from_pairs("name=a grid=2x3 threads=2".split_whitespace()).unwrap();
 //! assert_eq!(o.take::<String>("name").unwrap().as_deref(), Some("a"));
-//! assert_eq!(o.take_pair("grid", 'x').unwrap(), Some((2, 3)));
-//! assert!(o.finish().unwrap_err().contains("unknown key 'threads'"));
+//! assert_eq!(o.take_count("threads").unwrap(), Some(2));
+//! assert!(o.finish().unwrap_err().contains("unknown key 'grid'"));
 //! ```
 
 use std::fmt::Display;
@@ -134,7 +134,7 @@ impl<'a> Options<'a> {
     }
 
     /// Reads `key=A<sep>B` (e.g. `grid=4x5`).
-    pub fn take_pair(&mut self, key: &str, sep: char) -> Result<Option<(usize, usize)>, String> {
+    fn take_pair(&mut self, key: &str, sep: char) -> Result<Option<(usize, usize)>, String> {
         let Some(value) = self.raw(key) else {
             return Ok(None);
         };

@@ -247,7 +247,7 @@ impl Scene {
     /// plate-fixed texture are depth-independent; cells defocus with their
     /// distance from the plane. For flat scenes this equals
     /// [`Scene::intensity`] at every plane.
-    pub fn intensity_at_plane(&self, px: f64, py: f64, plane: f64) -> f64 {
+    fn intensity_at_plane(&self, px: f64, py: f64, plane: f64) -> f64 {
         let mut v = self.params.background
             + self.params.illumination_amplitude
                 * ((2.0 * PI * px / self.width).sin() * (2.0 * PI * py / self.height).cos());
@@ -480,7 +480,7 @@ impl ScanConfig {
     }
 
     /// Plate size needed to cover the whole scan with a safety margin.
-    pub fn plate_dims(&self) -> (f64, f64) {
+    fn plate_dims(&self) -> (f64, f64) {
         (
             self.step_x() * (self.grid_cols.max(1) - 1) as f64
                 + self.tile_width as f64
@@ -625,26 +625,6 @@ impl SyntheticPlate {
     /// collide on disk.
     pub fn tile_file_name(channel: usize, plane: usize, row: usize, col: usize) -> String {
         format!("img_c{channel:02}_z{plane:02}_r{row:03}_c{col:03}.tif")
-    }
-
-    /// Parses a tile file name back into `(channel, plane, row, col)`.
-    /// Accepts both the current four-field names and the legacy
-    /// `img_rRRR_cCCC.tif` single-channel form (mapped to channel 0,
-    /// plane 0). Returns `None` for anything else.
-    pub fn parse_tile_file_name(name: &str) -> Option<(usize, usize, usize, usize)> {
-        let stem = name.strip_suffix(".tif")?.strip_prefix("img_")?;
-        let fields: Vec<&str> = stem.split('_').collect();
-        let field = |s: &str, tag: char| -> Option<usize> { s.strip_prefix(tag)?.parse().ok() };
-        match fields.as_slice() {
-            [c, z, r, cc] => Some((
-                field(c, 'c')?,
-                field(z, 'z')?,
-                field(r, 'r')?,
-                field(cc, 'c')?,
-            )),
-            [r, cc] => Some((0, 0, field(r, 'r')?, field(cc, 'c')?)),
-            _ => None,
-        }
     }
 
     /// Writes every tile as TIFF plus a `manifest.tsv` with the ground
@@ -1221,29 +1201,15 @@ mod tests {
     }
 
     #[test]
-    fn tile_file_name_round_trip() {
-        for (ch, z, r, c) in [(0, 0, 0, 0), (2, 3, 41, 58), (11, 7, 999, 1)] {
-            let name = SyntheticPlate::tile_file_name(ch, z, r, c);
-            assert_eq!(
-                SyntheticPlate::parse_tile_file_name(&name),
-                Some((ch, z, r, c)),
-                "{name}"
-            );
-        }
+    fn tile_file_names_carry_the_full_identity() {
+        assert_eq!(
+            SyntheticPlate::tile_file_name(2, 3, 41, 58),
+            "img_c02_z03_r041_c058.tif"
+        );
         // distinct identities never collide on disk
         assert_ne!(
             SyntheticPlate::tile_file_name(0, 1, 2, 3),
             SyntheticPlate::tile_file_name(1, 0, 2, 3)
-        );
-        // legacy single-channel names still parse
-        assert_eq!(
-            SyntheticPlate::parse_tile_file_name("img_r004_c017.tif"),
-            Some((0, 0, 4, 17))
-        );
-        assert_eq!(SyntheticPlate::parse_tile_file_name("whatever.tif"), None);
-        assert_eq!(
-            SyntheticPlate::parse_tile_file_name("img_r004_c017.png"),
-            None
         );
     }
 

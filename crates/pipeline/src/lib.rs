@@ -28,10 +28,8 @@
 
 #![warn(missing_docs)]
 
-pub mod pool;
 pub mod queue;
 pub mod stage;
 
-pub use pool::{PoolSubmitter, WorkerPool};
 pub use queue::{Queue, QueueMetrics, QueueWriter};
 pub use stage::{Pipeline, PipelineError, StageReport};

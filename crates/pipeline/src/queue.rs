@@ -128,33 +128,6 @@ impl<T> Queue<T> {
         item
     }
 
-    /// Non-blocking push; `Err(item)` when full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut st = self.inner.state.lock();
-        if st.closed || st.items.len() >= self.inner.capacity {
-            return Err(item);
-        }
-        st.items.push_back(item);
-        let len = st.items.len() as u64;
-        drop(st);
-        self.inner.pushed.fetch_add(1, Ordering::Relaxed);
-        self.inner.high_water.fetch_max(len, Ordering::Relaxed);
-        self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = self.inner.state.lock();
-        let item = st.items.pop_front();
-        drop(st);
-        if item.is_some() {
-            self.inner.popped.fetch_add(1, Ordering::Relaxed);
-            self.inner.not_full.notify_one();
-        }
-        item
-    }
-
     /// Closes the queue: producers fail fast, consumers drain what's left.
     /// Idempotent.
     pub fn close(&self) {
@@ -193,11 +166,6 @@ impl<T> Queue<T> {
     /// Capacity bound.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
-    }
-
-    /// True once closed (explicitly or by the last writer dropping).
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().closed
     }
 
     /// Lifetime counters for observability.
@@ -270,20 +238,17 @@ impl<T> Drop for QueueWriter<T> {
 
 /// Snapshot of a queue's lifetime counters.
 ///
-/// The blocking (`push`/`pop`) and non-blocking (`try_push`/`try_pop`)
-/// paths share one set of counters with uniform semantics: traffic
-/// counters (`pushed`, `popped`, `high_water`) advance on every
-/// *successful* operation regardless of path, while the block-time
-/// counters are charged only by *blocking calls that succeeded* — `try_*`
-/// never blocks and never charges, a push refused by a closed queue
-/// charges nothing, and the final `None` a consumer sees after close
-/// charges nothing (shutdown is not contention).
+/// Traffic counters (`pushed`, `popped`, `high_water`) advance on every
+/// *successful* operation, and the block-time counters are charged only
+/// by *calls that succeeded* — a push refused by a closed queue charges
+/// nothing, and the final `None` a consumer sees after close charges
+/// nothing (shutdown is not contention).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueMetrics {
-    /// Items successfully enqueued, via `push` or `try_push`.
+    /// Items successfully enqueued.
     pub pushed: u64,
-    /// Items successfully dequeued, via `pop` or `try_pop`. Pops that
-    /// returned `None` are not counted.
+    /// Items successfully dequeued. Pops that returned `None` are not
+    /// counted.
     pub popped: u64,
     /// Maximum queue depth observed immediately after any push.
     pub high_water: usize,
@@ -310,9 +275,9 @@ mod tests {
             assert!(q.push(i));
         }
         for i in 0..5 {
-            assert_eq!(q.try_pop(), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
-        assert_eq!(q.try_pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -332,12 +297,13 @@ mod tests {
         let q: Queue<u32> = Queue::new(4);
         let w1 = q.writer();
         let w2 = w1.clone();
-        assert!(!q.is_closed());
+        let is_closed = || q.inner.state.lock().closed;
+        assert!(!is_closed());
         drop(w1);
-        assert!(!q.is_closed());
+        assert!(!is_closed());
         w2.push(9);
         drop(w2);
-        assert!(q.is_closed());
+        assert!(is_closed());
         assert_eq!(q.pop(), Some(9));
         assert_eq!(q.pop(), None);
     }
@@ -347,7 +313,6 @@ mod tests {
         let q = Queue::new(2);
         q.push(0);
         q.push(1);
-        assert!(q.try_push(2).is_err());
         let q2 = q.clone();
         let h = thread::spawn(move || q2.push(2)); // blocks until a pop
         thread::sleep(Duration::from_millis(30));
@@ -454,7 +419,6 @@ mod tests {
         // counter untouched — shutdown is not contention.
         for _ in 0..3 {
             assert_eq!(q.pop(), None);
-            assert_eq!(q.try_pop(), None);
         }
         let after = q.metrics();
         assert_eq!(after.popped, before.popped);
@@ -480,30 +444,10 @@ mod tests {
         let q = Queue::new(2);
         q.close();
         assert!(!q.push(7));
-        assert!(q.try_push(8).is_err());
         let m = q.metrics();
         assert_eq!(m.pushed, 0);
         assert_eq!(m.high_water, 0);
         assert_eq!(m.producer_block_nanos, 0);
-    }
-
-    #[test]
-    fn metrics_try_and_blocking_paths_agree() {
-        // The same traffic through either path yields identical traffic
-        // counters, and the try path never charges block time.
-        let a = Queue::new(4);
-        a.push(1);
-        a.push(2);
-        a.pop();
-        let b = Queue::new(4);
-        b.try_push(1).unwrap();
-        b.try_push(2).unwrap();
-        b.try_pop();
-        let (ma, mb) = (a.metrics(), b.metrics());
-        assert_eq!((ma.pushed, ma.popped, ma.high_water), (2, 1, 2));
-        assert_eq!((mb.pushed, mb.popped, mb.high_water), (2, 1, 2));
-        assert_eq!(mb.producer_block_nanos, 0);
-        assert_eq!(mb.consumer_block_nanos, 0);
     }
 
     #[test]
@@ -577,7 +521,7 @@ mod tests {
             let m = q.metrics();
             assert_eq!(m.pushed, items as u64, "seed={seed}");
             assert_eq!(m.popped, items as u64, "seed={seed}");
-            assert!(q.is_closed(), "seed={seed}");
+            assert!(q.inner.state.lock().closed, "seed={seed}");
             if items == 0 {
                 // every consumer waited out the close with no item: none of
                 // that waiting is contention, so nothing may be charged

@@ -28,8 +28,8 @@
 //! a device buffer). So the first contained panic **aborts the whole
 //! pipeline**: every registered input queue is poison-closed
 //! ([`Queue::abort`]) — blocked pushes and pops return, parked items are
-//! dropped and release what they hold — and every [`Pipeline::on_abort`]
-//! hook runs, so every worker falls out of its loop, and [`Pipeline::join`] reports the panic as a [`PipelineError`]
+//! dropped and release what they hold — every worker falls out of its
+//! loop, and [`Pipeline::join`] reports the panic as a [`PipelineError`]
 //! instead of unwinding into the caller.
 
 use std::fmt;
@@ -119,8 +119,7 @@ struct Stage<'env> {
 #[derive(Default)]
 pub struct Pipeline<'env> {
     stages: Vec<Stage<'env>>,
-    /// One per stage input (poison-closes that queue), plus the
-    /// caller's [`Pipeline::on_abort`] hooks.
+    /// One per stage input: poison-closes that queue.
     aborts: Vec<Box<dyn Fn() + Send + Sync + 'env>>,
     trace: TraceHandle,
 }
@@ -230,14 +229,6 @@ impl<'env> Pipeline<'env> {
             })],
             metrics,
         });
-    }
-
-    /// Registers `hook` to run when a contained panic aborts the pipeline,
-    /// alongside the poison-close of every stage input. For rendezvous
-    /// *outside* the queues that a stage body can block on: the hook must
-    /// wake the blocked body and make it return.
-    pub fn on_abort(&mut self, hook: impl Fn() + Send + Sync + 'env) {
-        self.aborts.push(Box::new(hook));
     }
 
     /// Runs the pipeline: starts every worker of every stage on a scoped

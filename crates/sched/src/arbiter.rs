@@ -11,15 +11,16 @@
 //!   job; the planner itself caches plans keyed by size, so concurrent
 //!   jobs with equal tile dims pay plan construction once.
 //! * **Spectrum pools** — bounded [`SpectrumPool`]s handed to jobs as
-//!   lease quotas; the arbiter keeps a registry so tests can assert no
-//!   job leaked a lease.
+//!   lease quotas; the arbiter keeps a *non-owning* registry so tests
+//!   can assert no job leaked a lease, while each pool's buffers die
+//!   with the job that held it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-use stitch_core::SpectrumPool;
+use parking_lot::Mutex;
+use stitch_core::{SpectrumPool, WeakSpectrumPool};
 use stitch_fft::{PlanMode, Planner};
 
 /// Why a reservation could not be granted.
@@ -91,9 +92,8 @@ struct ArbiterInner {
     /// bounded only by the global budget.
     caps: Mutex<HashMap<String, usize>>,
     state: Mutex<ArbiterState>,
-    freed: Condvar,
     planners: Mutex<HashMap<u8, Arc<Planner>>>,
-    pools: Mutex<Vec<SpectrumPool>>,
+    pools: Mutex<Vec<WeakSpectrumPool>>,
     active_reservations: AtomicUsize,
 }
 
@@ -115,7 +115,6 @@ impl ResourceArbiter {
                     high_water: 0,
                     scoped: HashMap::new(),
                 }),
-                freed: Condvar::new(),
                 planners: Mutex::new(HashMap::new()),
                 pools: Mutex::new(Vec::new()),
                 active_reservations: AtomicUsize::new(0),
@@ -143,11 +142,6 @@ impl ResourceArbiter {
     /// Outstanding (undropped) reservations.
     pub fn active_reservations(&self) -> usize {
         self.inner.active_reservations.load(Ordering::Acquire)
-    }
-
-    /// Attempts to reserve `bytes` without blocking.
-    pub fn try_reserve(&self, bytes: usize) -> Result<MemReservation, AdmissionError> {
-        self.try_reserve_scoped(None, bytes)
     }
 
     /// Attempts to reserve `bytes` charged against `scope` (in addition
@@ -222,33 +216,6 @@ impl ResourceArbiter {
             .unwrap_or(0)
     }
 
-    /// Reserves `bytes`, blocking until enough budget is free. Fails
-    /// fast with [`AdmissionError::TooLarge`] when the request can never
-    /// fit.
-    pub fn reserve_blocking(&self, bytes: usize) -> Result<MemReservation, AdmissionError> {
-        if bytes > self.inner.budget {
-            return Err(AdmissionError::TooLarge {
-                requested: bytes,
-                budget: self.inner.budget,
-            });
-        }
-        let mut state = self.inner.state.lock();
-        while state.reserved + bytes > self.inner.budget {
-            self.inner.freed.wait(&mut state);
-        }
-        state.reserved += bytes;
-        state.high_water = state.high_water.max(state.reserved);
-        drop(state);
-        self.inner
-            .active_reservations
-            .fetch_add(1, Ordering::AcqRel);
-        Ok(MemReservation {
-            arbiter: Arc::clone(&self.inner),
-            scope: None,
-            bytes,
-        })
-    }
-
     /// The shared FFT planner for `mode` (created on first use). Plans
     /// are cached inside the planner keyed by transform size.
     pub fn planner(&self, mode: PlanMode) -> Arc<Planner> {
@@ -268,10 +235,14 @@ impl ResourceArbiter {
 
     /// A bounded spectrum pool of `cap` buffers of `buf_len` elements —
     /// a job's lease quota. The pool is registered with the arbiter so
-    /// [`ResourceArbiter::leased_spectra`] can audit for leaks.
+    /// [`ResourceArbiter::leased_spectra`] can audit for leaks; the
+    /// registry holds no buffers, and entries of pools that are gone are
+    /// pruned here and by every audit.
     pub fn quota_pool(&self, buf_len: usize, cap: usize) -> SpectrumPool {
         let pool = SpectrumPool::bounded(buf_len, cap.max(1));
-        self.inner.pools.lock().push(pool.clone());
+        let mut pools = self.inner.pools.lock();
+        pools.retain(|p| p.upgrade().is_some());
+        pools.push(pool.downgrade());
         pool
     }
 
@@ -279,23 +250,20 @@ impl ResourceArbiter {
     /// has handed out. Zero once all jobs have finished or been torn
     /// down — the cancellation and panic tests assert exactly that.
     pub fn leased_spectra(&self) -> usize {
-        self.inner.pools.lock().iter().map(|p| p.leased()).sum()
+        let mut leased = 0;
+        self.inner
+            .pools
+            .lock()
+            .retain(|p| p.upgrade().map(|pool| leased += pool.leased()).is_some());
+        leased
     }
 }
 
-/// RAII byte reservation from a [`ResourceArbiter`]; releases (and wakes
-/// blocked reservers) on drop.
+/// RAII byte reservation from a [`ResourceArbiter`]; releases on drop.
 pub struct MemReservation {
     arbiter: Arc<ArbiterInner>,
     scope: Option<String>,
     bytes: usize,
-}
-
-impl MemReservation {
-    /// Reserved byte count.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 impl Drop for MemReservation {
@@ -311,7 +279,6 @@ impl Drop for MemReservation {
         self.arbiter
             .active_reservations
             .fetch_sub(1, Ordering::AcqRel);
-        self.arbiter.freed.notify_all();
     }
 }
 
@@ -322,9 +289,9 @@ mod tests {
     #[test]
     fn reserve_and_release_track_high_water() {
         let arb = ResourceArbiter::new(100);
-        let a = arb.try_reserve(60).unwrap();
+        let a = arb.try_reserve_scoped(None, 60).unwrap();
         assert_eq!(arb.reserved(), 60);
-        let b = arb.try_reserve(40).unwrap();
+        let b = arb.try_reserve_scoped(None, 40).unwrap();
         assert_eq!(arb.reserved(), 100);
         assert_eq!(arb.high_water(), 100);
         drop(a);
@@ -338,8 +305,8 @@ mod tests {
     #[test]
     fn overcommit_is_refused_not_granted() {
         let arb = ResourceArbiter::new(100);
-        let _a = arb.try_reserve(80).unwrap();
-        match arb.try_reserve(30) {
+        let _a = arb.try_reserve_scoped(None, 80).unwrap();
+        match arb.try_reserve_scoped(None, 30) {
             Err(AdmissionError::WouldOvercommit { requested, free }) => {
                 assert_eq!((requested, free), (30, 20));
             }
@@ -353,32 +320,12 @@ mod tests {
     fn too_large_is_permanent() {
         let arb = ResourceArbiter::new(100);
         assert!(matches!(
-            arb.try_reserve(101),
+            arb.try_reserve_scoped(None, 101),
             Err(AdmissionError::TooLarge {
                 requested: 101,
                 budget: 100
             })
         ));
-        assert!(matches!(
-            arb.reserve_blocking(101),
-            Err(AdmissionError::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn blocking_reserve_wakes_on_release() {
-        let arb = ResourceArbiter::new(100);
-        let held = arb.try_reserve(100).unwrap();
-        let arb2 = arb.clone();
-        let waiter = std::thread::spawn(move || {
-            let r = arb2.reserve_blocking(50).unwrap();
-            r.bytes()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "must block while budget is full");
-        drop(held);
-        assert_eq!(waiter.join().unwrap(), 50);
-        assert_eq!(arb.high_water(), 100, "never past the budget");
     }
 
     #[test]
@@ -400,6 +347,21 @@ mod tests {
         assert_eq!(arb.leased_spectra(), 1);
         drop(lease);
         assert_eq!(arb.leased_spectra(), 0);
+    }
+
+    #[test]
+    fn registry_does_not_own_pools_but_still_sees_stray_leases() {
+        let arb = ResourceArbiter::new(0);
+        let pool = arb.quota_pool(8, 2);
+        let stray = pool.acquire();
+        drop(pool); // the job is gone; its leaked lease keeps the pool state
+        assert_eq!(arb.leased_spectra(), 1, "a leak must stay visible");
+        drop(stray);
+        assert_eq!(arb.leased_spectra(), 0);
+        assert!(arb.inner.pools.lock().is_empty(), "dead entry pruned");
+        drop(arb.quota_pool(8, 2));
+        drop(arb.quota_pool(8, 2));
+        assert_eq!(arb.inner.pools.lock().len(), 1, "pruned on registration");
     }
 
     #[test]
@@ -434,7 +396,7 @@ mod tests {
         let arb = ResourceArbiter::new(100);
         let arb2 = arb.clone();
         let _ = std::panic::catch_unwind(move || {
-            let _r = arb2.try_reserve(70).unwrap();
+            let _r = arb2.try_reserve_scoped(None, 70).unwrap();
             panic!("job crashed while holding a reservation");
         });
         assert_eq!(arb.reserved(), 0, "unwind must release the bytes");

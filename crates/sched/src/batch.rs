@@ -23,7 +23,7 @@ use stitch_image::opts::{Dims, Options};
 use stitch_image::ScanConfig;
 use stitch_trace::TraceHandle;
 
-use crate::job::{JobOutcome, StitchJob};
+use crate::job::{dispatch_order, JobOutcome, StitchJob};
 use crate::scheduler::{Scheduler, SchedulerConfig, SubmitError};
 
 /// A parse failure pinned to its job-file line.
@@ -189,7 +189,7 @@ pub fn run_batch(jobs: Vec<StitchJob>, opts: &BatchOptions) -> BatchReport {
         rejected,
         elapsed,
         high_water: sched.arbiter().high_water(),
-        dispatch_order: sched.dispatch_order(),
+        dispatch_order: dispatch_order(&handles),
     }
 }
 

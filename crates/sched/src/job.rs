@@ -1,7 +1,7 @@
 //! Job descriptions, handles, and outcomes.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -199,13 +199,9 @@ impl StitchJob {
         let shape = source.shape();
         let (tw, th) = source.tile_dims();
         let scan = ScanConfig::for_grid(shape.rows.max(1), shape.cols.max(1), tw, th, 0.25, 0);
-        StitchJob::new(name, scan).with_source(source)
-    }
-
-    /// Sets a caller-supplied tile source (see [`StitchJob::source`]).
-    pub fn with_source(mut self, source: Arc<dyn TileSource>) -> StitchJob {
-        self.source = Some(JobSource::new(source));
-        self
+        let mut job = StitchJob::new(name, scan);
+        job.source = Some(JobSource::new(source));
+        job
     }
 
     /// Sets the owning tenant (quota-accounting scope).
@@ -344,6 +340,9 @@ pub(crate) struct JobShared {
     /// scheduler's watchdog, so the outcome reads `TimedOut` rather
     /// than `Cancelled`.
     pub(crate) timed_out: AtomicBool,
+    /// 1-based position in the scheduler's dispatch order, stamped by the
+    /// dispatcher under the queue lock; 0 until the job is dispatched.
+    pub(crate) dispatch_seq: AtomicU64,
     pub(crate) outcome: Mutex<Option<JobOutcome>>,
     pub(crate) done: Condvar,
     /// Pokes the scheduler's dispatcher so a cancelled *queued* job is
@@ -366,6 +365,7 @@ impl JobHandle {
                 name: name.to_string(),
                 cancel: AtomicBool::new(false),
                 timed_out: AtomicBool::new(false),
+                dispatch_seq: AtomicU64::new(0),
                 outcome: Mutex::new(None),
                 done: Condvar::new(),
                 wake_hook: Box::new(wake_hook),
@@ -393,6 +393,13 @@ impl JobHandle {
     /// dispatcher themselves (or are it).
     pub(crate) fn signal_cancel(&self) {
         self.shared.cancel.store(true, Ordering::Release);
+    }
+
+    /// The job's 1-based position in the order the scheduler *started*
+    /// jobs; `None` while it is queued, and for good if it was cancelled
+    /// or expired before it ran. A finished job that ran always has one.
+    pub fn dispatch_seq(&self) -> Option<u64> {
+        Some(self.shared.dispatch_seq.load(Ordering::Acquire)).filter(|&seq| seq > 0)
     }
 
     /// True once a terminal outcome is available.
@@ -455,4 +462,15 @@ impl JobHandle {
             shared: Arc::clone(&self.shared),
         }
     }
+}
+
+/// Names of the dispatched jobs among `handles`, in the order the
+/// scheduler started them (stable evidence for fairness tests).
+pub(crate) fn dispatch_order(handles: &[JobHandle]) -> Vec<String> {
+    let mut started: Vec<(u64, &str)> = handles
+        .iter()
+        .filter_map(|h| Some((h.dispatch_seq()?, h.name())))
+        .collect();
+    started.sort_unstable();
+    started.into_iter().map(|(_, n)| n.to_string()).collect()
 }

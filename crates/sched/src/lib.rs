@@ -3,8 +3,8 @@
 //! The crates below this one stitch *one* grid well; a microscopy
 //! facility runs *many* — several plates land while the first is still
 //! computing. This crate turns the single-run machinery into a service:
-//! N concurrent [`StitchJob`]s over one worker pool, one simulated
-//! device, and one host-memory budget, with the shared substrates
+//! N concurrent [`StitchJob`]s on one fixed set of job-slot threads, one
+//! simulated device, and one host-memory budget, with the shared substrates
 //! arbitrated instead of duplicated:
 //!
 //! * **Host memory** — [`ResourceArbiter`] grants RAII byte reservations
@@ -23,8 +23,8 @@
 //! Scheduling is stride-based fair share with priorities
 //! ([`Scheduler`]), with per-job cancellation ([`JobHandle::cancel`]),
 //! queue deadlines, and backpressure at `max_pending`. Panic containment
-//! is layered: worker threads survive task panics, and a drop-guard
-//! releases every lease a crashing job held.
+//! is layered: the scheduler's slot threads survive task panics, and a
+//! drop-guard releases every lease a crashing job held.
 //!
 //! With tracing enabled, each job records into a private lane that is
 //! merged back into the master trace as `job.<name>/…`, so one Chrome

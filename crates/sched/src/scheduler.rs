@@ -4,7 +4,7 @@
 //! ## Structure
 //!
 //! ```text
-//! submit ──▶ pending queue ──▶ dispatcher ──▶ WorkerPool (N job slots)
+//! submit ──▶ pending queue ──▶ dispatcher ──▶ N job-slot threads
 //!              (bounded)      (stride pick,       │
 //!                              admission)         ├─ shared FFT plan cache
 //!                                                 ├─ bounded SpectrumPool quota
@@ -31,16 +31,16 @@
 //!   running it and stops a running job at its next phase boundary;
 //!   either way every lease (memory reservation, pool buffers, stream
 //!   slot) is released by RAII.
-//! * **Panic containment** — jobs run on a
-//!   [`WorkerPool`](stitch_pipeline::WorkerPool) whose workers survive
-//!   task panics, and a drop-guard finalizes the job's outcome and
-//!   releases its reservation during unwinding, so a crashing job cannot
-//!   leak budget or deadlock siblings.
+//! * **Panic containment** — the scheduler owns `workers` long-lived
+//!   job-slot threads; each runs its tasks under `catch_unwind`, and a
+//!   drop-guard finalizes the job's outcome and releases its reservation
+//!   during unwinding, so a crashing job cannot cost a slot, leak budget
+//!   or deadlock siblings.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -56,7 +56,6 @@ use stitch_core::{
 use stitch_fft::PlanMode;
 use stitch_gpu::Device;
 use stitch_image::SyntheticPlate;
-use stitch_pipeline::{PoolSubmitter, WorkerPool};
 use stitch_trace::{RunReport, TraceHandle};
 
 use crate::arbiter::ResourceArbiter;
@@ -69,7 +68,7 @@ const STRIDE: u64 = 1 << 20;
 /// Scheduler construction parameters.
 #[derive(Clone)]
 pub struct SchedulerConfig {
-    /// Maximum concurrently *running* jobs (worker-pool threads).
+    /// Maximum concurrently *running* jobs (job-slot threads).
     pub workers: usize,
     /// Host-memory byte budget for admission control.
     pub memory_budget: usize,
@@ -217,7 +216,8 @@ struct QueueState {
     class_pass: HashMap<u32, u64>,
     running: usize,
     running_jobs: Vec<RunningJob>,
-    dispatch_log: Vec<String>,
+    /// Jobs dispatched so far; the next one's [`JobHandle::dispatch_seq`].
+    dispatched: u64,
     /// Dispatch is held ([`Scheduler::pause`]). Lives under the queue
     /// lock because the dispatcher reads it and then waits on `wake`
     /// under that lock: a writer outside it could clear the flag and
@@ -242,13 +242,18 @@ struct SchedInner {
 /// job (prefer [`Scheduler::join`] to observe completion explicitly).
 pub struct Scheduler {
     inner: Arc<SchedInner>,
+    /// Owns the sending half of the task channel: when it exits, the
+    /// slots drain what is queued and stop.
     dispatcher: Option<std::thread::JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    slots: Vec<std::thread::JoinHandle<()>>,
 }
 
+/// A dispatched job, bound to its guard, on its way to a slot thread.
+type Task = Box<dyn FnOnce() + Send>;
+
 impl Scheduler {
-    /// Starts a scheduler: one dispatcher thread plus a worker pool of
-    /// `config.workers` job slots.
+    /// Starts a scheduler: one dispatcher thread plus `config.workers`
+    /// job-slot threads, all alive until the scheduler drops.
     pub fn new(config: SchedulerConfig) -> Scheduler {
         let workers = config.workers.max(1);
         let inner = Arc::new(SchedInner {
@@ -264,29 +269,35 @@ impl Scheduler {
                 class_pass: HashMap::new(),
                 running: 0,
                 running_jobs: Vec::new(),
-                dispatch_log: Vec::new(),
+                dispatched: 0,
                 paused: false,
             }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
         });
-        let pool = WorkerPool::new(workers);
+        let (tasks, slot_rx) = mpsc::channel::<Task>();
+        let slot_rx = Arc::new(Mutex::new(slot_rx));
+        let slots = (0..workers)
+            .map(|i| {
+                let slot_rx = Arc::clone(&slot_rx);
+                std::thread::Builder::new()
+                    .name(format!("stitch-job.{i}"))
+                    .spawn(move || slot_loop(&slot_rx))
+                    .expect("spawn job slot")
+            })
+            .collect();
         let dispatcher = {
             let inner = Arc::clone(&inner);
-            // The dispatcher hands tasks to the pool through a
-            // non-owning submitter; the pool itself stays owned by the
-            // Scheduler so workers are joined last.
-            let submitter = pool.submitter();
             std::thread::Builder::new()
                 .name("stitch-sched".into())
-                .spawn(move || dispatcher_loop(&inner, &submitter))
+                .spawn(move || dispatcher_loop(&inner, &tasks))
                 .expect("spawn dispatcher")
         };
         Scheduler {
             inner,
             dispatcher: Some(dispatcher),
-            pool: Some(pool),
+            slots,
         }
     }
 
@@ -304,12 +315,6 @@ impl Scheduler {
     /// Jobs currently executing.
     pub fn running(&self) -> usize {
         self.inner.queue.lock().running
-    }
-
-    /// Names in dispatch order — the order the scheduler *started* jobs
-    /// (stable evidence for fairness tests).
-    pub fn dispatch_order(&self) -> Vec<String> {
-        self.inner.queue.lock().dispatch_log.clone()
     }
 
     /// Stops dispatching new jobs until [`Scheduler::resume`]; queued
@@ -418,11 +423,6 @@ impl Scheduler {
         }
     }
 
-    /// True once a [`Scheduler::drain`] has begun.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::Acquire)
-    }
-
     /// Drains the scheduler: admission stops immediately (subsequent
     /// submissions fail with [`SubmitError::Draining`]), in-flight jobs
     /// are finished or cancelled per `policy`, and the call blocks until
@@ -466,7 +466,8 @@ impl Scheduler {
 impl Drop for Scheduler {
     fn drop(&mut self) {
         // Drain: the dispatcher keeps dispatching until the queue is
-        // empty, then exits; dropping the pool joins the running jobs.
+        // empty, then exits and drops the task sender; the slots finish
+        // what was dispatched and are joined.
         {
             // `shutdown` is also read by the dispatcher just before it
             // waits, so it is set under the queue lock like `paused`
@@ -475,14 +476,29 @@ impl Drop for Scheduler {
             q.paused = false;
         }
         self.inner.wake.notify_all();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
+        // dispatcher first: it drops the sender the slots wait on
+        let threads = self.dispatcher.take().into_iter();
+        for thread in threads.chain(self.slots.drain(..)) {
+            let _ = thread.join();
         }
-        self.pool.take();
     }
 }
 
-fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
+/// One job slot: runs dispatched tasks in turn until the dispatcher has
+/// dropped the sender and the channel is empty. `run_job` contains the
+/// stitcher's panics itself; the `catch_unwind` here covers the rest of
+/// the task, so no panic can cost the scheduler a slot.
+fn slot_loop(tasks: &Mutex<mpsc::Receiver<Task>>) {
+    loop {
+        // the lock is held while waiting, not while running: slots take
+        // turns receiving and run in parallel
+        let task = tasks.lock().recv();
+        let Ok(task) = task else { return };
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(task));
+    }
+}
+
+fn dispatcher_loop(inner: &Arc<SchedInner>, slots: &mpsc::Sender<Task>) {
     loop {
         let mut q = inner.queue.lock();
         // Finalize cancelled / expired queued jobs first: they hold no
@@ -519,7 +535,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
 
         // On shutdown the dispatcher stays alive while any *watched*
         // job is still running: a hung job needs the watchdog to fire
-        // before the worker pool can ever be joined.
+        // before its slot thread can ever be joined.
         if inner.shutdown.load(Ordering::Acquire)
             && q.pending.is_empty()
             && q.running_jobs.iter().all(|r| r.watchdog.is_none())
@@ -557,7 +573,11 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
                         started: Instant::now(),
                         watchdog: p.job.watchdog,
                     });
-                    q.dispatch_log.push(p.job.name.clone());
+                    q.dispatched += 1;
+                    p.handle
+                        .shared
+                        .dispatch_seq
+                        .store(q.dispatched, Ordering::Release);
                     let guard = JobGuard {
                         inner: Arc::clone(inner),
                         name: p.job.name.clone(),
@@ -565,10 +585,11 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, pool: &PoolSubmitter) {
                         _reservation: Some(reservation),
                     };
                     let task_inner = Arc::clone(inner);
-                    let accepted = pool.execute(move || {
-                        run_job(&task_inner, p.job, p.handle, guard);
-                    });
-                    debug_assert!(accepted, "pool outlives the dispatcher");
+                    slots
+                        .send(Box::new(move || {
+                            run_job(&task_inner, p.job, p.handle, guard)
+                        }))
+                        .expect("job slots outlive the dispatcher");
                     // Queue space just freed: wake submit_blocking waiters.
                     inner.wake.notify_all();
                     dispatched = true;
@@ -812,6 +833,133 @@ mod tests {
         assert_eq!(sched.arbiter().leased_spectra(), 0);
     }
 
+    // The job-slot contract: a panic costs the job, never the slot; at
+    // most `workers` jobs run at once; dropping the scheduler joins them.
+
+    #[test]
+    fn a_panic_anywhere_in_a_job_fails_it_and_keeps_the_only_slot() {
+        use std::sync::atomic::AtomicUsize;
+        use stitch_core::{GridShape, SourceError, TileId};
+        use stitch_image::Image;
+
+        /// Serves phase 1, then panics in compose — which `run_job` runs
+        /// outside its own `catch_unwind`, so only the guard and the
+        /// slot's containment stand between this and a dead thread.
+        struct PanicsInCompose(SyntheticSource, AtomicUsize);
+        impl TileSource for PanicsInCompose {
+            fn shape(&self) -> GridShape {
+                self.0.shape()
+            }
+            fn tile_dims(&self) -> (usize, usize) {
+                self.0.tile_dims()
+            }
+            fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
+                let loads = self.1.fetch_add(1, Ordering::Relaxed);
+                assert!(loads < self.shape().tiles(), "injected compose panic");
+                self.0.load(id)
+            }
+        }
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let sched = Scheduler::new(SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            });
+            let plate = SyntheticPlate::generate(ScanConfig::for_grid(2, 2, 32, 24, 0.25, 3));
+            let bomb = PanicsInCompose(SyntheticSource::new(plate), AtomicUsize::new(0));
+            let statuses: Vec<JobStatus> = [
+                StitchJob::over_source("outside", Arc::new(bomb)),
+                tiny("inside").chaos(crate::job::ChaosHooks {
+                    hang_ms: None,
+                    panic_at_start: true,
+                }),
+                tiny("after"),
+            ]
+            .into_iter()
+            .map(|job| sched.submit(job).expect("submit").wait().status)
+            .collect();
+            sched.join();
+            let _ = tx.send((statuses, sched.arbiter().active_reservations()));
+        });
+        let (statuses, reservations) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a panicking job took the scheduler's only slot with it");
+        assert_eq!(
+            statuses,
+            [
+                JobStatus::Failed("job panicked".into()),
+                JobStatus::Failed("stitcher panicked".into()),
+                JobStatus::Completed
+            ]
+        );
+        assert_eq!(reservations, 0);
+    }
+
+    #[test]
+    fn never_more_than_workers_jobs_run_at_once() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 2,
+            ..SchedulerConfig::default()
+        });
+        // jobs that hang until cancelled: whatever is dispatched stays
+        let hang = crate::job::ChaosHooks {
+            hang_ms: Some(u64::MAX),
+            panic_at_start: false,
+        };
+        let handles: Vec<JobHandle> = (0..5)
+            .map(|i| sched.submit(tiny(&format!("h{i}")).chaos(hang)).unwrap())
+            .collect();
+        let started = || {
+            handles
+                .iter()
+                .filter(|h| h.dispatch_seq().is_some())
+                .count()
+        };
+        while started() < 2 {
+            std::thread::yield_now();
+        }
+        // the dispatcher is awake (three jobs are queued) and has memory
+        // to spare; only the two slots hold it back
+        assert_eq!((sched.running(), sched.pending()), (2, 3));
+        // a freed slot is refilled, by one job
+        let first = handles
+            .iter()
+            .find(|h| h.dispatch_seq() == Some(1))
+            .unwrap();
+        first.cancel();
+        assert_eq!(first.wait().status, JobStatus::Cancelled);
+        while started() < 3 {
+            std::thread::yield_now();
+        }
+        assert_eq!((sched.running(), sched.pending()), (2, 2));
+        // the queued two first, while both slots are still held
+        let (ran, queued): (Vec<_>, Vec<_>) =
+            handles.iter().partition(|h| h.dispatch_seq().is_some());
+        queued.into_iter().chain(ran).for_each(JobHandle::cancel);
+        sched.join();
+        assert_eq!(started(), 3, "cancelled queued jobs never ran");
+    }
+
+    #[test]
+    fn dropping_the_scheduler_runs_what_is_queued_and_joins_it() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        });
+        sched.pause(); // all three are still queued when the drop begins
+        let handles: Vec<JobHandle> = ["d1", "d2", "d3"]
+            .iter()
+            .map(|n| sched.submit(tiny(n)).unwrap())
+            .collect();
+        drop(sched);
+        // no waiting: the drop returned, so every job has its outcome
+        for h in &handles {
+            assert!(h.is_done(), "{} outlived the scheduler", h.name());
+            assert_eq!(h.wait().status, JobStatus::Completed);
+        }
+    }
+
     #[test]
     fn preview_job_matches_batch_and_serves_regions() {
         let sched = Scheduler::new(SchedulerConfig {
@@ -921,7 +1069,7 @@ mod tests {
         // Stride simulation with class passes (2: +1/2, 1: +1, heavier
         // wins ties): a1 b1 a2 a3 b2 a4.
         assert_eq!(
-            sched.dispatch_order(),
+            crate::job::dispatch_order(&handles),
             vec!["a1", "b1", "a2", "a3", "b2", "a4"]
         );
     }
@@ -938,7 +1086,7 @@ mod tests {
         let out = h.wait();
         assert_eq!(out.status, JobStatus::Cancelled);
         assert!(out.result.is_none(), "must never have started");
-        assert!(sched.dispatch_order().is_empty());
+        assert_eq!(h.dispatch_seq(), None);
         sched.resume();
         assert_eq!(sched.arbiter().active_reservations(), 0);
     }
@@ -984,7 +1132,6 @@ mod tests {
             sched.submit(tiny("late")),
             Err(SubmitError::Draining)
         ));
-        assert!(sched.is_draining());
         // Every queued job reached a terminal state (the dispatcher may
         // have started some before the drain landed).
         let mut cancelled = 0;
@@ -1057,6 +1204,6 @@ mod tests {
         sched.resume();
         let out = h.wait();
         assert_eq!(out.status, JobStatus::Expired);
-        assert!(sched.dispatch_order().is_empty());
+        assert_eq!(h.dispatch_seq(), None);
     }
 }

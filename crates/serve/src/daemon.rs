@@ -169,6 +169,8 @@ struct InFlight {
     tenant: String,
     job: String,
     handle: JobHandle,
+    /// Its `running` event has been emitted.
+    announced: bool,
 }
 
 /// Preview canvases of the most recently *finished* preview jobs are
@@ -185,9 +187,6 @@ struct DaemonState {
     /// Canvases of finished preview jobs, oldest first (see
     /// [`RETAINED_PREVIEWS`]). Same `<tenant>/<job>` key as `inflight`.
     previews: Vec<(String, Arc<SharedCanvas>)>,
-    /// How much of `Scheduler::dispatch_order` has been turned into
-    /// `running` events already.
-    dispatch_seen: usize,
     admitting: bool,
     breaker: CircuitBreaker,
     accepted: u64,
@@ -240,7 +239,6 @@ impl ServeDaemon {
                 tenants: HashMap::new(),
                 inflight: HashMap::new(),
                 previews: Vec::new(),
-                dispatch_seen: 0,
                 admitting: true,
                 breaker: CircuitBreaker::new(config.breaker),
                 accepted: 0,
@@ -588,6 +586,7 @@ impl Inner {
                         tenant: tenant.clone(),
                         job: name.clone(),
                         handle,
+                        announced: false,
                     },
                 );
                 let depth = self.sched.pending() as u64;
@@ -648,27 +647,24 @@ impl Inner {
         let mut state = self.state.lock();
         let mut events = Vec::new();
 
-        let order = self.sched.dispatch_order();
-        if order.len() > state.dispatch_seen {
-            for key in &order[state.dispatch_seen..] {
-                let (tenant, job) = match state.inflight.get(key) {
-                    Some(entry) => (entry.tenant.clone(), entry.job.clone()),
-                    None => match key.split_once('/') {
-                        Some((t, j)) => (t.to_string(), j.to_string()),
-                        None => (DEFAULT_TENANT.to_string(), key.clone()),
-                    },
-                };
-                events.push(Event::Running { tenant, job });
+        // One walk over the in-flight jobs. `is_done` is read before the
+        // dispatch stamp: a finished job that ran was stamped before it
+        // finished, so its `running` is never left for after its `done`.
+        let mut done_keys = Vec::new();
+        let mut started = Vec::new();
+        for (key, entry) in state.inflight.iter_mut() {
+            if entry.handle.is_done() {
+                done_keys.push(key.clone());
             }
-            state.dispatch_seen = order.len();
+            if let (false, Some(seq)) = (entry.announced, entry.handle.dispatch_seq()) {
+                entry.announced = true;
+                let (tenant, job) = (entry.tenant.clone(), entry.job.clone());
+                started.push((seq, Event::Running { tenant, job }));
+            }
         }
+        started.sort_unstable_by_key(|(seq, _)| *seq);
+        events.extend(started.into_iter().map(|(_, running)| running));
 
-        let done_keys: Vec<String> = state
-            .inflight
-            .iter()
-            .filter(|(_, entry)| entry.handle.is_done())
-            .map(|(key, _)| key.clone())
-            .collect();
         for key in done_keys {
             let entry = state.inflight.remove(&key).expect("key just seen");
             if let Some(canvas) = entry.handle.preview_canvas() {

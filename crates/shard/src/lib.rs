@@ -3,7 +3,7 @@
 //! Breaks the single-grid size ceiling: the tile grid is partitioned
 //! into rectangular sub-grids ([`ShardPlan`]), each stitched
 //! independently as a job on the existing `stitch-sched` scheduler
-//! (sharing its worker pool, FFT plan cache, and memory-budget
+//! (sharing its job slots, FFT plan cache, and memory-budget
 //! arbiter), then merged back into one absolute frame:
 //!
 //! 1. **Shard jobs** — each shard is a [`SubgridSource`] view of the

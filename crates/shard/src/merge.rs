@@ -23,6 +23,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use stitch_core::global_opt::MIN_CORRELATION;
 use stitch_core::{
     AbsolutePositions, Displacement, FailurePolicy, FaultTracker, GlobalOptimizer, HealthReport,
     OpCounters, PciamContext, StitchError, StitchResult, TileSource, TileStatus,
@@ -227,7 +228,7 @@ pub fn solve_hierarchical(
     }
     let mut cs: Vec<C> = Vec::new();
     for (pair, d) in &seams.displacements {
-        if d.correlation < optimizer.min_correlation {
+        if d.correlation < MIN_CORRELATION {
             continue;
         }
         let i = plan.shard_of(pair.a);

@@ -113,7 +113,7 @@ impl ShardPlan {
     }
 
     /// The shard at shard-grid coordinates `(srow, scol)`.
-    pub fn shard_at(&self, srow: usize, scol: usize) -> Shard {
+    fn shard_at(&self, srow: usize, scol: usize) -> Shard {
         debug_assert!(srow < self.shards_down && scol < self.shards_across);
         let row0 = srow * self.shard_rows;
         let col0 = scol * self.shard_cols;

@@ -236,7 +236,7 @@ impl MachineSpec {
 
     /// The paper's §VI laptop validation machine: i7-950 quad-core, 12 GB,
     /// one GTX 560M.
-    pub fn paper_laptop() -> MachineSpec {
+    fn paper_laptop() -> MachineSpec {
         MachineSpec {
             physical_cores: 4,
             logical_cores: 8,

@@ -34,11 +34,6 @@ impl Server {
         (start, end)
     }
 
-    /// Earliest time any lane is free.
-    pub fn earliest_free(&self) -> u64 {
-        self.lanes.peek().map(|Reverse(t)| *t).unwrap_or(0)
-    }
-
     /// Latest lane-busy horizon (when the whole server drains).
     pub fn drained(&self) -> u64 {
         self.lanes.iter().map(|Reverse(t)| *t).max().unwrap_or(0)
@@ -102,7 +97,7 @@ mod tests {
         assert_eq!(s.book(0, 10), (0, 10));
         assert_eq!(s.book(0, 10), (0, 10));
         assert_eq!(s.book(0, 10), (10, 20));
-        assert_eq!(s.earliest_free(), 10);
+        assert_eq!(s.book(0, 0), (10, 10), "the first lane frees at 10");
     }
 
     #[test]

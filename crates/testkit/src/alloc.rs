@@ -50,7 +50,9 @@ impl CountingAllocator {
         ALLOCATIONS.load(Ordering::Relaxed)
     }
 
-    /// Total heap deallocations process-wide.
+    /// Total heap deallocations process-wide. A reallocation retires one
+    /// block and creates one, so `allocations() − deallocations()` is the
+    /// number of live blocks.
     pub fn deallocations() -> u64 {
         DEALLOCATIONS.load(Ordering::Relaxed)
     }
@@ -107,6 +109,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }

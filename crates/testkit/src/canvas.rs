@@ -105,10 +105,7 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
             highlight_tiles: highlight,
             ..CanvasConfig::default()
         }));
-        let cfg = IncrementalConfig {
-            solve_every: 3,
-            ..IncrementalConfig::default()
-        };
+        let cfg = IncrementalConfig { solve_every: 3 };
         let out = match run_incremental(
             &source,
             order.iter().copied(),
@@ -251,10 +248,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
             blend,
             ..CanvasConfig::default()
         }));
-        let cfg = IncrementalConfig {
-            solve_every,
-            ..IncrementalConfig::default()
-        };
+        let cfg = IncrementalConfig { solve_every };
         let out = run_incremental(
             &source,
             order.iter().copied(),

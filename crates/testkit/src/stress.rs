@@ -201,7 +201,6 @@ pub fn run_stress(seed: u64) -> StressOutcome {
     let gpu_cfg = PipelinedGpuConfig {
         ccf_threads: config.ccf_threads,
         pool_size: Some(config.gpu_pool),
-        ..PipelinedGpuConfig::default()
     };
     let gpu = PipelinedGpuStitcher::new(vec![device], gpu_cfg)
         .try_compute_displacements(&gpu_source, &policy)

@@ -4,7 +4,7 @@
 //! `info` and `simulate`, read through the workspace's one option reader
 //! ([`stitch_image::opts`]). Parsing is pure so it is unit-testable;
 //! execution lives in [`run`], and the daemon's line-protocol session loop
-//! in the testable [`serve_session`].
+//! in the testable `serve_session`.
 
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
@@ -397,7 +397,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 /// gracefully drains the daemon before returning.
 ///
 /// Pure in its endpoints, so tests drive it with in-memory buffers.
-pub fn serve_session<R, W>(
+fn serve_session<R, W>(
     daemon: &ServeDaemon,
     input: R,
     out: W,

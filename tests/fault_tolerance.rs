@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use stitching::core::{GhostMode, PciamContext, PipelinedGpuConfig, SpectrumPool};
+use stitching::core::{PciamContext, PipelinedGpuConfig, SpectrumPool};
 use stitching::gpu::{Device, DeviceConfig};
 use stitching::image::{ScanConfig, SyntheticPlate};
 use stitching::prelude::*;
@@ -377,31 +377,21 @@ fn pipelined_cpu_contains_a_panicking_read() {
 
 #[test]
 fn pipelined_gpu_contains_a_panicking_read() {
-    // peer-to-peer ghosts: device 1's copier waits, outside any queue,
-    // for boundary transforms device 0 will now never export
-    let cases = [
-        (1, GhostMode::Recompute),
-        (2, GhostMode::Recompute),
-        (2, GhostMode::PeerToPeer),
-    ];
-    for (gpus, ghost_mode) in cases {
+    for gpus in [1, 2] {
         let devices: Vec<Device> = (0..gpus)
             .map(|id| Device::new(id, DeviceConfig::small(128 << 20)))
             .collect();
         let handles = devices.clone();
-        let config = PipelinedGpuConfig {
-            ghost_mode,
-            ..PipelinedGpuConfig::default()
-        };
         // column 1 belongs to device 0 with one device and with two
         let err = within_10s(move || {
-            PipelinedGpuStitcher::new(devices, config).try_compute_displacements(
-                &panicking_source(4, 6, TileId::new(2, 1)),
-                &FailurePolicy::default(),
-            )
+            PipelinedGpuStitcher::new(devices, PipelinedGpuConfig::default())
+                .try_compute_displacements(
+                    &panicking_source(4, 6, TileId::new(2, 1)),
+                    &FailurePolicy::default(),
+                )
         })
         .expect_err("a panicking read cannot produce a result");
-        let case = format!("Pipelined-GPU({gpus}, {ghost_mode:?})");
+        let case = format!("Pipelined-GPU({gpus})");
         assert_read_stage_panic(err, "pipe0/read", &case);
         for d in handles {
             assert_eq!(d.memory_used(), 0, "{case}: device {} leaked", d.id());

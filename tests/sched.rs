@@ -214,7 +214,7 @@ fn panicking_job_is_contained_and_siblings_complete() {
         "panic leaked stream leases"
     );
 
-    // The pool survived: the same scheduler still runs new jobs.
+    // The slots survived: the same scheduler still runs new jobs.
     let after = sched
         .submit(StitchJob::new("after", ScanConfig::for_grid(2, 2, 32, 24, 0.25, 9)).compose(false))
         .unwrap();
@@ -413,7 +413,7 @@ fn cancel_queued_rounds(rounds: usize) {
     let blocker = sched
         .submit(StitchJob::new("blocker", toy.clone()).chaos(hang))
         .unwrap();
-    while sched.dispatch_order().is_empty() {
+    while blocker.dispatch_seq().is_none() {
         std::thread::yield_now();
     }
     let submit = |n: usize| {
@@ -422,12 +422,13 @@ fn cancel_queued_rounds(rounds: usize) {
             .unwrap()
     };
     let mut queued: VecDeque<JobHandle> = (0..STANDING).map(submit).collect();
-    // one long-lived waiter: a handle in, its terminal status out
+    // one long-lived waiter: a handle in, its terminal status (and whether
+    // it was ever dispatched) out
     let (to_waiter, handles) = mpsc::channel::<JobHandle>();
     let (statuses, from_waiter) = mpsc::channel();
     let waiter = std::thread::spawn(move || {
         for handle in handles {
-            let _ = statuses.send(handle.wait().status);
+            let _ = statuses.send((handle.wait().status, handle.dispatch_seq()));
         }
     });
     for round in 0..rounds {
@@ -442,14 +443,18 @@ fn cancel_queued_rounds(rounds: usize) {
         oldest.cancel();
         to_waiter.send(oldest).unwrap();
         match from_waiter.recv_timeout(Duration::from_secs(20)) {
-            Ok(status) => assert_eq!(status, JobStatus::Cancelled, "round {round}"),
+            Ok(outcome) => assert_eq!(outcome, (JobStatus::Cancelled, None), "round {round}"),
             Err(_) => {
                 blocker.cancel(); // or dropping the scheduler would wait on it forever
                 panic!("round {round}: cancelled job still queued after 20 s (lost wakeup)");
             }
         }
     }
-    assert_eq!(sched.dispatch_order(), ["blocker"], "a queued job ran");
+    assert_eq!(blocker.dispatch_seq(), Some(1));
+    assert!(
+        queued.iter().all(|h| h.dispatch_seq().is_none()),
+        "a queued job ran"
+    );
     drop(to_waiter);
     waiter.join().expect("waiter thread");
     queued.iter().for_each(JobHandle::cancel);
