@@ -142,6 +142,7 @@ impl SpectrumPool {
     fn wrap(&self, data: Vec<C64>) -> PooledSpectrum {
         PooledSpectrum {
             data,
+            tile_mean: 0.0,
             pool: Arc::clone(&self.shared),
         }
     }
@@ -195,6 +196,9 @@ pub struct PooledSpectrum {
     /// Invariant: `data.len() == pool.buf_len` except transiently inside
     /// `drop`/`into_vec`, where it is taken and replaced by an empty vec.
     data: Vec<C64>,
+    /// Mean pixel value of the tile this is the spectrum of: unspecified,
+    /// like the contents, until `PciamContext::forward_fft` fills both.
+    pub(crate) tile_mean: f64,
     pool: Arc<PoolShared>,
 }
 

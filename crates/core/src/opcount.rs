@@ -29,6 +29,8 @@ pub struct OpCounters {
     inverse_ffts: AtomicU64,
     max_reductions: AtomicU64,
     ccf_groups: AtomicU64,
+    ccf_probes: AtomicU64,
+    ccf_pixels: AtomicU64,
 }
 
 impl OpCounters {
@@ -62,9 +64,12 @@ impl OpCounters {
         self.max_reductions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one CCF₁..₄ candidate-disambiguation group.
-    pub fn count_ccf_group(&self) {
+    /// Records one CCF₁..₄ candidate-disambiguation group that evaluated
+    /// the CCF kernel `probes` times over `pixels` overlap pixels in all.
+    pub fn count_ccf_group(&self, probes: u64, pixels: u64) {
         self.ccf_groups.fetch_add(1, Ordering::Relaxed);
+        self.ccf_probes.fetch_add(probes, Ordering::Relaxed);
+        self.ccf_pixels.fetch_add(pixels, Ordering::Relaxed);
     }
 
     /// Snapshot of all counters.
@@ -76,6 +81,8 @@ impl OpCounters {
             inverse_ffts: self.inverse_ffts.load(Ordering::Relaxed),
             max_reductions: self.max_reductions.load(Ordering::Relaxed),
             ccf_groups: self.ccf_groups.load(Ordering::Relaxed),
+            ccf_probes: self.ccf_probes.load(Ordering::Relaxed),
+            ccf_pixels: self.ccf_pixels.load(Ordering::Relaxed),
         }
     }
 }
@@ -95,11 +102,17 @@ pub struct OpCounts {
     pub max_reductions: u64,
     /// CCF candidate groups.
     pub ccf_groups: u64,
+    /// CCF kernel evaluations inside those groups (memo hits excluded):
+    /// a pure function of the tiles, like the pixel count below.
+    pub ccf_probes: u64,
+    /// Overlap pixels those evaluations visited; Table I says `h·w`.
+    pub ccf_pixels: u64,
 }
 
 impl OpCounts {
     /// The Table I prediction for an `n × m` grid (minimal-work
-    /// implementations: transforms computed once per tile).
+    /// implementations: transforms computed once per tile). Table I does
+    /// not price CCF probes, so `ccf_probes` / `ccf_pixels` stay 0.
     pub fn predicted(rows: usize, cols: usize) -> OpCounts {
         let nm = (rows * cols) as u64;
         let pairs = if rows == 0 || cols == 0 {
@@ -114,6 +127,7 @@ impl OpCounts {
             inverse_ffts: pairs,
             max_reductions: pairs,
             ccf_groups: pairs,
+            ..OpCounts::default()
         }
     }
 }
@@ -132,6 +146,7 @@ mod tests {
         assert_eq!(p.inverse_ffts, pairs);
         assert_eq!(p.max_reductions, pairs);
         assert_eq!(p.ccf_groups, pairs);
+        assert_eq!((p.ccf_probes, p.ccf_pixels), (0, 0));
     }
 
     #[test]

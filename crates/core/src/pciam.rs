@@ -14,7 +14,8 @@
 //!    `(x | W−x) × (y | H−y)` — same four overlap geometries, expressed
 //!    with signs so northern/western jitter can be negative);
 //! 6. each candidate is scored by the cross-correlation factor (Fig 3:
-//!    Pearson correlation of the overlap pixels) and the best wins.
+//!    Pearson correlation of the overlap pixels) and the best wins, after
+//!    a short hill-climb of the plausible ones ([`resolve_peaks_oriented`]).
 //!
 //! **Convention**: `pciam(a, b)` returns `d = position(b) − position(a)`
 //! in plate coordinates — pixel `p` of `b` shows the same plate content as
@@ -43,20 +44,43 @@ const MIN_OVERLAP_PIXELS: i64 = 4;
 /// costs four cheap CCF evaluations each and removes that failure mode.
 pub const DEFAULT_PEAK_COUNT: usize = 8;
 
-/// How many of the best-scoring candidates get CCF refinement. All
-/// candidates are refined: the pre-refinement score of a peak one pixel
-/// off the truth is a poor predictor of its refined score.
-const REFINE_CANDIDATES: usize = usize::MAX;
+/// Slots of the per-pair CCF memo table. The gated search scores some 60
+/// distinct cells per pair where the overlap is workable, up to ~1000 on
+/// 6-pixel overlaps; once the table is half full a cell is simply
+/// evaluated again — memoisation saves work and never changes a value.
+const MEMO_SLOTS: usize = 2048;
+const _: () = assert!(MEMO_SLOTS.is_power_of_two());
 
-/// Reusable per-pair working vectors (peak gather/output buffers, peak
-/// indices, scored CCF candidates). Capacities converge after the first
-/// pair, making the steady-state pair computation allocation-free.
+/// `(generation, (dx, dy), ccf)`: live when the generation is the
+/// current pair's, so a new pair empties the table without touching it.
+type MemoSlot = (u64, (i64, i64), f64);
+
+/// Reusable working memory of one CCF disambiguation, sized once so the
+/// steady-state pair computation is allocation-free.
+pub(crate) struct CcfScratch {
+    scored: Vec<(f64, Displacement)>,
+    memo: Box<[MemoSlot]>,
+    generation: u64,
+}
+
+impl Default for CcfScratch {
+    fn default() -> Self {
+        CcfScratch {
+            scored: Vec::with_capacity(4 * DEFAULT_PEAK_COUNT),
+            memo: vec![(0, (0, 0), 0.0); MEMO_SLOTS].into(),
+            generation: 0,
+        }
+    }
+}
+
+/// Reusable per-pair working vectors (peak gather/output buffers, CCF
+/// scratch). Capacities converge after the first pair, making the
+/// steady-state pair computation allocation-free.
 #[derive(Default)]
 struct PairScratch {
     cand: Vec<(usize, f64)>,
     peaks: Vec<(usize, f64)>,
-    indices: Vec<usize>,
-    scored: Vec<(f64, Displacement)>,
+    ccf: CcfScratch,
 }
 
 /// Per-thread context for PCIAM computations over one tile geometry:
@@ -144,9 +168,11 @@ impl PciamContext {
     /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
     /// spectrum's storage comes from (and returns to) the context's
     /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
+    /// The tile's mean rides on the lease for the CCF stage of its pairs.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
         assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
         let mut spec = self.pool.acquire();
+        spec.tile_mean = img.mean();
         for (r, &p) in self.real_in.iter_mut().zip(img.pixels()) {
             *r = p as f64;
         }
@@ -185,28 +211,21 @@ impl PciamContext {
     /// of `a` (`dx ≥ 1`), for [`PairKind::North`] it is physically south
     /// (`dy ≥ 1`). The constraint discards scene-self-similarity matches
     /// in the impossible half-plane — the same stage-model prior NIST's
-    /// production tool applies; `None` is unconstrained.
+    /// production tool applies; `None` is unconstrained. `fa` / `fb`
+    /// are what [`PciamContext::forward_fft`] returned for the two tiles.
     pub fn displacement_oriented(
         &mut self,
-        fa: &[C64],
-        fb: &[C64],
+        fa: &PooledSpectrum,
+        fb: &PooledSpectrum,
         img_a: &Image<u16>,
         img_b: &Image<u16>,
         kind: Option<PairKind>,
     ) -> Displacement {
         self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT);
-        let (w, h) = (self.width, self.height);
-        let PairScratch {
-            peaks,
-            indices,
-            scored,
-            ..
-        } = &mut self.pair;
-        indices.clear();
-        indices.extend(peaks.iter().map(|&(i, _)| i));
-        let d = resolve_peaks_oriented_into(indices, w, h, img_a, img_b, kind, scored);
-        self.counters.count_ccf_group();
-        d
+        let PairScratch { peaks, ccf, .. } = &mut self.pair;
+        let peaks = peaks.iter().map(|&(i, _)| i);
+        let (a, b) = ((img_a, fa.tile_mean), (img_b, fb.tile_mean));
+        resolve_peaks_oriented_into(peaks, a, b, kind, ccf, &self.counters)
     }
 
     /// Convenience: the whole of Fig 2 for a pair of images.
@@ -232,14 +251,16 @@ pub fn peak_candidates(peak: usize, width: usize, height: usize) -> [(i64, i64);
 /// pair-orientation constraint; see
 /// [`PciamContext::displacement_oriented`].
 ///
-/// Candidates are ranked by correlation *significance* — `ccf · √pixels`
-/// with the pixel count saturating at a small fraction of the tile area —
-/// rather than the raw coefficient: a 0.8 correlation over a one-pixel-thin
-/// sliver is far weaker evidence than 0.6 over a thousand-pixel strip, and
-/// without the weighting thin slivers win often enough to corrupt grids.
-/// The saturation point matters: an unsaturated √n drags the choice toward
-/// larger overlaps (smaller displacements), because on smooth content the
-/// correlation one pixel off is nearly as high while the overlap is larger.
+/// Candidates are ranked by correlation *significance* — the t-statistic
+/// of `candidate_score` — rather than the raw coefficient: a 0.8
+/// correlation over a one-pixel-thin sliver is far weaker evidence than
+/// 0.6 over a thousand-pixel strip, and without the weighting thin slivers
+/// win often enough to corrupt grids. A peak can land a pixel or two off
+/// the truth, where it scores below a spurious-but-smooth candidate
+/// although its hill-climbed form wins decisively, so candidates are
+/// climbed before they are compared: in descending initial significance,
+/// the leader always, a later one only if it passes `climb_gate`.
+/// Panics when the tiles are not both `width × height`.
 pub fn resolve_peaks_oriented(
     peaks: &[usize],
     width: usize,
@@ -248,127 +269,163 @@ pub fn resolve_peaks_oriented(
     img_b: &Image<u16>,
     kind: Option<PairKind>,
 ) -> Displacement {
-    let mut scored = Vec::with_capacity(peaks.len() * 4);
-    resolve_peaks_oriented_into(peaks, width, height, img_a, img_b, kind, &mut scored)
+    assert_eq!(img_a.dims(), (width, height), "tile dims mismatch");
+    let (a, b) = ((img_a, img_a.mean()), (img_b, img_b.mean()));
+    let (peaks, mut scratch) = (peaks.iter().copied(), CcfScratch::default());
+    resolve_peaks_oriented_into(peaks, a, b, kind, &mut scratch, &OpCounters::default())
 }
 
-/// Allocation-free core of [`resolve_peaks_oriented`]: candidate scoring
-/// reuses the caller's `scored` buffer (cleared on entry).
+/// Allocation-free core of [`resolve_peaks_oriented`] over tiles given as
+/// `(pixels, mean pixel value)`: works in the caller's `scratch` and
+/// counts the group and its probes on `counters`.
 pub(crate) fn resolve_peaks_oriented_into(
-    peaks: &[usize],
-    width: usize,
-    height: usize,
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
+    peaks: impl Iterator<Item = usize>,
+    a: (&Image<u16>, f64),
+    b: (&Image<u16>, f64),
     kind: Option<PairKind>,
-    scored: &mut Vec<(f64, Displacement)>,
+    scratch: &mut CcfScratch,
+    counters: &OpCounters,
 ) -> Displacement {
-    let (center_a, center_b) = (img_a.mean(), img_b.mean());
+    let (width, height) = a.0.dims();
+    scratch.generation += 1;
+    let (scored, memo, generation) = (&mut scratch.scored, &mut *scratch.memo, scratch.generation);
+    let mut scorer = Scorer {
+        a,
+        b,
+        kind,
+        memo,
+        generation,
+        probes: 0,
+        pixels: 0,
+    };
+    // without a usable overlap (degenerate tiny tiles): the strongest raw
+    // peak, with zero confidence
+    let mut peaks = peaks.peekable();
+    let (dx, dy) = peak_candidates(peaks.peek().copied().unwrap_or(0), width, height)[0];
+    let fallback = Displacement::new(dx, dy, 0.0);
     scored.clear();
-    for &peak in peaks {
+    for peak in peaks {
         for (dx, dy) in peak_candidates(peak, width, height) {
-            if !orientation_ok(kind, dx, dy) {
-                continue;
-            }
-            if let Some(ccf) = ccf_at_centered(img_a, img_b, center_a, center_b, dx, dy) {
-                let score = candidate_score(width, height, dx, dy, ccf);
-                scored.push((score, Displacement::new(dx, dy, ccf)));
-            }
+            scored.extend(scorer.score(dx, dy));
         }
     }
-    if scored.is_empty() {
-        // no candidate produced a usable overlap (degenerate tiny tiles);
-        // fall back to the strongest raw peak with zero confidence
-        let (dx, dy) = peak_candidates(peaks.first().copied().unwrap_or(0), width, height)[0];
-        return Displacement::new(dx, dy, 0.0);
-    }
-    // Refine the best-scoring candidates, not just the winner: a peak a
-    // pixel or two off the truth can score below a spurious-but-smooth
-    // candidate, yet its refined form wins decisively. Unstable sort:
-    // no allocation, and equal-score ties cannot change the outcome —
-    // every survivor is refined and the winner needs a strictly higher
-    // refined score.
-    scored.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    // a total order, so the climbing order is a function of the candidates
+    scored.sort_unstable_by(|(sa, da), (sb, db)| {
+        sb.total_cmp(sa).then((da.x, da.y).cmp(&(db.x, db.y)))
+    });
     scored.dedup_by_key(|(_, d)| (d.x, d.y));
-    let mut best = Displacement::new(0, 0, f64::NEG_INFINITY);
-    let mut best_score = f64::NEG_INFINITY;
-    for &(_, cand) in scored.iter().take(REFINE_CANDIDATES) {
-        let refined = refine_ccf_centered(img_a, img_b, center_a, center_b, cand, kind);
-        let score = candidate_score(width, height, refined.x, refined.y, refined.correlation);
-        if score > best_score {
-            best_score = score;
-            best = refined;
+    let mut best: Option<(f64, Displacement)> = None;
+    for &cand in scored.iter() {
+        if best.is_none_or(|leader| climb_gate(cand.0, leader)) {
+            let refined = scorer.climb(cand);
+            if best.is_none_or(|(leader, _)| refined.0 > leader) {
+                best = Some(refined);
+            }
         }
     }
-    best
+    counters.count_ccf_group(scorer.probes, scorer.pixels);
+    best.map_or(fallback, |(_, d)| d)
 }
 
-/// True when `(dx, dy)` is geometrically possible for the pair kind.
-fn orientation_ok(kind: Option<PairKind>, dx: i64, dy: i64) -> bool {
-    match kind {
-        Some(PairKind::West) => dx >= 1,
-        Some(PairKind::North) => dy >= 1,
-        None => true,
-    }
-}
-
-/// Hill-climbs the CCF over the 8-neighborhood of `d` until a local
-/// maximum (bounded steps). Correlation peaks occasionally land a pixel or
-/// two off the true displacement when the overlap is thin; the CCF
-/// landscape around the truth is smooth, so a short greedy walk snaps the
-/// answer onto it (the same translation refinement the NIST tool grew).
-/// The walk stays inside the orientation's legal half-plane and takes the
-/// caller's tile means (see [`ccf_at_centered`]).
-fn refine_ccf_centered(
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
-    center_a: f64,
-    center_b: f64,
-    mut d: Displacement,
+/// The one place a pair's CCF is evaluated: holds the tile means and the
+/// pair's memo table, so the initial scoring and every hill-climb share
+/// each `(dx, dy)` evaluation.
+struct Scorer<'a> {
+    a: (&'a Image<u16>, f64),
+    b: (&'a Image<u16>, f64),
     kind: Option<PairKind>,
-) -> Displacement {
-    const MAX_STEPS: usize = 8;
-    /// Search radius per step. Radius 2 jumps over the single-pixel
-    /// saddles that trap a radius-1 climb on smooth content.
-    const RADIUS: i64 = 2;
-    let (w, h) = img_a.dims();
-    let score = |disp: &Displacement| candidate_score(w, h, disp.x, disp.y, disp.correlation);
-    let mut best_score = score(&d);
-    for _ in 0..MAX_STEPS {
-        // steepest ascent: score the whole window around the *fixed*
-        // current center, then take the single best move — updating the
-        // center mid-scan would shift the window away from uphill cells
-        let center = d;
-        let mut step_best = best_score;
-        let mut step_disp = None;
-        for sy in -RADIUS..=RADIUS {
-            for sx in -RADIUS..=RADIUS {
-                if sx == 0 && sy == 0 {
-                    continue;
+    memo: &'a mut [MemoSlot],
+    generation: u64,
+    /// CCF kernel evaluations so far, and the overlap pixels they visited.
+    probes: u64,
+    pixels: u64,
+}
+
+impl Scorer<'_> {
+    /// The candidate at `(dx, dy)` with its significance; `None` outside
+    /// the orientation's legal half-plane or without a usable overlap.
+    /// The CCF is [`ccf_at_centered`]'s, or the table's copy of it.
+    fn score(&mut self, dx: i64, dy: i64) -> Option<(f64, Displacement)> {
+        match self.kind {
+            Some(PairKind::West) if dx < 1 => return None,
+            Some(PairKind::North) if dy < 1 => return None,
+            _ => {}
+        }
+        let (w, h) = self.a.0.dims();
+        let mask = self.memo.len() - 1;
+        let hash = (dx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (dy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        let mut slot = (hash >> 32) as usize & mask;
+        let ccf = 'ccf: {
+            // linear probing; entries stop being added before half the
+            // slots are taken, so the walk ends at a free one
+            while self.memo[slot].0 == self.generation {
+                if self.memo[slot].1 == (dx, dy) {
+                    break 'ccf self.memo[slot].2;
                 }
-                let (nx, ny) = (center.x + sx, center.y + sy);
-                if !orientation_ok(kind, nx, ny) {
-                    continue;
-                }
-                if let Some(c) = ccf_at_centered(img_a, img_b, center_a, center_b, nx, ny) {
-                    let cand = Displacement::new(nx, ny, c);
-                    let s = score(&cand);
-                    if s > step_best {
-                        step_best = s;
-                        step_disp = Some(cand);
+                slot = (slot + 1) & mask;
+            }
+            let ccf = ccf_at_centered(self.a.0, self.b.0, self.a.1, self.b.1, dx, dy)?;
+            self.probes += 1;
+            self.pixels += overlap_pixels(w, h, dx, dy) as u64;
+            if self.probes as usize <= self.memo.len() / 2 {
+                self.memo[slot] = (self.generation, (dx, dy), ccf);
+            }
+            ccf
+        };
+        let score = candidate_score(w, h, dx, dy, ccf);
+        Some((score, Displacement::new(dx, dy, ccf)))
+    }
+
+    /// Hill-climbs the significance from `start` to a local maximum
+    /// (bounded steps): the CCF landscape around the truth is smooth, so a
+    /// short greedy walk snaps a peak that landed a pixel or two off onto
+    /// it (the same translation refinement the NIST tool grew).
+    fn climb(&mut self, start: (f64, Displacement)) -> (f64, Displacement) {
+        const MAX_STEPS: usize = 8;
+        /// Search radius per step. Radius 2 jumps over the single-pixel
+        /// saddles that trap a radius-1 climb on smooth content.
+        const RADIUS: i64 = 2;
+        let mut best = start;
+        for _ in 0..MAX_STEPS {
+            // steepest ascent: score the whole window around the *fixed*
+            // current center, then take the single best move — updating
+            // the center mid-scan would shift the window away from uphill
+            // cells
+            let center = best.1;
+            for sy in -RADIUS..=RADIUS {
+                for sx in (-RADIUS..=RADIUS).filter(|&sx| (sx, sy) != (0, 0)) {
+                    match self.score(center.x + sx, center.y + sy) {
+                        Some(cand) if cand.0 > best.0 => best = cand,
+                        _ => {}
                     }
                 }
             }
-        }
-        match step_disp {
-            Some(next) => {
-                d = next;
-                best_score = step_best;
+            if (best.1.x, best.1.y) == (center.x, center.y) {
+                break;
             }
-            None => break,
         }
+        best
     }
-    d
+}
+
+/// A leader whose refined correlation is below this has not matched one
+/// scene in both tiles and does not close the search: census truths
+/// correlate above 0.8 where the overlap is workable, and the right
+/// answers a bare fraction test lost sat behind leaders at 0.19 and 0.25.
+const CONVINCING_CCF: f64 = 0.5;
+
+/// Behind a convincing leader, a candidate is climbed only from this
+/// fraction of the leader's refined significance. That shuts out starts
+/// without positive evidence: none climbed past a true leader into the
+/// truth, a few per thousand pairs climbed into a vignette-driven
+/// near-full-overlap maximum that out-scored it (DESIGN.md § PCIAM).
+const CLIMB_MIN_LEADER_FRACTION: f64 = 0.02;
+
+/// Whether a candidate of initial significance `initial` is worth a
+/// hill-climb when `leader` is the best refined candidate so far.
+fn climb_gate(initial: f64, leader: (f64, Displacement)) -> bool {
+    leader.1.correlation < CONVINCING_CCF || initial >= CLIMB_MIN_LEADER_FRACTION * leader.0
 }
 
 /// Significance score of a CCF candidate: the t-statistic of the Pearson
@@ -654,6 +711,146 @@ mod tests {
         let (a, b) = rough_pair(87, 58, 64, 2, 777);
         let d = west(&a, &b);
         assert_eq!((d.x, d.y), (64, 2));
+    }
+
+    /// Tiles `a` and `b` (row-major indices) of scan `seed` of a
+    /// stitchbench geometry — the plates the gate census ran on
+    /// (`tests/conformance.rs::ccf_gate_census`).
+    fn census_pair(
+        (rows, cols, w, h, overlap): (usize, usize, usize, usize, f64),
+        seed: u64,
+        (a, b): (usize, usize),
+    ) -> (Image<u16>, Image<u16>) {
+        use stitch_image::{ChannelConfig, ScanConfig, SyntheticPlate};
+        let scan = |seed| ScanConfig {
+            stage_jitter: 3.0,
+            backlash_x: 1.5,
+            noise_sigma: 50.0,
+            vignette: 0.03,
+            ..ScanConfig::for_grid(rows, cols, w, h, overlap, seed)
+        };
+        let specimen = ChannelConfig::for_channel(&scan(2014), 0).scene;
+        let plate = SyntheticPlate::generate_with_scene(scan(seed), specimen);
+        (
+            plate.render_tile(a / cols, a % cols),
+            plate.render_tile(b / cols, b % cols),
+        )
+    }
+
+    const DENSE_GRID: (usize, usize, usize, usize, f64) = (28, 40, 96, 72, 0.25);
+    const SHARD_CANVAS: (usize, usize, usize, usize, f64) = (12, 16, 256, 192, 0.15);
+
+    /// A scorer over `memo`, as `resolve_peaks_oriented_into` builds it.
+    fn scorer<'a>(
+        a: &'a Image<u16>,
+        b: &'a Image<u16>,
+        kind: Option<PairKind>,
+        memo: &'a mut [MemoSlot],
+    ) -> Scorer<'a> {
+        Scorer {
+            a: (a, a.mean()),
+            b: (b, b.mean()),
+            kind,
+            memo,
+            generation: 1,
+            probes: 0,
+            pixels: 0,
+        }
+    }
+
+    fn displacement(a: &Image<u16>, b: &Image<u16>, kind: PairKind) -> Displacement {
+        let (w, h) = a.dims();
+        let mut ctx = ctx(w, h);
+        let (fa, fb) = (ctx.forward_fft(a), ctx.forward_fft(b));
+        ctx.displacement_oriented(&fa, &fb, a, b, Some(kind))
+    }
+
+    #[test]
+    fn anticorrelated_junk_is_not_climbed_past_a_true_leader() {
+        // The truth (-3, 53) leads at t = 71.6. One of the correlation
+        // peaks also reads as (-56, 16), anti-correlated at t = -4.4; from
+        // there the climb slides down the vignette into the near-full
+        // overlap at (-65, 2), t = 82.1 — which used to win.
+        let (a, b) = census_pair(DENSE_GRID, 6042, (160, 200));
+        let mut scratch = CcfScratch::default();
+        let mut scorer = scorer(&a, &b, Some(PairKind::North), &mut scratch.memo);
+        let truth = scorer.score(-3, 53).unwrap();
+        let junk = scorer.score(-56, 16).unwrap();
+        assert!(junk.0 < 0.0, "{junk:?}");
+        let slid = scorer.climb(junk);
+        assert_eq!((slid.1.x, slid.1.y), (-65, 2));
+        assert!(slid.0 > truth.0, "{slid:?} vs {truth:?}");
+        assert!(!climb_gate(junk.0, truth));
+
+        let d = displacement(&a, &b, PairKind::North);
+        assert_eq!((d.x, d.y), (-3, 53));
+    }
+
+    #[test]
+    fn weak_true_starts_are_still_climbed() {
+        // a true start at 6 % of a wrong leader's refined significance
+        // (1.54 → 67.1 against 24.5): the fraction gate must stay below it
+        let (a, b) = census_pair(DENSE_GRID, 6042, (436, 437));
+        let d = displacement(&a, &b, PairKind::West);
+        assert_eq!((d.x, d.y), (73, 1));
+        // wrong leaders that never matched the scene (ccf 0.25 and 0.19)
+        // do not close the search: the truth starts anti-correlated 12 px
+        // away in one pair, at 1.5 % of the leader in the other
+        let (a, b) = census_pair(DENSE_GRID, 6047, (359, 399));
+        let d = displacement(&a, &b, PairKind::North);
+        assert_eq!((d.x, d.y), (4, 59));
+        let (a, b) = census_pair(SHARD_CANVAS, 6046, (30, 31));
+        let d = displacement(&a, &b, PairKind::West);
+        assert_eq!((d.x, d.y), (218, 0));
+    }
+
+    #[test]
+    fn memoised_scores_are_the_probe_primitive_bit_for_bit() {
+        let (a, b) = rough_pair(64, 48, 44, 1, 4242);
+        let mut scratch = CcfScratch::default();
+        let mut scorer = scorer(&a, &b, None, &mut scratch.memo);
+        for pass in 0..2 {
+            for dy in -6..=6 {
+                for dx in 38..=50 {
+                    let got = scorer.score(dx, dy).map(|(_, d)| d.correlation);
+                    assert_eq!(got, ccf_at(&a, &b, dx, dy), "pass {pass} at ({dx},{dy})");
+                }
+            }
+            // the second pass is all memo hits
+            assert_eq!(scorer.probes, 13 * 13);
+        }
+        let cells: i64 = (-6..=6)
+            .flat_map(|dy| (38..=50).map(move |dx| overlap_pixels(64, 48, dx, dy)))
+            .sum();
+        assert_eq!(scorer.pixels, cells as u64);
+    }
+
+    #[test]
+    fn a_full_memo_table_degrades_to_direct_evaluation() {
+        let (full, tiny) = (OpCounters::new_shared(), OpCounters::default());
+        for seed in 0..6u64 {
+            let (a, b) = rough_pair(64, 48, 40 + seed as i64, seed as i64 - 3, 100 + seed);
+            let mut ctx = PciamContext::new(&Planner::default(), 64, 48, Arc::clone(&full));
+            let (fa, fb) = (ctx.forward_fft(&a), ctx.forward_fft(&b));
+            let kind = Some(PairKind::West);
+            let d = ctx.displacement_oriented(&fa, &fb, &a, &b, kind);
+            assert_eq!(Some(d.correlation), ccf_at(&a, &b, d.x, d.y), "seed {seed}");
+            // one live entry: nearly every probe is evaluated directly
+            let peaks = ctx.pair.peaks.iter().map(|&(i, _)| i);
+            let mut scratch = CcfScratch {
+                memo: vec![(0, (0, 0), 0.0); 2].into(),
+                ..CcfScratch::default()
+            };
+            let tiles = ((&a, a.mean()), (&b, b.mean()));
+            let direct =
+                resolve_peaks_oriented_into(peaks, tiles.0, tiles.1, kind, &mut scratch, &tiny);
+            assert_eq!(direct, d, "seed {seed}");
+        }
+        let (full, tiny) = (full.snapshot().ccf_probes, tiny.snapshot().ccf_probes);
+        assert!(
+            tiny > full,
+            "a 2-slot table must re-evaluate: {tiny} vs {full}"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::{GridShape, Traversal};
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{resolve_peaks_oriented_into, PciamContext, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolve_peaks_oriented_into, CcfScratch, PciamContext, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -87,6 +87,13 @@ pub struct PipelinedGpuStitcher {
     fft_panic_at: Option<TileId>,
 }
 
+/// A tile's host pixels with their mean, taken once when the tile is
+/// read: the CCF stage centres every pair of the tile on it.
+struct HostTile {
+    img: Image<u16>,
+    mean: f64,
+}
+
 /// Stage 1 → 2 payload.
 struct ReadTile {
     id: TileId,
@@ -95,7 +102,7 @@ struct ReadTile {
 
 enum ReadPayload {
     /// Freshly read pixels.
-    Img(Arc<Image<u16>>),
+    Img(Arc<HostTile>),
     /// The tile could not be read; downstream stages pass the notice on
     /// so bookkeeping can write its pairs off.
     Failed,
@@ -116,7 +123,7 @@ enum TransformedMsg {
 /// Tile resident on the device.
 struct CopiedTile {
     id: TileId,
-    img: Arc<Image<u16>>,
+    img: Arc<HostTile>,
     buf: Arc<PooledBuffer<C64>>,
     copied: Event,
     /// The uploaded pixels stage 3 transforms into `buf`.
@@ -139,7 +146,7 @@ struct PairTask {
 
 #[derive(Clone)]
 struct TransformedShare {
-    img: Arc<Image<u16>>,
+    img: Arc<HostTile>,
     buf: Arc<PooledBuffer<C64>>,
     transformed: Event,
 }
@@ -147,8 +154,8 @@ struct TransformedShare {
 /// Stage 5 → 6 payload: reduction scalars back on the host.
 struct CcfTask {
     peaks: Vec<usize>,
-    img_a: Arc<Image<u16>>,
-    img_b: Arc<Image<u16>>,
+    a: Arc<HostTile>,
+    b: Arc<HostTile>,
     kind: PairKind,
     slot: usize,
 }
@@ -282,7 +289,8 @@ impl PipelinedGpuStitcher {
                     let payload = match loaded {
                         Some(img) => {
                             counters.count_read();
-                            ReadPayload::Img(Arc::new(img))
+                            let mean = img.mean();
+                            ReadPayload::Img(Arc::new(HostTile { img, mean }))
                         }
                         None => ReadPayload::Failed,
                     };
@@ -307,7 +315,7 @@ impl PipelinedGpuStitcher {
                         // back-pressure: blocks until a transform buffer is free
                         let buf = Arc::new(pool.acquire());
                         let staging = staging.acquire();
-                        stream.h2d(Arc::new(img.pixels().to_vec()), &staging);
+                        stream.h2d(Arc::new(img.img.pixels().to_vec()), &staging);
                         let copied = stream.record_event();
                         CopiedMsg::Tile(CopiedTile {
                             id: t.id,
@@ -408,8 +416,8 @@ impl PipelinedGpuStitcher {
                 // kernels that read them have executed
                 w56.push(CcfTask {
                     peaks: peaks.iter().map(|p| p.index).collect(),
-                    img_a: task.a.img.clone(),
-                    img_b: task.b.img.clone(),
+                    a: task.a.img.clone(),
+                    b: task.b.img.clone(),
                     kind: task.kind,
                     slot: task.slot,
                 });
@@ -455,7 +463,6 @@ impl Stitcher for PipelinedGpuStitcher {
         // every pipeline's Q56 feeding one CCF worker group), so every
         // device's stages and the CCF stage run on one `Pipeline`.
         let q56: Queue<CcfTask> = Queue::new(16 * self.devices.len());
-        let (w, h) = source.tile_dims();
         let trace = &self.trace;
         let joined = {
             let (counters, result) = (&counters, &result);
@@ -482,19 +489,18 @@ impl Stitcher for PipelinedGpuStitcher {
             let ccf_workers = (0..self.config.ccf_threads).map(|worker| {
                 let track = format!("ccf.{worker}");
                 // per-worker CCF scratch, reused across pairs
-                let mut scored: Vec<(f64, crate::types::Displacement)> = Vec::new();
+                let mut scratch = CcfScratch::default();
                 move |task: CcfTask| {
                     let s0 = trace.now_ns();
+                    let (a, b) = (&task.a, &task.b);
                     let d = resolve_peaks_oriented_into(
-                        &task.peaks,
-                        w,
-                        h,
-                        &task.img_a,
-                        &task.img_b,
+                        task.peaks.iter().copied(),
+                        (&a.img, a.mean),
+                        (&b.img, b.mean),
                         Some(task.kind),
-                        &mut scored,
+                        &mut scratch,
+                        counters,
                     );
-                    counters.count_ccf_group();
                     trace.record(
                         &track,
                         "compute",
@@ -630,17 +636,20 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_profile_is_denser_than_simple() {
-        // the Fig 7 vs Fig 9 contrast needs transfer costs to hide: give
-        // both devices the PCIe-like transfer model
+    fn uploads_hide_under_kernels_where_simple_gpu_serializes_them() {
+        // What Fig 7 and Fig 9 contrast is what a schedule does with its
+        // copies. (Kernel *density* also moves with how slow the host
+        // stages between two launches happen to be, and with whatever else
+        // the machine is running, so it is not asserted.) The link is
+        // slowed until an upload (≈ 1 ms) lasts about as long as a tile's
+        // kernels, so that one which can overlap a kernel will.
         use crate::simple_gpu::SimpleGpuStitcher;
+        use stitch_gpu::profile::SpanKind;
         let cfg = DeviceConfig {
             memory_bytes: 256 << 20,
+            h2d_bytes_per_sec: Some(40.0e6),
             ..DeviceConfig::with_transfer_model()
         };
-        // the paper profiles an 8×8 grid of full-size tiles (Figs 7, 9);
-        // kernel time must dominate per-item overheads for the contrast to
-        // show, so this test uses larger-than-default tiles
         let src = SyntheticSource::new(SyntheticPlate::generate(ScanConfig {
             grid_rows: 6,
             grid_cols: 6,
@@ -653,18 +662,24 @@ mod tests {
             vignette: 0.03,
             seed: 83,
         }));
-        // full-run-window kernel density: gaps where the device sat idle
-        // count against the schedule (the paper's Fig 7 vs Fig 9 metric)
+        // uploads that ran while a kernel was executing
+        let hidden_uploads = |device: &Device| {
+            let spans = device.profiler().spans();
+            let of = |kind| spans.iter().filter(move |s| s.kind == kind);
+            of(SpanKind::H2D)
+                .filter(|c| {
+                    of(SpanKind::Kernel).any(|k| k.start_ns < c.end_ns && c.start_ns < k.end_ns)
+                })
+                .count()
+        };
+        // every operation of Simple-GPU is followed by a synchronize
         let dev_simple = Device::new(0, cfg.clone());
         SimpleGpuStitcher::new(dev_simple.clone()).compute_displacements(&src);
-        let simple_density = dev_simple.profiler().kernel_density();
+        assert_eq!(dev_simple.profiler().peak_concurrency(SpanKind::Kernel), 1);
+        assert_eq!(hidden_uploads(&dev_simple), 0);
         let dev_pipe = Device::new(1, cfg);
         PipelinedGpuStitcher::single(dev_pipe.clone()).compute_displacements(&src);
-        let pipe_density = dev_pipe.profiler().kernel_density();
-        assert!(
-            pipe_density > simple_density,
-            "pipelined {pipe_density:.3} should beat simple {simple_density:.3}"
-        );
+        assert!(hidden_uploads(&dev_pipe) > 0);
     }
 
     #[test]

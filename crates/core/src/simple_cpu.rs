@@ -177,8 +177,14 @@ mod tests {
         let plate = test_plate(3, 3);
         let src = SyntheticSource::new(plate);
         let result = SimpleCpuStitcher::default().compute_displacements(&src);
-        let predicted = crate::opcount::OpCounts::predicted(3, 3);
-        assert_eq!(result.ops, predicted);
+        // Table I prices six operations; probe counts are not among them
+        let table1 = crate::opcount::OpCounts {
+            ccf_probes: 0,
+            ccf_pixels: 0,
+            ..result.ops
+        };
+        assert_eq!(table1, crate::opcount::OpCounts::predicted(3, 3));
+        assert!(result.ops.ccf_probes > 0 && result.ops.ccf_pixels > result.ops.ccf_probes);
     }
 
     #[test]

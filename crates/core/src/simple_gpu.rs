@@ -21,10 +21,9 @@ use crate::fault::{FailurePolicy, FaultTracker, StitchError};
 use crate::grid::Traversal;
 use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{resolve_peaks_oriented_into, PciamContext, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolve_peaks_oriented_into, CcfScratch, PciamContext, DEFAULT_PEAK_COUNT};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::Displacement;
 
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
@@ -34,6 +33,8 @@ pub struct SimpleGpuStitcher {
 
 struct DeviceTile {
     img: Image<u16>,
+    /// `img.mean()`, taken once for all of the tile's pairs.
+    mean: f64,
     buf: PooledBuffer<C64>,
 }
 
@@ -98,8 +99,7 @@ impl Stitcher for SimpleGpuStitcher {
         // h2d below means the upload buffer is unique again right after
         // each synchronize, so one allocation serves every tile
         let mut upload: Arc<Vec<u16>> = Arc::new(vec![0u16; n]);
-        let mut indices: Vec<usize> = Vec::with_capacity(DEFAULT_PEAK_COUNT);
-        let mut scored: Vec<(f64, Displacement)> = Vec::new();
+        let mut scratch = CcfScratch::default();
 
         for id in Traversal::ChainedDiagonal.order(shape) {
             // read tile (host), copy synchronously, transform
@@ -130,7 +130,8 @@ impl Stitcher for SimpleGpuStitcher {
 
             // complete ready pairs, one fully synchronous op at a time;
             // a released endpoint recycles its device buffer
-            ledger.arrive(id, DeviceTile { img, buf }, |ta, tb, kind, slot| {
+            let mean = img.mean();
+            ledger.arrive(id, DeviceTile { img, mean, buf }, |ta, tb, kind, slot| {
                 stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, spectrum_len);
                 stream.synchronize();
                 counters.count_elementwise();
@@ -140,18 +141,14 @@ impl Stitcher for SimpleGpuStitcher {
                 let peaks = stream.top_abs_peaks(&real, n, w, DEFAULT_PEAK_COUNT).wait();
                 counters.count_max_reduction();
                 // CCF disambiguation on the CPU (host images)
-                indices.clear();
-                indices.extend(peaks.iter().map(|p| p.index));
                 let d = resolve_peaks_oriented_into(
-                    &indices,
-                    w,
-                    h,
-                    &ta.img,
-                    &tb.img,
+                    peaks.iter().map(|p| p.index),
+                    (&ta.img, ta.mean),
+                    (&tb.img, tb.mean),
                     Some(kind),
-                    &mut scored,
+                    &mut scratch,
+                    &counters,
                 );
-                counters.count_ccf_group();
                 result.set(kind, slot, d);
             });
         }

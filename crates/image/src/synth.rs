@@ -493,6 +493,14 @@ impl ScanConfig {
         )
     }
 
+    /// Bytes of the plate at 16 bits per pixel: what a synthetic scan of
+    /// this geometry is rendered from and composed back into. Grows with
+    /// the grid's *area*; saturates rather than overflows.
+    pub fn plate_bytes(&self) -> usize {
+        let (w, h) = self.plate_dims();
+        (w * h * 2.0) as usize
+    }
+
     /// Total tile count.
     pub fn tiles(&self) -> usize {
         self.grid_rows * self.grid_cols

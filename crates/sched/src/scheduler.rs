@@ -352,7 +352,14 @@ impl Scheduler {
         if job.variant.needs_device() && self.inner.device.is_none() {
             return Err(SubmitError::NeedsDevice(job.variant));
         }
-        let bytes = job.estimated_bytes();
+        // The reservation follows the grid's shorter side; a job that
+        // renders its own synthetic plate also needs the plate, which
+        // follows the grid's area and is checked here, before anything
+        // of that size is generated.
+        let bytes = match job.source {
+            Some(_) => job.estimated_bytes(),
+            None => job.estimated_bytes().max(job.scan.plate_bytes()),
+        };
         // A job that can never fit — the global budget, or its own
         // tenant's cap — is rejected outright rather than queued forever.
         let hard_cap = job

@@ -142,6 +142,8 @@ pub fn merge_results(
         merged.ops.inverse_ffts += local.ops.inverse_ffts;
         merged.ops.max_reductions += local.ops.max_reductions;
         merged.ops.ccf_groups += local.ops.ccf_groups;
+        merged.ops.ccf_probes += local.ops.ccf_probes;
+        merged.ops.ccf_pixels += local.ops.ccf_pixels;
         merged.health.total_retries += local.health.total_retries;
         peak_live = peak_live.max(local.peak_live_tiles);
     }

@@ -12,7 +12,7 @@
 //! performs zero heap allocations after warmup.
 
 use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
-use stitch_core::{OpCounters, PairKind, PciamContext, SyntheticSource, TileSource};
+use stitch_core::{OpCounters, PairKind, PciamContext, Stitcher, SyntheticSource, TileSource};
 use stitch_fft::vectorops::top_peaks_into;
 use stitch_fft::{backend, c64, Direction, Fft2d, PlanMode, Planner, C64};
 use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
@@ -215,5 +215,336 @@ fn stress_runner_is_reproducible() {
             a.cpu_west,
             a.gpu_west
         );
+    }
+}
+
+/// What [`all_variants_bit_identical_across_sweep`] cannot see: the CCF
+/// work counters are a pure function of the tiles, so they repeat exactly
+/// between runs and across the six variants, and the disambiguation stays
+/// within a fixed number of whole-tile scans per pair (it was ~250 when
+/// every candidate was hill-climbed; see DESIGN.md § PCIAM).
+#[test]
+fn ccf_work_is_bounded_and_repeats_exactly_across_variants() {
+    const MAX_TILE_SCANS_PER_PAIR: f64 = 64.0;
+    for case in sweep() {
+        let source = case.source();
+        let counts = |stitcher: &dyn Stitcher| {
+            let ops = stitcher.compute_displacements(&source).ops;
+            (ops.ccf_groups, ops.ccf_probes, ops.ccf_pixels)
+        };
+        let all = stitch_testkit::variants();
+        let (groups, probes, pixels) = counts(all[0].as_ref());
+        assert_eq!(groups as usize, source.shape().pairs(), "{}", case.label());
+        for stitcher in &all {
+            let got = counts(stitcher.as_ref());
+            let name = stitcher.name();
+            assert_eq!(got, (groups, probes, pixels), "{}: {name}", case.label());
+        }
+        let tile = (case.tile_width * case.tile_height) as f64;
+        let scans = pixels as f64 / groups as f64 / tile;
+        assert!(
+            probes > 0 && scans <= MAX_TILE_SCANS_PER_PAIR,
+            "{}: {scans:.1} tile scans per pair",
+            case.label()
+        );
+    }
+}
+
+/// The census behind the CCF refinement gate (DESIGN.md § PCIAM,
+/// EXPERIMENTS.md "Known deviations" #3): every pair of six scans of each
+/// stitchbench geometry is resolved by an independent, memo-free
+/// re-implementation of the search under each candidate gate, and by the
+/// kernel. Prints, per geometry and scan, the pixel cost in whole-tile
+/// scans per pair and how many pairs each gate moves right→wrong /
+/// wrong→right against the stage truth, relative to climbing everything.
+/// The kernel must be the `c<.5|>=2%` column pair for pair; on the
+/// geometries with a workable overlap it may not lose a single pair and
+/// must stay the stated factor under climb-all. The thin-overlap
+/// geometries are printed, not gated (ROADMAP 5(a)/8).
+///
+/// `cargo test --release --test conformance -- --ignored --nocapture census`
+#[test]
+#[ignore = "minutes in debug; the CI conformance job runs it in release"]
+fn ccf_gate_census() {
+    use census::*;
+    let geometries = [
+        // name, rows, cols, tile, overlap, vignette, gated: fewest times cheaper
+        ("dense_grid", 28, 40, (96, 72), 0.25, 0.03, Some(10.0)),
+        ("shard_canvas", 12, 16, (256, 192), 0.15, 0.03, Some(6.0)),
+        ("channel_replay", 5, 6, (232, 174), 0.15, 0.3, Some(6.0)),
+        ("paper_tile", 3, 3, (1392, 1040), 0.10, 0.03, Some(10.0)),
+        ("thin 64x48@10%", 12, 16, (64, 48), 0.10, 0.03, None),
+        ("serve_mix", 4, 6, (64, 48), 0.10, 0.03, None),
+    ];
+    println!("tile scans per pair, then right→wrong/wrong→right against climb-all");
+    println!(
+        "{:<15}{:>5}{:>6}{:>6} |{:>10}{:>10}{:>8} |{}",
+        "geometry",
+        "seed",
+        "pairs",
+        "wrong",
+        "climb-all",
+        "memo-only",
+        "kernel",
+        GATES
+            .iter()
+            .map(|(name, _)| format!("{name:>16}"))
+            .collect::<String>()
+    );
+    let mut failures = Vec::new();
+    for (name, rows, cols, (tw, th), overlap, vignette, gated) in geometries {
+        let scan = |seed| ScanConfig {
+            stage_jitter: 3.0,
+            backlash_x: 1.5,
+            noise_sigma: 50.0,
+            vignette,
+            ..ScanConfig::for_grid(rows, cols, tw, th, overlap, seed)
+        };
+        // stitchbench's plates: one specimen, the seed drives the scan
+        // (serve_mix jobs render their own plate per seed)
+        let specimen = stitch_image::ChannelConfig::for_channel(&scan(2014), 0).scene;
+        for seed in 6042..6048 {
+            let plate = if name == "serve_mix" {
+                SyntheticPlate::generate(scan(seed))
+            } else {
+                SyntheticPlate::generate_with_scene(scan(seed), specimen.clone())
+            };
+            let row = census_of(plate);
+            println!(
+                "{name:<15}{seed:>5}{:>6}{:>6} |{:>10.1}{:>10.1}{:>8.1} |{}",
+                row.pairs,
+                row.wrong_climb_all,
+                row.scans_climb_all,
+                row.scans_memo_only,
+                row.scans_kernel,
+                row.gates
+                    .iter()
+                    .map(|g| format!(
+                        "{:>8.1} {:>3}/{:<3}",
+                        g.scans, g.right_to_wrong, g.wrong_to_right
+                    ))
+                    .collect::<String>()
+            );
+            assert_eq!(row.kernel_differs_from_its_gate, 0, "{name} seed {seed}");
+            let Some(factor) = gated else { continue };
+            let lost = row.gates[KERNEL_GATE].right_to_wrong;
+            if lost > 0 {
+                failures.push(format!("{name} seed {seed}: {lost} pairs right→wrong"));
+            }
+            if row.scans_kernel * factor > row.scans_climb_all {
+                failures.push(format!("{name} seed {seed}: under {factor}x cheaper"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The reference search of [`ccf_gate_census`]: candidates, t-statistic,
+/// steepest-ascent climb and gate written again from the public probe
+/// primitive, sharing nothing with the kernel's scorer or its memo table.
+mod census {
+    use std::collections::HashMap;
+
+    use stitch_core::pciam::{
+        ccf_at_centered, overlap_pixels, peak_candidates, DEFAULT_PEAK_COUNT,
+    };
+    use stitch_core::{
+        truth_vectors, Displacement, OpCounters, PairKind, PciamContext, SyntheticSource,
+        TileSource,
+    };
+    use stitch_fft::{PlanMode, Planner};
+    use stitch_image::{Image, SyntheticPlate};
+
+    /// Which candidates after the leader are hill-climbed, given the
+    /// candidate's initial significance and the best refined one so far.
+    pub type Gate = fn(f64, f64, f64) -> bool;
+
+    pub const GATES: [(&str, Gate); 8] = [
+        ("s0>0", |s0, _, _| s0 > 0.0),
+        ("s0>0,>=2%", |s0, leader, _| s0 > 0.0 && s0 >= 0.02 * leader),
+        ("s0>0,>=5%", |s0, leader, _| s0 > 0.0 && s0 >= 0.05 * leader),
+        ("c<.3|>=2%", |s0, leader, c| c < 0.3 || s0 >= 0.02 * leader),
+        ("c<.5|>=2%", |s0, leader, c| c < 0.5 || s0 >= 0.02 * leader),
+        ("c<.7|>=2%", |s0, leader, c| c < 0.7 || s0 >= 0.02 * leader),
+        ("c<.5|>=5%", |s0, leader, c| c < 0.5 || s0 >= 0.05 * leader),
+        ("top-1", |_, _, _| false),
+    ];
+    /// Index in [`GATES`] of the rule the kernel implements.
+    pub const KERNEL_GATE: usize = 4;
+
+    #[derive(Default)]
+    pub struct GateRow {
+        pub scans: f64,
+        pub right_to_wrong: usize,
+        pub wrong_to_right: usize,
+    }
+
+    #[derive(Default)]
+    pub struct Row {
+        pub pairs: usize,
+        pub wrong_climb_all: usize,
+        pub scans_climb_all: f64,
+        pub scans_memo_only: f64,
+        pub scans_kernel: f64,
+        pub gates: Vec<GateRow>,
+        pub kernel_differs_from_its_gate: usize,
+    }
+
+    struct Probe<'a> {
+        a: &'a Image<u16>,
+        b: &'a Image<u16>,
+        means: (f64, f64),
+        kind: PairKind,
+        seen: HashMap<(i64, i64), f64>,
+        /// Pixels visited with and without sharing repeated cells.
+        pixels_shared: u64,
+        pixels_unshared: u64,
+    }
+
+    impl Probe<'_> {
+        fn score(&mut self, dx: i64, dy: i64) -> Option<(f64, Displacement)> {
+            let legal = match self.kind {
+                PairKind::West => dx >= 1,
+                PairKind::North => dy >= 1,
+            };
+            if !legal {
+                return None;
+            }
+            let (w, h) = self.a.dims();
+            let n = overlap_pixels(w, h, dx, dy);
+            let ccf = match self.seen.get(&(dx, dy)) {
+                Some(&ccf) => ccf,
+                None => {
+                    let ccf = ccf_at_centered(self.a, self.b, self.means.0, self.means.1, dx, dy)?;
+                    self.seen.insert((dx, dy), ccf);
+                    self.pixels_shared += n as u64;
+                    ccf
+                }
+            };
+            self.pixels_unshared += n as u64;
+            let t = ccf * (n as f64 - 2.0).sqrt() / (1.0 - ccf * ccf).max(1e-9).sqrt();
+            Some((t, Displacement::new(dx, dy, ccf)))
+        }
+
+        fn climb(&mut self, mut best: (f64, Displacement)) -> (f64, Displacement) {
+            for _ in 0..8 {
+                let center = best.1;
+                for sy in -2..=2 {
+                    for sx in -2..=2 {
+                        if (sx, sy) == (0, 0) {
+                            continue;
+                        }
+                        match self.score(center.x + sx, center.y + sy) {
+                            Some(cand) if cand.0 > best.0 => best = cand,
+                            _ => {}
+                        }
+                    }
+                }
+                if (best.1.x, best.1.y) == (center.x, center.y) {
+                    break;
+                }
+            }
+            best
+        }
+
+        fn resolve(&mut self, peaks: &[usize], gate: Option<Gate>) -> Displacement {
+            let (w, h) = self.a.dims();
+            let mut scored: Vec<_> = peaks
+                .iter()
+                .flat_map(|&p| peak_candidates(p, w, h))
+                .filter_map(|(dx, dy)| self.score(dx, dy))
+                .collect();
+            scored.sort_by(|(sa, da), (sb, db)| {
+                sb.total_cmp(sa).then((da.x, da.y).cmp(&(db.x, db.y)))
+            });
+            scored.dedup_by_key(|(_, d)| (d.x, d.y));
+            let mut best: Option<(f64, Displacement)> = None;
+            for cand in scored {
+                if let (Some((leader, ld)), Some(gate)) = (best, gate) {
+                    if !gate(cand.0, leader, ld.correlation) {
+                        continue;
+                    }
+                }
+                let refined = self.climb(cand);
+                if best.is_none_or(|(leader, _)| refined.0 > leader) {
+                    best = Some(refined);
+                }
+            }
+            best.expect("census tiles always overlap").1
+        }
+    }
+
+    /// Resolves every pair of `plate` under climb-all, each gate and the
+    /// kernel, against the stage truth.
+    pub fn census_of(plate: SyntheticPlate) -> Row {
+        let (truth_west, truth_north) = truth_vectors(&plate);
+        let (w, h) = (plate.config.tile_width, plate.config.tile_height);
+        let source = SyntheticSource::new(plate);
+        let shape = source.shape();
+        let counters = OpCounters::new_shared();
+        let planner = Planner::new(PlanMode::Estimate);
+        let mut ctx = PciamContext::new(&planner, w, h, counters.clone());
+        let tiles: Vec<Image<u16>> = shape.ids().map(|id| source.load(id).unwrap()).collect();
+        let spectra: Vec<_> = tiles.iter().map(|t| ctx.forward_fft(t)).collect();
+        let mut row = Row {
+            gates: GATES.iter().map(|_| GateRow::default()).collect(),
+            ..Row::default()
+        };
+        let mut gate_pixels = [0u64; GATES.len()];
+        let (mut all_shared, mut all_unshared) = (0u64, 0u64);
+        for id in shape.ids() {
+            let i = shape.index(id);
+            let pairs = [
+                (shape.west(id), PairKind::West, truth_west[i]),
+                (shape.north(id), PairKind::North, truth_north[i]),
+            ];
+            for (neighbour, kind, truth) in pairs {
+                let Some(neighbour) = neighbour else { continue };
+                let (ia, ib) = (shape.index(neighbour), i);
+                let (a, b) = (&tiles[ia], &tiles[ib]);
+                let truth = truth.expect("interior pair has a truth");
+                let right = |d: Displacement| (d.x, d.y) == truth;
+                let peaks: Vec<usize> = ctx
+                    .correlation_peaks(&spectra[ia], &spectra[ib], DEFAULT_PEAK_COUNT)
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .collect();
+                let probe = || Probe {
+                    a,
+                    b,
+                    means: (a.mean(), b.mean()),
+                    kind,
+                    seen: HashMap::new(),
+                    pixels_shared: 0,
+                    pixels_unshared: 0,
+                };
+                row.pairs += 1;
+                let mut all = probe();
+                let base = right(all.resolve(&peaks, None));
+                row.wrong_climb_all += usize::from(!base);
+                all_shared += all.pixels_shared;
+                all_unshared += all.pixels_unshared;
+                let kernel =
+                    ctx.displacement_oriented(&spectra[ia], &spectra[ib], a, b, Some(kind));
+                for (g, (_, gate)) in GATES.iter().enumerate() {
+                    let mut p = probe();
+                    let d = p.resolve(&peaks, Some(*gate));
+                    gate_pixels[g] += p.pixels_shared;
+                    row.gates[g].right_to_wrong += usize::from(base && !right(d));
+                    row.gates[g].wrong_to_right += usize::from(!base && right(d));
+                    if g == KERNEL_GATE {
+                        row.kernel_differs_from_its_gate += usize::from(d != kernel);
+                    }
+                }
+            }
+        }
+        let per_pair = |pixels: u64| pixels as f64 / row.pairs as f64 / (w * h) as f64;
+        row.scans_climb_all = per_pair(all_unshared);
+        row.scans_memo_only = per_pair(all_shared);
+        row.scans_kernel = per_pair(counters.snapshot().ccf_pixels);
+        for (g, pixels) in gate_pixels.into_iter().enumerate() {
+            row.gates[g].scans = per_pair(pixels);
+        }
+        row
     }
 }

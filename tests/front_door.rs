@@ -457,6 +457,39 @@ fn degenerate_inputs_are_refused_at_the_door() {
     assert_eq!(report.parse_errors[0].line, 2);
 }
 
+/// A job line's grid is not a size either: a synthetic job renders its
+/// own plate, whose bytes follow the grid's *area* while the reservation
+/// follows its shorter side. A legal one-row grid whose plate cannot fit
+/// the budget is refused when submitted — by `serve-batch` and by the
+/// daemon — before anything of that size is generated.
+#[test]
+fn a_plate_that_cannot_fit_the_budget_is_refused_at_submit() {
+    use stitching::sched::SubmitError;
+    let strip = "name=strip grid=1x100000000000 tile=64x48";
+    parse_job_line(strip).expect("a legal geometry");
+
+    let batch = format!("{strip}\nname=ok grid=2x2 tile=32x24 compose=false\n");
+    let report = run_batch_text(&batch, &BatchOptions::default()).unwrap();
+    assert_eq!(report.outcomes.len(), 1, "the rest of the batch runs");
+    match report.rejected.as_slice() {
+        [(name, SubmitError::TooLarge { requested, budget })] => {
+            assert_eq!(name, "strip");
+            assert!(requested > budget);
+        }
+        other => panic!("{other:?}"),
+    }
+
+    let daemon = ServeDaemon::new(ServeConfig::default());
+    match daemon.handle_line(&format!("submit {strip}")).as_slice() {
+        [Event::Rejected { job, reason, .. }] => {
+            assert_eq!(job, "strip");
+            assert!(reason.contains("budget is"), "{reason}");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(daemon.stats().accepted, 0);
+}
+
 /// A header's word is not a size: files that claim far more than they
 /// hold are malformed, not an allocation request.
 #[test]

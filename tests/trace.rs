@@ -8,7 +8,7 @@ use stitching::trace::json;
 
 fn profile_source() -> SyntheticSource {
     // kernel time must dominate per-item overheads for the Fig 7 vs
-    // Fig 9 density contrast to show, hence larger-than-default tiles
+    // Fig 9 contrast to show, hence larger-than-default tiles
     SyntheticSource::new(SyntheticPlate::generate(ScanConfig {
         grid_rows: 6,
         grid_cols: 6,
@@ -33,35 +33,47 @@ fn transfer_device(id: usize) -> Device {
     )
 }
 
-/// The unified trace's acceptance test: on the same transfer-model scenario,
-/// the *merged-timeline* kernel density of Pipelined-GPU is strictly
-/// greater than Simple-GPU's (the paper's Fig 7 vs Fig 9 contrast, now
-/// measured from the unified trace instead of the raw device profiler).
+/// A device whose upload of one 160×120 tile takes about as long (≈ 1 ms)
+/// as the kernels that tile needs, so an upload that a schedule lets
+/// overlap a kernel will.
+fn slow_link_device(id: usize) -> Device {
+    Device::new(
+        id,
+        DeviceConfig {
+            memory_bytes: 256 << 20,
+            h2d_bytes_per_sec: Some(40.0e6),
+            ..DeviceConfig::with_transfer_model()
+        },
+    )
+}
+
+/// The unified trace's acceptance test, the paper's Fig 7 vs Fig 9
+/// contrast read off the merged timeline: Simple-GPU follows every
+/// operation with a stream synchronize, so not one nanosecond of copy time
+/// is hidden under a kernel; Pipelined-GPU uploads the next tile while the
+/// kernels of earlier ones run. (Until the CCF stage got cheap this test
+/// compared kernel densities. Those also move with how slow the host work
+/// between two launches happens to be — Simple-GPU's idle gaps *were* the
+/// host CCF — and with whatever else the machine runs.)
 #[test]
-fn merged_timeline_density_pipelined_beats_simple() {
+fn merged_timeline_hides_copies_under_kernels_only_when_pipelined() {
     let src = profile_source();
 
     let trace_simple = TraceHandle::new();
-    SimpleGpuStitcher::new(transfer_device(0))
+    SimpleGpuStitcher::new(slow_link_device(0))
         .with_trace(trace_simple.clone())
         .compute_displacements(&src);
     let rep_simple = RunReport::from_trace(&trace_simple);
 
     let trace_pipe = TraceHandle::new();
-    PipelinedGpuStitcher::single(transfer_device(1))
+    PipelinedGpuStitcher::single(slow_link_device(1))
         .with_trace(trace_pipe.clone())
         .compute_displacements(&src);
     let rep_pipe = RunReport::from_trace(&trace_pipe);
 
-    assert!(
-        rep_pipe.kernel_density > rep_simple.kernel_density,
-        "pipelined {:.3} should beat simple {:.3}",
-        rep_pipe.kernel_density,
-        rep_simple.kernel_density
-    );
-    // the pipelined run overlaps copies with kernels; the synchronous
-    // run cannot (every op is followed by a stream synchronize)
-    assert!(rep_pipe.copy_compute_overlap > rep_simple.copy_compute_overlap);
+    assert!(rep_simple.kernel_density > 0.0 && rep_pipe.kernel_density > 0.0);
+    assert_eq!(rep_simple.copy_compute_overlap, 0.0);
+    assert!(rep_pipe.copy_compute_overlap > 0.0);
 }
 
 /// A single traced stitch run emits one Chrome-trace file holding both
