@@ -61,6 +61,13 @@ pub struct BlendWindow {
     y0: i64,
     w: usize,
     h: usize,
+    /// The resolved window. [`Blend::Overlay`] and [`Blend::First`] copy
+    /// one tile's value per pixel, so they write it as tiles arrive.
+    pixels: Vec<u16>,
+    /// [`Blend::First`] only: pixels that already have their value.
+    taken: Vec<bool>,
+    /// [`Blend::Average`] / [`Blend::Linear`] only: weighted sum and
+    /// total weight per pixel, divided out by [`BlendWindow::finish`].
     acc: Vec<f64>,
     weight: Vec<f64>,
     /// Fig-14 highlight: tile-border pixels, stamped at full intensity
@@ -72,14 +79,19 @@ pub struct BlendWindow {
 impl BlendWindow {
     /// An empty window; `highlight` draws 1-px tile borders.
     pub fn new(blend: Blend, highlight: bool, x0: i64, y0: i64, w: usize, h: usize) -> BlendWindow {
+        // a plane the blend does not use stays empty
+        let plane = |used: bool| if used { w * h } else { 0 };
+        let summed = matches!(blend, Blend::Average | Blend::Linear);
         BlendWindow {
             blend,
             x0,
             y0,
             w,
             h,
-            acc: vec![0.0; w * h],
-            weight: vec![0.0; w * h],
+            pixels: vec![0; w * h],
+            taken: vec![false; plane(blend == Blend::First)],
+            acc: vec![0.0; plane(summed)],
+            weight: vec![0.0; plane(summed)],
             border_mask: highlight.then(|| vec![false; w * h]),
             covered: false,
         }
@@ -104,43 +116,38 @@ impl BlendWindow {
         let (ix0, iy0) = (px.max(x0), py.max(y0));
         let ix1 = (px + tw as i64).min(x0 + w as i64);
         let iy1 = (py + th as i64).min(y0 + self.h as i64);
-        let (acc, weight) = (&mut self.acc[..], &mut self.weight[..]);
-        let mut border_mask = self.border_mask.as_deref_mut();
+        // the tile columns of the intersection
+        let (tx0, tx1) = ((ix0 - px) as usize, (ix1 - px) as usize);
         for gy in iy0..iy1 {
             let ty = (gy - py) as usize;
-            let row = tile.row(ty);
-            let out_row = (gy - y0) as usize * w;
-            for gx in ix0..ix1 {
-                let tx = (gx - px) as usize;
-                let v = row[tx] as f64;
-                let oi = out_row + (gx - x0) as usize;
-                if let Some(mask) = border_mask.as_deref_mut() {
-                    if tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1 {
-                        mask[oi] = true;
-                    }
+            let src = &tile.row(ty)[tx0..tx1];
+            let o0 = (gy - y0) as usize * w + (ix0 - x0) as usize;
+            let span = o0..o0 + src.len();
+            if let Some(mask) = &mut self.border_mask {
+                for (tx, m) in (tx0..tx1).zip(&mut mask[span.clone()]) {
+                    *m |= tx == 0 || ty == 0 || tx == tw - 1 || ty == th - 1;
                 }
-                match self.blend {
-                    Blend::Overlay => {
-                        acc[oi] = v;
-                        weight[oi] = 1.0;
-                    }
-                    Blend::First => {
-                        if weight[oi] == 0.0 {
-                            acc[oi] = v;
-                            weight[oi] = 1.0;
+            }
+            match self.blend {
+                Blend::Overlay => self.pixels[span].copy_from_slice(src),
+                Blend::First => {
+                    let dst = self.pixels[span.clone()].iter_mut();
+                    for ((out, taken), &v) in dst.zip(&mut self.taken[span]).zip(src) {
+                        if !*taken {
+                            (*out, *taken) = (v, true);
                         }
                     }
-                    Blend::Average => {
-                        acc[oi] += v;
-                        weight[oi] += 1.0;
-                    }
-                    Blend::Linear => {
-                        // weight by distance to the nearest tile edge
+                }
+                Blend::Average | Blend::Linear => {
+                    // Linear weights by distance to the nearest tile edge
+                    let linear = self.blend == Blend::Linear;
+                    let dye = (ty.min(th - 1 - ty) + 1) as f64;
+                    for (tx, &v) in (tx0..tx1).zip(src) {
                         let dxe = (tx.min(tw - 1 - tx) + 1) as f64;
-                        let dye = (ty.min(th - 1 - ty) + 1) as f64;
-                        let wgt = dxe * dye;
-                        acc[oi] += v * wgt;
-                        weight[oi] += wgt;
+                        let wgt = if linear { dxe * dye } else { 1.0 };
+                        let oi = o0 + tx - tx0;
+                        self.acc[oi] += v as f64 * wgt;
+                        self.weight[oi] += wgt;
                     }
                 }
             }
@@ -153,18 +160,12 @@ impl BlendWindow {
         if !self.covered {
             return None;
         }
-        let mut pixels: Vec<u16> = self
-            .acc
-            .into_iter()
-            .zip(self.weight)
-            .map(|(a, wt)| {
-                if wt > 0.0 {
-                    (a / wt).clamp(0.0, 65535.0).round() as u16
-                } else {
-                    0
-                }
-            })
-            .collect();
+        let mut pixels = self.pixels;
+        for ((px, a), wt) in pixels.iter_mut().zip(self.acc).zip(self.weight) {
+            if wt > 0.0 {
+                *px = (a / wt).clamp(0.0, 65535.0).round() as u16;
+            }
+        }
         if let Some(mask) = self.border_mask {
             for (px, is_border) in pixels.iter_mut().zip(mask) {
                 if is_border {

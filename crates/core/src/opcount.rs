@@ -20,6 +20,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use stitch_fft::{Direction, RealFft2d};
+
 /// Thread-safe operation tally.
 #[derive(Default, Debug)]
 pub struct OpCounters {
@@ -31,6 +33,7 @@ pub struct OpCounters {
     ccf_groups: AtomicU64,
     ccf_probes: AtomicU64,
     ccf_pixels: AtomicU64,
+    fft_real_mults: AtomicU64,
 }
 
 impl OpCounters {
@@ -44,9 +47,11 @@ impl OpCounters {
         self.reads.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a forward 2-D FFT.
-    pub fn count_forward_fft(&self) {
+    /// Records a forward 2-D FFT executed through `plan`.
+    pub fn count_forward_fft(&self, plan: &RealFft2d) {
         self.forward_ffts.fetch_add(1, Ordering::Relaxed);
+        let mults = plan.real_mults(Direction::Forward);
+        self.fft_real_mults.fetch_add(mults, Ordering::Relaxed);
     }
 
     /// Records one element-wise normalized conjugate multiply (⊗).
@@ -54,9 +59,11 @@ impl OpCounters {
         self.elementwise_mults.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an inverse 2-D FFT.
-    pub fn count_inverse_fft(&self) {
+    /// Records an inverse 2-D FFT executed through `plan`.
+    pub fn count_inverse_fft(&self, plan: &RealFft2d) {
         self.inverse_ffts.fetch_add(1, Ordering::Relaxed);
+        let mults = plan.real_mults(Direction::Inverse);
+        self.fft_real_mults.fetch_add(mults, Ordering::Relaxed);
     }
 
     /// Records a max reduction.
@@ -83,6 +90,7 @@ impl OpCounters {
             ccf_groups: self.ccf_groups.load(Ordering::Relaxed),
             ccf_probes: self.ccf_probes.load(Ordering::Relaxed),
             ccf_pixels: self.ccf_pixels.load(Ordering::Relaxed),
+            fft_real_mults: self.fft_real_mults.load(Ordering::Relaxed),
         }
     }
 }
@@ -107,12 +115,17 @@ pub struct OpCounts {
     pub ccf_probes: u64,
     /// Overlap pixels those evaluations visited; Table I says `h·w`.
     pub ccf_pixels: u64,
+    /// Real multiplications inside the 2-D FFTs above, forward and
+    /// inverse: each plan's plan-time count, so a pure function of grid
+    /// and tile size — the deterministic measure of FFT *work*.
+    pub fft_real_mults: u64,
 }
 
 impl OpCounts {
     /// The Table I prediction for an `n × m` grid (minimal-work
     /// implementations: transforms computed once per tile). Table I does
-    /// not price CCF probes, so `ccf_probes` / `ccf_pixels` stay 0.
+    /// not price CCF probes or FFT arithmetic, so `ccf_probes`,
+    /// `ccf_pixels` and `fft_real_mults` stay 0.
     pub fn predicted(rows: usize, cols: usize) -> OpCounts {
         let nm = (rows * cols) as u64;
         let pairs = if rows == 0 || cols == 0 {
@@ -146,7 +159,7 @@ mod tests {
         assert_eq!(p.inverse_ffts, pairs);
         assert_eq!(p.max_reductions, pairs);
         assert_eq!(p.ccf_groups, pairs);
-        assert_eq!((p.ccf_probes, p.ccf_pixels), (0, 0));
+        assert_eq!((p.ccf_probes, p.ccf_pixels, p.fft_real_mults), (0, 0, 0));
     }
 
     #[test]
@@ -156,9 +169,10 @@ mod tests {
         for _ in 0..4 {
             let c = Arc::clone(&c);
             hs.push(std::thread::spawn(move || {
+                let plan = RealFft2d::new(&stitch_fft::Planner::default(), 8, 4);
                 for _ in 0..100 {
                     c.count_read();
-                    c.count_forward_fft();
+                    c.count_forward_fft(&plan);
                 }
             }));
         }
@@ -168,6 +182,7 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.reads, 400);
         assert_eq!(s.forward_ffts, 400);
+        assert!(s.fft_real_mults > 0 && s.fft_real_mults.is_multiple_of(400));
         assert_eq!(s.ccf_groups, 0);
     }
 }

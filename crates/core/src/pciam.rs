@@ -98,7 +98,8 @@ pub struct PciamContext {
     width: usize,
     height: usize,
     fft: RealFft2d,
-    /// NCC output, [`PciamContext::spectrum_len`] bins.
+    /// NCC output, [`PciamContext::spectrum_len`] bins; the inverse
+    /// transform works in it.
     work: Vec<C64>,
     /// The correlation surface, `width × height`.
     surface: Vec<f64>,
@@ -150,21 +151,6 @@ impl PciamContext {
         }
     }
 
-    /// Tile width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Tile height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// The shared operation counters.
-    pub fn counters(&self) -> &Arc<OpCounters> {
-        &self.counters
-    }
-
     /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
     /// spectrum's storage comes from (and returns to) the context's
     /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
@@ -177,7 +163,7 @@ impl PciamContext {
             *r = p as f64;
         }
         self.fft.forward(&self.real_in, &mut spec);
-        self.counters.count_forward_fft();
+        self.counters.count_forward_fft(&self.fft);
         spec
     }
 
@@ -198,10 +184,10 @@ impl PciamContext {
         // The NCC is the paper's first hand-vectorized kernel (§IV-A) and
         // goes through the process-wide compute backend.
         stitch_fft::backend::active().ncc(fa, fb, &mut self.work);
-        self.fft.inverse(&self.work, &mut self.surface);
+        self.fft.inverse(&mut self.work, &mut self.surface);
         top_peaks_into(&self.surface, self.width, k, f64::abs, cand, peaks);
         self.counters.count_elementwise();
-        self.counters.count_inverse_fft();
+        self.counters.count_inverse_fft(&self.fft);
         self.counters.count_max_reduction();
     }
 

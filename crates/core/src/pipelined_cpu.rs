@@ -499,10 +499,11 @@ mod tests {
     fn op_counts_match_table1() {
         let src = source(3, 3, 55);
         let r = PipelinedCpuStitcher::new(2).compute_displacements(&src);
-        // Table I prices six operations; probe counts are not among them
+        // Table I prices six operations; probe and multiply counts are not among them
         let table1 = crate::opcount::OpCounts {
             ccf_probes: 0,
             ccf_pixels: 0,
+            fft_real_mults: 0,
             ..r.ops
         };
         assert_eq!(table1, crate::opcount::OpCounts::predicted(3, 3));

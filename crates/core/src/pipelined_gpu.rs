@@ -352,7 +352,7 @@ impl PipelinedGpuStitcher {
                 assert_ne!(Some(t.id), fft_panic_at, "injected fft-stage panic");
                 stream.wait_event(&t.copied);
                 stream.fft2d_forward(&plan, t.staging, &real, t.buf.buffer());
-                counters.count_forward_fft();
+                counters.count_forward_fft(&plan);
                 let transformed = stream.record_event();
                 w34.push(TransformedMsg::Tile(TransformedTile {
                     id: t.id,
@@ -407,7 +407,7 @@ impl PipelinedGpuStitcher {
                 stream.ncc(fa, fb, &pair_buf, spectrum_len);
                 counters.count_elementwise();
                 stream.fft2d_inverse(&plan, &pair_buf, &surface);
-                counters.count_inverse_fft();
+                counters.count_inverse_fft(&plan);
                 let peaks = stream
                     .top_abs_peaks(&surface, n, w, DEFAULT_PEAK_COUNT)
                     .wait();

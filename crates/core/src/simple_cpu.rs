@@ -177,10 +177,11 @@ mod tests {
         let plate = test_plate(3, 3);
         let src = SyntheticSource::new(plate);
         let result = SimpleCpuStitcher::default().compute_displacements(&src);
-        // Table I prices six operations; probe counts are not among them
+        // Table I prices six operations; probe and multiply counts are not among them
         let table1 = crate::opcount::OpCounts {
             ccf_probes: 0,
             ccf_pixels: 0,
+            fft_real_mults: 0,
             ..result.ops
         };
         assert_eq!(table1, crate::opcount::OpCounts::predicted(3, 3));

@@ -126,7 +126,7 @@ impl Stitcher for SimpleGpuStitcher {
             stream.synchronize(); // synchronous cudaMemcpy
             stream.fft2d_forward(&plan, Arc::clone(&staging), &real, &buf);
             stream.synchronize();
-            counters.count_forward_fft();
+            counters.count_forward_fft(&plan);
 
             // complete ready pairs, one fully synchronous op at a time;
             // a released endpoint recycles its device buffer
@@ -137,7 +137,7 @@ impl Stitcher for SimpleGpuStitcher {
                 counters.count_elementwise();
                 stream.fft2d_inverse(&plan, &pair_buf, &real);
                 stream.synchronize();
-                counters.count_inverse_fft();
+                counters.count_inverse_fft(&plan);
                 let peaks = stream.top_abs_peaks(&real, n, w, DEFAULT_PEAK_COUNT).wait();
                 counters.count_max_reduction();
                 // CCF disambiguation on the CPU (host images)

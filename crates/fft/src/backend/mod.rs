@@ -5,14 +5,19 @@
 //! with SSE intrinsics. This module generalizes that observation into a
 //! [`ComputeBackend`] trait covering every phase-1 hot loop — the NCC
 //! normalized conjugate multiply, the max reduction, the CCF co-moment
-//! accumulation, and the radix-2/4 FFT butterfly passes — with three
-//! implementations selected at runtime:
+//! accumulation, and the 2-D real FFT pair — with three implementations
+//! selected at runtime:
 //!
-//! * [`scalar`] — straight sequential reference loops;
+//! * [`scalar`] — straight sequential reference loops; the FFT engine
+//!   with one `f64` lane, one row or column at a time;
 //! * [`portable`] — the lane-unrolled dependency-free shape from
-//!   [`crate::vectorops`], which LLVM auto-vectorizes on any target;
+//!   [`crate::vectorops`], which LLVM auto-vectorizes on any target; the
+//!   FFT engine with four lanes (`[f64; 4]`), four rows or columns per
+//!   pass;
 //! * [`simd`] — explicit `core::arch` x86_64 AVX2 intrinsics behind
-//!   `is_x86_feature_detected!`, falling back to `portable` elsewhere.
+//!   `is_x86_feature_detected!`, and the same four-lane FFT engine
+//!   compiled under `#[target_feature(enable = "avx2")]`; falls back to
+//!   `portable` elsewhere.
 //!
 //! # Selection
 //!
@@ -27,31 +32,30 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The element-wise kernels (`ncc`, the butterfly passes) and the max
-//! reduction evaluate the *same IEEE-754 expression DAG* in every
-//! backend: no FMA contraction, no re-associated sums, division and
-//! square root are correctly rounded, and tie-breaks resolve to the
-//! lowest index. All backends therefore produce bit-identical NCC
-//! surfaces, FFT outputs, and peak indices — the testkit backend oracle
-//! pins this. The co-moment accumulators (`comoment*`) are reductions;
-//! the lane-split versions re-associate the sum and are only guaranteed
-//! equal to ~1e-12 relative, which the CCF scoring tolerates (see
-//! DESIGN.md § "Compute backends").
+//! The element-wise kernel (`ncc`) and the max reduction evaluate the
+//! *same IEEE-754 expression DAG* in every backend: no FMA contraction,
+//! no re-associated sums, division and square root are correctly
+//! rounded, and tie-breaks resolve to the lowest index. The FFT needs no
+//! such care: there is one engine source ([`crate::radix`]), vectorised
+//! *across* transforms, so a lane of the four-lane run executes the very
+//! operation sequence of the one-lane run and a backend only chooses how
+//! many transforms share an instruction (AVX2 is enabled without FMA).
+//! All backends therefore produce bit-identical NCC surfaces, FFT
+//! outputs, and peak indices — the testkit backend oracle pins this. The
+//! co-moment accumulators (`comoment*`) are reductions; the lane-split
+//! versions re-associate the sum and are only guaranteed equal to ~1e-12
+//! relative, which the CCF scoring tolerates (see DESIGN.md § "Compute
+//! backends").
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::complex::C64;
+use crate::real::RealFft2d;
 
 pub mod portable;
 pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub mod simd;
-
-/// Butterfly spans shorter than this skip the backend dispatch and run
-/// the inline scalar loop: at tiny `m` the virtual call and vector
-/// setup cost more than the work. The inline loop evaluates the same
-/// expression DAG, so the output is bit-identical either way.
-pub(crate) const RADIX_DISPATCH_MIN_M: usize = 8;
 
 /// The phase-1 hot-loop kernels every backend provides.
 ///
@@ -84,21 +88,12 @@ pub trait ComputeBackend: Send + Sync {
     /// the CCF overlap scan — the dominant per-pair cost.
     fn comoment_u16(&self, a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5];
 
-    /// Radix-2 DIT butterfly combine over `out[..2m]`:
-    /// `b = out[m+j]·tw[j·tw_step]; out[j] = a + b; out[m+j] = a − b`.
-    fn radix2_pass(&self, out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize);
+    /// [`RealFft2d::forward`] with this backend's lane type and
+    /// instruction set (lengths already checked).
+    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]);
 
-    /// Radix-4 DIT butterfly combine over `out[..4m]` with twiddle
-    /// indices `(k·j·tw_step) mod twiddles.len()` for `k = 1..4`;
-    /// `forward` selects `W₄ = −i` (vs `+i`).
-    fn radix4_pass(
-        &self,
-        out: &mut [C64],
-        m: usize,
-        twiddles: &[C64],
-        tw_step: usize,
-        forward: bool,
-    );
+    /// [`RealFft2d::inverse`], likewise; `spectrum` is consumed.
+    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]);
 }
 
 /// A backend requested by the user (CLI flag, env var, or testkit).
@@ -445,47 +440,31 @@ mod tests {
     }
 
     #[test]
-    fn radix_passes_bit_identical_across_backends() {
-        use crate::radix::{twiddle_table, Direction};
-        for dir in [Direction::Forward, Direction::Inverse] {
-            for (r, m, n_total) in [
-                (2usize, 8usize, 64usize),
-                (2, 32, 64),
-                (2, 13, 52),
-                (4, 8, 32),
-                (4, 16, 256),
-                (4, 9, 36),
-            ] {
-                let n = r * m;
-                let tw = twiddle_table(n_total, dir);
-                let tw_step = n_total / n;
-                let src = data(n, 20 + r as u64);
-                let mut reference = src.clone();
-                match r {
-                    2 => scalar::ScalarBackend.radix2_pass(&mut reference, m, &tw, tw_step),
-                    _ => scalar::ScalarBackend.radix4_pass(
-                        &mut reference,
-                        m,
-                        &tw,
-                        tw_step,
-                        dir == Direction::Forward,
-                    ),
-                }
-                for be in backends() {
-                    let mut out = src.clone();
-                    match r {
-                        2 => be.radix2_pass(&mut out, m, &tw, tw_step),
-                        _ => be.radix4_pass(&mut out, m, &tw, tw_step, dir == Direction::Forward),
-                    }
-                    for j in 0..n {
-                        assert!(
-                            reference[j].re.to_bits() == out[j].re.to_bits()
-                                && reference[j].im.to_bits() == out[j].im.to_bits(),
-                            "{} r={r} m={m} dir={dir:?} j={j}",
-                            be.name()
-                        );
-                    }
-                }
+    fn real_fft2d_bit_identical_across_backends() {
+        use crate::plan::Planner;
+        // 174×130 carries both awkward primes (29, 13) and leaves a
+        // partial last panel on both axes; 96×72 is the dense toy tile.
+        for (w, h) in [(174usize, 130usize), (96, 72)] {
+            let plan = RealFft2d::new(&Planner::default(), w, h);
+            let input: Vec<f64> = data(w * h, 31).iter().map(|z| z.re).collect();
+            let mut reference: Option<(Vec<C64>, Vec<f64>)> = None;
+            for be in backends() {
+                let mut spec = vec![C64::ZERO; plan.spectrum_len()];
+                be.real_fft2d_forward(&plan, &input, &mut spec);
+                let forward = spec.clone();
+                let mut back = vec![0.0; w * h];
+                be.real_fft2d_inverse(&plan, &mut spec, &mut back);
+                let (want_fwd, want_back) =
+                    reference.get_or_insert((forward.clone(), back.clone()));
+                let same = forward.iter().zip(want_fwd.iter()).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+                assert!(same, "{} forward {w}x{h}", be.name());
+                let same = back
+                    .iter()
+                    .zip(want_back.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{} inverse {w}x{h}", be.name());
             }
         }
     }

@@ -1,14 +1,14 @@
 //! The lane-unrolled auto-vectorizable backend.
 //!
 //! Element-wise kernels and reductions come straight from
-//! [`crate::vectorops`] (the PR-4-era vector-shaped loops); the radix
-//! butterfly passes extend the same shape to the FFT combine loops:
-//! disjoint sub-slices (so the optimizer can prove no aliasing) walked
-//! in fixed-width chunks with an independent body per lane. LLVM turns
-//! these into packed SIMD at whatever width the target offers without a
-//! single intrinsic — the portable floor every platform gets.
+//! [`crate::vectorops`] (the PR-4-era vector-shaped loops); the 2-D FFT
+//! runs the shared engine over `[f64; 4]` lanes — four rows or columns
+//! per pass, an independent body per lane. LLVM turns these into packed
+//! SIMD at whatever width the target offers without a single intrinsic
+//! — the portable floor every platform gets.
 
 use crate::complex::C64;
+use crate::real::RealFft2d;
 use crate::vectorops;
 
 use super::ComputeBackend;
@@ -37,91 +37,11 @@ impl ComputeBackend for PortableBackend {
         vectorops::comoment_u16_vectorized(a, b, ca, cb)
     }
 
-    fn radix2_pass(&self, out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
-        radix2_portable(out, m, twiddles, tw_step);
+    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
+        plan.forward_lanes::<[f64; 4]>(input, output);
     }
 
-    fn radix4_pass(
-        &self,
-        out: &mut [C64],
-        m: usize,
-        twiddles: &[C64],
-        tw_step: usize,
-        forward: bool,
-    ) {
-        radix4_portable(out, m, twiddles, tw_step, forward);
-    }
-}
-
-/// Butterfly lanes: two complex (four `f64`) per unrolled step — one
-/// 256-bit vector, or two 128-bit ones, of independent work.
-const BLANES: usize = 2;
-
-/// Radix-2 combine in [`BLANES`]-wide chunks over provably disjoint
-/// halves. Bit-identical to the scalar pass: same multiplies, same
-/// adds, only evaluated side by side.
-pub(crate) fn radix2_portable(out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
-    let (lo, hi) = out.split_at_mut(m);
-    let hi = &mut hi[..m];
-    let chunks = m / BLANES;
-    for c in 0..chunks {
-        let j0 = c * BLANES;
-        for l in 0..BLANES {
-            let j = j0 + l;
-            let a = lo[j];
-            let b = hi[j] * twiddles[j * tw_step];
-            lo[j] = a + b;
-            hi[j] = a - b;
-        }
-    }
-    for j in chunks * BLANES..m {
-        let a = lo[j];
-        let b = hi[j] * twiddles[j * tw_step];
-        lo[j] = a + b;
-        hi[j] = a - b;
-    }
-}
-
-/// Radix-4 combine in [`BLANES`]-wide chunks over four disjoint
-/// quarters. Same expression DAG as the scalar pass (the ±i rotations
-/// are exact component swaps/negations).
-pub(crate) fn radix4_portable(
-    out: &mut [C64],
-    m: usize,
-    twiddles: &[C64],
-    tw_step: usize,
-    forward: bool,
-) {
-    let n_total = twiddles.len();
-    let (q0, rest) = out.split_at_mut(m);
-    let (q1, rest) = rest.split_at_mut(m);
-    let (q2, q3) = rest.split_at_mut(m);
-    let q3 = &mut q3[..m];
-    let mut body = |j: usize| {
-        let a = q0[j];
-        let b = q1[j] * twiddles[j * tw_step];
-        let c = q2[j] * twiddles[(2 * j * tw_step) % n_total];
-        let d = q3[j] * twiddles[(3 * j * tw_step) % n_total];
-        let ac_p = a + c;
-        let ac_m = a - c;
-        let bd_p = b + d;
-        let bd_m = if forward {
-            (b - d).mul_neg_i()
-        } else {
-            (b - d).mul_i()
-        };
-        q0[j] = ac_p + bd_p;
-        q1[j] = ac_m + bd_m;
-        q2[j] = ac_p - bd_p;
-        q3[j] = ac_m - bd_m;
-    };
-    let chunks = m / BLANES;
-    for c in 0..chunks {
-        for l in 0..BLANES {
-            body(c * BLANES + l);
-        }
-    }
-    for j in chunks * BLANES..m {
-        body(j);
+    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
+        plan.inverse_lanes::<[f64; 4]>(spectrum, output);
     }
 }

@@ -5,9 +5,11 @@
 //! The element-wise kernels and the max reduction share their expression
 //! DAGs with the vectorized backends and are bit-identical to them; the
 //! co-moment reductions accumulate in strict left-to-right order, which
-//! the lane-split backends re-associate.
+//! the lane-split backends re-associate. The 2-D FFT runs the shared
+//! engine one `f64` lane wide.
 
 use crate::complex::C64;
+use crate::real::RealFft2d;
 use crate::vectorops;
 
 use super::ComputeBackend;
@@ -36,62 +38,11 @@ impl ComputeBackend for ScalarBackend {
         vectorops::comoment_u16_scalar(a, b, ca, cb)
     }
 
-    fn radix2_pass(&self, out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
-        radix2_scalar(out, m, twiddles, tw_step);
+    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
+        plan.forward_lanes::<f64>(input, output);
     }
 
-    fn radix4_pass(
-        &self,
-        out: &mut [C64],
-        m: usize,
-        twiddles: &[C64],
-        tw_step: usize,
-        forward: bool,
-    ) {
-        radix4_scalar(out, m, twiddles, tw_step, forward);
-    }
-}
-
-/// The radix-2 combine loop, verbatim from the mixed-radix engine. Also
-/// the inline small-`m` path in `radix.rs` — one definition keeps the
-/// DAGs provably identical.
-#[inline]
-pub(crate) fn radix2_scalar(out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
-    for j in 0..m {
-        let a = out[j];
-        let b = out[m + j] * twiddles[j * tw_step];
-        out[j] = a + b;
-        out[m + j] = a - b;
-    }
-}
-
-/// The radix-4 combine loop, verbatim from the mixed-radix engine.
-#[inline]
-pub(crate) fn radix4_scalar(
-    out: &mut [C64],
-    m: usize,
-    twiddles: &[C64],
-    tw_step: usize,
-    forward: bool,
-) {
-    let n_total = twiddles.len();
-    for j in 0..m {
-        let a = out[j];
-        let b = out[m + j] * twiddles[j * tw_step];
-        let c = out[2 * m + j] * twiddles[(2 * j * tw_step) % n_total];
-        let d = out[3 * m + j] * twiddles[(3 * j * tw_step) % n_total];
-        let ac_p = a + c;
-        let ac_m = a - c;
-        let bd_p = b + d;
-        // forward: W_4 = -i ; inverse: W_4 = +i
-        let bd_m = if forward {
-            (b - d).mul_neg_i()
-        } else {
-            (b - d).mul_i()
-        };
-        out[j] = ac_p + bd_p;
-        out[m + j] = ac_m + bd_m;
-        out[2 * m + j] = ac_p - bd_p;
-        out[3 * m + j] = ac_m - bd_m;
+    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
+        plan.inverse_lanes::<f64>(spectrum, output);
     }
 }

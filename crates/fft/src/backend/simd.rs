@@ -1,7 +1,9 @@
 //! The explicit-AVX2 backend (x86_64 only).
 //!
-//! Hand-written `core::arch` intrinsics for every phase-1 hot loop —
-//! the modern form of the paper's §IV-A SSE kernels. Each kernel
+//! Hand-written `core::arch` intrinsics for the element-wise phase-1
+//! hot loops — the modern form of the paper's §IV-A SSE kernels — and
+//! the shared four-lane FFT engine compiled with AVX2 enabled (no
+//! per-ISA butterfly: it is vectorised across transforms). Each kernel
 //! evaluates exactly the expression DAG of its scalar/portable twin:
 //!
 //! * no FMA — products and sums stay separately rounded
@@ -9,8 +11,6 @@
 //! * `_mm256_div_pd` and `_mm256_sqrt_pd` are correctly rounded, so
 //!   `re/mag` and `√(re²+im²)` match their scalar counterparts bit for
 //!   bit;
-//! * the ±i rotations in the radix-4 butterfly are component
-//!   swaps + sign flips (an XOR), which are exact;
 //! * the max reduction funnels its four lanes through the same merge
 //!   epilogue as the portable version, so tie-breaks are identical by
 //!   construction.
@@ -27,6 +27,7 @@
 use core::arch::x86_64::*;
 
 use crate::complex::C64;
+use crate::real::RealFft2d;
 use crate::vectorops::{self, merge_lanes_and_tail, LANES};
 
 use super::ComputeBackend;
@@ -80,40 +81,39 @@ impl ComputeBackend for SimdBackend {
         }
     }
 
-    fn radix2_pass(&self, out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
+    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
         if super::simd_supported() {
             // SAFETY: AVX2 confirmed on this host.
-            unsafe { radix2_avx2(out, m, twiddles, tw_step) }
+            unsafe { real_fft2d_forward_avx2(plan, input, output) }
         } else {
-            super::portable::radix2_portable(out, m, twiddles, tw_step);
+            plan.forward_lanes::<[f64; 4]>(input, output);
         }
     }
 
-    fn radix4_pass(
-        &self,
-        out: &mut [C64],
-        m: usize,
-        twiddles: &[C64],
-        tw_step: usize,
-        forward: bool,
-    ) {
+    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
         if super::simd_supported() {
             // SAFETY: AVX2 confirmed on this host.
-            unsafe { radix4_avx2(out, m, twiddles, tw_step, forward) }
+            unsafe { real_fft2d_inverse_avx2(plan, spectrum, output) }
         } else {
-            super::portable::radix4_portable(out, m, twiddles, tw_step, forward);
+            plan.inverse_lanes::<[f64; 4]>(spectrum, output);
         }
     }
 }
 
-/// Loads one complex (two contiguous `f64`) into a 128-bit lane.
-///
-/// # Safety
-/// Caller guarantees `z` points at a valid `C64` and SSE2 is available
-/// (baseline on x86_64).
-#[inline(always)]
-unsafe fn load_c64(z: *const C64) -> __m128d {
-    _mm_loadu_pd(z as *const f64)
+/// The four-lane FFT engine with AVX2 code generation: the whole
+/// transform inlines into this frame, so each `[f64; 4]` operation is
+/// one 256-bit instruction. AVX2 only — without the `fma` feature no
+/// multiply-add can be contracted, so lanes round as the portable build
+/// does.
+#[target_feature(enable = "avx2")]
+fn real_fft2d_forward_avx2(plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
+    plan.forward_lanes::<[f64; 4]>(input, output);
+}
+
+/// Inverse twin of [`real_fft2d_forward_avx2`].
+#[target_feature(enable = "avx2")]
+fn real_fft2d_inverse_avx2(plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
+    plan.inverse_lanes::<[f64; 4]>(spectrum, output);
 }
 
 /// Deinterleaves four packed complex (`r0 i0 r1 i1 | r2 i2 r3 i3`) into
@@ -141,20 +141,6 @@ unsafe fn interleave4(re: __m256d, im: __m256d) -> (__m256d, __m256d) {
     let lo = _mm256_permute2f128_pd(t0, t1, 0x20); // r0 i0 r1 i1
     let hi = _mm256_permute2f128_pd(t0, t1, 0x31); // r2 i2 r3 i3
     (lo, hi)
-}
-
-/// Two interleaved complex multiplies `x·y` per vector, the exact
-/// [`C64: Mul`] DAG: `re = x.re·y.re − x.im·y.im`,
-/// `im = x.re·y.im + x.im·y.re` (one `addsub`, separately rounded).
-///
-/// # Safety
-/// AVX required.
-#[inline(always)]
-unsafe fn cmul2(x: __m256d, y: __m256d) -> __m256d {
-    let xre = _mm256_movedup_pd(x); // x0.re x0.re x1.re x1.re
-    let xim = _mm256_permute_pd(x, 0xF); // x0.im x0.im x1.im x1.im
-    let yswap = _mm256_permute_pd(y, 0x5); // y0.im y0.re y1.im y1.re
-    _mm256_addsub_pd(_mm256_mul_pd(xre, y), _mm256_mul_pd(xim, yswap))
 }
 
 /// NCC over four complex per iteration. Bit-identical to
@@ -321,129 +307,4 @@ unsafe fn comoment_u16_avx2(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] 
         acc,
         vectorops::comoment_u16_scalar(&a[done..], &b[done..], ca, cb),
     )
-}
-
-/// Loads twiddles `tw[i0]` and `tw[i1]` as one interleaved vector.
-///
-/// # Safety
-/// AVX required; indices in bounds.
-#[inline(always)]
-unsafe fn load_twiddles2(tw: *const C64, i0: usize, i1: usize) -> __m256d {
-    _mm256_set_m128d(load_c64(tw.add(i1)), load_c64(tw.add(i0)))
-}
-
-/// Radix-2 combine, two butterflies per iteration. Bit-identical to the
-/// scalar pass.
-///
-/// # Safety
-/// AVX2 must be available; `out` must cover `2m` elements and
-/// `twiddles[(m−1)·tw_step]` must be in bounds.
-#[target_feature(enable = "avx2")]
-unsafe fn radix2_avx2(out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize) {
-    let pairs = m / 2;
-    let lo = out.as_mut_ptr();
-    let hi = lo.add(m);
-    let tp = twiddles.as_ptr();
-    for c in 0..pairs {
-        let j = c * 2;
-        let t = load_twiddles2(tp, j * tw_step, (j + 1) * tw_step);
-        let a = _mm256_loadu_pd(lo.add(j) as *const f64);
-        let b = cmul2(_mm256_loadu_pd(hi.add(j) as *const f64), t);
-        _mm256_storeu_pd(lo.add(j) as *mut f64, _mm256_add_pd(a, b));
-        _mm256_storeu_pd(hi.add(j) as *mut f64, _mm256_sub_pd(a, b));
-    }
-    for j in pairs * 2..m {
-        let a = out[j];
-        let b = out[m + j] * twiddles[j * tw_step];
-        out[j] = a + b;
-        out[m + j] = a - b;
-    }
-}
-
-/// Multiplies two interleaved complex by `−i` (`(re, im) → (im, −re)`):
-/// a swap plus a sign flip on the imaginary lanes — exact.
-///
-/// # Safety
-/// AVX required.
-#[inline(always)]
-unsafe fn cmul_neg_i2(x: __m256d) -> __m256d {
-    let swapped = _mm256_permute_pd(x, 0x5); // im re im re
-    let sign = _mm256_castsi256_pd(_mm256_setr_epi64x(0, i64::MIN, 0, i64::MIN));
-    _mm256_xor_pd(swapped, sign)
-}
-
-/// Multiplies two interleaved complex by `+i` (`(re, im) → (−im, re)`).
-///
-/// # Safety
-/// AVX required.
-#[inline(always)]
-unsafe fn cmul_i2(x: __m256d) -> __m256d {
-    let swapped = _mm256_permute_pd(x, 0x5); // im re im re
-    let sign = _mm256_castsi256_pd(_mm256_setr_epi64x(i64::MIN, 0, i64::MIN, 0));
-    _mm256_xor_pd(swapped, sign)
-}
-
-/// Radix-4 combine, two butterflies per iteration. Bit-identical to the
-/// scalar pass.
-///
-/// # Safety
-/// AVX2 must be available; `out` must cover `4m` elements; twiddle
-/// indices are taken modulo `twiddles.len()`.
-#[target_feature(enable = "avx2")]
-unsafe fn radix4_avx2(out: &mut [C64], m: usize, twiddles: &[C64], tw_step: usize, forward: bool) {
-    let n_total = twiddles.len();
-    let pairs = m / 2;
-    let q0 = out.as_mut_ptr();
-    let q1 = q0.add(m);
-    let q2 = q0.add(2 * m);
-    let q3 = q0.add(3 * m);
-    let tp = twiddles.as_ptr();
-    for cidx in 0..pairs {
-        let j = cidx * 2;
-        let (j0, j1) = (j * tw_step, (j + 1) * tw_step);
-        let a = _mm256_loadu_pd(q0.add(j) as *const f64);
-        let b = cmul2(
-            _mm256_loadu_pd(q1.add(j) as *const f64),
-            load_twiddles2(tp, j0, j1),
-        );
-        let c = cmul2(
-            _mm256_loadu_pd(q2.add(j) as *const f64),
-            load_twiddles2(tp, (2 * j0) % n_total, (2 * j1) % n_total),
-        );
-        let d = cmul2(
-            _mm256_loadu_pd(q3.add(j) as *const f64),
-            load_twiddles2(tp, (3 * j0) % n_total, (3 * j1) % n_total),
-        );
-        let ac_p = _mm256_add_pd(a, c);
-        let ac_m = _mm256_sub_pd(a, c);
-        let bd_p = _mm256_add_pd(b, d);
-        let bd = _mm256_sub_pd(b, d);
-        let bd_m = if forward {
-            cmul_neg_i2(bd)
-        } else {
-            cmul_i2(bd)
-        };
-        _mm256_storeu_pd(q0.add(j) as *mut f64, _mm256_add_pd(ac_p, bd_p));
-        _mm256_storeu_pd(q1.add(j) as *mut f64, _mm256_add_pd(ac_m, bd_m));
-        _mm256_storeu_pd(q2.add(j) as *mut f64, _mm256_sub_pd(ac_p, bd_p));
-        _mm256_storeu_pd(q3.add(j) as *mut f64, _mm256_sub_pd(ac_m, bd_m));
-    }
-    for j in pairs * 2..m {
-        let a = out[j];
-        let b = out[m + j] * twiddles[j * tw_step];
-        let c = out[2 * m + j] * twiddles[(2 * j * tw_step) % n_total];
-        let d = out[3 * m + j] * twiddles[(3 * j * tw_step) % n_total];
-        let ac_p = a + c;
-        let ac_m = a - c;
-        let bd_p = b + d;
-        let bd_m = if forward {
-            (b - d).mul_neg_i()
-        } else {
-            (b - d).mul_i()
-        };
-        out[j] = ac_p + bd_p;
-        out[m + j] = ac_m + bd_m;
-        out[2 * m + j] = ac_p - bd_p;
-        out[3 * m + j] = ac_m - bd_m;
-    }
 }

@@ -7,14 +7,14 @@
 //! (§III: "there is no guarantee that the partial images will have such
 //! nice dimensions").
 
-use crate::complex::C64;
+use crate::complex::{Cx, Lane, C64};
 use crate::factor::next_pow2;
 use crate::radix::{Direction, MixedRadixPlan};
+use crate::scratch;
 
 /// A Bluestein FFT plan for one fixed length and direction.
 pub struct BluesteinPlan {
     n: usize,
-    direction: Direction,
     /// Convolution FFT size: power of two ≥ 2n−1.
     m: usize,
     /// Chirp `w[k] = e^{sign·πi·k²/n}` for k in 0..n.
@@ -55,7 +55,6 @@ impl BluesteinPlan {
         fwd.process(&b, &mut kernel_freq);
         BluesteinPlan {
             n,
-            direction,
             m,
             chirp,
             kernel_freq,
@@ -65,46 +64,57 @@ impl BluesteinPlan {
     }
 
     /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// True only for the degenerate length-0 case (never constructed).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    /// Real multiplications one execution performs, per lane: the two
+    /// chirp products, the kernel product, the `1/m` scale and the two
+    /// power-of-two transforms.
+    pub fn real_mults(&self) -> u64 {
+        (4 + 6) * self.n as u64 + 4 * self.m as u64 + self.fwd.real_mults() + self.inv.real_mults()
     }
 
-    /// Plan direction.
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.direction
+    /// Scratch elements [`BluesteinPlan::run`] needs: the two length-`m`
+    /// convolution buffers.
+    pub(crate) fn scratch_len(&self) -> usize {
+        2 * self.m
     }
 
     /// Executes the transform out-of-place; `input` is left untouched.
-    /// Allocation-free at steady state: the two length-`m` convolution
-    /// buffers come from the thread-local [`crate::scratch`] pool.
+    /// Allocation-free at steady state: the convolution buffers come from
+    /// the thread-local [`crate::scratch`] pool.
     pub fn process(&self, input: &[C64], output: &mut [C64]) {
         assert_eq!(input.len(), self.n);
-        assert_eq!(output.len(), self.n);
-        let m = self.m;
-        crate::scratch::with_scratch(2 * m, |buf| {
-            let (a, freq) = buf.split_at_mut(m);
-            // a[k] = x[k]·chirp[k], zero-padded to m (scratch is zeroed).
-            for k in 0..self.n {
-                a[k] = input[k] * self.chirp[k];
-            }
-            self.fwd.process(a, freq);
-            for (f, k) in freq.iter_mut().zip(&self.kernel_freq) {
-                *f *= *k;
-            }
-            self.inv.process(freq, a);
-            let scale = 1.0 / m as f64;
-            for j in 0..self.n {
-                output[j] = a[j].scale(scale) * self.chirp[j];
-            }
-        })
+        let mut buf = scratch::take(self.scratch_len());
+        self.run(|k| input[k], output, buf.slice())
+    }
+
+    /// Executes the transform: element `k` of the input is `load(k)`,
+    /// the result lands in `out`; `scratch` holds
+    /// [`BluesteinPlan::scratch_len`] elements of unspecified content.
+    pub(crate) fn run<L: Lane>(
+        &self,
+        load: impl Fn(usize) -> Cx<L>,
+        out: &mut [Cx<L>],
+        scratch: &mut [Cx<L>],
+    ) {
+        assert_eq!(out.len(), self.n);
+        let (a, freq) = scratch[..2 * self.m].split_at_mut(self.m);
+        // a[k] = x[k]·chirp[k], zero-padded to m.
+        for (k, (ak, &c)) in a.iter_mut().zip(&self.chirp).enumerate() {
+            *ak = load(k) * c;
+        }
+        a[self.n..].fill(Cx::default());
+        self.fwd.run_slice(a, freq);
+        for (f, &k) in freq.iter_mut().zip(&self.kernel_freq) {
+            *f = *f * k;
+        }
+        self.inv.run_slice(freq, a);
+        let scale = 1.0 / self.m as f64;
+        for ((o, aj), &c) in out.iter_mut().zip(a.iter()).zip(&self.chirp) {
+            *o = aj.scale(scale) * c;
+        }
     }
 }
 

@@ -1,22 +1,229 @@
-//! Minimal double-precision complex number type.
+//! Double-precision complex numbers, one or several side by side.
 //!
 //! The stitching computation works exclusively on `f64` complex values
 //! (the paper's transforms are "2-D Fourier transforms on double complex
-//! numbers", §III Table I), so a single concrete type keeps the hot loops
-//! monomorphic and lets the compiler vectorize them.
+//! numbers", §III Table I). [`C64`] is that value; it is the one-lane
+//! instance of [`Cx`], whose parts are [`Lane`]s — `f64`, or `[f64; 4]`
+//! for four independent transforms advancing in lock step. The parts
+//! are kept apart (all real parts, then all imaginary parts), so every
+//! complex operation is a handful of vertical lane operations and no
+//! shuffle, and every lane sees exactly the arithmetic a lone `f64`
+//! would: the FFT engine is written once over `Cx<L>`.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::thread::LocalKey;
 
-/// A complex number with `f64` components.
+use crate::scratch::{ScratchPool, POOL_1, POOL_4};
+
+/// A fixed number of `f64` values operated on element by element.
+/// Every operation is the plain IEEE-754 one in each lane — no fused
+/// multiply-add, no re-association — so lane `l` of a result depends on
+/// lane `l` of the operands only, bit for bit.
+pub trait Lane: Copy + Default + 'static {
+    /// Number of `f64` values side by side.
+    const N: usize;
+    /// `x` in every lane.
+    fn splat(x: f64) -> Self;
+    /// Lane `l` is `f(l)`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+    /// The value in lane `l`.
+    fn get(self, l: usize) -> f64;
+    /// Lane-wise sum.
+    fn add(self, o: Self) -> Self;
+    /// Lane-wise difference.
+    fn sub(self, o: Self) -> Self;
+    /// Lane-wise product.
+    fn mul(self, o: Self) -> Self;
+    /// Lane-wise negation.
+    fn neg(self) -> Self;
+    /// This thread's scratch buffers of this lane type.
+    fn scratch_pool() -> &'static LocalKey<ScratchPool<Self>>;
+}
+
+impl Lane for f64 {
+    const N: usize = 1;
+    #[inline(always)]
+    fn splat(x: f64) -> f64 {
+        x
+    }
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
+    }
+    #[inline(always)]
+    fn get(self, _: usize) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn add(self, o: f64) -> f64 {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: f64) -> f64 {
+        self - o
+    }
+    #[inline(always)]
+    fn mul(self, o: f64) -> f64 {
+        self * o
+    }
+    #[inline(always)]
+    fn neg(self) -> f64 {
+        -self
+    }
+    fn scratch_pool() -> &'static LocalKey<ScratchPool<f64>> {
+        &POOL_1
+    }
+}
+
+impl Lane for [f64; 4] {
+    const N: usize = 4;
+    #[inline(always)]
+    fn splat(x: f64) -> [f64; 4] {
+        [x; 4]
+    }
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> [f64; 4] {
+        std::array::from_fn(f)
+    }
+    #[inline(always)]
+    fn get(self, l: usize) -> f64 {
+        self[l]
+    }
+    #[inline(always)]
+    fn add(self, o: [f64; 4]) -> [f64; 4] {
+        std::array::from_fn(|l| self[l] + o[l])
+    }
+    #[inline(always)]
+    fn sub(self, o: [f64; 4]) -> [f64; 4] {
+        std::array::from_fn(|l| self[l] - o[l])
+    }
+    #[inline(always)]
+    fn mul(self, o: [f64; 4]) -> [f64; 4] {
+        std::array::from_fn(|l| self[l] * o[l])
+    }
+    #[inline(always)]
+    fn neg(self) -> [f64; 4] {
+        std::array::from_fn(|l| -self[l])
+    }
+    fn scratch_pool() -> &'static LocalKey<ScratchPool<[f64; 4]>> {
+        &POOL_4
+    }
+}
+
+/// [`Lane::N`] complex numbers: real parts in `re`, imaginary in `im`.
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
-pub struct C64 {
+pub struct Cx<L> {
     /// Real part.
-    pub re: f64,
+    pub re: L,
     /// Imaginary part.
-    pub im: f64,
+    pub im: L,
+}
+
+/// A complex number with `f64` components.
+pub type C64 = Cx<f64>;
+
+impl<L: Lane> Cx<L> {
+    /// Lane `l` is `f(l)`.
+    #[inline(always)]
+    pub fn from_fn(f: impl Fn(usize) -> C64) -> Cx<L> {
+        Cx {
+            re: L::from_fn(|l| f(l).re),
+            im: L::from_fn(|l| f(l).im),
+        }
+    }
+
+    /// The complex number in lane `l`.
+    #[inline(always)]
+    pub fn lane(self, l: usize) -> C64 {
+        c64(self.re.get(l), self.im.get(l))
+    }
+
+    /// Complex conjugate.
+    #[inline(always)]
+    pub fn conj(self) -> Cx<L> {
+        Cx {
+            re: self.re,
+            im: self.im.neg(),
+        }
+    }
+
+    /// Multiplies by `i` (90° rotation) without a full complex multiply.
+    #[inline(always)]
+    pub fn mul_i(self) -> Cx<L> {
+        Cx {
+            re: self.im.neg(),
+            im: self.re,
+        }
+    }
+
+    /// Multiplies by `-i` (-90° rotation).
+    #[inline(always)]
+    pub fn mul_neg_i(self) -> Cx<L> {
+        Cx {
+            re: self.im,
+            im: self.re.neg(),
+        }
+    }
+
+    /// Scales both components by a real factor.
+    #[inline(always)]
+    pub fn scale(self, s: f64) -> Cx<L> {
+        let s = L::splat(s);
+        Cx {
+            re: self.re.mul(s),
+            im: self.im.mul(s),
+        }
+    }
+}
+
+impl<L: Lane> Add for Cx<L> {
+    type Output = Cx<L>;
+    #[inline(always)]
+    fn add(self, o: Cx<L>) -> Cx<L> {
+        Cx {
+            re: self.re.add(o.re),
+            im: self.im.add(o.im),
+        }
+    }
+}
+
+impl<L: Lane> Sub for Cx<L> {
+    type Output = Cx<L>;
+    #[inline(always)]
+    fn sub(self, o: Cx<L>) -> Cx<L> {
+        Cx {
+            re: self.re.sub(o.re),
+            im: self.im.sub(o.im),
+        }
+    }
+}
+
+/// Every lane times the one complex number `w` (a twiddle factor):
+/// four vertical multiplies, one subtraction, one addition.
+impl<L: Lane> Mul<C64> for Cx<L> {
+    type Output = Cx<L>;
+    #[inline(always)]
+    fn mul(self, w: C64) -> Cx<L> {
+        let (wr, wi) = (L::splat(w.re), L::splat(w.im));
+        Cx {
+            re: self.re.mul(wr).sub(self.im.mul(wi)),
+            im: self.re.mul(wi).add(self.im.mul(wr)),
+        }
+    }
+}
+
+impl<L: Lane> Neg for Cx<L> {
+    type Output = Cx<L>;
+    #[inline(always)]
+    fn neg(self) -> Cx<L> {
+        Cx {
+            re: self.re.neg(),
+            im: self.im.neg(),
+        }
+    }
 }
 
 /// Shorthand constructor for [`C64`].
@@ -46,12 +253,6 @@ impl C64 {
         C64::from_polar(1.0, theta)
     }
 
-    /// Complex conjugate.
-    #[inline(always)]
-    pub fn conj(self) -> C64 {
-        c64(self.re, -self.im)
-    }
-
     /// Squared magnitude `re² + im²`.
     #[inline(always)]
     pub fn norm_sqr(self) -> f64 {
@@ -77,55 +278,10 @@ impl C64 {
         c64(self.re / d, -self.im / d)
     }
 
-    /// Multiplies by `i` (90° rotation) without a full complex multiply.
-    #[inline(always)]
-    pub fn mul_i(self) -> C64 {
-        c64(-self.im, self.re)
-    }
-
-    /// Multiplies by `-i` (-90° rotation).
-    #[inline(always)]
-    pub fn mul_neg_i(self) -> C64 {
-        c64(self.im, -self.re)
-    }
-
-    /// Scales both components by a real factor.
-    #[inline(always)]
-    pub fn scale(self, s: f64) -> C64 {
-        c64(self.re * s, self.im * s)
-    }
-
     /// True if both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-}
-
-impl Add for C64 {
-    type Output = C64;
-    #[inline(always)]
-    fn add(self, o: C64) -> C64 {
-        c64(self.re + o.re, self.im + o.im)
-    }
-}
-
-impl Sub for C64 {
-    type Output = C64;
-    #[inline(always)]
-    fn sub(self, o: C64) -> C64 {
-        c64(self.re - o.re, self.im - o.im)
-    }
-}
-
-impl Mul for C64 {
-    type Output = C64;
-    #[inline(always)]
-    fn mul(self, o: C64) -> C64 {
-        c64(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
     }
 }
 
@@ -151,14 +307,6 @@ impl Div<f64> for C64 {
     #[inline(always)]
     fn div(self, s: f64) -> C64 {
         self.scale(1.0 / s)
-    }
-}
-
-impl Neg for C64 {
-    type Output = C64;
-    #[inline(always)]
-    fn neg(self) -> C64 {
-        c64(-self.re, -self.im)
     }
 }
 

@@ -116,7 +116,7 @@ impl Fft2d {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::radix::dft_naive;
@@ -135,7 +135,7 @@ mod tests {
     }
 
     /// Naive 2-D DFT for verification.
-    fn dft2d_naive(data: &[C64], w: usize, h: usize, dir: Direction) -> Vec<C64> {
+    pub(crate) fn dft2d_naive(data: &[C64], w: usize, h: usize, dir: Direction) -> Vec<C64> {
         let mut rows = vec![C64::ZERO; w * h];
         for y in 0..h {
             dft_naive(

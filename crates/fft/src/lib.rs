@@ -5,20 +5,25 @@
 //! software stack. It provides:
 //!
 //! * arbitrary-length 1-D complex transforms — mixed-radix Cooley-Tukey for
-//!   smooth sizes ([`MixedRadixPlan`]), Bluestein/chirp-z for sizes with
+//!   smooth sizes ([`MixedRadixPlan`]: one engine generic over its lane
+//!   type, so `[f64; 4]` runs four transforms in lock step; odd-prime
+//!   butterflies by Hermitian symmetry), Bluestein/chirp-z for sizes with
 //!   large prime factors ([`BluesteinPlan`]);
 //! * an FFTW-style [`Planner`] with Estimate / Measure / Patient search
 //!   modes and a plan cache (§IV-A of the paper);
-//! * 2-D transforms via row-column decomposition with a blocked transpose
-//!   ([`Fft2d`]);
-//! * real-to-complex / complex-to-real transforms ([`RealFft`],
-//!   [`RealFft2d`]) — the paper's §VI-A future-work optimization;
+//! * the product's 2-D transform, real-to-complex / complex-to-real
+//!   ([`RealFft2d`], the paper's §VI-A future-work optimization): four
+//!   rows, then four spectrum columns — one cache line — per pass, the
+//!   inverse in place;
+//! * complex 2-D transforms via row-column decomposition with a blocked
+//!   transpose ([`Fft2d`]) — the reference the tests compare against;
 //! * explicitly vector-shaped element-wise kernels ([`vectorops`]) — the
 //!   NCC multiply and max reduction the paper hand-coded with SSE
 //!   intrinsics (§IV-A);
 //! * runtime-selected compute backends ([`backend`]) — scalar reference,
 //!   lane-unrolled portable, and explicit AVX2 implementations of the
-//!   phase-1 hot loops behind one [`ComputeBackend`] trait, chosen per
+//!   phase-1 hot loops (and the lane width and instruction set of the
+//!   FFT engine) behind one [`ComputeBackend`] trait, chosen per
 //!   process via `--backend` / `STITCH_BACKEND` / CPU feature detection;
 //! * size utilities for the padding ablation ([`factor::next_smooth`]).
 //!
@@ -52,4 +57,4 @@ pub use complex::{c64, C64};
 pub use fft2d::{transpose, Fft2d};
 pub use plan::{fft_forward, fft_inverse, global_planner, FftPlan, PlanMode, Planner};
 pub use radix::{dft_naive, Direction, MixedRadixPlan};
-pub use real::{RealFft, RealFft2d};
+pub use real::RealFft2d;

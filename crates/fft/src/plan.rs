@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::bluestein::BluesteinPlan;
-use crate::complex::{c64, C64};
+use crate::complex::{c64, Cx, Lane, C64};
 use crate::factor::{is_smooth, radix_schedule};
 use crate::radix::{Direction, MixedRadixPlan};
 
@@ -53,23 +53,10 @@ pub enum FftPlan {
 
 impl FftPlan {
     /// Transform length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             FftPlan::MixedRadix(p) => p.len(),
             FftPlan::Bluestein(p) => p.len(),
-        }
-    }
-
-    /// True only for the degenerate length-0 case (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Plan direction.
-    pub fn direction(&self) -> Direction {
-        match self {
-            FftPlan::MixedRadix(p) => p.direction(),
-            FftPlan::Bluestein(p) => p.direction(),
         }
     }
 
@@ -79,6 +66,41 @@ impl FftPlan {
         match self {
             FftPlan::MixedRadix(p) => p.process(input, output),
             FftPlan::Bluestein(p) => p.process(input, output),
+        }
+    }
+
+    /// Real multiplications one execution performs, per lane — known at
+    /// plan time, the same on every host and backend.
+    pub fn real_mults(&self) -> u64 {
+        match self {
+            FftPlan::MixedRadix(p) => p.real_mults(),
+            FftPlan::Bluestein(p) => p.real_mults(),
+        }
+    }
+
+    /// Scratch elements [`FftPlan::run`] needs beside its output.
+    pub(crate) fn scratch_len(&self) -> usize {
+        match self {
+            FftPlan::MixedRadix(_) => 0,
+            FftPlan::Bluestein(p) => p.scratch_len(),
+        }
+    }
+
+    /// Executes over any lane type: element `k` of the input is
+    /// `load(k)`, the result lands in `out`, `scratch` holds
+    /// [`FftPlan::scratch_len`] elements of unspecified content. The
+    /// mixed-radix passes inline into the caller (see
+    /// [`MixedRadixPlan::run`]).
+    #[inline(always)]
+    pub(crate) fn run<L: Lane>(
+        &self,
+        load: impl Fn(usize) -> Cx<L>,
+        out: &mut [Cx<L>],
+        scratch: &mut [Cx<L>],
+    ) {
+        match self {
+            FftPlan::MixedRadix(p) => p.run(load, out),
+            FftPlan::Bluestein(p) => p.run(load, out, scratch),
         }
     }
 }

@@ -1,17 +1,38 @@
-//! Mixed-radix Cooley-Tukey FFT engine.
+//! Mixed-radix Cooley-Tukey FFT engine, generic over its lane type.
 //!
-//! A recursive decimation-in-time transform over an arbitrary radix
-//! schedule (see [`crate::factor::radix_schedule`]): hard-coded butterflies
-//! for radices 2, 3, 4 and 5, and a table-driven small-prime DFT for the
-//! rest (up to [`crate::factor::MAX_NAIVE_PRIME`]). Lengths with larger
-//! prime factors are handled by [`crate::bluestein`] instead.
+//! One decimation-in-time transform over an arbitrary radix schedule (see
+//! [`crate::factor::radix_schedule`]), written once over [`Cx<L>`]: with
+//! `L = f64` it is a single transform, with `L = [f64; 4]` four
+//! independent transforms (four image columns, four image rows) advance
+//! through the same butterflies in lock step — vectorised across
+//! transforms, so no butterfly needs a shuffle or an ISA of its own, and
+//! every lane performs exactly the operations of the one-lane run.
+//!
+//! The plan is a list of passes built at plan time. The first reads the
+//! input — through a caller-supplied `load(index)`, so packing reals,
+//! gathering columns or rebuilding a Hermitian spectrum costs no pass of
+//! its own — in digit-reversed order, `radix` elements a butterfly, no
+//! twiddles. Every later pass combines `radix` finished sub-transforms of
+//! length `m` in place, reading its twiddles front to back from its own
+//! contiguous table. Butterflies: radix 2 and 4 by hand, and **one**
+//! routine for every odd prime up to [`MAX_NAIVE_PRIME`] that uses the
+//! Hermitian symmetry of the DFT matrix: with `s_k = t_k + t_{p−k}` and
+//! `d_k = t_k − t_{p−k}`,
+//!
+//! ```text
+//! X_q, X_{p−q} = a ± i·b,   a = t_0 + Σ_k cos(2πqk/p)·s_k,
+//!                           b = Σ_k ∓sin(2πqk/p)·d_k,   k, q = 1..(p−1)/2
+//! ```
+//!
+//! — `(p−1)²` real multiplications where the `p × p` complex matrix
+//! takes `4p²`. Lengths with larger prime factors are handled by
+//! [`crate::bluestein`] on top of this engine.
 //!
 //! Plans are immutable after construction and safe to share across threads,
 //! mirroring FFTW's `fftw_plan` reuse model that the paper relies on
 //! (plan once during setup, execute thousands of times in the pipeline).
 
-use crate::backend::{self, ComputeBackend, RADIX_DISPATCH_MIN_M};
-use crate::complex::{c64, C64};
+use crate::complex::{Cx, Lane, C64};
 use crate::factor::{radix_schedule, MAX_NAIVE_PRIME};
 
 /// Transform direction. Forward uses the kernel `e^{-2πi jk/n}`; inverse
@@ -46,7 +67,7 @@ impl Direction {
 }
 
 /// Builds the length-`n` twiddle table `t[k] = e^{sign·2πi·k/n}`.
-pub fn twiddle_table(n: usize, dir: Direction) -> Vec<C64> {
+fn twiddle_table(n: usize, dir: Direction) -> Vec<C64> {
     let sign = dir.sign();
     let step = sign * 2.0 * std::f64::consts::PI / n as f64;
     (0..n).map(|k| C64::cis(step * k as f64)).collect()
@@ -70,17 +91,42 @@ pub fn dft_naive(input: &[C64], output: &mut [C64], dir: Direction) {
     }
 }
 
+/// Largest butterfly, and half of it (the odd-prime routine's sums).
+const MAX_RADIX: usize = MAX_NAIVE_PRIME + 1;
+const MAX_HALF: usize = MAX_NAIVE_PRIME / 2;
+
+/// One butterfly pass: `radix` sub-transforms of length `m` become one
+/// of length `radix·m`, in every block of that length.
+struct Stage {
+    radix: usize,
+    m: usize,
+    /// `W_{radix·m}^{k·j}` at `[j·(radix−1) + k−1]` for `j < m`,
+    /// `1 ≤ k < radix` — the order the pass reads them. Empty for the
+    /// first pass (`m = 1`).
+    twiddles: Vec<C64>,
+    /// Odd radix `p = 2h+1`: `W_p^{q·k}` at `[(q−1)·h + k−1]` for
+    /// `1 ≤ q, k ≤ h`.
+    trig: Vec<C64>,
+}
+
+/// Real multiplications of one radix-`r` butterfly.
+fn butterfly_mults(r: usize) -> u64 {
+    match r {
+        2 | 4 => 0,
+        p => ((p - 1) * (p - 1)) as u64,
+    }
+}
+
 /// A mixed-radix FFT plan for a fixed length, direction and radix schedule.
 pub struct MixedRadixPlan {
     n: usize,
     direction: Direction,
-    /// Radix per recursion level, product == n.
-    schedule: Vec<usize>,
-    /// Full-length twiddle table for the plan's direction.
-    twiddles: Vec<C64>,
-    /// Per-radix DFT matrices (row-major r×r) for radices without a
-    /// hard-coded butterfly. Indexed by radix value.
-    small_dft: Vec<Option<Vec<C64>>>,
+    /// Passes in execution order: `stages[0]` reads the input.
+    stages: Vec<Stage>,
+    /// Input index of the first element of each first-pass butterfly
+    /// (the rest follow at stride `n / radix`).
+    leaf_base: Vec<u32>,
+    real_mults: u64,
 }
 
 impl MixedRadixPlan {
@@ -91,181 +137,232 @@ impl MixedRadixPlan {
         Self::with_schedule(n, direction, radix_schedule(n))
     }
 
-    /// Plans with an explicit radix schedule (used by Measure/Patient
-    /// planning modes to compare schedule orderings).
+    /// Plans with an explicit radix schedule, outermost radix first (used
+    /// by Measure/Patient planning modes to compare schedule orderings).
     pub fn with_schedule(n: usize, direction: Direction, schedule: Vec<usize>) -> MixedRadixPlan {
         assert!(n > 0, "transform length must be positive");
+        assert!(u32::try_from(n).is_ok(), "transform length too large");
         assert_eq!(
             schedule.iter().product::<usize>(),
             n,
             "schedule must multiply to n"
         );
-        let max_radix = schedule.iter().copied().max().unwrap_or(1);
-        assert!(
-            max_radix <= MAX_NAIVE_PRIME.max(4),
-            "radix {max_radix} too large for mixed-radix plan (use Bluestein)"
-        );
-        let mut small_dft: Vec<Option<Vec<C64>>> = vec![None; max_radix + 1];
         for &r in &schedule {
-            if !matches!(r, 1..=5) && small_dft[r].is_none() {
-                let tw = twiddle_table(r, direction);
-                let mut m = vec![C64::ZERO; r * r];
-                for q in 0..r {
-                    for k in 0..r {
-                        m[q * r + k] = tw[(q * k) % r];
-                    }
-                }
-                small_dft[r] = Some(m);
-            }
+            assert!(
+                r == 2 || r == 4 || (r % 2 == 1 && (3..=MAX_NAIVE_PRIME).contains(&r)),
+                "no radix-{r} butterfly (use Bluestein)"
+            );
         }
+        let full = twiddle_table(n, direction);
+        let mut stages = Vec::with_capacity(schedule.len());
+        let mut real_mults = 0;
+        let mut m = 1;
+        for &radix in schedule.iter().rev() {
+            let step = n / (radix * m);
+            let twiddles = if m == 1 {
+                Vec::new()
+            } else {
+                (0..m)
+                    .flat_map(|j| (1..radix).map(move |k| (j, k)))
+                    .map(|(j, k)| full[k * j * step])
+                    .collect()
+            };
+            let h = if radix % 2 == 1 { radix / 2 } else { 0 };
+            let unit = twiddle_table(radix, direction);
+            let trig = (1..=h)
+                .flat_map(|q| (1..=h).map(move |k| (q, k)))
+                .map(|(q, k)| unit[q * k % radix])
+                .collect();
+            let blocks = (n / (radix * m)) as u64;
+            real_mults += blocks * (m as u64 * butterfly_mults(radix) + 4 * twiddles.len() as u64);
+            stages.push(Stage {
+                radix,
+                m,
+                twiddles,
+                trig,
+            });
+            m *= radix;
+        }
+        let leaf = schedule.last().copied().unwrap_or(1);
+        let mut leaf_base = vec![0u32; n / leaf];
+        fill_leaf_bases(&schedule, 0, 1, 0, n, &mut leaf_base);
         MixedRadixPlan {
             n,
             direction,
-            schedule,
-            twiddles: twiddle_table(n, direction),
-            small_dft,
+            stages,
+            leaf_base,
+            real_mults,
         }
     }
 
     /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// True only for the degenerate length-0 case (never constructed).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Plan direction.
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.direction
+    /// Real multiplications one execution performs, per lane: four per
+    /// twiddle, `(p−1)²` per odd-prime butterfly. A function of length,
+    /// schedule and butterflies only.
+    pub fn real_mults(&self) -> u64 {
+        self.real_mults
     }
 
     /// Executes the transform out-of-place. `input` is left untouched.
     ///
     /// Panics if the slice lengths differ from the plan length.
     pub fn process(&self, input: &[C64], output: &mut [C64]) {
-        assert_eq!(input.len(), self.n);
-        assert_eq!(output.len(), self.n);
-        // Resolve the backend once per transform, not per plan — the
-        // active backend can change between calls (testkit sweeps it).
-        let backend = backend::active();
-        self.rec(backend, input, 1, output, self.n, 0);
+        self.run_slice(input, output);
     }
 
-    /// Recursive DIT step: `inp` is a strided view (stride `is`) of length
-    /// `n`, results land contiguously in `out[..n]`.
-    fn rec(
-        &self,
-        backend: &dyn ComputeBackend,
-        inp: &[C64],
-        is: usize,
-        out: &mut [C64],
-        n: usize,
-        level: usize,
-    ) {
-        if n == 1 {
-            out[0] = inp[0];
+    /// [`MixedRadixPlan::run`] from a slice: the one instantiation per
+    /// lane type that everything reading plain buffers shares.
+    pub(crate) fn run_slice<L: Lane>(&self, input: &[Cx<L>], out: &mut [Cx<L>]) {
+        assert_eq!(input.len(), self.n);
+        self.run(|k| input[k], out);
+    }
+
+    /// Executes the transform: element `k` of the input is `load(k)`
+    /// (called exactly once per `k`), the result lands in `out`.
+    /// Always inlined, so the caller's `#[target_feature]` (and its
+    /// `load`) compile into the passes.
+    #[inline(always)]
+    pub(crate) fn run<L: Lane>(&self, load: impl Fn(usize) -> Cx<L>, out: &mut [Cx<L>]) {
+        assert_eq!(out.len(), self.n);
+        let Some((leaf, combines)) = self.stages.split_first() else {
+            out[0] = load(0);
             return;
+        };
+        let fwd = self.direction == Direction::Forward;
+        let mut t = [Cx::<L>::default(); MAX_RADIX];
+        let mut sd = [[Cx::<L>::default(); 2]; MAX_HALF];
+        // A literal radix per arm: the inlined body unrolls for it.
+        macro_rules! per_radix {
+            ($radix:expr, $r:ident => $body:block) => {
+                match $radix {
+                    2 => {
+                        let $r = 2;
+                        $body
+                    }
+                    3 => {
+                        let $r = 3;
+                        $body
+                    }
+                    4 => {
+                        let $r = 4;
+                        $body
+                    }
+                    5 => {
+                        let $r = 5;
+                        $body
+                    }
+                    $r => $body,
+                }
+            };
         }
-        let r = self.schedule[level];
-        let m = n / r;
-        for k in 0..r {
-            self.rec(
-                backend,
-                &inp[k * is..],
-                is * r,
-                &mut out[k * m..(k + 1) * m],
-                m,
-                level + 1,
-            );
+        let stride = self.n / leaf.radix;
+        per_radix!(leaf.radix, r => {
+            for (blk, &base) in out.chunks_exact_mut(r).zip(&self.leaf_base) {
+                for (k, tk) in t[..r].iter_mut().enumerate() {
+                    *tk = load(base as usize + k * stride);
+                }
+                butterfly(&mut t, &mut sd, r, fwd, &leaf.trig);
+                blk.copy_from_slice(&t[..r]);
+            }
+        });
+        for st in combines {
+            let m = st.m;
+            per_radix!(st.radix, r => {
+                for blk in out.chunks_exact_mut(r * m) {
+                    for (j, tw) in st.twiddles.chunks_exact(r - 1).enumerate() {
+                        t[0] = blk[j];
+                        for k in 1..r {
+                            t[k] = blk[k * m + j] * tw[k - 1];
+                        }
+                        butterfly(&mut t, &mut sd, r, fwd, &st.trig);
+                        for q in 0..r {
+                            blk[q * m + j] = t[q];
+                        }
+                    }
+                }
+            });
         }
-        // Combine: X[j + q·m] = Σ_k (sub_k[j]·W_n^{kj})·W_r^{kq}.
-        // For fixed j the reads {out[k·m+j]} and writes {out[q·m+j]} cover
-        // the same index set, so gather-then-scatter through `t` is safe.
-        let tw_step = self.n / n;
-        let mut t = [C64::ZERO; MAX_NAIVE_PRIME + 1];
-        match r {
-            2 => {
-                // Dispatch through the trait only when the butterfly is
-                // wide enough to amortize the indirect call; the small-m
-                // inline path reuses the scalar backend's definition so
-                // both paths share one expression DAG.
-                if m >= RADIX_DISPATCH_MIN_M {
-                    backend.radix2_pass(&mut out[..2 * m], m, &self.twiddles, tw_step);
-                } else {
-                    backend::scalar::radix2_scalar(&mut out[..2 * m], m, &self.twiddles, tw_step);
-                }
+    }
+}
+
+/// Walks the decimation tree the way the recursion would and records, for
+/// every first-pass butterfly (output block `out_off / leaf`), where its
+/// first input element lies.
+fn fill_leaf_bases(
+    schedule: &[usize],
+    in_off: usize,
+    in_stride: usize,
+    out_off: usize,
+    n: usize,
+    bases: &mut [u32],
+) {
+    match schedule {
+        [] => {}
+        [leaf] => bases[out_off / leaf] = in_off as u32,
+        [r, rest @ ..] => {
+            let m = n / r;
+            for k in 0..*r {
+                fill_leaf_bases(
+                    rest,
+                    in_off + k * in_stride,
+                    in_stride * r,
+                    out_off + k * m,
+                    m,
+                    bases,
+                );
             }
-            3 => {
-                // W_3 = cis(sign·2π/3)
-                let w1 = self.twiddles[self.n / 3];
-                let w2 = self.twiddles[2 * (self.n / 3)];
-                for j in 0..m {
-                    let a = out[j];
-                    let b = out[m + j] * self.twiddles[j * tw_step];
-                    let c = out[2 * m + j] * self.twiddles[(2 * j * tw_step) % self.n];
-                    out[j] = a + b + c;
-                    out[m + j] = a + b * w1 + c * w2;
-                    out[2 * m + j] = a + b * w2 + c * w1;
-                }
+        }
+    }
+}
+
+/// The length-`r` DFT of `t[..r]`, in place. `sd` is working room for
+/// the odd-prime routine; `trig` its plan-time table.
+#[inline(always)]
+fn butterfly<L: Lane>(
+    t: &mut [Cx<L>; MAX_RADIX],
+    sd: &mut [[Cx<L>; 2]; MAX_HALF],
+    r: usize,
+    fwd: bool,
+    trig: &[C64],
+) {
+    // forward: W_4 = −i ; inverse: W_4 = +i
+    let rot = |z: Cx<L>| if fwd { z.mul_neg_i() } else { z.mul_i() };
+    match r {
+        2 => (t[0], t[1]) = (t[0] + t[1], t[0] - t[1]),
+        4 => {
+            let (ac_p, ac_m) = (t[0] + t[2], t[0] - t[2]);
+            let (bd_p, bd_m) = (t[1] + t[3], rot(t[1] - t[3]));
+            t[0] = ac_p + bd_p;
+            t[1] = ac_m + bd_m;
+            t[2] = ac_p - bd_p;
+            t[3] = ac_m - bd_m;
+        }
+        p => {
+            let h = p / 2;
+            let t0 = t[0];
+            for k in 1..=h {
+                sd[k - 1] = [t[k] + t[p - k], t[k] - t[p - k]];
+                t[0] = t[0] + sd[k - 1][0];
             }
-            4 => {
-                let fwd = self.direction == Direction::Forward;
-                if m >= RADIX_DISPATCH_MIN_M {
-                    backend.radix4_pass(&mut out[..4 * m], m, &self.twiddles, tw_step, fwd);
-                } else {
-                    backend::scalar::radix4_scalar(
-                        &mut out[..4 * m],
-                        m,
-                        &self.twiddles,
-                        tw_step,
-                        fwd,
-                    );
+            for (q, row) in trig.chunks_exact(h).enumerate() {
+                let (mut a, mut b) = (t0 + sd[0][0].scale(row[0].re), sd[0][1].scale(row[0].im));
+                for (&[s, d], w) in sd[1..].iter().zip(&row[1..]) {
+                    a = a + s.scale(w.re);
+                    b = b + d.scale(w.im);
                 }
-            }
-            5 => {
-                let w = [
-                    C64::ONE,
-                    self.twiddles[self.n / 5],
-                    self.twiddles[2 * (self.n / 5)],
-                    self.twiddles[3 * (self.n / 5)],
-                    self.twiddles[4 * (self.n / 5)],
-                ];
-                for j in 0..m {
-                    for (k, tk) in t.iter_mut().take(5).enumerate() {
-                        *tk = out[k * m + j] * self.twiddles[(k * j * tw_step) % self.n];
-                    }
-                    for q in 0..5 {
-                        let mut acc = t[0];
-                        for k in 1..5 {
-                            acc += t[k] * w[(q * k) % 5];
-                        }
-                        out[q * m + j] = acc;
-                    }
-                }
-            }
-            _ => {
-                let mat = self.small_dft[r]
-                    .as_ref()
-                    .expect("small DFT matrix built at plan time");
-                for j in 0..m {
-                    for (k, tk) in t.iter_mut().take(r).enumerate() {
-                        *tk = out[k * m + j] * self.twiddles[(k * j * tw_step) % self.n];
-                    }
-                    for q in 0..r {
-                        let row = &mat[q * r..(q + 1) * r];
-                        let mut acc = c64(0.0, 0.0);
-                        for k in 0..r {
-                            acc += t[k] * row[k];
-                        }
-                        out[q * m + j] = acc;
-                    }
-                }
+                // X_q = a + i·b, X_{p−q} = a − i·b
+                t[q + 1] = Cx {
+                    re: a.re.sub(b.im),
+                    im: a.im.add(b.re),
+                };
+                t[p - q - 1] = Cx {
+                    re: a.re.add(b.im),
+                    im: a.im.sub(b.re),
+                };
             }
         }
     }
@@ -274,6 +371,7 @@ impl MixedRadixPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
 
     fn max_err(a: &[C64], b: &[C64]) -> f64 {
         a.iter()
@@ -332,6 +430,63 @@ mod tests {
                 assert!(max_err(&fast, &slow) < 1e-9 * n as f64, "n={n} dir={dir:?}");
             }
         }
+    }
+
+    /// Every odd-prime butterfly, as the untwiddled first pass
+    /// (`[2, p]`), as a twiddled combine (`[p, 4]`) and alone, in both
+    /// directions, one lane and four: each lane against `dft_naive`, and
+    /// the four-lane run bit-identical to four one-lane runs.
+    #[test]
+    fn every_prime_butterfly_matches_naive_in_every_lane() {
+        let bits = |v: &[C64]| {
+            v.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for p in [3usize, 5, 7, 11, 13, 17, 19, 23, 29, 31] {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                for schedule in [vec![p], vec![2, p], vec![p, 4]] {
+                    let n: usize = schedule.iter().product();
+                    let plan = MixedRadixPlan::with_schedule(n, dir, schedule.clone());
+                    let x: Vec<Vec<C64>> = (0..4)
+                        .map(|l| ramp(n + l).into_iter().skip(l).collect())
+                        .collect();
+                    let mut wide = vec![Cx::<[f64; 4]>::default(); n];
+                    plan.run(|k| Cx::from_fn(|l| x[l][k]), &mut wide);
+                    for (l, xl) in x.iter().enumerate() {
+                        let (mut fast, mut slow) = (vec![C64::ZERO; n], vec![C64::ZERO; n]);
+                        plan.process(xl, &mut fast);
+                        dft_naive(xl, &mut slow, dir);
+                        assert!(
+                            max_err(&fast, &slow) < 1e-10 * n as f64,
+                            "p={p} {dir:?} {schedule:?}"
+                        );
+                        let lane: Vec<C64> = wide.iter().map(|z| z.lane(l)).collect();
+                        assert_eq!(
+                            bits(&lane),
+                            bits(&fast),
+                            "p={p} {dir:?} {schedule:?} lane {l}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn real_mults_is_the_hand_count() {
+        // 696 = 29·4·3·2: twiddles 4·(r−1)·n/r on the three combines,
+        // (p−1)² per odd butterfly; the radix-2 first pass is free.
+        let plan = MixedRadixPlan::new(696, Direction::Forward);
+        let combine = |r: u64, bfly: u64| 696 / r * (4 * (r - 1) + bfly);
+        assert_eq!(
+            plan.real_mults(),
+            combine(3, 4) + combine(4, 0) + combine(29, 784)
+        );
+        assert_eq!(
+            MixedRadixPlan::new(1024, Direction::Inverse).real_mults(),
+            4 * 3 * 256 * 4
+        );
     }
 
     #[test]

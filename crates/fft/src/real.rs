@@ -1,20 +1,34 @@
-//! Real-to-complex and complex-to-real transforms.
+//! Real-to-complex and complex-to-real transforms, 1-D and 2-D.
 //!
 //! Microscopy tiles are real-valued, so their spectra are Hermitian and only
 //! `n/2 + 1` of the `n` frequency bins are independent. The paper lists
 //! real-to-complex transforms as a planned optimization (§VI-A: "using real
 //! to complex transforms ... will further improve performance by doing less
-//! work; it will also reduce the computation's memory footprint"). This
-//! module implements that extension; the `fft_padding`/`ablation` benches
-//! measure it against the complex path.
+//! work; it will also reduce the computation's memory footprint"); here the
+//! half spectrum is the only layout the product uses.
 //!
 //! Even lengths use the classic pack-two-reals-into-one-complex trick
-//! (one length-`n/2` complex FFT); odd lengths fall back to a full complex
+//! (one length-`n/2` complex FFT); odd lengths run a full complex
 //! transform internally but expose the same half-spectrum API.
+//!
+//! Everything is written once over the engine's lane type (see
+//! [`crate::radix`]). [`RealFft2d`] runs `L::N` image rows per pass
+//! through the row transform — lane = row, the pack and the
+//! recombination fused into the transform's loads and the pass's stores
+//! — and `L::N` spectrum columns per pass through the column transform:
+//! with four lanes a panel row is four adjacent `C64`, one cache line's
+//! worth, so the spectrum is walked in whole lines instead of one strided
+//! element at a time, and the panel (`4 × height` complex) stays in L2.
+//! The last rows/columns of an axis that is no multiple of `L::N` ride in
+//! a panel whose spare lanes repeat the last valid one and are not
+//! stored. Which lane type and instruction set run is the compute
+//! backend's choice ([`crate::backend`]); the arithmetic per lane is the
+//! same in all of them.
 
 use std::sync::Arc;
 
-use crate::complex::{c64, C64};
+use crate::backend;
+use crate::complex::{Cx, Lane, C64};
 use crate::plan::{FftPlan, Planner};
 use crate::radix::Direction;
 use crate::scratch;
@@ -25,138 +39,133 @@ pub fn spectrum_len(n: usize) -> usize {
     n / 2 + 1
 }
 
-/// A planned 1-D real-input FFT (forward: `n` reals → `n/2+1` complex;
-/// inverse: back to `n` reals, scaled so the round trip is the identity).
-pub struct RealFft {
+/// The row transform of [`RealFft2d`]: a planned 1-D real-input FFT
+/// (forward: `n` reals → `n/2+1` complex; inverse: back to `n` reals).
+struct RealFft {
     n: usize,
-    /// Even-length fast path: length n/2 complex plans.
-    half_fwd: Option<Arc<FftPlan>>,
-    half_inv: Option<Arc<FftPlan>>,
-    /// Odd-length fallback: full-length complex plans.
-    full_fwd: Option<Arc<FftPlan>>,
-    full_inv: Option<Arc<FftPlan>>,
-    /// Twiddles `e^{-2πi j/n}` for the even-length recombination.
+    /// Even `n`: complex plans of length `n/2` over the packed signal
+    /// `x[2k] + i·x[2k+1]`; odd `n`: of length `n` over the signal itself.
+    fwd: Arc<FftPlan>,
+    inv: Arc<FftPlan>,
+    /// Even `n`: `−i·e^{-2πi j/n}` for `j ≤ n/2`, the factor that splits
+    /// (forward) and, conjugated, rebuilds (inverse) the packed spectrum.
     twiddle: Vec<C64>,
 }
 
 impl RealFft {
     /// Plans a length-`n` real transform (`n ≥ 1`).
-    pub fn new(planner: &Planner, n: usize) -> RealFft {
-        assert!(n > 0, "transform length must be positive");
-        if n.is_multiple_of(2) && n >= 2 {
-            let half = n / 2;
+    fn new(planner: &Planner, n: usize) -> RealFft {
+        let (len, twiddle) = if n.is_multiple_of(2) {
             let step = -2.0 * std::f64::consts::PI / n as f64;
-            RealFft {
-                n,
-                half_fwd: Some(planner.plan(half, Direction::Forward)),
-                half_inv: Some(planner.plan(half, Direction::Inverse)),
-                full_fwd: None,
-                full_inv: None,
-                twiddle: (0..=half).map(|j| C64::cis(step * j as f64)).collect(),
-            }
+            let tw = |j| C64::cis(step * j as f64).mul_neg_i();
+            (n / 2, (0..=n / 2).map(tw).collect())
         } else {
-            RealFft {
-                n,
-                half_fwd: None,
-                half_inv: None,
-                full_fwd: Some(planner.plan(n, Direction::Forward)),
-                full_inv: Some(planner.plan(n, Direction::Inverse)),
-                twiddle: Vec::new(),
-            }
+            (n, Vec::new())
+        };
+        RealFft {
+            n,
+            fwd: planner.plan(len, Direction::Forward),
+            inv: planner.plan(len, Direction::Inverse),
+            twiddle,
         }
     }
 
-    /// Signal length `n`.
-    pub fn len(&self) -> usize {
-        self.n
+    /// Length of the complex transform underneath.
+    fn panel_len(&self) -> usize {
+        self.fwd.len()
     }
 
-    /// True only for the degenerate length-0 case (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    /// Scratch elements beside the panel.
+    fn scratch_len(&self) -> usize {
+        self.fwd.scratch_len()
     }
 
-    /// Spectrum length `n/2 + 1`.
-    pub fn spectrum_len(&self) -> usize {
-        spectrum_len(self.n)
-    }
-
-    /// Forward transform: `input.len() == n`, `output.len() == n/2+1`.
-    /// Matches the first `n/2+1` bins of the full complex DFT exactly
-    /// (unscaled).
-    pub fn forward(&self, input: &[f64], output: &mut [C64]) {
-        assert_eq!(input.len(), self.n);
-        assert_eq!(output.len(), self.spectrum_len());
-        if let Some(fwd) = &self.half_fwd {
-            let half = self.n / 2;
-            scratch::with_scratch(2 * half, |buf| {
-                let (packed, z) = buf.split_at_mut(half);
-                // Pack x[2k] + i·x[2k+1] and transform at half length.
-                for (k, p) in packed.iter_mut().enumerate() {
-                    *p = c64(input[2 * k], input[2 * k + 1]);
-                }
-                fwd.process(packed, z);
-                // Recombine: X[j] = E_j + W^j·O_j with
-                // E_j = (Z_j + conj(Z_{half−j}))/2, O_j = −i(Z_j − conj(Z_{half−j}))/2.
-                for (j, out) in output.iter_mut().enumerate() {
-                    let zj = z[j % half];
-                    let zc = z[(half - j % half) % half].conj();
-                    let e = (zj + zc).scale(0.5);
-                    let o = (zj - zc).scale(0.5).mul_neg_i();
-                    *out = e + self.twiddle[j] * o;
-                }
-            })
-        } else {
-            scratch::with_scratch(2 * self.n, |buf| {
-                let (full, spec) = buf.split_at_mut(self.n);
-                for (f, &r) in full.iter_mut().zip(input) {
-                    *f = c64(r, 0.0);
-                }
-                self.full_fwd.as_ref().unwrap().process(full, spec);
-                output.copy_from_slice(&spec[..self.spectrum_len()]);
-            })
+    /// Real multiplications of one execution, per lane: the complex
+    /// transform underneath plus the recombination (forward: six per
+    /// bin; inverse: four per packed bin) and the inverse's final scale.
+    fn real_mults(&self, dir: Direction) -> u64 {
+        let even = !self.twiddle.is_empty();
+        match dir {
+            Direction::Forward if even => self.fwd.real_mults() + 6 * spectrum_len(self.n) as u64,
+            Direction::Forward => self.fwd.real_mults(),
+            Direction::Inverse if even => self.inv.real_mults() + (2 + 1) * self.n as u64,
+            Direction::Inverse => self.inv.real_mults() + self.n as u64,
         }
     }
 
-    /// Inverse transform: `input.len() == n/2+1` Hermitian half-spectrum,
-    /// `output.len() == n` reals. *Scaled*: `inverse(forward(x)) == x`.
-    pub fn inverse(&self, input: &[C64], output: &mut [f64]) {
-        assert_eq!(input.len(), self.spectrum_len());
-        assert_eq!(output.len(), self.n);
-        if let Some(inv) = &self.half_inv {
-            let half = self.n / 2;
-            scratch::with_scratch(2 * half, |buf| {
-                let (z, packed) = buf.split_at_mut(half);
-                // Rebuild Z_j from the half-spectrum, then one half-length
-                // inverse FFT recovers the packed signal.
-                for (j, zj) in z.iter_mut().enumerate() {
-                    let xj = input[j];
-                    let xc = input[half - j].conj();
-                    let e = (xj + xc).scale(0.5);
-                    let o = (xj - xc).scale(0.5) * self.twiddle[j].conj();
-                    *zj = e + o.mul_i();
+    /// `L::N` forward transforms side by side: sample `i` of all of them
+    /// is `x(i)`, bin `j` goes to `store(j, ·)`. `panel` holds
+    /// [`RealFft::panel_len`] elements.
+    #[inline(always)]
+    fn forward_lanes<L: Lane>(
+        &self,
+        x: impl Fn(usize) -> L,
+        panel: &mut [Cx<L>],
+        scratch: &mut [Cx<L>],
+        mut store: impl FnMut(usize, Cx<L>),
+    ) {
+        if self.twiddle.is_empty() {
+            let zero = L::default();
+            self.fwd.run(|k| Cx { re: x(k), im: zero }, panel, scratch);
+            for (j, &z) in panel[..spectrum_len(self.n)].iter().enumerate() {
+                store(j, z);
+            }
+            return;
+        }
+        let half = self.n / 2;
+        let packed = |k| Cx {
+            re: x(2 * k),
+            im: x(2 * k + 1),
+        };
+        self.fwd.run(packed, panel, scratch);
+        // X_j = E_j + W^j·O_j with E_j = (Z_j + conj Z_{half−j})/2 and
+        // O_j = −i·(Z_j − conj Z_{half−j})/2 (indices mod half).
+        for (j, &w) in self.twiddle.iter().enumerate() {
+            let zj = panel[if j == half { 0 } else { j }];
+            let zc = panel[if j == 0 { 0 } else { half - j }].conj();
+            store(j, ((zj + zc) + (zj - zc) * w).scale(0.5));
+        }
+    }
+
+    /// `L::N` inverse transforms side by side: bin `j` of all of them is
+    /// `spec(j)`, sample `i` times `scale` goes to `store(i, ·)`.
+    #[inline(always)]
+    fn inverse_lanes<L: Lane>(
+        &self,
+        spec: impl Fn(usize) -> Cx<L>,
+        panel: &mut [Cx<L>],
+        scratch: &mut [Cx<L>],
+        scale: f64,
+        mut store: impl FnMut(usize, L),
+    ) {
+        let s = L::splat(scale / self.n as f64);
+        if self.twiddle.is_empty() {
+            // Mirror the half-spectrum into a full Hermitian spectrum.
+            let sl = spectrum_len(self.n);
+            let full = |j| {
+                if j < sl {
+                    spec(j)
+                } else {
+                    spec(self.n - j).conj()
                 }
-                inv.process(z, packed);
-                let s = 1.0 / half as f64;
-                for (k, p) in packed.iter().enumerate() {
-                    output[2 * k] = p.re * s;
-                    output[2 * k + 1] = p.im * s;
-                }
-            })
-        } else {
-            scratch::with_scratch(2 * self.n, |buf| {
-                let (spec, full) = buf.split_at_mut(self.n);
-                // Mirror the half-spectrum into a full Hermitian spectrum.
-                spec[..self.spectrum_len()].copy_from_slice(input);
-                for j in self.spectrum_len()..self.n {
-                    spec[j] = input[self.n - j].conj();
-                }
-                self.full_inv.as_ref().unwrap().process(spec, full);
-                let s = 1.0 / self.n as f64;
-                for (o, f) in output.iter_mut().zip(full.iter()) {
-                    *o = f.re * s;
-                }
-            })
+            };
+            self.inv.run(full, panel, scratch);
+            for (i, z) in panel.iter().enumerate() {
+                store(i, z.re.mul(s));
+            }
+            return;
+        }
+        let half = self.n / 2;
+        // 2·Z_j = (X_j + conj X_{half−j}) + i·conj(W^j)·(X_j − conj X_{half−j});
+        // the 2 rides in the scale.
+        let packed = |j| {
+            let (xj, xc) = (spec(j), spec(half - j).conj());
+            (xj + xc) + (xj - xc) * self.twiddle[j].conj()
+        };
+        self.inv.run(packed, panel, scratch);
+        for (k, z) in panel.iter().enumerate() {
+            store(2 * k, z.re.mul(s));
+            store(2 * k + 1, z.im.mul(s));
         }
     }
 }
@@ -204,63 +213,133 @@ impl RealFft2d {
         self.spectrum_width() * self.height
     }
 
+    /// Real multiplications one transform in direction `dir` performs:
+    /// `height` row transforms (recombination included) plus `w/2+1`
+    /// column transforms. Fixed at plan time; identical on every host,
+    /// backend and run.
+    pub fn real_mults(&self, dir: Direction) -> u64 {
+        let col = match dir {
+            Direction::Forward => &self.col_fwd,
+            Direction::Inverse => &self.col_inv,
+        };
+        self.height as u64 * self.row.real_mults(dir)
+            + self.spectrum_width() as u64 * col.real_mults()
+    }
+
     /// Forward: `input.len() == w·h` (row-major reals) →
     /// `output.len() == (w/2+1)·h`. Unscaled.
     pub fn forward(&self, input: &[f64], output: &mut [C64]) {
         assert_eq!(input.len(), self.width * self.height);
         assert_eq!(output.len(), self.spectrum_len());
-        let sw = self.spectrum_width();
-        // r2c along rows.
-        for (y, row) in input.chunks_exact(self.width).enumerate() {
-            self.row.forward(row, &mut output[y * sw..(y + 1) * sw]);
-        }
-        // c2c along columns of the reduced spectrum.
-        scratch::with_scratch(2 * self.height, |buf| {
-            let (col_in, col_out) = buf.split_at_mut(self.height);
-            for x in 0..sw {
-                for y in 0..self.height {
-                    col_in[y] = output[y * sw + x];
-                }
-                self.col_fwd.process(col_in, col_out);
-                for y in 0..self.height {
-                    output[y * sw + x] = col_out[y];
-                }
-            }
-        })
+        backend::active().real_fft2d_forward(self, input, output);
     }
 
     /// Inverse: half-spectrum back to `w·h` reals. *Scaled* so the round
-    /// trip is the identity.
-    pub fn inverse(&self, input: &[C64], output: &mut [f64]) {
-        assert_eq!(input.len(), self.spectrum_len());
+    /// trip is the identity. **Consumes its input**: the column pass runs
+    /// in place, so `spectrum` holds intermediate values afterwards.
+    pub fn inverse(&self, spectrum: &mut [C64], output: &mut [f64]) {
+        assert_eq!(spectrum.len(), self.spectrum_len());
         assert_eq!(output.len(), self.width * self.height);
+        backend::active().real_fft2d_inverse(self, spectrum, output);
+    }
+
+    /// One scratch buffer for a whole transform: the panel (the longer of
+    /// a row's and a column's) and, behind it, whatever a chirp-z axis
+    /// needs.
+    fn panel_len(&self) -> usize {
+        self.row.panel_len().max(self.height)
+    }
+
+    fn take_scratch<L: Lane>(&self) -> scratch::Scratch<L> {
+        let chirp = self.row.scratch_len().max(self.col_fwd.scratch_len());
+        scratch::take(self.panel_len() + chirp)
+    }
+
+    /// The column pass of either direction, in place, `L::N` columns at a
+    /// time.
+    #[inline(always)]
+    fn columns<L: Lane>(
+        &self,
+        plan: &FftPlan,
+        spectrum: &mut [C64],
+        panel: &mut [Cx<L>],
+        scratch: &mut [Cx<L>],
+    ) {
         let sw = self.spectrum_width();
-        scratch::with_scratch(self.spectrum_len() + 2 * self.height, |buf| {
-            let (spec, cols) = buf.split_at_mut(self.spectrum_len());
-            let (col_in, col_out) = cols.split_at_mut(self.height);
-            spec.copy_from_slice(input);
-            // inverse c2c along columns (unscaled), then scale by 1/h.
-            let s = 1.0 / self.height as f64;
-            for x in 0..sw {
-                for y in 0..self.height {
-                    col_in[y] = spec[y * sw + x];
+        let panel = &mut panel[..self.height];
+        for x0 in (0..sw).step_by(L::N) {
+            let valid = (sw - x0).min(L::N);
+            let load = |y: usize| {
+                let row = &spectrum[y * sw + x0..][..valid];
+                if valid == L::N {
+                    Cx::from_fn(|l| row[l])
+                } else {
+                    Cx::from_fn(|l| row[l.min(valid - 1)])
                 }
-                self.col_inv.process(col_in, col_out);
-                for y in 0..self.height {
-                    spec[y * sw + x] = col_out[y].scale(s);
+            };
+            plan.run(load, panel, scratch);
+            for (y, z) in panel.iter().enumerate() {
+                for (l, out) in spectrum[y * sw + x0..][..valid].iter_mut().enumerate() {
+                    *out = z.lane(l);
                 }
             }
-            // c2r along rows (RealFft::inverse is already scaled).
-            for (y, row) in output.chunks_exact_mut(self.width).enumerate() {
-                self.row.inverse(&spec[y * sw..(y + 1) * sw], row);
-            }
-        })
+        }
+    }
+
+    /// [`RealFft2d::forward`] over lane type `L` — what a backend calls.
+    #[inline(always)]
+    pub(crate) fn forward_lanes<L: Lane>(&self, input: &[f64], output: &mut [C64]) {
+        let (w, h, sw) = (self.width, self.height, self.spectrum_width());
+        let mut buf = self.take_scratch::<L>();
+        let (panel, scratch) = buf.slice().split_at_mut(self.panel_len());
+        // r2c along rows, lane = row.
+        for y0 in (0..h).step_by(L::N) {
+            let valid = (h - y0).min(L::N);
+            let x = |i: usize| L::from_fn(|l| input[(y0 + l.min(valid - 1)) * w + i]);
+            let rows = &mut output[y0 * sw..(y0 + valid) * sw];
+            let store = |j: usize, v: Cx<L>| {
+                for (l, row) in rows.chunks_exact_mut(sw).enumerate() {
+                    row[j] = v.lane(l);
+                }
+            };
+            let row_panel = &mut panel[..self.row.panel_len()];
+            self.row.forward_lanes(x, row_panel, scratch, store);
+        }
+        // c2c along columns of the reduced spectrum.
+        self.columns(&self.col_fwd, output, panel, scratch);
+    }
+
+    /// [`RealFft2d::inverse`] over lane type `L` — what a backend calls.
+    #[inline(always)]
+    pub(crate) fn inverse_lanes<L: Lane>(&self, spectrum: &mut [C64], output: &mut [f64]) {
+        let (w, h, sw) = (self.width, self.height, self.spectrum_width());
+        let mut buf = self.take_scratch::<L>();
+        let (panel, scratch) = buf.slice().split_at_mut(self.panel_len());
+        // Unscaled inverse c2c along columns; 1/h rides in the rows' scale.
+        self.columns(&self.col_inv, spectrum, panel, scratch);
+        // c2r along rows, lane = row.
+        for y0 in (0..h).step_by(L::N) {
+            let valid = (h - y0).min(L::N);
+            let spec = |j: usize| Cx::from_fn(|l| spectrum[(y0 + l.min(valid - 1)) * sw + j]);
+            let rows = &mut output[y0 * w..(y0 + valid) * w];
+            let store = |i: usize, v: L| {
+                for (l, row) in rows.chunks_exact_mut(w).enumerate() {
+                    row[i] = v.get(l);
+                }
+            };
+            let row_panel = &mut panel[..self.row.panel_len()];
+            let scale = 1.0 / h as f64;
+            self.row
+                .inverse_lanes(spec, row_panel, scratch, scale, store);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
+    use crate::fft2d::tests::dft2d_naive;
     use crate::plan::fft_forward;
 
     fn signal(n: usize) -> Vec<f64> {
@@ -273,7 +352,7 @@ mod tests {
     fn forward_matches_complex_fft_even() {
         for n in [2usize, 8, 16, 30, 64, 348] {
             let x = signal(n);
-            let r = RealFft::new(&Planner::default(), n);
+            let r = RealFft2d::new(&Planner::default(), n, 1);
             let mut half = vec![C64::ZERO; r.spectrum_len()];
             r.forward(&x, &mut half);
             let full = fft_forward(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
@@ -287,7 +366,7 @@ mod tests {
     fn forward_matches_complex_fft_odd() {
         for n in [1usize, 3, 7, 15, 29] {
             let x = signal(n);
-            let r = RealFft::new(&Planner::default(), n);
+            let r = RealFft2d::new(&Planner::default(), n, 1);
             let mut half = vec![C64::ZERO; r.spectrum_len()];
             r.forward(&x, &mut half);
             let full = fft_forward(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
@@ -304,36 +383,88 @@ mod tests {
     fn round_trip_1d() {
         for n in [2usize, 9, 16, 31, 100, 1040] {
             let x = signal(n);
-            let r = RealFft::new(&Planner::default(), n);
+            let r = RealFft2d::new(&Planner::default(), n, 1);
             let mut spec = vec![C64::ZERO; r.spectrum_len()];
             let mut back = vec![0.0; n];
             r.forward(&x, &mut spec);
-            r.inverse(&spec, &mut back);
+            r.inverse(&mut spec, &mut back);
             for (a, b) in x.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-8, "n={n}");
             }
         }
     }
 
+    /// Half spectrum of the naive row-column 2-D DFT.
+    fn naive_2d(x: &[f64], w: usize, h: usize) -> Vec<C64> {
+        let x: Vec<C64> = x.iter().map(|&v| c64(v, 0.0)).collect();
+        let full = dft2d_naive(&x, w, h, Direction::Forward);
+        let rows = full.chunks_exact(w);
+        rows.flat_map(|row| &row[..spectrum_len(w)])
+            .copied()
+            .collect()
+    }
+
+    /// Forward against the naive 2-D DFT and inverse of the naive spectrum
+    /// against the image, one lane and four. Half-widths ≡ 0, 1, 2, 3
+    /// mod 4 and heights off a multiple of 4 leave every kind of partial
+    /// last panel; the axes carry 13 and 29; 39 is an odd width; 74 =
+    /// 2·37 puts chirp-z under the rows (74×26) and the columns (26×74).
     #[test]
-    fn round_trip_2d() {
-        for (w, h) in [(8usize, 6usize), (13, 9), (16, 16), (30, 22)] {
+    fn matches_naive_2d_in_every_lane() {
+        fn check<L: Lane>(r: &RealFft2d, x: &[f64], want: &[C64], what: &str) {
+            let mut spec = vec![C64::ZERO; r.spectrum_len()];
+            r.forward_lanes::<L>(x, &mut spec);
+            let tol = 1e-10 * x.len() as f64;
+            let err = spec.iter().zip(want).map(|(a, b)| (*a - *b).abs());
+            assert!(err.fold(0.0, f64::max) < tol * 10.0, "forward {what}");
+            let mut back = vec![0.0; x.len()];
+            r.inverse_lanes::<L>(&mut want.to_vec(), &mut back);
+            let err = back.iter().zip(x).map(|(a, b)| (a - b).abs());
+            assert!(err.fold(0.0, f64::max) < 1e-9, "inverse {what}");
+        }
+        for (w, h) in [
+            (104usize, 26usize),
+            (58, 26),
+            (60, 26),
+            (62, 39),
+            (174, 130),
+            (39, 26),
+            (74, 26),
+            (26, 74),
+            (5, 3),
+            (2, 1),
+        ] {
+            let x = signal(w * h);
+            let want = naive_2d(&x, w, h);
+            let r = RealFft2d::new(&Planner::default(), w, h);
+            check::<f64>(&r, &x, &want, &format!("{w}x{h} one lane"));
+            check::<[f64; 4]>(&r, &x, &want, &format!("{w}x{h} four lanes"));
+        }
+    }
+
+    /// The inverse runs its column pass in place: the round trip is the
+    /// identity, and the spectrum it was given is gone.
+    #[test]
+    fn round_trip_2d_consumes_the_spectrum() {
+        for (w, h) in [(8usize, 6usize), (13, 9), (16, 16), (30, 22), (174, 130)] {
             let x = signal(w * h);
             let r = RealFft2d::new(&Planner::default(), w, h);
             let mut spec = vec![C64::ZERO; r.spectrum_len()];
             let mut back = vec![0.0; w * h];
             r.forward(&x, &mut spec);
-            r.inverse(&spec, &mut back);
+            let forward = spec.clone();
+            r.inverse(&mut spec, &mut back);
             for (a, b) in x.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-7, "{w}x{h}");
             }
+            assert!(spec != forward, "{w}x{h}: inverse left its input intact");
         }
     }
 
     #[test]
     fn dc_bin_is_sum() {
         let x = signal(24);
-        let r = RealFft::new(&Planner::default(), 24);
+        let r = RealFft2d::new(&Planner::default(), 24, 1);
         let mut spec = vec![C64::ZERO; r.spectrum_len()];
         r.forward(&x, &mut spec);
         let sum: f64 = x.iter().sum();

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stitch_fft::{
     c64, dft_naive, fft_forward, fft_inverse, BluesteinPlan, Direction, Fft2d, MixedRadixPlan,
-    Planner, RealFft, C64,
+    Planner, RealFft2d, C64,
 };
 
 fn max_err(a: &[C64], b: &[C64]) -> f64 {
@@ -90,7 +90,7 @@ proptest! {
             .map(|k| (((k as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(seed) >> 20) % 2000) as f64 / 100.0 - 10.0)
             .collect();
         let planner = Planner::default();
-        let r = RealFft::new(&planner, n);
+        let r = RealFft2d::new(&planner, n, 1);
         let mut half = vec![C64::ZERO; r.spectrum_len()];
         r.forward(&x, &mut half);
         let full = fft_forward(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
@@ -166,7 +166,7 @@ proptest! {
     }
 
     /// Real-FFT round trip at mixed-radix and prime sizes:
-    /// `RealFft::inverse(RealFft::forward(x)) == x` (the real path is
+    /// `inverse(forward(x)) == x` on one row (the real path is
     /// scaled, unlike the complex convention).
     #[test]
     fn real_fft_round_trip_mixed_and_prime(size_idx in 0usize..8, seed in 0u64..500) {
@@ -176,11 +176,11 @@ proptest! {
             .map(|k| (((k as u64).wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(seed) >> 18) % 4000) as f64 / 100.0 - 20.0)
             .collect();
         let planner = Planner::default();
-        let r = RealFft::new(&planner, n);
+        let r = RealFft2d::new(&planner, n, 1);
         let mut half = vec![C64::ZERO; r.spectrum_len()];
         let mut back = vec![0.0f64; n];
         r.forward(&x, &mut half);
-        r.inverse(&half, &mut back);
+        r.inverse(&mut half, &mut back);
         let err = x.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         prop_assert!(err < 1e-8 * n.max(4) as f64, "n={n} err={err}");
     }
@@ -199,7 +199,7 @@ proptest! {
             .map(|k| (((k as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(seed * 31) >> 22) % 2000) as f64 / 50.0 - 20.0)
             .collect();
         let planner = Planner::default();
-        let r = RealFft::new(&planner, n);
+        let r = RealFft2d::new(&planner, n, 1);
         let mut half = vec![C64::ZERO; r.spectrum_len()];
         r.forward(&x, &mut half);
         let full_in: Vec<C64> = x.iter().map(|&v| c64(v, 0.0)).collect();

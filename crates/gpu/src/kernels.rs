@@ -64,9 +64,9 @@ impl Stream {
         });
     }
 
-    /// Kernel: inverse 2-D FFT of the half spectrum `spectrum` into the
-    /// real `width × height` surface `surface`. Flagged as an FFT, like
-    /// [`Stream::fft2d_forward`].
+    /// Kernel: inverse 2-D FFT of the half spectrum `spectrum` (consumed:
+    /// the transform works in it) into the real `width × height` surface
+    /// `surface`. Flagged as an FFT, like [`Stream::fft2d_forward`].
     pub fn fft2d_inverse(
         &self,
         plan: &Arc<RealFft2d>,
@@ -83,7 +83,7 @@ impl Stream {
         self.enqueue(SpanKind::Kernel, true, "fft2d_inv", 0, move |tok| {
             spectrum.map(tok, |s| {
                 surface.map(tok, |o| {
-                    plan.inverse(&s[..plan.spectrum_len()], &mut o[..n])
+                    plan.inverse(&mut s[..plan.spectrum_len()], &mut o[..n])
                 });
             });
         });

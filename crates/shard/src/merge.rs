@@ -144,6 +144,7 @@ pub fn merge_results(
         merged.ops.ccf_groups += local.ops.ccf_groups;
         merged.ops.ccf_probes += local.ops.ccf_probes;
         merged.ops.ccf_pixels += local.ops.ccf_pixels;
+        merged.ops.fft_real_mults += local.ops.fft_real_mults;
         merged.health.total_retries += local.health.total_retries;
         peak_live = peak_live.max(local.peak_live_tiles);
     }

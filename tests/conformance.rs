@@ -14,7 +14,7 @@
 use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
 use stitch_core::{OpCounters, PairKind, PciamContext, Stitcher, SyntheticSource, TileSource};
 use stitch_fft::vectorops::top_peaks_into;
-use stitch_fft::{backend, c64, Direction, Fft2d, PlanMode, Planner, C64};
+use stitch_fft::{backend, c64, Direction, Fft2d, PlanMode, Planner, RealFft2d, C64};
 use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
 use stitch_testkit::alloc::CountingAllocator;
 use stitch_testkit::{run_case, run_stress, sweep};
@@ -134,6 +134,10 @@ fn kernel_matches_the_complex_reference_across_sweep() {
     for case in sweep() {
         assert_kernel_matches_complex_reference(&case.source(), &case.label());
     }
+    // 174 = 2·3·29 by 130 = 2·5·13: both of the paper tile's awkward
+    // primes, and a partial last panel on both axes of the 2-D transform.
+    let plate = SyntheticPlate::generate(ScanConfig::for_grid(2, 2, 174, 130, 0.2, 29));
+    assert_kernel_matches_complex_reference(&SyntheticSource::new(plate), "174x130");
 }
 
 #[test]
@@ -222,14 +226,28 @@ fn stress_runner_is_reproducible() {
 /// work counters are a pure function of the tiles, so they repeat exactly
 /// between runs and across the six variants, and the disambiguation stays
 /// within a fixed number of whole-tile scans per pair (it was ~250 when
-/// every candidate was hill-climbed; see DESIGN.md § PCIAM).
+/// every candidate was hill-climbed; see DESIGN.md § PCIAM). Likewise the
+/// FFT work: every variant's multiplication count is exactly its transform
+/// counts times the plan-time cost of one transform.
 #[test]
 fn ccf_work_is_bounded_and_repeats_exactly_across_variants() {
     const MAX_TILE_SCANS_PER_PAIR: f64 = 64.0;
+    let planner = Planner::new(PlanMode::Estimate);
     for case in sweep() {
         let source = case.source();
+        let plan = RealFft2d::new(&planner, case.tile_width, case.tile_height);
+        let (fwd, inv) = (Direction::Forward, Direction::Inverse);
         let counts = |stitcher: &dyn Stitcher| {
             let ops = stitcher.compute_displacements(&source).ops;
+            let mults =
+                ops.forward_ffts * plan.real_mults(fwd) + ops.inverse_ffts * plan.real_mults(inv);
+            assert_eq!(
+                ops.fft_real_mults,
+                mults,
+                "{}: {}",
+                case.label(),
+                stitcher.name()
+            );
             (ops.ccf_groups, ops.ccf_probes, ops.ccf_pixels)
         };
         let all = stitch_testkit::variants();
@@ -248,6 +266,17 @@ fn ccf_work_is_bounded_and_repeats_exactly_across_variants() {
             case.label()
         );
     }
+}
+
+/// The paper's tile is the size whose primes (29, 13) the FFT engine is
+/// built around: one forward transform stays under 48 real
+/// multiplications per pixel (the table-driven `p × p` butterflies this
+/// engine replaced cost ≈ 107), on every host — it is a plan-time count.
+#[test]
+fn paper_tile_forward_fft_costs_at_most_48_multiplies_per_pixel() {
+    let plan = RealFft2d::new(&Planner::new(PlanMode::Estimate), 1392, 1040);
+    let per_px = plan.real_mults(Direction::Forward) as f64 / (1392.0 * 1040.0);
+    assert!(per_px <= 48.0, "{per_px:.1} real multiplies per pixel");
 }
 
 /// The census behind the CCF refinement gate (DESIGN.md § PCIAM,
