@@ -300,11 +300,15 @@ impl PyramidCanvas {
     fn resolve_base_chunk(&mut self, cx: i64, cy: i64) -> Option<Vec<u16>> {
         let c = self.cfg.chunk;
         let (x0, y0) = (cx * c as i64, cy * c as i64);
-        let mut window = BlendWindow::new(self.cfg.blend, self.cfg.highlight_tiles, x0, y0, c, c);
+        let mut pixels = vec![0; c * c];
+        let (blend, highlight) = (self.cfg.blend, self.cfg.highlight_tiles);
+        let mut window = BlendWindow::new(blend, highlight, x0, y0, c, &mut pixels);
         for placement in self.placements.values() {
             window.add(placement.pos, &placement.image);
         }
-        let pixels = window.finish()?;
+        if !window.finish() {
+            return None;
+        }
         self.stats.resolves += 1;
         Some(pixels)
     }
@@ -331,20 +335,25 @@ impl PyramidCanvas {
         if quads.iter().flatten().all(|q| q.is_none()) {
             return None;
         }
-        let child = |lx: usize, ly: usize| -> u32 {
-            match quads[ly / c][lx / c] {
-                Some(pixels) => pixels[(ly % c) * c + (lx % c)] as u32,
-                None => 0,
-            }
-        };
+        // Two child rows (each the left then the right child's row, zeros
+        // where a child is empty) are gathered per output row, so the 2×2
+        // kernel runs over plain slices whatever the chunk size's parity.
         let mut out = vec![0u16; c * c];
-        for y in 0..c {
-            for x in 0..c {
-                let s = child(2 * x, 2 * y)
-                    + child(2 * x + 1, 2 * y)
-                    + child(2 * x, 2 * y + 1)
-                    + child(2 * x + 1, 2 * y + 1);
-                out[y * c + x] = ((s + 2) / 4) as u16;
+        let mut rows = vec![0u16; 4 * c];
+        for (y, out_row) in out.chunks_exact_mut(c).enumerate() {
+            for (ly, row) in (2 * y..).zip(rows.chunks_exact_mut(2 * c)) {
+                for (quad, half) in quads[ly / c].iter().zip(row.chunks_exact_mut(c)) {
+                    match quad {
+                        Some(pixels) => half.copy_from_slice(&pixels[(ly % c) * c..][..c]),
+                        None => half.fill(0),
+                    }
+                }
+            }
+            let (top, bottom) = rows.split_at(2 * c);
+            let blocks = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (px, (t, b)) in out_row.iter_mut().zip(blocks) {
+                let s = t[0] as u32 + t[1] as u32 + b[0] as u32 + b[1] as u32;
+                *px = ((s + 2) / 4) as u16;
             }
         }
         self.stats.downsamples += 1;
@@ -459,14 +468,26 @@ mod tests {
 
     #[test]
     fn downsample_matches_pyramid_kernel() {
-        let mut canvas = PyramidCanvas::new(small_cfg(Blend::Overlay));
-        let tile = gradient(32, 32, 7);
-        canvas.place_tile(TileId::new(0, 0), (0, 0), Arc::clone(&tile));
-        let pyr = stitch_core::pyramid((*tile).clone(), 3);
-        for (scale, level) in pyr.iter().enumerate() {
-            let (w, h) = level.dims();
-            let read = canvas.get_region(scale, 0, 0, w, h);
-            assert_eq!(read.pixels(), level.pixels(), "scale {scale}");
+        // odd chunk sizes put a 2×2 block across four children; the
+        // off-origin tile leaves empty children beside full ones
+        for chunk in [16, 7, 5, 1] {
+            let cfg = CanvasConfig {
+                chunk,
+                ..small_cfg(Blend::Overlay)
+            };
+            let mut canvas = PyramidCanvas::new(cfg);
+            let tile = gradient(24, 16, 7);
+            canvas.place_tile(TileId::new(0, 0), (8, 16), Arc::clone(&tile));
+            let mut plane = Image::new(32, 32);
+            for y in 0..16 {
+                plane.row_mut(16 + y)[8..].copy_from_slice(tile.row(y));
+            }
+            let pyr = stitch_core::pyramid(plane, 3);
+            for (scale, level) in pyr.iter().enumerate() {
+                let (w, h) = level.dims();
+                let read = canvas.get_region(scale, 0, 0, w, h);
+                assert_eq!(read.pixels(), level.pixels(), "chunk {chunk} scale {scale}");
+            }
         }
     }
 

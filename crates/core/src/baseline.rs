@@ -58,6 +58,10 @@ impl Stitcher for FijiStyleStitcher {
         format!("Fiji-style({})", self.threads)
     }
 
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
     fn try_compute_displacements(
         &self,
         source: &dyn TileSource,

@@ -16,8 +16,13 @@
 //! adapter views ([`PlaneSource`], [`MaxZSource`], [`CorrectedSource`])
 //! lower it back onto the existing single-grid machinery, so phases 1–3
 //! run unchanged. [`ChannelPlan`] + [`ChannelSession`] hold the policy and
-//! the estimated fields; [`run_channel_plan`] is the sequential driver
-//! (the scheduler-backed one lives in `stitch-sched`).
+//! the estimated fields; [`run_channel_plan`] is the driver.
+//!
+//! Around the one registration everything is order-free: a channel's
+//! illumination floor is a per-pixel minimum, folded in as many groups as
+//! the host has cores, and the compose units share only the solved frame,
+//! so they run side by side on the handed-in stitcher's thread count, the
+//! mosaics bit-identical to the serial walk and returned in unit order.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,6 +35,7 @@ use crate::compose::{Blend, Composer};
 use crate::fault::{FailurePolicy, SourceError, StitchError};
 use crate::global_opt::{AbsolutePositions, GlobalOptimizer};
 use crate::grid::GridShape;
+use crate::par::{default_workers, par_map};
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::TileId;
@@ -387,21 +393,33 @@ impl ChannelPlan {
 }
 
 /// Estimates the flat field of one channel from its full tile stack
-/// (every plane at every grid position).
+/// (every plane at every grid position) on every core the host offers:
+/// the floor is a per-pixel minimum, so the stack folds in any grouping.
+/// The error, if any, is the walk's first.
 pub fn estimate_channel_flat_field(
     source: &dyn MultiTileSource,
     channel: usize,
 ) -> Result<FlatField, StitchError> {
     let (w, h) = source.tile_dims();
-    let shape = source.shape();
-    let mut est = FlatFieldEstimator::new(w, h);
+    let mut stack = Vec::new();
     for plane in 0..source.z_planes() {
-        for id in shape.ids() {
-            let tile = source
-                .load_plane(channel, plane, id)
-                .map_err(|error| StitchError::Tile { id, error })?;
-            est.add(&tile);
+        stack.extend(source.shape().ids().map(|id| (plane, id)));
+    }
+    let workers = default_workers();
+    let group = stack.len().div_ceil(workers).max(1);
+    let floors = par_map(workers, stack.chunks(group), |tiles| {
+        let mut est = FlatFieldEstimator::new(w, h);
+        for &(plane, id) in tiles {
+            match source.load_plane(channel, plane, id) {
+                Ok(tile) => est.add(&tile),
+                Err(error) => return Err(StitchError::Tile { id, error }),
+            }
         }
+        Ok(est)
+    });
+    let mut est = FlatFieldEstimator::new(w, h);
+    for floor in floors {
+        est.merge(&floor?);
     }
     Ok(est.finish())
 }
@@ -510,9 +528,9 @@ pub struct ChannelRun {
 
 /// The one channel driver: register once on the session's reference
 /// source (default [`FailurePolicy`]), solve, and replay the frame across
-/// every compose unit. `stitch_testkit`'s channel differential proves
-/// every unit composed with positions bit-identical to a solo run over
-/// the reference source.
+/// every compose unit on `stitcher`'s thread count. `stitch_testkit`'s
+/// channel differential proves every unit composed with positions
+/// bit-identical to a solo run over the reference source.
 pub fn run_channel_plan(
     session: &ChannelSession,
     stitcher: &dyn Stitcher,
@@ -522,12 +540,11 @@ pub fn run_channel_plan(
     let registration =
         stitcher.try_compute_displacements(reg.as_ref(), &FailurePolicy::default())?;
     let positions = GlobalOptimizer::default().solve(&registration);
-    let mut mosaics = Vec::new();
-    for unit in session.units() {
-        let src = session.unit_source(unit);
-        let mosaic = Composer::new(positions.clone(), blend).compose(src.as_ref());
-        mosaics.push((unit, mosaic));
-    }
+    // the units are the pass's one level of threads: each composes alone
+    let mosaics = par_map(stitcher.threads(), session.units(), |unit| {
+        let composer = Composer::new(positions.clone(), blend).with_workers(1);
+        (unit, composer.compose(session.unit_source(unit).as_ref()))
+    });
     Ok(ChannelRun {
         registration,
         positions,
@@ -538,7 +555,6 @@ pub fn run_channel_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simple_cpu::SimpleCpuStitcher;
     use stitch_image::{MultiScanConfig, ScanConfig};
 
     fn small_source() -> Arc<dyn MultiTileSource> {
@@ -636,18 +652,77 @@ mod tests {
         assert_eq!(units[1].label(), "c01_maxz");
     }
 
+    /// `inner` with one `(channel, plane, tile)` that cannot be read.
+    struct Holed(Arc<dyn MultiTileSource>, (usize, usize, TileId));
+
+    impl MultiTileSource for Holed {
+        fn shape(&self) -> GridShape {
+            self.0.shape()
+        }
+        fn tile_dims(&self) -> (usize, usize) {
+            self.0.tile_dims()
+        }
+        fn channels(&self) -> usize {
+            self.0.channels()
+        }
+        fn z_planes(&self) -> usize {
+            self.0.z_planes()
+        }
+        fn load_plane(
+            &self,
+            channel: usize,
+            plane: usize,
+            id: TileId,
+        ) -> Result<Image<u16>, SourceError> {
+            if (channel, plane, id) == self.1 {
+                let detail = "hole".to_string();
+                return Err(SourceError::Corrupt { id, detail });
+            }
+            self.0.load_plane(channel, plane, id)
+        }
+    }
+
     #[test]
-    fn run_replays_one_frame_across_all_units() {
-        let src = small_source();
+    fn run_replays_one_frame_across_all_units_on_any_thread_count() {
+        // a tile of a unit registration never reads cannot be loaded: that
+        // unit's mosaic keeps the same hole however the units are spread
+        let hole = (1, 0, TileId::new(1, 2));
+        let src: Arc<dyn MultiTileSource> = Arc::new(Holed(small_source(), hole));
         let session = ChannelSession::new(Arc::clone(&src), ChannelPlan::default()).unwrap();
-        let run =
-            run_channel_plan(&session, &SimpleCpuStitcher::default(), Blend::Overlay).unwrap();
-        assert_eq!(run.mosaics.len(), 6);
-        // every unit's mosaic equals a solo compose with the same frame
-        for (unit, mosaic) in &run.mosaics {
-            let solo = Composer::new(run.positions.clone(), Blend::Overlay)
-                .compose(session.unit_source(*unit).as_ref());
-            assert_eq!(mosaic, &solo, "unit {} diverged", unit.label());
+        // threads below, at and above the six units
+        for threads in [1, 2, 3, 6, 8] {
+            let stitcher = crate::mt_cpu::MtCpuStitcher::new(threads);
+            let run = run_channel_plan(&session, &stitcher, Blend::Overlay).unwrap();
+            let order: Vec<ComposeUnit> = run.mosaics.iter().map(|(unit, _)| *unit).collect();
+            assert_eq!(order, session.units(), "{threads} threads");
+            // every unit's mosaic equals a solo compose with the same frame
+            for (unit, mosaic) in &run.mosaics {
+                let solo = Composer::new(run.positions.clone(), Blend::Overlay)
+                    .with_workers(1)
+                    .compose(session.unit_source(*unit).as_ref());
+                assert_eq!(mosaic, &solo, "unit {} diverged", unit.label());
+            }
+            let (tw, th) = src.tile_dims();
+            let (hx, hy) = run.positions.get(hole.2);
+            let holed = &run.mosaics[3];
+            assert_eq!((holed.0.channel, holed.0.plane), (1, Some(0)));
+            assert_eq!(holed.1.get(hx as usize + tw - 1, hy as usize + th - 1), 0);
+        }
+    }
+
+    #[test]
+    fn flat_field_floor_is_the_serial_fold() {
+        let src = small_source();
+        let (w, h) = src.tile_dims();
+        for channel in 0..src.channels() {
+            let mut est = FlatFieldEstimator::new(w, h);
+            for plane in 0..src.z_planes() {
+                for id in src.shape().ids() {
+                    est.add(&src.load_plane(channel, plane, id).unwrap());
+                }
+            }
+            let folded = estimate_channel_flat_field(src.as_ref(), channel).unwrap();
+            assert_eq!(folded, est.finish());
         }
     }
 }

@@ -7,13 +7,21 @@
 //! resolutions" (image pyramids). Composition is region-based so it can
 //! run on demand — "the third phase can be carried out on demand as part
 //! of visualizing the stitched image."
-
-use std::collections::HashMap;
+//!
+//! Every entry point walks its window top to bottom in bands (a tile row
+//! or more, or the caller's `band_rows`): the tiles a band is the first to
+//! touch are read — each exactly once, across the composer's workers — and
+//! the band's rows are split between the same workers, each blending
+//! straight into its own slice of the one output buffer; a thread is only
+//! started for [`PIXELS_PER_WORKER`] of work. [`BlendWindow`] resolves a
+//! pixel from the tiles covering that pixel alone, so the split never
+//! reaches the pixels: any worker count gives the serial bytes.
 
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
 use crate::global_opt::AbsolutePositions;
+use crate::par::{default_workers, par_map};
 use crate::source::TileSource;
 use crate::types::TileId;
 
@@ -51,19 +59,21 @@ impl std::str::FromStr for Blend {
 
 /// The one blend loop: accumulates tiles into a `w × h` window at
 /// `(x0, y0)` (signed pixel coordinates in whatever frame the caller
-/// places tiles in) and resolves it to pixels. Every blend mode resolves
-/// a pixel from the tiles covering *that pixel* alone, added in a fixed
-/// order, so any partition of a mosaic into windows — whole, banded, or
-/// canvas chunks — produces the same pixels.
-pub struct BlendWindow {
+/// places tiles in) and resolves it into the caller's pixels. Every blend
+/// mode resolves a pixel from the tiles covering *that pixel* alone, added
+/// in a fixed order, so any partition of a mosaic into windows — whole,
+/// banded, split between threads, or canvas chunks — produces the same
+/// pixels.
+pub struct BlendWindow<'a> {
     blend: Blend,
     x0: i64,
     y0: i64,
     w: usize,
     h: usize,
-    /// The resolved window. [`Blend::Overlay`] and [`Blend::First`] copy
-    /// one tile's value per pixel, so they write it as tiles arrive.
-    pixels: Vec<u16>,
+    /// The resolved window, row-major, borrowed from the caller.
+    /// [`Blend::Overlay`] and [`Blend::First`] copy one tile's value per
+    /// pixel, so they write it as tiles arrive.
+    pixels: &'a mut [u16],
     /// [`Blend::First`] only: pixels that already have their value.
     taken: Vec<bool>,
     /// [`Blend::Average`] / [`Blend::Linear`] only: weighted sum and
@@ -76,9 +86,20 @@ pub struct BlendWindow {
     covered: bool,
 }
 
-impl BlendWindow {
-    /// An empty window; `highlight` draws 1-px tile borders.
-    pub fn new(blend: Blend, highlight: bool, x0: i64, y0: i64, w: usize, h: usize) -> BlendWindow {
+impl<'a> BlendWindow<'a> {
+    /// An empty window over `pixels` — `w` columns wide, as many rows as
+    /// the slice holds, all zero (pixels no tile covers are left as they
+    /// are); `highlight` draws 1-px tile borders.
+    pub fn new(
+        blend: Blend,
+        highlight: bool,
+        x0: i64,
+        y0: i64,
+        w: usize,
+        pixels: &'a mut [u16],
+    ) -> BlendWindow<'a> {
+        let h = pixels.len().checked_div(w).unwrap_or(0);
+        assert_eq!(pixels.len(), w * h, "window is not whole rows");
         // a plane the blend does not use stays empty
         let plane = |used: bool| if used { w * h } else { 0 };
         let summed = matches!(blend, Blend::Average | Blend::Linear);
@@ -88,7 +109,7 @@ impl BlendWindow {
             y0,
             w,
             h,
-            pixels: vec![0; w * h],
+            pixels,
             taken: vec![false; plane(blend == Blend::First)],
             acc: vec![0.0; plane(summed)],
             weight: vec![0.0; plane(summed)],
@@ -154,27 +175,37 @@ impl BlendWindow {
         }
     }
 
-    /// Resolves the window to row-major pixels (uncovered pixels are 0);
-    /// `None` when no added tile intersected it.
-    pub fn finish(self) -> Option<Vec<u16>> {
-        if !self.covered {
-            return None;
-        }
-        let mut pixels = self.pixels;
-        for ((px, a), wt) in pixels.iter_mut().zip(self.acc).zip(self.weight) {
+    /// Resolves the window into its pixels; `false` when no added tile
+    /// intersected it (the pixels are untouched).
+    pub fn finish(self) -> bool {
+        for ((px, a), wt) in self.pixels.iter_mut().zip(self.acc).zip(self.weight) {
             if wt > 0.0 {
                 *px = (a / wt).clamp(0.0, 65535.0).round() as u16;
             }
         }
         if let Some(mask) = self.border_mask {
-            for (px, is_border) in pixels.iter_mut().zip(mask) {
+            for (px, is_border) in self.pixels.iter_mut().zip(mask) {
                 if is_border {
                     *px = 65535;
                 }
             }
         }
-        Some(pixels)
+        self.covered
     }
+}
+
+/// Pixels a thread must have to read or blend before it is worth starting
+/// (its unit tests split toy mosaics).
+const PIXELS_PER_WORKER: usize = if cfg!(test) { 16 } else { 1 << 18 };
+
+/// A tile's pixels between the bands of one composition.
+#[derive(Clone)]
+enum Slot {
+    Unread,
+    Resident(Image<u16>),
+    /// The read failed (a hole in every band, never retried), or the bands
+    /// have moved past the tile.
+    Gone,
 }
 
 /// Mosaic composer: absolute positions + blend mode.
@@ -190,10 +221,13 @@ pub struct Composer {
     /// Cached at construction (positions are immutable afterwards), so
     /// per-region composition doesn't rescan every position.
     origin: (i64, i64),
+    /// Threads a band's reads and rows are split between.
+    workers: usize,
 }
 
 impl Composer {
-    /// Creates a composer.
+    /// Creates a composer working on every core the host offers (a caller
+    /// that was given a thread count hands it to [`Composer::with_workers`]).
     pub fn new(positions: AbsolutePositions, blend: Blend) -> Composer {
         let ox = positions.positions.iter().map(|p| p.0).min().unwrap_or(0);
         let oy = positions.positions.iter().map(|p| p.1).min().unwrap_or(0);
@@ -203,7 +237,16 @@ impl Composer {
             highlight_tiles: false,
             trace: TraceHandle::disabled(),
             origin: (ox, oy),
+            workers: default_workers(),
         }
+    }
+
+    /// Splits each band's reads and rows between `workers` threads; 1 is
+    /// for a caller that already runs compositions side by side. The pixels
+    /// do not depend on it.
+    pub fn with_workers(mut self, workers: usize) -> Composer {
+        self.workers = workers.max(1);
+        self
     }
 
     /// Records tile reads (cat `"io"`) and the blend loop (cat
@@ -251,7 +294,9 @@ impl Composer {
     /// Composes only the `w × h` window at `(x0, y0)` of the mosaic —
     /// the on-demand path used for interactive visualization. Window
     /// coordinates are origin-translated mosaic coordinates: `(0, 0)` is
-    /// the top-left of the bounding box, i.e. [`Composer::origin`].
+    /// the top-left of the bounding box, i.e. [`Composer::origin`]. The
+    /// tile rows of one band (two, at the paper's tile size) are resident
+    /// at a time.
     pub fn compose_region(
         &self,
         source: &dyn TileSource,
@@ -260,72 +305,78 @@ impl Composer {
         w: usize,
         h: usize,
     ) -> Image<u16> {
-        self.compose_region_cached(source, x0, y0, w, h, None)
-    }
-
-    /// [`Composer::compose_region`] with an optional cross-call tile
-    /// cache: cached tiles are blended without re-reading the source (and
-    /// without re-recording an `io` trace span). Failed reads are not
-    /// cached, so a hole in one region is still retried by the next.
-    fn compose_region_cached(
-        &self,
-        source: &dyn TileSource,
-        x0: usize,
-        y0: usize,
-        w: usize,
-        h: usize,
-        mut cache: Option<&mut HashMap<TileId, Image<u16>>>,
-    ) -> Image<u16> {
-        let (tw, th) = source.tile_dims();
-        let (ox, oy) = self.origin;
-        let mut window =
-            BlendWindow::new(self.blend, self.highlight_tiles, x0 as i64, y0 as i64, w, h);
-        let _span = self
-            .trace
-            .scope("compose", "compute", format!("region {w}x{h}@({x0},{y0})"));
-        for id in self.positions.shape.ids() {
-            let (px, py) = self.positions.get(id);
-            let pos = (px - ox, py - oy);
-            if !window.intersects(pos, tw, th) {
-                continue;
-            }
-            // a tile that can't be read leaves a hole in the mosaic
-            // rather than aborting the whole composition
-            let mut owned = None;
-            let tile: &Image<u16> = match cache.as_deref_mut() {
-                Some(tiles) => {
-                    if let std::collections::hash_map::Entry::Vacant(slot) = tiles.entry(id) {
-                        let Ok(loaded) = self.traced_load(source, id) else {
-                            continue;
-                        };
-                        slot.insert(loaded);
-                    }
-                    &tiles[&id]
-                }
-                None => {
-                    let Ok(loaded) = self.traced_load(source, id) else {
-                        continue;
-                    };
-                    owned.insert(loaded)
-                }
-            };
-            window.add(pos, tile);
+        let mut pixels = vec![0; w * h];
+        let (_, th) = source.tile_dims();
+        let mut slots = vec![Slot::Unread; self.positions.shape.tiles()];
+        // a tile row, or as many rows as occupy every worker
+        let rows = th.max((self.workers * PIXELS_PER_WORKER).div_ceil(w.max(1)));
+        let bands = pixels.chunks_mut(rows * w.max(1));
+        for (y, band) in (y0..).step_by(rows).zip(bands) {
+            self.compose_rows(source, &mut slots, x0, y, w, band);
         }
-        let pixels = window.finish().unwrap_or_else(|| vec![0; w * h]);
         Image::from_vec(w, h, pixels)
     }
 
-    fn traced_load(&self, source: &dyn TileSource, id: TileId) -> Result<Image<u16>, ()> {
-        let r0 = self.trace.now_ns();
-        let loaded = source.load(id);
-        self.trace.record(
-            "compose",
-            "io",
-            format!("read r{}c{}", id.row, id.col),
-            r0,
-            self.trace.now_ns(),
-        );
-        loaded.map_err(|_| ())
+    /// Composes the rows `out` holds — `w` columns from `x0`, starting at
+    /// mosaic row `y0` — of a top-to-bottom walk that keeps its tiles in
+    /// `slots`: reads the tiles these rows are the first to touch (one that
+    /// cannot be read leaves a hole rather than aborting the composition),
+    /// blends, and drops the tiles no later row reaches.
+    fn compose_rows(
+        &self,
+        source: &dyn TileSource,
+        slots: &mut [Slot],
+        x0: usize,
+        y0: usize,
+        w: usize,
+        out: &mut [u16],
+    ) {
+        let Some(h) = out.len().checked_div(w).filter(|&h| h > 0) else {
+            return;
+        };
+        let (tw, th) = source.tile_dims();
+        let (blend, highlight, trace) = (self.blend, self.highlight_tiles, &self.trace);
+        let _span = trace.scope("compose", "compute", format!("region {w}x{h}@({x0},{y0})"));
+        // the tiles touching these rows, in blend order
+        let (ox, oy) = self.origin;
+        let (x0, y0) = (x0 as i64, y0 as i64);
+        let (x1, y1) = (x0 + w as i64, y0 + h as i64);
+        let touching: Vec<(usize, TileId, (i64, i64))> = (self.positions.shape.ids().enumerate())
+            .map(|(i, id)| (i, id, self.positions.positions[i]))
+            .map(|(i, id, (px, py))| (i, id, (px - ox, py - oy)))
+            .filter(|&(_, _, (px, _))| px < x1 && px + tw as i64 > x0)
+            .filter(|&(_, _, (_, py))| py < y1 && py + th as i64 > y0)
+            .collect();
+        let mut unread = touching.clone();
+        unread.retain(|t| matches!(slots[t.0], Slot::Unread));
+        let threads = |pixels: usize| self.workers.min(pixels / PIXELS_PER_WORKER);
+        let read = par_map(threads(unread.len() * tw * th), unread, |(i, id, _)| {
+            let r0 = trace.now_ns();
+            let loaded = source.load(id);
+            let name = format!("read r{}c{}", id.row, id.col);
+            trace.record("compose", "io", name, r0, trace.now_ns());
+            (i, loaded.map_or(Slot::Gone, Slot::Resident))
+        });
+        for (i, slot) in read {
+            slots[i] = slot;
+        }
+        let rows = h.div_ceil(threads(h * w).clamp(1, h));
+        let parts = (y0..).step_by(rows).zip(out.chunks_mut(rows * w));
+        let resident = &*slots;
+        par_map(self.workers, parts.collect::<Vec<_>>(), |(y, part)| {
+            let mut window = BlendWindow::new(blend, highlight, x0, y, w, part);
+            for &(i, _, pos) in &touching {
+                if let Slot::Resident(tile) = &resident[i] {
+                    window.add(pos, tile);
+                }
+            }
+            window.finish();
+        });
+        for (i, _, (_, py)) in touching {
+            if py + th as i64 <= y1 {
+                slots[i] = Slot::Gone;
+            }
+        }
     }
 
     /// Composes the mosaic as a sequence of full-width horizontal bands
@@ -337,29 +388,22 @@ impl Composer {
     /// mosaic — the out-of-core composition path used by the sharded
     /// stitcher.
     ///
-    /// Tiles spanning several bands are read once and kept in a cache
-    /// until the bands have moved past their footprint (they used to be
-    /// re-read ⌈tile_h / band_rows⌉ times); the `compose` trace records
-    /// exactly one `io` span per tile actually read.
+    /// Tiles spanning several bands are read once and kept until the
+    /// bands have moved past their footprint; the `compose` trace records
+    /// exactly one `io` span per tile.
     pub fn compose_bands(
         &self,
         source: &dyn TileSource,
         band_rows: usize,
         sink: &mut dyn FnMut(usize, Image<u16>),
     ) {
-        let band_rows = band_rows.max(1);
         let (mw, mh) = self.mosaic_dims(source);
-        let (_, th) = source.tile_dims();
-        let (_, oy) = self.origin;
-        let mut cache: HashMap<TileId, Image<u16>> = HashMap::new();
-        let mut y = 0;
-        while y < mh {
-            let h = band_rows.min(mh - y);
-            let band = self.compose_region_cached(source, 0, y, mw, h, Some(&mut cache));
-            sink(y, band);
-            y += h;
-            // evict tiles whose footprint lies fully above the next band
-            cache.retain(|id, _| self.positions.get(*id).1 - oy + th as i64 > y as i64);
+        let mut slots = vec![Slot::Unread; self.positions.shape.tiles()];
+        for y in (0..mh).step_by(band_rows.max(1)) {
+            let h = band_rows.max(1).min(mh - y);
+            let mut band = vec![0; mw * h];
+            self.compose_rows(source, &mut slots, 0, y, mw, &mut band);
+            sink(y, Image::from_vec(mw, h, band));
         }
     }
 }
@@ -468,6 +512,120 @@ mod tests {
                     full.pixels(),
                     "band_rows={band_rows} blend={blend:?} must stack to the full compose"
                 );
+            }
+        }
+    }
+
+    /// One [`BlendWindow`] over the whole mosaic, every tile added in
+    /// row-major order on this thread: the walk every split must equal.
+    fn serial_walk(
+        tiles: &[Option<Image<u16>>],
+        pos: &AbsolutePositions,
+        (mw, mh): (usize, usize),
+        blend: Blend,
+        highlight: bool,
+    ) -> Vec<u16> {
+        let ox = pos.positions.iter().map(|p| p.0).min().unwrap();
+        let oy = pos.positions.iter().map(|p| p.1).min().unwrap();
+        let mut pixels = vec![0; mw * mh];
+        let mut window = BlendWindow::new(blend, highlight, 0, 0, mw, &mut pixels);
+        for (tile, &(px, py)) in tiles.iter().zip(&pos.positions) {
+            if let Some(tile) = tile {
+                window.add((px - ox, py - oy), tile);
+            }
+        }
+        window.finish();
+        pixels
+    }
+
+    /// Serves `tiles`; a `None` is a tile that cannot be read.
+    struct Holey(GridShape, (usize, usize), Vec<Option<Image<u16>>>);
+
+    impl TileSource for Holey {
+        fn shape(&self) -> GridShape {
+            self.0
+        }
+        fn tile_dims(&self) -> (usize, usize) {
+            self.1
+        }
+        fn load(&self, id: TileId) -> Result<Image<u16>, crate::fault::SourceError> {
+            self.2[self.0.index(id)]
+                .clone()
+                .ok_or(crate::fault::SourceError::Corrupt {
+                    id,
+                    detail: "hole".into(),
+                })
+        }
+    }
+
+    #[test]
+    fn any_worker_count_composes_the_serial_walk() {
+        // a jittered 3x3 with a negative origin and an unreadable tile, and
+        // a 1x3 strip whose 4-row mosaic is shorter than seven workers
+        let plates = [
+            (
+                GridShape::new(3, 3),
+                (10usize, 8usize),
+                vec![
+                    (-4, -3),
+                    (4, -2),
+                    (13, -4),
+                    (-3, 3),
+                    (5, 4),
+                    (12, 2),
+                    (-4, 9),
+                    (4, 10),
+                    (13, 8),
+                ],
+                Some(4),
+            ),
+            (
+                GridShape::new(1, 3),
+                (6, 3),
+                vec![(0, 0), (4, 1), (9, 0)],
+                None,
+            ),
+        ];
+        for (shape, (tw, th), positions, hole) in plates {
+            let tiles: Vec<Option<Image<u16>>> = (0..shape.tiles())
+                .map(|i| {
+                    (Some(i) != hole)
+                        .then(|| Image::from_fn(tw, th, |x, y| (i * 1000 + y * tw + x + 1) as u16))
+                })
+                .collect();
+            let src = Holey(shape, (tw, th), tiles.clone());
+            let pos = AbsolutePositions { shape, positions };
+            for blend in [Blend::Overlay, Blend::First, Blend::Average, Blend::Linear] {
+                for highlight in [false, true] {
+                    let dims = Composer::new(pos.clone(), blend).mosaic_dims(&src);
+                    let (mw, mh) = dims;
+                    let serial = serial_walk(&tiles, &pos, dims, blend, highlight);
+                    for workers in [1, 2, 3, 7] {
+                        let what = format!("{shape:?} {blend:?} hl={highlight} workers={workers}");
+                        let trace = TraceHandle::new();
+                        let mut c = Composer::new(pos.clone(), blend)
+                            .with_workers(workers)
+                            .with_trace(trace.clone());
+                        c.highlight_tiles = highlight;
+                        assert_eq!(c.compose(&src).pixels(), serial, "{what}");
+                        let reads = trace.spans().iter().filter(|s| s.cat == "io").count();
+                        assert_eq!(reads, shape.tiles(), "{what}: one read per tile");
+                        // a window that starts inside a tile, off the band grid
+                        let region = c.compose_region(&src, 3, 2, mw - 5, mh - 2);
+                        for y in 0..mh - 2 {
+                            let want = &serial[(y + 2) * mw + 3..][..mw - 5];
+                            assert_eq!(region.row(y), want, "{what} region row {y}");
+                        }
+                        for band_rows in [1, 5, 1000] {
+                            let mut stacked = Vec::new();
+                            c.compose_bands(&src, band_rows, &mut |y0, band| {
+                                assert_eq!(y0 * mw, stacked.len(), "bands arrive in order");
+                                stacked.extend_from_slice(band.pixels());
+                            });
+                            assert_eq!(stacked, serial, "{what} band_rows={band_rows}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -590,7 +590,8 @@ pub struct FaultTracker {
 
 struct TrackerInner {
     report: HealthReport,
-    first_error: Option<SourceError>,
+    /// The failure of the lowest tile index so far, with that index.
+    first_error: Option<(usize, SourceError)>,
 }
 
 impl FaultTracker {
@@ -638,8 +639,10 @@ impl FaultTracker {
         inner.report.total_retries += (attempts - 1) as u64;
     }
 
-    /// Records a permanent failure; the first error is kept for the
-    /// `StitchError` when partial output is not allowed.
+    /// Records a permanent failure. The error kept for the `StitchError`
+    /// when partial output is not allowed is the first in row-major tile
+    /// order, not the first to arrive: it must not depend on how the
+    /// worker threads interleave.
     fn record_failure(&self, id: TileId, error: SourceError) {
         let mut inner = self.inner.lock();
         let slot = self.shape.index(id);
@@ -648,18 +651,13 @@ impl FaultTracker {
                 error: error.to_string(),
             };
         }
-        if inner.first_error.is_none() {
-            inner.first_error = Some(error);
+        if inner
+            .first_error
+            .as_ref()
+            .is_none_or(|(first, _)| slot < *first)
+        {
+            inner.first_error = Some((slot, error));
         }
-    }
-
-    /// Is this specific tile recorded as failed?
-    pub fn is_failed(&self, id: TileId) -> bool {
-        let inner = self.inner.lock();
-        matches!(
-            inner.report.tiles[self.shape.index(id)],
-            TileStatus::Failed { .. }
-        )
     }
 
     /// Consumes the tracker. Returns the health report and, under a
@@ -668,7 +666,7 @@ impl FaultTracker {
     pub fn finish(self, policy: &FailurePolicy) -> Result<HealthReport, StitchError> {
         let inner = self.inner.into_inner();
         if !policy.allow_partial {
-            if let Some(error) = inner.first_error {
+            if let Some((_, error)) = inner.first_error {
                 let id = error.tile().unwrap_or(TileId::new(0, 0));
                 return Err(StitchError::Tile { id, error });
             }
@@ -857,8 +855,6 @@ mod tests {
                 detail: "bad".into(),
             },
         );
-        assert!(tracker.is_failed(TileId::new(1, 1)));
-        assert!(!tracker.is_failed(TileId::new(0, 0)));
 
         // partial allowed → report comes back degraded
         let report = tracker.finish(&FailurePolicy::partial()).unwrap();
@@ -872,15 +868,13 @@ mod tests {
             "{json}"
         );
 
-        // partial not allowed → the error surfaces
+        // partial not allowed → the error surfaces: the first lost tile
+        // in grid order, whichever thread reported first
         let strict = FaultTracker::new(shape);
-        strict.record_failure(
-            TileId::new(0, 1),
-            SourceError::Io {
-                id: TileId::new(0, 1),
-                detail: "gone".into(),
-            },
-        );
+        for id in [TileId::new(1, 0), TileId::new(0, 1), TileId::new(1, 1)] {
+            let detail = "gone".into();
+            strict.record_failure(id, SourceError::Io { id, detail });
+        }
         match strict.finish(&FailurePolicy::default()) {
             Err(StitchError::Tile { id, .. }) => assert_eq!(id, TileId::new(0, 1)),
             other => panic!("expected Tile error, got {other:?}"),

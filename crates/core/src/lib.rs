@@ -48,6 +48,7 @@ pub mod memlimit;
 pub mod mt_cpu;
 pub mod opcount;
 pub mod pairgraph;
+pub mod par;
 pub mod pciam;
 pub mod pipelined_cpu;
 pub mod pipelined_gpu;
@@ -76,6 +77,7 @@ pub use hostpool::{PooledSpectrum, SpectrumPool, WeakSpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
+pub use par::{default_workers, par_map};
 pub use pciam::PciamContext;
 #[doc(hidden)]
 pub use pipelined_cpu::TransformKind;

@@ -74,6 +74,10 @@ impl Stitcher for MtCpuStitcher {
         format!("MT-CPU({})", self.threads)
     }
 
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
     fn try_compute_displacements(
         &self,
         source: &dyn TileSource,

@@ -204,6 +204,10 @@ impl Stitcher for PipelinedCpuStitcher {
         format!("Pipelined-CPU({})", self.config.threads)
     }
 
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
     fn try_compute_displacements(
         &self,
         source: &dyn TileSource,

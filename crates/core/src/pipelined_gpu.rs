@@ -443,6 +443,10 @@ impl Stitcher for PipelinedGpuStitcher {
         )
     }
 
+    fn threads(&self) -> usize {
+        self.config.ccf_threads
+    }
+
     fn try_compute_displacements(
         &self,
         source: &dyn TileSource,

@@ -142,6 +142,12 @@ pub trait Stitcher {
     /// Implementation name as it appears in Table II.
     fn name(&self) -> String;
 
+    /// Host threads phase 1 computes on. A driver that was handed only the
+    /// stitcher runs the stages around phase 1 (channel replay) on as many.
+    fn threads(&self) -> usize {
+        1
+    }
+
     /// Computes relative displacements for every adjacent pair in the
     /// grid under a failure policy: transient read errors are retried
     /// per `policy.retry`, and permanently failed tiles either degrade

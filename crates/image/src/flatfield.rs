@@ -68,7 +68,9 @@ impl FlatField {
         self.falloff
     }
 
-    /// Bright-field gain at a pixel (1 at the optical center).
+    /// Bright-field gain at a pixel (1 at the optical center): the formula
+    /// [`FlatField::apply`]'s row loop evaluates, one pixel at a time.
+    #[cfg(test)]
     fn gain_at(&self, x: usize, y: usize) -> f64 {
         if self.falloff == 0.0 {
             return 1.0;
@@ -80,7 +82,8 @@ impl FlatField {
         1.0 - self.falloff * (dx * dx + dy * dy) / (cx * cx + cy * cy)
     }
 
-    /// Corrects one tile: `round((v − dark) / gain)`, clamped to u16.
+    /// Corrects one tile: `round((v − dark) / gain)`, clamped to u16, with
+    /// `gain = 1 − falloff·(dx² + dy²) / r²_max` from the tile center.
     /// The identity field returns the input bit-for-bit.
     pub fn apply(&self, img: &Image<u16>) -> Image<u16> {
         assert_eq!(
@@ -91,10 +94,19 @@ impl FlatField {
         if self.is_identity() {
             return img.clone();
         }
-        Image::from_fn(self.width, self.height, |x, y| {
-            let v = (img.get(x, y) as f64 - self.dark) / self.gain_at(x, y);
-            v.clamp(0.0, 65535.0).round() as u16
-        })
+        let (cx, cy) = (self.width as f64 / 2.0, self.height as f64 / 2.0);
+        let r_max2 = cx * cx + cy * cy;
+        let mut out = Vec::with_capacity(img.len());
+        for y in 0..self.height {
+            let dy = y as f64 - cy;
+            let dy2 = dy * dy;
+            out.extend(img.row(y).iter().enumerate().map(|(x, &p)| {
+                let dx = x as f64 - cx;
+                let gain = 1.0 - self.falloff * (dx * dx + dy2) / r_max2;
+                ((p as f64 - self.dark) / gain).clamp(0.0, 65535.0).round() as u16
+            }));
+        }
+        Image::from_vec(self.width, self.height, out)
     }
 }
 
@@ -129,6 +141,16 @@ impl FlatFieldEstimator {
             *acc = (*acc).min(v);
         }
         self.tiles += 1;
+    }
+
+    /// Folds in another estimator's tiles: the floor is a per-pixel
+    /// minimum, so a stack accumulated in parts merges to the same floor.
+    pub fn merge(&mut self, other: &FlatFieldEstimator) {
+        assert_eq!(self.floor.len(), other.floor.len(), "tile dims mismatch");
+        for (acc, &v) in self.floor.iter_mut().zip(&other.floor) {
+            *acc = (*acc).min(v);
+        }
+        self.tiles += other.tiles;
     }
 
     /// Number of tiles accumulated so far.
@@ -264,6 +286,31 @@ mod tests {
             e_fixed * 3.0 < e_raw,
             "correction too weak: raw {e_raw:.1} fixed {e_fixed:.1}"
         );
+    }
+
+    #[test]
+    fn row_loop_apply_matches_the_per_pixel_formula() {
+        // odd and even dims, every falloff the estimator can return, pixels
+        // at both ends of the range (the clamp) and in between
+        for (w, h) in [(1usize, 1usize), (7, 5), (96, 64), (33, 2)] {
+            for falloff in [0.01, 0.3, 0.4137, 0.95] {
+                for dark in [0.0, 12.5] {
+                    let f = FlatField {
+                        width: w,
+                        height: h,
+                        falloff,
+                        dark,
+                    };
+                    let img =
+                        Image::from_fn(w, h, |x, y| ((x * 7919 + y * 104_729) % 65_536) as u16);
+                    let want = Image::from_fn(w, h, |x, y| {
+                        let v = (img.get(x, y) as f64 - dark) / f.gain_at(x, y);
+                        v.clamp(0.0, 65535.0).round() as u16
+                    });
+                    assert_eq!(f.apply(&img), want, "{w}x{h} falloff {falloff} dark {dark}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@ use crate::image::Image;
 pub fn encode_pgm(img: &Image<u16>) -> Vec<u8> {
     let (w, h) = img.dims();
     let mut out = format!("P5\n{w} {h}\n65535\n").into_bytes();
-    out.reserve(w * h * 2);
-    for &px in img.pixels() {
-        out.extend_from_slice(&px.to_be_bytes());
+    let header = out.len();
+    out.resize(header + w * h * 2, 0);
+    for (dst, px) in out[header..].chunks_exact_mut(2).zip(img.pixels()) {
+        dst.copy_from_slice(&px.to_be_bytes());
     }
     out
 }

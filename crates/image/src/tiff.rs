@@ -6,6 +6,7 @@
 //! either byte order on read (always little-endian on write).
 
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
 use crate::error::{ImageError, Result};
@@ -31,6 +32,15 @@ enum ByteOrder {
     Big,
 }
 
+impl ByteOrder {
+    fn sample(self, b: [u8; 2]) -> u16 {
+        match self {
+            ByteOrder::Little => u16::from_le_bytes(b),
+            ByteOrder::Big => u16::from_be_bytes(b),
+        }
+    }
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     order: ByteOrder,
@@ -43,10 +53,7 @@ impl<'a> Cursor<'a> {
             .get(off..)
             .and_then(|b| b.get(..2))
             .ok_or_else(|| ImageError::Format("truncated file".into()))?;
-        Ok(match self.order {
-            ByteOrder::Little => u16::from_le_bytes([b[0], b[1]]),
-            ByteOrder::Big => u16::from_be_bytes([b[0], b[1]]),
-        })
+        Ok(self.order.sample([b[0], b[1]]))
     }
 
     fn u32_at(&self, off: usize) -> Result<u32> {
@@ -178,64 +185,82 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
                 bytes.len()
             ))
         })?;
-    let mut raw = Vec::with_capacity(expected);
+    // One pass from the file's bytes to pixels. Strips may overlap or
+    // repeat, bytes past the image are not read, and a strip may end in the
+    // middle of a sample: the odd byte pairs with the next strip's first.
+    let mut data = Vec::with_capacity(width * height);
+    let mut wanted = expected;
+    let mut odd: Option<u8> = None;
     for (&off, &cnt) in offsets.iter().zip(&counts) {
         let off = off as usize;
         let strip = off
             .checked_add(cnt as usize)
             .and_then(|end| bytes.get(off..end))
             .ok_or_else(|| ImageError::Format("strip beyond end of file".into()))?;
-        // strips may overlap or repeat; bytes past the image are not copied
-        raw.extend_from_slice(&strip[..strip.len().min(expected - raw.len())]);
+        let mut strip = &strip[..strip.len().min(wanted)];
+        wanted -= strip.len();
+        if bits == 8 {
+            data.extend(strip.iter().map(|&b| b as u16));
+            continue;
+        }
+        if let (Some(first), [second, rest @ ..]) = (odd, strip) {
+            data.push(order.sample([first, *second]));
+            (odd, strip) = (None, rest);
+        }
+        if odd.is_none() {
+            let pairs = strip.chunks_exact(2);
+            odd = pairs.remainder().first().copied();
+            match order {
+                ByteOrder::Little => data.extend(pairs.map(|p| u16::from_le_bytes([p[0], p[1]]))),
+                ByteOrder::Big => data.extend(pairs.map(|p| u16::from_be_bytes([p[0], p[1]]))),
+            }
+        }
     }
-    if raw.len() < expected {
+    if wanted > 0 {
         return Err(ImageError::Format(format!(
             "pixel data truncated: {} < {expected}",
-            raw.len()
+            expected - wanted
         )));
-    }
-    let mut data = Vec::with_capacity(width * height);
-    if bits == 8 {
-        data.extend(raw.iter().map(|&b| b as u16));
-    } else {
-        for px in raw.chunks_exact(2) {
-            data.push(match order {
-                ByteOrder::Little => u16::from_le_bytes([px[0], px[1]]),
-                ByteOrder::Big => u16::from_be_bytes([px[0], px[1]]),
-            });
-        }
     }
     Ok(Image::from_vec(width, height, data))
 }
 
-/// Encodes a 16-bit grayscale image as an uncompressed little-endian
-/// single-strip TIFF.
-pub fn encode_tiff(img: &Image<u16>) -> Vec<u8> {
+/// Bytes of pixel data converted per `write` call.
+const WRITE_BUF: usize = 64 << 10;
+
+/// Streams `img` as an uncompressed little-endian single-strip TIFF —
+/// header, pixels, IFD — converting through one small buffer, so no second
+/// copy of the image is ever built.
+fn write_to(out: &mut impl Write, img: &Image<u16>) -> std::io::Result<()> {
     let (w, h) = img.dims();
     let pixel_bytes = w * h * 2;
     let data_off = 8usize;
     let ifd_off = data_off + pixel_bytes;
-    let n_tags = 9u16;
-    let mut out = Vec::with_capacity(ifd_off + 2 + n_tags as usize * 12 + 4);
-    // header
-    out.extend_from_slice(b"II");
-    out.extend_from_slice(&42u16.to_le_bytes());
-    out.extend_from_slice(&(ifd_off as u32).to_le_bytes());
+    let mut header = Vec::from(*b"II");
+    header.extend_from_slice(&42u16.to_le_bytes());
+    header.extend_from_slice(&(ifd_off as u32).to_le_bytes());
+    out.write_all(&header)?;
     // pixel data (one strip)
-    for &px in img.pixels() {
-        out.extend_from_slice(&px.to_le_bytes());
+    let mut buf = [0u8; WRITE_BUF];
+    for chunk in img.pixels().chunks(WRITE_BUF / 2) {
+        let bytes = &mut buf[..chunk.len() * 2];
+        for (dst, px) in bytes.chunks_exact_mut(2).zip(chunk) {
+            dst.copy_from_slice(&px.to_le_bytes());
+        }
+        out.write_all(bytes)?;
     }
     // IFD
-    out.extend_from_slice(&n_tags.to_le_bytes());
+    let n_tags = 9u16;
+    let mut ifd = Vec::from(n_tags.to_le_bytes());
     let mut tag = |id: u16, typ: u16, count: u32, value: u32| {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&typ.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
+        ifd.extend_from_slice(&id.to_le_bytes());
+        ifd.extend_from_slice(&typ.to_le_bytes());
+        ifd.extend_from_slice(&count.to_le_bytes());
         if typ == TYPE_SHORT && count == 1 {
-            out.extend_from_slice(&(value as u16).to_le_bytes());
-            out.extend_from_slice(&0u16.to_le_bytes());
+            ifd.extend_from_slice(&(value as u16).to_le_bytes());
+            ifd.extend_from_slice(&0u16.to_le_bytes());
         } else {
-            out.extend_from_slice(&value.to_le_bytes());
+            ifd.extend_from_slice(&value.to_le_bytes());
         }
     };
     tag(TAG_IMAGE_WIDTH, TYPE_LONG, 1, w as u32);
@@ -247,7 +272,15 @@ pub fn encode_tiff(img: &Image<u16>) -> Vec<u8> {
     tag(TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, 1);
     tag(TAG_ROWS_PER_STRIP, TYPE_LONG, 1, h as u32);
     tag(TAG_STRIP_BYTE_COUNTS, TYPE_LONG, 1, pixel_bytes as u32);
-    out.extend_from_slice(&0u32.to_le_bytes()); // no next IFD
+    ifd.extend_from_slice(&0u32.to_le_bytes()); // no next IFD
+    out.write_all(&ifd)
+}
+
+/// Encodes a 16-bit grayscale image as an uncompressed little-endian
+/// single-strip TIFF.
+pub fn encode_tiff(img: &Image<u16>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(img.len() * 2 + 8 + 2 + 9 * 12 + 4);
+    write_to(&mut out, img).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -256,9 +289,10 @@ pub fn read_tiff(path: impl AsRef<Path>) -> Result<Image<u16>> {
     decode_tiff(&fs::read(path)?)
 }
 
-/// Writes an image to disk as TIFF.
+/// Writes an image to disk as TIFF — the bytes of [`encode_tiff`],
+/// streamed to the file instead of assembled in memory first.
 pub fn write_tiff(path: impl AsRef<Path>, img: &Image<u16>) -> Result<()> {
-    fs::write(path, encode_tiff(img))?;
+    write_to(&mut fs::File::create(path)?, img)?;
     Ok(())
 }
 
@@ -460,6 +494,148 @@ mod tests {
         b.extend_from_slice(&0u32.to_le_bytes());
         let img = decode_tiff(&b).unwrap();
         assert_eq!(img.pixels(), &[200, 55]);
+    }
+
+    /// A little- or big-endian file whose pixel bytes (`data`, at offset
+    /// 8) are described by an arbitrary strip table.
+    fn striped(
+        big: bool,
+        (w, h, bits): (u32, u32, u32),
+        data: &[u8],
+        strips: &[(u32, u32)],
+    ) -> Vec<u8> {
+        let u16b = |v: u16| {
+            if big {
+                v.to_be_bytes()
+            } else {
+                v.to_le_bytes()
+            }
+        };
+        let u32b = |v: u32| {
+            if big {
+                v.to_be_bytes()
+            } else {
+                v.to_le_bytes()
+            }
+        };
+        let n = strips.len() as u32;
+        let tables = 8 + data.len() as u32;
+        let ifd_off = tables + 8 * n;
+        let mut b = Vec::new();
+        b.extend_from_slice(if big { b"MM" } else { b"II" });
+        b.extend_from_slice(&u16b(42));
+        b.extend_from_slice(&u32b(ifd_off));
+        b.extend_from_slice(data);
+        for (off, _) in strips {
+            b.extend_from_slice(&u32b(*off));
+        }
+        for (_, cnt) in strips {
+            b.extend_from_slice(&u32b(*cnt));
+        }
+        // a one-entry table is stored inline, longer ones by offset
+        let table = |at: u32, inline: u32| if n == 1 { inline } else { at };
+        let tags = [
+            (TAG_IMAGE_WIDTH, 1, w),
+            (TAG_IMAGE_LENGTH, 1, h),
+            (TAG_BITS_PER_SAMPLE, 1, bits),
+            (TAG_STRIP_OFFSETS, n, table(tables, strips[0].0)),
+            (TAG_STRIP_BYTE_COUNTS, n, table(tables + 4 * n, strips[0].1)),
+        ];
+        b.extend_from_slice(&u16b(tags.len() as u16));
+        for (id, count, value) in tags {
+            b.extend_from_slice(&u16b(id));
+            b.extend_from_slice(&u16b(TYPE_LONG));
+            b.extend_from_slice(&u32b(count));
+            b.extend_from_slice(&u32b(value));
+        }
+        b.extend_from_slice(&u32b(0));
+        b
+    }
+
+    /// The decoder this file had before strips were converted in place:
+    /// concatenate the strips (clipped to the image), then convert.
+    fn decode_by_concatenation(
+        file: &[u8],
+        big: bool,
+        (w, h, bits): (u32, u32, u32),
+        strips: &[(u32, u32)],
+    ) -> std::result::Result<Vec<u16>, &'static str> {
+        let expected = (w * h * bits / 8) as usize;
+        let mut raw = Vec::new();
+        for &(off, cnt) in strips {
+            let strip = file
+                .get(off as usize..off as usize + cnt as usize)
+                .ok_or("strip beyond end of file")?;
+            raw.extend_from_slice(&strip[..strip.len().min(expected - raw.len())]);
+        }
+        if raw.len() < expected {
+            return Err("truncated");
+        }
+        Ok(match (bits, big) {
+            (8, _) => raw.iter().map(|&b| b as u16).collect(),
+            (_, true) => raw
+                .chunks_exact(2)
+                .map(|p| u16::from_be_bytes([p[0], p[1]]))
+                .collect(),
+            (_, false) => raw
+                .chunks_exact(2)
+                .map(|p| u16::from_le_bytes([p[0], p[1]]))
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn strip_tables_decode_like_concatenation() {
+        // 5x3: 30 bytes at 16 bits, 15 at 8
+        let data: Vec<u8> = (0..30u32).map(|i| (i * 37 + 11) as u8).collect();
+        let tables: [&[(u32, u32)]; 9] = [
+            &[(8, 30)],
+            &[(8, 10), (18, 10), (28, 10)],      // one strip per row
+            &[(8, 7), (15, 9), (24, 14)],        // samples split across strips
+            &[(8, 1), (9, 0), (9, 2), (11, 27)], // odd byte kept over an empty strip
+            &[(8, 20), (18, 20)],                // overlapping
+            &[(8, 15), (8, 15)],                 // repeated
+            &[(20, 18), (8, 12)],                // out of order
+            &[(8, 30), (8, 30)],                 // more than the image: clipped
+            &[(8, 13), (21, 5)],                 // too little: truncated
+        ];
+        for big in [false, true] {
+            for bits in [16, 8] {
+                for strips in tables {
+                    let file = striped(big, (5, 3, bits), &data, strips);
+                    let got = decode_tiff(&file);
+                    match decode_by_concatenation(&file, big, (5, 3, bits), strips) {
+                        Ok(px) => assert_eq!(got.unwrap().pixels(), px, "{strips:?} {bits}"),
+                        Err(why) => match got {
+                            Err(ImageError::Format(msg)) => assert!(msg.contains(why), "{msg}"),
+                            other => panic!("{strips:?} {bits}: expected {why}, got {other:?}"),
+                        },
+                    }
+                }
+            }
+        }
+        // a strip past the end is an error even after the image is complete
+        let file = striped(false, (5, 3, 16), &data, &[(8, 30), (4000, 2)]);
+        assert!(matches!(decode_tiff(&file), Err(ImageError::Format(m)) if m.contains("strip")));
+    }
+
+    #[test]
+    fn written_file_is_the_encoded_bytes() {
+        let dir = std::env::temp_dir().join(format!("stitch_tiff_stream_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // below, at and across the conversion buffer's size
+        for (w, h) in [
+            (1usize, 1usize),
+            (WRITE_BUF / 2, 1),
+            (WRITE_BUF / 2 + 1, 3),
+            (333, 257),
+        ] {
+            let img = sample(w, h);
+            let path = dir.join("s.tif");
+            write_tiff(&path, &img).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), encode_tiff(&img), "{w}x{h}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

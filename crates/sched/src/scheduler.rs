@@ -729,8 +729,19 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
                 if handle.cancelled() {
                     out.status = handle.cancel_status();
                 } else if job.compose {
-                    let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(source);
-                    out.mosaic = Some(mosaic);
+                    // a preview job's finished canvas is the mosaic
+                    // (`stitch_canvas::incremental`): read it, don't
+                    // render every tile a second time
+                    out.mosaic = Some(match handle.preview_canvas() {
+                        Some(canvas) => {
+                            let (tw, th) = source.tile_dims();
+                            let (mw, mh) = positions.mosaic_dims(tw, th);
+                            canvas.get_region(0, 0, 0, mw, mh)
+                        }
+                        None => Composer::new(positions.clone(), Blend::Overlay)
+                            .with_workers(job.threads)
+                            .compose(source),
+                    });
                 }
                 out.result = Some(result);
                 out.positions = Some(positions);
@@ -995,6 +1006,21 @@ mod tests {
         let mosaic = outb.mosaic.expect("batch composes by default");
         let region = canvas.get_region(0, 0, 0, mosaic.width(), mosaic.height());
         assert_eq!(region.pixels(), mosaic.pixels());
+    }
+
+    #[test]
+    fn preview_job_mosaic_is_read_from_its_canvas() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        });
+        let scan = ScanConfig::for_grid(3, 2, 32, 24, 0.25, 8);
+        let mosaic_of = |job: StitchJob| sched.submit(job).expect("submit").wait().mosaic;
+        let preview = mosaic_of(StitchJob::new("pv", scan.clone()).preview(true));
+        let batch = mosaic_of(StitchJob::new("batch", scan.clone()).threads(2));
+        assert_eq!(preview.expect("composes by default"), batch.unwrap());
+        let uncomposed = mosaic_of(StitchJob::new("pv2", scan).preview(true).compose(false));
+        assert!(uncomposed.is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use stitch_sched::{
 };
 use stitch_trace::TraceHandle;
 
-use crate::merge::{merge_results, register_seams, solve_hierarchical, HierarchicalSolve};
+use crate::merge::{merge_results, register_seams_on, solve_hierarchical, HierarchicalSolve};
 use crate::plan::ShardPlan;
 
 /// Configuration for [`stitch_sharded`].
@@ -288,9 +288,12 @@ fn run_sharded(
         });
     }
 
-    // Seam registration shares the scheduler's FFT plan cache.
+    // Seam registration shares the scheduler's FFT plan cache, and takes
+    // over its workers: every shard job has finished.
     let planner = sched.arbiter().planner(PlanMode::Estimate);
-    let seams = match register_seams(&*source, &plan, &planner, &config.policy, trace) {
+    let workers = config.workers.max(1);
+    let seams = register_seams_on(workers, &*source, &plan, &planner, &config.policy, trace);
+    let seams = match seams {
         Ok(s) => s,
         Err(e) => {
             audit(&sched);
@@ -329,7 +332,9 @@ fn run_sharded(
     let mut max_band_bytes = 0usize;
     if let Some(blend) = config.compose {
         let _span = trace.scope("shard/compose", "compute", "banded compose");
-        let composer = Composer::new(positions.clone(), blend).with_trace(trace.clone());
+        let composer = Composer::new(positions.clone(), blend)
+            .with_workers(workers)
+            .with_trace(trace.clone());
         composer.compose_bands(&*source, config.band_rows, &mut |y0, band| {
             max_band_bytes =
                 max_band_bytes.max(band.width() * band.height() * std::mem::size_of::<u16>());

@@ -13,8 +13,8 @@
 //!    no matter how large the plate grows.
 //! 2. **Seam registration** — the adjacent pairs that cross shard
 //!    boundaries are registered with the identical PCIAM kernel the
-//!    in-shard stitchers use ([`register_seams`]), two tiles live at a
-//!    time.
+//!    in-shard stitchers use ([`register_seams_on`] the driver's
+//!    workers), two tiles live per pair in flight.
 //! 3. **Merge + solve** — shard-local displacements and seam
 //!    displacements reassemble the exact full-grid pair graph
 //!    ([`merge_results`]); the committed positions come from the
@@ -25,7 +25,8 @@
 //! 4. **Banded composition** — the mosaic streams out in bounded
 //!    full-width row bands
 //!    ([`Composer::compose_bands`](stitch_core::Composer::compose_bands)),
-//!    so composition memory is one band plus one tile.
+//!    so composition memory is one band plus the row of tiles it
+//!    intersects.
 //!
 //! Entry points: [`stitch_sharded`] (collects the mosaic when
 //! composition is requested), [`stitch_sharded_streaming`] (hands
@@ -45,7 +46,8 @@ pub use driver::{
     ShardOutcome,
 };
 pub use merge::{
-    merge_results, register_seams, solve_hierarchical, HierarchicalSolve, SeamOutcome,
+    merge_results, register_seams, register_seams_on, solve_hierarchical, HierarchicalSolve,
+    SeamOutcome,
 };
 pub use plan::{SeamPair, Shard, ShardPlan};
 

@@ -7,7 +7,8 @@
 //!    the in-shard stitchers use. PCIAM phase 1 is a pure function of
 //!    the two tile images, so a seam displacement computed here is
 //!    bit-identical to the one the unsharded run computes for the same
-//!    pair. At most two tiles (and their spectra) are live at a time.
+//!    pair. The pairs are independent, so they are registered on every
+//!    worker the driver has; a tile two pairs share is read once.
 //! 2. [`merge_results`] — copies shard-local displacements into their
 //!    full-grid slots and adds the seam displacements, reassembling the
 //!    exact pair graph the unsharded run would have produced.
@@ -23,12 +24,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use stitch_core::global_opt::MIN_CORRELATION;
 use stitch_core::{
-    AbsolutePositions, Displacement, FailurePolicy, FaultTracker, GlobalOptimizer, HealthReport,
-    OpCounters, PciamContext, StitchError, StitchResult, TileSource, TileStatus,
+    default_workers, par_map, AbsolutePositions, Displacement, FailurePolicy, FaultTracker,
+    GlobalOptimizer, HealthReport, OpCounters, PciamContext, PooledSpectrum, SpectrumPool,
+    StitchError, StitchResult, TileId, TileSource, TileStatus,
 };
 use stitch_fft::Planner;
+use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
 use crate::plan::{SeamPair, Shard, ShardPlan};
@@ -42,12 +46,29 @@ pub struct SeamOutcome {
     pub health: HealthReport,
 }
 
-/// Registers every seam pair by loading its two tiles, transforming
-/// them, and running the oriented PCIAM displacement — the identical
-/// kernel path `SimpleCpuStitcher` uses, so results are bit-identical
-/// to an unsharded run's for the same pairs. Peak memory is two tiles
-/// plus two spectra regardless of grid size.
+/// [`register_seams_on`] every core the host offers.
 pub fn register_seams(
+    source: &dyn TileSource,
+    plan: &ShardPlan,
+    planner: &Planner,
+    policy: &FailurePolicy,
+    trace: &TraceHandle,
+) -> Result<SeamOutcome, StitchError> {
+    register_seams_on(default_workers(), source, plan, planner, policy, trace)
+}
+
+/// Registers every seam pair on `workers` threads, each with its own
+/// [`PciamContext`], by loading its two tiles, transforming them, and
+/// running the oriented PCIAM displacement — the identical kernel path
+/// `SimpleCpuStitcher` uses, so results are bit-identical to an unsharded
+/// run's for the same pairs. A seam tile (one at a shard corner sits in
+/// two pairs) is read through the one [`FaultTracker`] and transformed
+/// exactly once, by whichever pair reaches it first, and dropped after its
+/// last: displacements (in plan order), health and error do not depend on
+/// the worker count or the interleaving, and peak memory is the pairs in
+/// flight plus the corner tiles awaiting their second pair.
+pub fn register_seams_on(
+    workers: usize,
     source: &dyn TileSource,
     plan: &ShardPlan,
     planner: &Planner,
@@ -56,53 +77,65 @@ pub fn register_seams(
 ) -> Result<SeamOutcome, StitchError> {
     let (w, h) = source.tile_dims();
     let counters = OpCounters::new_shared();
-    let mut ctx = PciamContext::new(planner, w, h, Arc::clone(&counters));
+    let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+    let contexts = Mutex::new(Vec::new());
     let tracker = FaultTracker::new(plan.grid);
-    let mut displacements = Vec::new();
-    let _span = trace.scope("shard/merge", "compute", "register seams");
-    for pair in plan.seam_pairs() {
-        // a tile that already failed permanently voids all its pairs;
-        // don't hammer it with another retry cycle per pair
-        if tracker.is_failed(pair.a) || tracker.is_failed(pair.b) {
-            continue;
-        }
-        let r0 = trace.now_ns();
-        let ia = tracker.load(source, pair.a, &policy.retry);
-        let ib = tracker.load(source, pair.b, &policy.retry);
-        trace.record(
-            "shard/merge",
-            "io",
-            format!(
-                "read seam r{}c{}-r{}c{}",
-                pair.a.row, pair.a.col, pair.b.row, pair.b.col
-            ),
-            r0,
-            trace.now_ns(),
-        );
-        let (Some(ia), Some(ib)) = (ia, ib) else {
-            continue;
-        };
-        counters.count_read();
-        counters.count_read();
-        let c0 = trace.now_ns();
-        let fa = ctx.forward_fft(&ia);
-        let fb = ctx.forward_fft(&ib);
-        let d = ctx.displacement_oriented(&fa, &fb, &ia, &ib, Some(pair.kind));
-        trace.record(
-            "shard/merge",
-            "compute",
-            format!(
-                "seam ccf r{}c{}-r{}c{}",
-                pair.a.row, pair.a.col, pair.b.row, pair.b.col
-            ),
-            c0,
-            trace.now_ns(),
-        );
-        displacements.push((pair, d));
+    let pairs = plan.seam_pairs();
+    // per tile: the pairs yet to use it, and — once read — its pixels and
+    // transform (`Some(None)`: unreadable, or every pair is done)
+    type Seam = Option<Arc<(Image<u16>, PooledSpectrum)>>;
+    let mut tiles: Vec<(usize, Option<Seam>)> = vec![(0, None); plan.grid.tiles()];
+    for id in pairs.iter().flat_map(|pair| [pair.a, pair.b]) {
+        tiles[plan.grid.index(id)].0 += 1;
     }
+    let tiles: Vec<_> = tiles.into_iter().map(Mutex::new).collect();
+    // The read and the transform happen under the tile's lock, so a pair
+    // that shares the tile waits for it instead of reading it again.
+    let fetch = |ctx: &mut PciamContext, id: TileId| -> Seam {
+        let mut slot = tiles[plan.grid.index(id)].lock();
+        let (uses, tile) = &mut *slot;
+        let read = || {
+            let r0 = trace.now_ns();
+            let loaded = tracker.load(source, id, &policy.retry);
+            let name = format!("read seam r{}c{}", id.row, id.col);
+            trace.record("shard/merge", "io", name, r0, trace.now_ns());
+            loaded.map(|img| {
+                let spectrum = ctx.forward_fft(&img);
+                Arc::new((img, spectrum))
+            })
+        };
+        let held = tile.get_or_insert_with(read).clone();
+        *uses -= 1;
+        if *uses == 0 {
+            *tile = Some(None);
+        }
+        held
+    };
+    let _span = trace.scope("shard/merge", "compute", "register seams");
+    let registered = par_map(workers, pairs, |pair| {
+        let pooled = contexts.lock().pop();
+        let mut ctx = pooled.unwrap_or_else(|| {
+            PciamContext::with_pool(planner, w, h, Arc::clone(&counters), pool.clone())
+        });
+        let c0 = trace.now_ns();
+        // a pair with a failed endpoint is void, as in the shard stitchers
+        let d = match (fetch(&mut ctx, pair.a), fetch(&mut ctx, pair.b)) {
+            (Some(a), Some(b)) => {
+                Some(ctx.displacement_oriented(&a.1, &b.1, &a.0, &b.0, Some(pair.kind)))
+            }
+            _ => None,
+        };
+        let name = format!(
+            "seam r{}c{}-r{}c{}",
+            pair.a.row, pair.a.col, pair.b.row, pair.b.col
+        );
+        trace.record("shard/merge", "compute", name, c0, trace.now_ns());
+        contexts.lock().push(ctx);
+        d.map(|d| (pair, d))
+    });
     let health = tracker.finish(policy)?;
     Ok(SeamOutcome {
-        displacements,
+        displacements: registered.into_iter().flatten().collect(),
         health,
     })
 }
@@ -158,7 +191,7 @@ pub fn merge_results(
         );
     }
     merged.health.total_retries += seams.health.total_retries;
-    // the seam walk holds at most 2 tiles live on top of the per-shard peak
+    // a seam pair holds 2 tiles live on top of the per-shard peak
     merged.peak_live_tiles = peak_live.max(2);
     merged.elapsed = Duration::ZERO;
     merged
@@ -418,6 +451,81 @@ mod tests {
             .map(|id| (id.col as i64 * 50, id.row as i64 * 40))
             .collect();
         assert_eq!(h.positions.positions, expect);
+    }
+
+    /// Seam registration over a faulty 4x6 plate in 2x3-tile shards: the
+    /// displacements, the health report and (partial output off) the error
+    /// are those of one worker, whatever the worker count.
+    #[test]
+    fn seam_outcome_does_not_depend_on_the_worker_count() {
+        use stitch_core::{FaultSpec, FaultySource, RetryPolicy, SyntheticSource};
+        use stitch_image::{ScanConfig, SyntheticPlate};
+
+        let scan = ScanConfig::for_grid(4, 6, 32, 24, 0.25, 9);
+        let plan = ShardPlan::new(GridShape::new(4, 6), 2, 3).unwrap();
+        let planner = Planner::new(stitch_fft::PlanMode::Estimate);
+        // tiles (1,2), (1,3), (2,2), (2,3) meet at the shard corner and sit
+        // in two seam pairs each; (0,2) sits in one
+        let specs = [
+            FaultSpec::default(),
+            FaultSpec {
+                seed: 5,
+                transient_rate: 0.4,
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                seed: 11,
+                transient_rate: 0.3,
+                corrupt: vec![TileId::new(2, 3), TileId::new(0, 2)],
+                ..FaultSpec::default()
+            },
+        ];
+        let retry = RetryPolicy {
+            max_retries: 12,
+            backoff: Duration::ZERO,
+            ..RetryPolicy::default()
+        };
+        for spec in specs {
+            for allow_partial in [true, false] {
+                let policy = FailurePolicy {
+                    retry: retry.clone(),
+                    allow_partial,
+                };
+                let run = |workers: usize| {
+                    let plate = SyntheticPlate::generate(scan.clone());
+                    let source = FaultySource::new(SyntheticSource::new(plate), spec.clone());
+                    let trace = TraceHandle::disabled();
+                    let seams =
+                        register_seams_on(workers, &source, &plan, &planner, &policy, &trace);
+                    // every seam tile is read once: 10 pairs over 16 tiles,
+                    // four of them shared
+                    let stats = source.stats();
+                    assert_eq!(stats.delivered + stats.corrupt, 16, "{workers} workers");
+                    seams
+                        .map(|s| (s.displacements, s.health))
+                        .map_err(|e| e.to_string())
+                };
+                let one = run(1);
+                match (&one, spec.corrupt.is_empty() || allow_partial) {
+                    (Ok((displacements, health)), true) => {
+                        // (2,3) voids its two pairs, (0,2) its one
+                        let void = if spec.corrupt.is_empty() { 0 } else { 3 };
+                        assert_eq!(displacements.len(), 10 - void);
+                        assert_eq!(health.failed_tiles(), {
+                            let mut lost = spec.corrupt.clone();
+                            lost.sort_by_key(|id| plan.grid.index(*id));
+                            lost
+                        });
+                    }
+                    // the error names the first lost tile in grid order
+                    (Err(e), false) => assert!(e.starts_with("tile (0,2) failed"), "{e}"),
+                    other => panic!("unexpected outcome {other:?}"),
+                }
+                for workers in 2..=4 {
+                    assert_eq!(run(workers), one, "{workers} workers, {spec:?}");
+                }
+            }
+        }
     }
 
     /// A shard with every seam severed gets the nominal-raster fallback

@@ -978,8 +978,9 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                     let positions = GlobalOptimizer::default().solve(&result);
                     let mut mosaics = Vec::new();
                     if let Some(path) = out {
-                        let mut composer =
-                            Composer::new(positions.clone(), blend).with_trace(trace.clone());
+                        let mut composer = Composer::new(positions.clone(), blend)
+                            .with_workers(threads)
+                            .with_trace(trace.clone());
                         composer.highlight_tiles = highlight;
                         mosaics.push((path, composer.compose(source.as_ref())));
                     }
