@@ -17,7 +17,7 @@
 //! pixel from the tiles covering that pixel alone, so the split never
 //! reaches the pixels: any worker count gives the serial bytes.
 
-use stitch_image::Image;
+use stitch_image::{round_to_u16, Image};
 use stitch_trace::TraceHandle;
 
 use crate::global_opt::AbsolutePositions;
@@ -180,7 +180,7 @@ impl<'a> BlendWindow<'a> {
     pub fn finish(self) -> bool {
         for ((px, a), wt) in self.pixels.iter_mut().zip(self.acc).zip(self.weight) {
             if wt > 0.0 {
-                *px = (a / wt).clamp(0.0, 65535.0).round() as u16;
+                *px = round_to_u16(a / wt);
             }
         }
         if let Some(mask) = self.border_mask {

@@ -133,7 +133,7 @@ impl SpectrumPool {
                     state.population += 1;
                     drop(state);
                     self.shared.created.fetch_add(1, Ordering::Relaxed);
-                    return self.wrap(vec![C64::ZERO; self.shared.buf_len]);
+                    return self.wrap(C64::zeroed_vec(self.shared.buf_len));
                 }
             }
         }

@@ -142,7 +142,7 @@ impl PciamContext {
             width,
             height,
             fft: RealFft2d::new(planner, width, height),
-            work: vec![C64::ZERO; len],
+            work: C64::zeroed_vec(len),
             surface: vec![0.0; width * height],
             real_in: vec![0.0; width * height],
             pool,
@@ -475,28 +475,22 @@ pub fn ccf_at_centered(
     if ow <= 0 || oh <= 0 || ow * oh < MIN_OVERLAP_PIXELS {
         return None;
     }
-    // Per-row co-moments through the compute backend (the dominant cost
-    // of the disambiguation stage — a five-accumulator reduction the
-    // compiler cannot auto-vectorize from the sequential form). Rows are
-    // summed in order, so the only backend-dependent rounding is the
-    // within-row lane association.
-    let backend = stitch_fft::backend::active();
-    let mut sum_a = 0.0;
-    let mut sum_b = 0.0;
-    let mut sum_ab = 0.0;
-    let mut sum_aa = 0.0;
-    let mut sum_bb = 0.0;
-    for ya in ay0..ay1 {
-        let yb = (ya - dy) as usize;
-        let row_a = &img_a.row(ya as usize)[ax0 as usize..ax1 as usize];
-        let row_b = &img_b.row(yb)[(ax0 - dx) as usize..(ax1 - dx) as usize];
-        let [ra, rb, rab, raa, rbb] = backend.comoment_u16(row_a, row_b, center_a, center_b);
-        sum_a += ra;
-        sum_b += rb;
-        sum_ab += rab;
-        sum_aa += raa;
-        sum_bb += rbb;
-    }
+    // The overlap's co-moments in one compute-backend call (the dominant
+    // cost of the disambiguation stage — a five-accumulator reduction the
+    // compiler cannot auto-vectorize from the sequential form). The
+    // backend sums its rows in order, so the only backend-dependent
+    // rounding is the within-row lane association.
+    let w = w as usize;
+    let a = &img_a.pixels()[ay0 as usize * w + ax0 as usize..];
+    let b = &img_b.pixels()[(ay0 - dy) as usize * w + (ax0 - dx) as usize..];
+    let [sum_a, sum_b, sum_ab, sum_aa, sum_bb] = stitch_fft::backend::active().comoment_rect(
+        a,
+        b,
+        w,
+        oh as usize,
+        ow as usize,
+        (center_a, center_b),
+    );
     let n = (ow * oh) as f64;
     let num = sum_ab - sum_a * sum_b / n;
     let den_a = sum_aa - sum_a * sum_a / n;

@@ -4,8 +4,8 @@
 //! element-wise loops of the stitching computation and hand-coded them
 //! with SSE intrinsics. This module generalizes that observation into a
 //! [`ComputeBackend`] trait covering every phase-1 hot loop — the NCC
-//! normalized conjugate multiply, the max reduction, the CCF co-moment
-//! accumulation, and the 2-D real FFT pair — with three implementations
+//! normalized conjugate multiply, the CCF co-moments of one overlap
+//! rectangle, and the 2-D real FFT pair — with three implementations
 //! selected at runtime:
 //!
 //! * [`scalar`] — straight sequential reference loops; the FFT engine
@@ -32,20 +32,24 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The element-wise kernel (`ncc`) and the max reduction evaluate the
-//! *same IEEE-754 expression DAG* in every backend: no FMA contraction,
-//! no re-associated sums, division and square root are correctly
-//! rounded, and tie-breaks resolve to the lowest index. The FFT needs no
-//! such care: there is one engine source ([`crate::radix`]), vectorised
-//! *across* transforms, so a lane of the four-lane run executes the very
-//! operation sequence of the one-lane run and a backend only chooses how
-//! many transforms share an instruction (AVX2 is enabled without FMA).
-//! All backends therefore produce bit-identical NCC surfaces, FFT
-//! outputs, and peak indices — the testkit backend oracle pins this. The
-//! co-moment accumulators (`comoment*`) are reductions; the lane-split
-//! versions re-associate the sum and are only guaranteed equal to ~1e-12
-//! relative, which the CCF scoring tolerates (see DESIGN.md § "Compute
-//! backends").
+//! The element-wise kernel (`ncc`) evaluates the *same IEEE-754
+//! expression DAG* in every backend: no FMA contraction, division and
+//! square root correctly rounded. The FFT needs no such care: there is
+//! one engine source ([`crate::radix`]), vectorised *across* transforms,
+//! so a lane of the four-lane run executes the very operation sequence of
+//! the one-lane run and a backend only chooses how many transforms share
+//! an instruction (AVX2 is enabled without FMA). All backends therefore
+//! produce bit-identical NCC surfaces, FFT outputs, and peak indices —
+//! the testkit backend oracle pins this.
+//!
+//! The co-moments ([`ComputeBackend::comoment_rect`]) are a reduction.
+//! The contract is per rectangle: the backend loops the rows inside its
+//! own frame (one dynamic call per CCF probe, not per overlap row), each
+//! row reduced by its row kernel and the row sums added in row order. The
+//! `portable` and `simd` row kernels split a row over four lanes in one
+//! order and are bit-identical to each other; against `scalar` they
+//! re-associate and agree to ~1e-12 relative, which the CCF scoring
+//! tolerates (see DESIGN.md § "Compute backends").
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -72,21 +76,23 @@ pub trait ComputeBackend: Send + Sync {
     /// one length.
     fn ncc(&self, a: &[C64], b: &[C64], out: &mut [C64]);
 
-    /// Index and squared magnitude of the largest `|·|²` (paper Fig 2
-    /// step 5). `None` iff `data` is empty or every element's magnitude
-    /// is NaN; NaN elements are skipped; ties resolve to the lowest
-    /// index.
-    fn max_norm_sqr(&self, data: &[C64]) -> Option<(usize, f64)>;
-
-    /// CCF co-moment accumulators over pre-centered values:
-    /// `[Σa, Σb, Σab, Σa², Σb²]`. Lane-split backends re-associate the
-    /// sums (see module docs).
-    fn comoment(&self, a: &[f64], b: &[f64]) -> [f64; 5];
-
-    /// [`ComputeBackend::comoment`] fused with the `u16 → f64` widening
-    /// and mean-centering (`va = a[i] − ca`), the exact inner loop of
-    /// the CCF overlap scan — the dominant per-pair cost.
-    fn comoment_u16(&self, a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5];
+    /// CCF co-moments `[Σa, Σb, Σab, Σa², Σb²]` of a `rows × cols`
+    /// rectangle of `u16` pixels, widened and centered on the fly
+    /// (`va = a[i] − ca`, `(ca, cb) = centers`): the whole overlap of one
+    /// CCF probe in one call. Row `r` starts at `a[r·stride]` and
+    /// `b[r·stride]`. Each row is reduced with the backend's lane
+    /// arithmetic and the row sums are added in row order, so the result
+    /// is the per-row sum, bit for bit; lane-split backends re-associate
+    /// within a row (see module docs).
+    fn comoment_rect(
+        &self,
+        a: &[u16],
+        b: &[u16],
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        centers: (f64, f64),
+    ) -> [f64; 5];
 
     /// [`RealFft2d::forward`] with this backend's lane type and
     /// instruction set (lengths already checked).
@@ -225,6 +231,7 @@ pub fn resolved_name(choice: BackendChoice) -> &'static str {
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::vectorops;
 
     /// Deterministic pseudo-random complex data.
     pub(crate) fn data(n: usize, seed: u64) -> Vec<C64> {
@@ -309,18 +316,110 @@ mod tests {
         }
     }
 
+    /// A backend's own row kernel.
+    fn row_kernel(name: &str, a: &[u16], b: &[u16], (ca, cb): (f64, f64)) -> [f64; 5] {
+        match name {
+            "scalar" => vectorops::comoment_u16_scalar(a, b, ca, cb),
+            "portable" => vectorops::comoment_u16_vectorized(a, b, ca, cb),
+            // SAFETY: `backends()` lists simd only where AVX2 runs.
+            #[cfg(target_arch = "x86_64")]
+            "simd" => unsafe { simd::comoment_u16_avx2(a, b, ca, cb) },
+            other => unreachable!("no backend {other}"),
+        }
+    }
+
+    /// The reference a backend's rectangle must equal bit for bit: its
+    /// row kernel over each row, the row sums added in row order.
+    fn per_row_sum(name: &str, rect: &Rect, a: &[u16], b: &[u16]) -> [f64; 5] {
+        let mut acc = [0.0f64; 5];
+        for r in 0..rect.rows {
+            let (ra, rb) = (rect.a0 + r * rect.stride, rect.b0 + r * rect.stride);
+            let sums = row_kernel(
+                name,
+                &a[ra..ra + rect.cols],
+                &b[rb..rb + rect.cols],
+                rect.centers,
+            );
+            for k in 0..5 {
+                acc[k] += sums[k];
+            }
+        }
+        acc
+    }
+
+    /// The overlap of two `w × h` tiles with `b` at `(dx, dy)` in `a`'s
+    /// frame, as the CCF probe addresses it.
+    struct Rect {
+        a0: usize,
+        b0: usize,
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        centers: (f64, f64),
+    }
+
+    fn overlap(w: usize, h: usize, dx: i64, dy: i64) -> Rect {
+        let (ax0, ay0) = (dx.max(0) as usize, dy.max(0) as usize);
+        let (bx0, by0) = ((-dx).max(0) as usize, (-dy).max(0) as usize);
+        Rect {
+            a0: ay0 * w + ax0,
+            b0: by0 * w + bx0,
+            stride: w,
+            rows: h - dy.unsigned_abs() as usize,
+            cols: w - dx.unsigned_abs() as usize,
+            centers: (30_123.25, 29_876.5),
+        }
+    }
+
     #[test]
-    fn max_bit_identical_across_backends() {
-        for n in [1usize, 2, 4, 5, 63, 64, 65, 999] {
-            for seed in 0..6 {
-                let d = data(n, seed);
-                let reference = scalar::ScalarBackend.max_norm_sqr(&d);
-                for be in backends() {
-                    let got = be.max_norm_sqr(&d);
+    fn comoment_rect_is_the_per_row_sum_on_every_backend() {
+        let (w, h) = (37usize, 23usize);
+        let a: Vec<u16> = (0..w * h)
+            .map(|i| ((i * 7919 + 3) % 65536) as u16)
+            .collect();
+        let b: Vec<u16> = (0..w * h)
+            .map(|i| ((i * 104_729 + 11) % 65536) as u16)
+            .collect();
+        let w_ = w as i64;
+        // 1-, 2-, 5- and 6-px-wide overlaps on both sides, full width,
+        // corners in all four quadrants, one-row strips
+        let mut shifts = Vec::new();
+        for cols in [1i64, 2, 5, 6] {
+            for dy in [-3i64, 0, 4] {
+                shifts.push((w_ - cols, dy));
+                shifts.push((cols - w_, dy));
+            }
+        }
+        shifts.extend([
+            (0, 0),
+            (0, 9),
+            (0, -9),
+            (0, 22),
+            (13, 7),
+            (-13, 7),
+            (13, -7),
+            (-13, -7),
+        ]);
+        for (dx, dy) in shifts {
+            let rect = overlap(w, h, dx, dy);
+            let (ra, rb) = (&a[rect.a0..], &b[rect.b0..]);
+            let mut lane_split = None;
+            for be in backends() {
+                let got = be.comoment_rect(ra, rb, w, rect.rows, rect.cols, rect.centers);
+                let want = per_row_sum(be.name(), &rect, &a, &b);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{} dx={dx} dy={dy}",
+                    be.name()
+                );
+                // the two lane-split backends share one summation order
+                if be.name() != "scalar" {
+                    let first = *lane_split.get_or_insert(got);
                     assert_eq!(
-                        reference.map(|(i, m)| (i, m.to_bits())),
-                        got.map(|(i, m)| (i, m.to_bits())),
-                        "{} n={n} seed={seed}",
+                        first.map(f64::to_bits),
+                        got.map(f64::to_bits),
+                        "{}",
                         be.name()
                     );
                 }
@@ -329,112 +428,20 @@ mod tests {
     }
 
     #[test]
-    fn max_empty_and_all_nan_are_none() {
-        let nan = c64(f64::NAN, 0.0);
+    fn comoment_rect_backends_agree_to_reassociation_tolerance() {
+        let (w, h) = (64usize, 48usize);
+        let a: Vec<u16> = (0..w * h).map(|i| ((i * 37 + 11) % 4096) as u16).collect();
+        let b: Vec<u16> = (0..w * h).map(|i| ((i * 53 + 7) % 4096) as u16).collect();
+        let reference = scalar::ScalarBackend.comoment_rect(&a, &b, w, h, w, (2048.5, 2047.25));
         for be in backends() {
-            assert_eq!(be.max_norm_sqr(&[]), None, "{} empty", be.name());
-            assert_eq!(be.max_norm_sqr(&[nan; 7]), None, "{} all-NaN", be.name());
-            assert_eq!(be.max_norm_sqr(&[nan; 16]), None, "{} all-NaN", be.name());
-        }
-    }
-
-    #[test]
-    fn max_skips_nan_elements() {
-        let mut d = data(33, 9);
-        let truth = scalar::ScalarBackend.max_norm_sqr(&d).unwrap();
-        // poison everything except the true peak's chunk neighbors
-        for i in [0usize, 5, 6, 13, 31] {
-            if i != truth.0 {
-                d[i] = c64(f64::NAN, 3.0);
-            }
-        }
-        let reference = scalar::ScalarBackend.max_norm_sqr(&d).unwrap();
-        for be in backends() {
-            assert_eq!(be.max_norm_sqr(&d), Some(reference), "{}", be.name());
-        }
-    }
-
-    #[test]
-    fn max_cross_lane_and_cross_chunk_ties_take_lowest_index() {
-        // equal peaks in different lanes of one chunk, and across chunks
-        for (i, j) in [(1usize, 3usize), (2, 9), (5, 21), (0, 63)] {
-            let mut d = data(64, 11);
-            let peak = c64(4000.0, 3000.0);
-            d[i] = peak;
-            d[j] = peak;
-            for be in backends() {
-                let (idx, m) = be.max_norm_sqr(&d).unwrap();
-                assert_eq!(idx, i, "{} tie ({i},{j})", be.name());
-                assert_eq!(m.to_bits(), peak.norm_sqr().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn comoments_agree_to_reassociation_tolerance() {
-        for n in [0usize, 1, 5, 16, 100, 1003] {
-            let a: Vec<f64> = data(n, 4).iter().map(|z| z.re).collect();
-            let b: Vec<f64> = data(n, 5).iter().map(|z| z.im).collect();
-            let reference = scalar::ScalarBackend.comoment(&a, &b);
-            for be in backends() {
-                let got = be.comoment(&a, &b);
-                for k in 0..5 {
-                    let denom = reference[k].abs().max(1.0);
-                    assert!(
-                        ((reference[k] - got[k]) / denom).abs() < 1e-9,
-                        "{} n={n} k={k}: {} vs {}",
-                        be.name(),
-                        reference[k],
-                        got[k]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn comoment_u16_matches_f64_comoment() {
-        let n = 103;
-        let a: Vec<u16> = (0..n).map(|i| ((i * 37 + 11) % 4096) as u16).collect();
-        let b: Vec<u16> = (0..n).map(|i| ((i * 53 + 7) % 4096) as u16).collect();
-        let (ca, cb) = (1000.25, 999.75);
-        let af: Vec<f64> = a.iter().map(|&p| p as f64 - ca).collect();
-        let bf: Vec<f64> = b.iter().map(|&p| p as f64 - cb).collect();
-        for be in backends() {
-            let direct = be.comoment_u16(&a, &b, ca, cb);
-            let via_f64 = be.comoment(&af, &bf);
+            let got = be.comoment_rect(&a, &b, w, h, w, (2048.5, 2047.25));
             for k in 0..5 {
-                assert_eq!(
-                    direct[k].to_bits(),
-                    via_f64[k].to_bits(),
+                let denom = reference[k].abs().max(1.0);
+                assert!(
+                    ((reference[k] - got[k]) / denom).abs() < 1e-9,
                     "{} k={k}",
                     be.name()
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn portable_and_simd_comoments_bit_identical() {
-        // scalar may re-associate differently, but the two lane-split
-        // backends share one summation order exactly
-        #[cfg(target_arch = "x86_64")]
-        if simd_supported() {
-            for n in [0usize, 3, 4, 64, 257, 1000] {
-                let a: Vec<f64> = data(n, 6).iter().map(|z| z.re).collect();
-                let b: Vec<f64> = data(n, 7).iter().map(|z| z.im).collect();
-                let p = portable::PortableBackend.comoment(&a, &b);
-                let s = simd::SimdBackend.comoment(&a, &b);
-                for k in 0..5 {
-                    assert_eq!(p[k].to_bits(), s[k].to_bits(), "n={n} k={k}");
-                }
-                let au: Vec<u16> = (0..n).map(|i| ((i * 97) % 65536) as u16).collect();
-                let bu: Vec<u16> = (0..n).map(|i| ((i * 31 + 5) % 65536) as u16).collect();
-                let p = portable::PortableBackend.comoment_u16(&au, &bu, 32000.5, 31999.5);
-                let s = simd::SimdBackend.comoment_u16(&au, &bu, 32000.5, 31999.5);
-                for k in 0..5 {
-                    assert_eq!(p[k].to_bits(), s[k].to_bits(), "u16 n={n} k={k}");
-                }
             }
         }
     }

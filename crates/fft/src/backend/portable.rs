@@ -1,11 +1,11 @@
 //! The lane-unrolled auto-vectorizable backend.
 //!
-//! Element-wise kernels and reductions come straight from
-//! [`crate::vectorops`] (the PR-4-era vector-shaped loops); the 2-D FFT
-//! runs the shared engine over `[f64; 4]` lanes — four rows or columns
-//! per pass, an independent body per lane. LLVM turns these into packed
-//! SIMD at whatever width the target offers without a single intrinsic
-//! — the portable floor every platform gets.
+//! The NCC and the co-moment rows come straight from [`crate::vectorops`]
+//! (the PR-4-era vector-shaped loops); the 2-D FFT runs the shared engine
+//! over `[f64; 4]` lanes — four rows or columns per pass, an independent
+//! body per lane. LLVM turns these into packed SIMD at whatever width the
+//! target offers without a single intrinsic — the portable floor every
+//! platform gets.
 
 use crate::complex::C64;
 use crate::real::RealFft2d;
@@ -25,16 +25,18 @@ impl ComputeBackend for PortableBackend {
         vectorops::ncc_vectorized(a, b, out);
     }
 
-    fn max_norm_sqr(&self, data: &[C64]) -> Option<(usize, f64)> {
-        vectorops::max_norm_sqr_vectorized(data)
-    }
-
-    fn comoment(&self, a: &[f64], b: &[f64]) -> [f64; 5] {
-        vectorops::comoment_vectorized(a, b)
-    }
-
-    fn comoment_u16(&self, a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-        vectorops::comoment_u16_vectorized(a, b, ca, cb)
+    fn comoment_rect(
+        &self,
+        a: &[u16],
+        b: &[u16],
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        (ca, cb): (f64, f64),
+    ) -> [f64; 5] {
+        vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
+            vectorops::comoment_u16_vectorized(ra, rb, ca, cb)
+        })
     }
 
     fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {

@@ -2,11 +2,10 @@
 //!
 //! Every kernel is a plain scalar loop — the ground truth the other
 //! backends are measured and verified (testkit backend oracle) against.
-//! The element-wise kernels and the max reduction share their expression
-//! DAGs with the vectorized backends and are bit-identical to them; the
-//! co-moment reductions accumulate in strict left-to-right order, which
-//! the lane-split backends re-associate. The 2-D FFT runs the shared
-//! engine one `f64` lane wide.
+//! The NCC shares its expression DAG with the vectorized backends and is
+//! bit-identical to them; the co-moment rows accumulate in strict
+//! left-to-right order, which the lane-split backends re-associate. The
+//! 2-D FFT runs the shared engine one `f64` lane wide.
 
 use crate::complex::C64;
 use crate::real::RealFft2d;
@@ -26,16 +25,18 @@ impl ComputeBackend for ScalarBackend {
         vectorops::ncc_scalar(a, b, out);
     }
 
-    fn max_norm_sqr(&self, data: &[C64]) -> Option<(usize, f64)> {
-        vectorops::max_norm_sqr_scalar(data)
-    }
-
-    fn comoment(&self, a: &[f64], b: &[f64]) -> [f64; 5] {
-        vectorops::comoment_scalar(a, b)
-    }
-
-    fn comoment_u16(&self, a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-        vectorops::comoment_u16_scalar(a, b, ca, cb)
+    fn comoment_rect(
+        &self,
+        a: &[u16],
+        b: &[u16],
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        (ca, cb): (f64, f64),
+    ) -> [f64; 5] {
+        vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
+            vectorops::comoment_u16_scalar(ra, rb, ca, cb)
+        })
     }
 
     fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {

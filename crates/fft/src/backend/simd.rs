@@ -11,14 +11,13 @@
 //! * `_mm256_div_pd` and `_mm256_sqrt_pd` are correctly rounded, so
 //!   `re/mag` and `√(re²+im²)` match their scalar counterparts bit for
 //!   bit;
-//! * the max reduction funnels its four lanes through the same merge
-//!   epilogue as the portable version, so tie-breaks are identical by
-//!   construction.
+//! * the co-moment row kernel merges its four lanes in the portable
+//!   backend's order, and the rectangle adds its rows in the same order.
 //!
-//! Only the co-moment kernels are *not* bit-identical to the scalar
-//! backend: they re-associate the sum into four lanes — but they share
-//! the portable backend's exact summation order, so `portable` and
-//! `simd` co-moments are bit-identical to each other (pinned by test).
+//! Only the co-moments are *not* bit-identical to the scalar backend:
+//! they re-associate each row's sum into four lanes — but they share the
+//! portable backend's exact summation order, so `portable` and `simd`
+//! co-moments are bit-identical to each other (pinned by test).
 //!
 //! Every public entry point re-checks [`super::simd_supported`] and
 //! falls back to the portable implementation, so constructing
@@ -28,7 +27,7 @@ use core::arch::x86_64::*;
 
 use crate::complex::C64;
 use crate::real::RealFft2d;
-use crate::vectorops::{self, merge_lanes_and_tail, LANES};
+use crate::vectorops::{self, LANES};
 
 use super::ComputeBackend;
 
@@ -52,32 +51,22 @@ impl ComputeBackend for SimdBackend {
         }
     }
 
-    fn max_norm_sqr(&self, data: &[C64]) -> Option<(usize, f64)> {
+    fn comoment_rect(
+        &self,
+        a: &[u16],
+        b: &[u16],
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        (ca, cb): (f64, f64),
+    ) -> [f64; 5] {
         if super::simd_supported() {
             // SAFETY: AVX2 confirmed on this host.
-            unsafe { max_norm_sqr_avx2(data) }
+            unsafe { comoment_rect_avx2(a, b, stride, rows, cols, (ca, cb)) }
         } else {
-            vectorops::max_norm_sqr_vectorized(data)
-        }
-    }
-
-    fn comoment(&self, a: &[f64], b: &[f64]) -> [f64; 5] {
-        assert_eq!(a.len(), b.len());
-        if super::simd_supported() {
-            // SAFETY: AVX2 confirmed on this host; lengths checked above.
-            unsafe { comoment_avx2(a, b) }
-        } else {
-            vectorops::comoment_vectorized(a, b)
-        }
-    }
-
-    fn comoment_u16(&self, a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-        assert_eq!(a.len(), b.len());
-        if super::simd_supported() {
-            // SAFETY: AVX2 confirmed on this host; lengths checked above.
-            unsafe { comoment_u16_avx2(a, b, ca, cb) }
-        } else {
-            vectorops::comoment_u16_vectorized(a, b, ca, cb)
+            vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
+                vectorops::comoment_u16_vectorized(ra, rb, ca, cb)
+            })
         }
     }
 
@@ -182,45 +171,6 @@ unsafe fn ncc_avx2(a: &[C64], b: &[C64], out: &mut [C64]) {
     vectorops::ncc_scalar(&a[done..], &b[done..], &mut out[done..]);
 }
 
-/// Four-lane max reduction over squared magnitudes; funnels into the
-/// shared lane-merge epilogue so tie-breaks match the portable version
-/// exactly.
-///
-/// # Safety
-/// AVX2 must be available.
-#[target_feature(enable = "avx2")]
-unsafe fn max_norm_sqr_avx2(data: &[C64]) -> Option<(usize, f64)> {
-    let chunks = data.len() / LANES;
-    let p = data.as_ptr();
-    let mut best = _mm256_set1_pd(f64::MIN);
-    let mut best_idx = _mm256_setzero_si256();
-    let mut idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    let four = _mm256_set1_epi64x(LANES as i64);
-    for c in 0..chunks {
-        let i = c * LANES;
-        let (re, im) = deinterleave4(
-            _mm256_loadu_pd(p.add(i) as *const f64),
-            _mm256_loadu_pd(p.add(i + 2) as *const f64),
-        );
-        let m = _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im));
-        // strict > skips NaN (ordered compare) and keeps earlier
-        // indices on ties, exactly like the portable lanes
-        let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(m, best);
-        best = _mm256_blendv_pd(best, m, gt);
-        best_idx = _mm256_blendv_epi8(best_idx, idx, _mm256_castpd_si256(gt));
-        idx = _mm256_add_epi64(idx, four);
-    }
-    let mut lane_best = [0.0f64; LANES];
-    let mut lane_idx64 = [0i64; LANES];
-    _mm256_storeu_pd(lane_best.as_mut_ptr(), best);
-    _mm256_storeu_si256(lane_idx64.as_mut_ptr() as *mut __m256i, best_idx);
-    let mut lane_idx = [0usize; LANES];
-    for l in 0..LANES {
-        lane_idx[l] = lane_idx64[l] as usize;
-    }
-    merge_lanes_and_tail(data, chunks * LANES, &lane_best, &lane_idx)
-}
-
 /// Horizontal merge of the five accumulator vectors plus the scalar
 /// tail, in exactly the portable backend's summation order
 /// (`acc = ((0 + lane0) + lane1) + lane2) + lane3`, then `+ tail`).
@@ -242,47 +192,36 @@ unsafe fn comoment_merge(acc: [__m256d; 5], tail: [f64; 5]) -> [f64; 5] {
     out
 }
 
-/// Co-moments over pre-centered `f64` values, four lanes wide.
-/// Bit-identical to [`vectorops::comoment_vectorized`].
+/// The CCF co-moments of one overlap rectangle: the row loop and the row
+/// kernel inline into this one AVX2 frame, so a probe pays one dispatch
+/// and one feature check, not one per row.
 ///
 /// # Safety
-/// AVX2 must be available; slices must share one length.
+/// AVX2 must be available.
 #[target_feature(enable = "avx2")]
-unsafe fn comoment_avx2(a: &[f64], b: &[f64]) -> [f64; 5] {
-    let chunks = a.len() / LANES;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc = [_mm256_setzero_pd(); 5];
-    for c in 0..chunks {
-        let va = _mm256_loadu_pd(ap.add(c * LANES));
-        let vb = _mm256_loadu_pd(bp.add(c * LANES));
-        accumulate(&mut acc, va, vb);
-    }
-    let done = chunks * LANES;
-    comoment_merge(acc, vectorops::comoment_scalar(&a[done..], &b[done..]))
+unsafe fn comoment_rect_avx2(
+    a: &[u16],
+    b: &[u16],
+    stride: usize,
+    rows: usize,
+    cols: usize,
+    (ca, cb): (f64, f64),
+) -> [f64; 5] {
+    vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
+        // SAFETY: AVX2 is the caller's contract; the row slices share
+        // the length `cols`.
+        unsafe { comoment_u16_avx2(ra, rb, ca, cb) }
+    })
 }
 
-/// One accumulation step shared by the `f64` and `u16` co-moment loops.
-///
-/// # Safety
-/// AVX required.
-#[inline(always)]
-unsafe fn accumulate(acc: &mut [__m256d; 5], va: __m256d, vb: __m256d) {
-    acc[0] = _mm256_add_pd(acc[0], va);
-    acc[1] = _mm256_add_pd(acc[1], vb);
-    acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(va, vb));
-    acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(va, va));
-    acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(vb, vb));
-}
-
-/// The CCF inner loop: widen four `u16` pixels to `f64` (exact), center
+/// The CCF row kernel: widen four `u16` pixels to `f64` (exact), center
 /// on the tile means, accumulate five co-moments. Bit-identical to
 /// [`vectorops::comoment_u16_vectorized`].
 ///
 /// # Safety
 /// AVX2 must be available; slices must share one length.
 #[target_feature(enable = "avx2")]
-unsafe fn comoment_u16_avx2(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
+pub(super) unsafe fn comoment_u16_avx2(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
     let chunks = a.len() / LANES;
     let ap = a.as_ptr();
     let bp = b.as_ptr();
@@ -300,7 +239,11 @@ unsafe fn comoment_u16_avx2(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] 
         )));
         let va = _mm256_sub_pd(ra, vca);
         let vb = _mm256_sub_pd(rb, vcb);
-        accumulate(&mut acc, va, vb);
+        acc[0] = _mm256_add_pd(acc[0], va);
+        acc[1] = _mm256_add_pd(acc[1], vb);
+        acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(va, vb));
+        acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(va, va));
+        acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(vb, vb));
     }
     let done = chunks * LANES;
     comoment_merge(

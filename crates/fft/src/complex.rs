@@ -240,6 +240,29 @@ impl C64 {
     /// The imaginary unit.
     pub const I: C64 = c64(0.0, 1.0);
 
+    /// `len` zeros as one zeroed allocation. `vec![C64::ZERO; len]` writes
+    /// every element; a zeroed block from the allocator does not, and a
+    /// large one comes straight from the kernel's zero pages — a spectrum
+    /// buffer costs nothing until its first write.
+    pub fn zeroed_vec(len: usize) -> Vec<C64> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let layout = std::alloc::Layout::array::<C64>(len).expect("buffer size overflows");
+        // SAFETY: `layout` has non-zero size. `Cx` is `#[repr(C)]` over two
+        // `f64`s and all-zero bits are `0.0 + 0.0i`, so the zeroed block
+        // holds `len` initialised `C64::ZERO`s. It comes from the global
+        // allocator with the size and alignment `Vec<C64>` frees it with,
+        // and a null return never reaches `from_raw_parts`.
+        unsafe {
+            let ptr = std::alloc::alloc_zeroed(layout).cast::<C64>();
+            if ptr.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            Vec::from_raw_parts(ptr, len, len)
+        }
+    }
+
     /// Builds a complex number from polar coordinates.
     #[inline]
     fn from_polar(r: f64, theta: f64) -> C64 {

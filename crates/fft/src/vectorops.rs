@@ -14,16 +14,22 @@
 //! [`crate::backend`] layer wraps: the `scalar` backend runs the
 //! references, the `portable` backend runs the `_vectorized` forms, and
 //! the `simd` backend replaces them with explicit AVX2 intrinsics
-//! evaluating the same expression DAGs. The element-wise kernels and the
-//! max reduction are bit-identical between scalar and vectorized forms;
-//! the co-moment reductions re-associate across lanes and agree to
-//! ~1e-12 relative (tests pin both properties).
+//! evaluating the same expression DAGs. Three kernels live here:
+//!
+//! * the NCC, bit-identical between scalar and vectorized forms;
+//! * the top-k peak extraction ([`top_peaks_into`]), one copy for every
+//!   spectrum layout and the simulated device;
+//! * the CCF co-moments, a per-row kernel inside a per-rectangle loop
+//!   (`comoment_rect`): the rows of a rectangle are reduced inside
+//!   one backend call, and the row sums added in row order. The lane-split
+//!   row kernel re-associates its sum and agrees with the scalar one to
+//!   ~1e-12 relative (tests pin both properties).
 
 use crate::complex::C64;
 
-/// Accumulator lanes for the reductions. Four independent chains of
-/// `f64` max operations keep the loop free of a serial dependency, the
-/// same trick as the paper's SSE reduction (and Harris's CUDA one).
+/// Lanes of the vector-shaped loops. Four independent accumulator chains
+/// keep a reduction free of a serial dependency, the same trick as the
+/// paper's SSE reduction (and Harris's CUDA one).
 pub(crate) const LANES: usize = 4;
 
 /// Magnitudes at or below this are treated as underflow: the NCC output
@@ -89,86 +95,6 @@ pub fn ncc_vectorized(a: &[C64], b: &[C64], out: &mut [C64]) {
     ncc_scalar(a_rest, b_rest, o_rest);
 }
 
-/// Scalar reference: index and squared magnitude of the largest |·|².
-///
-/// Contract (shared by [`max_norm_sqr_vectorized`] and every
-/// [`crate::backend`] implementation, bit-identical): `None` iff the
-/// input is empty or every element's squared magnitude is NaN; NaN
-/// elements are skipped; ties resolve to the lowest index.
-pub fn max_norm_sqr_scalar(data: &[C64]) -> Option<(usize, f64)> {
-    let mut best = 0usize;
-    let mut best_m = f64::MIN;
-    let mut found = false;
-    for (i, v) in data.iter().enumerate() {
-        let m = v.norm_sqr();
-        // NaN compares false and is skipped; strict '>' keeps the
-        // earliest index on ties. Squared magnitudes are ≥ 0, so every
-        // non-NaN element beats the f64::MIN sentinel — `found` flips
-        // on the first usable element.
-        if m > best_m {
-            best_m = m;
-            best = i;
-            found = true;
-        }
-    }
-    found.then_some((best, best_m))
-}
-
-/// Vector-shaped max reduction: four independent lanes, merged at the
-/// end. Same contract as [`max_norm_sqr_scalar`], bit-identical
-/// including tie-breaks across lanes and chunks.
-pub fn max_norm_sqr_vectorized(data: &[C64]) -> Option<(usize, f64)> {
-    let chunks = data.len() / LANES;
-    let mut lane_best = [f64::MIN; LANES];
-    let mut lane_idx = [0usize; LANES];
-    for (c, chunk) in data[..chunks * LANES].chunks_exact(LANES).enumerate() {
-        for l in 0..LANES {
-            let m = chunk[l].norm_sqr();
-            // strict '>' keeps the earliest index on ties, per lane;
-            // NaN compares false and is skipped
-            if m > lane_best[l] {
-                lane_best[l] = m;
-                lane_idx[l] = c * LANES + l;
-            }
-        }
-    }
-    merge_lanes_and_tail(data, chunks * LANES, &lane_best, &lane_idx)
-}
-
-/// Shared lane-merge + scalar-tail epilogue for the lane-split max
-/// reductions (the AVX2 backend funnels through this too, so the merge
-/// order — and therefore every tie-break — is identical by
-/// construction). `done` is the number of elements the lanes covered.
-pub(crate) fn merge_lanes_and_tail(
-    data: &[C64],
-    done: usize,
-    lane_best: &[f64; LANES],
-    lane_idx: &[usize; LANES],
-) -> Option<(usize, f64)> {
-    let mut best = 0usize;
-    let mut best_m = f64::MIN;
-    let mut found = false;
-    for l in 0..LANES {
-        // a lane that saw only NaNs still holds the f64::MIN sentinel,
-        // which no real squared magnitude (≥ 0) can equal — so a lane
-        // counts as found exactly when it beats the sentinel
-        if lane_best[l] > best_m || (lane_best[l] == best_m && found && lane_idx[l] < best) {
-            best_m = lane_best[l];
-            best = lane_idx[l];
-            found = true;
-        }
-    }
-    for (i, v) in data.iter().enumerate().skip(done) {
-        let m = v.norm_sqr();
-        if m > best_m {
-            best_m = m;
-            best = i;
-            found = true;
-        }
-    }
-    found.then_some((best, best_m))
-}
-
 /// Chebyshev radius within which a weaker maximum counts as the same
 /// peak as a stronger one during top-k extraction.
 pub const PEAK_SUPPRESSION_RADIUS: usize = 2;
@@ -229,58 +155,36 @@ pub fn top_peaks_into<T: Copy>(
     }
 }
 
-/// Scalar reference: centered dot-product accumulators for the CCF
-/// (Σa, Σb, Σab, Σa², Σb² over pre-centered values).
-pub fn comoment_scalar(a: &[f64], b: &[f64]) -> [f64; 5] {
-    assert_eq!(a.len(), b.len());
+/// The CCF co-moments `[Σa, Σb, Σab, Σa², Σb²]` of a `rows × cols`
+/// rectangle of `u16` pixels, row `r` starting at `a[r·stride]` and
+/// `b[r·stride]` (two tiles of one width). `row` reduces one row; the row
+/// sums are added in row order, so the result is the per-row sum of
+/// `row`, bit for bit. Every backend's `comoment_rect` is this loop around
+/// its own row kernel, inlined into its own code-generation frame.
+#[inline(always)]
+pub(crate) fn comoment_rect(
+    a: &[u16],
+    b: &[u16],
+    stride: usize,
+    rows: usize,
+    cols: usize,
+    mut row: impl FnMut(&[u16], &[u16]) -> [f64; 5],
+) -> [f64; 5] {
     let mut acc = [0.0f64; 5];
-    for i in 0..a.len() {
-        acc[0] += a[i];
-        acc[1] += b[i];
-        acc[2] += a[i] * b[i];
-        acc[3] += a[i] * a[i];
-        acc[4] += b[i] * b[i];
-    }
-    acc
-}
-
-/// Vector-shaped co-moment accumulation with [`LANES`] independent
-/// accumulator sets. Summation order differs from the scalar version,
-/// so results agree to floating-point re-association (tests allow 1e-9
-/// relative).
-pub fn comoment_vectorized(a: &[f64], b: &[f64]) -> [f64; 5] {
-    assert_eq!(a.len(), b.len());
-    let chunks = a.len() / LANES;
-    let mut lanes = [[0.0f64; 5]; LANES];
-    for (ac, bc) in a[..chunks * LANES]
-        .chunks_exact(LANES)
-        .zip(b[..chunks * LANES].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            lanes[l][0] += ac[l];
-            lanes[l][1] += bc[l];
-            lanes[l][2] += ac[l] * bc[l];
-            lanes[l][3] += ac[l] * ac[l];
-            lanes[l][4] += bc[l] * bc[l];
-        }
-    }
-    let mut acc = [0.0f64; 5];
-    for lane in lanes {
+    for r in 0..rows {
+        let sums = row(&a[r * stride..][..cols], &b[r * stride..][..cols]);
         for k in 0..5 {
-            acc[k] += lane[k];
+            acc[k] += sums[k];
         }
-    }
-    let tail = comoment_scalar(&a[chunks * LANES..], &b[chunks * LANES..]);
-    for k in 0..5 {
-        acc[k] += tail[k];
     }
     acc
 }
 
-/// Scalar reference for the CCF inner loop: co-moments of `u16` pixel
-/// rows widened and centered on the fly (`va = a[i] − ca`). One
-/// sequential pass — the exact loop `ccf_at_centered` used to inline.
-pub fn comoment_u16_scalar(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
+/// Scalar reference row kernel of [`comoment_rect`]: co-moments of `u16`
+/// pixel rows widened and centered on the fly (`va = a[i] − ca`), one
+/// sequential pass.
+#[inline]
+pub(crate) fn comoment_u16_scalar(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
     assert_eq!(a.len(), b.len());
     let mut acc = [0.0f64; 5];
     for i in 0..a.len() {
@@ -296,12 +200,12 @@ pub fn comoment_u16_scalar(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
 }
 
 /// Lane-split twin of [`comoment_u16_scalar`]: [`LANES`] independent
-/// accumulator sets broken out of the serial reduction chain, the same
-/// shape as [`comoment_vectorized`] (and the same re-association
-/// caveat). This is the dominant per-pair loop — the CCF evaluates it
-/// over every candidate overlap — so it is the biggest single lever the
-/// backends have.
-pub fn comoment_u16_vectorized(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
+/// accumulator sets broken out of the serial reduction chain, merged
+/// lane 0 → 3, then the scalar tail. The sum is re-associated, so it
+/// agrees with the scalar kernel to ~1e-12 relative, and bit for bit with
+/// the AVX2 kernel, which merges in this order.
+#[inline]
+pub(crate) fn comoment_u16_vectorized(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
     assert_eq!(a.len(), b.len());
     let chunks = a.len() / LANES;
     let mut lanes = [[0.0f64; 5]; LANES];
@@ -377,74 +281,6 @@ mod tests {
         let mut out = vec![c64(9.0, 9.0); 9];
         ncc_vectorized(&a, &b, &mut out);
         assert!(out.iter().all(|&v| v == C64::ZERO));
-    }
-
-    #[test]
-    fn max_matches_scalar_exactly() {
-        for n in [1usize, 2, 4, 5, 63, 64, 65, 999] {
-            for seed in 0..8 {
-                let d = data(n, seed);
-                assert_eq!(
-                    max_norm_sqr_vectorized(&d),
-                    max_norm_sqr_scalar(&d),
-                    "n={n} seed={seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn max_tie_takes_lowest_index() {
-        let mut d = vec![c64(1.0, 0.0); 11];
-        d[3] = c64(5.0, 0.0);
-        d[7] = c64(5.0, 0.0); // same magnitude, later index
-        assert_eq!(max_norm_sqr_vectorized(&d).unwrap().0, 3);
-    }
-
-    #[test]
-    fn max_cross_lane_ties_match_scalar() {
-        // equal peaks in every pairing of lanes within and across chunks
-        for i in 0..8usize {
-            for j in (i + 1)..16 {
-                let mut d = vec![c64(1.0, 1.0); 19];
-                d[i] = c64(7.0, -24.0);
-                d[j] = c64(-7.0, 24.0); // same |·|², different lane/chunk
-                let s = max_norm_sqr_scalar(&d);
-                let v = max_norm_sqr_vectorized(&d);
-                assert_eq!(s, v, "tie at ({i},{j})");
-                assert_eq!(s.unwrap().0, i);
-            }
-        }
-    }
-
-    #[test]
-    fn max_empty_input_is_none() {
-        assert_eq!(max_norm_sqr_vectorized(&[]), None);
-        assert_eq!(max_norm_sqr_scalar(&[]), None);
-    }
-
-    #[test]
-    fn max_all_nan_is_none() {
-        for n in [1usize, 3, 4, 9, 64] {
-            let d = vec![c64(f64::NAN, 1.0); n];
-            assert_eq!(max_norm_sqr_scalar(&d), None, "scalar n={n}");
-            assert_eq!(max_norm_sqr_vectorized(&d), None, "vectorized n={n}");
-        }
-    }
-
-    #[test]
-    fn max_nan_laden_input_matches_scalar() {
-        for seed in 0..4 {
-            let mut d = data(77, seed);
-            // poison a stripe of every lane alignment
-            for i in (seed as usize..77).step_by(3) {
-                d[i] = c64(f64::NAN, d[i].im);
-            }
-            let s = max_norm_sqr_scalar(&d);
-            assert_eq!(max_norm_sqr_vectorized(&d), s, "seed={seed}");
-            assert!(s.is_some());
-            assert!(s.unwrap().1 >= 0.0);
-        }
     }
 
     /// 12×10 surface with a distinct small background and one planted
@@ -534,25 +370,6 @@ mod tests {
         top_peaks_into(&data, 10, 3, f64::abs, &mut cand, &mut peaks);
         assert_eq!(peaks[0], (55, 10.0));
         assert_eq!(peaks[1], (11, 8.0));
-    }
-
-    #[test]
-    fn comoments_match_scalar_closely() {
-        for n in [0usize, 1, 5, 16, 100, 1003] {
-            let a: Vec<f64> = data(n, 4).iter().map(|z| z.re).collect();
-            let b: Vec<f64> = data(n, 5).iter().map(|z| z.im).collect();
-            let s = comoment_scalar(&a, &b);
-            let v = comoment_vectorized(&a, &b);
-            for k in 0..5 {
-                let denom = s[k].abs().max(1.0);
-                assert!(
-                    ((s[k] - v[k]) / denom).abs() < 1e-9,
-                    "n={n} k={k}: {} vs {}",
-                    s[k],
-                    v[k]
-                );
-            }
-        }
     }
 
     #[test]

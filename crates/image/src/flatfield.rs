@@ -21,7 +21,7 @@
 //! near-flat fits snap to the *exact* identity, so correcting an
 //! un-vignetted stack is a bit-exact no-op.
 
-use crate::image::Image;
+use crate::image::{round_to_u16, Image};
 
 /// A per-channel illumination field: multiplicative bright-field gain plus
 /// an additive dark-field offset, applied as `(v − dark) / gain`.
@@ -85,26 +85,34 @@ impl FlatField {
     /// Corrects one tile: `round((v − dark) / gain)`, clamped to u16, with
     /// `gain = 1 − falloff·(dx² + dy²) / r²_max` from the tile center.
     /// The identity field returns the input bit-for-bit.
+    ///
+    /// A row loop over a pre-sized buffer with `dx²` hoisted per column and
+    /// [`round_to_u16`] for the conversion: no call per pixel, so it
+    /// compiles to straight-line vector code. The operations and their
+    /// order are those of the per-pixel formula above.
     pub fn apply(&self, img: &Image<u16>) -> Image<u16> {
         assert_eq!(
             img.dims(),
             (self.width, self.height),
             "flat field estimated for different tile dims"
         );
-        if self.is_identity() {
+        if self.is_identity() || img.is_empty() {
             return img.clone();
         }
         let (cx, cy) = (self.width as f64 / 2.0, self.height as f64 / 2.0);
         let r_max2 = cx * cx + cy * cy;
-        let mut out = Vec::with_capacity(img.len());
-        for y in 0..self.height {
+        let dx2: Vec<f64> = (0..self.width)
+            .map(|x| (x as f64 - cx) * (x as f64 - cx))
+            .collect();
+        let mut out = vec![0u16; img.len()];
+        let rows = img.pixels().chunks_exact(self.width);
+        for (y, (src, dst)) in rows.zip(out.chunks_exact_mut(self.width)).enumerate() {
             let dy = y as f64 - cy;
             let dy2 = dy * dy;
-            out.extend(img.row(y).iter().enumerate().map(|(x, &p)| {
-                let dx = x as f64 - cx;
-                let gain = 1.0 - self.falloff * (dx * dx + dy2) / r_max2;
-                ((p as f64 - self.dark) / gain).clamp(0.0, 65535.0).round() as u16
-            }));
+            for ((o, &p), &dx2) in dst.iter_mut().zip(src).zip(&dx2) {
+                let gain = 1.0 - self.falloff * (dx2 + dy2) / r_max2;
+                *o = round_to_u16((p as f64 - self.dark) / gain);
+            }
         }
         Image::from_vec(self.width, self.height, out)
     }
@@ -310,6 +318,24 @@ mod tests {
                     assert_eq!(f.apply(&img), want, "{w}x{h} falloff {falloff} dark {dark}");
                 }
             }
+        }
+        // random tiles, dims, falloffs and dark levels
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        for _ in 0..400 {
+            let (w, h) = (rng.gen_range(1..40usize), rng.gen_range(1..30usize));
+            let f = FlatField {
+                width: w,
+                height: h,
+                falloff: rng.gen_range(0.01..0.95),
+                dark: rng.gen_range(-50.0..500.0),
+            };
+            let img = Image::from_fn(w, h, |_, _| rng.gen_range(0..=u16::MAX));
+            let want = Image::from_fn(w, h, |x, y| {
+                let v = (img.get(x, y) as f64 - f.dark) / f.gain_at(x, y);
+                v.clamp(0.0, 65535.0).round() as u16
+            });
+            assert_eq!(f.apply(&img), want, "{f:?}");
         }
     }
 

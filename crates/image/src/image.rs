@@ -169,6 +169,20 @@ impl<T: Copy + Default> Image<T> {
     }
 }
 
+/// The one `f64 → u16` pixel conversion: clamp to `[0, 65535]`, round half
+/// away from zero. Equal to `v.clamp(0.0, 65535.0).round() as u16` for
+/// every `f64`, NaN (→ 0) and ±∞ included — but `f64::round` is a libm
+/// call on the baseline x86-64 target, and that call keeps the pixel loop
+/// around it scalar. Here the clamped value truncates exactly (it is
+/// non-negative, so `as` is floor), its fraction `v − t` is exact, and a
+/// fraction of one half or more rounds up.
+#[inline]
+pub fn round_to_u16(v: f64) -> u16 {
+    let v = v.clamp(0.0, 65535.0);
+    let t = v as u32;
+    (t + u32::from(v - t as f64 >= 0.5)) as u16
+}
+
 impl Image<u16> {
     /// Mean pixel value. The sum is taken in integers: exact, so the
     /// result does not depend on summation order (every stitcher variant
@@ -254,6 +268,56 @@ mod tests {
         let img: Image<u16> = Image::new(0, 0);
         assert!(img.is_empty());
         assert_eq!(img.mean(), 0.0);
+    }
+
+    #[test]
+    fn round_to_u16_is_clamp_round_cast_for_every_f64() {
+        let check = |v: f64| {
+            let want = v.clamp(0.0, 65535.0).round() as u16;
+            assert_eq!(round_to_u16(v), want, "{v:e} ({:#x})", v.to_bits());
+        };
+        // every tie and its two neighbours, where truncate-and-compare
+        // could go wrong
+        for k in 0..65535u32 {
+            let tie = k as f64 + 0.5;
+            for v in [tie, tie.next_down(), tie.next_up(), k as f64] {
+                check(v);
+                check(-v);
+            }
+        }
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.5f64.next_down(),
+            65534.5,
+            65535.0,
+            65535.0f64.next_up(),
+            65535.49,
+            65536.0,
+            1e300,
+            -1e-300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        specials.into_iter().for_each(check);
+        // 10⁶ random bit patterns (splitmix64), then 10⁶ in the pixel range
+        let mut s = 0x2014_u64;
+        let mut next = || {
+            s = s.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(next()));
+            check((next() >> 11) as f64 / (1u64 << 53) as f64 * 70_000.0 - 1_000.0);
+        }
     }
 
     #[test]

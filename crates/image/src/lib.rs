@@ -34,7 +34,7 @@ pub mod tiff;
 pub use digest::Fnv64;
 pub use error::{ImageError, Result};
 pub use flatfield::{FlatField, FlatFieldEstimator};
-pub use image::Image;
+pub use image::{round_to_u16, Image};
 pub use synth::{
     ChannelConfig, GridManifest, MultiChannelPlate, MultiGridManifest, MultiScanConfig, ScanConfig,
     Scene, SceneParams, SyntheticPlate,

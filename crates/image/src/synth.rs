@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{ImageError, Result};
-use crate::image::Image;
+use crate::image::{round_to_u16, Image};
 use crate::opts::{Dims, Options};
 use crate::tiff;
 
@@ -238,15 +238,18 @@ impl Scene {
     }
 
     /// Noise-free scene intensity at a plate point, seen from plane 0.
-    pub fn intensity(&self, px: f64, py: f64) -> f64 {
+    #[cfg(test)]
+    fn intensity(&self, px: f64, py: f64) -> f64 {
         self.intensity_at_plane(px, py, 0.0)
     }
 
     /// Noise-free scene intensity at a plate point as imaged from focal
-    /// plane `plane`. Background, the slow illumination gradient, and the
-    /// plate-fixed texture are depth-independent; cells defocus with their
-    /// distance from the plane. For flat scenes this equals
+    /// plane `plane`: the per-point reference [`Scene::render_region_plane`]
+    /// evaluates row by row. Background, the slow illumination gradient,
+    /// and the plate-fixed texture are depth-independent; cells defocus
+    /// with their distance from the plane. For flat scenes this equals
     /// [`Scene::intensity`] at every plane.
+    #[cfg(test)]
     fn intensity_at_plane(&self, px: f64, py: f64, plane: f64) -> f64 {
         let mut v = self.params.background
             + self.params.illumination_amplitude
@@ -255,12 +258,20 @@ impl Scene {
             v += self.params.texture_amplitude
                 * plate_texture(px.floor() as i64, py.floor() as i64, self.params.seed);
         }
-        let bx = ((px / self.bucket).floor().max(0.0) as usize).min(self.buckets_x - 1);
-        let by = ((py / self.bucket).floor().max(0.0) as usize).min(self.buckets_y - 1);
+        let (bx, by) = (
+            self.bucket_of(px, self.buckets_x),
+            self.bucket_of(py, self.buckets_y),
+        );
         for &ci in &self.index[by * self.buckets_x + bx] {
             v += self.cells[ci as usize].eval_at_plane(px, py, plane, self.defocus);
         }
         v
+    }
+
+    /// Spatial-hash bucket of plate coordinate `p` along an axis of `n`
+    /// buckets.
+    fn bucket_of(&self, p: f64, n: usize) -> usize {
+        ((p / self.bucket).floor().max(0.0) as usize).min(n - 1)
     }
 
     /// Rasterizes the `w × h` region whose top-left plate coordinate is
@@ -286,6 +297,12 @@ impl Scene {
     /// volumetric scene. The vignette is *tile-fixed* — centered on the
     /// rendered region, not the plate — which is exactly why an uncorrected
     /// illumination field biases registration toward grid-aligned peaks.
+    ///
+    /// Every factor of one coordinate is evaluated once: the illumination
+    /// `sin`, texture column, bucket and `dx²` per column, the `cos`,
+    /// texture row, bucket row and `dy²` per row. Each pixel then sums the
+    /// same terms in the same order as the per-point formula, and draws its
+    /// noise in raster order, so the output is that formula's bit for bit.
     #[allow(clippy::too_many_arguments)] // mirrors the microscope's knobs
     pub fn render_region_plane(
         &self,
@@ -299,24 +316,52 @@ impl Scene {
         noise_seed: u64,
     ) -> Image<u16> {
         let mut rng = StdRng::seed_from_u64(noise_seed);
+        let p = &self.params;
         let cx = w as f64 / 2.0;
         let cy = h as f64 / 2.0;
         let r_max2 = cx * cx + cy * cy;
-        Image::from_fn(w, h, |x, y| {
-            let px = x0 + x as f64;
-            let py = y0 + y as f64;
-            let mut v = self.intensity_at_plane(px, py, plane);
-            if vignette > 0.0 {
+        let columns: Vec<(f64, f64, i64, usize, f64)> = (0..w)
+            .map(|x| {
+                let px = x0 + x as f64;
                 let dx = x as f64 - cx;
-                let dy = y as f64 - cy;
-                v *= 1.0 - vignette * (dx * dx + dy * dy) / r_max2;
-            }
-            if noise_sigma > 0.0 {
-                let (g, _) = gaussian_pair(&mut rng);
-                v += g * noise_sigma;
-            }
-            v.clamp(0.0, 65535.0).round() as u16
-        })
+                let sin = (2.0 * PI * px / self.width).sin();
+                (
+                    px,
+                    sin,
+                    px.floor() as i64,
+                    self.bucket_of(px, self.buckets_x),
+                    dx * dx,
+                )
+            })
+            .collect();
+        let mut data = Vec::with_capacity(w * h);
+        for y in 0..h {
+            let py = y0 + y as f64;
+            let cos = (2.0 * PI * py / self.height).cos();
+            let tex_y = py.floor() as i64;
+            let row0 = self.bucket_of(py, self.buckets_y) * self.buckets_x;
+            let buckets = &self.index[row0..row0 + self.buckets_x];
+            let dy = y as f64 - cy;
+            let dy2 = dy * dy;
+            data.extend(columns.iter().map(|&(px, sin, tex_x, bx, dx2)| {
+                let mut v = p.background + p.illumination_amplitude * (sin * cos);
+                if p.texture_amplitude > 0.0 {
+                    v += p.texture_amplitude * plate_texture(tex_x, tex_y, p.seed);
+                }
+                for &ci in &buckets[bx] {
+                    v += self.cells[ci as usize].eval_at_plane(px, py, plane, self.defocus);
+                }
+                if vignette > 0.0 {
+                    v *= 1.0 - vignette * (dx2 + dy2) / r_max2;
+                }
+                if noise_sigma > 0.0 {
+                    let (g, _) = gaussian_pair(&mut rng);
+                    v += g * noise_sigma;
+                }
+                round_to_u16(v)
+            }));
+        }
+        Image::from_vec(w, h, data)
     }
 }
 
@@ -1257,6 +1302,72 @@ mod tests {
                 vol.intensity_at_plane(x, y, 3.0).to_bits(),
                 "flat scenes are plane-independent"
             );
+        }
+    }
+
+    /// The renderer as it was before its per-column and per-row factors
+    /// were hoisted: every pixel evaluated by the per-point formula.
+    #[allow(clippy::too_many_arguments)]
+    fn render_per_point(
+        scene: &Scene,
+        (x0, y0): (f64, f64),
+        w: usize,
+        h: usize,
+        plane: f64,
+        vignette: f64,
+        noise_sigma: f64,
+        noise_seed: u64,
+    ) -> Image<u16> {
+        let mut rng = StdRng::seed_from_u64(noise_seed);
+        let (cx, cy) = (w as f64 / 2.0, h as f64 / 2.0);
+        let r_max2 = cx * cx + cy * cy;
+        Image::from_fn(w, h, |x, y| {
+            let mut v = scene.intensity_at_plane(x0 + x as f64, y0 + y as f64, plane);
+            if vignette > 0.0 {
+                let (dx, dy) = (x as f64 - cx, y as f64 - cy);
+                v *= 1.0 - vignette * (dx * dx + dy * dy) / r_max2;
+            }
+            if noise_sigma > 0.0 {
+                v += gaussian_pair(&mut rng).0 * noise_sigma;
+            }
+            v.clamp(0.0, 65535.0).round() as u16
+        })
+    }
+
+    #[test]
+    fn row_render_matches_the_per_point_formula() {
+        let params = SceneParams {
+            colony_count: 30,
+            seed: 5,
+            ..SceneParams::default()
+        };
+        let flat = Scene::generate(400.0, 300.0, params.clone());
+        let volume = Scene::generate_volume(400.0, 300.0, params, 4, 0.35);
+        // inside, fractional, negative and past-the-edge origins; a bucket
+        // boundary (the buckets are ≥ 64 px) inside most regions
+        let origins = [
+            (10.0, 20.0),
+            (-7.0, -3.0),
+            (33.25, 61.5),
+            (-12.5, 250.75),
+            (370.0, 280.0),
+        ];
+        for (name, scene) in [("flat", &flat), ("volume", &volume)] {
+            for &origin in &origins {
+                for (vignette, noise) in [(0.0, 0.0), (0.3, 0.0), (0.0, 45.0), (0.04, 60.0)] {
+                    for plane in [0.0, 2.0] {
+                        let (w, h) = (71, 53);
+                        let got = scene.render_region_plane(
+                            origin.0, origin.1, w, h, plane, vignette, noise, 9,
+                        );
+                        let want = render_per_point(scene, origin, w, h, plane, vignette, noise, 9);
+                        assert_eq!(
+                            got, want,
+                            "{name} at {origin:?}, vignette {vignette}, noise {noise}, plane {plane}"
+                        );
+                    }
+                }
+            }
         }
     }
 
