@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use stitch_core::compose::pyramid;
 use stitch_core::memlimit::SpillStore;
@@ -309,14 +309,20 @@ fn fig7_9(_: &Args) -> Vec<ResultTable> {
     // count against the schedule
     let (trace_simple, trace_pipe) = (TraceHandle::new(), TraceHandle::new());
     let (dev_simple, dev_pipe) = (Device::new(0, cfg.clone()), Device::new(1, cfg));
-    let r_simple = SimpleGpuStitcher::new(dev_simple.clone())
-        .with_trace(trace_simple.clone())
-        .compute_displacements(&src);
+    // four CCF threads, Pipelined-GPU's default
+    let traced = |variant: Variant, device: &Device, trace: &TraceHandle| {
+        variant.build(&Resources {
+            threads: 4,
+            devices: vec![device.clone()],
+            trace: trace.clone(),
+            ..Resources::default()
+        })
+    };
+    let r_simple =
+        traced(Variant::SimpleGpu, &dev_simple, &trace_simple).compute_displacements(&src);
     println!("-- Fig 7: Simple-GPU profile (8x8 grid) --");
     print!("{}", dev_simple.profiler().render_timeline(110));
-    let r_pipe = PipelinedGpuStitcher::single(dev_pipe.clone())
-        .with_trace(trace_pipe.clone())
-        .compute_displacements(&src);
+    let r_pipe = traced(Variant::PipelinedGpu, &dev_pipe, &trace_pipe).compute_displacements(&src);
     println!("\n-- Fig 9: Pipelined-GPU profile (8x8 grid) --");
     print!("{}", dev_pipe.profiler().render_timeline(110));
     println!("\nlegend: '>' H2D copy, '<' D2H copy, '#' kernel, '.' sync, ' ' idle\n");
@@ -473,24 +479,35 @@ fn fig13(args: &Args) -> Vec<ResultTable> {
         &["step", "result"],
     );
 
-    let t0 = Instant::now();
-    let result = PipelinedCpuStitcher::new(2).compute_displacements(&src);
-    t.row(
-        "phase 1 (displacements)",
-        &[format!("{:.2?}", t0.elapsed())],
-    );
-    let t1 = Instant::now();
-    let positions = GlobalOptimizer::default().solve(&result);
-    t.row(
-        "phase 2 (global optimization)",
-        &[format!("{:.2?}", t1.elapsed())],
-    );
-    let t2 = Instant::now();
-    let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(&src);
+    // one pass; the solve and compose spans it stamps time phases 2 and 3
+    let (trace, policy) = (TraceHandle::new(), FailurePolicy::default());
+    let overlay = MosaicSpec {
+        blend: Blend::Overlay,
+        workers: stitch_core::default_workers(),
+        highlight: false,
+    };
+    let stitcher = PipelinedCpuStitcher::new(2);
+    let pass = run_pass(&stitcher, &src, &policy, Some(overlay), &trace, &|| false)
+        .expect("a clean synthetic plate stitches");
+    let took = |track: &str| {
+        let spans = trace.spans().into_iter();
+        let compute = spans.filter(|s| s.track == track && s.cat == "compute");
+        Duration::from_nanos(compute.map(|s| s.end_ns - s.start_ns).sum())
+    };
+    let positions = pass.positions.expect("solved");
+    let mosaic = pass.mosaic.expect("composed");
     let (mw, mh) = (mosaic.width(), mosaic.height());
     t.row(
+        "phase 1 (displacements)",
+        &[format!("{:.2?}", pass.result.elapsed)],
+    );
+    t.row(
+        "phase 2 (global optimization)",
+        &[format!("{:.2?}", took("solve"))],
+    );
+    t.row(
         "phase 3 (compose, overlay)",
-        &[format!("{mw}x{mh} px in {:.2?}", t2.elapsed())],
+        &[format!("{mw}x{mh} px in {:.2?}", took("compose"))],
     );
     let fig13_pgm = out_dir.join("fig13_overlay.pgm");
     pgm::write_pgm(&fig13_pgm, &mosaic).expect("write fig13 pgm");

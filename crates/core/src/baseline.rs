@@ -31,8 +31,9 @@ use crate::types::{PairKind, TileId};
 /// Per-pair-recomputation baseline, optionally multi-threaded (the plugin
 /// is "fully multithreaded taking advantage of multi-core CPUs").
 pub struct FijiStyleStitcher {
-    threads: usize,
-    trace: TraceHandle,
+    pub(crate) threads: usize,
+    /// Each worker's per-pair read/compute spans (track `"pair{i}"`).
+    pub(crate) trace: TraceHandle,
 }
 
 impl FijiStyleStitcher {
@@ -43,13 +44,6 @@ impl FijiStyleStitcher {
             threads,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Records each worker's per-pair read/compute spans into `trace`
-    /// (track `"pair{i}"`).
-    pub fn with_trace(mut self, trace: TraceHandle) -> FijiStyleStitcher {
-        self.trace = trace;
-        self
     }
 }
 

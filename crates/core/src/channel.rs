@@ -30,12 +30,14 @@ use std::sync::Arc;
 use stitch_image::{
     tiff, FlatField, FlatFieldEstimator, Image, MultiChannelPlate, MultiGridManifest,
 };
+use stitch_trace::TraceHandle;
 
 use crate::compose::{Blend, Composer};
 use crate::fault::{FailurePolicy, SourceError, StitchError};
-use crate::global_opt::{AbsolutePositions, GlobalOptimizer};
+use crate::global_opt::AbsolutePositions;
 use crate::grid::GridShape;
 use crate::par::{default_workers, par_map};
+use crate::pass::run_pass;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::TileId;
@@ -512,6 +514,35 @@ impl ChannelSession {
             Arc::new(CorrectedSource::new(base, Arc::clone(flat)))
         }
     }
+
+    /// One pass over the registration source (default [`FailurePolicy`]);
+    /// then, only when `blend` is given, the frame replayed over every
+    /// unit on `stitcher`'s thread count, each compose traced on `trace`.
+    pub fn replay(
+        &self,
+        stitcher: &dyn Stitcher,
+        blend: Option<Blend>,
+        trace: &TraceHandle,
+    ) -> Result<ChannelRun, StitchError> {
+        let (reg, policy) = (self.registration_source(), FailurePolicy::default());
+        let pass = run_pass(stitcher, reg.as_ref(), &policy, None, trace, &|| false)?;
+        let positions = pass.positions.expect("a pass that is never stopped solves");
+        // the units are the pass's one level of threads: each composes alone
+        let mosaics = match blend {
+            Some(blend) => par_map(stitcher.threads(), self.units(), |unit| {
+                let composer = Composer::new(positions.clone(), blend)
+                    .with_workers(1)
+                    .with_trace(trace.clone());
+                (unit, composer.compose(self.unit_source(unit).as_ref()))
+            }),
+            None => Vec::new(),
+        };
+        Ok(ChannelRun {
+            registration: pass.result,
+            positions,
+            mosaics,
+        })
+    }
 }
 
 /// The output of a channel run: the reference registration, the solved
@@ -522,13 +553,13 @@ pub struct ChannelRun {
     pub registration: StitchResult,
     /// The solved frame every unit is composed with.
     pub positions: AbsolutePositions,
-    /// One mosaic per compose unit, in [`ChannelSession::units`] order.
+    /// One mosaic per compose unit, in [`ChannelSession::units`] order
+    /// (none when the replay was asked for no mosaics).
     pub mosaics: Vec<(ComposeUnit, Image<u16>)>,
 }
 
-/// The one channel driver: register once on the session's reference
-/// source (default [`FailurePolicy`]), solve, and replay the frame across
-/// every compose unit on `stitcher`'s thread count. `stitch_testkit`'s
+/// The one channel driver: [`ChannelSession::replay`] with every unit
+/// composed and nothing traced. `stitch_testkit`'s
 /// channel differential proves every unit composed with positions
 /// bit-identical to a solo run over the reference source.
 pub fn run_channel_plan(
@@ -536,20 +567,7 @@ pub fn run_channel_plan(
     stitcher: &dyn Stitcher,
     blend: Blend,
 ) -> Result<ChannelRun, StitchError> {
-    let reg = session.registration_source();
-    let registration =
-        stitcher.try_compute_displacements(reg.as_ref(), &FailurePolicy::default())?;
-    let positions = GlobalOptimizer::default().solve(&registration);
-    // the units are the pass's one level of threads: each composes alone
-    let mosaics = par_map(stitcher.threads(), session.units(), |unit| {
-        let composer = Composer::new(positions.clone(), blend).with_workers(1);
-        (unit, composer.compose(session.unit_source(unit).as_ref()))
-    });
-    Ok(ChannelRun {
-        registration,
-        positions,
-        mosaics,
-    })
+    session.replay(stitcher, Some(blend), &TraceHandle::disabled())
 }
 
 #[cfg(test)]

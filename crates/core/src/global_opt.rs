@@ -50,25 +50,18 @@ const RESIDUAL_FILTER_PX: f64 = 3.0;
 /// IRLS rounds before the residual trim.
 const REFILTER_ROUNDS: usize = 2;
 
+/// Conjugate-gradient iteration cap (least squares, and the shard
+/// driver's anchor solve).
+pub const CG_MAX_ITERATIONS: usize = 1000;
+
+/// Conjugate-gradient residual tolerance.
+pub const CG_TOLERANCE: f64 = 1e-9;
+
 /// Phase-2 configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GlobalOptimizer {
     /// Resolution strategy.
     pub method: Method,
-    /// Conjugate-gradient iteration cap (least squares only).
-    pub max_iterations: usize,
-    /// Conjugate-gradient residual tolerance.
-    pub tolerance: f64,
-}
-
-impl Default for GlobalOptimizer {
-    fn default() -> Self {
-        GlobalOptimizer {
-            method: Method::LeastSquares,
-            max_iterations: 1000,
-            tolerance: 1e-9,
-        }
-    }
 }
 
 /// Absolute tile positions (phase-2 output), normalized so the minimum
@@ -129,6 +122,11 @@ struct Edge {
 impl GlobalOptimizer {
     /// Resolves a phase-1 result into absolute positions.
     pub fn solve(&self, result: &StitchResult) -> AbsolutePositions {
+        self.solve_to(result, CG_TOLERANCE)
+    }
+
+    /// [`solve`](Self::solve) with conjugate gradient run to `tolerance`.
+    fn solve_to(&self, result: &StitchResult, tolerance: f64) -> AbsolutePositions {
         let shape = result.shape;
         let n = shape.tiles();
         if n == 0 {
@@ -140,7 +138,7 @@ impl GlobalOptimizer {
         let mut edges = self.collect_edges(result);
         let mut positions = match self.method {
             Method::SpanningTree => self.solve_mst(shape, &edges),
-            Method::LeastSquares => self.solve_least_squares(shape, &edges),
+            Method::LeastSquares => self.solve_least_squares(shape, &edges, tolerance),
         };
         // robust refinement (least squares only: a spanning tree has no
         // redundancy to expose outliers). Plain hard thresholding is
@@ -159,14 +157,14 @@ impl GlobalOptimizer {
                     let r = residual(e, &positions) / RESIDUAL_FILTER_PX;
                     e.weight = e.base_weight / (1.0 + r * r);
                 }
-                positions = self.solve_least_squares(shape, &edges);
+                positions = self.solve_least_squares(shape, &edges, tolerance);
             }
             // final hard trim: by now outlier residuals stand out
             edges.retain(|e| residual(e, &positions) <= RESIDUAL_FILTER_PX);
             for e in edges.iter_mut() {
                 e.weight = e.base_weight;
             }
-            positions = self.solve_least_squares(shape, &edges);
+            positions = self.solve_least_squares(shape, &edges, tolerance);
         }
         // normalize: min coordinate → 0
         let min_x = positions.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
@@ -265,7 +263,12 @@ impl GlobalOptimizer {
 
     /// Weighted least squares via conjugate gradient on the graph
     /// Laplacian (node 0 pinned to the origin), solved per axis.
-    fn solve_least_squares(&self, shape: GridShape, edges: &[Edge]) -> Vec<(f64, f64)> {
+    fn solve_least_squares(
+        &self,
+        shape: GridShape,
+        edges: &[Edge],
+        tolerance: f64,
+    ) -> Vec<(f64, f64)> {
         let n = shape.tiles();
         if n == 1 {
             return vec![(0.0, 0.0)];
@@ -307,7 +310,7 @@ impl GlobalOptimizer {
             if rs == 0.0 {
                 return x;
             }
-            for _ in 0..self.max_iterations {
+            for _ in 0..CG_MAX_ITERATIONS {
                 apply(&p, &mut ap);
                 ap[0] = 0.0;
                 let p_ap: f64 = p[1..].iter().zip(&ap[1..]).map(|(a, b)| a * b).sum();
@@ -320,7 +323,7 @@ impl GlobalOptimizer {
                     r[i] -= alpha * ap[i];
                 }
                 let rs_new: f64 = r[1..].iter().map(|v| v * v).sum();
-                if rs_new.sqrt() < self.tolerance {
+                if rs_new.sqrt() < tolerance {
                     break;
                 }
                 let beta = rs_new / rs;
@@ -479,10 +482,7 @@ mod tests {
         let truth = grid_truth(shape, 50, 40, 3);
         let r = exact_result(shape, &truth);
         for method in [Method::SpanningTree, Method::LeastSquares] {
-            let opt = GlobalOptimizer {
-                method,
-                ..GlobalOptimizer::default()
-            };
+            let opt = GlobalOptimizer { method };
             let sol = opt.solve(&r);
             assert_eq!(sol.max_deviation(&truth), (0, 0), "{method:?}");
         }
@@ -556,10 +556,7 @@ mod tests {
             r.west[i] = Some(Displacement::new(-120, 75, 0.08));
             let mut solutions = Vec::new();
             for method in [Method::SpanningTree, Method::LeastSquares] {
-                let opt = GlobalOptimizer {
-                    method,
-                    ..GlobalOptimizer::default()
-                };
+                let opt = GlobalOptimizer { method };
                 let sol = opt.solve(&r);
                 assert_eq!(
                     sol.max_deviation(&truth),
@@ -586,19 +583,14 @@ mod tests {
         let shape = GridShape::new(8, 8);
         let truth = grid_truth(shape, 55, 43, 3);
         let r = exact_result(shape, &truth);
-        let defaults = GlobalOptimizer::default();
-        assert_eq!(defaults.tolerance, 1e-9, "documented default tolerance");
-        assert!(defaults.max_iterations >= shape.tiles());
-        let sol = defaults.solve(&r);
+        assert_eq!(CG_TOLERANCE, 1e-9, "documented default tolerance");
+        assert!(CG_MAX_ITERATIONS >= shape.tiles());
+        let opt = GlobalOptimizer::default();
+        let sol = opt.solve(&r);
         assert_eq!(sol.max_deviation(&truth), (0, 0));
-        let tighter = GlobalOptimizer {
-            tolerance: 1e-12,
-            max_iterations: 10_000,
-            ..GlobalOptimizer::default()
-        };
         assert_eq!(
             sol,
-            tighter.solve(&r),
+            opt.solve_to(&r, 1e-12),
             "default tolerance must already be converged"
         );
     }
@@ -612,7 +604,6 @@ mod tests {
         r.west[i] = Some(Displacement::new(999, -999, 0.02));
         let opt = GlobalOptimizer {
             method: Method::SpanningTree,
-            ..GlobalOptimizer::default()
         };
         let sol = opt.solve(&r);
         assert_eq!(sol.max_deviation(&truth), (0, 0));

@@ -23,16 +23,23 @@
 //! 3. **Composition** — [`Composer`] renders the mosaic (overlay /
 //!    average / feathered blends, on-demand regions, pyramids).
 //!
+//! Every product caller builds its stitcher with [`Variant::build`] and
+//! runs the three phases with [`run_pass`] ([`pass`]):
+//!
 //! ```no_run
 //! use stitch_core::prelude::*;
 //! use stitch_image::{ScanConfig, SyntheticPlate};
+//! use stitch_trace::TraceHandle;
 //!
 //! let plate = SyntheticPlate::generate(ScanConfig::default());
 //! let source = SyntheticSource::new(plate);
-//! let result = SimpleCpuStitcher::default().compute_displacements(&source);
-//! let positions = GlobalOptimizer::default().solve(&result);
-//! let mosaic = Composer::new(positions, Blend::Overlay).compose(&source);
+//! let stitcher = Variant::PipelinedCpu.build(&Resources { threads: 4, ..Resources::default() });
+//! let overlay = MosaicSpec { blend: Blend::Overlay, workers: 4, highlight: false };
+//! let (policy, trace) = (FailurePolicy::default(), TraceHandle::disabled());
+//! let pass = run_pass(stitcher.as_ref(), &source, &policy, Some(overlay), &trace, &|| false)?;
+//! let mosaic = pass.mosaic.expect("asked for and never stopped");
 //! println!("stitched {}x{} pixels", mosaic.width(), mosaic.height());
+//! # Ok::<(), StitchError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -49,6 +56,7 @@ pub mod mt_cpu;
 pub mod opcount;
 pub mod pairgraph;
 pub mod par;
+pub mod pass;
 pub mod pciam;
 pub mod pipelined_cpu;
 pub mod pipelined_gpu;
@@ -78,6 +86,7 @@ pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
 pub use par::{default_workers, par_map};
+pub use pass::{run_pass, MosaicSpec, Pass, Resources, Variant};
 pub use pciam::PciamContext;
 #[doc(hidden)]
 pub use pipelined_cpu::TransformKind;
@@ -104,6 +113,7 @@ pub mod prelude {
     };
     pub use crate::global_opt::{AbsolutePositions, GlobalOptimizer, Method};
     pub use crate::grid::{GridShape, Traversal};
+    pub use crate::pass::{run_pass, MosaicSpec, Pass, Resources, Variant};
     pub use crate::source::{DirSource, MemorySource, SubgridSource, SyntheticSource, TileSource};
     pub use crate::stitcher::{truth_vectors, StitchResult, Stitcher};
     pub use crate::types::{Displacement, PairKind, TileId};

@@ -32,8 +32,9 @@ type CachedTile = (Arc<Image<u16>>, Arc<PooledSpectrum>);
 
 /// SPMD multi-threaded stitcher.
 pub struct MtCpuStitcher {
-    threads: usize,
-    trace: TraceHandle,
+    pub(crate) threads: usize,
+    /// Each band worker's read/FFT/CCF spans (track `"band{i}"`).
+    pub(crate) trace: TraceHandle,
 }
 
 impl MtCpuStitcher {
@@ -44,13 +45,6 @@ impl MtCpuStitcher {
             threads,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Records each band worker's read/FFT/CCF spans into `trace` (track
-    /// `"band{i}"`).
-    pub fn with_trace(mut self, trace: TraceHandle) -> MtCpuStitcher {
-        self.trace = trace;
-        self
     }
 }
 

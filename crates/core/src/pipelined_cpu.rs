@@ -101,13 +101,14 @@ impl PipelinedCpuConfig {
 
 /// The Pipelined-CPU stitcher.
 pub struct PipelinedCpuStitcher {
-    config: PipelinedCpuConfig,
-    trace: TraceHandle,
-    shared_spectra: Option<SpectrumPool>,
-    shared_planner: Option<Arc<Planner>>,
+    pub(crate) config: PipelinedCpuConfig,
+    pub(crate) trace: TraceHandle,
+    /// Shared pool and planner ([`Resources`](crate::Resources)).
+    pub(crate) shared_spectra: Option<SpectrumPool>,
+    pub(crate) shared_planner: Option<Arc<Planner>>,
     /// Test seam: the fft stage panics when it meets this tile.
     #[cfg(test)]
-    fft_panic_at: Option<TileId>,
+    pub(crate) fft_panic_at: Option<TileId>,
 }
 
 #[derive(Clone)]
@@ -166,26 +167,6 @@ impl PipelinedCpuStitcher {
             #[cfg(test)]
             fft_panic_at: None,
         }
-    }
-
-    /// Runs over an externally owned [`SpectrumPool`] instead of a
-    /// private per-run one. This is the batch scheduler's quota hook: the
-    /// pool may be [`SpectrumPool::bounded`], in which case its cap must
-    /// be at least the transform-pool size (each in-flight tile holds at
-    /// most one spectrum) or the run will stall on acquire. The pool's
-    /// `buf_len` must be [`PciamContext::spectrum_len`] of the source's
-    /// tile dims (checked at run time).
-    pub fn with_spectrum_pool(mut self, pool: SpectrumPool) -> PipelinedCpuStitcher {
-        self.shared_spectra = Some(pool);
-        self
-    }
-
-    /// Runs over an externally owned FFT [`Planner`] (plans cached by
-    /// size inside) instead of a private per-run one, so concurrent jobs
-    /// with equal tile dims share plan-construction work.
-    pub fn with_planner(mut self, planner: Arc<Planner>) -> PipelinedCpuStitcher {
-        self.shared_planner = Some(planner);
-        self
     }
 
     /// Records every stage's spans into `trace`: reader tracks
@@ -531,9 +512,11 @@ mod tests {
     fn fft_stage_panic_is_an_error_not_a_hang() {
         for threads in [1, 2] {
             let spectra = SpectrumPool::new(PciamContext::spectrum_len(64, 48));
-            let mut stitcher =
-                PipelinedCpuStitcher::new(threads).with_spectrum_pool(spectra.clone());
-            stitcher.fft_panic_at = Some(TileId::new(1, 2));
+            let stitcher = PipelinedCpuStitcher {
+                shared_spectra: Some(spectra.clone()),
+                fft_panic_at: Some(TileId::new(1, 2)),
+                ..PipelinedCpuStitcher::new(threads)
+            };
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
                 let run =

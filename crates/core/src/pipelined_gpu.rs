@@ -79,12 +79,14 @@ impl Default for PipelinedGpuConfig {
 
 /// The multi-GPU pipelined stitcher.
 pub struct PipelinedGpuStitcher {
-    devices: Vec<Device>,
-    config: PipelinedGpuConfig,
-    trace: TraceHandle,
+    pub(crate) devices: Vec<Device>,
+    pub(crate) config: PipelinedGpuConfig,
+    /// Host stages (`"pipe{id}/read"` … `"ccf.{i}"`) with their stats,
+    /// then each device profiler's spans (`"gpu{id}/{stream}"`).
+    pub(crate) trace: TraceHandle,
     /// Test seam: a device's FFT stage panics when it meets this tile.
     #[cfg(test)]
-    fft_panic_at: Option<TileId>,
+    pub(crate) fft_panic_at: Option<TileId>,
 }
 
 /// A tile's host pixels with their mean, taken once when the tile is
@@ -214,16 +216,6 @@ impl PipelinedGpuStitcher {
     /// Single-device convenience.
     pub fn single(device: Device) -> PipelinedGpuStitcher {
         PipelinedGpuStitcher::new(vec![device], PipelinedGpuConfig::default())
-    }
-
-    /// Records host-side stage spans (tracks `"pipe{id}/read"`,
-    /// `"pipe{id}/copy.0"` … `"pipe{id}/disp.0"`, CCF workers on
-    /// `"ccf.{i}"`), per-stage and per-queue stats, and — at the end of
-    /// the run — each device profiler's H2D/D2H/kernel/sync spans on the
-    /// same clock (tracks `"gpu{id}/{stream}"`).
-    pub fn with_trace(mut self, trace: TraceHandle) -> PipelinedGpuStitcher {
-        self.trace = trace;
-        self
     }
 
     /// Registers one device's five stages on `pipeline`. Returns the

@@ -26,9 +26,10 @@ use crate::types::TileId;
 
 /// Sequential single-threaded stitcher.
 pub struct SimpleCpuStitcher {
-    traversal: Traversal,
-    plan_mode: PlanMode,
-    trace: TraceHandle,
+    pub(crate) traversal: Traversal,
+    pub(crate) plan_mode: PlanMode,
+    /// Read/FFT/CCF spans (track `"cpu/main"`).
+    pub(crate) trace: TraceHandle,
 }
 
 impl Default for SimpleCpuStitcher {
@@ -56,12 +57,6 @@ impl SimpleCpuStitcher {
             plan_mode,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Records read/FFT/CCF spans into `trace` (track `"cpu/main"`).
-    pub fn with_trace(mut self, trace: TraceHandle) -> SimpleCpuStitcher {
-        self.trace = trace;
-        self
     }
 }
 

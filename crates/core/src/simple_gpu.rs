@@ -27,8 +27,9 @@ use crate::stitcher::{StitchResult, Stitcher};
 
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
-    device: Device,
-    trace: TraceHandle,
+    pub(crate) device: Device,
+    /// Host reads, then the device profiler's spans (`"gpu{id}/{stream}"`).
+    pub(crate) trace: TraceHandle,
 }
 
 struct DeviceTile {
@@ -45,14 +46,6 @@ impl SimpleGpuStitcher {
             device,
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Records host read spans into `trace` and, at the end of the run,
-    /// exports the device profiler's spans onto the same clock (tracks
-    /// `"gpu{id}/{stream}"`).
-    pub fn with_trace(mut self, trace: TraceHandle) -> SimpleGpuStitcher {
-        self.trace = trace;
-        self
     }
 }
 

@@ -11,61 +11,9 @@ use stitch_core::{AbsolutePositions, PciamContext, StitchResult, TileSource};
 use stitch_image::{Image, ScanConfig};
 use stitch_trace::RunReport;
 
-/// Which stitcher implementation a job runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JobVariant {
-    /// Sequential reference CPU implementation.
-    SimpleCpu,
-    /// Multi-threaded CPU implementation.
-    MtCpu,
-    /// Three-stage pipelined CPU implementation.
-    PipelinedCpu,
-    /// Fiji-style per-pair implementation.
-    FijiStyle,
-    /// Single-stream GPU implementation (needs a shared device).
-    SimpleGpu,
-    /// Pipelined GPU implementation (needs a shared device).
-    PipelinedGpu,
-}
-
-impl JobVariant {
-    /// The CLI/job-file token for this variant.
-    pub fn token(&self) -> &'static str {
-        match self {
-            JobVariant::SimpleCpu => "simple-cpu",
-            JobVariant::MtCpu => "mt-cpu",
-            JobVariant::PipelinedCpu => "pipelined-cpu",
-            JobVariant::FijiStyle => "fiji",
-            JobVariant::SimpleGpu => "simple-gpu",
-            JobVariant::PipelinedGpu => "pipelined-gpu",
-        }
-    }
-
-    /// Whether this variant runs on the shared simulated device.
-    pub fn needs_device(&self) -> bool {
-        matches!(self, JobVariant::SimpleGpu | JobVariant::PipelinedGpu)
-    }
-}
-
-/// The `--impl` / `variant=` tokens ([`JobVariant::token`]).
-impl std::str::FromStr for JobVariant {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<JobVariant, String> {
-        match s {
-            "simple-cpu" => Ok(JobVariant::SimpleCpu),
-            "mt-cpu" => Ok(JobVariant::MtCpu),
-            "pipelined-cpu" => Ok(JobVariant::PipelinedCpu),
-            "fiji" => Ok(JobVariant::FijiStyle),
-            "simple-gpu" => Ok(JobVariant::SimpleGpu),
-            "pipelined-gpu" => Ok(JobVariant::PipelinedGpu),
-            other => Err(format!(
-                "unknown variant '{other}' (expected simple-cpu, mt-cpu, \
-                 pipelined-cpu, fiji, simple-gpu, or pipelined-gpu)"
-            )),
-        }
-    }
-}
+/// Which stitcher implementation a job runs: stitch-core's variant table
+/// under the name job files, the CLI and the scheduler's callers use.
+pub use stitch_core::Variant as JobVariant;
 
 /// Fault-injection hooks carried by a job — the scheduler-level sibling
 /// of the tile/GPU fault specs from the fault-tolerance layer. Both

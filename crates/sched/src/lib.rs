@@ -20,6 +20,12 @@
 //!   [`StreamLease`](stitch_gpu::StreamLease) for their run; a device
 //!   configured with `stream_slots` bounds cross-job GPU concurrency.
 //!
+//! A job is one pass: its stitcher comes from stitch-core's variant table
+//! ([`JobVariant`] is `stitch_core::Variant`) built over these arbitrated
+//! `Resources`, and `stitch_core::run_pass` runs it, stopping at a phase
+//! boundary on cancel. A preview job's pass is the incremental canvas:
+//! its final solve is phase 2 and the finished canvas the mosaic.
+//!
 //! Scheduling is stride-based fair share with priorities
 //! ([`Scheduler`]), with per-job cancellation ([`JobHandle::cancel`]),
 //! queue deadlines, and backpressure at `max_pending`. Panic containment

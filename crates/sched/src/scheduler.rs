@@ -37,6 +37,7 @@
 //!   during unwinding, so a crashing job cannot cost a slot, leak budget
 //!   or deadlock siblings.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,11 +47,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use stitch_canvas::{run_incremental, CanvasConfig, IncrementalConfig, SharedCanvas};
 use stitch_core::{
-    Blend, Composer, FailurePolicy, GlobalOptimizer, MtCpuStitcher, PciamContext,
-    PipelinedCpuConfig, PipelinedCpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher, Stitcher,
-};
-use stitch_core::{
-    FijiStyleStitcher, PipelinedGpuConfig, PipelinedGpuStitcher, StitchError, StitchResult,
+    run_pass, Blend, FailurePolicy, MosaicSpec, Pass, PciamContext, Resources, StitchError,
     SyntheticSource, TileSource,
 };
 use stitch_fft::PlanMode;
@@ -706,46 +703,50 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
         }
     };
     let mut out = JobOutcome::unstarted(&job.name, JobStatus::Completed);
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    // Phase 1 is the stitcher's: a panic there fails the job here. One
+    // past the first phase boundary unwinds on to the guard, which fails
+    // the job the same way a panic anywhere else in it does.
+    let past_phase1 = Cell::new(false);
+    let stop = || {
+        past_phase1.set(true);
+        handle.cancelled()
+    };
+    let pass = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if job.chaos.panic_at_start {
             panic!("chaos: injected job panic");
         }
         if job.preview {
-            run_preview(source, &handle)
-        } else {
-            let stitcher = build_stitcher(inner, &job, &job_trace);
-            stitcher.try_compute_displacements(source, &FailurePolicy::default())
+            return run_preview(source, &handle, job.compose, &stop);
         }
+        // the arbitrated substrates: a bounded per-job pool quota and the
+        // shared FFT plan cache
+        let buf_len = PciamContext::spectrum_len(job.scan.tile_width, job.scan.tile_height);
+        let stitcher = job.variant.build(&Resources {
+            threads: job.threads,
+            devices: inner.device.iter().cloned().collect(),
+            trace: job_trace.clone(),
+            spectrum_pool: Some(inner.arbiter.quota_pool(buf_len, job.spectrum_quota())),
+            planner: Some(inner.arbiter.planner(PlanMode::Estimate)),
+        });
+        let mosaic = job.compose.then_some(MosaicSpec {
+            blend: Blend::Overlay,
+            workers: job.threads,
+            highlight: false,
+        });
+        let policy = FailurePolicy::default();
+        run_pass(&*stitcher, source, &policy, mosaic, &job_trace, &stop)
     }));
-    match outcome {
+    match pass {
+        Err(panic) if past_phase1.get() => std::panic::resume_unwind(panic),
         Err(_) => out.status = JobStatus::Failed("stitcher panicked".into()),
         Ok(Err(e)) => out.status = JobStatus::Failed(e.to_string()),
-        Ok(Ok(result)) => {
-            if handle.cancelled() {
+        Ok(Ok(pass)) => {
+            if pass.stopped {
                 out.status = handle.cancel_status();
-                out.result = Some(result);
-            } else {
-                let positions = GlobalOptimizer::default().solve(&result);
-                if handle.cancelled() {
-                    out.status = handle.cancel_status();
-                } else if job.compose {
-                    // a preview job's finished canvas is the mosaic
-                    // (`stitch_canvas::incremental`): read it, don't
-                    // render every tile a second time
-                    out.mosaic = Some(match handle.preview_canvas() {
-                        Some(canvas) => {
-                            let (tw, th) = source.tile_dims();
-                            let (mw, mh) = positions.mosaic_dims(tw, th);
-                            canvas.get_region(0, 0, 0, mw, mh)
-                        }
-                        None => Composer::new(positions.clone(), Blend::Overlay)
-                            .with_workers(job.threads)
-                            .compose(source),
-                    });
-                }
-                out.result = Some(result);
-                out.positions = Some(positions);
             }
+            out.result = Some(pass.result);
+            out.positions = pass.positions;
+            out.mosaic = pass.mosaic;
         }
     }
     if job_trace.is_enabled() {
@@ -758,69 +759,43 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
     handle.finish(out);
 }
 
-/// Preview-path phase 1: feed tiles in row-major order through the
-/// incremental driver so the job's [`SharedCanvas`] (installed on the
-/// handle at submit) fills in as registration proceeds. The returned
-/// displacements are bit-identical to the batch stitchers — phase 1 is
-/// a pure per-pair function, so arrival order is irrelevant. A cancel
-/// stops the arrivals between tiles; the partial result is finalized
-/// and the caller resolves the job as cancelled.
-fn run_preview(source: &dyn TileSource, handle: &JobHandle) -> Result<StitchResult, StitchError> {
+/// A preview job's pass: tiles go in row-major order through the
+/// incremental driver, so the job's [`SharedCanvas`] (installed on the
+/// handle at submit) fills in as registration proceeds. The displacements
+/// are bit-identical to the batch stitchers' — phase 1 is a pure per-pair
+/// function, so arrival order is irrelevant — and so is the canvas's
+/// final solve: it is phase 2, and the finished canvas is the mosaic, so
+/// neither is done twice. A cancel stops the arrivals between tiles and
+/// the pass after phase 1.
+fn run_preview(
+    source: &dyn TileSource,
+    handle: &JobHandle,
+    compose: bool,
+    stop: &dyn Fn() -> bool,
+) -> Result<Pass, StitchError> {
     let canvas = handle
         .preview_canvas()
         .expect("preview canvas installed at submit");
-    run_incremental(
+    let outcome = run_incremental(
         source,
         source.shape().ids().take_while(|_| !handle.cancelled()),
         IncrementalConfig::default(),
-        canvas,
+        Arc::clone(&canvas),
         &FailurePolicy::default(),
-    )
-    .map(|outcome| outcome.result)
-}
-
-fn build_stitcher(
-    inner: &Arc<SchedInner>,
-    job: &StitchJob,
-    trace: &TraceHandle,
-) -> Box<dyn Stitcher> {
-    match job.variant {
-        JobVariant::SimpleCpu => Box::new(SimpleCpuStitcher::default().with_trace(trace.clone())),
-        JobVariant::MtCpu => Box::new(MtCpuStitcher::new(job.threads).with_trace(trace.clone())),
-        JobVariant::PipelinedCpu => {
-            // The arbitrated substrates: a bounded per-job pool quota and
-            // the shared FFT plan cache.
-            let buf_len = PciamContext::spectrum_len(job.scan.tile_width, job.scan.tile_height);
-            let pool = inner.arbiter.quota_pool(buf_len, job.spectrum_quota());
-            let planner = inner.arbiter.planner(PlanMode::Estimate);
-            Box::new(
-                PipelinedCpuStitcher::with_config(PipelinedCpuConfig::with_threads(job.threads))
-                    .with_spectrum_pool(pool)
-                    .with_planner(planner)
-                    .with_trace(trace.clone()),
-            )
-        }
-        JobVariant::FijiStyle => {
-            Box::new(FijiStyleStitcher::new(job.threads).with_trace(trace.clone()))
-        }
-        JobVariant::SimpleGpu => {
-            let device = inner.device.clone().expect("checked at submit");
-            Box::new(SimpleGpuStitcher::new(device).with_trace(trace.clone()))
-        }
-        JobVariant::PipelinedGpu => {
-            let device = inner.device.clone().expect("checked at submit");
-            Box::new(
-                PipelinedGpuStitcher::new(
-                    vec![device],
-                    PipelinedGpuConfig {
-                        ccf_threads: job.threads.max(1),
-                        ..Default::default()
-                    },
-                )
-                .with_trace(trace.clone()),
-            )
-        }
+    )?;
+    let mut pass = Pass {
+        result: outcome.result,
+        positions: None,
+        mosaic: None,
+        stopped: stop(),
+    };
+    if !pass.stopped {
+        let (tw, th) = source.tile_dims();
+        let (mw, mh) = outcome.positions.mosaic_dims(tw, th);
+        pass.mosaic = compose.then(|| canvas.get_region(0, 0, 0, mw, mh));
+        pass.positions = Some(outcome.positions);
     }
+    Ok(pass)
 }
 
 #[cfg(test)]

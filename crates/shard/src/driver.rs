@@ -160,7 +160,7 @@ pub fn stitch_sharded(
     config: &ShardConfig,
 ) -> Result<ShardOutcome, ShardError> {
     let mut collected: Option<(usize, Vec<u16>, usize)> = None; // (width, pixels, rows)
-    let mut outcome = run_sharded(source, config, &mut |y0, band: Image<u16>| {
+    let mut outcome = stitch_sharded_streaming(source, config, &mut |y0, band: Image<u16>| {
         let (w, pixels, rows) = collected.get_or_insert((band.width(), Vec::new(), 0));
         debug_assert_eq!(*w, band.width());
         debug_assert_eq!(*rows, y0);
@@ -171,18 +171,6 @@ pub fn stitch_sharded(
         outcome.mosaic = Some(Image::from_vec(w, rows, pixels));
     }
     Ok(outcome)
-}
-
-/// Stitches `source` shard-by-shard, streaming composition bands to
-/// `sink(y0, band)` top-to-bottom instead of materializing the mosaic —
-/// the out-of-core path: peak memory stays flat in grid size. The sink
-/// is only called when [`ShardConfig::compose`] is set.
-pub fn stitch_sharded_streaming(
-    source: Arc<dyn TileSource>,
-    config: &ShardConfig,
-    sink: &mut dyn FnMut(usize, Image<u16>),
-) -> Result<ShardOutcome, ShardError> {
-    run_sharded(source, config, sink)
 }
 
 /// Stitches `source` shard-by-shard, baking each composition band into
@@ -198,12 +186,16 @@ pub fn stitch_sharded_into_canvas(
     config: &ShardConfig,
     canvas: &stitch_canvas::SharedCanvas,
 ) -> Result<ShardOutcome, ShardError> {
-    run_sharded(source, config, &mut |y0, band| {
+    stitch_sharded_streaming(source, config, &mut |y0, band| {
         canvas.bake_region((0, y0 as i64), &band);
     })
 }
 
-fn run_sharded(
+/// Stitches `source` shard-by-shard, streaming composition bands to
+/// `sink(y0, band)` top-to-bottom instead of materializing the mosaic —
+/// the out-of-core path: peak memory stays flat in grid size. The sink
+/// is only called when [`ShardConfig::compose`] is set.
+pub fn stitch_sharded_streaming(
     source: Arc<dyn TileSource>,
     config: &ShardConfig,
     sink: &mut dyn FnMut(usize, Image<u16>),

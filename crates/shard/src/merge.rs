@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use stitch_core::global_opt::MIN_CORRELATION;
+use stitch_core::global_opt::{CG_MAX_ITERATIONS, CG_TOLERANCE, MIN_CORRELATION};
 use stitch_core::{
     default_workers, par_map, AbsolutePositions, Displacement, FailurePolicy, FaultTracker,
     GlobalOptimizer, HealthReport, OpCounters, PciamContext, PooledSpectrum, SpectrumPool,
@@ -243,12 +243,14 @@ pub struct HierarchicalSolve {
 /// identical to the flat least-squares-with-IRLS solve on the merged
 /// graph when measurements disagree — which is why the driver commits
 /// the merged-graph solve and uses this as the provisional streaming
-/// frame plus a consistency audit.
+/// frame plus a consistency audit. The anchors are always solved this
+/// way, to the optimizer's conjugate-gradient constants; the optimizer
+/// argument's method does not apply.
 pub fn solve_hierarchical(
     plan: &ShardPlan,
     locals: &[AbsolutePositions],
     seams: &SeamOutcome,
-    optimizer: &GlobalOptimizer,
+    _optimizer: &GlobalOptimizer,
     tile_dims: (usize, usize),
 ) -> HierarchicalSolve {
     let n = plan.shard_count();
@@ -302,8 +304,8 @@ pub fn solve_hierarchical(
         let mut r: Vec<f64> = rhs[1..].to_vec();
         let mut p = r.clone();
         let mut rs: f64 = r.iter().map(|v| v * v).sum();
-        for _ in 0..optimizer.max_iterations.max(n) {
-            if rs.sqrt() <= optimizer.tolerance {
+        for _ in 0..CG_MAX_ITERATIONS.max(n) {
+            if rs.sqrt() <= CG_TOLERANCE {
                 break;
             }
             // ap = L[1.., 1..] * p

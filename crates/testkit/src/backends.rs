@@ -102,13 +102,13 @@ struct Outputs {
 
 fn run_under(choice: BackendChoice, source: &impl TileSource) -> Outputs {
     backend::select(choice);
-    let result = SimpleCpuStitcher::default().compute_displacements(source);
-    let positions = GlobalOptimizer::default().solve(&result);
-    let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(source);
+    let overlay = Some(crate::overlay());
+    let (result, positions, mosaic) =
+        crate::reference_pass(&SimpleCpuStitcher::default(), source, overlay);
     Outputs {
         result,
         positions,
-        mosaic,
+        mosaic: mosaic.expect("composed"),
     }
 }
 

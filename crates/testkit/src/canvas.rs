@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use stitch_canvas::{run_incremental, CanvasConfig, IncrementalConfig, SharedCanvas};
 use stitch_core::{
-    pyramid, Blend, Composer, FailurePolicy, GlobalOptimizer, GridShape, SimpleCpuStitcher,
-    Stitcher, SyntheticSource, TileId, TileSource,
+    pyramid, Blend, FailurePolicy, GridShape, MosaicSpec, SimpleCpuStitcher, SyntheticSource,
+    TileId, TileSource,
 };
 use stitch_image::{Fnv64, ScanConfig, SyntheticPlate};
 
@@ -130,19 +130,20 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
         }
 
         // the one-shot oracle over the same plate
-        let baseline = SimpleCpuStitcher::default()
-            .try_compute_displacements(&source, &FailurePolicy::default())
-            .expect("baseline stitch on a clean synthetic plate");
-        let positions = GlobalOptimizer::default().solve(&baseline);
+        let spec = MosaicSpec {
+            blend,
+            highlight,
+            ..crate::overlay()
+        };
+        let (_, positions, mosaic) =
+            crate::reference_pass(&SimpleCpuStitcher::default(), &source, Some(spec));
         if positions != out.positions {
             mismatches.push(CanvasMismatch {
                 label: label.clone(),
                 detail: "incremental final solve differs from batch solve".into(),
             });
         }
-        let mut composer = Composer::new(positions, blend);
-        composer.highlight_tiles = highlight;
-        let mosaic = composer.compose(&source);
+        let mosaic = mosaic.expect("composed");
         let levels = pyramid(mosaic, canvas.max_scale());
 
         for (scale, level) in levels.iter().enumerate() {

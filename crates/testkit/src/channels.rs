@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use stitch_core::{
-    run_channel_plan, Blend, ChannelPlan, ChannelSession, Composer, FailurePolicy, GlobalOptimizer,
+    run_channel_plan, Blend, ChannelPlan, ChannelSession, Composer, FailurePolicy,
     SimpleCpuStitcher, Stitcher, TruthVector, ZMode,
 };
 use stitch_image::{Fnv64, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
@@ -203,10 +203,7 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
 
         // The reference-channel solo run the whole batch must agree with.
         let reg_source = session.registration_source();
-        let solo = stitcher
-            .try_compute_displacements(reg_source.as_ref(), &FailurePolicy::default())
-            .expect("solo registration on a clean synthetic plate");
-        let solo_positions = GlobalOptimizer::default().solve(&solo);
+        let (_, solo_positions, _) = crate::reference_pass(&stitcher, reg_source.as_ref(), None);
 
         let run = match run_channel_plan(&session, &stitcher, Blend::Overlay) {
             Ok(r) => r,

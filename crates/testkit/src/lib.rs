@@ -16,8 +16,7 @@
 //!   with known absolute positions, swept over overlap %, noise level,
 //!   and tile sizes including awkward FFT lengths (primes → Bluestein);
 //! * [`oracle`] — a cross-variant differential oracle that runs all six
-//!   variants (Simple-CPU, MT-CPU, Pipelined-CPU, Simple-GPU,
-//!   Pipelined-GPU, Fiji-style) on the same `TileSource` and asserts
+//!   variants (`stitch_core::Variant::ALL`) on the same `TileSource` and asserts
 //!   bit-identical phase-1 displacements, phase-2 positions, and composed
 //!   mosaics, producing a structured diff report on mismatch;
 //! * [`backends`] — a cross-*backend* differential oracle: the same
@@ -46,9 +45,10 @@
 //!   counts, transfer-model latencies, and fault specs; the same seed
 //!   always yields the same mosaic and health report.
 //!
-//! The top-level `tests/conformance.rs` suite drives all four; setting
-//! `STITCH_TESTKIT_EXHAUSTIVE=1` extends the sweep (see
-//! [`cases::sweep`]).
+//! Every battery's reference run is one `stitch_core::run_pass`, the
+//! driver the product runs. The top-level `tests/conformance.rs` suite
+//! drives all four; setting `STITCH_TESTKIT_EXHAUSTIVE=1` extends the
+//! sweep (see [`cases::sweep`]).
 
 #![warn(missing_docs)]
 
@@ -84,3 +84,36 @@ pub use shard::{
     ShardReport, ShardStressOutcome,
 };
 pub use stress::{run_stress, StressConfig, StressOutcome};
+
+use stitch_core::{
+    default_workers, run_pass, AbsolutePositions, Blend, FailurePolicy, MosaicSpec, StitchResult,
+    Stitcher, TileSource,
+};
+use stitch_image::Image;
+use stitch_trace::TraceHandle;
+
+/// A battery's reference run: one untraced pass under the default policy,
+/// composed per `mosaic`. The plates are clean: a phase-1 failure panics.
+fn reference_pass(
+    stitcher: &dyn Stitcher,
+    source: &dyn TileSource,
+    mosaic: Option<MosaicSpec>,
+) -> (StitchResult, AbsolutePositions, Option<Image<u16>>) {
+    let (policy, untraced) = (FailurePolicy::default(), TraceHandle::disabled());
+    let pass = run_pass(stitcher, source, &policy, mosaic, &untraced, &|| false)
+        .unwrap_or_else(|e| panic!("{}: {e}", stitcher.name()));
+    (
+        pass.result,
+        pass.positions.expect("never stopped"),
+        pass.mosaic,
+    )
+}
+
+/// Overlay on every core: the batteries' phase 3.
+fn overlay() -> MosaicSpec {
+    MosaicSpec {
+        blend: Blend::Overlay,
+        workers: default_workers(),
+        highlight: false,
+    }
+}

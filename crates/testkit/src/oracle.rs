@@ -24,19 +24,21 @@ const MAX_RECORDED_PER_VARIANT: usize = 8;
 /// cheap on CI runners, large enough to exercise real concurrency.
 const THREADS: usize = 2;
 
-/// The six variants of Table II, reference (Simple-CPU) first. A fresh
-/// set is built per call — stitchers hold per-run state (simulated GPU
-/// devices), so sharing them across cases would couple the runs.
+/// The six variants of Table II ([`Variant::ALL`]), reference
+/// (Simple-CPU) first. A fresh set is built per call, each on its own
+/// simulated device — stitchers hold per-run state, so sharing them across
+/// cases would couple the runs.
 pub fn variants() -> Vec<Box<dyn Stitcher>> {
-    let gpu = || Device::new(0, DeviceConfig::small(128 << 20));
-    vec![
-        Box::new(SimpleCpuStitcher::default()),
-        Box::new(MtCpuStitcher::new(THREADS)),
-        Box::new(PipelinedCpuStitcher::new(THREADS)),
-        Box::new(SimpleGpuStitcher::new(gpu())),
-        Box::new(PipelinedGpuStitcher::single(gpu())),
-        Box::new(FijiStyleStitcher::new(THREADS)),
-    ]
+    Variant::ALL
+        .iter()
+        .map(|v| {
+            v.build(&Resources {
+                threads: THREADS,
+                devices: vec![Device::new(0, DeviceConfig::small(128 << 20))],
+                ..Resources::default()
+            })
+        })
+        .collect()
 }
 
 /// What diverged, in enough detail to reproduce and debug.
@@ -225,9 +227,9 @@ pub fn run_case(case: &SweepCase) -> CaseReport {
         let name = stitcher.name();
         report.variants.push(name.clone());
 
-        let result = stitcher.compute_displacements(&source);
-        let positions = GlobalOptimizer::default().solve(&result);
-        let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(&source);
+        let overlay = Some(crate::overlay());
+        let (result, positions, mosaic) = crate::reference_pass(&*stitcher, &source, overlay);
+        let mosaic = mosaic.expect("composed");
 
         match &reference {
             None => {
@@ -383,9 +385,10 @@ mod tests {
             seed: 12,
         };
         let source = case.source();
-        let result = SimpleCpuStitcher::default().compute_displacements(&source);
-        let positions = GlobalOptimizer::default().solve(&result);
-        let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(&source);
+        let overlay = Some(crate::overlay());
+        let stitcher = SimpleCpuStitcher::default();
+        let (result, positions, mosaic) = crate::reference_pass(&stitcher, &source, overlay);
+        let mosaic = mosaic.expect("composed");
         let reference = Reference {
             result: result.clone(),
             positions: positions.clone(),
@@ -434,9 +437,10 @@ mod tests {
             seed: 13,
         };
         let source = case.source();
-        let result = SimpleCpuStitcher::default().compute_displacements(&source);
-        let positions = GlobalOptimizer::default().solve(&result);
-        let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(&source);
+        let overlay = Some(crate::overlay());
+        let stitcher = SimpleCpuStitcher::default();
+        let (result, positions, mosaic) = crate::reference_pass(&stitcher, &source, overlay);
+        let mosaic = mosaic.expect("composed");
         let reference = Reference {
             result: result.clone(),
             positions: positions.clone(),

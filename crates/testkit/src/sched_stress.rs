@@ -26,10 +26,6 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stitch_core::prelude::*;
-use stitch_core::{
-    FijiStyleStitcher, MtCpuStitcher, PipelinedCpuConfig, PipelinedCpuStitcher, PipelinedGpuConfig,
-    PipelinedGpuStitcher, SimpleCpuStitcher, SimpleGpuStitcher,
-};
 use stitch_gpu::{Device, DeviceConfig};
 use stitch_image::{Fnv64, Image, ScanConfig, SyntheticPlate};
 use stitch_sched::{JobStatus, JobVariant, Scheduler, SchedulerConfig, StitchJob, SubmitError};
@@ -54,14 +50,7 @@ impl SchedStressConfig {
     pub fn derive(seed: u64) -> SchedStressConfig {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5c4ed);
         let n_jobs = rng.gen_range(3usize..=6);
-        let variants = [
-            JobVariant::SimpleCpu,
-            JobVariant::MtCpu,
-            JobVariant::PipelinedCpu,
-            JobVariant::FijiStyle,
-            JobVariant::SimpleGpu,
-            JobVariant::PipelinedGpu,
-        ];
+        let variants = JobVariant::ALL;
         let mut jobs = Vec::with_capacity(n_jobs);
         for i in 0..n_jobs {
             let rows = rng.gen_range(2usize..=3);
@@ -253,34 +242,18 @@ pub fn run_sched_stress(seed: u64) -> SchedStressOutcome {
 
 /// Runs one job *alone*, with nothing shared — private pools, private
 /// planner, private device — and digests the result. The differential
-/// baseline for the bit-identical-under-concurrency contract.
+/// baseline for the bit-identical-under-concurrency contract: the
+/// scheduler runs the same variant table and pass driver over *shared*
+/// [`Resources`].
 pub fn run_job_solo(job: &StitchJob) -> JobDigest {
-    let plate = SyntheticPlate::generate(job.scan.clone());
-    let source = SyntheticSource::new(plate);
-    let device = || Device::new(0, DeviceConfig::small(256 << 20));
-    let stitcher: Box<dyn Stitcher> = match job.variant {
-        JobVariant::SimpleCpu => Box::new(SimpleCpuStitcher::default()),
-        JobVariant::MtCpu => Box::new(MtCpuStitcher::new(job.threads)),
-        JobVariant::PipelinedCpu => Box::new(PipelinedCpuStitcher::with_config(
-            PipelinedCpuConfig::with_threads(job.threads),
-        )),
-        JobVariant::FijiStyle => Box::new(FijiStyleStitcher::new(job.threads)),
-        JobVariant::SimpleGpu => Box::new(SimpleGpuStitcher::new(device())),
-        JobVariant::PipelinedGpu => Box::new(PipelinedGpuStitcher::new(
-            vec![device()],
-            PipelinedGpuConfig {
-                ccf_threads: job.threads.max(1),
-                ..Default::default()
-            },
-        )),
-    };
-    let result = stitcher
-        .try_compute_displacements(&source, &FailurePolicy::default())
-        .expect("clean synthetic source");
-    let positions = GlobalOptimizer::default().solve(&result);
-    let mosaic = job
-        .compose
-        .then(|| Composer::new(positions.clone(), Blend::Overlay).compose(&source));
+    let source = SyntheticSource::new(SyntheticPlate::generate(job.scan.clone()));
+    let stitcher = job.variant.build(&Resources {
+        threads: job.threads,
+        devices: vec![Device::new(0, DeviceConfig::small(256 << 20))],
+        ..Resources::default()
+    });
+    let overlay = job.compose.then(crate::overlay);
+    let (result, positions, mosaic) = crate::reference_pass(stitcher.as_ref(), &source, overlay);
     JobDigest {
         name: job.name.clone(),
         status: JobStatus::Completed,

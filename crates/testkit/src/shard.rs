@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use stitch_core::{
-    Blend, Composer, FailurePolicy, FaultSpec, FaultySource, GlobalOptimizer, SimpleCpuStitcher,
-    Stitcher, SyntheticSource, TileId, TileSource,
+    Blend, FaultSpec, FaultySource, SimpleCpuStitcher, SyntheticSource, TileId, TileSource,
 };
 use stitch_image::{Fnv64, SyntheticPlate};
 use stitch_sched::{JobStatus, JobVariant, StitchJob};
@@ -153,11 +152,10 @@ pub fn run_shard_differential(seed: u64) -> ShardReport {
         let source: Arc<dyn TileSource> = Arc::new(spec.case.source());
 
         // unsharded baseline: the sequential reference variant
-        let baseline = SimpleCpuStitcher::default()
-            .try_compute_displacements(&*source, &FailurePolicy::default())
-            .expect("baseline stitch on a clean synthetic plate");
-        let base_positions = GlobalOptimizer::default().solve(&baseline);
-        let base_mosaic = Composer::new(base_positions.clone(), Blend::Overlay).compose(&*source);
+        let overlay = Some(crate::overlay());
+        let (baseline, base_positions, base_mosaic) =
+            crate::reference_pass(&SimpleCpuStitcher::default(), &*source, overlay);
+        let base_mosaic = base_mosaic.expect("composed");
 
         // sharded run, banded composition (odd band height on purpose)
         let config = ShardConfig {

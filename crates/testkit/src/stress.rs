@@ -22,6 +22,7 @@ use stitch_core::prelude::*;
 use stitch_core::{PipelinedCpuConfig, PipelinedCpuStitcher, PipelinedGpuConfig};
 use stitch_gpu::{Device, DeviceConfig};
 use stitch_image::Image;
+use stitch_trace::TraceHandle;
 
 use crate::cases::SweepCase;
 
@@ -184,9 +185,13 @@ pub fn run_stress(seed: u64) -> StressOutcome {
         queue_floor: Some(config.queue_floor),
         ..PipelinedCpuConfig::with_threads(config.cpu_threads)
     };
-    let cpu = PipelinedCpuStitcher::with_config(cpu_cfg)
-        .try_compute_displacements(&cpu_source, &policy)
+    let (stitcher, untraced) = (
+        PipelinedCpuStitcher::with_config(cpu_cfg),
+        TraceHandle::disabled(),
+    );
+    let cpu = run_pass(&stitcher, &cpu_source, &policy, None, &untraced, &|| false)
         .expect("partial policy tolerates tile failures");
+    let (cpu, positions) = (cpu.result, cpu.positions.expect("never stopped"));
 
     let gpu_source = FaultySource::new(config.case.source(), config.fault_spec());
     let device = Device::new(
@@ -206,7 +211,7 @@ pub fn run_stress(seed: u64) -> StressOutcome {
         .try_compute_displacements(&gpu_source, &policy)
         .expect("partial policy tolerates tile failures");
 
-    let positions = GlobalOptimizer::default().solve(&cpu);
+    // composed from the clean plate: the solved frame is what is on trial
     let mosaic = Composer::new(positions.clone(), Blend::Overlay).compose(&config.case.source());
 
     StressOutcome {

@@ -885,33 +885,12 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                 };
                 Device::new(i, config)
             };
-            let stitcher: Box<dyn Stitcher> = match implementation {
-                JobVariant::SimpleCpu => {
-                    Box::new(SimpleCpuStitcher::default().with_trace(trace.clone()))
-                }
-                JobVariant::MtCpu => {
-                    Box::new(MtCpuStitcher::new(threads).with_trace(trace.clone()))
-                }
-                JobVariant::PipelinedCpu => {
-                    Box::new(PipelinedCpuStitcher::new(threads).with_trace(trace.clone()))
-                }
-                JobVariant::SimpleGpu => {
-                    Box::new(SimpleGpuStitcher::new(device(0)).with_trace(trace.clone()))
-                }
-                JobVariant::PipelinedGpu => Box::new(
-                    PipelinedGpuStitcher::new(
-                        (0..gpus.max(1)).map(device).collect(),
-                        stitch_core::PipelinedGpuConfig {
-                            ccf_threads: threads.max(1),
-                            ..Default::default()
-                        },
-                    )
-                    .with_trace(trace.clone()),
-                ),
-                JobVariant::FijiStyle => {
-                    Box::new(FijiStyleStitcher::new(threads).with_trace(trace.clone()))
-                }
-            };
+            let stitcher = implementation.build(&Resources {
+                threads,
+                devices: (0..gpus.max(1)).map(device).collect(),
+                trace: trace.clone(),
+                ..Resources::default()
+            });
             // Multi-channel / z-stack datasets (extended manifest) — or an
             // explicit channel flag — take the register-once/replay path:
             // one phase-1+2 solve on the reference channel, then pure
@@ -951,7 +930,7 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                         registration_plane: None,
                         correct_illumination,
                     };
-                    stitch_channels(&dataset, stitcher.as_ref(), plan, blend, out.as_deref())?
+                    stitch_channels(&dataset, stitcher.as_ref(), plan, blend, out, &trace)?
                 } else {
                     let dir = DirSource::open(&dataset).map_err(because("cannot open dataset"))?;
                     let source: Box<dyn TileSource> = match tile_faults.filter(|s| !s.is_noop()) {
@@ -965,9 +944,14 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                         source.shape().cols,
                         stitcher.name()
                     );
-                    let result = stitcher
-                        .try_compute_displacements(source.as_ref(), &policy)
+                    let mosaic = out.is_some().then_some(MosaicSpec {
+                        blend,
+                        workers: threads,
+                        highlight,
+                    });
+                    let pass = run_pass(&*stitcher, &*source, &policy, mosaic, &trace, &|| false)
                         .map_err(|e| (2, e.to_string()))?;
+                    let result = pass.result;
                     println!(
                         "phase 1: {} pairs in {:.2?} ({} forward FFTs, peak {} live tiles)",
                         source.shape().pairs(),
@@ -975,15 +959,8 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                         result.ops.forward_ffts,
                         result.peak_live_tiles
                     );
-                    let positions = GlobalOptimizer::default().solve(&result);
-                    let mut mosaics = Vec::new();
-                    if let Some(path) = out {
-                        let mut composer = Composer::new(positions.clone(), blend)
-                            .with_workers(threads)
-                            .with_trace(trace.clone());
-                        composer.highlight_tiles = highlight;
-                        mosaics.push((path, composer.compose(source.as_ref())));
-                    }
+                    let positions = pass.positions.expect("a pass that is never stopped solves");
+                    let mosaics = out.zip(pass.mosaic).into_iter().collect();
                     (result.health, positions, mosaics)
                 };
             // one epilogue for both paths: every output flag means the
@@ -1031,13 +1008,14 @@ type Stitched = (HealthReport, AbsolutePositions, Vec<(PathBuf, Image<u16>)>);
 
 /// `stitch` on a multi-channel / z-stack dataset: registration runs once
 /// on the reference channel and the solved frame replays across every
-/// (channel, plane) compose unit.
+/// (channel, plane) compose unit — composed only when `--out` asks.
 fn stitch_channels(
     dataset: &Path,
     stitcher: &dyn Stitcher,
     plan: ChannelPlan,
     blend: Blend,
-    out: Option<&Path>,
+    out: Option<PathBuf>,
+    trace: &TraceHandle,
 ) -> Result<Stitched, Failure> {
     let source: Arc<dyn MultiTileSource> =
         Arc::new(MultiDirSource::open(dataset).map_err(because("cannot open dataset"))?);
@@ -1057,18 +1035,19 @@ fn stitch_channels(
         },
         stitcher.name()
     );
-    let run = run_channel_plan(&session, stitcher, blend).map_err(|e| (2, e.to_string()))?;
+    let run = session
+        .replay(stitcher, out.as_ref().map(|_| blend), trace)
+        .map_err(|e| (2, e.to_string()))?;
     println!(
         "phase 1+2: {} pair(s) registered once in {:.2?}; frame replays over {} unit(s)",
         run.registration.shape.pairs(),
         run.registration.elapsed,
-        run.mosaics.len()
+        session.units().len()
     );
     // each unit's mosaic lands in its own label-suffixed file
-    let mosaics = run
-        .mosaics
-        .into_iter()
-        .filter_map(|(unit, mosaic)| Some((unit_output_path(out?, &unit.label()), mosaic)));
+    let mosaics = run.mosaics.into_iter().filter_map(|(unit, mosaic)| {
+        Some((unit_output_path(out.as_deref()?, &unit.label()), mosaic))
+    });
     Ok((run.registration.health, run.positions, mosaics.collect()))
 }
 

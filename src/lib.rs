@@ -34,14 +34,15 @@
 //! });
 //! let source = SyntheticSource::new(plate);
 //!
-//! // phase 1: relative displacements
-//! let result = SimpleCpuStitcher::default().compute_displacements(&source);
-//! assert!(result.is_complete());
-//!
-//! // phase 2: absolute positions; phase 3: compose
-//! let positions = GlobalOptimizer::default().solve(&result);
-//! let mosaic = Composer::new(positions, Blend::Overlay).compose(&source);
-//! assert!(mosaic.width() > 64);
+//! // one pass with any of the six variants: phase 1 (relative
+//! // displacements), phase 2 (absolute positions), phase 3 (the mosaic)
+//! let stitcher = Variant::SimpleCpu.build(&Resources { threads: 1, ..Resources::default() });
+//! let overlay = MosaicSpec { blend: Blend::Overlay, workers: 1, highlight: false };
+//! let (policy, trace) = (FailurePolicy::default(), TraceHandle::disabled());
+//! let pass = run_pass(&*stitcher, &source, &policy, Some(overlay), &trace, &|| false)?;
+//! assert!(pass.result.is_complete());
+//! assert!(pass.mosaic.expect("asked for, never stopped").width() > 64);
+//! # Ok::<(), StitchError>(())
 //! ```
 
 pub mod cli;

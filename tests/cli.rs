@@ -65,24 +65,33 @@ fn generate_then_stitch_multichannel_stack() {
     assert!(dir.join("img_c01_z01_r001_c002.tif").exists());
 
     // stitch: the extended manifest flips the CLI into channel mode with
-    // no extra flags — one mosaic per (channel, plane)
+    // no extra flags — one mosaic per (channel, plane), each compose traced
     let mosaic = dir.join("m.pgm");
-    let pos = dir.join("pos.tsv");
-    let cmd = parse(&argv(&format!(
-        "stitch --dataset {dir_s} --impl simple-cpu --out {} --positions {}",
-        mosaic.display(),
-        pos.display()
-    )))
-    .unwrap();
-    assert_eq!(run(cmd), 0);
+    let (pos, trace) = (dir.join("pos.tsv"), dir.join("trace.json"));
+    let stitch = |out: &str| {
+        let cmd = parse(&argv(&format!(
+            "stitch --dataset {dir_s} --impl simple-cpu --positions {} --trace-json {} {out}",
+            pos.display(),
+            trace.display()
+        )))
+        .unwrap();
+        assert_eq!(run(cmd), 0);
+        let read = |p| std::fs::read_to_string(p).unwrap();
+        (read(&pos), read(&trace))
+    };
+    let (tsv, traced) = stitch(&format!("--out {}", mosaic.display()));
     for label in ["c00_z00", "c00_z01", "c01_z00", "c01_z01"] {
         assert!(
             dir.join(format!("m_{label}.pgm")).exists(),
             "missing unit {label}"
         );
     }
-    let tsv = std::fs::read_to_string(&pos).unwrap();
     assert_eq!(tsv.lines().count(), 1 + 6, "one shared frame for all units");
+    assert!(traced.contains("\"compose\""), "unit composes are traced");
+    // without --out the same frame is solved and not one unit is composed
+    let (positions_only, traced) = stitch("");
+    assert_eq!(positions_only, tsv);
+    assert!(traced.contains("\"solve\"") && !traced.contains("compose"));
 
     // max-z + flat-field correction: one projection per channel
     let cmd = parse(&argv(&format!(

@@ -60,17 +60,13 @@ fn all_stitchers_agree_and_match_truth() {
     let source = SyntheticSource::new(plate);
     let (tw, tn) = truth_vectors(source.plate());
 
-    let gpu = || Device::new(0, DeviceConfig::small(128 << 20));
-    let stitchers: Vec<Box<dyn Stitcher>> = vec![
-        Box::new(SimpleCpuStitcher::default()),
-        Box::new(MtCpuStitcher::new(2)),
-        Box::new(PipelinedCpuStitcher::new(2)),
-        Box::new(SimpleGpuStitcher::new(gpu())),
-        Box::new(PipelinedGpuStitcher::single(gpu())),
-        Box::new(FijiStyleStitcher::new(2)),
-    ];
     let reference = SimpleCpuStitcher::default().compute_displacements(&source);
-    for s in stitchers {
+    for variant in Variant::ALL {
+        let s = variant.build(&Resources {
+            threads: 2,
+            devices: vec![Device::new(0, DeviceConfig::small(128 << 20))],
+            ..Resources::default()
+        });
         let r = s.compute_displacements(&source);
         assert!(r.is_complete(), "{}", s.name());
         assert_eq!(r.west, reference.west, "{}", s.name());
@@ -160,12 +156,10 @@ fn spanning_tree_and_least_squares_agree_on_clean_data() {
     let r = SimpleCpuStitcher::default().compute_displacements(&source);
     let ls = GlobalOptimizer {
         method: Method::LeastSquares,
-        ..GlobalOptimizer::default()
     }
     .solve(&r);
     let mst = GlobalOptimizer {
         method: Method::SpanningTree,
-        ..GlobalOptimizer::default()
     }
     .solve(&r);
     assert_eq!(ls.positions, mst.positions);

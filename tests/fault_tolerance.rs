@@ -29,15 +29,16 @@ fn scan(rows: usize, cols: usize, seed: u64) -> ScanConfig {
 }
 
 fn variants() -> Vec<Box<dyn Stitcher>> {
-    let gpu = || Device::new(0, DeviceConfig::small(128 << 20));
-    vec![
-        Box::new(SimpleCpuStitcher::default()),
-        Box::new(MtCpuStitcher::new(2)),
-        Box::new(PipelinedCpuStitcher::new(2)),
-        Box::new(SimpleGpuStitcher::new(gpu())),
-        Box::new(PipelinedGpuStitcher::single(gpu())),
-        Box::new(FijiStyleStitcher::new(2)),
-    ]
+    Variant::ALL
+        .iter()
+        .map(|v| {
+            v.build(&Resources {
+                threads: 2,
+                devices: vec![Device::new(0, DeviceConfig::small(128 << 20))],
+                ..Resources::default()
+            })
+        })
+        .collect()
 }
 
 /// A retry policy that spins fast (no real sleeping) with enough budget
@@ -361,8 +362,13 @@ fn pipelined_cpu_contains_a_panicking_read() {
         let spectra = SpectrumPool::new(PciamContext::spectrum_len(w, h));
         let pool = spectra.clone();
         let err = within_10s(move || {
-            PipelinedCpuStitcher::new(threads)
-                .with_spectrum_pool(pool)
+            let resources = Resources {
+                threads,
+                spectrum_pool: Some(pool),
+                ..Resources::default()
+            };
+            Variant::PipelinedCpu
+                .build(&resources)
                 .try_compute_displacements(
                     &panicking_source(4, 5, TileId::new(2, 2)),
                     &FailurePolicy::default(),

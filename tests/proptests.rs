@@ -125,7 +125,7 @@ proptest! {
             }
         }
         for method in [Method::SpanningTree, Method::LeastSquares] {
-            let opt = GlobalOptimizer { method, ..GlobalOptimizer::default() };
+            let opt = GlobalOptimizer { method };
             let sol = opt.solve(&result);
             prop_assert_eq!(sol.max_deviation(&truth), (0, 0), "{:?}", method);
         }

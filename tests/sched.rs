@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use stitch_testkit::{run_sched_stress, solo_digests};
+use stitch_testkit::{run_job_solo, run_sched_stress, solo_digests};
 use stitching::gpu::{Device, DeviceConfig};
 use stitching::image::ScanConfig;
 use stitching::sched::{
@@ -26,7 +26,10 @@ use stitching::sched::{
 /// under the scheduler — sharing the plan cache, pool quotas, device
 /// streams, and memory budget with its siblings — must produce the exact
 /// displacements, positions, and mosaic hash as a solo run with fully
-/// private resources.
+/// private resources. Both sides build their stitcher from the same
+/// variant table and run the same pass driver (`run_pass`); what differs
+/// is the `Resources` they hand it: shared on the scheduler's side,
+/// private on the solo side.
 #[test]
 fn admitted_jobs_are_bit_identical_to_solo_runs() {
     for seed in [1u64, 7, 42] {
@@ -50,6 +53,23 @@ fn admitted_jobs_are_bit_identical_to_solo_runs() {
             compared += 1;
         }
         assert!(compared > 0, "seed {seed}: no job was admitted");
+    }
+}
+
+/// A preview job's positions are its canvas's final solve, not a second
+/// one: they equal the solo pass's — on a 1×1 grid, where the canvas
+/// commits the nominal position instead of solving, as on larger ones.
+#[test]
+fn preview_job_positions_equal_solo_runs() {
+    let sched = Scheduler::new(SchedulerConfig::default());
+    for (name, rows, cols) in [("single", 1, 1), ("strip", 1, 3), ("plate", 3, 4)] {
+        let job = StitchJob::new(name, ScanConfig::for_grid(rows, cols, 48, 40, 0.25, 9))
+            .preview(true)
+            .compose(false);
+        let out = sched.submit(job.clone()).unwrap().wait();
+        assert_eq!(out.status, JobStatus::Completed, "{name}");
+        let positions = out.positions.expect("a completed job has positions");
+        assert_eq!(positions.positions, run_job_solo(&job).positions, "{name}");
     }
 }
 

@@ -47,6 +47,17 @@ fn slow_link_device(id: usize) -> Device {
     )
 }
 
+/// `variant` on `device`, recording into `trace` (four CCF threads, the
+/// Pipelined-GPU default).
+fn traced(variant: Variant, device: Device, trace: &TraceHandle) -> Box<dyn Stitcher> {
+    variant.build(&Resources {
+        threads: 4,
+        devices: vec![device],
+        trace: trace.clone(),
+        ..Resources::default()
+    })
+}
+
 /// The unified trace's acceptance test, the paper's Fig 7 vs Fig 9
 /// contrast read off the merged timeline: Simple-GPU follows every
 /// operation with a stream synchronize, so not one nanosecond of copy time
@@ -60,15 +71,11 @@ fn merged_timeline_hides_copies_under_kernels_only_when_pipelined() {
     let src = profile_source();
 
     let trace_simple = TraceHandle::new();
-    SimpleGpuStitcher::new(slow_link_device(0))
-        .with_trace(trace_simple.clone())
-        .compute_displacements(&src);
+    traced(Variant::SimpleGpu, slow_link_device(0), &trace_simple).compute_displacements(&src);
     let rep_simple = RunReport::from_trace(&trace_simple);
 
     let trace_pipe = TraceHandle::new();
-    PipelinedGpuStitcher::single(slow_link_device(1))
-        .with_trace(trace_pipe.clone())
-        .compute_displacements(&src);
+    traced(Variant::PipelinedGpu, slow_link_device(1), &trace_pipe).compute_displacements(&src);
     let rep_pipe = RunReport::from_trace(&trace_pipe);
 
     assert!(rep_simple.kernel_density > 0.0 && rep_pipe.kernel_density > 0.0);
@@ -82,9 +89,7 @@ fn merged_timeline_hides_copies_under_kernels_only_when_pipelined() {
 fn chrome_trace_merges_host_and_device_rows() {
     let src = profile_source();
     let trace = TraceHandle::new();
-    PipelinedGpuStitcher::single(transfer_device(0))
-        .with_trace(trace.clone())
-        .compute_displacements(&src);
+    traced(Variant::PipelinedGpu, transfer_device(0), &trace).compute_displacements(&src);
 
     let spans = trace.spans();
     let host = |s: &stitching::trace::TraceSpan| s.track.starts_with("pipe0/");
@@ -150,9 +155,7 @@ fn run_report_lists_every_pipeline_stage() {
     );
 
     let trace = TraceHandle::new();
-    PipelinedGpuStitcher::single(transfer_device(0))
-        .with_trace(trace.clone())
-        .compute_displacements(&src);
+    traced(Variant::PipelinedGpu, transfer_device(0), &trace).compute_displacements(&src);
     assert_eq!(
         stages_of(&trace),
         [
