@@ -17,7 +17,7 @@ use stitch_core::memlimit::SpillStore;
 use stitch_core::opcount::{OpCounters, OpCounts};
 use stitch_core::pciam::PciamContext;
 use stitch_core::prelude::*;
-use stitch_fft::{c64, factor, Direction, Fft2d, PlanMode, Planner, RealFft2d, C64};
+use stitch_fft::{c64, factor, Direction, Fft2d, PlanMode, Planner, RealFft2d, C32, C64};
 use stitch_gpu::{Device, DeviceConfig, SpanKind};
 use stitch_image::opts::Options;
 use stitch_image::{pgm, tiff, Scene, SceneParams};
@@ -270,7 +270,8 @@ fn fig5(_: &Args) -> Vec<ResultTable> {
         &["tiles", "time/tile", "spills", "faults"],
     );
     for tiles in [16usize, 32, 48, 64, 96] {
-        let store = SpillStore::new(budget_tiles * w * h * 16).expect("spill store");
+        let budget = budget_tiles * PciamContext::spectrum_bytes(w, h);
+        let store = SpillStore::new(budget).expect("spill store");
         let t0 = Instant::now();
         let mut handles = Vec::new();
         for i in 0..tiles {
@@ -613,18 +614,17 @@ fn ablation(args: &Args) -> Vec<ResultTable> {
         &[format!("{ms:.2}"), (w * h * 16).to_string()],
     );
     let real = RealFft2d::new(&planner, w, h);
-    let input: Vec<f64> = (0..w * h).map(|k| (k % 251) as f64).collect();
-    let mut spec = vec![C64::ZERO; real.spectrum_len()];
+    let input: Vec<f32> = (0..w * h).map(|k| (k % 251) as f32).collect();
+    let mut spec = vec![C32::ZERO; real.spectrum_len()];
     let t0 = Instant::now();
     for _ in 0..reps {
         real.forward(&input, &mut spec);
     }
     let ms = t0.elapsed().as_secs_f64() / reps as f64 * 1e3;
-    r.row(
-        "real-to-complex",
-        &[format!("{ms:.2}"), (real.spectrum_len() * 16).to_string()],
-    );
+    let bytes = PciamContext::spectrum_bytes(w, h);
+    r.row("real-to-complex", &[format!("{ms:.2}"), bytes.to_string()]);
     r.note("r2c halves the spectrum memory footprint (the paper's stated second win)");
+    r.note("the r2c row is the product's transform: single precision halves it again");
 
     let mut o = ResultTable::new(
         "ablation_traversal",

@@ -139,6 +139,19 @@ fn timing_tables_keep_their_columns_and_row_labels() {
     );
 }
 
+/// The real spill demo holds exactly its titled 48 transforms: none spill
+/// up to 48 tiles, and every row past the budget spills.
+#[test]
+fn fig5_real_spills_exactly_past_its_budget_of_48_transforms() {
+    let t = table("fig5_real");
+    assert!(t.title.contains("budget = 48 transforms"), "{}", t.title);
+    for r in &t.rows {
+        let tiles: usize = r.label.parse().unwrap();
+        let spills: u64 = r.values[1].parse().unwrap();
+        assert_eq!(spills > 0, tiles > 48, "{tiles} tiles: {spills} spills");
+    }
+}
+
 #[test]
 fn registry_ids_are_unique_and_the_design_index_resolves() {
     let ids: Vec<&str> = REGISTRY.iter().map(|e| e.0).collect();

@@ -3,13 +3,12 @@
 //! The GPU side already recycles device buffers through
 //! `stitch_gpu::memory`'s pool; this module is the host mirror. Tile
 //! spectra are the dominant host allocation of the CPU stitchers — one
-//! `Vec<C64>` of `width × height` (or the reduced/padded equivalent) per
-//! forward transform — and each is dropped as soon as the pair refcount
-//! hits zero. [`SpectrumPool`] keeps those buffers on a free list
-//! instead: a [`PooledSpectrum`] hands its storage back to the pool on
-//! drop, so at steady state the hot path performs **zero** heap
-//! allocations (asserted by the counting allocator in the conformance
-//! suite).
+//! `Vec<C32>` half spectrum per forward transform — and each is dropped as
+//! soon as the pair refcount hits zero. [`SpectrumPool`] keeps those
+//! buffers on a free list instead: a [`PooledSpectrum`] hands its storage
+//! back to the pool on drop, so at steady state the hot path performs
+//! **zero** heap allocations (asserted by the counting allocator in the
+//! conformance suite).
 //!
 //! Pools come in two flavours:
 //!
@@ -29,10 +28,10 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
-use stitch_fft::C64;
+use stitch_fft::C32;
 
 struct PoolState {
-    free: Vec<Vec<C64>>,
+    free: Vec<Vec<C32>>,
     /// Buffers in existence: free-list entries plus outstanding leases.
     /// Detaching a buffer with `into_vec` removes it from the population
     /// (and, in a bounded pool, frees its cap slot).
@@ -56,7 +55,7 @@ impl PoolShared {
     }
 }
 
-/// A shareable pool of equal-length `Vec<C64>` spectrum buffers.
+/// A shareable pool of equal-length `Vec<C32>` spectrum buffers.
 /// Cloning is cheap and yields a handle to the same pool; the stitcher
 /// variants create one pool per run and hand clones to every worker.
 #[derive(Clone)]
@@ -133,13 +132,13 @@ impl SpectrumPool {
                     state.population += 1;
                     drop(state);
                     self.shared.created.fetch_add(1, Ordering::Relaxed);
-                    return self.wrap(C64::zeroed_vec(self.shared.buf_len));
+                    return self.wrap(C32::zeroed_vec(self.shared.buf_len));
                 }
             }
         }
     }
 
-    fn wrap(&self, data: Vec<C64>) -> PooledSpectrum {
+    fn wrap(&self, data: Vec<C32>) -> PooledSpectrum {
         PooledSpectrum {
             data,
             tile_mean: 0.0,
@@ -191,11 +190,11 @@ impl WeakSpectrumPool {
 }
 
 /// A spectrum buffer on loan from a [`SpectrumPool`]. Dereferences to
-/// `[C64]`; the storage returns to the pool's free list on drop.
+/// `[C32]`; the storage returns to the pool's free list on drop.
 pub struct PooledSpectrum {
     /// Invariant: `data.len() == pool.buf_len` except transiently inside
     /// `drop`/`into_vec`, where it is taken and replaced by an empty vec.
-    data: Vec<C64>,
+    data: Vec<C32>,
     /// Mean pixel value of the tile this is the spectrum of: unspecified,
     /// like the contents, until `PciamContext::forward_fft` fills both.
     pub(crate) tile_mean: f64,
@@ -207,20 +206,20 @@ impl PooledSpectrum {
     /// with its own storage discipline (`SpillStore::insert`). The pool
     /// never sees this buffer again; in a bounded pool its cap slot is
     /// freed so a replacement can be allocated.
-    pub fn into_vec(mut self) -> Vec<C64> {
+    pub fn into_vec(mut self) -> Vec<C32> {
         std::mem::take(&mut self.data)
     }
 }
 
 impl Deref for PooledSpectrum {
-    type Target = [C64];
-    fn deref(&self) -> &[C64] {
+    type Target = [C32];
+    fn deref(&self) -> &[C32] {
         &self.data
     }
 }
 
 impl DerefMut for PooledSpectrum {
-    fn deref_mut(&mut self) -> &mut [C64] {
+    fn deref_mut(&mut self) -> &mut [C32] {
         &mut self.data
     }
 }
@@ -244,7 +243,6 @@ impl Drop for PooledSpectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stitch_fft::c64;
 
     /// Buffers in existence (free + leased).
     fn population(pool: &SpectrumPool) -> usize {
@@ -256,7 +254,7 @@ mod tests {
         let pool = SpectrumPool::new(16);
         let ptr = {
             let mut b = pool.acquire();
-            b[0] = c64(1.0, 0.0);
+            b[0] = C32 { re: 1.0, im: 0.0 };
             b.as_ptr() as usize
         };
         assert_eq!(pool.idle(), 1);

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use stitch_fft::C64;
+use stitch_fft::C32;
 
 /// Handle to a stored buffer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -34,7 +34,7 @@ pub struct BufferHandle(u64);
 
 enum Slot {
     /// Resident in memory.
-    Resident(Vec<C64>),
+    Resident(Vec<C32>),
     /// Spilled to the backing file at (offset, len).
     Spilled { offset: u64, len: usize },
 }
@@ -175,7 +175,7 @@ pub struct SpillStore {
 }
 
 fn buf_bytes(len: usize) -> usize {
-    len * std::mem::size_of::<C64>()
+    len * std::mem::size_of::<C32>()
 }
 
 /// Process-global sequence for spill-file names: unique within the
@@ -224,7 +224,7 @@ impl SpillStore {
     }
 
     /// Stores a buffer, spilling cold buffers if the budget overflows.
-    pub fn insert(&self, data: Vec<C64>) -> BufferHandle {
+    pub fn insert(&self, data: Vec<C32>) -> BufferHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let bytes = buf_bytes(data.len());
         let mut st = self.state.lock();
@@ -237,7 +237,7 @@ impl SpillStore {
 
     /// Accesses a buffer, faulting it in from disk if it was spilled
     /// (possibly evicting others to make room).
-    pub fn with<R>(&self, h: BufferHandle, f: impl FnOnce(&[C64]) -> R) -> R {
+    pub fn with<R>(&self, h: BufferHandle, f: impl FnOnce(&[C32]) -> R) -> R {
         let mut st = self.state.lock();
         // fault in if spilled
         let needs_fault = matches!(st.slots.get(&h.0), Some(Slot::Spilled { .. }));
@@ -254,10 +254,10 @@ impl SpillStore {
             st.file.read_exact(&mut io).expect("read spill file");
             st.free_region(offset, bytes as u64);
             let mut data = Vec::with_capacity(len);
-            for chunk in io.chunks_exact(16) {
-                data.push(C64 {
-                    re: f64::from_le_bytes(chunk[0..8].try_into().unwrap()),
-                    im: f64::from_le_bytes(chunk[8..16].try_into().unwrap()),
+            for chunk in io.chunks_exact(8) {
+                data.push(C32 {
+                    re: f32::from_le_bytes(chunk[0..4].try_into().unwrap()),
+                    im: f32::from_le_bytes(chunk[4..8].try_into().unwrap()),
                 });
             }
             st.io_buf = io;
@@ -350,13 +350,18 @@ impl Drop for SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stitch_fft::c64;
 
-    fn buf(seed: usize, len: usize) -> Vec<C64> {
+    fn buf(seed: usize, len: usize) -> Vec<C32> {
         (0..len)
-            .map(|i| c64((seed * 1000 + i) as f64, -(i as f64)))
+            .map(|i| C32 {
+                re: (seed * 1000 + i) as f32,
+                im: -(i as f32),
+            })
             .collect()
     }
+
+    /// Bytes of one 100-element test buffer.
+    const B100: usize = 100 * std::mem::size_of::<C32>();
 
     #[test]
     fn round_trip_without_spill() {
@@ -371,13 +376,13 @@ mod tests {
 
     #[test]
     fn spills_beyond_budget_and_faults_back() {
-        // budget of 2 buffers à 1600 B
-        let store = SpillStore::new(2 * 1600).unwrap();
+        // budget of 2 buffers
+        let store = SpillStore::new(2 * B100).unwrap();
         let h1 = store.insert(buf(1, 100));
         let h2 = store.insert(buf(2, 100));
         let h3 = store.insert(buf(3, 100)); // evicts h1 (coldest)
         assert_eq!(store.spill_count(), 1);
-        assert!(store.state.lock().resident_bytes <= 2 * 1600);
+        assert!(store.state.lock().resident_bytes <= 2 * B100);
         // h1 faults back intact
         store.with(h1, |d| assert_eq!(d[0].re, 1000.0));
         assert_eq!(store.fault_count(), 1);
@@ -388,7 +393,7 @@ mod tests {
 
     #[test]
     fn lru_access_protects_hot_buffers() {
-        let store = SpillStore::new(2 * 1600).unwrap();
+        let store = SpillStore::new(2 * B100).unwrap();
         let h1 = store.insert(buf(1, 100));
         let _h2 = store.insert(buf(2, 100));
         // touch h1 so h2 becomes the eviction victim
@@ -402,7 +407,7 @@ mod tests {
 
     #[test]
     fn remove_frees_budget() {
-        let store = SpillStore::new(1600).unwrap();
+        let store = SpillStore::new(B100).unwrap();
         let h1 = store.insert(buf(1, 100));
         store.remove(h1);
         assert_eq!(store.state.lock().resident_bytes, 0);
@@ -413,7 +418,7 @@ mod tests {
 
     #[test]
     fn spill_file_space_is_reused() {
-        let store = SpillStore::new(1600).unwrap();
+        let store = SpillStore::new(B100).unwrap();
         let hs: Vec<BufferHandle> = (0..6).map(|i| store.insert(buf(i, 100))).collect();
         // 5 spills happened; faulting one back frees its file region, the
         // next spill should reuse it rather than grow the file
@@ -426,10 +431,10 @@ mod tests {
 
     #[test]
     fn many_buffers_survive_heavy_thrash() {
-        let store = SpillStore::new(3 * 1600).unwrap();
+        let store = SpillStore::new(3 * B100).unwrap();
         let hs: Vec<BufferHandle> = (0..20).map(|i| store.insert(buf(i, 100))).collect();
         for (i, &h) in hs.iter().enumerate().rev() {
-            store.with(h, |d| assert_eq!(d[0].re, (i * 1000) as f64));
+            store.with(h, |d| assert_eq!(d[0].re, (i * 1000) as f32));
         }
         assert!(store.fault_count() > 0);
     }

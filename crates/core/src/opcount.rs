@@ -48,7 +48,7 @@ impl OpCounters {
     }
 
     /// Records a forward 2-D FFT executed through `plan`.
-    pub fn count_forward_fft(&self, plan: &RealFft2d) {
+    pub fn count_forward_fft(&self, plan: &RealFft2d<f32>) {
         self.forward_ffts.fetch_add(1, Ordering::Relaxed);
         let mults = plan.real_mults(Direction::Forward);
         self.fft_real_mults.fetch_add(mults, Ordering::Relaxed);
@@ -60,7 +60,7 @@ impl OpCounters {
     }
 
     /// Records an inverse 2-D FFT executed through `plan`.
-    pub fn count_inverse_fft(&self, plan: &RealFft2d) {
+    pub fn count_inverse_fft(&self, plan: &RealFft2d<f32>) {
         self.inverse_ffts.fetch_add(1, Ordering::Relaxed);
         let mults = plan.real_mults(Direction::Inverse);
         self.fft_real_mults.fetch_add(mults, Ordering::Relaxed);
@@ -169,7 +169,7 @@ mod tests {
         for _ in 0..4 {
             let c = Arc::clone(&c);
             hs.push(std::thread::spawn(move || {
-                let plan = RealFft2d::new(&stitch_fft::Planner::default(), 8, 4);
+                let plan = RealFft2d::<f32>::new(&stitch_fft::Planner::default(), 8, 4);
                 for _ in 0..100 {
                     c.count_read();
                     c.count_forward_fft(&plan);

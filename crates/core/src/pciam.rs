@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use stitch_fft::vectorops::top_peaks_into;
-use stitch_fft::{Planner, RealFft2d, C64};
+use stitch_fft::{Planner, RealFft2d, C32};
 use stitch_image::Image;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
@@ -94,17 +94,24 @@ struct PairScratch {
 /// the only layout: the NCC of two Hermitian spectra is Hermitian, and
 /// the complex-to-real inverse takes it straight to the real `w × h`
 /// correlation surface, whose torus period is the tile size.
+///
+/// Spectra, NCC and surface are single precision ([`C32`], `f32`): the
+/// transforms are memory-bound, and the NCC keeps only each bin's phase,
+/// which `f32` carries to ≈ 1e-5 rad at the noise floor — far inside what
+/// decides which peaks enter the top [`DEFAULT_PEAK_COUNT`]. The tile
+/// means and the CCF that picks the winner stay `f64` over the `u16`
+/// pixels (DESIGN.md § "Precision").
 pub struct PciamContext {
     width: usize,
     height: usize,
-    fft: RealFft2d,
+    fft: RealFft2d<f32>,
     /// NCC output, [`PciamContext::spectrum_len`] bins; the inverse
     /// transform works in it.
-    work: Vec<C64>,
+    work: Vec<C32>,
     /// The correlation surface, `width × height`.
-    surface: Vec<f64>,
-    /// A tile widened to `f64`, `width × height`.
-    real_in: Vec<f64>,
+    surface: Vec<f32>,
+    /// A tile widened to `f32` (exactly), `width × height`.
+    real_in: Vec<f32>,
     pool: SpectrumPool,
     pair: PairScratch,
     counters: Arc<OpCounters>,
@@ -112,10 +119,16 @@ pub struct PciamContext {
 
 impl PciamContext {
     /// Element count of one tile spectrum over `width × height` tiles.
-    /// Every spectrum pool, memory reservation and device transform
-    /// buffer takes its size from here.
+    /// Every spectrum pool and device transform buffer takes its size from
+    /// here.
     pub fn spectrum_len(width: usize, height: usize) -> usize {
         stitch_fft::real::spectrum_len(width) * height
+    }
+
+    /// Bytes of one tile spectrum over `width × height` tiles: the one
+    /// source every memory budget and reservation prices a spectrum by.
+    pub fn spectrum_bytes(width: usize, height: usize) -> usize {
+        Self::spectrum_len(width, height) * std::mem::size_of::<C32>()
     }
 
     /// Builds a context for `width × height` tiles with a private
@@ -142,7 +155,7 @@ impl PciamContext {
             width,
             height,
             fft: RealFft2d::new(planner, width, height),
-            work: C64::zeroed_vec(len),
+            work: C32::zeroed_vec(len),
             surface: vec![0.0; width * height],
             real_in: vec![0.0; width * height],
             pool,
@@ -160,7 +173,7 @@ impl PciamContext {
         let mut spec = self.pool.acquire();
         spec.tile_mean = img.mean();
         for (r, &p) in self.real_in.iter_mut().zip(img.pixels()) {
-            *r = p as f64;
+            *r = f32::from(p);
         }
         self.fft.forward(&self.real_in, &mut spec);
         self.counters.count_forward_fft(&self.fft);
@@ -170,14 +183,14 @@ impl PciamContext {
     /// Steps 4–7 of Fig 2: NCC, inverse FFT, max reduction. Returns up to
     /// `k` distinct peaks (suppressing near-duplicates) as flat index and
     /// magnitude, strongest first. Indices are row-major over the tile.
-    pub fn correlation_peaks(&mut self, fa: &[C64], fb: &[C64], k: usize) -> Vec<(usize, f64)> {
+    pub fn correlation_peaks(&mut self, fa: &[C32], fb: &[C32], k: usize) -> Vec<(usize, f64)> {
         self.correlation_peaks_into(fa, fb, k);
         self.pair.peaks.clone()
     }
 
     /// Allocation-free core of [`PciamContext::correlation_peaks`]: the
     /// result lands in `self.pair.peaks`.
-    fn correlation_peaks_into(&mut self, fa: &[C64], fb: &[C64], k: usize) {
+    fn correlation_peaks_into(&mut self, fa: &[C32], fb: &[C32], k: usize) {
         assert_eq!(fa.len(), self.pool.buf_len());
         assert_eq!(fb.len(), self.pool.buf_len());
         let PairScratch { cand, peaks, .. } = &mut self.pair;
@@ -185,7 +198,8 @@ impl PciamContext {
         // goes through the process-wide compute backend.
         stitch_fft::backend::active().ncc(fa, fb, &mut self.work);
         self.fft.inverse(&mut self.work, &mut self.surface);
-        top_peaks_into(&self.surface, self.width, k, f64::abs, cand, peaks);
+        let magnitude = |v: f32| f64::from(v.abs());
+        top_peaks_into(&self.surface, self.width, k, magnitude, cand, peaks);
         self.counters.count_elementwise();
         self.counters.count_inverse_fft(&self.fft);
         self.counters.count_max_reduction();

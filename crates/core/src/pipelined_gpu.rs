@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use stitch_fft::{RealFft2d, C64};
+use stitch_fft::{RealFft2d, C32};
 use stitch_gpu::{Device, Event, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -126,7 +126,7 @@ enum TransformedMsg {
 struct CopiedTile {
     id: TileId,
     img: Arc<HostTile>,
-    buf: Arc<PooledBuffer<C64>>,
+    buf: Arc<PooledBuffer<C32>>,
     copied: Event,
     /// The uploaded pixels stage 3 transforms into `buf`.
     staging: PooledBuffer<u16>,
@@ -149,7 +149,7 @@ struct PairTask {
 #[derive(Clone)]
 struct TransformedShare {
     img: Arc<HostTile>,
-    buf: Arc<PooledBuffer<C64>>,
+    buf: Arc<PooledBuffer<C32>>,
     transformed: Event,
 }
 
@@ -245,7 +245,7 @@ impl PipelinedGpuStitcher {
             .unwrap_or(2 * shape.rows.min(part_cols) + 4)
             .max(4);
         let pool = device
-            .buffer_pool::<C64>(spectrum_len, pool_size)
+            .buffer_pool::<C32>(spectrum_len, pool_size)
             .expect("transform pool fits device memory");
         let q12: Queue<ReadTile> = Queue::new(4);
         let q23: Queue<CopiedMsg> = Queue::new(pool_size);
@@ -328,7 +328,7 @@ impl PipelinedGpuStitcher {
         {
             let w34 = q34.writer();
             let stream = device.create_stream("fft");
-            let real = device.alloc::<f64>(n).expect("fft workspace");
+            let real = device.alloc::<f32>(n).expect("fft workspace");
             let plan = Arc::clone(&plan);
             #[cfg(test)]
             let fft_panic_at = self.fft_panic_at;
@@ -390,8 +390,8 @@ impl PipelinedGpuStitcher {
         {
             let w56 = q56.writer();
             let stream = device.create_stream("disp");
-            let pair_buf = device.alloc::<C64>(spectrum_len).expect("pair buffer");
-            let surface = device.alloc::<f64>(n).expect("correlation surface");
+            let pair_buf = device.alloc::<C32>(spectrum_len).expect("pair buffer");
+            let surface = device.alloc::<f32>(n).expect("correlation surface");
             let displacer = move |task: PairTask| {
                 stream.wait_event(&task.a.transformed);
                 stream.wait_event(&task.b.transformed);

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use stitch_fft::{RealFft2d, C64};
+use stitch_fft::{RealFft2d, C32};
 use stitch_gpu::{Device, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -36,7 +36,7 @@ struct DeviceTile {
     img: Image<u16>,
     /// `img.mean()`, taken once for all of the tile's pairs.
     mean: f64,
-    buf: PooledBuffer<C64>,
+    buf: PooledBuffer<C32>,
 }
 
 impl SimpleGpuStitcher {
@@ -76,7 +76,7 @@ impl Stitcher for SimpleGpuStitcher {
         let spectrum_len = PciamContext::spectrum_len(w, h);
         let pool = self
             .device
-            .buffer_pool::<C64>(spectrum_len, pool_size)
+            .buffer_pool::<C32>(spectrum_len, pool_size)
             .expect("transform pool fits device memory");
         let stream = self.device.create_stream("default");
         let plan = Arc::new(RealFft2d::new(self.device.planner(), w, h));
@@ -84,8 +84,8 @@ impl Stitcher for SimpleGpuStitcher {
         // one real workspace serves both transforms (the widened tile of
         // the forward one, the correlation surface of the inverse one):
         // every operation below is synchronous on one stream
-        let real = self.device.alloc::<f64>(n).expect("real workspace");
-        let pair_buf = self.device.alloc::<C64>(spectrum_len).expect("pair buffer");
+        let real = self.device.alloc::<f32>(n).expect("real workspace");
+        let pair_buf = self.device.alloc::<C32>(spectrum_len).expect("pair buffer");
 
         let mut ledger: PairLedger<DeviceTile> = PairLedger::new(shape);
         // host-side scratch reused across the whole run: the synchronous

@@ -4,20 +4,21 @@
 //! element-wise loops of the stitching computation and hand-coded them
 //! with SSE intrinsics. This module generalizes that observation into a
 //! [`ComputeBackend`] trait covering every phase-1 hot loop — the NCC
-//! normalized conjugate multiply, the CCF co-moments of one overlap
-//! rectangle, and the 2-D real FFT pair — with three implementations
+//! normalized conjugate multiply of two `C32` spectra, the CCF co-moments
+//! of one overlap rectangle, and the lanes the 2-D real FFT pair runs on
+//! ([`FftLanes`], at either precision) — with three implementations
 //! selected at runtime:
 //!
 //! * [`scalar`] — straight sequential reference loops; the FFT engine
-//!   with one `f64` lane, one row or column at a time;
+//!   with one lane, one row or column at a time;
 //! * [`portable`] — the lane-unrolled dependency-free shape from
 //!   [`crate::vectorops`], which LLVM auto-vectorizes on any target; the
-//!   FFT engine with four lanes (`[f64; 4]`), four rows or columns per
-//!   pass;
+//!   FFT engine one 256-bit register wide (`[f32; 8]`, `[f64; 4]`), eight
+//!   (four) rows or columns per pass;
 //! * [`simd`] — explicit `core::arch` x86_64 AVX2 intrinsics behind
-//!   `is_x86_feature_detected!`, and the same four-lane FFT engine
-//!   compiled under `#[target_feature(enable = "avx2")]`; falls back to
-//!   `portable` elsewhere.
+//!   `is_x86_feature_detected!`, and the same wide FFT engine compiled
+//!   under `#[target_feature(enable = "avx2")]`; falls back to `portable`
+//!   elsewhere.
 //!
 //! # Selection
 //!
@@ -33,14 +34,15 @@
 //! # Bit-exactness contract
 //!
 //! The element-wise kernel (`ncc`) evaluates the *same IEEE-754
-//! expression DAG* in every backend: no FMA contraction, division and
-//! square root correctly rounded. The FFT needs no such care: there is
-//! one engine source ([`crate::radix`]), vectorised *across* transforms,
-//! so a lane of the four-lane run executes the very operation sequence of
-//! the one-lane run and a backend only chooses how many transforms share
-//! an instruction (AVX2 is enabled without FMA). All backends therefore
-//! produce bit-identical NCC surfaces, FFT outputs, and peak indices —
-//! the testkit backend oracle pins this.
+//! expression DAG* in every backend: widened exactly to `f64`, no FMA
+//! contraction, division and square root correctly rounded, one rounding
+//! back to `f32`. The FFT needs no such care: there is one engine source
+//! ([`crate::radix`]), vectorised *across* transforms, so a lane of the
+//! wide run executes the very operation sequence of the one-lane run and
+//! a backend only chooses how many transforms share an instruction (AVX2
+//! is enabled without FMA). All backends therefore produce bit-identical
+//! NCC surfaces, FFT outputs, and peak indices — the testkit backend
+//! oracle pins this.
 //!
 //! The co-moments ([`ComputeBackend::comoment_rect`]) are a reduction.
 //! The contract is per rectangle: the backend loops the rows inside its
@@ -53,8 +55,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::complex::C64;
-use crate::real::RealFft2d;
+use crate::complex::C32;
 
 pub mod portable;
 pub mod scalar;
@@ -71,10 +72,10 @@ pub trait ComputeBackend: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Element-wise normalized conjugate multiply (paper Fig 2 step 4):
-    /// `out[i] = a[i]·conj(b[i]) / |a[i]·conj(b[i])|`, zero where the
-    /// product magnitude underflows (≤ 1e-300). All slices must share
-    /// one length.
-    fn ncc(&self, a: &[C64], b: &[C64], out: &mut [C64]);
+    /// `out[i] = a[i]·conj(b[i]) / |a[i]·conj(b[i])|`, each bin computed
+    /// in `f64` and rounded once, zero where the product magnitude
+    /// underflows (≤ 1e-300). All slices must share one length.
+    fn ncc(&self, a: &[C32], b: &[C32], out: &mut [C32]);
 
     /// CCF co-moments `[Σa, Σb, Σab, Σa², Σb²]` of a `rows × cols`
     /// rectangle of `u16` pixels, widened and centered on the fly
@@ -94,12 +95,24 @@ pub trait ComputeBackend: Send + Sync {
         centers: (f64, f64),
     ) -> [f64; 5];
 
-    /// [`RealFft2d::forward`] with this backend's lane type and
-    /// instruction set (lengths already checked).
-    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]);
+    /// The lanes and instruction set [`crate::RealFft2d`] runs on under
+    /// this backend.
+    fn fft_lanes(&self) -> FftLanes;
+}
 
-    /// [`RealFft2d::inverse`], likewise; `spectrum` is consumed.
-    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]);
+/// How the FFT engine runs: how many transforms share an instruction,
+/// and under which instruction set. The arithmetic of each transform is
+/// the same in all three.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FftLanes {
+    /// One transform at a time.
+    One,
+    /// One 256-bit register of transforms side by side (`[f32; 8]`,
+    /// `[f64; 4]`), in the build's baseline instruction set.
+    Wide,
+    /// [`FftLanes::Wide`] compiled with AVX2 — where the host has it;
+    /// `Wide` elsewhere.
+    WideAvx2,
 }
 
 /// A backend requested by the user (CLI flag, env var, or testkit).
@@ -230,20 +243,22 @@ pub fn resolved_name(choice: BackendChoice) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c64;
+    use crate::complex::{c64, Cx, Float};
+    use crate::plan::Planner;
+    use crate::real::RealFft2d;
     use crate::vectorops;
 
     /// Deterministic pseudo-random complex data.
-    pub(crate) fn data(n: usize, seed: u64) -> Vec<C64> {
+    pub(crate) fn data(n: usize, seed: u64) -> Vec<C32> {
         (0..n)
             .map(|i| {
                 let v = (i as u64)
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     .wrapping_add(seed.wrapping_mul(0xD1B54A32D192ED03));
-                c64(
+                C32::from_c64(c64(
                     ((v >> 16) % 2000) as f64 / 10.0 - 100.0,
                     ((v >> 40) % 2000) as f64 / 10.0 - 100.0,
-                )
+                ))
             })
             .collect()
     }
@@ -275,10 +290,10 @@ mod tests {
         for n in [0usize, 1, 3, 4, 7, 16, 64, 1001] {
             let a = data(n, 1);
             let b = data(n, 2);
-            let mut reference = vec![C64::ZERO; n];
+            let mut reference = vec![C32::ZERO; n];
             scalar::ScalarBackend.ncc(&a, &b, &mut reference);
             for be in backends() {
-                let mut out = vec![c64(9.0, 9.0); n];
+                let mut out = vec![C32 { re: 9.0, im: 9.0 }; n];
                 be.ncc(&a, &b, &mut out);
                 for i in 0..n {
                     assert!(
@@ -300,17 +315,17 @@ mod tests {
         // zero exactly those lanes
         let mut a = data(12, 3);
         for i in (1..12).step_by(4) {
-            a[i] = C64::ZERO;
+            a[i] = C32::ZERO;
         }
         let b = data(12, 4);
         for be in backends() {
-            let mut out = vec![c64(5.0, 5.0); 12];
+            let mut out = vec![C32 { re: 5.0, im: 5.0 }; 12];
             be.ncc(&a, &b, &mut out);
             for (i, v) in out.iter().enumerate() {
                 if i % 4 == 1 {
-                    assert_eq!(*v, C64::ZERO, "{} i={i}", be.name());
+                    assert_eq!(*v, C32::ZERO, "{} i={i}", be.name());
                 } else {
-                    assert!((v.abs() - 1.0).abs() < 1e-12, "{} i={i}", be.name());
+                    assert!((v.to_c64().abs() - 1.0).abs() < 1e-7, "{} i={i}", be.name());
                 }
             }
         }
@@ -446,32 +461,48 @@ mod tests {
         }
     }
 
+    /// One transform pair at precision `T` on `be`'s lanes: the spectrum
+    /// and the surface the consumed spectrum inverts to, as bits.
+    fn pair_bits<T: Float>(be: &dyn ComputeBackend, w: usize, h: usize) -> Vec<u64> {
+        let plan = RealFft2d::<T>::new(&Planner::default(), w, h);
+        let input: Vec<T> = data(w * h, 31)
+            .iter()
+            .map(|z| T::from_f64(z.re.into()))
+            .collect();
+        let mut spec = vec![Cx::<T>::ZERO; plan.spectrum_len()];
+        plan.forward_on(be.fft_lanes(), &input, &mut spec);
+        let mut back = vec![T::ZERO; w * h];
+        let mut bits: Vec<u64> = spec
+            .iter()
+            .flat_map(|z| [z.re, z.im])
+            .map(|v| v.to_f64().to_bits())
+            .collect();
+        plan.inverse_on(be.fft_lanes(), &mut spec, &mut back);
+        bits.extend(back.iter().map(|v| v.to_f64().to_bits()));
+        bits
+    }
+
     #[test]
     fn real_fft2d_bit_identical_across_backends() {
-        use crate::plan::Planner;
         // 174×130 carries both awkward primes (29, 13) and leaves a
-        // partial last panel on both axes; 96×72 is the dense toy tile.
-        for (w, h) in [(174usize, 130usize), (96, 72)] {
-            let plan = RealFft2d::new(&Planner::default(), w, h);
-            let input: Vec<f64> = data(w * h, 31).iter().map(|z| z.re).collect();
-            let mut reference: Option<(Vec<C64>, Vec<f64>)> = None;
+        // partial last panel on both axes; 96×72 is the dense toy tile;
+        // 61×47 runs chirp-z on both axes.
+        for (w, h) in [(174usize, 130usize), (96, 72), (61, 47)] {
+            let (want32, want64) = (
+                pair_bits::<f32>(&scalar::ScalarBackend, w, h),
+                pair_bits::<f64>(&scalar::ScalarBackend, w, h),
+            );
             for be in backends() {
-                let mut spec = vec![C64::ZERO; plan.spectrum_len()];
-                be.real_fft2d_forward(&plan, &input, &mut spec);
-                let forward = spec.clone();
-                let mut back = vec![0.0; w * h];
-                be.real_fft2d_inverse(&plan, &mut spec, &mut back);
-                let (want_fwd, want_back) =
-                    reference.get_or_insert((forward.clone(), back.clone()));
-                let same = forward.iter().zip(want_fwd.iter()).all(|(a, b)| {
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-                });
-                assert!(same, "{} forward {w}x{h}", be.name());
-                let same = back
-                    .iter()
-                    .zip(want_back.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{} inverse {w}x{h}", be.name());
+                assert!(
+                    pair_bits::<f32>(be, w, h) == want32,
+                    "{} f32 {w}x{h}",
+                    be.name()
+                );
+                assert!(
+                    pair_bits::<f64>(be, w, h) == want64,
+                    "{} f64 {w}x{h}",
+                    be.name()
+                );
             }
         }
     }

@@ -2,16 +2,15 @@
 //!
 //! The NCC and the co-moment rows come straight from [`crate::vectorops`]
 //! (the PR-4-era vector-shaped loops); the 2-D FFT runs the shared engine
-//! over `[f64; 4]` lanes — four rows or columns per pass, an independent
-//! body per lane. LLVM turns these into packed SIMD at whatever width the
+//! one register wide (`[f32; 8]`, `[f64; 4]`) — eight (four) rows or
+//! columns per pass, an independent body per lane. LLVM turns these into packed SIMD at whatever width the
 //! target offers without a single intrinsic — the portable floor every
 //! platform gets.
 
-use crate::complex::C64;
-use crate::real::RealFft2d;
+use crate::complex::C32;
 use crate::vectorops;
 
-use super::ComputeBackend;
+use super::{ComputeBackend, FftLanes};
 
 /// Lane-unrolled loops LLVM auto-vectorizes (`--backend portable`).
 pub struct PortableBackend;
@@ -21,7 +20,7 @@ impl ComputeBackend for PortableBackend {
         "portable"
     }
 
-    fn ncc(&self, a: &[C64], b: &[C64], out: &mut [C64]) {
+    fn ncc(&self, a: &[C32], b: &[C32], out: &mut [C32]) {
         vectorops::ncc_vectorized(a, b, out);
     }
 
@@ -39,11 +38,7 @@ impl ComputeBackend for PortableBackend {
         })
     }
 
-    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
-        plan.forward_lanes::<[f64; 4]>(input, output);
-    }
-
-    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
-        plan.inverse_lanes::<[f64; 4]>(spectrum, output);
+    fn fft_lanes(&self) -> FftLanes {
+        FftLanes::Wide
     }
 }

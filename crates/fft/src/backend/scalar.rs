@@ -5,13 +5,12 @@
 //! The NCC shares its expression DAG with the vectorized backends and is
 //! bit-identical to them; the co-moment rows accumulate in strict
 //! left-to-right order, which the lane-split backends re-associate. The
-//! 2-D FFT runs the shared engine one `f64` lane wide.
+//! 2-D FFT runs the shared engine one lane wide.
 
-use crate::complex::C64;
-use crate::real::RealFft2d;
+use crate::complex::C32;
 use crate::vectorops;
 
-use super::ComputeBackend;
+use super::{ComputeBackend, FftLanes};
 
 /// Sequential reference loops (`--backend scalar`).
 pub struct ScalarBackend;
@@ -21,7 +20,7 @@ impl ComputeBackend for ScalarBackend {
         "scalar"
     }
 
-    fn ncc(&self, a: &[C64], b: &[C64], out: &mut [C64]) {
+    fn ncc(&self, a: &[C32], b: &[C32], out: &mut [C32]) {
         vectorops::ncc_scalar(a, b, out);
     }
 
@@ -39,11 +38,7 @@ impl ComputeBackend for ScalarBackend {
         })
     }
 
-    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
-        plan.forward_lanes::<f64>(input, output);
-    }
-
-    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
-        plan.inverse_lanes::<f64>(spectrum, output);
+    fn fft_lanes(&self) -> FftLanes {
+        FftLanes::One
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! Hand-written `core::arch` intrinsics for the element-wise phase-1
 //! hot loops — the modern form of the paper's §IV-A SSE kernels — and
-//! the shared four-lane FFT engine compiled with AVX2 enabled (no
-//! per-ISA butterfly: it is vectorised across transforms). Each kernel
-//! evaluates exactly the expression DAG of its scalar/portable twin:
+//! the shared wide FFT engine (`[f32; 8]`: one `ymm` register) compiled
+//! with AVX2 enabled (no per-ISA butterfly: it is vectorised across
+//! transforms). Each kernel evaluates exactly the expression DAG of its
+//! scalar/portable twin:
 //!
+//! * the NCC widens its `f32` bins exactly to `f64` (`_mm256_cvtps_pd`),
+//!   works there and rounds once back (`_mm256_cvtpd_ps`, round to
+//!   nearest even, as `as f32`);
 //! * no FMA — products and sums stay separately rounded
 //!   (`_mm256_mul_pd` + `_mm256_add_pd`, never `_mm256_fmadd_pd`);
 //! * `_mm256_div_pd` and `_mm256_sqrt_pd` are correctly rounded, so
@@ -25,11 +29,11 @@
 
 use core::arch::x86_64::*;
 
-use crate::complex::C64;
+use crate::complex::{Cx, Float, C32};
 use crate::real::RealFft2d;
 use crate::vectorops::{self, LANES};
 
-use super::ComputeBackend;
+use super::{ComputeBackend, FftLanes};
 
 /// Explicit AVX2 intrinsics (`--backend simd`), selected by `auto` when
 /// the host supports them.
@@ -40,7 +44,7 @@ impl ComputeBackend for SimdBackend {
         "simd"
     }
 
-    fn ncc(&self, a: &[C64], b: &[C64], out: &mut [C64]) {
+    fn ncc(&self, a: &[C32], b: &[C32], out: &mut [C32]) {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), out.len());
         if super::simd_supported() {
@@ -70,39 +74,33 @@ impl ComputeBackend for SimdBackend {
         }
     }
 
-    fn real_fft2d_forward(&self, plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
-        if super::simd_supported() {
-            // SAFETY: AVX2 confirmed on this host.
-            unsafe { real_fft2d_forward_avx2(plan, input, output) }
-        } else {
-            plan.forward_lanes::<[f64; 4]>(input, output);
-        }
-    }
-
-    fn real_fft2d_inverse(&self, plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
-        if super::simd_supported() {
-            // SAFETY: AVX2 confirmed on this host.
-            unsafe { real_fft2d_inverse_avx2(plan, spectrum, output) }
-        } else {
-            plan.inverse_lanes::<[f64; 4]>(spectrum, output);
-        }
+    fn fft_lanes(&self) -> FftLanes {
+        FftLanes::WideAvx2
     }
 }
 
-/// The four-lane FFT engine with AVX2 code generation: the whole
-/// transform inlines into this frame, so each `[f64; 4]` operation is
+/// The wide FFT engine with AVX2 code generation: the whole transform
+/// inlines into this frame, so each `[f32; 8]` (`[f64; 4]`) operation is
 /// one 256-bit instruction. AVX2 only — without the `fma` feature no
 /// multiply-add can be contracted, so lanes round as the portable build
 /// does.
 #[target_feature(enable = "avx2")]
-fn real_fft2d_forward_avx2(plan: &RealFft2d, input: &[f64], output: &mut [C64]) {
-    plan.forward_lanes::<[f64; 4]>(input, output);
+pub(crate) fn real_fft2d_forward_avx2<T: Float>(
+    plan: &RealFft2d<T>,
+    input: &[T],
+    output: &mut [Cx<T>],
+) {
+    plan.forward_lanes::<T::Wide>(input, output);
 }
 
 /// Inverse twin of [`real_fft2d_forward_avx2`].
 #[target_feature(enable = "avx2")]
-fn real_fft2d_inverse_avx2(plan: &RealFft2d, spectrum: &mut [C64], output: &mut [f64]) {
-    plan.inverse_lanes::<[f64; 4]>(spectrum, output);
+pub(crate) fn real_fft2d_inverse_avx2<T: Float>(
+    plan: &RealFft2d<T>,
+    spectrum: &mut [Cx<T>],
+    output: &mut [T],
+) {
+    plan.inverse_lanes::<T::Wide>(spectrum, output);
 }
 
 /// Deinterleaves four packed complex (`r0 i0 r1 i1 | r2 i2 r3 i3`) into
@@ -132,13 +130,25 @@ unsafe fn interleave4(re: __m256d, im: __m256d) -> (__m256d, __m256d) {
     (lo, hi)
 }
 
-/// NCC over four complex per iteration. Bit-identical to
-/// [`vectorops::ncc_scalar`].
+/// Four `C32` bins from `p`, widened exactly: `(re, im)` at `f64`.
+///
+/// # Safety
+/// AVX required; `p..p+4` must be readable.
+#[inline(always)]
+unsafe fn load4_wide(p: *const C32) -> (__m256d, __m256d) {
+    deinterleave4(
+        _mm256_cvtps_pd(_mm_loadu_ps(p as *const f32)),
+        _mm256_cvtps_pd(_mm_loadu_ps(p.add(2) as *const f32)),
+    )
+}
+
+/// NCC over four complex per iteration, `f32` storage and `f64`
+/// arithmetic. Bit-identical to [`vectorops::ncc_scalar`].
 ///
 /// # Safety
 /// AVX2 must be available; all three slices must share one length.
 #[target_feature(enable = "avx2")]
-unsafe fn ncc_avx2(a: &[C64], b: &[C64], out: &mut [C64]) {
+unsafe fn ncc_avx2(a: &[C32], b: &[C32], out: &mut [C32]) {
     let n = a.len();
     let chunks = n / LANES;
     let floor = _mm256_set1_pd(1e-300);
@@ -147,14 +157,8 @@ unsafe fn ncc_avx2(a: &[C64], b: &[C64], out: &mut [C64]) {
     let op = out.as_mut_ptr();
     for c in 0..chunks {
         let i = c * LANES;
-        let (are, aim) = deinterleave4(
-            _mm256_loadu_pd(ap.add(i) as *const f64),
-            _mm256_loadu_pd(ap.add(i + 2) as *const f64),
-        );
-        let (bre, bim) = deinterleave4(
-            _mm256_loadu_pd(bp.add(i) as *const f64),
-            _mm256_loadu_pd(bp.add(i + 2) as *const f64),
-        );
+        let (are, aim) = load4_wide(ap.add(i));
+        let (bre, bim) = load4_wide(bp.add(i));
         // re = a.re·b.re + a.im·b.im ; im = a.im·b.re − a.re·b.im
         let re = _mm256_add_pd(_mm256_mul_pd(are, bre), _mm256_mul_pd(aim, bim));
         let im = _mm256_sub_pd(_mm256_mul_pd(aim, bre), _mm256_mul_pd(are, bim));
@@ -164,8 +168,8 @@ unsafe fn ncc_avx2(a: &[C64], b: &[C64], out: &mut [C64]) {
         let ore = _mm256_and_pd(_mm256_div_pd(re, mag), keep);
         let oim = _mm256_and_pd(_mm256_div_pd(im, mag), keep);
         let (lo, hi) = interleave4(ore, oim);
-        _mm256_storeu_pd(op.add(i) as *mut f64, lo);
-        _mm256_storeu_pd(op.add(i + 2) as *mut f64, hi);
+        _mm_storeu_ps(op.add(i) as *mut f32, _mm256_cvtpd_ps(lo));
+        _mm_storeu_ps(op.add(i + 2) as *mut f32, _mm256_cvtpd_ps(hi));
     }
     let done = chunks * LANES;
     vectorops::ncc_scalar(&a[done..], &b[done..], &mut out[done..]);

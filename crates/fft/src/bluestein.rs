@@ -5,30 +5,31 @@
 //! library accept *any* tile dimension, just as FFTW does — the paper's
 //! microscopy tiles (1392×1040) are not guaranteed to have friendly sizes
 //! (§III: "there is no guarantee that the partial images will have such
-//! nice dimensions").
+//! nice dimensions"). The chirp and the transformed kernel are computed in
+//! `f64` and rounded once to the plan's precision.
 
-use crate::complex::{Cx, Lane, C64};
+use crate::complex::{Cx, Float, Lane, C64};
 use crate::factor::next_pow2;
 use crate::radix::{Direction, MixedRadixPlan};
 use crate::scratch;
 
-/// A Bluestein FFT plan for one fixed length and direction.
-pub struct BluesteinPlan {
+/// A Bluestein FFT plan for one fixed length, direction and precision.
+pub struct BluesteinPlan<T> {
     n: usize,
     /// Convolution FFT size: power of two ≥ 2n−1.
     m: usize,
     /// Chirp `w[k] = e^{sign·πi·k²/n}` for k in 0..n.
-    chirp: Vec<C64>,
+    chirp: Vec<Cx<T>>,
     /// Pre-transformed convolution kernel: `FFT_m(b)` where
     /// `b[k] = conj(chirp[k])` wrapped circularly.
-    kernel_freq: Vec<C64>,
-    fwd: MixedRadixPlan,
-    inv: MixedRadixPlan,
+    kernel_freq: Vec<Cx<T>>,
+    fwd: MixedRadixPlan<T>,
+    inv: MixedRadixPlan<T>,
 }
 
-impl BluesteinPlan {
+impl<T: Float> BluesteinPlan<T> {
     /// Plans a length-`n` transform. Works for every `n ≥ 1`.
-    pub fn new(n: usize, direction: Direction) -> BluesteinPlan {
+    pub fn new(n: usize, direction: Direction) -> BluesteinPlan<T> {
         assert!(n > 0, "transform length must be positive");
         let m = next_pow2(2 * n - 1);
         let sign = direction.sign();
@@ -41,8 +42,6 @@ impl BluesteinPlan {
                 C64::cis(step * k2 as f64)
             })
             .collect();
-        let fwd = MixedRadixPlan::new(m, Direction::Forward);
-        let inv = MixedRadixPlan::new(m, Direction::Inverse);
         // b[k] = conj(chirp[|k|]) placed circularly at indices k and m−k.
         let mut b = vec![C64::ZERO; m];
         b[0] = chirp[0].conj();
@@ -52,14 +51,15 @@ impl BluesteinPlan {
             b[m - k] = v;
         }
         let mut kernel_freq = vec![C64::ZERO; m];
-        fwd.process(&b, &mut kernel_freq);
+        MixedRadixPlan::new(m, Direction::Forward).process(&b, &mut kernel_freq);
+        let narrow = |v: Vec<C64>| v.into_iter().map(Cx::from_c64).collect();
         BluesteinPlan {
             n,
             m,
-            chirp,
-            kernel_freq,
-            fwd,
-            inv,
+            chirp: narrow(chirp),
+            kernel_freq: narrow(kernel_freq),
+            fwd: MixedRadixPlan::new(m, Direction::Forward),
+            inv: MixedRadixPlan::new(m, Direction::Inverse),
         }
     }
 
@@ -84,7 +84,7 @@ impl BluesteinPlan {
     /// Executes the transform out-of-place; `input` is left untouched.
     /// Allocation-free at steady state: the convolution buffers come from
     /// the thread-local [`crate::scratch`] pool.
-    pub fn process(&self, input: &[C64], output: &mut [C64]) {
+    pub fn process(&self, input: &[Cx<T>], output: &mut [Cx<T>]) {
         assert_eq!(input.len(), self.n);
         let mut buf = scratch::take(self.scratch_len());
         self.run(|k| input[k], output, buf.slice())
@@ -93,7 +93,7 @@ impl BluesteinPlan {
     /// Executes the transform: element `k` of the input is `load(k)`,
     /// the result lands in `out`; `scratch` holds
     /// [`BluesteinPlan::scratch_len`] elements of unspecified content.
-    pub(crate) fn run<L: Lane>(
+    pub(crate) fn run<L: Lane<Scalar = T>>(
         &self,
         load: impl Fn(usize) -> Cx<L>,
         out: &mut [Cx<L>],
@@ -111,7 +111,7 @@ impl BluesteinPlan {
             *f = *f * k;
         }
         self.inv.run_slice(freq, a);
-        let scale = 1.0 / self.m as f64;
+        let scale = T::from_f64(1.0 / self.m as f64);
         for ((o, aj), &c) in out.iter_mut().zip(a.iter()).zip(&self.chirp) {
             *o = aj.scale(scale) * c;
         }
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn conv_len_is_pow2_and_big_enough() {
         for n in [7usize, 31, 97, 1000] {
-            let p = BluesteinPlan::new(n, Direction::Forward);
+            let p = BluesteinPlan::<f64>::new(n, Direction::Forward);
             assert!(p.m.is_power_of_two());
             assert!(p.m >= 2 * n - 1);
         }

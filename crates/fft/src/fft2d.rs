@@ -43,8 +43,8 @@ pub struct Fft2d {
     width: usize,
     height: usize,
     direction: Direction,
-    row_plan: Arc<FftPlan>,
-    col_plan: Arc<FftPlan>,
+    row_plan: Arc<FftPlan<f64>>,
+    col_plan: Arc<FftPlan<f64>>,
 }
 
 impl Fft2d {

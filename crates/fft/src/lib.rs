@@ -1,20 +1,23 @@
 //! # stitch-fft — FFT substrate for the stitching system
 //!
-//! A from-scratch double-precision FFT library standing in for FFTW3 (CPU
-//! path) and cuFFT (simulated-GPU path) in the ICPP 2014 stitching paper's
-//! software stack. It provides:
+//! A from-scratch FFT library standing in for FFTW3 (CPU path) and cuFFT
+//! (simulated-GPU path) in the ICPP 2014 stitching paper's software stack.
+//! Every transform is generic over its precision ([`Float`]): the product
+//! stores and transforms its spectra in single precision ([`C32`]),
+//! double precision ([`C64`]) is the reference the tests hold it to. It
+//! provides:
 //!
 //! * arbitrary-length 1-D complex transforms — mixed-radix Cooley-Tukey for
 //!   smooth sizes ([`MixedRadixPlan`]: one engine generic over its lane
-//!   type, so `[f64; 4]` runs four transforms in lock step; odd-prime
+//!   type, so `[f32; 8]` runs eight transforms in lock step; odd-prime
 //!   butterflies by Hermitian symmetry), Bluestein/chirp-z for sizes with
 //!   large prime factors ([`BluesteinPlan`]);
 //! * an FFTW-style [`Planner`] with Estimate / Measure / Patient search
 //!   modes and a plan cache (§IV-A of the paper);
 //! * the product's 2-D transform, real-to-complex / complex-to-real
-//!   ([`RealFft2d`], the paper's §VI-A future-work optimization): four
-//!   rows, then four spectrum columns — one cache line — per pass, the
-//!   inverse in place;
+//!   ([`RealFft2d`], the paper's §VI-A future-work optimization): eight
+//!   rows, then eight `C32` spectrum columns — one cache line — per pass,
+//!   the inverse in place;
 //! * complex 2-D transforms via row-column decomposition with a blocked
 //!   transpose ([`Fft2d`]) — the reference the tests compare against;
 //! * explicitly vector-shaped element-wise kernels ([`vectorops`]) — the
@@ -53,7 +56,7 @@ pub mod vectorops;
 
 pub use backend::{BackendChoice, ComputeBackend};
 pub use bluestein::BluesteinPlan;
-pub use complex::{c64, C64};
+pub use complex::{c64, Float, C32, C64};
 pub use fft2d::{transpose, Fft2d};
 pub use plan::{fft_forward, fft_inverse, global_planner, FftPlan, PlanMode, Planner};
 pub use radix::{dft_naive, Direction, MixedRadixPlan};

@@ -9,12 +9,13 @@
 //! schedules on scratch data and keep the fastest, with Patient exploring a
 //! larger candidate set.
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::bluestein::BluesteinPlan;
-use crate::complex::{c64, Cx, Lane, C64};
+use crate::complex::{c64, Cx, Float, Lane, C64};
 use crate::factor::{is_smooth, radix_schedule};
 use crate::radix::{Direction, MixedRadixPlan};
 
@@ -42,16 +43,20 @@ impl PlanMode {
     }
 }
 
-/// A ready-to-execute 1-D FFT plan: mixed-radix when the length is smooth,
-/// Bluestein otherwise. Immutable and shareable across threads.
-pub enum FftPlan {
+/// A plan's cache key: length, direction and the precision's type.
+type PlanKey = (usize, Direction, TypeId);
+
+/// A ready-to-execute 1-D FFT plan at precision `T`: mixed-radix when the
+/// length is smooth, Bluestein otherwise. Immutable and shareable across
+/// threads.
+pub enum FftPlan<T> {
     /// Cooley-Tukey mixed-radix plan.
-    MixedRadix(MixedRadixPlan),
+    MixedRadix(MixedRadixPlan<T>),
     /// Chirp-z plan for lengths with large prime factors.
-    Bluestein(BluesteinPlan),
+    Bluestein(BluesteinPlan<T>),
 }
 
-impl FftPlan {
+impl<T: Float> FftPlan<T> {
     /// Transform length.
     pub(crate) fn len(&self) -> usize {
         match self {
@@ -62,7 +67,7 @@ impl FftPlan {
 
     /// Executes out-of-place; `input` is left untouched. Unscaled in both
     /// directions (FFTW convention): `inverse(forward(x)) = n·x`.
-    pub fn process(&self, input: &[C64], output: &mut [C64]) {
+    pub fn process(&self, input: &[Cx<T>], output: &mut [Cx<T>]) {
         match self {
             FftPlan::MixedRadix(p) => p.process(input, output),
             FftPlan::Bluestein(p) => p.process(input, output),
@@ -92,7 +97,7 @@ impl FftPlan {
     /// mixed-radix passes inline into the caller (see
     /// [`MixedRadixPlan::run`]).
     #[inline(always)]
-    pub(crate) fn run<L: Lane>(
+    pub(crate) fn run<L: Lane<Scalar = T>>(
         &self,
         load: impl Fn(usize) -> Cx<L>,
         out: &mut [Cx<L>],
@@ -105,14 +110,15 @@ impl FftPlan {
     }
 }
 
-/// Plans 1-D FFTs and caches them by `(len, direction)`.
+/// Plans 1-D FFTs and caches them by `(len, direction, precision)`.
 ///
 /// A `Planner` is cheap to clone conceptually — use one per process (or
 /// [`global_planner`]) so planning cost is paid once, as the pipeline
 /// implementations in `stitch-core` do.
 pub struct Planner {
     mode: PlanMode,
-    cache: Mutex<HashMap<(usize, Direction), Arc<FftPlan>>>,
+    /// Values are `Arc<FftPlan<T>>` for the `T` in the key.
+    cache: Mutex<HashMap<PlanKey, Arc<dyn Any + Send + Sync>>>,
     /// Cumulative wall time spent planning (the §IV-A "patient planning
     /// took 4min20s" cost — observable so benches can report it).
     planning_nanos: Mutex<u128>,
@@ -133,23 +139,23 @@ impl Planner {
         *self.planning_nanos.lock().unwrap()
     }
 
-    /// Returns the plan for `(n, dir)`, planning and caching it on first use.
-    pub fn plan(&self, n: usize, dir: Direction) -> Arc<FftPlan> {
-        if let Some(p) = self.cache.lock().unwrap().get(&(n, dir)) {
-            return Arc::clone(p);
-        }
-        let t0 = Instant::now();
-        let plan = Arc::new(self.build(n, dir));
-        *self.planning_nanos.lock().unwrap() += t0.elapsed().as_nanos();
-        self.cache
-            .lock()
-            .unwrap()
-            .entry((n, dir))
-            .or_insert(plan)
-            .clone()
+    /// Returns the plan for `(n, dir)` at precision `T`, planning and
+    /// caching it on first use.
+    pub fn plan<T: Float>(&self, n: usize, dir: Direction) -> Arc<FftPlan<T>> {
+        let key = (n, dir, TypeId::of::<T>());
+        let cached = self.cache.lock().unwrap().get(&key).cloned();
+        let plan = cached.unwrap_or_else(|| {
+            let t0 = Instant::now();
+            let plan: Arc<dyn Any + Send + Sync> = Arc::new(self.build::<T>(n, dir));
+            *self.planning_nanos.lock().unwrap() += t0.elapsed().as_nanos();
+            let mut cache = self.cache.lock().unwrap();
+            Arc::clone(cache.entry(key).or_insert(plan))
+        });
+        plan.downcast()
+            .expect("the cache key names the plan's precision")
     }
 
-    fn build(&self, n: usize, dir: Direction) -> FftPlan {
+    fn build<T: Float>(&self, n: usize, dir: Direction) -> FftPlan<T> {
         if !is_smooth(n) {
             return FftPlan::Bluestein(BluesteinPlan::new(n, dir));
         }
@@ -172,12 +178,12 @@ impl Planner {
             ));
         }
         // Time each candidate on scratch data; keep the fastest.
-        let input: Vec<C64> = (0..n)
-            .map(|k| c64((k % 13) as f64, (k % 7) as f64))
+        let input: Vec<Cx<T>> = (0..n)
+            .map(|k| Cx::from_c64(c64((k % 13) as f64, (k % 7) as f64)))
             .collect();
-        let mut output = vec![C64::ZERO; n];
+        let mut output = vec![Cx::ZERO; n];
         let reps = self.mode.reps();
-        let mut best: Option<(u128, MixedRadixPlan)> = None;
+        let mut best: Option<(u128, MixedRadixPlan<T>)> = None;
         for sched in candidates {
             let plan = MixedRadixPlan::with_schedule(n, dir, sched);
             plan.process(&input, &mut output); // warm-up
@@ -280,11 +286,11 @@ mod tests {
     fn planner_routes_smooth_to_mixed_radix() {
         let p = Planner::default();
         assert!(matches!(
-            *p.plan(1392, Direction::Forward),
+            *p.plan::<f64>(1392, Direction::Forward),
             FftPlan::MixedRadix(_)
         ));
         assert!(matches!(
-            *p.plan(97, Direction::Forward),
+            *p.plan::<f32>(97, Direction::Forward),
             FftPlan::Bluestein(_)
         ));
     }
@@ -292,12 +298,16 @@ mod tests {
     #[test]
     fn cache_returns_same_plan() {
         let p = Planner::default();
-        let a = p.plan(256, Direction::Forward);
-        let b = p.plan(256, Direction::Forward);
+        let a = p.plan::<f64>(256, Direction::Forward);
+        let b = p.plan::<f64>(256, Direction::Forward);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(p.cache.lock().unwrap().len(), 1);
-        p.plan(256, Direction::Inverse);
+        p.plan::<f64>(256, Direction::Inverse);
         assert_eq!(p.cache.lock().unwrap().len(), 2);
+        // one entry per precision: an f32 plan is its own
+        let c = p.plan::<f32>(256, Direction::Forward);
+        assert!(Arc::ptr_eq(&c, &p.plan::<f32>(256, Direction::Forward)));
+        assert_eq!(p.cache.lock().unwrap().len(), 3);
     }
 
     #[test]
@@ -317,7 +327,7 @@ mod tests {
     #[test]
     fn measured_modes_record_planning_time() {
         let p = Planner::new(PlanMode::Patient);
-        p.plan(360, Direction::Forward);
+        p.plan::<f32>(360, Direction::Forward);
         assert!(p.planning_nanos() > 0);
     }
 

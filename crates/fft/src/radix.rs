@@ -1,12 +1,15 @@
-//! Mixed-radix Cooley-Tukey FFT engine, generic over its lane type.
+//! Mixed-radix Cooley-Tukey FFT engine, generic over its precision and
+//! its lane type.
 //!
 //! One decimation-in-time transform over an arbitrary radix schedule (see
 //! [`crate::factor::radix_schedule`]), written once over [`Cx<L>`]: with
-//! `L = f64` it is a single transform, with `L = [f64; 4]` four
-//! independent transforms (four image columns, four image rows) advance
-//! through the same butterflies in lock step — vectorised across
-//! transforms, so no butterfly needs a shuffle or an ISA of its own, and
-//! every lane performs exactly the operations of the one-lane run.
+//! `L = f32` (or `f64`) it is a single transform, with `L = [f32; 8]`
+//! (`[f64; 4]`) eight (four) independent transforms — image columns,
+//! image rows — advance through the same butterflies in lock step:
+//! vectorised across transforms, so no butterfly needs a shuffle or an
+//! ISA of its own, and every lane performs exactly the operations of the
+//! one-lane run. A plan's tables are computed in `f64` and rounded once
+//! to the plan's precision `T`.
 //!
 //! The plan is a list of passes built at plan time. The first reads the
 //! input — through a caller-supplied `load(index)`, so packing reals,
@@ -32,7 +35,7 @@
 //! mirroring FFTW's `fftw_plan` reuse model that the paper relies on
 //! (plan once during setup, execute thousands of times in the pipeline).
 
-use crate::complex::{Cx, Lane, C64};
+use crate::complex::{Cx, Float, Lane, C64};
 use crate::factor::{radix_schedule, MAX_NAIVE_PRIME};
 
 /// Transform direction. Forward uses the kernel `e^{-2πi jk/n}`; inverse
@@ -53,15 +56,6 @@ impl Direction {
         match self {
             Direction::Forward => -1.0,
             Direction::Inverse => 1.0,
-        }
-    }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Forward => Direction::Inverse,
-            Direction::Inverse => Direction::Forward,
         }
     }
 }
@@ -97,16 +91,16 @@ const MAX_HALF: usize = MAX_NAIVE_PRIME / 2;
 
 /// One butterfly pass: `radix` sub-transforms of length `m` become one
 /// of length `radix·m`, in every block of that length.
-struct Stage {
+struct Stage<T> {
     radix: usize,
     m: usize,
     /// `W_{radix·m}^{k·j}` at `[j·(radix−1) + k−1]` for `j < m`,
     /// `1 ≤ k < radix` — the order the pass reads them. Empty for the
     /// first pass (`m = 1`).
-    twiddles: Vec<C64>,
+    twiddles: Vec<Cx<T>>,
     /// Odd radix `p = 2h+1`: `W_p^{q·k}` at `[(q−1)·h + k−1]` for
     /// `1 ≤ q, k ≤ h`.
-    trig: Vec<C64>,
+    trig: Vec<Cx<T>>,
 }
 
 /// Real multiplications of one radix-`r` butterfly.
@@ -117,29 +111,34 @@ fn butterfly_mults(r: usize) -> u64 {
     }
 }
 
-/// A mixed-radix FFT plan for a fixed length, direction and radix schedule.
-pub struct MixedRadixPlan {
+/// A mixed-radix FFT plan for a fixed length, direction, radix schedule
+/// and precision.
+pub struct MixedRadixPlan<T> {
     n: usize,
     direction: Direction,
     /// Passes in execution order: `stages[0]` reads the input.
-    stages: Vec<Stage>,
+    stages: Vec<Stage<T>>,
     /// Input index of the first element of each first-pass butterfly
     /// (the rest follow at stride `n / radix`).
     leaf_base: Vec<u32>,
     real_mults: u64,
 }
 
-impl MixedRadixPlan {
+impl<T: Float> MixedRadixPlan<T> {
     /// Plans a transform of length `n` with the default (descending-radix)
     /// schedule. Panics if `n` has a prime factor larger than
     /// [`MAX_NAIVE_PRIME`] — the planner routes those to Bluestein.
-    pub fn new(n: usize, direction: Direction) -> MixedRadixPlan {
+    pub fn new(n: usize, direction: Direction) -> MixedRadixPlan<T> {
         Self::with_schedule(n, direction, radix_schedule(n))
     }
 
     /// Plans with an explicit radix schedule, outermost radix first (used
     /// by Measure/Patient planning modes to compare schedule orderings).
-    pub fn with_schedule(n: usize, direction: Direction, schedule: Vec<usize>) -> MixedRadixPlan {
+    pub fn with_schedule(
+        n: usize,
+        direction: Direction,
+        schedule: Vec<usize>,
+    ) -> MixedRadixPlan<T> {
         assert!(n > 0, "transform length must be positive");
         assert!(u32::try_from(n).is_ok(), "transform length too large");
         assert_eq!(
@@ -164,14 +163,14 @@ impl MixedRadixPlan {
             } else {
                 (0..m)
                     .flat_map(|j| (1..radix).map(move |k| (j, k)))
-                    .map(|(j, k)| full[k * j * step])
+                    .map(|(j, k)| Cx::from_c64(full[k * j * step]))
                     .collect()
             };
             let h = if radix % 2 == 1 { radix / 2 } else { 0 };
             let unit = twiddle_table(radix, direction);
             let trig = (1..=h)
                 .flat_map(|q| (1..=h).map(move |k| (q, k)))
-                .map(|(q, k)| unit[q * k % radix])
+                .map(|(q, k)| Cx::from_c64(unit[q * k % radix]))
                 .collect();
             let blocks = (n / (radix * m)) as u64;
             real_mults += blocks * (m as u64 * butterfly_mults(radix) + 4 * twiddles.len() as u64);
@@ -210,13 +209,13 @@ impl MixedRadixPlan {
     /// Executes the transform out-of-place. `input` is left untouched.
     ///
     /// Panics if the slice lengths differ from the plan length.
-    pub fn process(&self, input: &[C64], output: &mut [C64]) {
+    pub fn process(&self, input: &[Cx<T>], output: &mut [Cx<T>]) {
         self.run_slice(input, output);
     }
 
     /// [`MixedRadixPlan::run`] from a slice: the one instantiation per
     /// lane type that everything reading plain buffers shares.
-    pub(crate) fn run_slice<L: Lane>(&self, input: &[Cx<L>], out: &mut [Cx<L>]) {
+    pub(crate) fn run_slice<L: Lane<Scalar = T>>(&self, input: &[Cx<L>], out: &mut [Cx<L>]) {
         assert_eq!(input.len(), self.n);
         self.run(|k| input[k], out);
     }
@@ -226,7 +225,11 @@ impl MixedRadixPlan {
     /// Always inlined, so the caller's `#[target_feature]` (and its
     /// `load`) compile into the passes.
     #[inline(always)]
-    pub(crate) fn run<L: Lane>(&self, load: impl Fn(usize) -> Cx<L>, out: &mut [Cx<L>]) {
+    pub(crate) fn run<L: Lane<Scalar = T>>(
+        &self,
+        load: impl Fn(usize) -> Cx<L>,
+        out: &mut [Cx<L>],
+    ) {
         assert_eq!(out.len(), self.n);
         let Some((leaf, combines)) = self.stages.split_first() else {
             out[0] = load(0);
@@ -327,7 +330,7 @@ fn butterfly<L: Lane>(
     sd: &mut [[Cx<L>; 2]; MAX_HALF],
     r: usize,
     fwd: bool,
-    trig: &[C64],
+    trig: &[Cx<L::Scalar>],
 ) {
     // forward: W_4 = −i ; inverse: W_4 = +i
     let rot = |z: Cx<L>| if fwd { z.mul_neg_i() } else { z.mul_i() };
@@ -387,10 +390,9 @@ mod tests {
     }
 
     #[test]
-    fn direction_sign_and_reverse() {
+    fn direction_sign() {
         assert_eq!(Direction::Forward.sign(), -1.0);
         assert_eq!(Direction::Inverse.sign(), 1.0);
-        assert_eq!(Direction::Forward.reverse(), Direction::Inverse);
     }
 
     #[test]
@@ -434,40 +436,42 @@ mod tests {
 
     /// Every odd-prime butterfly, as the untwiddled first pass
     /// (`[2, p]`), as a twiddled combine (`[p, 4]`) and alone, in both
-    /// directions, one lane and four: each lane against `dft_naive`, and
-    /// the four-lane run bit-identical to four one-lane runs.
+    /// directions, at both precisions, one lane and a register's worth
+    /// (`[f64; 4]`, `[f32; 8]`): each lane against `dft_naive`, and the
+    /// wide run bit-identical to that many one-lane runs.
     #[test]
     fn every_prime_butterfly_matches_naive_in_every_lane() {
-        let bits = |v: &[C64]| {
-            v.iter()
-                .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                .collect::<Vec<_>>()
-        };
+        fn check<L: Lane>(schedule: &[usize], dir: Direction, tol: f64) {
+            let bits = |v: &[Cx<L::Scalar>]| {
+                let v = v.iter().map(|z| z.to_c64());
+                v.map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let n: usize = schedule.iter().product();
+            let plan = MixedRadixPlan::<L::Scalar>::with_schedule(n, dir, schedule.to_vec());
+            let x: Vec<Vec<Cx<L::Scalar>>> = (0..L::N)
+                .map(|l| ramp(n + l).into_iter().skip(l).map(Cx::from_c64).collect())
+                .collect();
+            let mut wide = vec![Cx::<L>::default(); n];
+            plan.run(|k| Cx::from_fn(|l| x[l][k]), &mut wide);
+            for (l, xl) in x.iter().enumerate() {
+                let what = format!("{schedule:?} {dir:?} lane {l} of {}", L::N);
+                let mut fast = vec![Cx::ZERO; n];
+                plan.process(xl, &mut fast);
+                let exact: Vec<C64> = xl.iter().map(|z| z.to_c64()).collect();
+                let mut slow = vec![C64::ZERO; n];
+                dft_naive(&exact, &mut slow, dir);
+                let fast64: Vec<C64> = fast.iter().map(|z| z.to_c64()).collect();
+                assert!(max_err(&fast64, &slow) < tol * n as f64, "{what}");
+                let lane: Vec<_> = wide.iter().map(|z| z.lane(l)).collect();
+                assert_eq!(bits(&lane), bits(&fast), "{what}");
+            }
+        }
         for p in [3usize, 5, 7, 11, 13, 17, 19, 23, 29, 31] {
             for dir in [Direction::Forward, Direction::Inverse] {
                 for schedule in [vec![p], vec![2, p], vec![p, 4]] {
-                    let n: usize = schedule.iter().product();
-                    let plan = MixedRadixPlan::with_schedule(n, dir, schedule.clone());
-                    let x: Vec<Vec<C64>> = (0..4)
-                        .map(|l| ramp(n + l).into_iter().skip(l).collect())
-                        .collect();
-                    let mut wide = vec![Cx::<[f64; 4]>::default(); n];
-                    plan.run(|k| Cx::from_fn(|l| x[l][k]), &mut wide);
-                    for (l, xl) in x.iter().enumerate() {
-                        let (mut fast, mut slow) = (vec![C64::ZERO; n], vec![C64::ZERO; n]);
-                        plan.process(xl, &mut fast);
-                        dft_naive(xl, &mut slow, dir);
-                        assert!(
-                            max_err(&fast, &slow) < 1e-10 * n as f64,
-                            "p={p} {dir:?} {schedule:?}"
-                        );
-                        let lane: Vec<C64> = wide.iter().map(|z| z.lane(l)).collect();
-                        assert_eq!(
-                            bits(&lane),
-                            bits(&fast),
-                            "p={p} {dir:?} {schedule:?} lane {l}"
-                        );
-                    }
+                    check::<[f64; 4]>(&schedule, dir, 1e-10);
+                    check::<[f32; 8]>(&schedule, dir, 1e-5);
                 }
             }
         }
@@ -477,14 +481,14 @@ mod tests {
     fn real_mults_is_the_hand_count() {
         // 696 = 29·4·3·2: twiddles 4·(r−1)·n/r on the three combines,
         // (p−1)² per odd butterfly; the radix-2 first pass is free.
-        let plan = MixedRadixPlan::new(696, Direction::Forward);
+        let plan = MixedRadixPlan::<f64>::new(696, Direction::Forward);
         let combine = |r: u64, bfly: u64| 696 / r * (4 * (r - 1) + bfly);
         assert_eq!(
             plan.real_mults(),
             combine(3, 4) + combine(4, 0) + combine(29, 784)
         );
         assert_eq!(
-            MixedRadixPlan::new(1024, Direction::Inverse).real_mults(),
+            MixedRadixPlan::<f64>::new(1024, Direction::Inverse).real_mults(),
             4 * 3 * 256 * 4
         );
     }

@@ -21,8 +21,10 @@ use crate::complex::{Cx, Lane};
 pub type ScratchPool<L> = RefCell<Vec<Vec<Cx<L>>>>;
 
 thread_local! {
-    pub(crate) static POOL_1: ScratchPool<f64> = const { RefCell::new(Vec::new()) };
-    pub(crate) static POOL_4: ScratchPool<[f64; 4]> = const { RefCell::new(Vec::new()) };
+    pub(crate) static POOL_F64: ScratchPool<f64> = const { RefCell::new(Vec::new()) };
+    pub(crate) static POOL_F64X4: ScratchPool<[f64; 4]> = const { RefCell::new(Vec::new()) };
+    pub(crate) static POOL_F32: ScratchPool<f32> = const { RefCell::new(Vec::new()) };
+    pub(crate) static POOL_F32X8: ScratchPool<[f32; 8]> = const { RefCell::new(Vec::new()) };
 }
 
 /// A scratch buffer on loan from this thread's pool; goes back on drop.
@@ -96,6 +98,7 @@ mod tests {
     fn every_request_gets_its_exact_length() {
         assert_eq!(take::<f64>(8).slice().len(), 8);
         assert_eq!(take::<[f64; 4]>(1024).slice().len(), 1024);
+        assert_eq!(take::<[f32; 8]>(1024).slice().len(), 1024);
         assert_eq!(take::<f64>(1024).slice().len(), 1024);
         assert_eq!(take::<f64>(8).slice().len(), 8);
     }

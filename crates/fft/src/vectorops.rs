@@ -16,7 +16,8 @@
 //! the `simd` backend replaces them with explicit AVX2 intrinsics
 //! evaluating the same expression DAGs. Three kernels live here:
 //!
-//! * the NCC, bit-identical between scalar and vectorized forms;
+//! * the NCC, bit-identical between scalar and vectorized forms, at either
+//!   storage precision (each bin multiplied and normalised in `f64`);
 //! * the top-k peak extraction ([`top_peaks_into`]), one copy for every
 //!   spectrum layout and the simulated device;
 //! * the CCF co-moments, a per-row kernel inside a per-rectangle loop
@@ -25,7 +26,7 @@
 //!   row kernel re-associates its sum and agrees with the scalar one to
 //!   ~1e-12 relative (tests pin both properties).
 
-use crate::complex::C64;
+use crate::complex::{Cx, Float};
 
 /// Lanes of the vector-shaped loops. Four independent accumulator chains
 /// keep a reduction free of a serial dependency, the same trick as the
@@ -36,36 +37,47 @@ pub(crate) const LANES: usize = 4;
 /// is zeroed instead of dividing by a denormal.
 const NCC_MAG_FLOOR: f64 = 1e-300;
 
-/// Scalar reference: `out[i] = a[i]·conj(b[i]) / |a[i]·conj(b[i])|`,
-/// zero where the product magnitude underflows.
+/// One NCC bin: `a·conj(b) / |a·conj(b)|`, zero where the product
+/// magnitude underflows. Multiplied and normalised in `f64` whatever the
+/// storage precision — a paper-size `f32` spectrum's DC bin is ≈ 4e9, so
+/// `|a·conj b|²` would overflow `f32` and zero the bin that should be 1 —
+/// then rounded once to `T`.
 ///
 /// The normalization divides each component by the magnitude (`re/mag`,
 /// `im/mag`) rather than multiplying by its reciprocal — the same
 /// expression DAG as the vectorized and AVX2 forms, so all three are
 /// bit-identical (IEEE division is correctly rounded; a reciprocal
 /// multiply is not the same operation).
-pub fn ncc_scalar(a: &[C64], b: &[C64], out: &mut [C64]) {
+#[inline(always)]
+fn ncc_bin<T: Float>(a: Cx<T>, b: Cx<T>) -> Cx<T> {
+    let (a, b) = (a.to_c64(), b.to_c64());
+    let re = a.re * b.re + a.im * b.im;
+    let im = a.im * b.re - a.re * b.im;
+    let mag = (re * re + im * im).sqrt();
+    if mag > NCC_MAG_FLOOR {
+        Cx {
+            re: T::from_f64(re / mag),
+            im: T::from_f64(im / mag),
+        }
+    } else {
+        Cx::ZERO
+    }
+}
+
+/// Scalar reference: `out[i] = a[i]·conj(b[i]) / |a[i]·conj(b[i])|`,
+/// zero where the product magnitude underflows; see `ncc_bin`.
+pub fn ncc_scalar<T: Float>(a: &[Cx<T>], b: &[Cx<T>], out: &mut [Cx<T>]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), out.len());
     for i in 0..a.len() {
-        let re = a[i].re * b[i].re + a[i].im * b[i].im;
-        let im = a[i].im * b[i].re - a[i].re * b[i].im;
-        let mag = (re * re + im * im).sqrt();
-        out[i] = if mag > NCC_MAG_FLOOR {
-            C64 {
-                re: re / mag,
-                im: im / mag,
-            }
-        } else {
-            C64::ZERO
-        };
+        out[i] = ncc_bin(a[i], b[i]);
     }
 }
 
 /// Vector-shaped NCC: the same computation in stride-[`LANES`] chunks
 /// with no cross-iteration dependencies, so LLVM emits packed SIMD for
 /// the multiply/normalize pipeline. Bit-identical to [`ncc_scalar`].
-pub fn ncc_vectorized(a: &[C64], b: &[C64], out: &mut [C64]) {
+pub fn ncc_vectorized<T: Float>(a: &[Cx<T>], b: &[Cx<T>], out: &mut [Cx<T>]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), out.len());
     let chunks = a.len() / LANES;
@@ -79,17 +91,7 @@ pub fn ncc_vectorized(a: &[C64], b: &[C64], out: &mut [C64]) {
     {
         // one independent multiply+normalize per lane
         for l in 0..LANES {
-            let re = ac[l].re * bc[l].re + ac[l].im * bc[l].im;
-            let im = ac[l].im * bc[l].re - ac[l].re * bc[l].im;
-            let mag = (re * re + im * im).sqrt();
-            oc[l] = if mag > NCC_MAG_FLOOR {
-                C64 {
-                    re: re / mag,
-                    im: im / mag,
-                }
-            } else {
-                C64::ZERO
-            };
+            oc[l] = ncc_bin(ac[l], bc[l]);
         }
     }
     ncc_scalar(a_rest, b_rest, o_rest);
@@ -102,9 +104,9 @@ pub const PEAK_SUPPRESSION_RADIUS: usize = 2;
 /// The top-k reduction of PCIAM (Fig 2 step 5, widened from the single
 /// max): up to `k` distinct maxima of `key` over `data` viewed as a
 /// row-major surface of width `width`, strongest first, as
-/// `(flat index, key)`. The one copy shared by every spectrum layout on
-/// the host (`key` = `C64::norm_sqr` or `f64::abs`) and by the simulated
-/// device's kernel.
+/// `(flat index, key)`. The one copy shared by every surface on the host
+/// (`key` = `|v|` of an `f32` or `f64` surface, `C64::norm_sqr` of the
+/// complex reference's) and by the simulated device's kernel.
 ///
 /// Single pass with a small sorted gather buffer — O(n·k) worst case, k
 /// is single digits. Gathers `max(4k, 16)` candidates (peaks can shadow
@@ -239,7 +241,7 @@ pub(crate) fn comoment_u16_vectorized(a: &[u16], b: &[u16], ca: f64, cb: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c64;
+    use crate::complex::{c64, C32, C64};
 
     fn data(n: usize, seed: u64) -> Vec<C64> {
         (0..n)
@@ -272,6 +274,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A paper-size tile's DC bin is ≈ 4.3e9: `|a·conj b|²` ≈ 3.4e38 is
+    /// past `f32::MAX`, so the bin is normalised in `f64` — unit, not 0 —
+    /// and every `f32` bin is the `f64` result rounded once.
+    #[test]
+    fn f32_bins_are_normalised_in_f64() {
+        let big = C32 {
+            re: 4.3e9,
+            im: -1.5e9,
+        };
+        let mut a: Vec<C32> = data(64, 5).into_iter().map(C32::from_c64).collect();
+        let b: Vec<C32> = data(64, 6).into_iter().map(C32::from_c64).collect();
+        a[0] = big;
+        let mut b = b;
+        b[0] = C32 {
+            re: 65535.0 * 1.5e6,
+            im: 0.0,
+        };
+        let (mut s, mut v) = (vec![C32::ZERO; 64], vec![C32::ZERO; 64]);
+        ncc_scalar(&a, &b, &mut s);
+        ncc_vectorized(&a, &b, &mut v);
+        assert!(s
+            .iter()
+            .zip(&v)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+        let wide = |v: &[C32]| v.iter().map(|z| z.to_c64()).collect::<Vec<_>>();
+        let mut reference = vec![C64::ZERO; 64];
+        ncc_scalar(&wide(&a), &wide(&b), &mut reference);
+        for (got, want) in s.iter().zip(&reference) {
+            assert!(got.is_finite());
+            assert_eq!((got.re, got.im), (want.re as f32, want.im as f32));
+        }
+        assert!((s[0].to_c64().abs() - 1.0).abs() < 1e-7, "{:?}", s[0]);
     }
 
     #[test]

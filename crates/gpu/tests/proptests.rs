@@ -66,10 +66,10 @@ proptest! {
 
     /// The top-1 peak reduction agrees with a host-side scan.
     #[test]
-    fn max_reduce_agrees_with_host(values in proptest::collection::vec(-1000.0..1000.0f64, 1..512)) {
+    fn max_reduce_agrees_with_host(values in proptest::collection::vec(-1000.0..1000.0f32, 1..512)) {
         let dev = device(16 << 20);
         let s = dev.create_stream("t");
-        let buf = dev.alloc::<f64>(values.len()).unwrap();
+        let buf = dev.alloc::<f32>(values.len()).unwrap();
         s.h2d(Arc::new(values.clone()), &buf);
         let MaxLoc { index, value } = s.top_abs_peaks(&buf, values.len(), values.len(), 1).wait()[0];
         let host_best = values
@@ -78,7 +78,7 @@ proptest! {
             .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
             .unwrap();
         prop_assert_eq!(index, host_best.0);
-        prop_assert_eq!(value, host_best.1.abs());
+        prop_assert_eq!(value, f64::from(host_best.1.abs()));
     }
 
     /// Commands on one stream execute strictly in order for any program.
@@ -115,13 +115,13 @@ proptest! {
         let (w, h) = (24usize, 16usize);
         let dev = device(16 << 20);
         let s = dev.create_stream("t");
-        let host: Vec<f64> = (0..w * h)
+        let host: Vec<f32> = (0..w * h)
             .map(|i| {
                 let v = (i as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed);
-                ((v >> 16) % 2000) as f64 - 1000.0
+                ((v >> 16) % 2000) as f32 - 1000.0
             })
             .collect();
-        let buf = dev.alloc::<f64>(w * h).unwrap();
+        let buf = dev.alloc::<f32>(w * h).unwrap();
         s.h2d(Arc::new(host), &buf);
         let peaks = s.top_abs_peaks(&buf, w * h, w, k).wait();
         prop_assert!(!peaks.is_empty() && peaks.len() <= k);

@@ -208,15 +208,15 @@ impl StitchJob {
     }
 
     /// Host-memory bytes the scheduler reserves before running this job:
-    /// the bounded spectrum-pool quota (`quota × buf_len × 16`) plus the
-    /// in-flight tile images the transform pool admits. This is the
-    /// admission-control cost model — intentionally a ceiling, so the
-    /// budget is never over-committed by jobs that allocate less.
+    /// the bounded spectrum-pool quota (`quota ×`
+    /// [`PciamContext::spectrum_bytes`]) plus the in-flight tile images the
+    /// transform pool admits. This is the admission-control cost model —
+    /// intentionally a ceiling, so the budget is never over-committed by
+    /// jobs that allocate less.
     pub fn estimated_bytes(&self) -> usize {
         let (w, h) = (self.scan.tile_width, self.scan.tile_height);
-        let buf_len = PciamContext::spectrum_len(w, h);
         let quota = self.spectrum_quota();
-        let spectra = quota * buf_len * std::mem::size_of::<stitch_fft::C64>();
+        let spectra = quota * PciamContext::spectrum_bytes(w, h);
         let tiles = quota * w * h * std::mem::size_of::<u16>();
         spectra + tiles
     }

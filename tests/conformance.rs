@@ -11,10 +11,12 @@
 //! the hot-path invariant directly: steady-state PCIAM pair computation
 //! performs zero heap allocations after warmup.
 
+mod f64_reference;
+
 use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
 use stitch_core::{OpCounters, PairKind, PciamContext, Stitcher, SyntheticSource, TileSource};
-use stitch_fft::vectorops::top_peaks_into;
-use stitch_fft::{backend, c64, Direction, Fft2d, PlanMode, Planner, RealFft2d, C64};
+use stitch_fft::vectorops::{ncc_scalar, top_peaks_into};
+use stitch_fft::{c64, Direction, Fft2d, PlanMode, Planner, RealFft2d, C64};
 use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
 use stitch_testkit::alloc::CountingAllocator;
 use stitch_testkit::{run_case, run_stress, sweep};
@@ -70,10 +72,11 @@ fn steady_state_pair_computation_is_allocation_free() {
 }
 
 /// Fig 2 steps 2–7 the way the paper published them — full
-/// complex-to-complex transforms of both tiles, NCC, inverse transform,
-/// top-`k` of |·|² — from `stitch-fft`'s public pieces only. Shares no
-/// code with `PciamContext` or the half-spectrum transforms, so it is the
-/// reference the one production layout is compared against.
+/// complex-to-complex double-precision transforms of both tiles, NCC,
+/// inverse transform, top-`k` of |·|² — from `stitch-fft`'s public pieces
+/// only. Shares no code with `PciamContext`, the half-spectrum transforms
+/// or single precision, so it is the reference the one production kernel
+/// is compared against.
 fn complex_reference_peaks(a: &Image<u16>, b: &Image<u16>, k: usize) -> Vec<usize> {
     let (w, h) = a.dims();
     let planner = Planner::new(PlanMode::Estimate);
@@ -86,7 +89,7 @@ fn complex_reference_peaks(a: &Image<u16>, b: &Image<u16>, k: usize) -> Vec<usiz
     };
     let (fa, fb) = (spectrum(a), spectrum(b));
     let mut surface = vec![C64::ZERO; w * h];
-    backend::active().ncc(&fa, &fb, &mut surface);
+    ncc_scalar(&fa, &fb, &mut surface);
     Fft2d::new(&planner, w, h, Direction::Inverse).process(&mut surface, &mut scratch);
     let (mut cand, mut peaks) = (Vec::new(), Vec::new());
     top_peaks_into(&surface, w, k, C64::norm_sqr, &mut cand, &mut peaks);
@@ -235,7 +238,7 @@ fn ccf_work_is_bounded_and_repeats_exactly_across_variants() {
     let planner = Planner::new(PlanMode::Estimate);
     for case in sweep() {
         let source = case.source();
-        let plan = RealFft2d::new(&planner, case.tile_width, case.tile_height);
+        let plan = RealFft2d::<f32>::new(&planner, case.tile_width, case.tile_height);
         let (fwd, inv) = (Direction::Forward, Direction::Inverse);
         let counts = |stitcher: &dyn Stitcher| {
             let ops = stitcher.compute_displacements(&source).ops;
@@ -274,7 +277,7 @@ fn ccf_work_is_bounded_and_repeats_exactly_across_variants() {
 /// engine replaced cost ≈ 107), on every host — it is a plan-time count.
 #[test]
 fn paper_tile_forward_fft_costs_at_most_48_multiplies_per_pixel() {
-    let plan = RealFft2d::new(&Planner::new(PlanMode::Estimate), 1392, 1040);
+    let plan = RealFft2d::<f32>::new(&Planner::new(PlanMode::Estimate), 1392, 1040);
     let per_px = plan.real_mults(Direction::Forward) as f64 / (1392.0 * 1040.0);
     assert!(per_px <= 48.0, "{per_px:.1} real multiplies per pixel");
 }
@@ -366,6 +369,159 @@ fn ccf_gate_census() {
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The precision census and the truth ledger (ROADMAP 5(b), first cut).
+/// Every pair of every row is resolved by the product — Simple-CPU, whose
+/// kernel runs in single precision — and by the [`f64_reference`] kernel
+/// with the same CCF stage; not one displacement may differ. Each row's
+/// accuracy against the stage truth — pairs off the truth, and the worst
+/// solved position error — may not be worse than `tests/golden/ledger.tsv`,
+/// which holds what the double-precision kernel scored. Rows: three
+/// stitchbench scans of each benchmark geometry (75 `serve_mix` plates in
+/// one row), and 25 / 15 / 10 % overlap at 96×72 and 232×174. Prints the
+/// rows in the golden's format.
+///
+/// `cargo test --release --test conformance -- --ignored --nocapture precision_census`
+#[test]
+#[ignore = "minutes in debug; the CI conformance job runs it in release"]
+fn precision_census_and_truth_ledger() {
+    let golden: Vec<Vec<&str>> = include_str!("golden/ledger.tsv")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split('\t').collect())
+        .collect();
+    println!("{}", golden[0].join("\t"));
+    let (mut failures, mut pairs, mut differing) = (Vec::new(), 0, 0);
+    for (name, plates) in ledger::rows() {
+        let row = ledger::measure(plates);
+        (pairs, differing) = (pairs + row.pairs, differing + row.differing);
+        let line = format!(
+            "{name}\t{}\t{}\t{:.4}\t{}",
+            row.pairs,
+            row.wrong,
+            row.wrong as f64 / row.pairs as f64,
+            row.max_err_px
+        );
+        println!("{line}");
+        if row.differing > 0 {
+            failures.push(format!(
+                "{name}: {} pairs differ from the f64 kernel",
+                row.differing
+            ));
+        }
+        let ledger = golden.iter().find(|g| g[0] == name);
+        let no_worse = ledger.is_some_and(|g| {
+            g[1] == row.pairs.to_string()
+                && row.wrong <= g[2].parse().unwrap()
+                && row.max_err_px <= g[4].parse().unwrap()
+        });
+        if !no_worse {
+            failures.push(format!("{line} against the ledger's {ledger:?}"));
+        }
+    }
+    println!("# census: {differing} of {pairs} displacements differ from the f64 kernel");
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The rows of [`precision_census_and_truth_ledger`] and their outcome.
+mod ledger {
+    use super::f64_reference;
+    use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
+    use stitch_core::{
+        truth_vectors, GlobalOptimizer, PairKind, SimpleCpuStitcher, Stitcher, SyntheticSource,
+        TileSource,
+    };
+    use stitch_fft::{PlanMode, Planner};
+    use stitch_image::{ChannelConfig, Image, ScanConfig, SyntheticPlate};
+
+    /// The benchmark's three default scans (`--seed 2014`).
+    const SCANS: std::ops::Range<u64> = 6042..6045;
+
+    /// Each row's name and plates, built as stitchbench builds them: the
+    /// benchmark's optics, one specimen whose scan the seed drives
+    /// (`serve_mix` jobs render a plate of their own per seed).
+    pub fn rows() -> Vec<(String, Vec<SyntheticPlate>)> {
+        let geometries = [
+            // name, rows, cols, tile, overlap, vignette
+            ("dense_grid", 28, 40, (96, 72), 0.25, 0.03),
+            ("shard_canvas", 12, 16, (256, 192), 0.15, 0.03),
+            ("channel_replay", 5, 6, (232, 174), 0.15, 0.3),
+            ("paper_tile", 3, 3, (1392, 1040), 0.10, 0.03),
+            ("sweep_96x72@25%", 8, 10, (96, 72), 0.25, 0.03),
+            ("sweep_96x72@15%", 8, 10, (96, 72), 0.15, 0.03),
+            ("sweep_96x72@10%", 8, 10, (96, 72), 0.10, 0.03),
+            ("sweep_232x174@25%", 4, 5, (232, 174), 0.25, 0.03),
+            ("sweep_232x174@15%", 4, 5, (232, 174), 0.15, 0.03),
+            ("sweep_232x174@10%", 4, 5, (232, 174), 0.10, 0.03),
+        ];
+        let scan = |(rows, cols, (tw, th), overlap, vignette), seed| ScanConfig {
+            stage_jitter: 3.0,
+            backlash_x: 1.5,
+            noise_sigma: 50.0,
+            vignette,
+            ..ScanConfig::for_grid(rows, cols, tw, th, overlap, seed)
+        };
+        let mut out = Vec::new();
+        for (name, rows, cols, tile, overlap, vignette) in geometries {
+            let shape = (rows, cols, tile, overlap, vignette);
+            let specimen = ChannelConfig::for_channel(&scan(shape, 2014), 0).scene;
+            for seed in SCANS {
+                let plate =
+                    SyntheticPlate::generate_with_scene(scan(shape, seed), specimen.clone());
+                out.push((format!("{name}/{seed}"), vec![plate]));
+            }
+        }
+        let serve = (4, 6, (64, 48), 0.10, 0.03);
+        let plates =
+            (SCANS.start..SCANS.start + 75).map(|seed| SyntheticPlate::generate(scan(serve, seed)));
+        out.push(("serve_mix/75_plates".to_string(), plates.collect()));
+        out
+    }
+
+    #[derive(Default)]
+    pub struct Outcome {
+        pub pairs: usize,
+        /// Pairs off the stage truth.
+        pub wrong: usize,
+        /// Worst solved position error against the stage truth, px.
+        pub max_err_px: i64,
+        /// Pairs whose displacement differs from the `f64` kernel's.
+        pub differing: usize,
+    }
+
+    pub fn measure(plates: Vec<SyntheticPlate>) -> Outcome {
+        let planner = Planner::new(PlanMode::Estimate);
+        let mut out = Outcome::default();
+        for plate in plates {
+            let (truth_west, truth_north) = truth_vectors(&plate);
+            let truth = plate.positions().to_vec();
+            let source = SyntheticSource::new(plate);
+            let (shape, (w, h)) = (source.shape(), source.tile_dims());
+            let result = SimpleCpuStitcher::default().compute_displacements(&source);
+            out.pairs += shape.pairs();
+            out.wrong += result.count_errors(&truth_west, &truth_north, 0);
+            let (dx, dy) = GlobalOptimizer::default()
+                .solve(&result)
+                .max_deviation(&truth);
+            out.max_err_px = out.max_err_px.max(dx.max(dy));
+            let tiles: Vec<Image<u16>> = shape.ids().map(|id| source.load(id).unwrap()).collect();
+            for id in shape.ids() {
+                let pairs = [
+                    (shape.west(id), PairKind::West, result.west_of(id)),
+                    (shape.north(id), PairKind::North, result.north_of(id)),
+                ];
+                for (neighbour, kind, product) in pairs {
+                    let Some(neighbour) = neighbour else { continue };
+                    let (a, b) = (&tiles[shape.index(neighbour)], &tiles[shape.index(id)]);
+                    let peaks = f64_reference::peaks(&planner, a, b, DEFAULT_PEAK_COUNT);
+                    let reference = resolve_peaks_oriented(&peaks, w, h, a, b, Some(kind));
+                    out.differing += usize::from(product != Some(reference));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// The reference search of [`ccf_gate_census`]: candidates, t-statistic,
