@@ -297,8 +297,8 @@ fn fig5(_: &Args) -> Vec<ResultTable> {
 /// Figs 7 & 9 — Simple-GPU and Pipelined-GPU over the paper's 8×8 profile
 /// grid on the simulated device with the PCIe transfer model: both
 /// timelines are printed, and the table holds the kernel-density numbers
-/// the paper reads off its profiler screenshots. The raw span CSVs and
-/// merged Chrome traces ride along as attachments.
+/// the paper reads off its profiler screenshots. The merged Chrome traces,
+/// device rows included, ride along as attachments.
 fn fig7_9(_: &Args) -> Vec<ResultTable> {
     let src = synthetic_source(scaled_scan(8, 8, 128, 96));
     let cfg = DeviceConfig {
@@ -374,8 +374,6 @@ fn fig7_9(_: &Args) -> Vec<ResultTable> {
     t.note("the paper's contrast: the pipelined profile is dense and overlapped,");
     t.note("the simple profile serialized (one kernel at a time, gaps between)");
     // for external plotting / chrome://tracing
-    t.attach("fig7_simple_gpu_spans.csv", dev_simple.profiler().to_csv());
-    t.attach("fig9_pipelined_gpu_spans.csv", dev_pipe.profiler().to_csv());
     t.attach("fig7_simple_gpu_trace.json", trace_simple.to_chrome_json());
     t.attach("fig9_pipelined_gpu_trace.json", trace_pipe.to_chrome_json());
     vec![t]

@@ -61,7 +61,7 @@ pub struct ResultTable {
     pub rows: Vec<Row>,
     /// Free-form notes (workload, substitutions, caveats).
     pub notes: Vec<String>,
-    /// Raw companions of the table (span CSVs, Chrome traces) as `(file
+    /// Raw companions of the table (e.g. Chrome traces) as `(file
     /// name, contents)`, written beside its JSON.
     pub attachments: Vec<(String, String)>,
 }

@@ -131,8 +131,6 @@ fn timing_tables_keep_their_columns_and_row_labels() {
     assert_eq!(
         attached,
         [
-            "fig7_simple_gpu_spans.csv",
-            "fig9_pipelined_gpu_spans.csv",
             "fig7_simple_gpu_trace.json",
             "fig9_pipelined_gpu_trace.json",
         ]

@@ -65,7 +65,6 @@ pub mod simple_cpu;
 pub mod simple_gpu;
 pub mod source;
 pub mod stitcher;
-pub mod subpixel;
 pub mod types;
 
 pub use baseline::FijiStyleStitcher;
@@ -97,7 +96,6 @@ pub use simple_cpu::SimpleCpuStitcher;
 pub use simple_gpu::SimpleGpuStitcher;
 pub use source::{DirSource, MemorySource, SubgridSource, SyntheticSource, TileSource};
 pub use stitcher::{truth_vectors, StitchResult, Stitcher, TruthVector};
-pub use subpixel::{refine_subpixel, SubpixelDisplacement};
 pub use types::{Displacement, PairKind, TileId};
 
 /// Convenience re-exports for application code.

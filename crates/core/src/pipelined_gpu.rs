@@ -514,9 +514,7 @@ impl Stitcher for PipelinedGpuStitcher {
         };
         q56.record_to_trace(trace, "q56");
         for device in &self.devices {
-            device
-                .profiler()
-                .export_to_trace(trace, &format!("gpu{}", device.id()));
+            trace.merge_from(device.profiler().trace(), &format!("gpu{}", device.id()));
         }
         joined?;
 

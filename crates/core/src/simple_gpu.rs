@@ -152,9 +152,10 @@ impl Stitcher for SimpleGpuStitcher {
         result.ops = counters.snapshot();
         result.peak_live_tiles = peak_live;
         self.trace.set_gauge("peak_live_tiles", peak_live as f64);
-        self.device
-            .profiler()
-            .export_to_trace(&self.trace, &format!("gpu{}", self.device.id()));
+        self.trace.merge_from(
+            self.device.profiler().trace(),
+            &format!("gpu{}", self.device.id()),
+        );
         result.health = tracker.finish(policy)?;
         Ok(result)
     }

@@ -17,9 +17,9 @@
 //! * [`kernels`] — the stitching kernels: real-input 2-D FFT and its
 //!   inverse (device plan cache = "cuFFT"), normalized correlation, peak
 //!   reduction returning only its scalars;
-//! * [`Profiler`] — per-stream span timeline standing in for the NVIDIA
-//!   visual profiler (Figs 7 and 9), with the kernel-density metric the
-//!   paper reads off those screenshots.
+//! * [`Profiler`] — the device's span trace, one track per stream,
+//!   standing in for the NVIDIA visual profiler (Figs 7 and 9), with the
+//!   kernel-density metric the paper reads off those screenshots.
 //!
 //! Kernels really compute (bit-identical to the CPU path), so
 //! correctness tests and scheduling behaviour come from the same code.

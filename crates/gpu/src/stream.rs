@@ -144,7 +144,7 @@ impl Stream {
                             if kind == SpanKind::Kernel && !dev.config.launch_overhead.is_zero() {
                                 spin_sleep(dev.config.launch_overhead);
                             }
-                            let t0 = dev.profiler.now_ns();
+                            let t0 = dev.profiler.trace().now_ns();
                             work(&token);
                             // Simulated PCIe time occupies the copy engine
                             // *inside* the recorded span.
@@ -156,7 +156,7 @@ impl Stream {
                             if let (Some(bw), true) = (bw, bytes > 0) {
                                 spin_sleep(Duration::from_secs_f64(bytes as f64 / bw));
                             }
-                            let t1 = dev.profiler.now_ns();
+                            let t1 = dev.profiler.trace().now_ns();
                             dev.profiler.record(&stream_name, kind, &name, t0, t1);
                         }
                     }

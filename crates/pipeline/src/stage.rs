@@ -292,11 +292,6 @@ impl<'env> Pipeline<'env> {
             None => Ok(reports),
         }
     }
-
-    /// Number of registered stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 #[cfg(test)]
@@ -378,9 +373,7 @@ mod tests {
 
     #[test]
     fn empty_pipeline_joins() {
-        let pl = Pipeline::new();
-        assert_eq!(pl.stage_count(), 0);
-        assert!(pl.join().unwrap().is_empty());
+        assert!(Pipeline::new().join().unwrap().is_empty());
     }
 
     #[test]

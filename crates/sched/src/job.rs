@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use stitch_canvas::SharedCanvas;
@@ -21,11 +21,10 @@ pub use stitch_core::Variant as JobVariant;
 /// the watchdog and panic-containment paths without touching real work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosHooks {
-    /// Before doing any work, the job spins in a cancellable sleep for
-    /// this many milliseconds — a stand-in for a hung job. The sleep
-    /// checks for cancellation every millisecond, so a watchdog cancel
-    /// (or an explicit [`JobHandle::cancel`]) reclaims the worker slot
-    /// promptly; `u64::MAX` hangs until cancelled.
+    /// Before doing any work, the job waits this many milliseconds on its
+    /// own cancel signal — a stand-in for a hung job. A watchdog cancel
+    /// (or an explicit [`JobHandle::cancel`]) ends the wait and reclaims
+    /// the worker slot at once; `u64::MAX` hangs until cancelled.
     pub hang_ms: Option<u64>,
     /// Panic at the start of execution (after the hang, if both are
     /// set). The panic is contained; the job fails, siblings continue.
@@ -292,6 +291,7 @@ pub(crate) struct JobShared {
     /// dispatcher under the queue lock; 0 until the job is dispatched.
     pub(crate) dispatch_seq: AtomicU64,
     pub(crate) outcome: Mutex<Option<JobOutcome>>,
+    /// Notified when the outcome is set and when the job is cancelled.
     pub(crate) done: Condvar,
     /// Pokes the scheduler's dispatcher so a cancelled *queued* job is
     /// finalized promptly instead of at the next natural wakeup.
@@ -341,6 +341,21 @@ impl JobHandle {
     /// dispatcher themselves (or are it).
     pub(crate) fn signal_cancel(&self) {
         self.shared.cancel.store(true, Ordering::Release);
+        // wakes a chaos hang waiting in `cancelled_within`
+        let _slot = self.shared.outcome.lock();
+        self.shared.done.notify_all();
+    }
+
+    /// Blocks until the job is cancelled or `limit` has passed; true
+    /// when it was cancelled.
+    pub(crate) fn cancelled_within(&self, limit: Duration) -> bool {
+        let t0 = Instant::now();
+        let mut slot = self.shared.outcome.lock();
+        while !self.cancelled() && t0.elapsed() < limit {
+            let left = limit.saturating_sub(t0.elapsed());
+            self.shared.done.wait_for(&mut slot, left);
+        }
+        self.cancelled()
     }
 
     /// The job's 1-based position in the order the scheduler *started*

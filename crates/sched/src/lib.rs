@@ -62,4 +62,4 @@ pub use batch::{
     LineError,
 };
 pub use job::{ChaosHooks, JobHandle, JobOutcome, JobSource, JobStatus, JobVariant, StitchJob};
-pub use scheduler::{DrainPolicy, DrainReport, Scheduler, SchedulerConfig, SubmitError};
+pub use scheduler::{DrainPolicy, DrainReport, JobEvent, Scheduler, SchedulerConfig, SubmitError};

@@ -36,6 +36,9 @@
 //!   drop-guard finalizes the job's outcome and releases its reservation
 //!   during unwinding, so a crashing job cannot cost a slot, leak budget
 //!   or deadlock siblings.
+//! * **Lifecycle events** — every [`Scheduler::subscribe`]r is pushed a
+//!   job's [`JobEvent::Running`] at dispatch and its [`JobEvent::Done`]
+//!   once its outcome is set and its leases are released. Nothing polls.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -179,6 +182,18 @@ impl std::str::FromStr for DrainPolicy {
     }
 }
 
+/// A job lifecycle transition, pushed to every [`Scheduler::subscribe`]r
+/// in the order the scheduler made them: a job's `Running` (absent if it
+/// never ran) precedes its `Done`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobEvent {
+    /// The named job was dispatched to a slot.
+    Running(String),
+    /// The named job reached its terminal state and released every
+    /// lease; its outcome is on its [`JobHandle`].
+    Done(String),
+}
+
 /// What a completed [`Scheduler::drain`] observed.
 #[derive(Clone, Debug)]
 pub struct DrainReport {
@@ -233,6 +248,15 @@ struct SchedInner {
     wake: Condvar,
     shutdown: AtomicBool,
     draining: AtomicBool,
+    subs: Mutex<Vec<mpsc::Sender<JobEvent>>>,
+}
+
+impl SchedInner {
+    /// Sends `event()` to every subscriber, pruning those that went away.
+    /// Callers hold the queue lock, so every subscriber sees one order.
+    fn publish(&self, event: impl Fn() -> JobEvent) {
+        self.subs.lock().retain(|tx| tx.send(event()).is_ok());
+    }
 }
 
 /// The multi-job scheduler. Dropping it drains every queued and running
@@ -272,6 +296,7 @@ impl Scheduler {
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
+            subs: Mutex::new(Vec::new()),
         });
         let (tasks, slot_rx) = mpsc::channel::<Task>();
         let slot_rx = Arc::new(Mutex::new(slot_rx));
@@ -302,6 +327,14 @@ impl Scheduler {
     /// audit).
     pub fn arbiter(&self) -> &ResourceArbiter {
         &self.inner.arbiter
+    }
+
+    /// A stream of every job's [`JobEvent`]s from now on. It ends when
+    /// the scheduler drops; a receiver that goes away is pruned.
+    pub fn subscribe(&self) -> mpsc::Receiver<JobEvent> {
+        let (tx, rx) = mpsc::channel();
+        self.inner.subs.lock().push(tx);
+        rx
     }
 
     /// Jobs queued but not yet dispatched.
@@ -485,6 +518,7 @@ impl Drop for Scheduler {
         for thread in threads.chain(self.slots.drain(..)) {
             let _ = thread.join();
         }
+        self.inner.subs.lock().clear();
     }
 }
 
@@ -522,6 +556,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, slots: &mpsc::Sender<Task>) {
                     let p = q.pending.remove(i);
                     q.names_in_flight.retain(|n| n != &p.job.name);
                     p.handle.finish(JobOutcome::unstarted(&p.job.name, status));
+                    inner.publish(|| JobEvent::Done(p.job.name.clone()));
                     inner.wake.notify_all();
                 }
                 None => i += 1,
@@ -582,6 +617,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, slots: &mpsc::Sender<Task>) {
                         .shared
                         .dispatch_seq
                         .store(q.dispatched, Ordering::Release);
+                    inner.publish(|| JobEvent::Running(p.job.name.clone()));
                     let guard = JobGuard {
                         inner: Arc::clone(inner),
                         name: p.job.name.clone(),
@@ -605,10 +641,13 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, slots: &mpsc::Sender<Task>) {
         if !dispatched {
             // Nothing admissible right now: sleep until a submit,
             // cancel, resume, job completion, or shutdown pokes us — or
-            // until the next watchdog deadline needs a scan.
+            // until the next watchdog deadline needs a scan. A cancelled
+            // job's deadline is spent: waking for it would poll each
+            // millisecond until the job reaches its next phase boundary.
             let next_watchdog = q
                 .running_jobs
                 .iter()
+                .filter(|r| !r.handle.cancelled())
                 .filter_map(|r| {
                     let wd = r.watchdog?;
                     Some(wd.saturating_sub(r.started.elapsed()))
@@ -629,7 +668,7 @@ fn dispatcher_loop(inner: &Arc<SchedInner>, slots: &mpsc::Sender<Task>) {
 /// every exit path — normal completion, cancellation, *and* panic
 /// unwinding — so a crashed job still releases its memory reservation,
 /// decrements the running count, finalizes its outcome (waiters never
-/// hang), and wakes the dispatcher.
+/// hang), publishes its `Done`, and wakes the dispatcher.
 struct JobGuard {
     inner: Arc<SchedInner>,
     name: String,
@@ -651,6 +690,7 @@ impl Drop for JobGuard {
         q.running = q.running.saturating_sub(1);
         q.running_jobs.retain(|r| r.name != self.name);
         q.names_in_flight.retain(|n| n != &self.name);
+        self.inner.publish(|| JobEvent::Done(self.name.clone()));
         drop(q);
         self.inner.wake.notify_all();
     }
@@ -663,20 +703,15 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
         handle.finish(JobOutcome::unstarted(&job.name, handle.cancel_status()));
         return;
     }
-    // Chaos hang hook: a cancellable stand-in for a hung job. Sleeping
-    // in 1 ms slices keeps the worker reclaimable — a watchdog cancel
-    // (or an explicit one) ends the hang at the next slice.
-    if let Some(ms) = job.chaos.hang_ms {
-        let hang = Duration::from_millis(ms.min(u64::MAX / 2));
-        while t0.elapsed() < hang && !handle.cancelled() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if handle.cancelled() {
-            let mut out = JobOutcome::unstarted(&job.name, handle.cancel_status());
-            out.elapsed = t0.elapsed();
-            handle.finish(out);
-            return;
-        }
+    // Chaos hang hook: a cancellable stand-in for a hung job. It waits on
+    // the job's cancel signal, so a watchdog cancel (or an explicit one)
+    // reclaims the worker at once.
+    let hang = job.chaos.hang_ms.map(Duration::from_millis);
+    if hang.is_some_and(|hang| handle.cancelled_within(hang)) {
+        let mut out = JobOutcome::unstarted(&job.name, handle.cancel_status());
+        out.elapsed = t0.elapsed();
+        handle.finish(out);
+        return;
     }
     let job_trace = if inner.trace.is_enabled() {
         TraceHandle::new()

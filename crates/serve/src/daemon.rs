@@ -18,26 +18,27 @@
 //! ## Lifecycle events
 //!
 //! Jobs stream `queued → running → done` events to every subscriber
-//! ([`ServeDaemon::subscribe`]); a reaper thread turns scheduler state
-//! into events within ~1 ms. All events are broadcast while the daemon
-//! state lock is held, so every subscriber observes a single global
-//! order in which each job's `queued` precedes its `running` precedes
-//! its `done`. Subscribers that disconnect are pruned on the next
-//! broadcast — a dead client never blocks the daemon.
+//! ([`ServeDaemon::subscribe`]). `queued` is the reply to `submit`;
+//! `running` and `done` come from the scheduler, which pushes them
+//! ([`Scheduler::subscribe`]) to an event thread that blocks until one
+//! arrives — nothing polls, and an idle daemon sleeps. All events are
+//! broadcast while the daemon state lock is held, so every subscriber
+//! observes a single global order in which each job's `queued` precedes
+//! its `running` precedes its `done`. Subscribers that disconnect are
+//! pruned on the next broadcast — a dead client never blocks the daemon.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use stitch_canvas::SharedCanvas;
 use stitch_gpu::{Device, DeviceConfig};
 use stitch_image::Fnv64;
 use stitch_sched::{
-    DrainPolicy, DrainReport, JobHandle, JobStatus, Scheduler, SchedulerConfig, StitchJob,
-    SubmitError,
+    DrainPolicy, DrainReport, JobEvent, JobHandle, JobStatus, Scheduler, SchedulerConfig,
+    StitchJob, SubmitError,
 };
 use stitch_trace::TraceHandle;
 
@@ -119,7 +120,7 @@ pub struct ServeStats {
     pub pending: u64,
     /// Jobs currently running.
     pub running: u64,
-    /// Jobs the daemon is tracking (queued + running + unreaped).
+    /// Jobs the daemon is tracking (queued + running + not yet `done`).
     pub in_flight: u64,
     /// Highest pending-queue depth observed.
     pub pending_high_water: u64,
@@ -165,12 +166,22 @@ pub struct DrainSummary {
     pub failed: u64,
 }
 
+impl DrainSummary {
+    /// The `drained` event announcing this summary.
+    fn event(&self) -> Event {
+        Event::Drained {
+            completed: self.completed,
+            cancelled: self.cancelled,
+            timed_out: self.timed_out,
+            failed: self.failed,
+        }
+    }
+}
+
 struct InFlight {
     tenant: String,
     job: String,
     handle: JobHandle,
-    /// Its `running` event has been emitted.
-    announced: bool,
 }
 
 /// Preview canvases of the most recently *finished* preview jobs are
@@ -209,19 +220,33 @@ struct Inner {
     default_watchdog: Option<Duration>,
     policy: TenantPolicy,
     reports_dir: Option<PathBuf>,
-    stop_reaper: AtomicBool,
+    /// Notified when `inflight` empties.
+    settled: Condvar,
 }
 
-/// The serve daemon. Drop order: the reaper stops first, then the
-/// scheduler drains. Call [`ServeDaemon::drain`] before dropping for a
-/// *graceful* shutdown (events + reports flushed).
+/// The serve daemon. Dropping it drops the scheduler (which joins every
+/// job) and then joins the event thread. Call [`ServeDaemon::drain`]
+/// before dropping for a *graceful* shutdown (events + reports flushed).
 pub struct ServeDaemon {
+    // Declared before `_events`, so it drops first: the scheduler's drop
+    // ends the stream the event thread blocks on.
     inner: Arc<Inner>,
-    reaper: Option<std::thread::JoinHandle<()>>,
+    _events: EventThread,
+}
+
+/// Joins the thread turning scheduler events into daemon events.
+struct EventThread(Option<std::thread::JoinHandle<()>>);
+
+impl Drop for EventThread {
+    fn drop(&mut self) {
+        if let Some(thread) = self.0.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl ServeDaemon {
-    /// Starts a daemon (scheduler + reaper thread).
+    /// Starts a daemon (scheduler + event thread).
     pub fn new(config: ServeConfig) -> ServeDaemon {
         let device = config
             .device
@@ -257,23 +282,26 @@ impl ServeDaemon {
             default_watchdog: config.default_watchdog,
             policy: config.tenant_policy,
             reports_dir: config.reports_dir,
-            stop_reaper: AtomicBool::new(false),
+            settled: Condvar::new(),
         });
-        let reaper = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("serve-reaper".into())
-                .spawn(move || {
-                    while !inner.stop_reaper.load(Ordering::Acquire) {
-                        inner.reap();
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                })
-                .expect("spawn serve reaper")
-        };
+        let jobs = inner.sched.subscribe();
+        // Weak, so the thread does not keep the scheduler (and with it
+        // the stream it reads) alive once the daemon drops.
+        let daemon = Arc::downgrade(&inner);
+        let thread = std::thread::Builder::new()
+            .name("serve-events".into())
+            .spawn(move || {
+                for event in jobs {
+                    let Some(inner) = Weak::upgrade(&daemon) else {
+                        return;
+                    };
+                    inner.on_job_event(event);
+                }
+            })
+            .expect("spawn serve event thread");
         ServeDaemon {
             inner,
-            reaper: Some(reaper),
+            _events: EventThread(Some(thread)),
         }
     }
 
@@ -303,9 +331,6 @@ impl ServeDaemon {
 
     /// Current counters (same numbers as `event=stats`).
     pub fn stats(&self) -> ServeStats {
-        // Reap first so the snapshot reflects finished jobs even if the
-        // reaper thread hasn't run this millisecond.
-        self.inner.reap();
         let state = self.inner.state.lock();
         self.inner.stats_locked(&state)
     }
@@ -322,10 +347,6 @@ impl ServeDaemon {
 
 impl Drop for ServeDaemon {
     fn drop(&mut self) {
-        self.inner.stop_reaper.store(true, Ordering::Release);
-        if let Some(reaper) = self.reaper.take() {
-            let _ = reaper.join();
-        }
         // An *ungraceful* drop (no prior drain — e.g. a panicking test
         // or caller) must still terminate: cancel everything tracked so
         // an unwatched hung job cannot wedge the scheduler's own drop,
@@ -350,6 +371,15 @@ impl Inner {
         }
         let mut subs = self.subs.lock();
         subs.retain(|tx| events.iter().all(|ev| tx.send(ev.clone()).is_ok()));
+    }
+
+    /// Runs `f` under the state lock and broadcasts the events it returns
+    /// before releasing it, so they take their place in the one order.
+    fn emit(&self, f: impl FnOnce(&mut DaemonState) -> Vec<Event>) -> Vec<Event> {
+        let mut state = self.state.lock();
+        let events = f(&mut state);
+        self.broadcast(&events);
+        events
     }
 
     fn stats_locked(&self, state: &DaemonState) -> ServeStats {
@@ -377,32 +407,16 @@ impl Inner {
             Ok(Some(request)) => request,
             Ok(None) => return Vec::new(),
             Err(reason) => {
-                let mut state = self.state.lock();
-                state.errors += 1;
-                self.trace.add_counter("serve.errors", 1);
-                let events = vec![Event::Error { reason }];
-                self.broadcast(&events);
-                drop(state);
-                return events;
+                return self.emit(|state| {
+                    state.errors += 1;
+                    self.trace.add_counter("serve.errors", 1);
+                    vec![Event::Error { reason }]
+                })
             }
         };
         match request {
-            Request::Ping => {
-                let state = self.state.lock();
-                let events = vec![Event::Pong];
-                self.broadcast(&events);
-                drop(state);
-                events
-            }
-            Request::Stats => {
-                let mut events = self.reap();
-                let state = self.state.lock();
-                let ev = Event::Stats(self.stats_locked(&state));
-                self.broadcast(std::slice::from_ref(&ev));
-                drop(state);
-                events.push(ev);
-                events
-            }
+            Request::Ping => self.emit(|_| vec![Event::Pong]),
+            Request::Stats => self.emit(|state| vec![Event::Stats(self.stats_locked(state))]),
             Request::Cancel { tenant, name } => self.cancel(tenant, name),
             Request::Region {
                 tenant,
@@ -414,23 +428,14 @@ impl Inner {
                 h,
             } => self.region(tenant, name, scale, x, y, w, h),
             Request::Submit(job) => self.submit(*job),
-            Request::Drain(policy) => {
-                let summary = self.drain(policy);
-                vec![Event::Drained {
-                    completed: summary.completed,
-                    cancelled: summary.cancelled,
-                    timed_out: summary.timed_out,
-                    failed: summary.failed,
-                }]
-            }
+            Request::Drain(policy) => vec![self.drain(policy).event()],
         }
     }
 
     fn cancel(&self, tenant: Option<String>, name: String) -> Vec<Event> {
         let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_string());
         let key = format!("{tenant}/{name}");
-        let state = self.state.lock();
-        let events = match state.inflight.get(&key) {
+        self.emit(|state| match state.inflight.get(&key) {
             Some(entry) => {
                 entry.handle.cancel();
                 vec![Event::Cancelling { tenant, job: name }]
@@ -438,10 +443,7 @@ impl Inner {
             None => vec![Event::Error {
                 reason: format!("cancel: no in-flight job '{name}' for tenant '{tenant}'"),
             }],
-        };
-        self.broadcast(&events);
-        drop(state);
-        events
+        })
     }
 
     /// Serves a `region` read against a preview job's canvas: in-flight
@@ -490,7 +492,7 @@ impl Inner {
             },
             Some(canvas) => {
                 // Pixel work happens outside the state lock so a large
-                // read cannot stall admission or the reaper.
+                // read cannot stall admission or lifecycle events.
                 let img = canvas.get_region(scale, x, y, w, h);
                 let placed = canvas.stats().placements as u64;
                 let (mut nonzero, mut sum) = (0u64, 0u64);
@@ -513,34 +515,27 @@ impl Inner {
                 }
             }
         };
-        // Broadcast under the state lock like every other emitter, so
-        // subscribers keep seeing one global event order.
-        let state = self.state.lock();
-        self.broadcast(std::slice::from_ref(&event));
-        drop(state);
-        vec![event]
+        self.emit(|_| vec![event])
     }
 
     fn submit(&self, job: StitchJob) -> Vec<Event> {
+        self.emit(|state| vec![self.admit(state, job)])
+    }
+
+    /// Admits `job` into the scheduler or refuses it; the one event
+    /// returned says which.
+    fn admit(&self, state: &mut DaemonState, job: StitchJob) -> Event {
         let tenant = job
             .tenant
             .clone()
             .unwrap_or_else(|| DEFAULT_TENANT.to_string());
         let name = job.name.clone();
         let now = Instant::now();
-
-        // Reap first: a finished-but-unreaped job must not count
-        // against its tenant's quota or hold its name.
-        let mut events = self.reap();
-        let mut state = self.state.lock();
-
         if !state.admitting {
-            events.push(self.shed(&mut state, &tenant, &name, ShedReason::Draining));
-            return events;
+            return self.shed(state, &tenant, &name, ShedReason::Draining);
         }
         if !state.breaker.admit(now) {
-            events.push(self.shed(&mut state, &tenant, &name, ShedReason::BreakerOpen));
-            return events;
+            return self.shed(state, &tenant, &name, ShedReason::BreakerOpen);
         }
 
         // First touch of a tenant registers its memory scope cap.
@@ -558,13 +553,10 @@ impl Inner {
             None => true,
         };
         if !rate_ok {
-            events.push(self.shed(&mut state, &tenant, &name, ShedReason::RateLimit));
-            return events;
+            return self.shed(state, &tenant, &name, ShedReason::RateLimit);
         }
-        let at_quota = state.tenants[&tenant].in_flight >= self.policy.max_in_flight;
-        if at_quota {
-            events.push(self.shed(&mut state, &tenant, &name, ShedReason::TenantQuota));
-            return events;
+        if state.tenants[&tenant].in_flight >= self.policy.max_in_flight {
+            return self.shed(state, &tenant, &name, ShedReason::TenantQuota);
         }
 
         let key = format!("{tenant}/{name}");
@@ -573,7 +565,7 @@ impl Inner {
         sched_job.tenant = Some(tenant.clone());
         sched_job.watchdog = sched_job.watchdog.or(self.default_watchdog);
 
-        let event = match self.sched.submit(sched_job) {
+        match self.sched.submit(sched_job) {
             Ok(handle) => {
                 state.breaker.on_accept(now);
                 state.accepted += 1;
@@ -586,7 +578,6 @@ impl Inner {
                         tenant: tenant.clone(),
                         job: name.clone(),
                         handle,
-                        announced: false,
                     },
                 );
                 let depth = self.sched.pending() as u64;
@@ -598,10 +589,10 @@ impl Inner {
             }
             Err(SubmitError::Busy { .. }) => {
                 state.breaker.on_overload(now);
-                self.shed(&mut state, &tenant, &name, ShedReason::QueueFull)
+                self.shed(state, &tenant, &name, ShedReason::QueueFull)
             }
             Err(SubmitError::Draining) | Err(SubmitError::ShuttingDown) => {
-                self.shed(&mut state, &tenant, &name, ShedReason::Draining)
+                self.shed(state, &tenant, &name, ShedReason::Draining)
             }
             Err(err) => {
                 state.rejected += 1;
@@ -612,121 +603,86 @@ impl Inner {
                     reason: err.to_string(),
                 }
             }
-        };
-        self.broadcast(std::slice::from_ref(&event));
-        drop(state);
-        events.push(event);
-        events
+        }
     }
 
-    /// Records a shed and builds its event. Caller holds the state
-    /// lock; the event is broadcast here so subscribers see it in
-    /// lock order.
+    /// Records a shed and builds its event.
     fn shed(&self, state: &mut DaemonState, tenant: &str, job: &str, reason: ShedReason) -> Event {
         state.shed += 1;
         if let Some(t) = state.tenants.get_mut(tenant) {
             t.shed += 1;
         }
         self.trace.add_counter("serve.shed", 1);
-        let event = Event::Shed {
+        Event::Shed {
             tenant: tenant.to_string(),
             job: job.to_string(),
             reason,
-        };
-        self.broadcast(std::slice::from_ref(&event));
-        event
+        }
     }
 
-    /// Turns scheduler progress into events: newly dispatched jobs
-    /// become `Running`, finished jobs become `Done` (with their report
-    /// flushed and tenant quota released). Runs under the state lock
-    /// (events broadcast before it is released); called by the reaper
-    /// thread every ~1 ms and inline before admission decisions, so
-    /// single-threaded tests see deterministic event order.
-    fn reap(&self) -> Vec<Event> {
+    /// Turns one scheduler event into the daemon's: `Running`, or `Done`
+    /// with the job's report flushed and its tenant slot released. Runs
+    /// on the event thread, under the state lock like every broadcast.
+    fn on_job_event(&self, event: JobEvent) {
         let mut state = self.state.lock();
-        let mut events = Vec::new();
+        let event = match event {
+            JobEvent::Running(key) => match state.inflight.get(&key) {
+                Some(entry) => Event::Running {
+                    tenant: entry.tenant.clone(),
+                    job: entry.job.clone(),
+                },
+                None => return,
+            },
+            JobEvent::Done(key) => match state.inflight.remove(&key) {
+                Some(entry) => self.finish(&mut state, key, entry),
+                None => return,
+            },
+        };
+        if state.inflight.is_empty() {
+            self.settled.notify_all();
+        }
+        self.broadcast(std::slice::from_ref(&event));
+    }
 
-        // One walk over the in-flight jobs. `is_done` is read before the
-        // dispatch stamp: a finished job that ran was stamped before it
-        // finished, so its `running` is never left for after its `done`.
-        let mut done_keys = Vec::new();
-        let mut started = Vec::new();
-        for (key, entry) in state.inflight.iter_mut() {
-            if entry.handle.is_done() {
-                done_keys.push(key.clone());
-            }
-            if let (false, Some(seq)) = (entry.announced, entry.handle.dispatch_seq()) {
-                entry.announced = true;
-                let (tenant, job) = (entry.tenant.clone(), entry.job.clone());
-                started.push((seq, Event::Running { tenant, job }));
+    /// Books a finished job: counters, tenant slot, retained preview and
+    /// report file. Returns its `Done` event.
+    fn finish(&self, state: &mut DaemonState, key: String, entry: InFlight) -> Event {
+        if let Some(canvas) = entry.handle.preview_canvas() {
+            // Keep the finished job's canvas addressable for `region`,
+            // evicting the oldest past the cap.
+            state.previews.retain(|(k, _)| k != &key);
+            state.previews.push((key, canvas));
+            if state.previews.len() > RETAINED_PREVIEWS {
+                let excess = state.previews.len() - RETAINED_PREVIEWS;
+                state.previews.drain(..excess);
             }
         }
-        started.sort_unstable_by_key(|(seq, _)| *seq);
-        events.extend(started.into_iter().map(|(_, running)| running));
-
-        for key in done_keys {
-            let entry = state.inflight.remove(&key).expect("key just seen");
-            if let Some(canvas) = entry.handle.preview_canvas() {
-                // Keep the finished job's canvas addressable for
-                // `region`, evicting the oldest past the cap.
-                state.previews.retain(|(k, _)| k != &key);
-                state.previews.push((key.clone(), canvas));
-                if state.previews.len() > RETAINED_PREVIEWS {
-                    let excess = state.previews.len() - RETAINED_PREVIEWS;
-                    state.previews.drain(..excess);
-                }
-            }
-            let outcome = entry.handle.wait();
-            match &outcome.status {
-                JobStatus::Completed => {
-                    state.completed += 1;
-                    self.trace.add_counter("serve.completed", 1);
-                }
-                JobStatus::Cancelled => {
-                    state.cancelled += 1;
-                    self.trace.add_counter("serve.cancelled", 1);
-                }
-                JobStatus::TimedOut => {
-                    state.timed_out += 1;
-                    self.trace.add_counter("serve.timed_out", 1);
-                }
-                JobStatus::Expired => {
-                    state.expired += 1;
-                    self.trace.add_counter("serve.expired", 1);
-                }
-                JobStatus::Failed(_) => {
-                    state.failed += 1;
-                    self.trace.add_counter("serve.failed", 1);
-                }
-            }
-            if let Some(t) = state.tenants.get_mut(&entry.tenant) {
-                t.in_flight = t.in_flight.saturating_sub(1);
-            }
-            if let (Some(dir), Some(report)) = (&self.reports_dir, &outcome.report) {
-                let file = dir.join(format!("{}__{}.report.json", entry.tenant, entry.job));
-                // Report flushing is best-effort: a full disk must not
-                // take the daemon down.
-                let _ = std::fs::create_dir_all(dir);
-                let _ = std::fs::write(file, report.to_json());
-            }
-            events.push(Event::Done {
-                tenant: entry.tenant,
-                job: entry.job,
-                status: outcome.status,
-                elapsed: outcome.elapsed,
-            });
+        let outcome = entry.handle.wait();
+        let (count, counter) = match &outcome.status {
+            JobStatus::Completed => (&mut state.completed, "serve.completed"),
+            JobStatus::Cancelled => (&mut state.cancelled, "serve.cancelled"),
+            JobStatus::TimedOut => (&mut state.timed_out, "serve.timed_out"),
+            JobStatus::Expired => (&mut state.expired, "serve.expired"),
+            JobStatus::Failed(_) => (&mut state.failed, "serve.failed"),
+        };
+        *count += 1;
+        self.trace.add_counter(counter, 1);
+        if let Some(t) = state.tenants.get_mut(&entry.tenant) {
+            t.in_flight = t.in_flight.saturating_sub(1);
         }
-
-        let depth = self.sched.pending() as u64;
-        if depth > state.pending_high_water {
-            state.pending_high_water = depth;
-            self.trace
-                .set_gauge_max("serve.pending_high_water", depth as f64);
+        if let (Some(dir), Some(report)) = (&self.reports_dir, &outcome.report) {
+            let file = dir.join(format!("{}__{}.report.json", entry.tenant, entry.job));
+            // Report flushing is best-effort: a full disk must not
+            // take the daemon down.
+            let _ = std::fs::create_dir_all(dir);
+            let _ = std::fs::write(file, report.to_json());
         }
-        self.broadcast(&events);
-        drop(state);
-        events
+        Event::Done {
+            tenant: entry.tenant,
+            job: entry.job,
+            status: outcome.status,
+            elapsed: outcome.elapsed,
+        }
     }
 
     fn drain(&self, policy: DrainPolicy) -> DrainSummary {
@@ -736,16 +692,12 @@ impl Inner {
             self.broadcast(&[Event::Draining]);
         }
         let sched_report = self.sched.drain(policy);
-        // The scheduler is empty; reap until the daemon's own tracking
-        // agrees (every Done event emitted, every report flushed).
-        loop {
-            self.reap();
-            if self.state.lock().inflight.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        // Every job has ended; wait until the event thread has broadcast
+        // each one's `Done` and flushed its report.
+        let mut state = self.state.lock();
+        while !state.inflight.is_empty() {
+            self.settled.wait(&mut state);
         }
-        let state = self.state.lock();
         let summary = DrainSummary {
             sched: sched_report,
             completed: state.completed,
@@ -753,12 +705,7 @@ impl Inner {
             timed_out: state.timed_out,
             failed: state.failed,
         };
-        self.broadcast(&[Event::Drained {
-            completed: state.completed,
-            cancelled: state.cancelled,
-            timed_out: state.timed_out,
-            failed: state.failed,
-        }]);
+        self.broadcast(&[summary.event()]);
         summary
     }
 }

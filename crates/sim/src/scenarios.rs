@@ -75,9 +75,7 @@ pub fn mt_cpu_ns(shape: GridShape, cost: &CostModel, machine: &MachineSpec, thre
         // owned pairs: west pairs of every band row; north pairs of every
         // band row that has a row above it anywhere in the grid
         let west_pairs = rows * shape.cols.saturating_sub(1);
-        let north_rows = (r0.max(1)..r1.max(1)).len() + usize::from(r0 > 0) - usize::from(r0 > 0);
         let north_pairs = (r1 - r0.max(1)) * shape.cols + if r0 > 0 { shape.cols } else { 0 };
-        let _ = north_rows;
         let pairs = west_pairs + north_pairs.min(rows * shape.cols);
         // CPU compute inflates under contention; disk reads do not
         let compute =

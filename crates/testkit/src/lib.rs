@@ -28,7 +28,7 @@
 //!   bit-identical to the reference-channel solo run (sequential and
 //!   scheduler-backed drivers alike), plus a corrected-vs-uncorrected
 //!   registration-accuracy sweep over vignetting strengths;
-//! * [`metamorphic`] — metamorphic properties of PCIAM/subpixel:
+//! * [`metamorphic`] — metamorphic properties of PCIAM:
 //!   translation consistency, flip symmetry, intensity-scale invariance
 //!   of the peak location;
 //! * [`serve_chaos`] — a seeded chaos/soak harness for the

@@ -1,4 +1,4 @@
-//! Metamorphic properties of PCIAM and the subpixel refinement.
+//! Metamorphic properties of PCIAM.
 //!
 //! Phase correlation has algebraic symmetries that hold regardless of
 //! the scene: translating a pair translates its displacement, mirroring
@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use stitch_core::opcount::OpCounters;
-use stitch_core::subpixel::{refine_subpixel, SubpixelDisplacement};
 use stitch_core::types::Displacement;
 use stitch_core::PciamContext;
 use stitch_fft::Planner;
@@ -68,12 +67,6 @@ pub fn pciam_displacement(a: &Image<u16>, b: &Image<u16>) -> Displacement {
         Arc::new(OpCounters::default()),
     );
     ctx.pciam(a, b)
-}
-
-/// [`pciam_displacement`] followed by parabolic subpixel refinement.
-pub fn pciam_subpixel(a: &Image<u16>, b: &Image<u16>) -> SubpixelDisplacement {
-    let d = pciam_displacement(a, b);
-    refine_subpixel(a, b, d)
 }
 
 /// A deterministic, well-textured analytic scene for rendering tile
@@ -168,7 +161,7 @@ mod tests {
 
     /// Power-of-two intensity scaling is exact in f64 end to end (FFT,
     /// NCC normalization, Pearson CCF): displacement *and* correlation
-    /// are bit-identical, as is the subpixel refinement.
+    /// are bit-identical.
     #[test]
     fn intensity_scale_invariance_is_bit_exact() {
         let scene = test_scene(9004);
@@ -185,42 +178,5 @@ mod tests {
             d, d2,
             "integer displacement + correlation must match bitwise"
         );
-
-        let s = pciam_subpixel(&a, &b);
-        let s2 = pciam_subpixel(&a2, &b2);
-        assert_eq!(s.x.to_bits(), s2.x.to_bits());
-        assert_eq!(s.y.to_bits(), s2.y.to_bits());
-        assert_eq!(s.correlation.to_bits(), s2.correlation.to_bits());
-    }
-
-    /// Fractional scene offsets: the refinement must stay finite, within
-    /// the ±0.5 clamp around the integer peak, and within one pixel of
-    /// the true subpixel displacement. (A three-point parabola on a
-    /// Pearson CCF is not a half-pixel-accurate interpolator for
-    /// arbitrary scenes, so truth gets a full-pixel tolerance; the clamp
-    /// is the hard guarantee.)
-    #[test]
-    fn subpixel_translation_consistency() {
-        let scene = test_scene(9005);
-        let (ax, ay) = (150.0, 150.0);
-        let a = render_at(&scene, ax, ay, W, H);
-        for (dx, dy) in [(45.5, 2.0), (45.25, 1.75), (44.0, 2.5)] {
-            let b = render_at(&scene, ax + dx, ay + dy, W, H);
-            let d = pciam_displacement(&a, &b);
-            let s = pciam_subpixel(&a, &b);
-            assert!(s.x.is_finite() && s.y.is_finite());
-            assert!(
-                (s.x - d.x as f64).abs() <= 0.5 && (s.y - d.y as f64).abs() <= 0.5,
-                "refinement left the clamp: integer {d:?}, refined ({}, {})",
-                s.x,
-                s.y
-            );
-            assert!(
-                (s.x - dx).abs() < 1.0 && (s.y - dy).abs() < 1.0,
-                "true ({dx}, {dy}), refined ({}, {})",
-                s.x,
-                s.y
-            );
-        }
     }
 }

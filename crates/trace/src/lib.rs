@@ -15,9 +15,9 @@
 //!   `"io"`, `"compute"`, `"kernel"`, `"h2d"`, `"d2h"`, `"sync"`, …).
 //!   Record them explicitly with [`TraceHandle::record`] or via the RAII
 //!   [`TraceHandle::scope`] guard. All timestamps are nanoseconds relative
-//!   to the handle's epoch ([`TraceHandle::now_ns`]); adapters for clocks
-//!   with a different epoch (the simulated GPU profiler) translate onto
-//!   this one so host and device rows align.
+//!   to the handle's epoch ([`TraceHandle::now_ns`]); another handle's rows
+//!   (a job's, a simulated device's) are rebased onto this one by
+//!   [`TraceHandle::merge_from`] so host and device rows align.
 //! * **Counters and gauges** — monotonic totals ([`TraceHandle::add_counter`])
 //!   and last-value measurements ([`TraceHandle::set_gauge`]).
 //! * **Stage and queue statistics** — [`StageStat`] / [`QueueStat`] snapshots
@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 pub mod json;
 mod report;
 
-pub use report::{QueueStat, RunReport, StageStat};
+pub use report::{kernel_density, QueueStat, RunReport, StageStat};
 
 /// One recorded interval on the merged timeline.
 #[derive(Clone, Debug)]
@@ -131,11 +131,6 @@ impl TraceHandle {
     /// True when this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The instant all span timestamps are relative to, when enabled.
-    pub fn epoch(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|i| i.epoch)
     }
 
     /// Nanoseconds since the trace epoch (0 when disabled).

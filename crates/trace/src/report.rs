@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{intersection_len, json, union_len, TraceHandle};
+use crate::{intersection_len, json, union_len, TraceHandle, TraceSpan};
 
 /// Per-stage busy/wait attribution pushed by the pipeline layer.
 #[derive(Clone, Debug)]
@@ -55,15 +55,36 @@ pub struct QueueStat {
 const DEVICE_CATS: [&str; 4] = ["kernel", "h2d", "d2h", "sync"];
 const COPY_CATS: [&str; 2] = ["h2d", "d2h"];
 
+/// Kernel execution density, the Figs 7/9 metric: the fraction of the
+/// device window — first start to last end over every device-category
+/// span, copies and syncs included — during which at least one
+/// `"kernel"` span ran. The gaps a synchronous schedule leaves between
+/// kernels count against it; host spans do not. 0 without device spans.
+pub fn kernel_density(spans: &[TraceSpan]) -> f64 {
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    let mut kernels: Vec<(u64, u64)> = Vec::new();
+    for s in spans
+        .iter()
+        .filter(|s| DEVICE_CATS.contains(&s.cat.as_str()))
+    {
+        lo = lo.min(s.start_ns);
+        hi = hi.max(s.end_ns);
+        if s.cat == "kernel" {
+            kernels.push((s.start_ns, s.end_ns));
+        }
+    }
+    match hi.saturating_sub(lo) {
+        0 => 0.0,
+        window => union_len(&kernels) as f64 / window as f64,
+    }
+}
+
 /// Whole-run summary computed from a [`TraceHandle`]'s merged timeline.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Span of the whole timeline: `max(end) - min(start)` over every span.
     pub wall_ns: u64,
-    /// Fraction of the device observation window (first to last
-    /// device-category span) covered by the union of `"kernel"` spans —
-    /// the Figs 7/9 density metric, computed from the merged timeline.
-    /// 0 when no device spans were recorded.
+    /// [`kernel_density`] of the merged timeline.
     pub kernel_density: f64,
     /// |union(copies) ∩ union(kernels)| / |union(copies)|: the fraction of
     /// copy time hidden under compute. 0 when no copies were recorded.
@@ -85,17 +106,11 @@ impl RunReport {
 
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        let mut dev_lo = u64::MAX;
-        let mut dev_hi = 0u64;
         let mut kernels: Vec<(u64, u64)> = Vec::new();
         let mut copies: Vec<(u64, u64)> = Vec::new();
         for s in &spans {
             lo = lo.min(s.start_ns);
             hi = hi.max(s.end_ns);
-            if DEVICE_CATS.contains(&s.cat.as_str()) {
-                dev_lo = dev_lo.min(s.start_ns);
-                dev_hi = dev_hi.max(s.end_ns);
-            }
             if s.cat == "kernel" {
                 kernels.push((s.start_ns, s.end_ns));
             } else if COPY_CATS.contains(&s.cat.as_str()) {
@@ -104,12 +119,6 @@ impl RunReport {
         }
 
         let wall_ns = hi.saturating_sub(lo);
-        let dev_window = dev_hi.saturating_sub(dev_lo);
-        let kernel_density = if dev_window == 0 {
-            0.0
-        } else {
-            union_len(&kernels) as f64 / dev_window as f64
-        };
         let copy_len = union_len(&copies);
         let copy_compute_overlap = if copy_len == 0 {
             0.0
@@ -119,7 +128,7 @@ impl RunReport {
 
         RunReport {
             wall_ns,
-            kernel_density,
+            kernel_density: kernel_density(&spans),
             copy_compute_overlap,
             stages: trace.stages(),
             queues: trace.queues(),

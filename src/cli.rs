@@ -9,7 +9,7 @@
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ use stitch_image::{
     pgm, tiff, GridManifest, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate,
 };
 use stitch_sched::{DrainPolicy, JobVariant};
-use stitch_serve::{BreakerConfig, RateLimit, ServeConfig, ServeDaemon, TenantPolicy};
+use stitch_serve::{BreakerConfig, Event, RateLimit, ServeConfig, ServeDaemon, TenantPolicy};
 use stitch_shard::{stitch_sharded, stitch_sharded_into_canvas, ShardConfig as ShardRunConfig};
 use stitch_sim::MachineSpec;
 use stitch_trace::TraceHandle;
@@ -394,7 +394,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 /// session's responses *and* all job lifecycle events) streams to
 /// `out` as `event=... key=value` lines. On EOF, `drain_on_eof`
 /// (set for the primary stdin session, `None` for socket clients)
-/// gracefully drains the daemon before returning.
+/// gracefully drains the daemon. The output side blocks on the event
+/// stream and ends, after EOF, on the `drained` that answers the
+/// session's last drain (a session that asked for none: the next one),
+/// on a failed write, or when the daemon drops; the call returns then.
 ///
 /// Pure in its endpoints, so tests drive it with in-memory buffers.
 fn serve_session<R, W>(
@@ -408,40 +411,39 @@ where
     W: Write + Send,
 {
     let rx = daemon.subscribe();
-    let done = AtomicBool::new(false);
-    let done = &done;
+    // how many `drained` events end the output: none do before EOF
+    let last_drained = AtomicUsize::new(usize::MAX);
+    let last_drained = &last_drained;
+    let is_drained = |e: &Event| matches!(e, Event::Drained { .. });
     std::thread::scope(|s| {
         let pump = s.spawn(move || -> std::io::Result<()> {
             let mut out = out;
-            loop {
-                match rx.recv_timeout(Duration::from_millis(25)) {
-                    Ok(e) => {
-                        writeln!(out, "{}", e.to_line())?;
-                        out.flush()?;
+            let mut drained = 0;
+            for e in rx {
+                writeln!(out, "{}", e.to_line())?;
+                out.flush()?;
+                if is_drained(&e) {
+                    drained += 1;
+                    if drained >= last_drained.load(Ordering::Acquire) {
+                        break;
                     }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        if done.load(Ordering::Acquire) {
-                            // the input side has finished (and drained);
-                            // everything left is already in the channel
-                            for e in rx.try_iter() {
-                                writeln!(out, "{}", e.to_line())?;
-                            }
-                            out.flush()?;
-                            return Ok(());
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
                 }
             }
+            Ok(())
         });
+        let mut drains = usize::from(drain_on_eof.is_some());
         for line in input.lines() {
             let Ok(line) = line else { break };
-            daemon.handle_line(&line);
+            drains += daemon
+                .handle_line(&line)
+                .iter()
+                .filter(|e| is_drained(e))
+                .count();
         }
+        last_drained.store(drains, Ordering::Release);
         if let Some(policy) = drain_on_eof {
             daemon.drain(policy);
         }
-        done.store(true, Ordering::Release);
         pump.join().unwrap_or(Ok(()))
     })
 }
@@ -1394,6 +1396,17 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("event=drained"), "EOF must drain: {text}");
+    }
+
+    #[test]
+    fn serve_session_output_outlives_a_drain_asked_for_before_eof() {
+        let daemon = ServeDaemon::new(ServeConfig::default());
+        let input: &[u8] = b"drain policy=finish\nping\n";
+        let buf = SharedBuf::default();
+        serve_session(&daemon, input, buf.clone(), Some(DrainPolicy::Finish)).unwrap();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert!(text.contains("event=pong"), "{text}");
+        assert_eq!(text.matches("event=drained").count(), 2, "{text}");
     }
 
     #[test]

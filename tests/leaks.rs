@@ -53,7 +53,7 @@ fn finished_pipelined_cpu_jobs_leave_nothing_allocated() {
 }
 
 /// Heap allocations the calling thread makes over 200 `stats` requests
-/// (each reaps inline) against an idle daemon that has finished `jobs`.
+/// against an idle daemon that has finished `jobs`.
 fn stats_allocations_after(jobs: usize) -> u64 {
     let daemon = ServeDaemon::new(ServeConfig::default());
     for i in 0..jobs {

@@ -344,3 +344,204 @@ fn breaker_recovers_after_cooldown() {
     b.on_accept(t1);
     assert!(!b.is_open(), "successful probe closes the breaker");
 }
+
+// The push path: the scheduler pushes `running` and `done`, the daemon
+// broadcasts them, and nothing on either side polls.
+
+/// A daemon that tracks `jobs` at once, on `workers` slots, with tracing
+/// on so every finished job has a report to flush.
+fn push_daemon(
+    workers: usize,
+    jobs: usize,
+    reports_dir: Option<std::path::PathBuf>,
+) -> ServeDaemon {
+    ServeDaemon::new(ServeConfig {
+        workers,
+        max_pending: jobs,
+        trace: stitching::trace::TraceHandle::new(),
+        tenant_policy: TenantPolicy {
+            max_in_flight: jobs,
+            ..TenantPolicy::default()
+        },
+        reports_dir,
+        ..ServeConfig::default()
+    })
+}
+
+fn tiny_submit(name: &str) -> String {
+    format!("submit name={name} tenant=acme grid=2x2 tile=32x24 compose=false")
+}
+
+/// Position of the first event in `seen` matching `pred`.
+fn first(seen: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
+    seen.iter().position(pred).expect("event present")
+}
+
+/// A subscriber that only reads — no `stats`, `ping` or `drain` of its
+/// own that could settle jobs on its behalf — hears every one of 32
+/// concurrent jobs start and finish.
+#[test]
+fn a_subscriber_that_only_listens_hears_every_job_run_and_finish() {
+    const JOBS: usize = 32;
+    let daemon = push_daemon(4, JOBS, None);
+    let rx = daemon.subscribe();
+    let listener = std::thread::spawn(move || {
+        let (mut running, mut done) = (Vec::new(), Vec::new());
+        while done.len() < JOBS {
+            match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(Event::Running { job, .. }) => running.push(job),
+                Ok(Event::Done { job, status, .. }) => {
+                    assert_eq!(status, stitching::sched::JobStatus::Completed, "{job}");
+                    done.push(job);
+                }
+                Ok(_) => {}
+                Err(e) => panic!("{} of {JOBS} jobs done, then {e}", done.len()),
+            }
+        }
+        (running, done)
+    });
+    for i in 0..JOBS {
+        let events = daemon.handle_line(&tiny_submit(&format!("j{i}")));
+        assert!(
+            matches!(events.last(), Some(Event::Queued { .. })),
+            "{events:?}"
+        );
+    }
+    let (mut running, mut done) = listener.join().expect("listener");
+    running.sort();
+    done.sort();
+    let mut all: Vec<String> = (0..JOBS).map(|i| format!("j{i}")).collect();
+    all.sort();
+    assert_eq!(running, all);
+    assert_eq!(done, all);
+}
+
+/// Every subscriber sees one global order, and in it every job's
+/// `queued` precedes its `running` precedes its `done`.
+#[test]
+fn two_subscribers_see_one_order_with_queued_running_done() {
+    const JOBS: usize = 16;
+    let daemon = push_daemon(3, JOBS, None);
+    let (a, b) = (daemon.subscribe(), daemon.subscribe());
+    for i in 0..JOBS {
+        daemon.handle_line(&tiny_submit(&format!("j{i}")));
+    }
+    daemon.drain(DrainPolicy::Finish);
+    let (a, b): (Vec<Event>, Vec<Event>) = (a.try_iter().collect(), b.try_iter().collect());
+    assert_eq!(a, b, "subscribers disagree on the order");
+    for i in 0..JOBS {
+        let name = format!("j{i}");
+        let queued = first(
+            &a,
+            |e| matches!(e, Event::Queued { job, .. } if *job == name),
+        );
+        let running = first(
+            &a,
+            |e| matches!(e, Event::Running { job, .. } if *job == name),
+        );
+        let done = first(&a, |e| matches!(e, Event::Done { job, .. } if *job == name));
+        assert!(
+            queued < running && running < done,
+            "{name}: {queued} {running} {done}"
+        );
+    }
+}
+
+/// `drain` returns after the last `done` is broadcast and the last report
+/// is on disk, and its own `drained` comes after every `done`.
+#[test]
+fn drain_returns_after_every_done_and_report() {
+    const JOBS: usize = 12;
+    let dir = std::env::temp_dir().join(format!("stitch-serve-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = push_daemon(2, JOBS, Some(dir.clone()));
+    let rx = daemon.subscribe();
+    for i in 0..JOBS {
+        daemon.handle_line(&tiny_submit(&format!("j{i}")));
+    }
+    let summary = daemon.drain(DrainPolicy::Finish);
+    // read the moment drain returns: nothing may still be on its way
+    let seen: Vec<Event> = rx.try_iter().collect();
+    let reports = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(summary.completed, JOBS as u64);
+    assert_eq!(reports, JOBS, "reports flushed before drain returned");
+    let done: Vec<usize> = (0..seen.len())
+        .filter(|&i| matches!(seen[i], Event::Done { .. }))
+        .collect();
+    assert_eq!(done.len(), JOBS, "done broadcast before drain returned");
+    let drained = first(&seen, |e| matches!(e, Event::Drained { .. }));
+    assert!(done.iter().all(|&i| i < drained), "{seen:?}");
+}
+
+/// A `hang-ms` job waits on its cancel signal, so the watchdog's cancel
+/// ends it at once and its only slot goes to the next job.
+#[test]
+fn a_watchdog_cancelled_hang_frees_its_slot() {
+    let daemon = push_daemon(1, 2, None);
+    let rx = daemon.subscribe();
+    daemon.handle_line(
+        "submit name=hung tenant=acme grid=2x2 tile=32x24 hang-ms=600000 watchdog-ms=25 \
+         compose=false",
+    );
+    daemon.handle_line(&tiny_submit("next"));
+    let mut finished = Vec::new();
+    while finished.len() < 2 {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(Event::Done {
+                job,
+                status,
+                elapsed,
+                ..
+            }) => finished.push((job, status, elapsed)),
+            Ok(_) => {}
+            Err(e) => panic!("after {finished:?}: {e}"),
+        }
+    }
+    use stitching::sched::JobStatus;
+    assert_eq!(
+        (finished[0].0.as_str(), &finished[0].1),
+        ("hung", &JobStatus::TimedOut)
+    );
+    assert!(
+        finished[0].2 < Duration::from_secs(10),
+        "hang outlived its watchdog"
+    );
+    assert_eq!(
+        (finished[1].0.as_str(), &finished[1].1),
+        ("next", &JobStatus::Completed)
+    );
+    assert_eq!(daemon.scheduler().arbiter().active_reservations(), 0);
+}
+
+/// A shed is announced once: a queue-full refusal reaches a subscriber as
+/// one `shed` event, like every other reply.
+#[test]
+fn a_queue_full_shed_is_broadcast_once() {
+    let daemon = ServeDaemon::new(ServeConfig {
+        workers: 1,
+        max_pending: 1,
+        ..ServeConfig::default()
+    });
+    let rx = daemon.subscribe();
+    daemon.scheduler().pause();
+    daemon.handle_line(&tiny_submit("held"));
+    let events = daemon.handle_line(&tiny_submit("over"));
+    assert!(
+        matches!(
+            events.as_slice(),
+            [Event::Shed {
+                reason: ShedReason::QueueFull,
+                ..
+            }]
+        ),
+        "{events:?}"
+    );
+    daemon.scheduler().resume();
+    daemon.drain(DrainPolicy::Finish);
+    let sheds = rx
+        .try_iter()
+        .filter(|e| matches!(e, Event::Shed { job, .. } if job == "over"))
+        .count();
+    assert_eq!(sheds, 1);
+}

@@ -120,6 +120,29 @@ fn chrome_trace_merges_host_and_device_rows() {
     json::validate(&rep.to_json()).expect("well-formed report JSON");
 }
 
+/// One recorder, one formula: the profiler reads kernel density off the
+/// device's own trace with the formula `RunReport` applies, so after a
+/// Pipelined-GPU run the two agree bit for bit — and the run trace's
+/// device rows are that trace's spans, one for one.
+#[test]
+fn profiler_density_is_the_run_reports_over_the_device_trace() {
+    let src = profile_source();
+    let device = transfer_device(0);
+    let trace = TraceHandle::new();
+    traced(Variant::PipelinedGpu, device.clone(), &trace).compute_displacements(&src);
+    let profiler = device.profiler();
+    let density = profiler.kernel_density();
+    assert!(density > 0.0);
+    let report = RunReport::from_trace(profiler.trace());
+    assert_eq!(density.to_bits(), report.kernel_density.to_bits());
+    let device_rows = trace
+        .spans()
+        .iter()
+        .filter(|s| s.track.starts_with("gpu0/"))
+        .count();
+    assert_eq!(device_rows, profiler.spans().len());
+}
+
 /// `RunReport.stages` lists the real stages of both pipelined variants,
 /// with the framework's own item counts and busy time.
 #[test]
