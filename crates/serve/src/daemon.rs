@@ -26,9 +26,12 @@
 //! observes a single global order in which each job's `queued` precedes
 //! its `running` precedes its `done`. Subscribers that disconnect are
 //! pruned on the next broadcast — a dead client never blocks the daemon.
+//! A job keeps its name and its tenant slot until its `done` has been
+//! broadcast: a resubmission of the name before then is rejected.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -200,22 +203,16 @@ struct DaemonState {
     previews: Vec<(String, Arc<SharedCanvas>)>,
     admitting: bool,
     breaker: CircuitBreaker,
-    accepted: u64,
-    completed: u64,
-    cancelled: u64,
-    timed_out: u64,
-    failed: u64,
-    expired: u64,
-    shed: u64,
-    rejected: u64,
-    errors: u64,
-    pending_high_water: u64,
+    /// The lifetime counters; the live gauges are read at `stats` time.
+    counts: ServeStats,
 }
 
 struct Inner {
     sched: Scheduler,
     state: Mutex<DaemonState>,
-    subs: Mutex<Vec<mpsc::Sender<Event>>>,
+    /// Subscribers with their ids, oldest first.
+    subs: Mutex<Vec<(u64, mpsc::Sender<Event>)>>,
+    next_sub: AtomicU64,
     trace: TraceHandle,
     default_watchdog: Option<Duration>,
     policy: TenantPolicy,
@@ -266,18 +263,10 @@ impl ServeDaemon {
                 previews: Vec::new(),
                 admitting: true,
                 breaker: CircuitBreaker::new(config.breaker),
-                accepted: 0,
-                completed: 0,
-                cancelled: 0,
-                timed_out: 0,
-                failed: 0,
-                expired: 0,
-                shed: 0,
-                rejected: 0,
-                errors: 0,
-                pending_high_water: 0,
+                counts: ServeStats::default(),
             }),
             subs: Mutex::new(Vec::new()),
+            next_sub: AtomicU64::new(0),
             trace: config.trace,
             default_watchdog: config.default_watchdog,
             policy: config.tenant_policy,
@@ -315,9 +304,22 @@ impl ServeDaemon {
     /// replies to other clients' requests) is delivered; a receiver
     /// that goes away is pruned on the next broadcast.
     pub fn subscribe(&self) -> mpsc::Receiver<Event> {
+        self.subscription().1
+    }
+
+    /// [`ServeDaemon::subscribe`], plus the id that ends the stream
+    /// through [`ServeDaemon::unsubscribe`].
+    pub fn subscription(&self) -> (u64, mpsc::Receiver<Event>) {
         let (tx, rx) = mpsc::channel();
-        self.inner.subs.lock().push(tx);
-        rx
+        let id = self.inner.next_sub.fetch_add(1, Ordering::Relaxed);
+        self.inner.subs.lock().push((id, tx));
+        (id, rx)
+    }
+
+    /// Ends subscription `id`: its receiver yields every event broadcast
+    /// before this call, then disconnects.
+    pub fn unsubscribe(&self, id: u64) {
+        self.inner.subs.lock().retain(|(sub, _)| *sub != id);
     }
 
     /// Handles one protocol line: parses, admits/sheds/rejects, and
@@ -370,7 +372,7 @@ impl Inner {
             return;
         }
         let mut subs = self.subs.lock();
-        subs.retain(|tx| events.iter().all(|ev| tx.send(ev.clone()).is_ok()));
+        subs.retain(|(_, tx)| events.iter().all(|ev| tx.send(ev.clone()).is_ok()));
     }
 
     /// Runs `f` under the state lock and broadcasts the events it returns
@@ -384,21 +386,12 @@ impl Inner {
 
     fn stats_locked(&self, state: &DaemonState) -> ServeStats {
         ServeStats {
-            accepted: state.accepted,
-            completed: state.completed,
-            cancelled: state.cancelled,
-            timed_out: state.timed_out,
-            failed: state.failed,
-            expired: state.expired,
-            shed: state.shed,
-            rejected: state.rejected,
-            errors: state.errors,
             breaker_trips: state.breaker.trips(),
             pending: self.sched.pending() as u64,
             running: self.sched.running() as u64,
             in_flight: state.inflight.len() as u64,
-            pending_high_water: state.pending_high_water,
             draining: u64::from(!state.admitting),
+            ..state.counts
         }
     }
 
@@ -408,7 +401,7 @@ impl Inner {
             Ok(None) => return Vec::new(),
             Err(reason) => {
                 return self.emit(|state| {
-                    state.errors += 1;
+                    state.counts.errors += 1;
                     self.trace.add_counter("serve.errors", 1);
                     vec![Event::Error { reason }]
                 })
@@ -559,7 +552,13 @@ impl Inner {
             return self.shed(state, &tenant, &name, ShedReason::TenantQuota);
         }
 
+        // The scheduler frees a name when it publishes the job's `Done`;
+        // the daemon holds it until that `Done` is booked, so one key
+        // never names two entries.
         let key = format!("{tenant}/{name}");
+        if state.inflight.contains_key(&key) {
+            return self.reject(state, tenant, name, SubmitError::DuplicateName(key));
+        }
         let mut sched_job = job;
         sched_job.name = key.clone();
         sched_job.tenant = Some(tenant.clone());
@@ -568,7 +567,7 @@ impl Inner {
         match self.sched.submit(sched_job) {
             Ok(handle) => {
                 state.breaker.on_accept(now);
-                state.accepted += 1;
+                state.counts.accepted += 1;
                 let tstate = state.tenants.get_mut(&tenant).expect("tenant registered");
                 tstate.in_flight += 1;
                 tstate.accepted += 1;
@@ -581,7 +580,7 @@ impl Inner {
                     },
                 );
                 let depth = self.sched.pending() as u64;
-                state.pending_high_water = state.pending_high_water.max(depth);
+                state.counts.pending_high_water = state.counts.pending_high_water.max(depth);
                 self.trace.add_counter("serve.accepted", 1);
                 self.trace
                     .set_gauge_max("serve.pending_high_water", depth as f64);
@@ -594,21 +593,30 @@ impl Inner {
             Err(SubmitError::Draining) | Err(SubmitError::ShuttingDown) => {
                 self.shed(state, &tenant, &name, ShedReason::Draining)
             }
-            Err(err) => {
-                state.rejected += 1;
-                self.trace.add_counter("serve.rejected", 1);
-                Event::Rejected {
-                    tenant,
-                    job: name,
-                    reason: err.to_string(),
-                }
-            }
+            Err(err) => self.reject(state, tenant, name, err),
+        }
+    }
+
+    /// Records a rejection and builds its event.
+    fn reject(
+        &self,
+        state: &mut DaemonState,
+        tenant: String,
+        job: String,
+        err: SubmitError,
+    ) -> Event {
+        state.counts.rejected += 1;
+        self.trace.add_counter("serve.rejected", 1);
+        Event::Rejected {
+            tenant,
+            job,
+            reason: err.to_string(),
         }
     }
 
     /// Records a shed and builds its event.
     fn shed(&self, state: &mut DaemonState, tenant: &str, job: &str, reason: ShedReason) -> Event {
-        state.shed += 1;
+        state.counts.shed += 1;
         if let Some(t) = state.tenants.get_mut(tenant) {
             t.shed += 1;
         }
@@ -659,11 +667,11 @@ impl Inner {
         }
         let outcome = entry.handle.wait();
         let (count, counter) = match &outcome.status {
-            JobStatus::Completed => (&mut state.completed, "serve.completed"),
-            JobStatus::Cancelled => (&mut state.cancelled, "serve.cancelled"),
-            JobStatus::TimedOut => (&mut state.timed_out, "serve.timed_out"),
-            JobStatus::Expired => (&mut state.expired, "serve.expired"),
-            JobStatus::Failed(_) => (&mut state.failed, "serve.failed"),
+            JobStatus::Completed => (&mut state.counts.completed, "serve.completed"),
+            JobStatus::Cancelled => (&mut state.counts.cancelled, "serve.cancelled"),
+            JobStatus::TimedOut => (&mut state.counts.timed_out, "serve.timed_out"),
+            JobStatus::Expired => (&mut state.counts.expired, "serve.expired"),
+            JobStatus::Failed(_) => (&mut state.counts.failed, "serve.failed"),
         };
         *count += 1;
         self.trace.add_counter(counter, 1);
@@ -700,10 +708,10 @@ impl Inner {
         }
         let summary = DrainSummary {
             sched: sched_report,
-            completed: state.completed,
-            cancelled: state.cancelled,
-            timed_out: state.timed_out,
-            failed: state.failed,
+            completed: state.counts.completed,
+            cancelled: state.counts.cancelled,
+            timed_out: state.counts.timed_out,
+            failed: state.counts.failed,
         };
         self.broadcast(&[summary.event()]);
         summary
@@ -956,6 +964,64 @@ mod tests {
         );
         assert!(matches!(events.last(), Some(Event::Queued { .. })));
         drop(daemon); // must return, not hang
+    }
+
+    #[test]
+    fn a_name_stays_taken_until_its_done_is_booked() {
+        let daemon = ServeDaemon::new(tiny_config());
+        let rx = daemon.subscribe();
+        let line = "submit name=j tenant=acme grid=2x2 tile=32x24 compose=false";
+        let job = || match parse_request(line) {
+            Ok(Some(Request::Submit(job))) => *job,
+            other => panic!("{other:?}"),
+        };
+        daemon.handle_line(line);
+        {
+            // Holding the state lock keeps the event thread from booking:
+            // the scheduler has published `Done` and freed the name, the
+            // daemon has not yet seen it.
+            let mut state = daemon.inner.state.lock();
+            daemon.scheduler().join();
+            let event = daemon.inner.admit(&mut state, job());
+            assert!(
+                matches!(&event, Event::Rejected { reason, .. } if reason.contains("already in flight")),
+                "{event:?}"
+            );
+            assert_eq!(state.tenants["acme"].in_flight, 1);
+            assert!(state.inflight.contains_key("acme/j"));
+        }
+        let done = rx
+            .iter()
+            .find(|e| matches!(e, Event::Done { .. }))
+            .expect("done event");
+        assert!(matches!(
+            done,
+            Event::Done {
+                status: JobStatus::Completed,
+                ..
+            }
+        ));
+        // Booked: the name and the tenant slot are free again.
+        let events = daemon.handle_line(line);
+        assert!(
+            matches!(events.last(), Some(Event::Queued { .. })),
+            "{events:?}"
+        );
+        let summary = daemon.drain(DrainPolicy::Finish);
+        assert_eq!(summary.completed, 2);
+        assert_eq!(daemon.stats().rejected, 1);
+        assert_eq!(daemon.inner.state.lock().tenants["acme"].in_flight, 0);
+    }
+
+    #[test]
+    fn unsubscribe_ends_the_stream_after_what_was_broadcast() {
+        let daemon = ServeDaemon::new(tiny_config());
+        let (id, rx) = daemon.subscription();
+        daemon.handle_line("ping");
+        daemon.unsubscribe(id);
+        daemon.handle_line("ping");
+        // Iterating ends at disconnect: one pong, not two, and no hang.
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![Event::Pong]);
     }
 
     #[test]

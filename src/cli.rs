@@ -9,7 +9,6 @@
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +20,7 @@ use stitch_image::{
     pgm, tiff, GridManifest, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate,
 };
 use stitch_sched::{DrainPolicy, JobVariant};
-use stitch_serve::{BreakerConfig, Event, RateLimit, ServeConfig, ServeDaemon, TenantPolicy};
+use stitch_serve::{BreakerConfig, RateLimit, ServeConfig, ServeDaemon, TenantPolicy};
 use stitch_shard::{stitch_sharded, stitch_sharded_into_canvas, ShardConfig as ShardRunConfig};
 use stitch_sim::MachineSpec;
 use stitch_trace::TraceHandle;
@@ -394,10 +393,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 /// session's responses *and* all job lifecycle events) streams to
 /// `out` as `event=... key=value` lines. On EOF, `drain_on_eof`
 /// (set for the primary stdin session, `None` for socket clients)
-/// gracefully drains the daemon. The output side blocks on the event
-/// stream and ends, after EOF, on the `drained` that answers the
-/// session's last drain (a session that asked for none: the next one),
-/// on a failed write, or when the daemon drops; the call returns then.
+/// gracefully drains the daemon, and then the session unsubscribes.
+/// The output side blocks on the event stream and ends once it has
+/// written everything broadcast before that (the drain's `drained`
+/// included), on a failed write, or when the daemon drops; the call
+/// returns then.
 ///
 /// Pure in its endpoints, so tests drive it with in-memory buffers.
 fn serve_session<R, W>(
@@ -410,40 +410,24 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    let rx = daemon.subscribe();
-    // how many `drained` events end the output: none do before EOF
-    let last_drained = AtomicUsize::new(usize::MAX);
-    let last_drained = &last_drained;
-    let is_drained = |e: &Event| matches!(e, Event::Drained { .. });
+    let (id, rx) = daemon.subscription();
     std::thread::scope(|s| {
         let pump = s.spawn(move || -> std::io::Result<()> {
             let mut out = out;
-            let mut drained = 0;
             for e in rx {
                 writeln!(out, "{}", e.to_line())?;
                 out.flush()?;
-                if is_drained(&e) {
-                    drained += 1;
-                    if drained >= last_drained.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
             }
             Ok(())
         });
-        let mut drains = usize::from(drain_on_eof.is_some());
         for line in input.lines() {
             let Ok(line) = line else { break };
-            drains += daemon
-                .handle_line(&line)
-                .iter()
-                .filter(|e| is_drained(e))
-                .count();
+            daemon.handle_line(&line);
         }
-        last_drained.store(drains, Ordering::Release);
         if let Some(policy) = drain_on_eof {
             daemon.drain(policy);
         }
+        daemon.unsubscribe(id);
         pump.join().unwrap_or(Ok(()))
     })
 }
@@ -1407,6 +1391,28 @@ mod tests {
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert!(text.contains("event=pong"), "{text}");
         assert_eq!(text.matches("event=drained").count(), 2, "{text}");
+    }
+
+    #[test]
+    fn socket_session_on_an_idle_daemon_ends_at_the_clients_eof() {
+        use std::io::Read;
+        use std::os::unix::net::UnixStream;
+        let daemon = ServeDaemon::new(ServeConfig::default());
+        let (mut client, server) = UnixStream::pair().unwrap();
+        let reader = BufReader::new(server.try_clone().unwrap());
+        let session = std::thread::scope(|s| {
+            let session = s.spawn(|| serve_session(&daemon, reader, server, None));
+            client.write_all(b"ping\n").unwrap();
+            // Half-close, like `nc -N`: the reply must still arrive, and
+            // then the server must close with no further event to wake it.
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut text = String::new();
+            client.read_to_string(&mut text).unwrap();
+            assert_eq!(text, "event=pong\n");
+            session.join().unwrap()
+        });
+        session.unwrap();
+        assert_eq!(daemon.stats().draining, 0, "socket EOF never drains");
     }
 
     #[test]
