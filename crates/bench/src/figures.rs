@@ -13,7 +13,6 @@ use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use stitch_core::compose::pyramid;
-use stitch_core::memlimit::SpillStore;
 use stitch_core::opcount::{OpCounters, OpCounts};
 use stitch_core::pciam::PciamContext;
 use stitch_core::prelude::*;
@@ -26,6 +25,7 @@ use stitch_sim::{
 };
 use stitch_trace::{RunReport, TraceHandle};
 
+use crate::spill::SpillStore;
 use crate::{fmt_ns, scaled_scan, synthetic_source, ResultTable};
 
 /// `--costs`: where the simulator's per-operation costs come from.
@@ -271,7 +271,7 @@ fn fig5(_: &Args) -> Vec<ResultTable> {
     );
     for tiles in [16usize, 32, 48, 64, 96] {
         let budget = budget_tiles * PciamContext::spectrum_bytes(w, h);
-        let store = SpillStore::new(budget).expect("spill store");
+        let mut store = SpillStore::new(budget).expect("spill store");
         let t0 = Instant::now();
         let mut handles = Vec::new();
         for i in 0..tiles {
@@ -478,7 +478,7 @@ fn fig13(args: &Args) -> Vec<ResultTable> {
         &["step", "result"],
     );
 
-    // one pass; the solve and compose spans it stamps time phases 2 and 3
+    // one pass; its solve and compose layers time phases 2 and 3
     let (trace, policy) = (TraceHandle::new(), FailurePolicy::default());
     let overlay = MosaicSpec {
         blend: Blend::Overlay,
@@ -488,10 +488,10 @@ fn fig13(args: &Args) -> Vec<ResultTable> {
     let stitcher = PipelinedCpuStitcher::new(2);
     let pass = run_pass(&stitcher, &src, &policy, Some(overlay), &trace, &|| false)
         .expect("a clean synthetic plate stitches");
-    let took = |track: &str| {
-        let spans = trace.spans().into_iter();
-        let compute = spans.filter(|s| s.track == track && s.cat == "compute");
-        Duration::from_nanos(compute.map(|s| s.end_ns - s.start_ns).sum())
+    let layers = RunReport::from_trace(&trace).layers;
+    let took = |layer: &str| {
+        let total = layers.iter().find(|l| l.name == layer).map(|l| l.total_ns);
+        Duration::from_nanos(total.unwrap_or(0))
     };
     let positions = pass.positions.expect("solved");
     let mosaic = pass.mosaic.expect("composed");

@@ -15,6 +15,7 @@ use stitch_image::{ScanConfig, SyntheticPlate};
 use stitch_trace::json::quote;
 
 pub mod figures;
+mod spill;
 
 /// The standard scaled-down experiment workload: the paper's 42×59 grid
 /// shape with smaller tiles, 25 % overlap (small tiles need a larger

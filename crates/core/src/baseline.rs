@@ -13,17 +13,15 @@
 //! allocator churn.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use stitch_fft::{PlanMode, Planner};
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::hostpool::SpectrumPool;
-use crate::opcount::OpCounters;
 use crate::pciam::PciamContext;
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -32,7 +30,7 @@ use crate::types::{PairKind, TileId};
 /// is "fully multithreaded taking advantage of multi-core CPUs").
 pub struct FijiStyleStitcher {
     pub(crate) threads: usize,
-    /// Each worker's per-pair read/compute spans (track `"pair{i}"`).
+    /// Each worker's phase-1 layer spans (track `"pair{i}"`).
     pub(crate) trace: TraceHandle,
 }
 
@@ -61,11 +59,8 @@ impl Stitcher for FijiStyleStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
-        let shape = source.shape();
-        let (w, h) = source.tile_dims();
-        let counters = OpCounters::new_shared();
-        let tracker = FaultTracker::new(shape);
+        let frame = Phase1::start(source, policy, &self.trace);
+        let (shape, (w, h)) = (source.shape(), source.tile_dims());
         // enumerate all pairs: (a, b, kind) with a west/north of b
         let mut pairs: Vec<(TileId, TileId, PairKind)> = Vec::with_capacity(shape.pairs());
         for id in shape.ids() {
@@ -83,56 +78,38 @@ impl Stitcher for FijiStyleStitcher {
 
         std::thread::scope(|scope| {
             for worker in 0..self.threads.min(pairs.len()).max(1) {
-                let counters = Arc::clone(&counters);
-                let pairs = &pairs;
-                let cursor = &cursor;
-                let planner = &planner;
-                let result = &result;
-                let tracker = &tracker;
-                let trace = self.trace.clone();
+                let (frame, pairs, cursor, planner, result) =
+                    (&frame, &pairs, &cursor, &planner, &result);
                 let pool = pool.clone();
                 scope.spawn(move || {
                     let track = format!("pair{worker}");
                     // a fresh context per worker; no *transform* caching
                     // across pairs (the modeled redundancy), but spectrum
                     // storage recycles through the shared pool
-                    let mut ctx = PciamContext::with_pool(planner, w, h, counters.clone(), pool);
+                    let mut ctx = frame.context(planner, pool, track.clone());
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= pairs.len() {
+                        let Some(&(a, b, kind)) = pairs.get(i) else {
                             break;
-                        }
-                        let (a, b, kind) = pairs[i];
+                        };
                         // per-pair re-read and re-transform: the plugin's
                         // redundancy, on purpose. Either read failing
                         // voids just this pair.
-                        let r0 = trace.now_ns();
-                        let Some(img_a) = tracker.load(source, a, &policy.retry) else {
+                        let Some(img_a) = frame.load(&track, a) else {
                             continue;
                         };
-                        counters.count_read();
-                        let Some(img_b) = tracker.load(source, b, &policy.retry) else {
+                        let Some(img_b) = frame.load(&track, b) else {
                             continue;
                         };
-                        counters.count_read();
-                        trace.record(&track, "io", format!("read pair {i}"), r0, trace.now_ns());
-                        let c0 = trace.now_ns();
                         let fa = ctx.forward_fft(&img_a);
                         let fb = ctx.forward_fft(&img_b);
                         let d = ctx.displacement_oriented(&fa, &fb, &img_a, &img_b, Some(kind));
-                        trace.record(&track, "compute", format!("pair {i}"), c0, trace.now_ns());
                         result.lock().set(kind, shape.index(b), d);
                     }
                 });
             }
         });
-
-        let mut result = result.into_inner();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
-        result.peak_live_tiles = 2 * self.threads;
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        frame.finish(result.into_inner(), 2 * self.threads)
     }
 }
 

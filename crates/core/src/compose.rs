@@ -249,8 +249,8 @@ impl Composer {
         self
     }
 
-    /// Records tile reads (cat `"io"`) and the blend loop (cat
-    /// `"compute"`) of each composition call on track `"compose"`.
+    /// Records each composition call as a `compose` layer span on track
+    /// `"compose"`, with its tile reads (cat `"io"`) inside it.
     pub fn with_trace(mut self, trace: TraceHandle) -> Composer {
         self.trace = trace;
         self
@@ -336,7 +336,7 @@ impl Composer {
         };
         let (tw, th) = source.tile_dims();
         let (blend, highlight, trace) = (self.blend, self.highlight_tiles, &self.trace);
-        let _span = trace.scope("compose", "compute", format!("region {w}x{h}@({x0},{y0})"));
+        let _span = trace.layer("compose", "compose");
         // the tiles touching these rows, in blend order
         let (ox, oy) = self.origin;
         let (x0, y0) = (x0 as i64, y0 as i64);
@@ -351,10 +351,8 @@ impl Composer {
         unread.retain(|t| matches!(slots[t.0], Slot::Unread));
         let threads = |pixels: usize| self.workers.min(pixels / PIXELS_PER_WORKER);
         let read = par_map(threads(unread.len() * tw * th), unread, |(i, id, _)| {
-            let r0 = trace.now_ns();
+            let _span = trace.scope("compose", "io", "read");
             let loaded = source.load(id);
-            let name = format!("read r{}c{}", id.row, id.col);
-            trace.record("compose", "io", name, r0, trace.now_ns());
             (i, loaded.map_or(Slot::Gone, Slot::Resident))
         });
         for (i, slot) in read {
@@ -784,10 +782,10 @@ mod tests {
             .with_trace(trace.clone())
             .compose(&src);
         let spans = trace.spans();
-        assert!(spans.iter().any(|s| s.cat == "io" && s.name == "read r0c0"));
+        assert!(spans.iter().any(|s| s.cat == "io" && s.name == "read"));
         assert!(spans
             .iter()
-            .any(|s| s.cat == "compute" && s.name.starts_with("region ")));
+            .any(|s| s.cat == "compose" && s.name == "compose"));
     }
 
     #[test]

@@ -203,9 +203,10 @@ pub struct PooledSpectrum {
 
 impl PooledSpectrum {
     /// Detaches the buffer from the pool, e.g. to hand it to an owner
-    /// with its own storage discipline (`SpillStore::insert`). The pool
-    /// never sees this buffer again; in a bounded pool its cap slot is
-    /// freed so a replacement can be allocated.
+    /// with its own storage discipline (`stitch-bench`'s `SpillStore`,
+    /// under `paperfigs fig5_real`). The pool never sees this buffer
+    /// again; in a bounded pool its cap slot is freed so a replacement can
+    /// be allocated.
     pub fn into_vec(mut self) -> Vec<C32> {
         std::mem::take(&mut self.data)
     }

@@ -51,13 +51,13 @@ pub mod fault;
 pub mod global_opt;
 pub mod grid;
 pub mod hostpool;
-pub mod memlimit;
 pub mod mt_cpu;
 pub mod opcount;
 pub mod pairgraph;
 pub mod par;
 pub mod pass;
 pub mod pciam;
+mod phase1;
 pub mod pipelined_cpu;
 pub mod pipelined_gpu;
 pub mod quality;

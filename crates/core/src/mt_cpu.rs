@@ -11,20 +11,19 @@
 //! overhead that vanishes as bands grow).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
-use crate::opcount::OpCounters;
 use crate::pciam::PciamContext;
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::{Displacement, TileId};
+use crate::types::{PairKind, TileId};
 
 /// A cached tile: pixels for the CCF stage, transform for the NCC stage.
 /// Dropping the spectrum returns its storage to the shared pool.
@@ -33,7 +32,7 @@ type CachedTile = (Arc<Image<u16>>, Arc<PooledSpectrum>);
 /// SPMD multi-threaded stitcher.
 pub struct MtCpuStitcher {
     pub(crate) threads: usize,
-    /// Each band worker's read/FFT/CCF spans (track `"band{i}"`).
+    /// Each band worker's phase-1 layer spans (track `"band{i}"`).
     pub(crate) trace: TraceHandle,
 }
 
@@ -77,17 +76,13 @@ impl Stitcher for MtCpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
-        let shape = source.shape();
-        let (w, h) = source.tile_dims();
+        let (shape, (w, h)) = (source.shape(), source.tile_dims());
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
-        let counters = OpCounters::new_shared();
+        let frame = Phase1::start(source, policy, &self.trace);
         let planner = Planner::new(PlanMode::Estimate);
-        let tracker = FaultTracker::new(shape);
-        let west: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);
-        let north: Mutex<Vec<Option<Displacement>>> = Mutex::new(vec![None; shape.tiles()]);
+        let result = Mutex::new(StitchResult::empty(shape));
         let bands = row_bands(shape.rows, self.threads);
         // one pool shared by all band workers: transforms released by one
         // band are recycled by whichever band acquires next
@@ -95,16 +90,11 @@ impl Stitcher for MtCpuStitcher {
 
         std::thread::scope(|scope| {
             for (band, &(r0, r1)) in bands.iter().enumerate() {
-                let counters = Arc::clone(&counters);
-                let planner = &planner;
-                let west = &west;
-                let north = &north;
-                let tracker = &tracker;
-                let trace = self.trace.clone();
+                let (frame, planner, result) = (&frame, &planner, &result);
                 let pool = pool.clone();
                 scope.spawn(move || {
                     let track = format!("band{band}");
-                    let mut ctx = PciamContext::with_pool(planner, w, h, counters.clone(), pool);
+                    let mut ctx = frame.context(planner, pool, track.clone());
                     // rolling cache: the row above the current one
                     let mut prev_row: Vec<Option<CachedTile>> = vec![None; shape.cols];
                     // ghost row: recompute the transforms of row r0−1 so the
@@ -119,67 +109,17 @@ impl Stitcher for MtCpuStitcher {
                             // a failed tile leaves an empty cache slot: the
                             // pairs that needed it are skipped, the rest of
                             // the band streams on
-                            let l0 = trace.now_ns();
-                            let loaded = tracker.load(source, id, &policy.retry);
-                            trace.record(
-                                &track,
-                                "io",
-                                format!("read r{r}c{c}"),
-                                l0,
-                                trace.now_ns(),
-                            );
-                            let cached: Option<CachedTile> = loaded.map(|img| {
-                                counters.count_read();
-                                let img = Arc::new(img);
-                                let f0 = trace.now_ns();
+                            let cached: Option<CachedTile> = frame.load(&track, id).map(|img| {
                                 let fft = Arc::new(ctx.forward_fft(&img));
-                                trace.record(
-                                    &track,
-                                    "compute",
-                                    format!("fft r{r}c{c}"),
-                                    f0,
-                                    trace.now_ns(),
-                                );
-                                (img, fft)
+                                (Arc::new(img), fft)
                             });
-                            if !ghost {
-                                if let Some((img, fft)) = &cached {
-                                    if let Some((pimg, pfft)) = &prev_in_row {
-                                        let c0 = trace.now_ns();
-                                        let d = ctx.displacement_oriented(
-                                            pfft,
-                                            fft,
-                                            pimg,
-                                            img,
-                                            Some(crate::types::PairKind::West),
-                                        );
-                                        trace.record(
-                                            &track,
-                                            "compute",
-                                            format!("ccf-w r{r}c{c}"),
-                                            c0,
-                                            trace.now_ns(),
-                                        );
-                                        west.lock()[shape.index(id)] = Some(d);
-                                    }
-                                    if let Some((nimg, nfft)) = &prev_row[c] {
-                                        let c0 = trace.now_ns();
-                                        let d = ctx.displacement_oriented(
-                                            nfft,
-                                            fft,
-                                            nimg,
-                                            img,
-                                            Some(crate::types::PairKind::North),
-                                        );
-                                        trace.record(
-                                            &track,
-                                            "compute",
-                                            format!("ccf-n r{r}c{c}"),
-                                            c0,
-                                            trace.now_ns(),
-                                        );
-                                        north.lock()[shape.index(id)] = Some(d);
-                                    }
+                            if let (false, Some((img, fft))) = (ghost, &cached) {
+                                let west = prev_in_row.as_ref().map(|t| (PairKind::West, t));
+                                let north = prev_row[c].as_ref().map(|t| (PairKind::North, t));
+                                for (kind, (aimg, afft)) in west.into_iter().chain(north) {
+                                    let d =
+                                        ctx.displacement_oriented(afft, fft, aimg, img, Some(kind));
+                                    result.lock().set(kind, shape.index(id), d);
                                 }
                             }
                             prev_in_row = cached.clone();
@@ -190,15 +130,9 @@ impl Stitcher for MtCpuStitcher {
             }
         });
 
-        let mut result = StitchResult::empty(shape);
-        result.west = west.into_inner();
-        result.north = north.into_inner();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
         // each worker keeps ≤ 2 rows (+1 in-flight tile) live
-        result.peak_live_tiles = bands.len() * (2 * shape.cols + 1).min(shape.tiles());
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        let peak_live = bands.len() * (2 * shape.cols + 1).min(shape.tiles());
+        frame.finish(result.into_inner(), peak_live)
     }
 }
 

@@ -192,7 +192,7 @@ pub fn run_pass(
         return Ok(pass);
     }
     let positions = {
-        let _span = trace.scope("solve", "compute", "global optimization");
+        let _span = trace.layer("solve", "solve");
         GlobalOptimizer::default().solve(&pass.result)
     };
     if !stop() {

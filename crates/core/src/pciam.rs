@@ -27,9 +27,11 @@ use std::sync::Arc;
 use stitch_fft::vectorops::top_peaks_into;
 use stitch_fft::{Planner, RealFft2d, C32};
 use stitch_image::Image;
+use stitch_trace::TraceHandle;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::opcount::OpCounters;
+use crate::phase1::Meter;
 use crate::types::{Displacement, PairKind};
 
 /// Minimum overlap area (in pixels) for a CCF candidate to be considered.
@@ -101,6 +103,11 @@ struct PairScratch {
 /// decides which peaks enter the top [`DEFAULT_PEAK_COUNT`]. The tile
 /// means and the CCF that picks the winner stay `f64` over the `u16`
 /// pixels (DESIGN.md § "Precision").
+///
+/// Each step is timed where it is counted: a context built
+/// [`traced`](PciamContext::traced) stamps `fft_fwd`, `ncc`, `fft_inv`,
+/// `peak` and `ccf` spans on its track; an untraced one stays
+/// allocation-free.
 pub struct PciamContext {
     width: usize,
     height: usize,
@@ -114,7 +121,7 @@ pub struct PciamContext {
     real_in: Vec<f32>,
     pool: SpectrumPool,
     pair: PairScratch,
-    counters: Arc<OpCounters>,
+    meter: Meter,
 }
 
 impl PciamContext {
@@ -160,8 +167,15 @@ impl PciamContext {
             real_in: vec![0.0; width * height],
             pool,
             pair: PairScratch::default(),
-            counters,
+            meter: Meter::new(counters, &TraceHandle::disabled(), String::new()),
         }
+    }
+
+    /// Stamps every step this context runs as a span of its layer on
+    /// `track` of `trace`.
+    pub fn traced(mut self, trace: &TraceHandle, track: String) -> Self {
+        self.meter = Meter::new(Arc::clone(&self.meter.counters), trace, track);
+        self
     }
 
     /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
@@ -170,13 +184,14 @@ impl PciamContext {
     /// The tile's mean rides on the lease for the CCF stage of its pairs.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
         assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
+        let _span = self.meter.span("fft_fwd");
         let mut spec = self.pool.acquire();
         spec.tile_mean = img.mean();
         for (r, &p) in self.real_in.iter_mut().zip(img.pixels()) {
             *r = f32::from(p);
         }
         self.fft.forward(&self.real_in, &mut spec);
-        self.counters.count_forward_fft(&self.fft);
+        self.meter.counters.count_forward_fft(&self.fft);
         spec
     }
 
@@ -193,16 +208,21 @@ impl PciamContext {
     fn correlation_peaks_into(&mut self, fa: &[C32], fb: &[C32], k: usize) {
         assert_eq!(fa.len(), self.pool.buf_len());
         assert_eq!(fb.len(), self.pool.buf_len());
-        let PairScratch { cand, peaks, .. } = &mut self.pair;
+        let (meter, PairScratch { cand, peaks, .. }) = (&self.meter, &mut self.pair);
         // The NCC is the paper's first hand-vectorized kernel (§IV-A) and
         // goes through the process-wide compute backend.
+        let span = meter.span("ncc");
         stitch_fft::backend::active().ncc(fa, fb, &mut self.work);
+        meter.counters.count_elementwise();
+        drop(span);
+        let span = meter.span("fft_inv");
         self.fft.inverse(&mut self.work, &mut self.surface);
+        meter.counters.count_inverse_fft(&self.fft);
+        drop(span);
+        let _span = meter.span("peak");
         let magnitude = |v: f32| f64::from(v.abs());
         top_peaks_into(&self.surface, self.width, k, magnitude, cand, peaks);
-        self.counters.count_elementwise();
-        self.counters.count_inverse_fft(&self.fft);
-        self.counters.count_max_reduction();
+        meter.counters.count_max_reduction();
     }
 
     /// Full pair computation from precomputed transforms plus the pixel
@@ -225,7 +245,7 @@ impl PciamContext {
         let PairScratch { peaks, ccf, .. } = &mut self.pair;
         let peaks = peaks.iter().map(|&(i, _)| i);
         let (a, b) = ((img_a, fa.tile_mean), (img_b, fb.tile_mean));
-        resolve_peaks_oriented_into(peaks, a, b, kind, ccf, &self.counters)
+        resolve_peaks_oriented_into(peaks, a, b, kind, ccf, &self.meter)
     }
 
     /// Convenience: the whole of Fig 2 for a pair of images.
@@ -272,20 +292,21 @@ pub fn resolve_peaks_oriented(
     assert_eq!(img_a.dims(), (width, height), "tile dims mismatch");
     let (a, b) = ((img_a, img_a.mean()), (img_b, img_b.mean()));
     let (peaks, mut scratch) = (peaks.iter().copied(), CcfScratch::default());
-    resolve_peaks_oriented_into(peaks, a, b, kind, &mut scratch, &OpCounters::default())
+    resolve_peaks_oriented_into(peaks, a, b, kind, &mut scratch, &Meter::default())
 }
 
 /// Allocation-free core of [`resolve_peaks_oriented`] over tiles given as
-/// `(pixels, mean pixel value)`: works in the caller's `scratch` and
-/// counts the group and its probes on `counters`.
+/// `(pixels, mean pixel value)`: works in the caller's `scratch`, counts
+/// the group and its probes on `meter` and stamps it there as `ccf`.
 pub(crate) fn resolve_peaks_oriented_into(
     peaks: impl Iterator<Item = usize>,
     a: (&Image<u16>, f64),
     b: (&Image<u16>, f64),
     kind: Option<PairKind>,
     scratch: &mut CcfScratch,
-    counters: &OpCounters,
+    meter: &Meter,
 ) -> Displacement {
+    let _span = meter.span("ccf");
     let (width, height) = a.0.dims();
     scratch.generation += 1;
     let (scored, memo, generation) = (&mut scratch.scored, &mut *scratch.memo, scratch.generation);
@@ -323,7 +344,7 @@ pub(crate) fn resolve_peaks_oriented_into(
             }
         }
     }
-    counters.count_ccf_group(scorer.probes, scorer.pixels);
+    meter.counters.count_ccf_group(scorer.probes, scorer.pixels);
     best.map_or(fallback, |(_, d)| d)
 }
 
@@ -821,7 +842,7 @@ mod tests {
 
     #[test]
     fn a_full_memo_table_degrades_to_direct_evaluation() {
-        let (full, tiny) = (OpCounters::new_shared(), OpCounters::default());
+        let (full, tiny) = (OpCounters::new_shared(), Meter::default());
         for seed in 0..6u64 {
             let (a, b) = rough_pair(64, 48, 40 + seed as i64, seed as i64 - 3, 100 + seed);
             let mut ctx = PciamContext::new(&Planner::default(), 64, 48, Arc::clone(&full));
@@ -840,7 +861,10 @@ mod tests {
                 resolve_peaks_oriented_into(peaks, tiles.0, tiles.1, kind, &mut scratch, &tiny);
             assert_eq!(direct, d, "seed {seed}");
         }
-        let (full, tiny) = (full.snapshot().ccf_probes, tiny.snapshot().ccf_probes);
+        let (full, tiny) = (
+            full.snapshot().ccf_probes,
+            tiny.counters.snapshot().ccf_probes,
+        );
         assert!(
             tiny > full,
             "a 2-slot table must re-evaluate: {tiny} vs {full}"

@@ -28,7 +28,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use stitch_fft::{PlanMode, Planner};
@@ -36,12 +35,12 @@ use stitch_gpu::semaphore::{OwnedPermit, Semaphore};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
-use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
 use crate::pciam::PciamContext;
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -172,8 +171,9 @@ impl PipelinedCpuStitcher {
     /// Records every stage's spans into `trace`: reader tracks
     /// `"read.{i}"`, compute-worker tracks `"fft.{i}"`, bookkeeping track
     /// `"bk.0"`, each with the pipeline's `"wait"`/`"stage"` spans around
-    /// the bodies' own `"io"`/`"compute"` spans; per-stage and per-queue
-    /// statistics are recorded after the run.
+    /// the bodies' phase-1 layer spans (`read`; `fft_fwd`, `ncc`,
+    /// `fft_inv`, `peak`, `ccf`); per-stage and per-queue statistics are
+    /// recorded after the run.
     pub fn with_trace(mut self, trace: TraceHandle) -> PipelinedCpuStitcher {
         self.trace = trace;
         self
@@ -194,14 +194,11 @@ impl Stitcher for PipelinedCpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
-        let shape = source.shape();
-        let (w, h) = source.tile_dims();
+        let (shape, (w, h)) = (source.shape(), source.tile_dims());
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
-        let counters = OpCounters::new_shared();
-        let tracker = FaultTracker::new(shape);
+        let frame = Phase1::start(source, policy, &self.trace);
         let planner = match &self.shared_planner {
             Some(p) => Arc::clone(p),
             None => Arc::new(Planner::new(PlanMode::Estimate)),
@@ -248,8 +245,8 @@ impl Stitcher for PipelinedCpuStitcher {
         let live_peak = AtomicUsize::new(0);
         let trace = &self.trace;
         let joined = {
-            let (tracker, result, live_peak, ready) = (&tracker, &result, &live_peak, &ready);
-            let (pool, counters) = (&pool, &counters);
+            let (frame, pool, result, live_peak, ready) =
+                (&frame, &pool, &result, &live_peak, &ready);
             let mut pipeline = Pipeline::with_trace(trace.clone());
 
             // Stage 0 — feed tile ids in traversal order.
@@ -269,18 +266,8 @@ impl Stitcher for PipelinedCpuStitcher {
                 let track = format!("read.{rt}");
                 move |id: TileId| {
                     let permit = pool.acquire_owned();
-                    let l0 = trace.now_ns();
-                    let loaded = tracker.load(source, id, &policy.retry);
-                    trace.record(
-                        &track,
-                        "io",
-                        format!("read r{}c{}", id.row, id.col),
-                        l0,
-                        trace.now_ns(),
-                    );
-                    match loaded {
+                    match frame.load(&track, id) {
                         Some(img) => {
-                            counters.count_read();
                             w_work.push(Work::Fft(id, Arc::new(img), permit));
                         }
                         None => {
@@ -298,39 +285,21 @@ impl Stitcher for PipelinedCpuStitcher {
             // Stage 2 — fft/displacement workers.
             let workers = (0..self.config.threads).map(|t| {
                 let w_bk = q_bk.writer();
-                let track = format!("fft.{t}");
-                let mut ctx =
-                    PciamContext::with_pool(&planner, w, h, Arc::clone(counters), spectra.clone());
+                let mut ctx = frame.context(&planner, spectra.clone(), format!("fft.{t}"));
                 #[cfg(test)]
                 let fft_panic_at = self.fft_panic_at;
                 move |work: Work| {
                     // (a call, so that the lock is not held over the pair)
                     let next_ready = || ready.lock().pop_front();
                     while let Some((a, b, kind, slot)) = next_ready() {
-                        let c0 = trace.now_ns();
                         let d =
                             ctx.displacement_oriented(&a.fft, &b.fft, &a.img, &b.img, Some(kind));
-                        trace.record(
-                            &track,
-                            "compute",
-                            format!("ccf slot {slot}"),
-                            c0,
-                            trace.now_ns(),
-                        );
                         result.lock().set(kind, slot, d);
                     }
                     if let Work::Fft(id, img, permit) = work {
                         #[cfg(test)]
                         assert_ne!(Some(id), fft_panic_at, "injected fft-stage panic");
-                        let f0 = trace.now_ns();
                         let fft = Arc::new(ctx.forward_fft(&img));
-                        trace.record(
-                            &track,
-                            "compute",
-                            format!("fft r{}c{}", id.row, id.col),
-                            f0,
-                            trace.now_ns(),
-                        );
                         let done = FftDone {
                             id,
                             data: TileData { img, fft },
@@ -380,15 +349,7 @@ impl Stitcher for PipelinedCpuStitcher {
         q_work.record_to_trace(trace, "fft.in");
         q_bk.record_to_trace(trace, "bk.in");
         joined?;
-
-        let mut result = result.into_inner();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
-        result.peak_live_tiles = live_peak.load(Ordering::Relaxed);
-        self.trace
-            .set_gauge("peak_live_tiles", result.peak_live_tiles as f64);
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        frame.finish(result.into_inner(), live_peak.into_inner())
     }
 }
 

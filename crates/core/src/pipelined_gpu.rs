@@ -39,7 +39,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use stitch_fft::{RealFft2d, C32};
@@ -47,11 +46,11 @@ use stitch_gpu::{Device, Event, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::{GridShape, Traversal};
-use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
 use crate::pciam::{resolve_peaks_oriented_into, CcfScratch, PciamContext, DEFAULT_PEAK_COUNT};
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 use crate::types::{PairKind, TileId};
@@ -220,19 +219,16 @@ impl PipelinedGpuStitcher {
 
     /// Registers one device's five stages on `pipeline`. Returns the
     /// closure that snapshots its queues' statistics after the run.
-    #[allow(clippy::too_many_arguments)]
     fn add_device_stages<'env>(
         &'env self,
         pipeline: &mut Pipeline<'env>,
         device: &'env Device,
         partition: Partition,
-        source: &'env dyn TileSource,
-        counters: &'env Arc<OpCounters>,
+        frame: &'env Phase1<'env>,
         live_peak: &'env AtomicUsize,
-        tracker: &'env FaultTracker,
-        policy: &'env FailurePolicy,
         q56: &Queue<CcfTask>,
     ) -> impl FnOnce(&TraceHandle) {
+        let (source, counters) = (frame.source, &frame.counters);
         let shape = source.shape();
         let (w, h) = source.tile_dims();
         let n = w * h;
@@ -259,7 +255,6 @@ impl PipelinedGpuStitcher {
             .into_iter()
             .map(|t| TileId::new(t.row, t.col + partition.read_lo()))
             .collect();
-        let trace = &self.trace;
         let dev_id = device.id();
         let stage = |name: &str| format!("pipe{dev_id}/{name}");
 
@@ -269,18 +264,8 @@ impl PipelinedGpuStitcher {
             let track = stage("read");
             pipeline.add_source(&track.clone(), move || {
                 for id in order {
-                    let r0 = trace.now_ns();
-                    let loaded = tracker.load(source, id, &policy.retry);
-                    trace.record(
-                        &track,
-                        "io",
-                        format!("read r{}c{}", id.row, id.col),
-                        r0,
-                        trace.now_ns(),
-                    );
-                    let payload = match loaded {
+                    let payload = match frame.load(&track, id) {
                         Some(img) => {
-                            counters.count_read();
                             let mean = img.mean();
                             ReadPayload::Img(Arc::new(HostTile { img, mean }))
                         }
@@ -444,13 +429,11 @@ impl Stitcher for PipelinedGpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
         let shape = source.shape();
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
-        let counters = OpCounters::new_shared();
-        let tracker = FaultTracker::new(shape);
+        let frame = Phase1::start(source, policy, &self.trace);
         let result = Mutex::new(StitchResult::empty(shape));
         let live_peak = AtomicUsize::new(0);
         let partitions = column_bands(shape.cols, self.devices.len());
@@ -461,7 +444,7 @@ impl Stitcher for PipelinedGpuStitcher {
         let q56: Queue<CcfTask> = Queue::new(16 * self.devices.len());
         let trace = &self.trace;
         let joined = {
-            let (counters, result) = (&counters, &result);
+            let (frame, result) = (&frame, &result);
             let mut pipeline = Pipeline::with_trace(trace.clone());
             let queue_stats: Vec<_> = self
                 .devices
@@ -472,22 +455,18 @@ impl Stitcher for PipelinedGpuStitcher {
                         &mut pipeline,
                         device,
                         *partition,
-                        source,
-                        counters,
+                        frame,
                         &live_peak,
-                        &tracker,
-                        policy,
                         &q56,
                     )
                 })
                 .collect();
             // Stage 6 — CCF workers (host), shared by all pipelines.
             let ccf_workers = (0..self.config.ccf_threads).map(|worker| {
-                let track = format!("ccf.{worker}");
+                let meter = frame.meter(format!("ccf.{worker}"));
                 // per-worker CCF scratch, reused across pairs
                 let mut scratch = CcfScratch::default();
                 move |task: CcfTask| {
-                    let s0 = trace.now_ns();
                     let (a, b) = (&task.a, &task.b);
                     let d = resolve_peaks_oriented_into(
                         task.peaks.iter().copied(),
@@ -495,14 +474,7 @@ impl Stitcher for PipelinedGpuStitcher {
                         (&b.img, b.mean),
                         Some(task.kind),
                         &mut scratch,
-                        counters,
-                    );
-                    trace.record(
-                        &track,
-                        "compute",
-                        format!("ccf slot {}", task.slot),
-                        s0,
-                        trace.now_ns(),
+                        &meter,
                     );
                     result.lock().set(task.kind, task.slot, d);
                 }
@@ -518,14 +490,7 @@ impl Stitcher for PipelinedGpuStitcher {
         }
         joined?;
 
-        let mut result = result.into_inner();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
-        result.peak_live_tiles = live_peak.load(Ordering::Relaxed);
-        self.trace
-            .set_gauge("peak_live_tiles", result.peak_live_tiles as f64);
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        frame.finish(result.into_inner(), live_peak.into_inner())
     }
 }
 

@@ -7,28 +7,24 @@
 //! effectiveness depends on the traversal order (chained-diagonal wins,
 //! and became the default).
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
-use crate::hostpool::PooledSpectrum;
-use crate::opcount::OpCounters;
+use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::pairgraph::PairLedger;
 use crate::pciam::PciamContext;
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
-use crate::types::TileId;
 
 /// Sequential single-threaded stitcher.
 pub struct SimpleCpuStitcher {
     pub(crate) traversal: Traversal,
     pub(crate) plan_mode: PlanMode,
-    /// Read/FFT/CCF spans (track `"cpu/main"`).
+    /// Phase-1 layer spans (track `"cpu/main"`).
     pub(crate) trace: TraceHandle,
 }
 
@@ -43,7 +39,6 @@ impl Default for SimpleCpuStitcher {
 /// `PooledSpectrum` drops and its storage returns to the context's
 /// pool for the next tile (§IV-A recycling).
 struct LiveTile {
-    id: TileId,
     img: Image<u16>,
     fft: PooledSpectrum,
 }
@@ -70,61 +65,27 @@ impl Stitcher for SimpleCpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
-        let shape = source.shape();
-        let (w, h) = source.tile_dims();
-        let counters = OpCounters::new_shared();
+        let frame = Phase1::start(source, policy, &self.trace);
+        let (shape, (w, h)) = (source.shape(), source.tile_dims());
+        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
         let planner = Planner::new(self.plan_mode);
-        let mut ctx = PciamContext::new(&planner, w, h, Arc::clone(&counters));
+        let mut ctx = frame.context(&planner, pool, "cpu/main".into());
         let mut result = StitchResult::empty(shape);
-        let tracker = FaultTracker::new(shape);
         let mut ledger: PairLedger<LiveTile> = PairLedger::new(shape);
 
         for id in self.traversal.order(shape) {
-            let r0 = self.trace.now_ns();
-            let loaded = tracker.load(source, id, &policy.retry);
-            self.trace.record(
-                "cpu/main",
-                "io",
-                format!("read r{}c{}", id.row, id.col),
-                r0,
-                self.trace.now_ns(),
-            );
-            let Some(img) = loaded else {
+            let Some(img) = frame.load("cpu/main", id) else {
                 ledger.fail(id);
                 continue;
             };
-            counters.count_read();
-            let f0 = self.trace.now_ns();
             let fft = ctx.forward_fft(&img);
-            self.trace.record(
-                "cpu/main",
-                "compute",
-                format!("fft r{}c{}", id.row, id.col),
-                f0,
-                self.trace.now_ns(),
-            );
-            ledger.arrive(id, LiveTile { id, img, fft }, |a, b, kind, slot| {
-                let c0 = self.trace.now_ns();
+            ledger.arrive(id, LiveTile { img, fft }, |a, b, kind, slot| {
                 let d = ctx.displacement_oriented(&a.fft, &b.fft, &a.img, &b.img, Some(kind));
-                self.trace.record(
-                    "cpu/main",
-                    "compute",
-                    format!("ccf r{}c{}-r{}c{}", a.id.row, a.id.col, b.id.row, b.id.col),
-                    c0,
-                    self.trace.now_ns(),
-                );
                 result.set(kind, slot, d);
             });
         }
         debug_assert!(ledger.is_drained(), "all transforms must be released");
-        let peak_live = ledger.peak_live();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
-        result.peak_live_tiles = peak_live;
-        self.trace.set_gauge("peak_live_tiles", peak_live as f64);
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        frame.finish(result, ledger.peak_live())
     }
 }
 

@@ -10,25 +10,25 @@
 //! reference-count recycling, and only reduction scalars copied back.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use stitch_fft::{RealFft2d, C32};
 use stitch_gpu::{Device, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
-use crate::fault::{FailurePolicy, FaultTracker, StitchError};
+use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
-use crate::opcount::OpCounters;
 use crate::pairgraph::PairLedger;
 use crate::pciam::{resolve_peaks_oriented_into, CcfScratch, PciamContext, DEFAULT_PEAK_COUNT};
+use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
 
 /// The synchronous single-stream GPU stitcher.
 pub struct SimpleGpuStitcher {
     pub(crate) device: Device,
-    /// Host reads, then the device profiler's spans (`"gpu{id}/{stream}"`).
+    /// Host `read` and `ccf` spans (track `"cpu/main"`), then the device
+    /// profiler's spans (`"gpu{id}/{stream}"`).
     pub(crate) trace: TraceHandle,
 }
 
@@ -59,15 +59,13 @@ impl Stitcher for SimpleGpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let t0 = Instant::now();
-        let shape = source.shape();
-        let (w, h) = source.tile_dims();
+        let (shape, (w, h)) = (source.shape(), source.tile_dims());
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
         let n = w * h;
-        let counters = OpCounters::new_shared();
-        let tracker = FaultTracker::new(shape);
+        let frame = Phase1::start(source, policy, &self.trace);
+        let (counters, meter) = (&frame.counters, frame.meter("cpu/main".into()));
         let mut result = StitchResult::empty(shape);
 
         // §IV-A: "allocates a pool of buffers in GPU memory for FFT
@@ -96,20 +94,10 @@ impl Stitcher for SimpleGpuStitcher {
 
         for id in Traversal::ChainedDiagonal.order(shape) {
             // read tile (host), copy synchronously, transform
-            let r0 = self.trace.now_ns();
-            let loaded = tracker.load(source, id, &policy.retry);
-            self.trace.record(
-                "cpu/main",
-                "io",
-                format!("read r{}c{}", id.row, id.col),
-                r0,
-                self.trace.now_ns(),
-            );
-            let Some(img) = loaded else {
+            let Some(img) = frame.load("cpu/main", id) else {
                 ledger.fail(id); // stranded neighbors recycle their device buffers
                 continue;
             };
-            counters.count_read();
             let buf = pool.acquire();
             match Arc::get_mut(&mut upload) {
                 Some(host) => host.copy_from_slice(img.pixels()),
@@ -140,24 +128,18 @@ impl Stitcher for SimpleGpuStitcher {
                     (&tb.img, tb.mean),
                     Some(kind),
                     &mut scratch,
-                    &counters,
+                    &meter,
                 );
                 result.set(kind, slot, d);
             });
         }
         stream.synchronize();
         debug_assert!(ledger.is_drained(), "all device tiles must be recycled");
-        let peak_live = ledger.peak_live();
-        result.elapsed = t0.elapsed();
-        result.ops = counters.snapshot();
-        result.peak_live_tiles = peak_live;
-        self.trace.set_gauge("peak_live_tiles", peak_live as f64);
         self.trace.merge_from(
             self.device.profiler().trace(),
             &format!("gpu{}", self.device.id()),
         );
-        result.health = tracker.finish(policy)?;
-        Ok(result)
+        frame.finish(result, ledger.peak_live())
     }
 }
 

@@ -5,17 +5,17 @@
 //! * [`CostModel::paper_c2070`] — back-derived from the paper's own
 //!   measurements of the full-scale workload (42×59 grid of 1392×1040
 //!   tiles on 2× Xeon E-5620 + Tesla C2070, §IV/§V);
-//! * [`CostModel::calibrated`] — measured on the current host by timing
-//!   the real kernels from `stitch-fft` / `stitch-core` at a given tile
-//!   size, so virtual results stay anchored to real code.
-
-use std::sync::Arc;
-use std::time::Instant;
+//! * [`CostModel::calibrated`] — measured on the current host: the real
+//!   kernel of `stitch-core` runs traced at a given tile size and each
+//!   step is priced by its layer in the run report, so virtual results
+//!   stay anchored to real code.
 
 use stitch_core::opcount::OpCounters;
 use stitch_core::pciam::PciamContext;
+use stitch_core::types::PairKind;
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::{Scene, SceneParams};
+use stitch_trace::{RunReport, TraceHandle};
 
 /// Nanosecond costs of the primitive operations of the stitching
 /// computation (per tile or per pair as noted).
@@ -96,13 +96,14 @@ impl CostModel {
         }
     }
 
-    /// Measures the real kernels on this host for `width × height` tiles.
-    /// `reps` controls measurement effort (≥ 1).
+    /// Measures the real kernels on this host for `width × height` tiles:
+    /// `reps` (≥ 1) traced pair computations, each step priced by the mean
+    /// of its layer in the run report.
     pub fn calibrated(width: usize, height: usize, reps: usize) -> CostModel {
-        let reps = reps.max(1);
         let planner = Planner::new(PlanMode::Estimate);
-        let counters = OpCounters::new_shared();
-        let mut ctx = PciamContext::new(&planner, width, height, Arc::clone(&counters));
+        let trace = TraceHandle::new();
+        let mut ctx = PciamContext::new(&planner, width, height, OpCounters::new_shared())
+            .traced(&trace, "calibrate".into());
         // two overlapping views of a synthetic scene as a realistic pair
         let scene = Scene::generate(
             width as f64 * 2.0,
@@ -112,39 +113,17 @@ impl CostModel {
         let shift = (width as f64 * 0.75).round();
         let a = scene.render_region(0.0, 0.0, width, height, 0.02, 40.0, 1);
         let b = scene.render_region(shift, 2.0, width, height, 0.02, 40.0, 2);
-
-        let t0 = Instant::now();
-        let mut fa = ctx.forward_fft(&a);
-        for _ in 1..reps {
-            fa = ctx.forward_fft(&a);
+        for _ in 0..reps.max(1) {
+            let (fa, fb) = (ctx.forward_fft(&a), ctx.forward_fft(&b));
+            ctx.displacement_oriented(&fa, &fb, &a, &b, Some(PairKind::West));
         }
-        let fft_ns = (t0.elapsed().as_nanos() / reps as u128) as u64;
-        let fb = ctx.forward_fft(&b);
-
-        // NCC + inverse + reduce are bundled in correlation_peaks; time the
-        // bundle and apportion by the Table I cost ratio (two O(n) passes
-        // vs one n·log n transform)
-        let t1 = Instant::now();
-        let mut peaks = Vec::new();
-        for _ in 0..reps {
-            peaks = ctx.correlation_peaks(&fa, &fb, stitch_core::pciam::DEFAULT_PEAK_COUNT);
-        }
-        let bundle_ns = (t1.elapsed().as_nanos() / reps as u128) as u64;
-        let linear_share = (bundle_ns.saturating_sub(fft_ns) / 2).max(1);
-
-        let indices: Vec<usize> = peaks.iter().map(|&(i, _)| i).collect();
-        let t2 = Instant::now();
-        for _ in 0..reps {
-            stitch_core::pciam::resolve_peaks_oriented(
-                &indices,
-                width,
-                height,
-                &a,
-                &b,
-                Some(stitch_core::types::PairKind::West),
-            );
-        }
-        let ccf_ns = (t2.elapsed().as_nanos() / reps as u128) as u64;
+        let layers = RunReport::from_trace(&trace).layers;
+        let mean_ns = |layer: &str| {
+            let l = layers.iter().find(|l| l.name == layer).expect("stamped");
+            (l.total_ns / l.count).max(1)
+        };
+        let (fft_ns, ccf_ns) = (mean_ns("fft_fwd"), mean_ns("ccf"));
+        let (ncc_ns, reduce_ns) = (mean_ns("ncc"), mean_ns("peak"));
 
         // tile read ≈ TIFF decode of w·h·2 bytes plus page-cache copy
         let bytes = (width * height * 2) as u64;
@@ -152,13 +131,13 @@ impl CostModel {
 
         CostModel {
             read_ns,
-            fft_cpu_ns: fft_ns.max(1),
+            fft_cpu_ns: fft_ns,
             fft_gpu_ns: (fft_ns as f64 / 1.5) as u64,
-            ncc_cpu_ns: linear_share,
-            ncc_gpu_ns: (linear_share as f64 / 2.3) as u64,
-            reduce_cpu_ns: linear_share,
-            reduce_gpu_ns: (linear_share as f64 / 1.5) as u64,
-            ccf_ns: ccf_ns.max(1),
+            ncc_cpu_ns: ncc_ns,
+            ncc_gpu_ns: (ncc_ns as f64 / 2.3) as u64,
+            reduce_cpu_ns: reduce_ns,
+            reduce_gpu_ns: (reduce_ns as f64 / 1.5) as u64,
+            ccf_ns,
             h2d_ns: (bytes as f64 / 6.0e9 * 1e9) as u64 + 10_000,
             d2h_scalar_ns: 10_000,
             launch_ns: 10_000,

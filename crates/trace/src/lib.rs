@@ -12,11 +12,12 @@
 //!
 //! * **Spans** — named intervals on named *tracks* (one track per thread,
 //!   stream, or stage worker), each with a *category* (`"stage"`, `"wait"`,
-//!   `"io"`, `"compute"`, `"kernel"`, `"h2d"`, `"d2h"`, `"sync"`, …).
-//!   Record them explicitly with [`TraceHandle::record`] or via the RAII
-//!   [`TraceHandle::scope`] guard. All timestamps are nanoseconds relative
-//!   to the handle's epoch ([`TraceHandle::now_ns`]); another handle's rows
-//!   (a job's, a simulated device's) are rebased onto this one by
+//!   `"io"`, `"compute"`, `"kernel"`, `"h2d"`, `"d2h"`, `"sync"`, … or one
+//!   of the [`LAYERS`]). Record them explicitly with [`TraceHandle::record`]
+//!   or via the RAII [`TraceHandle::scope`] / [`TraceHandle::layer`] guard.
+//!   All timestamps are nanoseconds relative to the handle's epoch
+//!   ([`TraceHandle::now_ns`]); another handle's rows (a job's, a
+//!   simulated device's) are rebased onto this one by
 //!   [`TraceHandle::merge_from`] so host and device rows align.
 //! * **Counters and gauges** — monotonic totals ([`TraceHandle::add_counter`])
 //!   and last-value measurements ([`TraceHandle::set_gauge`]).
@@ -28,9 +29,10 @@
 //! * [`TraceHandle::to_chrome_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto or `chrome://tracing`, with one named row per track plus
 //!   counter events.
-//! * [`RunReport::from_trace`] — a machine-readable summary (per-stage
-//!   busy/wait, queue high-water and block time, copy/compute overlap
-//!   fraction, kernel density) with a hand-rolled [`RunReport::to_json`].
+//! * [`RunReport::from_trace`] — a machine-readable summary (per-layer
+//!   totals, per-stage busy/wait, queue high-water and block time,
+//!   copy/compute overlap fraction, kernel density) with a hand-rolled
+//!   [`RunReport::to_json`].
 //!
 //! A disabled handle ([`TraceHandle::disabled`]) is a no-op whose methods
 //! cost one branch, so instrumented code paths stay free when tracing is
@@ -45,7 +47,17 @@ use parking_lot::Mutex;
 pub mod json;
 mod report;
 
-pub use report::{kernel_density, QueueStat, RunReport, StageStat};
+pub use report::{kernel_density, LayerStat, QueueStat, RunReport, StageStat};
+
+/// The layer categories [`RunReport::layers`] totals, in the order a tile
+/// meets them: phase 1 as Table I prices it (`read`, `fft_fwd`, `ncc`,
+/// `fft_inv`, `peak`, `ccf`), then phases 2 and 3. A span carries one only
+/// where no other layer span nests inside it, so totals never count a
+/// nanosecond twice; wrappers keep a category of their own (`"stage"`,
+/// `"compute"`).
+pub const LAYERS: [&str; 8] = [
+    "read", "fft_fwd", "ncc", "fft_inv", "peak", "ccf", "solve", "compose",
+];
 
 /// One recorded interval on the merged timeline.
 #[derive(Clone, Debug)]
@@ -85,26 +97,22 @@ impl Default for TraceHandle {
     }
 }
 
-/// RAII guard returned by [`TraceHandle::scope`]; records the span when
-/// dropped.
-pub struct SpanGuard {
-    trace: TraceHandle,
-    track: String,
-    cat: String,
-    name: String,
+/// RAII guard returned by [`TraceHandle::scope`] and
+/// [`TraceHandle::layer`]; records the span when dropped. It borrows what
+/// it names, so opening one on a disabled handle allocates nothing.
+pub struct SpanGuard<'a> {
+    trace: &'a TraceHandle,
+    track: &'a str,
+    cat: &'a str,
+    name: &'a str,
     start_ns: u64,
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let end = self.trace.now_ns();
-        self.trace.record(
-            &self.track,
-            &self.cat,
-            std::mem::take(&mut self.name),
-            self.start_ns,
-            end,
-        );
+        self.trace
+            .record(self.track, self.cat, self.name, self.start_ns, end);
     }
 }
 
@@ -164,14 +172,21 @@ impl TraceHandle {
     }
 
     /// Opens a scoped span; it is recorded when the returned guard drops.
-    pub fn scope(&self, track: &str, cat: &str, name: impl Into<String>) -> SpanGuard {
+    pub fn scope<'a>(&'a self, track: &'a str, cat: &'a str, name: &'a str) -> SpanGuard<'a> {
         SpanGuard {
-            trace: self.clone(),
-            track: track.to_string(),
-            cat: cat.to_string(),
-            name: name.into(),
+            trace: self,
+            track,
+            cat,
+            name,
             start_ns: self.now_ns(),
         }
+    }
+
+    /// Opens a span of one of the [`LAYERS`] on `track`: its category and
+    /// its name are the layer, so [`RunReport::layers`] totals it.
+    pub fn layer<'a>(&'a self, track: &'a str, layer: &'static str) -> SpanGuard<'a> {
+        debug_assert!(LAYERS.contains(&layer), "unknown layer '{layer}'");
+        self.scope(track, layer, layer)
     }
 
     /// Adds `delta` to the named monotonic counter.

@@ -3,7 +3,21 @@
 
 use std::collections::BTreeMap;
 
-use crate::{intersection_len, json, union_len, TraceHandle, TraceSpan};
+use crate::{intersection_len, json, union_len, TraceHandle, TraceSpan, LAYERS};
+
+/// Where one layer's time went: its spans' count, summed and longest
+/// duration, over every track.
+#[derive(Clone, Debug, Default)]
+pub struct LayerStat {
+    /// One of [`LAYERS`].
+    pub name: &'static str,
+    /// Spans of this layer.
+    pub count: u64,
+    /// Their summed duration (thread time: concurrent spans add up).
+    pub total_ns: u64,
+    /// The longest one.
+    pub max_ns: u64,
+}
 
 /// Per-stage busy/wait attribution pushed by the pipeline layer.
 #[derive(Clone, Debug)]
@@ -89,6 +103,9 @@ pub struct RunReport {
     /// |union(copies) ∩ union(kernels)| / |union(copies)|: the fraction of
     /// copy time hidden under compute. 0 when no copies were recorded.
     pub copy_compute_overlap: f64,
+    /// Per-layer totals, in [`LAYERS`] order; a layer no span recorded is
+    /// absent.
+    pub layers: Vec<LayerStat>,
     /// Per-stage busy/wait attribution.
     pub stages: Vec<StageStat>,
     /// Per-queue traffic and block time.
@@ -108,9 +125,21 @@ impl RunReport {
         let mut hi = 0u64;
         let mut kernels: Vec<(u64, u64)> = Vec::new();
         let mut copies: Vec<(u64, u64)> = Vec::new();
+        let mut layers: Vec<LayerStat> = (LAYERS.iter())
+            .map(|&name| LayerStat {
+                name,
+                ..LayerStat::default()
+            })
+            .collect();
         for s in &spans {
             lo = lo.min(s.start_ns);
             hi = hi.max(s.end_ns);
+            if let Some(layer) = layers.iter_mut().find(|l| l.name == s.cat) {
+                let ns = s.end_ns - s.start_ns;
+                layer.count += 1;
+                layer.total_ns += ns;
+                layer.max_ns = layer.max_ns.max(ns);
+            }
             if s.cat == "kernel" {
                 kernels.push((s.start_ns, s.end_ns));
             } else if COPY_CATS.contains(&s.cat.as_str()) {
@@ -130,6 +159,7 @@ impl RunReport {
             wall_ns,
             kernel_density: kernel_density(&spans),
             copy_compute_overlap,
+            layers: layers.into_iter().filter(|l| l.count > 0).collect(),
             stages: trace.stages(),
             queues: trace.queues(),
             counters: trace.counters(),
@@ -150,7 +180,20 @@ impl RunReport {
             ",\"copy_compute_overlap\":{}",
             json::number(self.copy_compute_overlap)
         ));
-        out.push_str(",\"stages\":[");
+        out.push_str(",\"layers\":{");
+        for (i, l) in self.layers.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{}:{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
+                json::quote(l.name),
+                l.count,
+                l.total_ns,
+                l.max_ns
+            ));
+        }
+        out.push_str("},\"stages\":[");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -222,6 +265,25 @@ mod tests {
         assert_eq!(r.wall_ns, 400);
         assert!((r.kernel_density - 0.4).abs() < 1e-9);
         assert!((r.copy_compute_overlap - 10.0 / 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn layers_total_their_spans_in_pipeline_order() {
+        let t = TraceHandle::new();
+        t.record("fft.1", "ccf", "ccf", 100, 130);
+        drop(t.layer("fft.0", "fft_fwd"));
+        t.record("fft.0", "ccf", "ccf", 0, 50);
+        // a wrapper keeps its own category and is not a layer
+        t.record("shard/compose", "compute", "banded compose", 0, 500);
+        let r = RunReport::from_trace(&t);
+        let rows: Vec<_> = (r.layers.iter())
+            .map(|l| (l.name, l.count, l.total_ns, l.max_ns))
+            .collect();
+        let fft = r.layers[0].total_ns;
+        assert_eq!(rows, [("fft_fwd", 1, fft, fft), ("ccf", 2, 80, 50)]);
+        let js = r.to_json();
+        json::validate(&js).unwrap();
+        assert!(js.contains("\"layers\":{\"fft_fwd\":{\"count\":1,"), "{js}");
     }
 
     #[test]

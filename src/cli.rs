@@ -981,6 +981,14 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                     report.kernel_density, report.copy_compute_overlap
                 );
                 emit(&what, &path, report.to_json())?;
+                for l in &report.layers {
+                    let ms = |ns: u64| ns as f64 / 1e6;
+                    let (n, total, max) = (l.count, ms(l.total_ns), ms(l.max_ns));
+                    println!(
+                        "  {:<8} {n:>7} spans {total:>10.2} ms total {max:>8.2} ms max",
+                        l.name
+                    );
+                }
             }
         }
     }

@@ -143,6 +143,68 @@ fn profiler_density_is_the_run_reports_over_the_device_trace() {
     assert_eq!(device_rows, profiler.spans().len());
 }
 
+/// Every variant run traced and untraced on one small plate, each GPU
+/// variant on a fresh device so no run sees another's device spans:
+/// `(variant, traced result, its report, untraced result)`.
+fn every_variant_traced() -> Vec<(Variant, StitchResult, RunReport, StitchResult)> {
+    let src = SyntheticSource::new(SyntheticPlate::generate(ScanConfig::for_grid(
+        3, 4, 64, 48, 0.25, 21,
+    )));
+    let run = |variant: Variant, trace: &TraceHandle| {
+        traced(variant, transfer_device(0), trace).compute_displacements(&src)
+    };
+    let runs = Variant::ALL.into_iter().map(|variant| {
+        let trace = TraceHandle::new();
+        let result = run(variant, &trace);
+        let untraced = run(variant, &TraceHandle::disabled());
+        (variant, result, RunReport::from_trace(&trace), untraced)
+    });
+    runs.collect()
+}
+
+/// Phase 1 is timed where it is counted, so each layer's span count is
+/// the step's op count. The GPU variants read tiles and run the CCF on
+/// the host, so those two layers hold for them too; their transforms,
+/// NCC and peak search are device `kernel` spans, not host layers.
+#[test]
+fn phase1_layers_count_what_the_op_counters_count() {
+    for (variant, result, report, untraced) in every_variant_traced() {
+        let layer = |name: &str| {
+            let row = report.layers.iter().find(|l| l.name == name);
+            row.map_or(0, |l| l.count)
+        };
+        let ops = result.ops;
+        let mut want = vec![("read", ops.reads), ("ccf", ops.ccf_groups)];
+        if !variant.needs_device() {
+            want.extend([
+                ("fft_fwd", ops.forward_ffts),
+                ("ncc", ops.elementwise_mults),
+                ("fft_inv", ops.inverse_ffts),
+                ("peak", ops.max_reductions),
+            ]);
+        } else {
+            let host_kernel_steps = ["fft_fwd", "ncc", "fft_inv", "peak"].map(layer);
+            assert_eq!(host_kernel_steps, [0; 4], "{variant:?}");
+        }
+        for (name, count) in want {
+            assert!(count > 0, "{variant:?} {name}");
+            assert_eq!(layer(name), count, "{variant:?} {name}");
+        }
+        assert_eq!(result.west, untraced.west, "{variant:?}");
+        assert_eq!(result.north, untraced.north, "{variant:?}");
+    }
+}
+
+/// Every variant reports its peak of live transforms as the
+/// `peak_live_tiles` gauge, the value its result carries.
+#[test]
+fn every_variant_sets_the_peak_live_tiles_gauge() {
+    for (variant, result, report, _) in every_variant_traced() {
+        let gauge = report.gauges.get("peak_live_tiles").copied();
+        assert_eq!(gauge, Some(result.peak_live_tiles as f64), "{variant:?}");
+    }
+}
+
 /// `RunReport.stages` lists the real stages of both pipelined variants,
 /// with the framework's own item counts and busy time.
 #[test]
@@ -226,6 +288,7 @@ fn cli_writes_trace_and_report() {
     json::validate(&report).expect("well-formed report JSON");
     assert!(report.contains("\"kernel_density\""));
     assert!(report.contains("\"queues\""));
+    assert!(report.contains("\"layers\":{\"read\""), "{report}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
