@@ -532,6 +532,7 @@ impl ChannelSession {
             Some(blend) => par_map(stitcher.threads(), self.units(), |unit| {
                 let composer = Composer::new(positions.clone(), blend)
                     .with_workers(1)
+                    .with_retry(policy.retry.clone())
                     .with_trace(trace.clone());
                 (unit, composer.compose(self.unit_source(unit).as_ref()))
             }),

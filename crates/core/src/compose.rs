@@ -20,6 +20,7 @@
 use stitch_image::{round_to_u16, Image};
 use stitch_trace::TraceHandle;
 
+use crate::fault::{load_with_retry, RetryPolicy};
 use crate::global_opt::AbsolutePositions;
 use crate::par::{default_workers, par_map};
 use crate::source::TileSource;
@@ -223,6 +224,8 @@ pub struct Composer {
     origin: (i64, i64),
     /// Threads a band's reads and rows are split between.
     workers: usize,
+    /// How each tile read is retried and size-checked.
+    retry: RetryPolicy,
 }
 
 impl Composer {
@@ -238,6 +241,7 @@ impl Composer {
             trace: TraceHandle::disabled(),
             origin: (ox, oy),
             workers: default_workers(),
+            retry: RetryPolicy::default(),
         }
     }
 
@@ -246,6 +250,14 @@ impl Composer {
     /// do not depend on it.
     pub fn with_workers(mut self, workers: usize) -> Composer {
         self.workers = workers.max(1);
+        self
+    }
+
+    /// Reads tiles under `retry` (by default [`RetryPolicy::default`]),
+    /// as phase 1 does: a tile still unreadable, or not `tile_dims()`, is a
+    /// hole in the mosaic.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Composer {
+        self.retry = retry;
         self
     }
 
@@ -352,8 +364,8 @@ impl Composer {
         let threads = |pixels: usize| self.workers.min(pixels / PIXELS_PER_WORKER);
         let read = par_map(threads(unread.len() * tw * th), unread, |(i, id, _)| {
             let _span = trace.scope("compose", "io", "read");
-            let loaded = source.load(id);
-            (i, loaded.map_or(Slot::Gone, Slot::Resident))
+            let tile = load_with_retry(source, id, &self.retry).map(|(tile, _)| tile);
+            (i, tile.map_or(Slot::Gone, Slot::Resident))
         });
         for (i, slot) in read {
             slots[i] = slot;

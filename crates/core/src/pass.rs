@@ -200,6 +200,7 @@ pub fn run_pass(
         pass.mosaic = mosaic.map(|spec| {
             let mut composer = Composer::new(positions.clone(), spec.blend)
                 .with_workers(spec.workers)
+                .with_retry(policy.retry.clone())
                 .with_trace(trace.clone());
             composer.highlight_tiles = spec.highlight;
             composer.compose(source)

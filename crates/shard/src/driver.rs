@@ -326,6 +326,7 @@ pub fn stitch_sharded_streaming(
         let _span = trace.scope("shard/compose", "compute", "banded compose");
         let composer = Composer::new(positions.clone(), blend)
             .with_workers(workers)
+            .with_retry(config.policy.retry.clone())
             .with_trace(trace.clone());
         composer.compose_bands(&*source, config.band_rows, &mut |y0, band| {
             max_band_bytes =

@@ -95,10 +95,10 @@ pub fn register_seams_on(
         let mut slot = tiles[plan.grid.index(id)].lock();
         let (uses, tile) = &mut *slot;
         let read = || {
-            let r0 = trace.now_ns();
-            let loaded = tracker.load(source, id, &policy.retry);
-            let name = format!("read seam r{}c{}", id.row, id.col);
-            trace.record("shard/merge", "io", name, r0, trace.now_ns());
+            let loaded = {
+                let _span = trace.layer("shard/merge", "read");
+                tracker.load(source, id, &policy.retry)
+            };
             loaded.map(|img| {
                 let spectrum = ctx.forward_fft(&img);
                 Arc::new((img, spectrum))
@@ -117,19 +117,14 @@ pub fn register_seams_on(
         let mut ctx = pooled.unwrap_or_else(|| {
             PciamContext::with_pool(planner, w, h, Arc::clone(&counters), pool.clone())
         });
-        let c0 = trace.now_ns();
         // a pair with a failed endpoint is void, as in the shard stitchers
         let d = match (fetch(&mut ctx, pair.a), fetch(&mut ctx, pair.b)) {
             (Some(a), Some(b)) => {
+                let _span = trace.layer("shard/merge", "seam_register");
                 Some(ctx.displacement_oriented(&a.1, &b.1, &a.0, &b.0, Some(pair.kind)))
             }
             _ => None,
         };
-        let name = format!(
-            "seam r{}c{}-r{}c{}",
-            pair.a.row, pair.a.col, pair.b.row, pair.b.col
-        );
-        trace.record("shard/merge", "compute", name, c0, trace.now_ns());
         contexts.lock().push(ctx);
         d.map(|d| (pair, d))
     });

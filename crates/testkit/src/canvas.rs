@@ -15,41 +15,15 @@ use std::sync::Arc;
 
 use stitch_canvas::{run_incremental, CanvasConfig, IncrementalConfig, SharedCanvas};
 use stitch_core::{
-    pyramid, Blend, FailurePolicy, GridShape, MosaicSpec, SimpleCpuStitcher, SyntheticSource,
-    TileId, TileSource,
+    pyramid, Blend, FailurePolicy, GridShape, MosaicSpec, SimpleCpuStitcher, TileId, TileSource,
 };
-use stitch_image::{Fnv64, ScanConfig, SyntheticPlate};
+use stitch_image::Fnv64;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One incremental-vs-one-shot disagreement.
-#[derive(Clone, Debug)]
-pub struct CanvasMismatch {
-    /// Which case disagreed.
-    pub label: String,
-    /// What disagreed and how.
-    pub detail: String,
-}
-
-/// What [`run_canvas_differential`] observed.
-#[derive(Clone, Debug)]
-pub struct CanvasReport {
-    /// Cases run.
-    pub cases: usize,
-    /// Disagreements (empty on a clean run).
-    pub mismatches: Vec<CanvasMismatch>,
-    /// FNV digest of every case's per-scale pixels — pure in the seed,
-    /// for determinism assertions.
-    pub digest: u64,
-}
-
-impl CanvasReport {
-    /// True when every case was bit-identical.
-    pub fn is_clean(&self) -> bool {
-        self.mismatches.is_empty()
-    }
-}
+use crate::cases::SweepCase;
+use crate::outputs::{diff_pixels, Compare, Outputs, Report};
 
 /// Seeded Fisher-Yates over the grid's row-major id list.
 fn shuffled_ids(shape: GridShape, rng: &mut StdRng) -> Vec<TileId> {
@@ -61,18 +35,17 @@ fn shuffled_ids(shape: GridShape, rng: &mut StdRng) -> Vec<TileId> {
     ids
 }
 
-fn scan_for(seed: u64, case: u64) -> ScanConfig {
-    ScanConfig {
-        grid_rows: 3,
-        grid_cols: 3,
-        tile_width: 40,
-        tile_height: 32,
+/// The canvas batteries' plate: the sweep's imaging conditions on a
+/// `rows×cols` grid of `w×h` tiles.
+fn plate(rows: usize, cols: usize, (w, h): (usize, usize), seed: u64) -> SweepCase {
+    SweepCase {
+        rows,
+        cols,
+        tile_width: w,
+        tile_height: h,
         overlap: 0.25,
-        stage_jitter: 2.0,
-        backlash_x: 1.0,
         noise_sigma: 40.0,
-        vignette: 0.03,
-        seed: seed ^ (0x6c1 + case),
+        seed,
     }
 }
 
@@ -80,7 +53,7 @@ fn scan_for(seed: u64, case: u64) -> ScanConfig {
 /// (plus a border-highlight case) under a seeded-random arrival order
 /// with a mid-run solve cadence that forces at least one re-anchor.
 /// Pure in `seed`: the same seed always yields the same report digest.
-pub fn run_canvas_differential(seed: u64) -> CanvasReport {
+pub fn run_canvas_differential(seed: u64) -> Report {
     let specs: [(Blend, bool, &str); 5] = [
         (Blend::Overlay, false, "overlay"),
         (Blend::First, false, "first"),
@@ -88,13 +61,14 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
         (Blend::Linear, false, "linear"),
         (Blend::Overlay, true, "overlay+highlight"),
     ];
-    let mut mismatches = Vec::new();
+    let mut report = Report::new(format!("canvas differential, seed {seed}"), ());
     let mut digest = Fnv64::new();
 
     for (case, &(blend, highlight, name)) in specs.iter().enumerate() {
         let label = format!("{name} seed={seed}");
+        report.ran.push(label.clone());
         let mut rng = StdRng::seed_from_u64(seed ^ (0xca9 + case as u64));
-        let source = SyntheticSource::new(SyntheticPlate::generate(scan_for(seed, case as u64)));
+        let source = plate(3, 3, (40, 32), seed ^ (0x6c1 + case as u64)).source();
         let order = shuffled_ids(source.shape(), &mut rng);
 
         // chunk=64 straddles both tile and mosaic boundaries; solving
@@ -106,60 +80,43 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
             ..CanvasConfig::default()
         }));
         let cfg = IncrementalConfig { solve_every: 3 };
-        let out = match run_incremental(
-            &source,
-            order.iter().copied(),
-            cfg,
-            Arc::clone(&canvas),
-            &FailurePolicy::default(),
-        ) {
+        let policy = FailurePolicy::default();
+        let out = match run_incremental(&source, order, cfg, Arc::clone(&canvas), &policy) {
             Ok(out) => out,
             Err(e) => {
-                mismatches.push(CanvasMismatch {
-                    label,
-                    detail: format!("incremental run failed: {e}"),
-                });
+                report.record(&label, [format!("incremental run failed: {e}")]);
                 continue;
             }
         };
-        if out.moved == 0 {
-            mismatches.push(CanvasMismatch {
-                label: label.clone(),
-                detail: "no mid-run re-anchor happened (case proves nothing)".into(),
-            });
-        }
+        let proof = "no mid-run re-anchor happened (case proves nothing)";
+        report.record(&label, (out.moved == 0).then(|| proof.to_string()));
 
-        // the one-shot oracle over the same plate
+        // the one-shot oracle over the same plate, at every pyramid scale
         let spec = MosaicSpec {
             blend,
             highlight,
             ..crate::overlay()
         };
-        let (_, positions, mosaic) =
-            crate::reference_pass(&SimpleCpuStitcher::default(), &source, Some(spec));
-        if positions != out.positions {
-            mismatches.push(CanvasMismatch {
-                label: label.clone(),
-                detail: "incremental final solve differs from batch solve".into(),
-            });
-        }
-        let mosaic = mosaic.expect("composed");
-        let levels = pyramid(mosaic, canvas.max_scale());
-
-        for (scale, level) in levels.iter().enumerate() {
-            let got = canvas.get_region(scale, 0, 0, level.width(), level.height());
-            if got.pixels() != level.pixels() {
-                let diff = got
-                    .pixels()
-                    .iter()
-                    .zip(level.pixels())
-                    .filter(|(a, b)| a != b)
-                    .count();
-                mismatches.push(CanvasMismatch {
-                    label: label.clone(),
-                    detail: format!("scale {scale}: {diff} pixels differ from oracle pyramid"),
-                });
-            }
+        let one_shot = crate::reference_pass(&SimpleCpuStitcher::default(), &source, Some(spec));
+        let levels = pyramid(
+            one_shot.mosaic.clone().expect("composed"),
+            canvas.max_scale(),
+        );
+        let read = |scale: usize| {
+            let (w, h) = levels[scale].dims();
+            canvas.get_region(scale, 0, 0, w, h)
+        };
+        let incremental = Outputs {
+            result: out.result,
+            positions: out.positions,
+            mosaic: Some(read(0)),
+        };
+        report.record(&label, incremental.diff(&one_shot, Compare::Exact));
+        incremental.digest(&mut digest);
+        for (scale, level) in levels.iter().enumerate().skip(1) {
+            let got = read(scale);
+            let diff = diff_pixels(level, &got).map(|d| format!("scale {scale}: {d}"));
+            report.record(&label, diff);
             digest.write_u16s(got.pixels());
         }
 
@@ -177,23 +134,12 @@ pub fn run_canvas_differential(seed: u64) -> CanvasReport {
                     * 2
             })
             .sum();
-        let stats = canvas.stats();
-        if stats.peak_chunk_bytes > bound {
-            mismatches.push(CanvasMismatch {
-                label: label.clone(),
-                detail: format!(
-                    "peak chunk bytes {} exceed the read-footprint bound {bound}",
-                    stats.peak_chunk_bytes
-                ),
-            });
-        }
+        let peak = canvas.stats().peak_chunk_bytes;
+        let over = format!("peak chunk bytes {peak} exceed the read-footprint bound {bound}");
+        report.record(&label, (peak > bound).then_some(over));
     }
-
-    CanvasReport {
-        cases: specs.len(),
-        mismatches,
-        digest: digest.finish(),
-    }
+    report.digest = digest.finish();
+    report
 }
 
 /// What [`run_canvas_stress`] observed across its iterations.
@@ -230,19 +176,7 @@ pub fn run_canvas_stress(seed: u64) -> CanvasStressOutcome {
         let blend =
             [Blend::Overlay, Blend::First, Blend::Average, Blend::Linear][rng.gen_range(0usize..4)];
         let solve_every = [0usize, 1, 2, 4][rng.gen_range(0usize..4)];
-        let scan = ScanConfig {
-            grid_rows: rows,
-            grid_cols: cols,
-            tile_width: tw,
-            tile_height: th,
-            overlap: 0.25,
-            stage_jitter: 2.0,
-            backlash_x: 1.0,
-            noise_sigma: 40.0,
-            vignette: 0.03,
-            seed: seed ^ (0x9e37 + i as u64),
-        };
-        let source = SyntheticSource::new(SyntheticPlate::generate(scan));
+        let source = plate(rows, cols, (tw, th), seed ^ (0x9e37 + i as u64)).source();
         let order = shuffled_ids(source.shape(), &mut rng);
         let canvas = Arc::new(SharedCanvas::new(CanvasConfig {
             chunk,

@@ -13,7 +13,7 @@
 //!    true offset. Sweeping falloff strength on ground-truth plates,
 //!    flat-field-corrected registration must never be less accurate than
 //!    uncorrected, and must be *strictly* more accurate once the falloff
-//!    passes [`ChannelReport::improvement_threshold`].
+//!    passes [`IMPROVEMENT_THRESHOLD`].
 //!
 //! The whole battery is pure in `seed`: the same seed always produces
 //! the same report digest.
@@ -22,20 +22,11 @@ use std::sync::Arc;
 
 use stitch_core::{
     run_channel_plan, Blend, ChannelPlan, ChannelSession, Composer, FailurePolicy,
-    SimpleCpuStitcher, Stitcher, TruthVector, ZMode,
+    MultiSyntheticSource, SimpleCpuStitcher, Stitcher, TruthVector, ZMode,
 };
 use stitch_image::{Fnv64, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
 
-use stitch_core::MultiSyntheticSource;
-
-/// One replay-identity or accuracy-ordering violation.
-#[derive(Clone, Debug)]
-pub struct ChannelMismatch {
-    /// Which case disagreed.
-    pub label: String,
-    /// What disagreed and how.
-    pub detail: String,
-}
+use crate::outputs::{diff_pixels, Compare, Measured, Outputs, Report};
 
 /// One point of the corrected-vs-uncorrected accuracy sweep.
 #[derive(Clone, Debug)]
@@ -55,27 +46,14 @@ pub struct AccuracyPoint {
     pub pairs: usize,
 }
 
-/// What [`run_channel_differential`] observed.
-#[derive(Clone, Debug)]
-pub struct ChannelReport {
-    /// Replay-identity cases run.
-    pub cases: usize,
-    /// Violations (empty on a clean run).
-    pub mismatches: Vec<ChannelMismatch>,
-    /// The corrected-vs-uncorrected sweep, ascending in falloff.
-    pub accuracy: Vec<AccuracyPoint>,
-    /// Falloff beyond which correction must be *strictly* better.
-    pub improvement_threshold: f64,
-    /// FNV digest of every case's positions, mosaics, and accuracy
-    /// counts — pure in the seed.
-    pub digest: u64,
-}
-
-impl ChannelReport {
-    /// True when every case was bit-identical and the accuracy ordering
-    /// held at every sweep point.
-    pub fn is_clean(&self) -> bool {
-        self.mismatches.is_empty()
+impl Measured for Vec<AccuracyPoint> {
+    fn lines(&self) -> Vec<String> {
+        let line = |p: &AccuracyPoint| {
+            let (u, c, n) = (p.uncorrected_errors, p.corrected_errors, p.pairs);
+            let (v, est) = (p.vignette, p.estimated_falloff);
+            format!("vignette {v:.2}: {u} uncorrected vs {c} corrected errors of {n} pairs (estimated falloff {est:.3})")
+        };
+        self.iter().map(line).collect()
     }
 }
 
@@ -104,7 +82,9 @@ pub fn multi_truth_vectors(plate: &MultiChannelPlate) -> (TruthVector, TruthVect
 }
 
 /// The replay-identity case list: a stacked run, a max-z run, and a
-/// corrected run on a strongly vignetted plate.
+/// corrected run on a strongly vignetted plate. Its plates are channel
+/// stacks, vignetted per case, so they are built here, not from a
+/// `SweepCase`.
 fn replay_cases(seed: u64) -> Vec<(String, MultiScanConfig, ChannelPlan)> {
     let base = |case_seed: u64, vignette: f64| ScanConfig {
         grid_rows: 2,
@@ -176,73 +156,59 @@ fn sweep_config(seed: u64, plate: u64, vignette: f64) -> MultiScanConfig {
 /// single borderline pair cannot flip the ordering.
 const SWEEP_LEVELS: [f64; 5] = [0.0, 0.15, 0.3, 0.45, 0.6];
 const SWEEP_PLATES: u64 = 3;
-const IMPROVEMENT_THRESHOLD: f64 = 0.45;
+/// The falloff from which flat-field correction must be strictly better.
+pub const IMPROVEMENT_THRESHOLD: f64 = 0.45;
 
-/// Runs the whole battery. Pure in `seed`: the same seed always yields
-/// the same report digest.
-pub fn run_channel_differential(seed: u64) -> ChannelReport {
-    let mut mismatches = Vec::new();
+/// Runs the whole battery: each case's replay diffed bit for bit against
+/// the reference-channel solo run, then the accuracy sweep, whose points
+/// are the report's measurements. Pure in `seed`: the same seed always
+/// yields the same report digest.
+pub fn run_channel_differential(seed: u64) -> Report<Vec<AccuracyPoint>> {
+    let mut report = Report::new(format!("channel differential, seed {seed}"), Vec::new());
     let mut digest = Fnv64::new();
     let stitcher = SimpleCpuStitcher::default();
 
     // ------------------------------------------------------- replay identity
-    let cases = replay_cases(seed);
-    for (label, cfg, plan) in &cases {
-        let plate = MultiChannelPlate::generate(cfg.clone());
+    for (label, cfg, plan) in replay_cases(seed) {
+        report.ran.push(label.clone());
+        let plate = MultiChannelPlate::generate(cfg);
         let source = Arc::new(MultiSyntheticSource::new(plate));
-        let session = match ChannelSession::new(source, plan.clone()) {
+        let session = match ChannelSession::new(source, plan) {
             Ok(s) => s,
             Err(e) => {
-                mismatches.push(ChannelMismatch {
-                    label: label.clone(),
-                    detail: format!("session setup failed: {e}"),
-                });
+                report.record(&label, [format!("session setup failed: {e}")]);
                 continue;
             }
         };
 
         // The reference-channel solo run the whole batch must agree with.
         let reg_source = session.registration_source();
-        let (_, solo_positions, _) = crate::reference_pass(&stitcher, reg_source.as_ref(), None);
+        let solo = crate::reference_pass(&stitcher, reg_source.as_ref(), None);
 
         let run = match run_channel_plan(&session, &stitcher, Blend::Overlay) {
             Ok(r) => r,
             Err(e) => {
-                mismatches.push(ChannelMismatch {
-                    label: label.clone(),
-                    detail: format!("sequential run failed: {e}"),
-                });
+                report.record(&label, [format!("sequential run failed: {e}")]);
                 continue;
             }
         };
-        if run.positions != solo_positions {
-            mismatches.push(ChannelMismatch {
-                label: label.clone(),
-                detail: "run positions differ from reference-channel solo run".into(),
-            });
-        }
+        let replayed = Outputs {
+            result: run.registration,
+            positions: run.positions,
+            mosaic: None,
+        };
+        report.record(&label, replayed.diff(&solo, Compare::Exact));
+        replayed.digest(&mut digest);
         for (unit, mosaic) in &run.mosaics {
-            let solo_mosaic = Composer::new(solo_positions.clone(), Blend::Overlay)
+            let solo_mosaic = Composer::new(solo.positions.clone(), Blend::Overlay)
                 .compose(session.unit_source(*unit).as_ref());
-            if mosaic.pixels() != solo_mosaic.pixels() {
-                mismatches.push(ChannelMismatch {
-                    label: label.clone(),
-                    detail: format!("unit {} mosaic differs from solo compose", unit.label()),
-                });
-            }
-        }
-
-        for p in &run.positions.positions {
-            digest.write_u64(p.0 as u64);
-            digest.write_u64(p.1 as u64);
-        }
-        for (_, m) in &run.mosaics {
-            digest.write_u16s(m.pixels());
+            let diff = diff_pixels(&solo_mosaic, mosaic);
+            report.record(&label, diff.map(|d| format!("unit {}: {d}", unit.label())));
+            digest.write_u16s(mosaic.pixels());
         }
     }
 
     // ------------------------------------------- corrected-vs-uncorrected
-    let mut accuracy = Vec::with_capacity(SWEEP_LEVELS.len());
     for &vignette in &SWEEP_LEVELS {
         let mut errors = [0usize; 2];
         let mut pairs = 0usize;
@@ -275,45 +241,27 @@ pub fn run_channel_differential(seed: u64) -> ChannelReport {
                 errors[i] += result.count_errors(&tw, &tn, 1);
             }
         }
+        let (u, c, n) = (errors[0], errors[1], pairs);
+        let label = format!("sweep vignette {vignette}");
+        let worse = (c > u).then(|| format!("correction made registration worse: {u} -> {c}"));
+        report.record(&label, worse);
+        let flat = (vignette >= IMPROVEMENT_THRESHOLD && c >= u)
+            .then(|| format!("no strict improvement past threshold: {u} vs {c} (of {n} pairs)"));
+        report.record(&label, flat);
+        digest.write(&vignette.to_le_bytes());
+        digest.write_u64(u as u64);
+        digest.write_u64(c as u64);
         let point = AccuracyPoint {
             vignette,
-            uncorrected_errors: errors[0],
-            corrected_errors: errors[1],
+            uncorrected_errors: u,
+            corrected_errors: c,
             estimated_falloff,
             pairs,
         };
-        if point.corrected_errors > point.uncorrected_errors {
-            mismatches.push(ChannelMismatch {
-                label: format!("sweep vignette {vignette}"),
-                detail: format!(
-                    "correction made registration worse: {} -> {} errors",
-                    point.uncorrected_errors, point.corrected_errors
-                ),
-            });
-        }
-        if vignette >= IMPROVEMENT_THRESHOLD && point.corrected_errors >= point.uncorrected_errors {
-            mismatches.push(ChannelMismatch {
-                label: format!("sweep vignette {vignette}"),
-                detail: format!(
-                    "no strict improvement past threshold: uncorrected {} vs corrected {} \
-                     (of {} pairs)",
-                    point.uncorrected_errors, point.corrected_errors, point.pairs
-                ),
-            });
-        }
-        digest.write_u64(vignette.to_bits());
-        digest.write_u64(point.uncorrected_errors as u64);
-        digest.write_u64(point.corrected_errors as u64);
-        accuracy.push(point);
+        report.measured.push(point);
     }
-
-    ChannelReport {
-        cases: cases.len(),
-        mismatches,
-        accuracy,
-        improvement_threshold: IMPROVEMENT_THRESHOLD,
-        digest: digest.finish(),
-    }
+    report.digest = digest.finish();
+    report
 }
 
 #[cfg(test)]
@@ -322,17 +270,10 @@ mod tests {
 
     #[test]
     fn differential_is_clean_and_pure_in_seed() {
+        // correlation bits are compared: no backend may switch meanwhile
+        let _guard = crate::backends::serial_guard();
         let a = run_channel_differential(5);
-        for m in &a.mismatches {
-            eprintln!("MISMATCH [{}] {}", m.label, m.detail);
-        }
-        for p in &a.accuracy {
-            eprintln!(
-                "vignette {:.2}: uncorrected {} corrected {} (est falloff {:.3}, {} pairs)",
-                p.vignette, p.uncorrected_errors, p.corrected_errors, p.estimated_falloff, p.pairs
-            );
-        }
-        assert!(a.is_clean());
+        assert!(a.is_clean(), "{a}");
         let b = run_channel_differential(5);
         assert_eq!(a.digest, b.digest, "report must be pure in the seed");
     }

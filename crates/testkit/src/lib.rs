@@ -45,10 +45,14 @@
 //!   counts, transfer-model latencies, and fault specs; the same seed
 //!   always yields the same mosaic and health report.
 //!
-//! Every battery's reference run is one `stitch_core::run_pass`, the
-//! driver the product runs. The top-level `tests/conformance.rs` suite
-//! drives all four; setting `STITCH_TESTKIT_EXHAUSTIVE=1` extends the
-//! sweep (see [`cases::sweep`]).
+//! Every battery speaks one language: a run's [`Outputs`] (displacements,
+//! positions, mosaic) are diffed against a reference by [`Outputs::diff`] —
+//! bit for bit, or integer offsets only across backends — and digested by
+//! [`Outputs::digest`]; what differs is a [`Mismatch`] in the battery's
+//! one [`Report`]. Every battery's reference run is one
+//! `stitch_core::run_pass`, the driver the product runs. The top-level
+//! `tests/conformance.rs` suite drives the oracle; setting
+//! `STITCH_TESTKIT_EXHAUSTIVE=1` extends the sweep (see [`cases::sweep`]).
 
 #![warn(missing_docs)]
 
@@ -59,20 +63,18 @@ pub mod cases;
 pub mod channels;
 pub mod metamorphic;
 pub mod oracle;
+pub mod outputs;
 pub mod sched_stress;
 pub mod serve_chaos;
 pub mod shard;
 pub mod stress;
 
-pub use backends::{run_backend_case, BackendMismatch, BackendReport};
-pub use canvas::{
-    run_canvas_differential, run_canvas_stress, CanvasMismatch, CanvasReport, CanvasStressOutcome,
-};
+pub use backends::run_backend_case;
+pub use canvas::{run_canvas_differential, run_canvas_stress, CanvasStressOutcome};
 pub use cases::{exhaustive_sweep, standard_sweep, sweep, SweepCase};
-pub use channels::{
-    multi_truth_vectors, run_channel_differential, AccuracyPoint, ChannelMismatch, ChannelReport,
-};
-pub use oracle::{run_case, variants, CaseReport, Mismatch, MismatchDetail};
+pub use channels::{multi_truth_vectors, run_channel_differential, AccuracyPoint};
+pub use oracle::{run_case, variants, Truth};
+pub use outputs::{Compare, Measured, Mismatch, Outputs, Report};
 pub use sched_stress::{
     run_job_solo, run_sched_stress, solo_digests, JobDigest, SchedStressConfig, SchedStressOutcome,
 };
@@ -80,16 +82,13 @@ pub use serve_chaos::{
     run_serve_chaos, run_serve_soak, JobFate, ServeChaosConfig, ServeChaosOutcome, ServeSoakOutcome,
 };
 pub use shard::{
-    run_shard_differential, run_shard_stress, shard_cases, ShardCaseSpec, ShardMismatch,
-    ShardReport, ShardStressOutcome,
+    run_shard_differential, run_shard_stress, shard_cases, ShardCaseSpec, ShardStressOutcome,
 };
 pub use stress::{run_stress, StressConfig, StressOutcome};
 
 use stitch_core::{
-    default_workers, run_pass, AbsolutePositions, Blend, FailurePolicy, MosaicSpec, StitchResult,
-    Stitcher, TileSource,
+    default_workers, run_pass, Blend, FailurePolicy, MosaicSpec, Stitcher, TileSource,
 };
-use stitch_image::Image;
 use stitch_trace::TraceHandle;
 
 /// A battery's reference run: one untraced pass under the default policy,
@@ -98,15 +97,15 @@ fn reference_pass(
     stitcher: &dyn Stitcher,
     source: &dyn TileSource,
     mosaic: Option<MosaicSpec>,
-) -> (StitchResult, AbsolutePositions, Option<Image<u16>>) {
+) -> Outputs {
     let (policy, untraced) = (FailurePolicy::default(), TraceHandle::disabled());
     let pass = run_pass(stitcher, source, &policy, mosaic, &untraced, &|| false)
         .unwrap_or_else(|e| panic!("{}: {e}", stitcher.name()));
-    (
-        pass.result,
-        pass.positions.expect("never stopped"),
-        pass.mosaic,
-    )
+    Outputs {
+        result: pass.result,
+        positions: pass.positions.expect("never stopped"),
+        mosaic: pass.mosaic,
+    }
 }
 
 /// Overlay on every core: the batteries' phase 3.

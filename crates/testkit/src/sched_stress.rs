@@ -27,8 +27,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stitch_core::prelude::*;
 use stitch_gpu::{Device, DeviceConfig};
-use stitch_image::{Fnv64, Image, ScanConfig, SyntheticPlate};
+use stitch_image::{Fnv64, ScanConfig, SyntheticPlate};
 use stitch_sched::{JobStatus, JobVariant, Scheduler, SchedulerConfig, StitchJob, SubmitError};
+
+use crate::outputs::Outputs;
 
 /// The batch regime derived from one seed.
 #[derive(Clone, Debug)]
@@ -98,46 +100,28 @@ pub struct JobDigest {
     pub name: String,
     /// Terminal status.
     pub status: JobStatus,
-    /// West displacements, row-major.
-    pub west: Vec<Option<Displacement2>>,
-    /// North displacements, row-major.
-    pub north: Vec<Option<Displacement2>>,
-    /// Solved absolute positions.
+    /// Solved absolute positions (also in `digest`; kept to compare a
+    /// frame alone).
     pub positions: Vec<(i64, i64)>,
-    /// FNV-1a hash of the composed mosaic (`None` when not composed).
-    pub mosaic_fnv: Option<u64>,
+    /// [`Outputs::digest`] of the displacements, positions and mosaic
+    /// (`None` when the job produced no result).
+    pub digest: Option<u64>,
 }
 
-/// An `Eq`-able displacement (the core type carries an `f64` correlation;
-/// the digest keeps its bits).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Displacement2 {
-    /// Pixel offset x.
-    pub x: i64,
-    /// Pixel offset y.
-    pub y: i64,
-    /// `correlation.to_bits()` — bit-exact equality, which is the point.
-    pub correlation_bits: u64,
-}
-
-impl From<Displacement> for Displacement2 {
-    fn from(d: Displacement) -> Displacement2 {
-        Displacement2 {
-            x: d.x,
-            y: d.y,
-            correlation_bits: d.correlation.to_bits(),
+impl JobDigest {
+    fn new(name: &str, status: JobStatus, outputs: Option<Outputs>) -> JobDigest {
+        let digest = outputs.as_ref().map(|o| {
+            let mut h = Fnv64::new();
+            o.digest(&mut h);
+            h.finish()
+        });
+        JobDigest {
+            name: name.to_string(),
+            status,
+            positions: outputs.map(|o| o.positions.positions).unwrap_or_default(),
+            digest,
         }
     }
-}
-
-fn digest_displacements(v: &[Option<Displacement>]) -> Vec<Option<Displacement2>> {
-    v.iter().map(|d| d.map(Displacement2::from)).collect()
-}
-
-fn digest_mosaic(img: &Image<u16>) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u16s(img.pixels());
-    h.finish() ^ ((img.width() as u64) << 32 | img.height() as u64)
 }
 
 /// Everything one scheduler stress run observed. `PartialEq` covers only
@@ -176,26 +160,16 @@ impl SchedStressOutcome {
     }
 }
 
-fn digest_outcome(out: &stitch_sched::JobOutcome) -> JobDigest {
-    let (west, north) = match &out.result {
-        Some(r) => (
-            digest_displacements(&r.west),
-            digest_displacements(&r.north),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
-    JobDigest {
-        name: out.name.clone(),
-        status: out.status.clone(),
-        west,
-        north,
-        positions: out
-            .positions
-            .as_ref()
-            .map(|p| p.positions.clone())
-            .unwrap_or_default(),
-        mosaic_fnv: out.mosaic.as_ref().map(digest_mosaic),
-    }
+fn digest_outcome(out: stitch_sched::JobOutcome) -> JobDigest {
+    let outputs = out
+        .result
+        .zip(out.positions)
+        .map(|(result, positions)| Outputs {
+            result,
+            positions,
+            mosaic: out.mosaic,
+        });
+    JobDigest::new(&out.name, out.status, outputs)
 }
 
 /// Runs one seeded scheduler stress iteration. Deterministic parts are
@@ -226,7 +200,7 @@ pub fn run_sched_stress(seed: u64) -> SchedStressOutcome {
             Err(e) => panic!("only TooLarge rejections are deterministic, got {e}"),
         }
     }
-    let mut digests: Vec<JobDigest> = handles.iter().map(|h| digest_outcome(&h.wait())).collect();
+    let mut digests: Vec<JobDigest> = handles.iter().map(|h| digest_outcome(h.wait())).collect();
     digests.sort_by(|a, b| a.name.cmp(&b.name));
     rejected.sort_unstable();
     sched.join();
@@ -253,15 +227,8 @@ pub fn run_job_solo(job: &StitchJob) -> JobDigest {
         ..Resources::default()
     });
     let overlay = job.compose.then(crate::overlay);
-    let (result, positions, mosaic) = crate::reference_pass(stitcher.as_ref(), &source, overlay);
-    JobDigest {
-        name: job.name.clone(),
-        status: JobStatus::Completed,
-        west: digest_displacements(&result.west),
-        north: digest_displacements(&result.north),
-        positions: positions.positions,
-        mosaic_fnv: mosaic.as_ref().map(digest_mosaic),
-    }
+    let outputs = crate::reference_pass(stitcher.as_ref(), &source, overlay);
+    JobDigest::new(&job.name, JobStatus::Completed, Some(outputs))
 }
 
 /// Convenience: the solo digests of every job in a config, by name.

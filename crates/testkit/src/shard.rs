@@ -11,10 +11,8 @@
 
 use std::sync::Arc;
 
-use stitch_core::{
-    Blend, FaultSpec, FaultySource, SimpleCpuStitcher, SyntheticSource, TileId, TileSource,
-};
-use stitch_image::{Fnv64, SyntheticPlate};
+use stitch_core::{Blend, FaultSpec, FaultySource, SimpleCpuStitcher, TileId, TileSource};
+use stitch_image::Fnv64;
 use stitch_sched::{JobStatus, JobVariant, StitchJob};
 use stitch_shard::{stitch_sharded, ShardConfig, ShardError, ShardPlan};
 
@@ -22,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cases::SweepCase;
-use crate::sched_stress::Displacement2;
+use crate::outputs::{Compare, Outputs, Report};
 
 /// One oracle case: a ground-truth sweep case plus a shard geometry.
 #[derive(Clone, Debug)]
@@ -44,34 +42,6 @@ impl ShardCaseSpec {
             self.shard_rows,
             self.shard_cols
         )
-    }
-}
-
-/// One sharded-vs-unsharded disagreement.
-#[derive(Clone, Debug)]
-pub struct ShardMismatch {
-    /// Which case disagreed.
-    pub label: String,
-    /// What disagreed and how.
-    pub detail: String,
-}
-
-/// What [`run_shard_differential`] observed.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// Cases run.
-    pub cases: usize,
-    /// Disagreements (empty on a clean run).
-    pub mismatches: Vec<ShardMismatch>,
-    /// FNV digest of every case's positions + mosaic + displacement
-    /// bits — pure in the seed, for determinism assertions.
-    pub digest: u64,
-}
-
-impl ShardReport {
-    /// True when every case was bit-identical.
-    pub fn is_clean(&self) -> bool {
-        self.mismatches.is_empty()
     }
 }
 
@@ -124,38 +94,20 @@ pub fn shard_cases(seed: u64) -> Vec<ShardCaseSpec> {
     ]
 }
 
-fn digest_displacements(h: &mut Fnv64, v: &[Option<Displacement2>]) {
-    for d in v {
-        match d {
-            Some(d) => {
-                h.write_u64(d.x as u64);
-                h.write_u64(d.y as u64);
-                h.write_u64(d.correlation_bits);
-            }
-            None => h.write(&[0xFF]),
-        }
-    }
-}
-
-fn to_bits(v: &[Option<stitch_core::Displacement>]) -> Vec<Option<Displacement2>> {
-    v.iter().map(|d| d.map(Displacement2::from)).collect()
-}
-
-/// Runs the sharded-vs-unsharded differential over [`shard_cases`].
-/// Pure in `seed`: the same seed always yields the same report digest.
-pub fn run_shard_differential(seed: u64) -> ShardReport {
-    let specs = shard_cases(seed);
-    let mut mismatches = Vec::new();
+/// Runs the sharded-vs-unsharded differential over [`shard_cases`]: the
+/// sharded outputs bit for bit against a Simple-CPU run, each case's
+/// hierarchical frame within a pixel of the committed one, and no leaked
+/// reservation or spectrum. Pure in `seed`: the same seed always yields
+/// the same report digest.
+pub fn run_shard_differential(seed: u64) -> Report {
+    let mut report = Report::new(format!("shard differential, seed {seed}"), ());
     let mut digest = Fnv64::new();
-    for spec in &specs {
+    for spec in &shard_cases(seed) {
         let label = spec.label();
+        report.ran.push(label.clone());
         let source: Arc<dyn TileSource> = Arc::new(spec.case.source());
-
-        // unsharded baseline: the sequential reference variant
         let overlay = Some(crate::overlay());
-        let (baseline, base_positions, base_mosaic) =
-            crate::reference_pass(&SimpleCpuStitcher::default(), &*source, overlay);
-        let base_mosaic = base_mosaic.expect("composed");
+        let baseline = crate::reference_pass(&SimpleCpuStitcher::default(), &*source, overlay);
 
         // sharded run, banded composition (odd band height on purpose)
         let config = ShardConfig {
@@ -168,88 +120,29 @@ pub fn run_shard_differential(seed: u64) -> ShardReport {
         let sharded = match stitch_sharded(Arc::clone(&source), &config) {
             Ok(s) => s,
             Err(e) => {
-                mismatches.push(ShardMismatch {
-                    label,
-                    detail: format!("sharded run failed: {e}"),
-                });
+                report.record(&label, [format!("sharded run failed: {e}")]);
                 continue;
             }
         };
-
-        let (bw, bn) = (to_bits(&baseline.west), to_bits(&baseline.north));
-        let (sw, sn) = (
-            to_bits(&sharded.result.west),
-            to_bits(&sharded.result.north),
-        );
-        if bw != sw || bn != sn {
-            let diff = bw
-                .iter()
-                .zip(&sw)
-                .chain(bn.iter().zip(&sn))
-                .filter(|(a, b)| a != b)
-                .count();
-            mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: format!("{diff} displacement slots differ"),
-            });
-        }
-        if base_positions != sharded.positions {
-            mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: "global positions differ".to_string(),
-            });
-        }
-        match &sharded.mosaic {
-            Some(m) if m.pixels() == base_mosaic.pixels() => {}
-            Some(m) => mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: format!(
-                    "mosaic differs ({}x{} sharded vs {}x{} baseline)",
-                    m.width(),
-                    m.height(),
-                    base_mosaic.width(),
-                    base_mosaic.height()
-                ),
-            }),
-            None => mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: "sharded run produced no mosaic".to_string(),
-            }),
-        }
+        let (dx, dy) = sharded.hierarchical_deviation;
+        let (lr, ls) = (sharded.leaked_reservations, sharded.leaked_spectra);
+        let outputs = Outputs {
+            result: sharded.result,
+            positions: sharded.positions,
+            mosaic: sharded.mosaic,
+        };
+        report.record(&label, outputs.diff(&baseline, Compare::Exact));
+        outputs.digest(&mut digest);
         // the hierarchical frame is an audit, not the committed answer:
         // on a clean, consistent plate it must agree to within a pixel
-        let (dx, dy) = sharded.hierarchical_deviation;
-        if dx > 1 || dy > 1 {
-            mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: format!("hierarchical frame drifts ({dx}, {dy}) px from committed"),
-            });
-        }
-        if sharded.leaked_reservations != 0 || sharded.leaked_spectra != 0 {
-            mismatches.push(ShardMismatch {
-                label: label.clone(),
-                detail: format!(
-                    "leaks: {} reservations, {} spectra",
-                    sharded.leaked_reservations, sharded.leaked_spectra
-                ),
-            });
-        }
-
-        digest_displacements(&mut digest, &sw);
-        digest_displacements(&mut digest, &sn);
-        for p in &sharded.positions.positions {
-            digest.write_u64(p.0 as u64);
-            digest.write_u64(p.1 as u64);
-        }
-        if let Some(m) = &sharded.mosaic {
-            digest.write_u16s(m.pixels());
-        }
+        let drift = (dx > 1 || dy > 1)
+            .then(|| format!("hierarchical frame drifts ({dx}, {dy}) px from committed"));
+        report.record(&label, drift);
+        let leaks = (lr != 0 || ls != 0).then(|| format!("leaks: {lr} reservations, {ls} spectra"));
+        report.record(&label, leaks);
     }
-    ShardReport {
-        cases: specs.len(),
-        mismatches,
-        digest: digest.finish(),
-    }
+    report.digest = digest.finish();
+    report
 }
 
 /// What one stress iteration was set up to do.
@@ -319,19 +212,15 @@ fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
         let (tw, th) = [(32, 24), (40, 32), (48, 36)][rng.gen_range(0usize..3)];
         let shard_rows = rng.gen_range(1usize..=rows);
         let shard_cols = rng.gen_range(1usize..=cols);
-        let scan = stitch_image::ScanConfig {
-            grid_rows: rows,
-            grid_cols: cols,
+        let plate = SweepCase {
+            rows,
+            cols,
             tile_width: tw,
             tile_height: th,
             overlap: 0.25,
-            stage_jitter: 2.0,
-            backlash_x: 1.0,
             noise_sigma: 40.0,
-            vignette: 0.03,
             seed: seed ^ (0x9e37 + i as u64),
         };
-        let plate = SyntheticPlate::generate(scan.clone());
         let plan = ShardPlan::new(
             stitch_core::GridShape::new(rows, cols),
             shard_rows,
@@ -393,8 +282,8 @@ fn run_shard_stress_inner(seed: u64, rng: &mut StdRng) -> ShardStressOutcome {
             _ => None,
         };
         let source: Arc<dyn TileSource> = match spec {
-            Some(spec) => Arc::new(FaultySource::new(SyntheticSource::new(plate), spec)),
-            None => Arc::new(SyntheticSource::new(plate)),
+            Some(spec) => Arc::new(FaultySource::new(plate.source(), spec)),
+            None => Arc::new(plate.source()),
         };
 
         let compose = rng.gen_range(0u32..2) == 0;

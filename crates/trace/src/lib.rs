@@ -51,12 +51,20 @@ pub use report::{kernel_density, LayerStat, QueueStat, RunReport, StageStat};
 
 /// The layer categories [`RunReport::layers`] totals, in the order a tile
 /// meets them: phase 1 as Table I prices it (`read`, `fft_fwd`, `ncc`,
-/// `fft_inv`, `peak`, `ccf`), then phases 2 and 3. A span carries one only
-/// where no other layer span nests inside it, so totals never count a
-/// nanosecond twice; wrappers keep a category of their own (`"stage"`,
-/// `"compute"`).
-pub const LAYERS: [&str; 8] = [
-    "read", "fft_fwd", "ncc", "fft_inv", "peak", "ccf", "solve", "compose",
+/// `fft_inv`, `peak`, `ccf`), a shard seam pair's registration, then
+/// phases 2 and 3. A span carries one only where no other layer span nests
+/// inside it, so totals never count a nanosecond twice; wrappers keep a
+/// category of their own (`"stage"`, `"compute"`).
+pub const LAYERS: [&str; 9] = [
+    "read",
+    "fft_fwd",
+    "ncc",
+    "fft_inv",
+    "peak",
+    "ccf",
+    "seam_register",
+    "solve",
+    "compose",
 ];
 
 /// One recorded interval on the merged timeline.

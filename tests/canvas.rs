@@ -21,7 +21,7 @@ fn canvas_differential_battery_is_clean() {
         report.is_clean(),
         "{} of {} canvas cases not bit-identical:\n{}",
         report.mismatches.len(),
-        report.cases,
+        report.ran.len(),
         report
             .mismatches
             .iter()

@@ -9,6 +9,7 @@ use stitch_core::{
     ZMode,
 };
 use stitch_image::{MultiChannelPlate, MultiScanConfig, ScanConfig};
+use stitch_testkit::channels::IMPROVEMENT_THRESHOLD;
 use stitch_testkit::run_channel_differential;
 
 #[test]
@@ -19,7 +20,7 @@ fn channel_differential_battery_is_clean() {
             report.is_clean(),
             "seed {seed}: {} violations over {} cases:\n{}",
             report.mismatches.len(),
-            report.cases,
+            report.ran.len(),
             report
                 .mismatches
                 .iter()
@@ -48,14 +49,14 @@ fn channel_differential_digest_is_pure_in_seed() {
 #[test]
 fn correction_is_noop_when_flat_and_wins_when_vignetted() {
     let report = run_channel_differential(5);
-    let flat = &report.accuracy[0];
+    let flat = &report.measured[0];
     assert_eq!(flat.vignette, 0.0);
     assert_eq!(
         flat.estimated_falloff, 0.0,
         "un-vignetted stacks must estimate the exact identity"
     );
     assert_eq!(flat.uncorrected_errors, flat.corrected_errors);
-    for p in &report.accuracy {
+    for p in &report.measured {
         assert!(
             p.corrected_errors <= p.uncorrected_errors,
             "correction made vignette {} worse: {} -> {}",
@@ -63,7 +64,7 @@ fn correction_is_noop_when_flat_and_wins_when_vignetted() {
             p.uncorrected_errors,
             p.corrected_errors
         );
-        if p.vignette >= report.improvement_threshold {
+        if p.vignette >= IMPROVEMENT_THRESHOLD {
             assert!(
                 p.corrected_errors < p.uncorrected_errors,
                 "no strict win at vignette {}: {} vs {}",

@@ -165,7 +165,7 @@ fn all_variants_bit_identical_across_sweep() {
     let mut failures = Vec::new();
     for case in &cases {
         let report = run_case(case);
-        assert_eq!(report.variants.len(), 6, "{}", report.label);
+        assert_eq!(report.ran.len(), 6, "{}", report.label);
         // Cross-variant agreement is the hard invariant. Truth recovery
         // is asserted separately below on well-conditioned cases.
         if !report.is_clean() {
@@ -198,12 +198,12 @@ fn well_conditioned_cases_also_match_ground_truth() {
         let report = run_case(&case);
         assert!(report.is_clean(), "{report}");
         assert!(
-            report.truth_errors <= 2,
+            report.measured.errors <= 2,
             "phase-1 truth errors ({}) out of line: {report}",
-            report.truth_errors
+            report.measured.errors
         );
         assert_eq!(
-            report.position_deviation,
+            report.measured.position_deviation,
             (0, 0),
             "phase 2 must recover exact positions: {report}"
         );

@@ -3,11 +3,13 @@
 //! faults + retries leave the output bit-identical, (b) a permanently
 //! corrupt tile degrades to a partial result under `--allow-partial`,
 //! (c) strict mode aborts cleanly instead of hanging, (d) a tile of the
-//! wrong size is a failed tile, and (e) a panicking read stage becomes a
-//! `StitchError::Pipeline` with nothing leaked.
+//! wrong size is a failed tile, (e) a panicking read stage becomes a
+//! `StitchError::Pipeline` with nothing leaked, and (f) phase 3 reads
+//! under the pass's retry policy, so a lost tile is a hole in the mosaic.
 
 use std::time::Duration;
 
+use stitch_testkit::variants;
 use stitching::core::{PciamContext, PipelinedGpuConfig, SpectrumPool};
 use stitching::gpu::{Device, DeviceConfig};
 use stitching::image::{ScanConfig, SyntheticPlate};
@@ -26,19 +28,6 @@ fn scan(rows: usize, cols: usize, seed: u64) -> ScanConfig {
         vignette: 0.03,
         seed,
     }
-}
-
-fn variants() -> Vec<Box<dyn Stitcher>> {
-    Variant::ALL
-        .iter()
-        .map(|v| {
-            v.build(&Resources {
-                threads: 2,
-                devices: vec![Device::new(0, DeviceConfig::small(128 << 20))],
-                ..Resources::default()
-            })
-        })
-        .collect()
 }
 
 /// A retry policy that spins fast (no real sleeping) with enough budget
@@ -87,6 +76,107 @@ fn transient_faults_with_retries_are_bit_identical() {
             s.name()
         );
     }
+}
+
+/// One pass of `stitcher` over `source` under `policy`, composed with
+/// the overlay blend on two workers.
+fn mosaic_of(
+    stitcher: &dyn Stitcher,
+    source: &dyn TileSource,
+    policy: &FailurePolicy,
+) -> Image<u16> {
+    let overlay = MosaicSpec {
+        blend: Blend::Overlay,
+        workers: 2,
+        highlight: false,
+    };
+    let untraced = TraceHandle::disabled();
+    run_pass(stitcher, source, policy, Some(overlay), &untraced, &|| {
+        false
+    })
+    .unwrap_or_else(|e| panic!("{}: {e}", stitcher.name()))
+    .mosaic
+    .expect("composed")
+}
+
+/// Phase 3 reads under the pass's retry policy, as phase 1 does: the
+/// transients it meets are retried away, never drawn as holes.
+#[test]
+fn transient_faults_with_retries_compose_the_clean_mosaic() {
+    let cfg = scan(3, 4, 1101);
+    let clean = SyntheticSource::new(SyntheticPlate::generate(cfg.clone()));
+    let reference = mosaic_of(
+        &SimpleCpuStitcher::default(),
+        &clean,
+        &FailurePolicy::default(),
+    );
+
+    let spec = FaultSpec::parse("seed=7,transient=0.2").unwrap().0;
+    let policy = FailurePolicy {
+        retry: fast_retry(),
+        allow_partial: false,
+    };
+    for s in variants() {
+        let faulty = FaultySource::new(
+            SyntheticSource::new(SyntheticPlate::generate(cfg.clone())),
+            spec.clone(),
+        );
+        let mosaic = mosaic_of(&*s, &faulty, &policy);
+        assert!(
+            mosaic == reference,
+            "{}: mosaic differs from the clean run's",
+            s.name()
+        );
+    }
+}
+
+/// A source whose one tile decodes to other dimensions than it declares.
+struct MisSizedSource {
+    inner: SyntheticSource,
+    odd: TileId,
+}
+
+impl TileSource for MisSizedSource {
+    fn shape(&self) -> GridShape {
+        self.inner.shape()
+    }
+    fn tile_dims(&self) -> (usize, usize) {
+        self.inner.tile_dims()
+    }
+    fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
+        if id == self.odd {
+            return Ok(Image::filled(32, 24, 7));
+        }
+        self.inner.load(id)
+    }
+}
+
+/// A mis-sized tile is lost in phase 3 as it is in phase 1: its mosaic is
+/// the one a corrupt tile in its place leaves, hole and all.
+#[test]
+fn wrong_sized_tile_is_the_same_hole_as_a_corrupt_one() {
+    let cfg = scan(2, 3, 1616);
+    let plate = || SyntheticSource::new(SyntheticPlate::generate(cfg.clone()));
+    let odd = TileId::new(1, 1);
+    let policy = FailurePolicy::partial();
+    let stitcher = SimpleCpuStitcher::default();
+    let mis_sized = MisSizedSource {
+        inner: plate(),
+        odd,
+    };
+    let corrupt = FaultySource::new(plate(), FaultSpec::parse("corrupt=1.1").unwrap().0);
+    let (got, want) = (
+        mosaic_of(&stitcher, &mis_sized, &policy),
+        mosaic_of(&stitcher, &corrupt, &policy),
+    );
+    assert_eq!(got.dims(), want.dims());
+    let differ = got
+        .pixels()
+        .iter()
+        .zip(want.pixels())
+        .filter(|(a, b)| a != b)
+        .count();
+    assert_eq!(differ, 0, "the mis-sized tile was drawn into the mosaic");
 }
 
 #[test]

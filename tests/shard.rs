@@ -18,7 +18,7 @@ use stitch_image::{ScanConfig, SyntheticPlate};
 use stitch_sched::StitchJob;
 use stitch_shard::{stitch_sharded, stitch_sharded_streaming, ShardConfig};
 use stitch_testkit::{run_shard_differential, run_shard_stress};
-use stitch_trace::TraceHandle;
+use stitch_trace::{RunReport, TraceHandle};
 
 #[test]
 fn shard_differential_battery_is_clean() {
@@ -27,7 +27,7 @@ fn shard_differential_battery_is_clean() {
         report.is_clean(),
         "{} of {} shard cases not bit-identical:\n{}",
         report.mismatches.len(),
-        report.cases,
+        report.ran.len(),
         report
             .mismatches
             .iter()
@@ -263,5 +263,46 @@ fn trace_carries_per_shard_lanes_and_merge_track() {
     assert!(
         tracks.iter().any(|t| t == "shard/compose"),
         "missing compose track in {tracks:?}"
+    );
+}
+
+/// The seam walk stamps layers, not hand-named spans: every seam tile read
+/// is a `read`, and every registered seam pair one `seam_register`.
+#[test]
+fn seam_walk_stamps_one_seam_register_per_pair() {
+    let scan = ScanConfig::for_grid(3, 4, 48, 36, 0.25, 12);
+    let source: Arc<dyn TileSource> =
+        Arc::new(SyntheticSource::new(SyntheticPlate::generate(scan)));
+    let trace = TraceHandle::new();
+    let config = ShardConfig {
+        shard_rows: 2,
+        shard_cols: 2,
+        trace: trace.clone(),
+        ..ShardConfig::default()
+    };
+    let outcome = stitch_sharded(source, &config).expect("traced run");
+    assert!(outcome.seam_pairs > 0);
+    let report = RunReport::from_trace(&trace);
+    let count = |name: &str| {
+        report
+            .layers
+            .iter()
+            .find(|l| l.name == name)
+            .map(|l| l.count)
+    };
+    assert_eq!(count("seam_register"), Some(outcome.seam_pairs as u64));
+    let merge = trace
+        .spans()
+        .into_iter()
+        .filter(|s| s.track == "shard/merge");
+    assert!(
+        merge.clone().any(|s| s.cat == "read"),
+        "seam reads are the read layer"
+    );
+    assert!(
+        merge
+            .filter(|s| s.cat != "compute")
+            .all(|s| s.name == s.cat),
+        "every merge-track span but the wrapper is a layer"
     );
 }
