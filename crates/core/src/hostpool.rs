@@ -141,7 +141,6 @@ impl SpectrumPool {
     fn wrap(&self, data: Vec<C32>) -> PooledSpectrum {
         PooledSpectrum {
             data,
-            tile_mean: 0.0,
             pool: Arc::clone(&self.shared),
         }
     }
@@ -195,9 +194,6 @@ pub struct PooledSpectrum {
     /// Invariant: `data.len() == pool.buf_len` except transiently inside
     /// `drop`/`into_vec`, where it is taken and replaced by an empty vec.
     data: Vec<C32>,
-    /// Mean pixel value of the tile this is the spectrum of: unspecified,
-    /// like the contents, until `PciamContext::forward_fft` fills both.
-    pub(crate) tile_mean: f64,
     pool: Arc<PoolShared>,
 }
 

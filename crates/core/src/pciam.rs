@@ -100,9 +100,9 @@ struct PairScratch {
 /// Spectra, NCC and surface are single precision ([`C32`], `f32`): the
 /// transforms are memory-bound, and the NCC keeps only each bin's phase,
 /// which `f32` carries to ≈ 1e-5 rad at the noise floor — far inside what
-/// decides which peaks enter the top [`DEFAULT_PEAK_COUNT`]. The tile
-/// means and the CCF that picks the winner stay `f64` over the `u16`
-/// pixels (DESIGN.md § "Precision").
+/// decides which peaks enter the top [`DEFAULT_PEAK_COUNT`]. The CCF that
+/// picks the winner is exact integer co-moments of the `u16` pixels and
+/// one `f64` division (DESIGN.md § "Precision").
 ///
 /// Each step is timed where it is counted: a context built
 /// [`traced`](PciamContext::traced) stamps `fft_fwd`, `ncc`, `fft_inv`,
@@ -181,12 +181,10 @@ impl PciamContext {
     /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
     /// spectrum's storage comes from (and returns to) the context's
     /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
-    /// The tile's mean rides on the lease for the CCF stage of its pairs.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
         assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
         let _span = self.meter.span("fft_fwd");
         let mut spec = self.pool.acquire();
-        spec.tile_mean = img.mean();
         for (r, &p) in self.real_in.iter_mut().zip(img.pixels()) {
             *r = f32::from(p);
         }
@@ -244,8 +242,7 @@ impl PciamContext {
         self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT);
         let PairScratch { peaks, ccf, .. } = &mut self.pair;
         let peaks = peaks.iter().map(|&(i, _)| i);
-        let (a, b) = ((img_a, fa.tile_mean), (img_b, fb.tile_mean));
-        resolve_peaks_oriented_into(peaks, a, b, kind, ccf, &self.meter)
+        resolve_peaks_oriented_into(peaks, img_a, img_b, kind, ccf, &self.meter)
     }
 
     /// Convenience: the whole of Fig 2 for a pair of images.
@@ -290,24 +287,23 @@ pub fn resolve_peaks_oriented(
     kind: Option<PairKind>,
 ) -> Displacement {
     assert_eq!(img_a.dims(), (width, height), "tile dims mismatch");
-    let (a, b) = ((img_a, img_a.mean()), (img_b, img_b.mean()));
     let (peaks, mut scratch) = (peaks.iter().copied(), CcfScratch::default());
-    resolve_peaks_oriented_into(peaks, a, b, kind, &mut scratch, &Meter::default())
+    resolve_peaks_oriented_into(peaks, img_a, img_b, kind, &mut scratch, &Meter::default())
 }
 
-/// Allocation-free core of [`resolve_peaks_oriented`] over tiles given as
-/// `(pixels, mean pixel value)`: works in the caller's `scratch`, counts
-/// the group and its probes on `meter` and stamps it there as `ccf`.
+/// Allocation-free core of [`resolve_peaks_oriented`]: works in the
+/// caller's `scratch`, counts the group and its probes on `meter` and
+/// stamps it there as `ccf`.
 pub(crate) fn resolve_peaks_oriented_into(
     peaks: impl Iterator<Item = usize>,
-    a: (&Image<u16>, f64),
-    b: (&Image<u16>, f64),
+    a: &Image<u16>,
+    b: &Image<u16>,
     kind: Option<PairKind>,
     scratch: &mut CcfScratch,
     meter: &Meter,
 ) -> Displacement {
     let _span = meter.span("ccf");
-    let (width, height) = a.0.dims();
+    let (width, height) = a.dims();
     scratch.generation += 1;
     let (scored, memo, generation) = (&mut scratch.scored, &mut *scratch.memo, scratch.generation);
     let mut scorer = Scorer {
@@ -348,12 +344,12 @@ pub(crate) fn resolve_peaks_oriented_into(
     best.map_or(fallback, |(_, d)| d)
 }
 
-/// The one place a pair's CCF is evaluated: holds the tile means and the
+/// The one place a pair's CCF is evaluated: holds the tiles and the
 /// pair's memo table, so the initial scoring and every hill-climb share
 /// each `(dx, dy)` evaluation.
 struct Scorer<'a> {
-    a: (&'a Image<u16>, f64),
-    b: (&'a Image<u16>, f64),
+    a: &'a Image<u16>,
+    b: &'a Image<u16>,
     kind: Option<PairKind>,
     memo: &'a mut [MemoSlot],
     generation: u64,
@@ -365,14 +361,14 @@ struct Scorer<'a> {
 impl Scorer<'_> {
     /// The candidate at `(dx, dy)` with its significance; `None` outside
     /// the orientation's legal half-plane or without a usable overlap.
-    /// The CCF is [`ccf_at_centered`]'s, or the table's copy of it.
+    /// The CCF is [`ccf_at`]'s, or the table's copy of it.
     fn score(&mut self, dx: i64, dy: i64) -> Option<(f64, Displacement)> {
         match self.kind {
             Some(PairKind::West) if dx < 1 => return None,
             Some(PairKind::North) if dy < 1 => return None,
             _ => {}
         }
-        let (w, h) = self.a.0.dims();
+        let (w, h) = self.a.dims();
         let mask = self.memo.len() - 1;
         let hash = (dx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (dy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
@@ -386,7 +382,7 @@ impl Scorer<'_> {
                 }
                 slot = (slot + 1) & mask;
             }
-            let ccf = ccf_at_centered(self.a.0, self.b.0, self.a.1, self.b.1, dx, dy)?;
+            let ccf = ccf_at(self.a, self.b, dx, dy)?;
             self.probes += 1;
             self.pixels += overlap_pixels(w, h, dx, dy) as u64;
             if self.probes as usize <= self.memo.len() / 2 {
@@ -478,25 +474,15 @@ pub fn overlap_pixels(width: usize, height: usize, dx: i64, dy: i64) -> i64 {
 /// The cross-correlation factor of Fig 3 evaluated at a *signed*
 /// displacement: Pearson correlation of the pixels where tile `b`,
 /// placed at offset `(dx, dy)` inside tile `a`'s frame, overlaps `a`.
-/// `None` when the overlap is smaller than [`MIN_OVERLAP_PIXELS`].
+/// `None` when the overlap is smaller than [`MIN_OVERLAP_PIXELS`]; `0.0`
+/// when either side of it is constant.
+///
+/// The co-moments are exact integers from one compute-backend call (the
+/// dominant cost of the disambiguation stage), so the covariance
+/// `n·Σab − Σa·Σb` and both variances are exact in `i128`, and the
+/// coefficient is one rounding of each into `f64`, one square root and one
+/// division: the same bits on every backend.
 pub fn ccf_at(img_a: &Image<u16>, img_b: &Image<u16>, dx: i64, dy: i64) -> Option<f64> {
-    ccf_at_centered(img_a, img_b, img_a.mean(), img_b.mean(), dx, dy)
-}
-
-/// [`ccf_at`] with the whole-tile means supplied by the caller. The CCF
-/// stage evaluates dozens of candidate offsets per pair; computing the
-/// tile means once and shifting both tiles by them lets each evaluation
-/// run in a single pass. (Shifting by *any* constant leaves the Pearson
-/// coefficient of the overlap unchanged; shifting keeps the co-moment
-/// accumulators small enough that `f64` stays exact for 16-bit pixels.)
-pub fn ccf_at_centered(
-    img_a: &Image<u16>,
-    img_b: &Image<u16>,
-    center_a: f64,
-    center_b: f64,
-    dx: i64,
-    dy: i64,
-) -> Option<f64> {
     let (w, h) = img_a.dims();
     assert_eq!(img_b.dims(), (w, h), "CCF requires same-size tiles");
     let (w, h) = (w as i64, h as i64);
@@ -510,28 +496,18 @@ pub fn ccf_at_centered(
     if ow <= 0 || oh <= 0 || ow * oh < MIN_OVERLAP_PIXELS {
         return None;
     }
-    // The overlap's co-moments in one compute-backend call (the dominant
-    // cost of the disambiguation stage — a five-accumulator reduction the
-    // compiler cannot auto-vectorize from the sequential form). The
-    // backend sums its rows in order, so the only backend-dependent
-    // rounding is the within-row lane association.
     let w = w as usize;
     let a = &img_a.pixels()[ay0 as usize * w + ax0 as usize..];
     let b = &img_b.pixels()[(ay0 - dy) as usize * w + (ax0 - dx) as usize..];
-    let [sum_a, sum_b, sum_ab, sum_aa, sum_bb] = stitch_fft::backend::active().comoment_rect(
-        a,
-        b,
-        w,
-        oh as usize,
-        ow as usize,
-        (center_a, center_b),
-    );
-    let n = (ow * oh) as f64;
-    let num = sum_ab - sum_a * sum_b / n;
-    let den_a = sum_aa - sum_a * sum_a / n;
-    let den_b = sum_bb - sum_b * sum_b / n;
-    let den = (den_a * den_b).sqrt();
-    Some(if den > 0.0 { num / den } else { 0.0 })
+    let moments = stitch_fft::backend::active().comoment_rect(a, b, w, oh as usize, ow as usize);
+    let [sum_a, sum_b, sum_ab, sum_aa, sum_bb] = moments.map(i128::from);
+    let n = i128::from(ow * oh);
+    let cov = n * sum_ab - sum_a * sum_b;
+    let (var_a, var_b) = (n * sum_aa - sum_a * sum_a, n * sum_bb - sum_b * sum_b);
+    if var_a == 0 || var_b == 0 {
+        return Some(0.0);
+    }
+    Some(cov as f64 / (var_a as f64 * var_b as f64).sqrt())
 }
 
 #[cfg(test)]
@@ -640,7 +616,7 @@ mod tests {
     #[test]
     fn ccf_perfect_correlation_on_identical_overlap() {
         let img = Image::from_fn(16, 16, |x, y| ((x * 7 + y * 13) % 97) as u16);
-        assert!((ccf_at(&img, &img, 0, 0).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(ccf_at(&img, &img, 0, 0), Some(1.0));
     }
 
     #[test]
@@ -668,6 +644,25 @@ mod tests {
         let a = Image::filled(8, 8, 100u16);
         let b = Image::filled(8, 8, 200u16);
         assert_eq!(ccf_at(&a, &b, 0, 0).unwrap(), 0.0);
+        // one constant side of an overlap inside a textured tile
+        let textured = Image::from_fn(40, 8, |x, y| if x < 20 { 7 } else { (x * y) as u16 });
+        assert_eq!(ccf_at(&textured, &textured, -20, 0).unwrap(), 0.0);
+    }
+
+    /// The paper's 140-px west strip at full swing (pixels 0 and 65 535):
+    /// `n·Σab` ≈ 5e19 is past `i64`, exact in `i128`, and the coefficient
+    /// is exactly ±1.
+    #[test]
+    fn ccf_is_exact_on_a_saturated_paper_strip() {
+        let (w, h) = (1392, 1040);
+        let swing = |x: usize, y: usize| if (x * 3 + y * 5) % 7 < 3 { 0 } else { u16::MAX };
+        let a = Image::from_fn(w, h, swing);
+        let mirror = Image::from_fn(w, h, |x, y| u16::MAX - swing(x, y));
+        let dx = (w - 140) as i64;
+        let shifted = Image::from_fn(w, h, |x, y| swing(x + w - 140, y) * u16::from(x < 140));
+        assert_eq!(ccf_at(&a, &shifted, dx, 0), Some(1.0));
+        let mirrored = Image::from_fn(w, h, |x, y| mirror.get((x + w - 140) % w, y));
+        assert_eq!(ccf_at(&a, &mirrored, dx, 0), Some(-1.0));
     }
 
     #[test]
@@ -763,8 +758,8 @@ mod tests {
         memo: &'a mut [MemoSlot],
     ) -> Scorer<'a> {
         Scorer {
-            a: (a, a.mean()),
-            b: (b, b.mean()),
+            a,
+            b,
             kind,
             memo,
             generation: 1,
@@ -856,9 +851,7 @@ mod tests {
                 memo: vec![(0, (0, 0), 0.0); 2].into(),
                 ..CcfScratch::default()
             };
-            let tiles = ((&a, a.mean()), (&b, b.mean()));
-            let direct =
-                resolve_peaks_oriented_into(peaks, tiles.0, tiles.1, kind, &mut scratch, &tiny);
+            let direct = resolve_peaks_oriented_into(peaks, &a, &b, kind, &mut scratch, &tiny);
             assert_eq!(direct, d, "seed {seed}");
         }
         let (full, tiny) = (

@@ -88,13 +88,6 @@ pub struct PipelinedGpuStitcher {
     pub(crate) fft_panic_at: Option<TileId>,
 }
 
-/// A tile's host pixels with their mean, taken once when the tile is
-/// read: the CCF stage centres every pair of the tile on it.
-struct HostTile {
-    img: Image<u16>,
-    mean: f64,
-}
-
 /// Stage 1 → 2 payload.
 struct ReadTile {
     id: TileId,
@@ -103,7 +96,7 @@ struct ReadTile {
 
 enum ReadPayload {
     /// Freshly read pixels.
-    Img(Arc<HostTile>),
+    Img(Arc<Image<u16>>),
     /// The tile could not be read; downstream stages pass the notice on
     /// so bookkeeping can write its pairs off.
     Failed,
@@ -124,7 +117,7 @@ enum TransformedMsg {
 /// Tile resident on the device.
 struct CopiedTile {
     id: TileId,
-    img: Arc<HostTile>,
+    img: Arc<Image<u16>>,
     buf: Arc<PooledBuffer<C32>>,
     copied: Event,
     /// The uploaded pixels stage 3 transforms into `buf`.
@@ -147,7 +140,7 @@ struct PairTask {
 
 #[derive(Clone)]
 struct TransformedShare {
-    img: Arc<HostTile>,
+    img: Arc<Image<u16>>,
     buf: Arc<PooledBuffer<C32>>,
     transformed: Event,
 }
@@ -155,8 +148,8 @@ struct TransformedShare {
 /// Stage 5 → 6 payload: reduction scalars back on the host.
 struct CcfTask {
     peaks: Vec<usize>,
-    a: Arc<HostTile>,
-    b: Arc<HostTile>,
+    a: Arc<Image<u16>>,
+    b: Arc<Image<u16>>,
     kind: PairKind,
     slot: usize,
 }
@@ -265,10 +258,7 @@ impl PipelinedGpuStitcher {
             pipeline.add_source(&track.clone(), move || {
                 for id in order {
                     let payload = match frame.load(&track, id) {
-                        Some(img) => {
-                            let mean = img.mean();
-                            ReadPayload::Img(Arc::new(HostTile { img, mean }))
-                        }
+                        Some(img) => ReadPayload::Img(Arc::new(img)),
                         None => ReadPayload::Failed,
                     };
                     if !w12.push(ReadTile { id, payload }) {
@@ -292,7 +282,7 @@ impl PipelinedGpuStitcher {
                         // back-pressure: blocks until a transform buffer is free
                         let buf = Arc::new(pool.acquire());
                         let staging = staging.acquire();
-                        stream.h2d(Arc::new(img.img.pixels().to_vec()), &staging);
+                        stream.h2d(Arc::new(img.pixels().to_vec()), &staging);
                         let copied = stream.record_event();
                         CopiedMsg::Tile(CopiedTile {
                             id: t.id,
@@ -467,11 +457,10 @@ impl Stitcher for PipelinedGpuStitcher {
                 // per-worker CCF scratch, reused across pairs
                 let mut scratch = CcfScratch::default();
                 move |task: CcfTask| {
-                    let (a, b) = (&task.a, &task.b);
                     let d = resolve_peaks_oriented_into(
                         task.peaks.iter().copied(),
-                        (&a.img, a.mean),
-                        (&b.img, b.mean),
+                        &task.a,
+                        &task.b,
                         Some(task.kind),
                         &mut scratch,
                         &meter,

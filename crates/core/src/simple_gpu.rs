@@ -34,8 +34,6 @@ pub struct SimpleGpuStitcher {
 
 struct DeviceTile {
     img: Image<u16>,
-    /// `img.mean()`, taken once for all of the tile's pairs.
-    mean: f64,
     buf: PooledBuffer<C32>,
 }
 
@@ -111,8 +109,7 @@ impl Stitcher for SimpleGpuStitcher {
 
             // complete ready pairs, one fully synchronous op at a time;
             // a released endpoint recycles its device buffer
-            let mean = img.mean();
-            ledger.arrive(id, DeviceTile { img, mean, buf }, |ta, tb, kind, slot| {
+            ledger.arrive(id, DeviceTile { img, buf }, |ta, tb, kind, slot| {
                 stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, spectrum_len);
                 stream.synchronize();
                 counters.count_elementwise();
@@ -124,8 +121,8 @@ impl Stitcher for SimpleGpuStitcher {
                 // CCF disambiguation on the CPU (host images)
                 let d = resolve_peaks_oriented_into(
                     peaks.iter().map(|p| p.index),
-                    (&ta.img, ta.mean),
-                    (&tb.img, tb.mean),
+                    &ta.img,
+                    &tb.img,
                     Some(kind),
                     &mut scratch,
                     &meter,

@@ -11,7 +11,7 @@
 //!
 //! * [`scalar`] — straight sequential reference loops; the FFT engine
 //!   with one lane, one row or column at a time;
-//! * [`portable`] — the lane-unrolled dependency-free shape from
+//! * [`portable`] — the lane-unrolled dependency-free NCC from
 //!   [`crate::vectorops`], which LLVM auto-vectorizes on any target; the
 //!   FFT engine one 256-bit register wide (`[f32; 8]`, `[f64; 4]`), eight
 //!   (four) rows or columns per pass;
@@ -33,25 +33,22 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The element-wise kernel (`ncc`) evaluates the *same IEEE-754
-//! expression DAG* in every backend: widened exactly to `f64`, no FMA
-//! contraction, division and square root correctly rounded, one rounding
-//! back to `f32`. The FFT needs no such care: there is one engine source
-//! ([`crate::radix`]), vectorised *across* transforms, so a lane of the
-//! wide run executes the very operation sequence of the one-lane run and
-//! a backend only chooses how many transforms share an instruction (AVX2
-//! is enabled without FMA). All backends therefore produce bit-identical
-//! NCC surfaces, FFT outputs, and peak indices — the testkit backend
-//! oracle pins this.
+//! Every kernel returns the same bits on every backend:
 //!
-//! The co-moments ([`ComputeBackend::comoment_rect`]) are a reduction.
-//! The contract is per rectangle: the backend loops the rows inside its
-//! own frame (one dynamic call per CCF probe, not per overlap row), each
-//! row reduced by its row kernel and the row sums added in row order. The
-//! `portable` and `simd` row kernels split a row over four lanes in one
-//! order and are bit-identical to each other; against `scalar` they
-//! re-associate and agree to ~1e-12 relative, which the CCF scoring
-//! tolerates (see DESIGN.md § "Compute backends").
+//! * the NCC evaluates the *same IEEE-754 expression DAG* everywhere:
+//!   widened exactly to `f64`, no FMA contraction, division and square
+//!   root correctly rounded, one rounding back to `f32`;
+//! * the FFT has one engine source ([`crate::radix`]), vectorised
+//!   *across* transforms, so a lane of the wide run executes the very
+//!   operation sequence of the one-lane run and a backend only chooses how
+//!   many transforms share an instruction (AVX2 is enabled without FMA);
+//! * the co-moments ([`ComputeBackend::comoment_rect`]) are integers,
+//!   summed exactly in `i64`, so no lane split or row order can change
+//!   them.
+//!
+//! NCC surfaces, FFT outputs, peak indices and CCF correlations are
+//! therefore bit-identical across backends; the testkit backend oracle
+//! pins this.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -78,13 +75,9 @@ pub trait ComputeBackend: Send + Sync {
     fn ncc(&self, a: &[C32], b: &[C32], out: &mut [C32]);
 
     /// CCF co-moments `[Σa, Σb, Σab, Σa², Σb²]` of a `rows × cols`
-    /// rectangle of `u16` pixels, widened and centered on the fly
-    /// (`va = a[i] − ca`, `(ca, cb) = centers`): the whole overlap of one
+    /// rectangle of `u16` pixels, exact in `i64`: the whole overlap of one
     /// CCF probe in one call. Row `r` starts at `a[r·stride]` and
-    /// `b[r·stride]`. Each row is reduced with the backend's lane
-    /// arithmetic and the row sums are added in row order, so the result
-    /// is the per-row sum, bit for bit; lane-split backends re-associate
-    /// within a row (see module docs).
+    /// `b[r·stride]`; no pixel past the last row's `cols` is read.
     fn comoment_rect(
         &self,
         a: &[u16],
@@ -92,8 +85,7 @@ pub trait ComputeBackend: Send + Sync {
         stride: usize,
         rows: usize,
         cols: usize,
-        centers: (f64, f64),
-    ) -> [f64; 5];
+    ) -> [i64; 5];
 
     /// The lanes and instruction set [`crate::RealFft2d`] runs on under
     /// this backend.
@@ -246,7 +238,6 @@ mod tests {
     use crate::complex::{c64, Cx, Float};
     use crate::plan::Planner;
     use crate::real::RealFft2d;
-    use crate::vectorops;
 
     /// Deterministic pseudo-random complex data.
     pub(crate) fn data(n: usize, seed: u64) -> Vec<C32> {
@@ -331,134 +322,93 @@ mod tests {
         }
     }
 
-    /// A backend's own row kernel.
-    fn row_kernel(name: &str, a: &[u16], b: &[u16], (ca, cb): (f64, f64)) -> [f64; 5] {
-        match name {
-            "scalar" => vectorops::comoment_u16_scalar(a, b, ca, cb),
-            "portable" => vectorops::comoment_u16_vectorized(a, b, ca, cb),
-            // SAFETY: `backends()` lists simd only where AVX2 runs.
-            #[cfg(target_arch = "x86_64")]
-            "simd" => unsafe { simd::comoment_u16_avx2(a, b, ca, cb) },
-            other => unreachable!("no backend {other}"),
-        }
-    }
-
-    /// The reference a backend's rectangle must equal bit for bit: its
-    /// row kernel over each row, the row sums added in row order.
-    fn per_row_sum(name: &str, rect: &Rect, a: &[u16], b: &[u16]) -> [f64; 5] {
-        let mut acc = [0.0f64; 5];
-        for r in 0..rect.rows {
-            let (ra, rb) = (rect.a0 + r * rect.stride, rect.b0 + r * rect.stride);
-            let sums = row_kernel(
-                name,
-                &a[ra..ra + rect.cols],
-                &b[rb..rb + rect.cols],
-                rect.centers,
-            );
-            for k in 0..5 {
-                acc[k] += sums[k];
+    /// The co-moments as a plain `i64` loop over every pixel of the
+    /// rectangle: what every backend must return, bit for bit.
+    fn plain_moments(a: &[u16], b: &[u16], stride: usize, rows: usize, cols: usize) -> [i64; 5] {
+        let mut m = [0i64; 5];
+        for r in 0..rows {
+            for c in 0..cols {
+                let (x, y) = (i64::from(a[r * stride + c]), i64::from(b[r * stride + c]));
+                m[0] += x;
+                m[1] += y;
+                m[2] += x * y;
+                m[3] += x * x;
+                m[4] += y * y;
             }
         }
-        acc
+        m
     }
 
-    /// The overlap of two `w × h` tiles with `b` at `(dx, dy)` in `a`'s
-    /// frame, as the CCF probe addresses it.
-    struct Rect {
-        a0: usize,
-        b0: usize,
-        stride: usize,
+    /// Every backend's moments of the `rows × cols` rectangle at `origin`
+    /// of two `w`-wide tiles equal [`plain_moments`]. The slices handed
+    /// over end at the rectangle's last pixel, so a kernel reading past a
+    /// row's tail would read past the slice.
+    fn assert_exact(
+        label: &str,
+        a: &[u16],
+        b: &[u16],
+        w: usize,
+        origin: usize,
         rows: usize,
         cols: usize,
-        centers: (f64, f64),
-    }
-
-    fn overlap(w: usize, h: usize, dx: i64, dy: i64) -> Rect {
-        let (ax0, ay0) = (dx.max(0) as usize, dy.max(0) as usize);
-        let (bx0, by0) = ((-dx).max(0) as usize, (-dy).max(0) as usize);
-        Rect {
-            a0: ay0 * w + ax0,
-            b0: by0 * w + bx0,
-            stride: w,
-            rows: h - dy.unsigned_abs() as usize,
-            cols: w - dx.unsigned_abs() as usize,
-            centers: (30_123.25, 29_876.5),
-        }
-    }
-
-    #[test]
-    fn comoment_rect_is_the_per_row_sum_on_every_backend() {
-        let (w, h) = (37usize, 23usize);
-        let a: Vec<u16> = (0..w * h)
-            .map(|i| ((i * 7919 + 3) % 65536) as u16)
-            .collect();
-        let b: Vec<u16> = (0..w * h)
-            .map(|i| ((i * 104_729 + 11) % 65536) as u16)
-            .collect();
-        let w_ = w as i64;
-        // 1-, 2-, 5- and 6-px-wide overlaps on both sides, full width,
-        // corners in all four quadrants, one-row strips
-        let mut shifts = Vec::new();
-        for cols in [1i64, 2, 5, 6] {
-            for dy in [-3i64, 0, 4] {
-                shifts.push((w_ - cols, dy));
-                shifts.push((cols - w_, dy));
-            }
-        }
-        shifts.extend([
-            (0, 0),
-            (0, 9),
-            (0, -9),
-            (0, 22),
-            (13, 7),
-            (-13, 7),
-            (13, -7),
-            (-13, -7),
-        ]);
-        for (dx, dy) in shifts {
-            let rect = overlap(w, h, dx, dy);
-            let (ra, rb) = (&a[rect.a0..], &b[rect.b0..]);
-            let mut lane_split = None;
-            for be in backends() {
-                let got = be.comoment_rect(ra, rb, w, rect.rows, rect.cols, rect.centers);
-                let want = per_row_sum(be.name(), &rect, &a, &b);
-                assert_eq!(
-                    got.map(f64::to_bits),
-                    want.map(f64::to_bits),
-                    "{} dx={dx} dy={dy}",
-                    be.name()
-                );
-                // the two lane-split backends share one summation order
-                if be.name() != "scalar" {
-                    let first = *lane_split.get_or_insert(got);
-                    assert_eq!(
-                        first.map(f64::to_bits),
-                        got.map(f64::to_bits),
-                        "{}",
-                        be.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn comoment_rect_backends_agree_to_reassociation_tolerance() {
-        let (w, h) = (64usize, 48usize);
-        let a: Vec<u16> = (0..w * h).map(|i| ((i * 37 + 11) % 4096) as u16).collect();
-        let b: Vec<u16> = (0..w * h).map(|i| ((i * 53 + 7) % 4096) as u16).collect();
-        let reference = scalar::ScalarBackend.comoment_rect(&a, &b, w, h, w, (2048.5, 2047.25));
+    ) {
+        let end = origin + (rows - 1) * w + cols;
+        let (a, b) = (&a[origin..end], &b[origin..end]);
+        let want = plain_moments(a, b, w, rows, cols);
         for be in backends() {
-            let got = be.comoment_rect(&a, &b, w, h, w, (2048.5, 2047.25));
-            for k in 0..5 {
-                let denom = reference[k].abs().max(1.0);
-                assert!(
-                    ((reference[k] - got[k]) / denom).abs() < 1e-9,
-                    "{} k={k}",
-                    be.name()
-                );
+            let got = be.comoment_rect(a, b, w, rows, cols);
+            assert_eq!(
+                got,
+                want,
+                "{} {label}: {rows}x{cols} at {origin}",
+                be.name()
+            );
+        }
+    }
+
+    #[test]
+    fn comoment_rect_is_exact_on_every_backend() {
+        let (w, h) = (37usize, 23usize);
+        let hash = |i: usize, k: usize| (((i * k) ^ (i >> 3)) % 65_536) as u16;
+        let a: Vec<u16> = (0..w * h).map(|i| hash(i, 7919)).collect();
+        let b: Vec<u16> = (0..w * h).map(|i| hash(i, 104_729)).collect();
+        // widths around the 16-pixel step and the full width, at the
+        // tile's origin and ending at its last pixel, one row and many
+        for cols in [1usize, 6, 15, 16, 17, 24, 33, w] {
+            for rows in [1usize, 5, h] {
+                assert_exact("mixed", &a, &b, w, 0, rows, cols);
+                assert_exact("mixed", &a, &b, w, (h - rows) * w + w - cols, rows, cols);
             }
         }
+        // the madd wrap: both lanes of a pair at 0 (a'·b' = 2³⁰ twice),
+        // at 65 535, and one tile at each extreme
+        let (zero, full) = (vec![0u16; w * h], vec![u16::MAX; w * h]);
+        let span: Vec<u16> = (0..w * h)
+            .map(|i| (i * 65_535 / (w * h - 1)) as u16)
+            .collect();
+        for (label, a, b) in [
+            ("zeros", &zero, &zero),
+            ("saturated", &full, &full),
+            ("zero against saturated", &zero, &full),
+            ("span 0..65535", &span, &a),
+            (
+                "span against its mirror",
+                &span,
+                &span.iter().rev().copied().collect(),
+            ),
+        ] {
+            for cols in [1usize, 6, 16, 17, 33, w] {
+                assert_exact(label, a, b, w, 0, h, cols);
+            }
+        }
+        // the paper's 140-px-wide west strip, saturated: the largest
+        // moments a probe forms (Σa² ≈ 6.3e14)
+        let (pw, ph) = (1392usize, 1040usize);
+        let paper = vec![u16::MAX; pw * ph];
+        assert_exact("paper strip", &paper, &paper, pw, pw - 140, ph, 140);
+        // a whole paper tile: more row steps than an i32 lane sums
+        let mixed: Vec<u16> = (0..pw * ph).map(|i| hash(i, 31)).collect();
+        assert_exact("paper tile", &mixed, &paper, pw, 0, ph, pw);
     }
 
     /// One transform pair at precision `T` on `be`'s lanes: the spectrum

@@ -1,11 +1,11 @@
 //! The lane-unrolled auto-vectorizable backend.
 //!
-//! The NCC and the co-moment rows come straight from [`crate::vectorops`]
-//! (the PR-4-era vector-shaped loops); the 2-D FFT runs the shared engine
-//! one register wide (`[f32; 8]`, `[f64; 4]`) — eight (four) rows or
-//! columns per pass, an independent body per lane. LLVM turns these into packed SIMD at whatever width the
-//! target offers without a single intrinsic — the portable floor every
-//! platform gets.
+//! The NCC and the integer co-moments come straight from
+//! [`crate::vectorops`]; the 2-D FFT runs the shared engine one register
+//! wide (`[f32; 8]`, `[f64; 4]`) — eight (four) rows or columns per pass,
+//! an independent body per lane. LLVM turns these into packed SIMD at
+//! whatever width the target offers without a single intrinsic — the
+//! portable floor every platform gets.
 
 use crate::complex::C32;
 use crate::vectorops;
@@ -31,11 +31,8 @@ impl ComputeBackend for PortableBackend {
         stride: usize,
         rows: usize,
         cols: usize,
-        (ca, cb): (f64, f64),
-    ) -> [f64; 5] {
-        vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
-            vectorops::comoment_u16_vectorized(ra, rb, ca, cb)
-        })
+    ) -> [i64; 5] {
+        vectorops::comoment_rect(a, b, stride, rows, cols)
     }
 
     fn fft_lanes(&self) -> FftLanes {

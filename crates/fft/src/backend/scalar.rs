@@ -3,9 +3,8 @@
 //! Every kernel is a plain scalar loop — the ground truth the other
 //! backends are measured and verified (testkit backend oracle) against.
 //! The NCC shares its expression DAG with the vectorized backends and is
-//! bit-identical to them; the co-moment rows accumulate in strict
-//! left-to-right order, which the lane-split backends re-associate. The
-//! 2-D FFT runs the shared engine one lane wide.
+//! bit-identical to them; the co-moments are the exact integer loop every
+//! backend's must equal. The 2-D FFT runs the shared engine one lane wide.
 
 use crate::complex::C32;
 use crate::vectorops;
@@ -31,11 +30,8 @@ impl ComputeBackend for ScalarBackend {
         stride: usize,
         rows: usize,
         cols: usize,
-        (ca, cb): (f64, f64),
-    ) -> [f64; 5] {
-        vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
-            vectorops::comoment_u16_scalar(ra, rb, ca, cb)
-        })
+    ) -> [i64; 5] {
+        vectorops::comoment_rect(a, b, stride, rows, cols)
     }
 
     fn fft_lanes(&self) -> FftLanes {

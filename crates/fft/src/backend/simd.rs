@@ -4,30 +4,24 @@
 //! hot loops — the modern form of the paper's §IV-A SSE kernels — and
 //! the shared wide FFT engine (`[f32; 8]`: one `ymm` register) compiled
 //! with AVX2 enabled (no per-ISA butterfly: it is vectorised across
-//! transforms). Each kernel evaluates exactly the expression DAG of its
-//! scalar/portable twin:
+//! transforms). Each kernel returns exactly what its scalar twin does:
 //!
-//! * the NCC widens its `f32` bins exactly to `f64` (`_mm256_cvtps_pd`),
-//!   works there and rounds once back (`_mm256_cvtpd_ps`, round to
-//!   nearest even, as `as f32`);
-//! * no FMA — products and sums stay separately rounded
-//!   (`_mm256_mul_pd` + `_mm256_add_pd`, never `_mm256_fmadd_pd`);
-//! * `_mm256_div_pd` and `_mm256_sqrt_pd` are correctly rounded, so
-//!   `re/mag` and `√(re²+im²)` match their scalar counterparts bit for
-//!   bit;
-//! * the co-moment row kernel merges its four lanes in the portable
-//!   backend's order, and the rectangle adds its rows in the same order.
-//!
-//! Only the co-moments are *not* bit-identical to the scalar backend:
-//! they re-associate each row's sum into four lanes — but they share the
-//! portable backend's exact summation order, so `portable` and `simd`
-//! co-moments are bit-identical to each other (pinned by test).
+//! * the NCC evaluates the scalar expression DAG: it widens its `f32`
+//!   bins exactly to `f64` (`_mm256_cvtps_pd`), works there without FMA
+//!   (`_mm256_div_pd` and `_mm256_sqrt_pd` are correctly rounded) and
+//!   rounds once back (`_mm256_cvtpd_ps`, round to nearest even, as
+//!   `as f32`);
+//! * the co-moments are integers: sixteen pixels per step biased to
+//!   `i16`, every product from `_mm256_madd_epi16`, widened to `i64`
+//!   accumulators each step, so the sums are exact and equal the scalar
+//!   loop's whatever the lane split.
 //!
 //! Every public entry point re-checks [`super::simd_supported`] and
 //! falls back to the portable implementation, so constructing
 //! [`SimdBackend`] on a non-AVX2 host is safe, merely pointless.
 
 use core::arch::x86_64::*;
+use std::mem::transmute;
 
 use crate::complex::{Cx, Float, C32};
 use crate::real::RealFft2d;
@@ -62,15 +56,18 @@ impl ComputeBackend for SimdBackend {
         stride: usize,
         rows: usize,
         cols: usize,
-        (ca, cb): (f64, f64),
-    ) -> [f64; 5] {
-        if super::simd_supported() {
-            // SAFETY: AVX2 confirmed on this host.
-            unsafe { comoment_rect_avx2(a, b, stride, rows, cols, (ca, cb)) }
+    ) -> [i64; 5] {
+        if rows == 0 || cols == 0 {
+            return [0; 5];
+        }
+        let end = (rows - 1) * stride + cols;
+        assert!(end <= a.len() && end <= b.len(), "rectangle past the tile");
+        if super::simd_supported() && cols <= I32_STEPS * STEP {
+            // SAFETY: AVX2 confirmed on this host; every row lies inside
+            // both slices (asserted above).
+            unsafe { comoment_rect_avx2(a, b, stride, rows, cols) }
         } else {
-            vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
-                vectorops::comoment_u16_vectorized(ra, rb, ca, cb)
-            })
+            vectorops::comoment_rect(a, b, stride, rows, cols)
         }
     }
 
@@ -175,33 +172,73 @@ unsafe fn ncc_avx2(a: &[C32], b: &[C32], out: &mut [C32]) {
     vectorops::ncc_scalar(&a[done..], &b[done..], &mut out[done..]);
 }
 
-/// Horizontal merge of the five accumulator vectors plus the scalar
-/// tail, in exactly the portable backend's summation order
-/// (`acc = ((0 + lane0) + lane1) + lane2) + lane3`, then `+ tail`).
+/// Pixels per row step: one `ymm` of `u16`.
+const STEP: usize = 16;
+
+/// Row steps whose `Σa'`, `Σb'` pair sums (each in `[−65 536, 65 534]`)
+/// an `i32` lane holds; a wider row goes to the scalar loop.
+const I32_STEPS: usize = 32_767;
+
+/// A madd lane of `a'·b'` pairs lies in `[−CROSS, 2³¹]`, a span under
+/// `2³²`: adding `CROSS` (mod `2³²`) maps it onto `u32` exactly, where
+/// the one lane `2³¹` (two `−32 768 · −32 768` products) wraps as `i32`.
+const CROSS: i32 = 0x7FFF_0000;
+
+/// Adds the eight `u32` lanes of `v` into the four `i64` lanes of `acc`.
 ///
 /// # Safety
-/// AVX required; `tail` must be the co-moments of `a[done..]`.
+/// AVX2 required.
 #[inline(always)]
-unsafe fn comoment_merge(acc: [__m256d; 5], tail: [f64; 5]) -> [f64; 5] {
-    let mut out = [0.0f64; 5];
-    let mut lanes = [0.0f64; 4];
-    for (k, o) in out.iter_mut().enumerate() {
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc[k]);
-        let mut v = 0.0f64;
-        for lane in lanes {
-            v += lane;
-        }
-        *o = v + tail[k];
-    }
-    out
+unsafe fn add_u32(acc: __m256i, v: __m256i) -> __m256i {
+    let low = _mm256_and_si256(v, _mm256_set1_epi64x(0xFFFF_FFFF));
+    _mm256_add_epi64(_mm256_add_epi64(acc, low), _mm256_srli_epi64::<32>(v))
 }
 
-/// The CCF co-moments of one overlap rectangle: the row loop and the row
-/// kernel inline into this one AVX2 frame, so a probe pays one dispatch
-/// and one feature check, not one per row.
+/// One row step: the pair sums of `a'b'` (offset by [`CROSS`]), `a'²`
+/// and `b'²` into the `i64` lanes of `acc[0..3]`, those of `a'` and `b'`
+/// into the `i32` lanes of `acc[3..5]`.
 ///
 /// # Safety
-/// AVX2 must be available.
+/// AVX2 required.
+#[inline(always)]
+unsafe fn step(acc: &mut [__m256i; 5], va: __m256i, vb: __m256i) {
+    let (cross, ones) = (_mm256_set1_epi32(CROSS), _mm256_set1_epi16(1));
+    acc[0] = add_u32(acc[0], _mm256_add_epi32(_mm256_madd_epi16(va, vb), cross));
+    acc[1] = add_u32(acc[1], _mm256_madd_epi16(va, va));
+    acc[2] = add_u32(acc[2], _mm256_madd_epi16(vb, vb));
+    acc[3] = _mm256_add_epi32(acc[3], _mm256_madd_epi16(va, ones));
+    acc[4] = _mm256_add_epi32(acc[4], _mm256_madd_epi16(vb, ones));
+}
+
+/// The last `tail = cols mod 16` pixels of a row at `p`, biased, in the
+/// lanes `keep` and zero elsewhere: whole `u16` pairs by
+/// `_mm256_maskload_epi32` (lanes `pairs`), an odd last pixel inserted
+/// alone, so nothing past `p[tail − 1]` is read.
+///
+/// # Safety
+/// AVX2 required; `p..p + tail` must be readable; `keep` and `pairs` set
+/// the first `tail` and `tail & !1` lanes.
+#[inline(always)]
+unsafe fn load_tail(p: *const u16, tail: usize, pairs: __m256i, keep: __m256i) -> __m256i {
+    let mut v = _mm256_maskload_epi32(p.cast(), pairs);
+    if tail % 2 == 1 {
+        let last = _mm256_set1_epi16(*p.add(tail - 1) as i16);
+        v = _mm256_or_si256(v, _mm256_andnot_si256(pairs, _mm256_and_si256(last, keep)));
+    }
+    _mm256_and_si256(_mm256_xor_si256(v, _mm256_set1_epi16(i16::MIN)), keep)
+}
+
+/// The CCF co-moments of one overlap rectangle, exact. Each row step
+/// biases sixteen pixels of each tile to `i16` (`a' = a − 32 768`) and
+/// takes its products from `_mm256_madd_epi16` ([`step`]); the `i32`
+/// sums of `a'`, `b'` are flushed before they could overflow. A row's
+/// last `cols mod 16` pixels are one masked step ([`load_tail`]); masked
+/// lanes are zero after the bias and add nothing. The bias comes off
+/// once, at the end.
+///
+/// # Safety
+/// AVX2 must be available; `rows, cols ≥ 1`, `cols ≤ I32_STEPS·STEP`, and
+/// `(rows − 1)·stride + cols` must not exceed either slice's length.
 #[target_feature(enable = "avx2")]
 unsafe fn comoment_rect_avx2(
     a: &[u16],
@@ -209,49 +246,47 @@ unsafe fn comoment_rect_avx2(
     stride: usize,
     rows: usize,
     cols: usize,
-    (ca, cb): (f64, f64),
-) -> [f64; 5] {
-    vectorops::comoment_rect(a, b, stride, rows, cols, |ra, rb| {
-        // SAFETY: AVX2 is the caller's contract; the row slices share
-        // the length `cols`.
-        unsafe { comoment_u16_avx2(ra, rb, ca, cb) }
-    })
-}
-
-/// The CCF row kernel: widen four `u16` pixels to `f64` (exact), center
-/// on the tile means, accumulate five co-moments. Bit-identical to
-/// [`vectorops::comoment_u16_vectorized`].
-///
-/// # Safety
-/// AVX2 must be available; slices must share one length.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn comoment_u16_avx2(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-    let chunks = a.len() / LANES;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let vca = _mm256_set1_pd(ca);
-    let vcb = _mm256_set1_pd(cb);
-    let mut acc = [_mm256_setzero_pd(); 5];
-    for c in 0..chunks {
-        let i = c * LANES;
-        // 4×u16 → 4×i32 → 4×f64: every step exact
-        let ra = _mm256_cvtepi32_pd(_mm_cvtepu16_epi32(_mm_loadl_epi64(
-            ap.add(i) as *const __m128i
-        )));
-        let rb = _mm256_cvtepi32_pd(_mm_cvtepu16_epi32(_mm_loadl_epi64(
-            bp.add(i) as *const __m128i
-        )));
-        let va = _mm256_sub_pd(ra, vca);
-        let vb = _mm256_sub_pd(rb, vcb);
-        acc[0] = _mm256_add_pd(acc[0], va);
-        acc[1] = _mm256_add_pd(acc[1], vb);
-        acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(va, vb));
-        acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(va, va));
-        acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(vb, vb));
+) -> [i64; 5] {
+    let bias = _mm256_set1_epi16(i16::MIN);
+    let (tail, full, row_steps) = (cols % STEP, cols - cols % STEP, cols.div_ceil(STEP));
+    let lane = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let keep = _mm256_cmpgt_epi16(_mm256_set1_epi16(tail as i16), lane);
+    let pairs = _mm256_cmpgt_epi16(_mm256_set1_epi16((tail & !1) as i16), lane);
+    let mut acc = [_mm256_setzero_si256(); 5];
+    let (mut sum_a, mut sum_b, mut pending) = (0i64, 0i64, 0usize);
+    for r in 0..rows {
+        let (pa, pb) = (a.as_ptr().add(r * stride), b.as_ptr().add(r * stride));
+        for i in (0..full).step_by(STEP) {
+            let va = _mm256_xor_si256(_mm256_loadu_si256(pa.add(i).cast()), bias);
+            let vb = _mm256_xor_si256(_mm256_loadu_si256(pb.add(i).cast()), bias);
+            step(&mut acc, va, vb);
+        }
+        if tail > 0 {
+            let va = load_tail(pa.add(full), tail, pairs, keep);
+            step(&mut acc, va, load_tail(pb.add(full), tail, pairs, keep));
+        }
+        pending += row_steps;
+        if pending + row_steps > I32_STEPS || r + 1 == rows {
+            sum_a += transmute::<__m256i, [i32; 8]>(acc[3])
+                .map(i64::from)
+                .iter()
+                .sum::<i64>();
+            sum_b += transmute::<__m256i, [i32; 8]>(acc[4])
+                .map(i64::from)
+                .iter()
+                .sum::<i64>();
+            (acc[3], acc[4], pending) = (_mm256_setzero_si256(), _mm256_setzero_si256(), 0);
+        }
     }
-    let done = chunks * LANES;
-    comoment_merge(
-        acc,
-        vectorops::comoment_u16_scalar(&a[done..], &b[done..], ca, cb),
-    )
+    let [ab, aa, bb] =
+        [acc[0], acc[1], acc[2]].map(|v| transmute::<__m256i, [i64; 4]>(v).iter().sum::<i64>());
+    let (c, n) = (32_768i64, (rows * cols) as i64);
+    let ab = ab - i64::from(CROSS) * (8 * rows * row_steps) as i64;
+    [
+        sum_a + c * n,
+        sum_b + c * n,
+        ab + c * (sum_a + sum_b) + c * c * n,
+        aa + 2 * c * sum_a + c * c * n,
+        bb + 2 * c * sum_b + c * c * n,
+    ]
 }

@@ -9,22 +9,21 @@
 //! with independent accumulator lanes, exactly the shape the paper's
 //! intrinsics imposed.
 //!
-//! This module holds the *implementations* — sequential scalar reference
-//! loops and their lane-unrolled `_vectorized` twins — which the
-//! [`crate::backend`] layer wraps: the `scalar` backend runs the
-//! references, the `portable` backend runs the `_vectorized` forms, and
-//! the `simd` backend replaces them with explicit AVX2 intrinsics
-//! evaluating the same expression DAGs. Three kernels live here:
+//! This module holds the *implementations* the [`crate::backend`] layer
+//! wraps. Three kernels live here:
 //!
-//! * the NCC, bit-identical between scalar and vectorized forms, at either
-//!   storage precision (each bin multiplied and normalised in `f64`);
+//! * the NCC, a sequential scalar reference loop and its lane-unrolled
+//!   `_vectorized` twin (the `scalar` and `portable` backends; `simd`
+//!   replaces it with AVX2 intrinsics evaluating the same expression DAG),
+//!   bit-identical at either storage precision — each bin multiplied and
+//!   normalised in `f64`;
 //! * the top-k peak extraction ([`top_peaks_into`]), one copy for every
 //!   spectrum layout and the simulated device;
-//! * the CCF co-moments, a per-row kernel inside a per-rectangle loop
-//!   (`comoment_rect`): the rows of a rectangle are reduced inside
-//!   one backend call, and the row sums added in row order. The lane-split
-//!   row kernel re-associates its sum and agrees with the scalar one to
-//!   ~1e-12 relative (tests pin both properties).
+//! * the CCF co-moments of one overlap rectangle (`comoment_rect`), summed
+//!   exactly in `i64`: the `scalar` and `portable` backends run it as it
+//!   stands, `simd` computes the same integers sixteen pixels at a time.
+//!   Exact sums leave nothing to re-associate, so every backend returns
+//!   the same moments.
 
 use crate::complex::{Cx, Float};
 
@@ -159,83 +158,28 @@ pub fn top_peaks_into<T: Copy>(
 
 /// The CCF co-moments `[Σa, Σb, Σab, Σa², Σb²]` of a `rows × cols`
 /// rectangle of `u16` pixels, row `r` starting at `a[r·stride]` and
-/// `b[r·stride]` (two tiles of one width). `row` reduces one row; the row
-/// sums are added in row order, so the result is the per-row sum of
-/// `row`, bit for bit. Every backend's `comoment_rect` is this loop around
-/// its own row kernel, inlined into its own code-generation frame.
-#[inline(always)]
+/// `b[r·stride]` (two tiles of one width), summed exactly in integers.
+/// An integer reduction is associative, so LLVM vectorises this loop as
+/// it stands, and every summation order gives the same answer.
 pub(crate) fn comoment_rect(
     a: &[u16],
     b: &[u16],
     stride: usize,
     rows: usize,
     cols: usize,
-    mut row: impl FnMut(&[u16], &[u16]) -> [f64; 5],
-) -> [f64; 5] {
-    let mut acc = [0.0f64; 5];
+) -> [i64; 5] {
+    let mut m = [0i64; 5];
     for r in 0..rows {
-        let sums = row(&a[r * stride..][..cols], &b[r * stride..][..cols]);
-        for k in 0..5 {
-            acc[k] += sums[k];
+        for (&x, &y) in a[r * stride..][..cols].iter().zip(&b[r * stride..][..cols]) {
+            let (x, y) = (u32::from(x), u32::from(y));
+            m[0] += i64::from(x);
+            m[1] += i64::from(y);
+            m[2] += i64::from(x * y);
+            m[3] += i64::from(x * x);
+            m[4] += i64::from(y * y);
         }
     }
-    acc
-}
-
-/// Scalar reference row kernel of [`comoment_rect`]: co-moments of `u16`
-/// pixel rows widened and centered on the fly (`va = a[i] − ca`), one
-/// sequential pass.
-#[inline]
-pub(crate) fn comoment_u16_scalar(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-    assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 5];
-    for i in 0..a.len() {
-        let va = a[i] as f64 - ca;
-        let vb = b[i] as f64 - cb;
-        acc[0] += va;
-        acc[1] += vb;
-        acc[2] += va * vb;
-        acc[3] += va * va;
-        acc[4] += vb * vb;
-    }
-    acc
-}
-
-/// Lane-split twin of [`comoment_u16_scalar`]: [`LANES`] independent
-/// accumulator sets broken out of the serial reduction chain, merged
-/// lane 0 → 3, then the scalar tail. The sum is re-associated, so it
-/// agrees with the scalar kernel to ~1e-12 relative, and bit for bit with
-/// the AVX2 kernel, which merges in this order.
-#[inline]
-pub(crate) fn comoment_u16_vectorized(a: &[u16], b: &[u16], ca: f64, cb: f64) -> [f64; 5] {
-    assert_eq!(a.len(), b.len());
-    let chunks = a.len() / LANES;
-    let mut lanes = [[0.0f64; 5]; LANES];
-    for (ac, bc) in a[..chunks * LANES]
-        .chunks_exact(LANES)
-        .zip(b[..chunks * LANES].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            let va = ac[l] as f64 - ca;
-            let vb = bc[l] as f64 - cb;
-            lanes[l][0] += va;
-            lanes[l][1] += vb;
-            lanes[l][2] += va * vb;
-            lanes[l][3] += va * va;
-            lanes[l][4] += vb * vb;
-        }
-    }
-    let mut acc = [0.0f64; 5];
-    for lane in lanes {
-        for k in 0..5 {
-            acc[k] += lane[k];
-        }
-    }
-    let tail = comoment_u16_scalar(&a[chunks * LANES..], &b[chunks * LANES..], ca, cb);
-    for k in 0..5 {
-        acc[k] += tail[k];
-    }
-    acc
+    m
 }
 
 #[cfg(test)]
@@ -406,20 +350,5 @@ mod tests {
         top_peaks_into(&data, 10, 3, f64::abs, &mut cand, &mut peaks);
         assert_eq!(peaks[0], (55, 10.0));
         assert_eq!(peaks[1], (11, 8.0));
-    }
-
-    #[test]
-    fn comoment_u16_matches_scalar_closely() {
-        for n in [0usize, 1, 7, 64, 333] {
-            let a: Vec<u16> = (0..n).map(|i| ((i * 41 + 3) % 4096) as u16).collect();
-            let b: Vec<u16> = (0..n).map(|i| ((i * 59 + 17) % 4096) as u16).collect();
-            let (ca, cb) = (2048.5, 2047.25);
-            let s = comoment_u16_scalar(&a, &b, ca, cb);
-            let v = comoment_u16_vectorized(&a, &b, ca, cb);
-            for k in 0..5 {
-                let denom = s[k].abs().max(1.0);
-                assert!(((s[k] - v[k]) / denom).abs() < 1e-9, "n={n} k={k}");
-            }
-        }
     }
 }

@@ -184,16 +184,6 @@ pub fn round_to_u16(v: f64) -> u16 {
 }
 
 impl Image<u16> {
-    /// Mean pixel value. The sum is taken in integers: exact, so the
-    /// result does not depend on summation order (every stitcher variant
-    /// centres a tile on the same value), and the compiler vectorizes it.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().map(|&v| u64::from(v)).sum::<u64>() as f64 / self.data.len() as f64
-    }
-
     /// Approximate in-memory footprint in bytes (the paper tracks this:
     /// 1392×1040×2 B = 2.76 MB per tile).
     pub fn byte_size(&self) -> usize {
@@ -257,9 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn stats() {
+    fn byte_size_is_two_per_pixel() {
         let img = Image::from_vec(2, 2, vec![1u16, 3, 5, 7]);
-        assert_eq!(img.mean(), 4.0);
         assert_eq!(img.byte_size(), 8);
     }
 
@@ -267,7 +256,6 @@ mod tests {
     fn empty_image() {
         let img: Image<u16> = Image::new(0, 0);
         assert!(img.is_empty());
-        assert_eq!(img.mean(), 0.0);
     }
 
     #[test]

@@ -1169,8 +1169,10 @@ mod tests {
         let mut num = 0.0;
         let mut da = 0.0;
         let mut db = 0.0;
-        let ma = a.mean();
-        let mb = b.mean();
+        let mean = |img: &Image<u16>| {
+            img.pixels().iter().map(|&v| f64::from(v)).sum::<f64>() / img.len() as f64
+        };
+        let (ma, mb) = (mean(&a), mean(&b));
         for y in 4..cfg.tile_height.saturating_sub(4) {
             let yb = (y as i64 - dy) as usize;
             if yb >= cfg.tile_height {

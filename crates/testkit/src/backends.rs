@@ -2,13 +2,13 @@
 //!
 //! The compute-backend contract (see `stitch_fft::backend`): swapping
 //! the scalar, portable, or explicit-SIMD kernels under the stitching
-//! pipeline must not move a single *integer* observable — phase-1
-//! displacements, phase-2 global positions, composed mosaic pixels.
-//! The NCC normalize, the max reduction and every FFT butterfly are
-//! bit-identical across backends by construction; only the CCF
-//! co-moments re-associate, and the disambiguation they feed is
-//! gated here empirically, over the same ground-truth sweep (including
-//! the prime/Bluestein tile sizes) the cross-variant oracle runs.
+//! pipeline must not move a single bit of any output — phase-1
+//! displacements with their correlations, phase-2 global positions,
+//! composed mosaic pixels. The NCC normalize, every FFT butterfly and the
+//! exact integer CCF co-moments are bit-identical across backends by
+//! construction; this oracle checks it end to end over the same
+//! ground-truth sweep (including the prime/Bluestein tile sizes) the
+//! cross-variant oracle runs.
 //!
 //! The active backend is process-global state, so every sweep in this
 //! module serializes behind one lock ([`serial_guard`]) and restores
@@ -22,7 +22,7 @@ use stitch_core::SimpleCpuStitcher;
 use stitch_fft::backend::{self, BackendChoice};
 
 use crate::cases::SweepCase;
-use crate::outputs::{Compare, Report};
+use crate::outputs::Report;
 
 /// Serializes all backend switching in this process.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -46,9 +46,8 @@ pub fn choices() -> Vec<BackendChoice> {
 }
 
 /// Runs the Simple-CPU pipeline on `case` once per backend and diffs
-/// every integer observable against the scalar reference
-/// ([`Compare::IntegerOnly`]). Restores the `auto` backend before
-/// returning.
+/// every output, bit for bit, against the scalar reference. Restores the
+/// `auto` backend before returning.
 pub fn run_backend_case(case: &SweepCase) -> Report {
     let _guard = serial_guard();
     let source = case.source();
@@ -59,7 +58,7 @@ pub fn run_backend_case(case: &SweepCase) -> Report {
         let outputs = crate::reference_pass(&SimpleCpuStitcher::default(), &source, overlay);
         (backend::resolved_name(choice).to_string(), outputs)
     });
-    report.differential(runs, Compare::IntegerOnly);
+    report.differential(runs);
     backend::select(BackendChoice::Auto);
     report
 }

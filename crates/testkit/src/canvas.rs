@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cases::SweepCase;
-use crate::outputs::{diff_pixels, Compare, Outputs, Report};
+use crate::outputs::{diff_pixels, Outputs, Report};
 
 /// Seeded Fisher-Yates over the grid's row-major id list.
 fn shuffled_ids(shape: GridShape, rng: &mut StdRng) -> Vec<TileId> {
@@ -111,7 +111,7 @@ pub fn run_canvas_differential(seed: u64) -> Report {
             positions: out.positions,
             mosaic: Some(read(0)),
         };
-        report.record(&label, incremental.diff(&one_shot, Compare::Exact));
+        report.record(&label, incremental.diff(&one_shot));
         incremental.digest(&mut digest);
         for (scale, level) in levels.iter().enumerate().skip(1) {
             let got = read(scale);

@@ -26,7 +26,7 @@ use stitch_core::{
 };
 use stitch_image::{Fnv64, MultiChannelPlate, MultiScanConfig, ScanConfig, SceneParams};
 
-use crate::outputs::{diff_pixels, Compare, Measured, Outputs, Report};
+use crate::outputs::{diff_pixels, Measured, Outputs, Report};
 
 /// One point of the corrected-vs-uncorrected accuracy sweep.
 #[derive(Clone, Debug)]
@@ -197,7 +197,7 @@ pub fn run_channel_differential(seed: u64) -> Report<Vec<AccuracyPoint>> {
             positions: run.positions,
             mosaic: None,
         };
-        report.record(&label, replayed.diff(&solo, Compare::Exact));
+        report.record(&label, replayed.diff(&solo));
         replayed.digest(&mut digest);
         for (unit, mosaic) in &run.mosaics {
             let solo_mosaic = Composer::new(solo.positions.clone(), Blend::Overlay)

@@ -74,7 +74,7 @@ pub use canvas::{run_canvas_differential, run_canvas_stress, CanvasStressOutcome
 pub use cases::{exhaustive_sweep, standard_sweep, sweep, SweepCase};
 pub use channels::{multi_truth_vectors, run_channel_differential, AccuracyPoint};
 pub use oracle::{run_case, variants, Truth};
-pub use outputs::{Compare, Measured, Mismatch, Outputs, Report};
+pub use outputs::{Measured, Mismatch, Outputs, Report};
 pub use sched_stress::{
     run_job_solo, run_sched_stress, solo_digests, JobDigest, SchedStressConfig, SchedStressOutcome,
 };

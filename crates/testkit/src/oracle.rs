@@ -12,7 +12,7 @@ use stitch_core::prelude::*;
 use stitch_gpu::{Device, DeviceConfig};
 
 use crate::cases::SweepCase;
-use crate::outputs::{Compare, Measured, Report};
+use crate::outputs::{Measured, Report};
 
 /// Worker-thread count for the threaded variants: small enough to be
 /// cheap on CI runners, large enough to exercise real concurrency.
@@ -71,9 +71,7 @@ pub fn run_case(case: &SweepCase) -> Report<Truth> {
             crate::reference_pass(&*stitcher, &source, overlay),
         )
     });
-    let reference = report
-        .differential(runs, Compare::Exact)
-        .expect("six variants");
+    let reference = report.differential(runs).expect("six variants");
     let (truth_west, truth_north) = truth_vectors(&plate);
     report.measured = Truth {
         errors: reference.result.count_errors(&truth_west, &truth_north, 0),

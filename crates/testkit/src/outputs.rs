@@ -23,22 +23,12 @@ pub struct Outputs {
     pub mosaic: Option<Image<u16>>,
 }
 
-/// How much of a displacement [`Outputs::diff`] compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Compare {
-    /// Every bit, the correlation included: six variants, shards, channel
-    /// replay and the incremental canvas all run one kernel.
-    Exact,
-    /// Integer offsets only: the CCF co-moments re-associate across
-    /// compute backends, so correlation bits may differ.
-    IntegerOnly,
-}
-
 impl Outputs {
     /// One line per difference from `reference`, each naming its pair,
-    /// tile or pixel with both values: displacements, then positions, then
-    /// the mosaic. Empty when the two agree.
-    pub fn diff(&self, reference: &Outputs, compare: Compare) -> Vec<String> {
+    /// tile or pixel with both values: displacements (every bit, the
+    /// correlation included), then positions, then the mosaic. Empty when
+    /// the two agree.
+    pub fn diff(&self, reference: &Outputs) -> Vec<String> {
         let (got, want) = (&self.result, &reference.result);
         if got.shape != want.shape {
             return vec![format!(
@@ -46,12 +36,7 @@ impl Outputs {
                 want.shape, got.shape
             )];
         }
-        let bits = |d: &Option<Displacement>| {
-            d.map(|d| match compare {
-                Compare::Exact => (d.x, d.y, d.correlation.to_le_bytes()),
-                Compare::IntegerOnly => (d.x, d.y, [0; 8]),
-            })
-        };
+        let bits = |d: &Option<Displacement>| d.map(|d| (d.x, d.y, d.correlation.to_bits()));
         let mut found = Vec::new();
         for id in got.shape.ids() {
             let i = got.shape.index(id);
@@ -215,14 +200,13 @@ impl<M> Report<M> {
     pub(crate) fn differential(
         &mut self,
         runs: impl IntoIterator<Item = (String, Outputs)>,
-        compare: Compare,
     ) -> Option<Outputs> {
         let (mut reference, mut digest) = (None, Fnv64::new());
         for (name, outputs) in runs {
             outputs.digest(&mut digest);
             match &reference {
                 None => reference = Some(outputs),
-                Some(r) => self.record(&name, outputs.diff(r, compare)),
+                Some(r) => self.record(&name, outputs.diff(r)),
             }
             self.ran.push(name);
         }
@@ -269,8 +253,8 @@ mod tests {
         crate::reference_pass(&SimpleCpuStitcher::default(), &case.source(), overlay)
     }
 
-    /// Four seeded defects, one output each: exact mode locates every one
-    /// with both values; integer-only mode passes the correlation change.
+    /// Four seeded defects, one output each: the diff locates every one
+    /// with both values, a one-bit change of a correlation included.
     #[test]
     fn the_diff_locates_each_seeded_defect_with_both_values() {
         let reference = reference();
@@ -299,22 +283,16 @@ mod tests {
             (&rebits, &["north pair at tile (1, 1)"]),
         ];
         for (doctored, needles) in cases {
-            let found = doctored.diff(&reference, Compare::Exact);
+            let found = doctored.diff(&reference);
             assert_eq!(found.len(), 1, "{found:?}");
             for needle in needles {
                 assert!(found[0].contains(needle), "{needle}: {found:?}");
             }
             assert!(found[0].contains("reference") && found[0].contains("got"));
-            let integer = doctored.diff(&reference, Compare::IntegerOnly);
-            assert_eq!(
-                integer.is_empty(),
-                std::ptr::eq(doctored, &rebits),
-                "{integer:?}"
-            );
         }
-        let shown = rebits.diff(&reference, Compare::Exact).remove(0);
+        let shown = rebits.diff(&reference).remove(0);
         assert!(shown.contains(&format!("{n:?}")) && shown.contains(&format!("{after:?}")));
-        assert!(reference.diff(&reference, Compare::Exact).is_empty());
+        assert!(reference.diff(&reference).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cases::SweepCase;
-use crate::outputs::{Compare, Outputs, Report};
+use crate::outputs::{Outputs, Report};
 
 /// One oracle case: a ground-truth sweep case plus a shard geometry.
 #[derive(Clone, Debug)]
@@ -131,7 +131,7 @@ pub fn run_shard_differential(seed: u64) -> Report {
             positions: sharded.positions,
             mosaic: sharded.mosaic,
         };
-        report.record(&label, outputs.diff(&baseline, Compare::Exact));
+        report.record(&label, outputs.diff(&baseline));
         outputs.digest(&mut digest);
         // the hierarchical frame is an audit, not the committed answer:
         // on a clean, consistent plate it must agree to within a pixel

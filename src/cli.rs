@@ -937,13 +937,18 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                     });
                     let pass = run_pass(&*stitcher, &*source, &policy, mosaic, &trace, &|| false)
                         .map_err(|e| (2, e.to_string()))?;
-                    let result = pass.result;
+                    let (result, pairs) = (pass.result, source.shape().pairs());
+                    let ops = &result.ops;
                     println!(
-                        "phase 1: {} pairs in {:.2?} ({} forward FFTs, peak {} live tiles)",
-                        source.shape().pairs(),
+                        "phase 1: {pairs} pairs in {:.2?} ({} forward FFTs, peak {} live tiles; \
+                         CCF {} probes over {} px: {:.1} probes per pair, {:.1} px per probe)",
                         result.elapsed,
-                        result.ops.forward_ffts,
-                        result.peak_live_tiles
+                        ops.forward_ffts,
+                        result.peak_live_tiles,
+                        ops.ccf_probes,
+                        ops.ccf_pixels,
+                        ops.ccf_probes as f64 / pairs.max(1) as f64,
+                        ops.ccf_pixels as f64 / ops.ccf_probes.max(1) as f64
                     );
                     let positions = pass.positions.expect("a pass that is never stopped solves");
                     let mosaics = out.zip(pass.mosaic).into_iter().collect();

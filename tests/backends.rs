@@ -1,10 +1,10 @@
 //! Backend differential suite: every compute backend must produce
-//! bit-identical integer displacements, global positions and mosaics
-//! over the ground-truth sweep (including the prime/Bluestein tile
-//! sizes), bit-identical single-precision spectra, NCC bins, correlation
-//! surfaces and peaks, finite bins where `f32` would overflow, and every
-//! backend must honor the steady-state zero-allocation contract of the
-//! PCIAM pair hot path.
+//! bit-identical displacements (correlations included), global positions
+//! and mosaics over the ground-truth sweep (including the prime/Bluestein
+//! tile sizes), bit-identical single-precision spectra, NCC bins,
+//! correlation surfaces, peaks and CCF, finite bins where `f32` would
+//! overflow, and every backend must honor the steady-state
+//! zero-allocation contract of the PCIAM pair hot path.
 //!
 //! The active backend is process-global, so this suite lives in its own
 //! integration binary (its tests serialize via
@@ -161,18 +161,21 @@ impl Stages {
             .peaks
             .iter()
             .flat_map(|&(i, m)| [i as u64, m.to_bits()]);
+        let d = &self.displacement;
+        let displacement = [d.x as u64, d.y as u64, d.correlation.to_bits()];
         floats
             .map(|v| u64::from(v.to_bits()))
             .chain(peaks)
+            .chain(displacement)
             .collect()
     }
 }
 
 /// Scalar (one lane), portable (`[f32; 8]`) and simd (the same lanes
-/// under AVX2, and the AVX2 NCC) compute every stage of the
-/// single-precision kernel to the same bits: 232×174 carries 29 on both
-/// axes of the half spectrum's transforms, 61×47 runs chirp-z on both,
-/// 87×58 has an odd width.
+/// under AVX2, and the AVX2 NCC and co-moments) compute every stage of the
+/// kernel to the same bits, the CCF's displacement and correlation
+/// included: 232×174 carries 29 on both axes of the half spectrum's
+/// transforms, 61×47 runs chirp-z on both, 87×58 has an odd width.
 #[test]
 fn every_backend_computes_the_same_spectra_surfaces_and_peaks() {
     let _guard = serial_guard();
@@ -209,18 +212,18 @@ fn paper_size_bins_do_not_overflow_single_precision() {
         ("mean >= 3000", bright(&a), bright(&b)),
         ("saturated", saturated(&a), saturated(&b)),
     ] {
-        assert!(a.mean() >= 3000.0, "{label}: mean {}", a.mean());
+        let sum: u64 = a.pixels().iter().map(|&p| u64::from(p)).sum();
+        assert!(sum >= 3000 * a.len() as u64, "{label}: sum {sum}");
         if label == "saturated" {
             let clipped = a.pixels().iter().filter(|&&p| p == u16::MAX).count();
             assert!(clipped * 4 > a.len(), "{label}: {clipped} pixels at 65535");
         }
         let reference = f64_reference::peaks(&planner, &a, &b, DEFAULT_PEAK_COUNT);
         let (w, h) = a.dims();
+        let expected = resolve_peaks_oriented(&reference, w, h, &a, &b, Some(PairKind::West));
         for choice in choices() {
             backend::select(choice);
             let name = backend::resolved_name(choice);
-            // the CCF's row sums are the backend's (scalar re-associates)
-            let expected = resolve_peaks_oriented(&reference, w, h, &a, &b, Some(PairKind::West));
             let s = Stages::of(&a, &b);
             assert!(
                 s.ncc.iter().all(|z| z.is_finite()),

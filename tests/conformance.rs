@@ -377,7 +377,9 @@ fn ccf_gate_census() {
 /// with the same CCF stage; not one displacement may differ. Each row's
 /// accuracy against the stage truth — pairs off the truth, and the worst
 /// solved position error — may not be worse than `tests/golden/ledger.tsv`,
-/// which holds what the double-precision kernel scored. Rows: three
+/// which holds what the double-precision kernel scored. A last column,
+/// printed only, digests every pair's integer `(dx, dy)`, so two builds'
+/// runs show at a glance whether any displacement moved. Rows: three
 /// stitchbench scans of each benchmark geometry (75 `serve_mix` plates in
 /// one row), and 25 / 15 / 10 % overlap at 96×72 and 232×174. Prints the
 /// rows in the golden's format.
@@ -391,7 +393,7 @@ fn precision_census_and_truth_ledger() {
         .filter(|l| !l.starts_with('#'))
         .map(|l| l.split('\t').collect())
         .collect();
-    println!("{}", golden[0].join("\t"));
+    println!("{}\tdxdy_fnv", golden[0].join("\t"));
     let (mut failures, mut pairs, mut differing) = (Vec::new(), 0, 0);
     for (name, plates) in ledger::rows() {
         let row = ledger::measure(plates);
@@ -403,7 +405,7 @@ fn precision_census_and_truth_ledger() {
             row.wrong as f64 / row.pairs as f64,
             row.max_err_px
         );
-        println!("{line}");
+        println!("{line}\t{:016x}", row.digest.finish());
         if row.differing > 0 {
             failures.push(format!(
                 "{name}: {} pairs differ from the f64 kernel",
@@ -433,7 +435,7 @@ mod ledger {
         TileSource,
     };
     use stitch_fft::{PlanMode, Planner};
-    use stitch_image::{ChannelConfig, Image, ScanConfig, SyntheticPlate};
+    use stitch_image::{ChannelConfig, Fnv64, Image, ScanConfig, SyntheticPlate};
 
     /// The benchmark's three default scans (`--seed 2014`).
     const SCANS: std::ops::Range<u64> = 6042..6045;
@@ -488,6 +490,8 @@ mod ledger {
         pub max_err_px: i64,
         /// Pairs whose displacement differs from the `f64` kernel's.
         pub differing: usize,
+        /// Every pair's product `(dx, dy)`, in grid order.
+        pub digest: Fnv64,
     }
 
     pub fn measure(plates: Vec<SyntheticPlate>) -> Outcome {
@@ -513,6 +517,9 @@ mod ledger {
                 ];
                 for (neighbour, kind, product) in pairs {
                     let Some(neighbour) = neighbour else { continue };
+                    let (dx, dy) = product.map_or((i64::MIN, i64::MIN), |d| (d.x, d.y));
+                    out.digest.write_u64(dx as u64);
+                    out.digest.write_u64(dy as u64);
                     let (a, b) = (&tiles[shape.index(neighbour)], &tiles[shape.index(id)]);
                     let peaks = f64_reference::peaks(&planner, a, b, DEFAULT_PEAK_COUNT);
                     let reference = resolve_peaks_oriented(&peaks, w, h, a, b, Some(kind));
@@ -530,9 +537,7 @@ mod ledger {
 mod census {
     use std::collections::HashMap;
 
-    use stitch_core::pciam::{
-        ccf_at_centered, overlap_pixels, peak_candidates, DEFAULT_PEAK_COUNT,
-    };
+    use stitch_core::pciam::{ccf_at, overlap_pixels, peak_candidates, DEFAULT_PEAK_COUNT};
     use stitch_core::{
         truth_vectors, Displacement, OpCounters, PairKind, PciamContext, SyntheticSource,
         TileSource,
@@ -578,7 +583,6 @@ mod census {
     struct Probe<'a> {
         a: &'a Image<u16>,
         b: &'a Image<u16>,
-        means: (f64, f64),
         kind: PairKind,
         seen: HashMap<(i64, i64), f64>,
         /// Pixels visited with and without sharing repeated cells.
@@ -600,7 +604,7 @@ mod census {
             let ccf = match self.seen.get(&(dx, dy)) {
                 Some(&ccf) => ccf,
                 None => {
-                    let ccf = ccf_at_centered(self.a, self.b, self.means.0, self.means.1, dx, dy)?;
+                    let ccf = ccf_at(self.a, self.b, dx, dy)?;
                     self.seen.insert((dx, dy), ccf);
                     self.pixels_shared += n as u64;
                     ccf
@@ -697,7 +701,6 @@ mod census {
                 let probe = || Probe {
                     a,
                     b,
-                    means: (a.mean(), b.mean()),
                     kind,
                     seen: HashMap::new(),
                     pixels_shared: 0,
