@@ -269,6 +269,7 @@ pub fn run_incremental(
 ) -> Result<IncrementalOutcome, StitchError> {
     let shape = source.shape();
     let mut inc = IncrementalStitcher::new(shape, source.tile_dims(), cfg, canvas);
+    inc.ctx = inc.ctx.with_stage(source.nominal_overlap());
     let tracker = FaultTracker::new(shape);
     for id in order {
         match tracker.load(source, id, &policy.retry) {

@@ -60,6 +60,10 @@ pub trait MultiTileSource: Send + Sync {
         plane: usize,
         id: TileId,
     ) -> Result<Image<u16>, SourceError>;
+    /// The stage's nominal overlap, as [`TileSource::nominal_overlap`].
+    fn nominal_overlap(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// Images rendered on demand from a [`MultiChannelPlate`] (ground-truth
@@ -114,6 +118,7 @@ impl MultiTileSource for MultiSyntheticSource {
 pub struct MultiDirSource {
     shape: GridShape,
     dims: (usize, usize),
+    overlap: f64,
     channels: usize,
     z_planes: usize,
     files: Vec<PathBuf>,
@@ -131,6 +136,7 @@ impl MultiDirSource {
         Ok(MultiDirSource {
             shape: GridShape::new(m.rows, m.cols),
             dims: (m.tile_width, m.tile_height),
+            overlap: m.overlap,
             channels: m.channels,
             z_planes: m.z_planes,
             files: m.files,
@@ -159,6 +165,10 @@ impl MultiTileSource for MultiDirSource {
 
     fn z_planes(&self) -> usize {
         self.z_planes
+    }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        Some(self.overlap)
     }
 
     fn load_plane(
@@ -212,6 +222,10 @@ impl TileSource for PlaneSource {
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
         self.inner.load_plane(self.channel, self.plane, id)
     }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        self.inner.nominal_overlap()
+    }
 }
 
 /// Per-pixel maximum projection across all focal planes of one channel —
@@ -250,6 +264,10 @@ impl TileSource for MaxZSource {
         }
         Ok(acc)
     }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        self.inner.nominal_overlap()
+    }
 }
 
 /// A flat-field-corrected view of a [`TileSource`]: every loaded tile is
@@ -285,6 +303,10 @@ impl TileSource for CorrectedSource {
 
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
         Ok(self.flat.apply(&self.inner.load(id)?))
+    }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        self.inner.nominal_overlap()
     }
 }
 

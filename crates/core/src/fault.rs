@@ -430,6 +430,10 @@ impl<S: TileSource> TileSource for FaultySource<S> {
         self.inner.tile_dims()
     }
 
+    fn nominal_overlap(&self) -> Option<f64> {
+        self.inner.nominal_overlap()
+    }
+
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
         let attempt = {
             let mut attempts = self.attempts.lock();

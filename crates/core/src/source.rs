@@ -29,6 +29,13 @@ pub trait TileSource: Send + Sync {
     /// a [transient](SourceError::is_retryable) failure may succeed on a
     /// later call for the same tile.
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError>;
+    /// The overlap between adjacent tiles the stage was sent to make, as
+    /// a fraction of the tile, when the source knows it. With it, phase 1
+    /// searches each pair within its
+    /// [`StageWindow`](crate::pciam::StageWindow).
+    fn nominal_overlap(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// Tiles held in memory, row-major.
@@ -126,6 +133,10 @@ impl TileSource for SyntheticSource {
         (self.plate.config.tile_width, self.plate.config.tile_height)
     }
 
+    fn nominal_overlap(&self) -> Option<f64> {
+        Some(self.plate.config.overlap)
+    }
+
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
         Ok(self.plate.render_tile(id.row, id.col))
     }
@@ -186,6 +197,10 @@ impl TileSource for SubgridSource {
         self.inner
             .load(TileId::new(id.row + self.row0, id.col + self.col0))
     }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        self.inner.nominal_overlap()
+    }
 }
 
 /// Tiles read from TIFF files on disk, as listed by a dataset manifest —
@@ -195,6 +210,7 @@ impl TileSource for SubgridSource {
 pub struct DirSource {
     shape: GridShape,
     dims: (usize, usize),
+    overlap: f64,
     files: Vec<PathBuf>,
 }
 
@@ -215,6 +231,7 @@ impl DirSource {
         Ok(DirSource {
             shape: GridShape::new(m.rows, m.cols),
             dims: (m.tile_width, m.tile_height),
+            overlap: m.overlap,
             files: m.files,
         })
     }
@@ -242,6 +259,10 @@ impl TileSource for DirSource {
 
     fn tile_dims(&self) -> (usize, usize) {
         self.dims
+    }
+
+    fn nominal_overlap(&self) -> Option<f64> {
+        Some(self.overlap)
     }
 
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {

@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use crate::complex::{c64, Cx, Float};
     use crate::plan::Planner;
-    use crate::real::RealFft2d;
+    use crate::real::{RealFft2d, RowBand};
 
     /// Deterministic pseudo-random complex data.
     pub(crate) fn data(n: usize, seed: u64) -> Vec<C32> {
@@ -427,7 +427,7 @@ mod tests {
             .flat_map(|z| [z.re, z.im])
             .map(|v| v.to_f64().to_bits())
             .collect();
-        plan.inverse_on(be.fft_lanes(), &mut spec, &mut back);
+        plan.inverse_on(be.fft_lanes(), &mut spec, &mut back, true, RowBand::all(h));
         bits.extend(back.iter().map(|v| v.to_f64().to_bits()));
         bits
     }
@@ -453,6 +453,44 @@ mod tests {
                     "{} f64 {w}x{h}",
                     be.name()
                 );
+            }
+        }
+    }
+
+    /// The inverse onto a band of rows, then `inverse_rest`, on every
+    /// backend's lanes (one, eight, eight under AVX2): each band row is
+    /// the whole inverse's to the bit, the rows outside are untouched
+    /// until the rest pass, and the finished surface is the whole one.
+    /// Even and odd widths; a band wrapping past the last row (a west
+    /// window), bands off the 8-row lane blocks.
+    #[test]
+    fn banded_inverse_rows_are_the_whole_inverses() {
+        for (w, h) in [(174usize, 140usize), (87, 133)] {
+            let plan = RealFft2d::<f32>::new(&Planner::default(), w, h);
+            let input: Vec<f32> = data(w * h, 7).iter().map(|z| z.re).collect();
+            let mut spectrum = vec![C32::ZERO; plan.spectrum_len()];
+            plan.forward(&input, &mut spectrum);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for band in [(h - 16, 33), (101, 33), (3, 33), (0, h)] {
+                let band = RowBand::new(band.0, band.1, h);
+                for be in backends() {
+                    let what = format!("{} {w}x{h} {band:?}", be.name());
+                    let mut whole = vec![0.0; w * h];
+                    let all = RowBand::all(h);
+                    plan.inverse_on(be.fft_lanes(), &mut spectrum.clone(), &mut whole, true, all);
+                    let (mut spec, mut part) = (spectrum.clone(), vec![f32::NAN; w * h]);
+                    plan.inverse_on(be.fft_lanes(), &mut spec, &mut part, true, band);
+                    for y in 0..h {
+                        let row = y * w..(y + 1) * w;
+                        if band.ranges().iter().any(|r| r.contains(&y)) {
+                            assert_eq!(bits(&part[row.clone()]), bits(&whole[row]), "{what} {y}");
+                        } else {
+                            assert!(part[row].iter().all(|v| v.is_nan()), "{what} {y}");
+                        }
+                    }
+                    plan.inverse_on(be.fft_lanes(), &mut spec, &mut part, false, band.rest());
+                    assert_eq!(bits(&part), bits(&whole), "{what} finished");
+                }
             }
         }
     }

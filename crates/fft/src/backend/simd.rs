@@ -24,7 +24,7 @@ use core::arch::x86_64::*;
 use std::mem::transmute;
 
 use crate::complex::{Cx, Float, C32};
-use crate::real::RealFft2d;
+use crate::real::{RealFft2d, RowBand};
 use crate::vectorops::{self, LANES};
 
 use super::{ComputeBackend, FftLanes};
@@ -96,8 +96,10 @@ pub(crate) fn real_fft2d_inverse_avx2<T: Float>(
     plan: &RealFft2d<T>,
     spectrum: &mut [Cx<T>],
     output: &mut [T],
+    columns: bool,
+    band: RowBand,
 ) {
-    plan.inverse_lanes::<T::Wide>(spectrum, output);
+    plan.inverse_lanes::<T::Wide>(spectrum, output, columns, band);
 }
 
 /// Deinterleaves four packed complex (`r0 i0 r1 i1 | r2 i2 r3 i3`) into

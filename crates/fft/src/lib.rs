@@ -31,14 +31,16 @@
 //! * size utilities for the padding ablation ([`factor::next_smooth`]).
 //!
 //! Conventions: forward kernel `e^{-2πi jk/n}`, unscaled in both directions
-//! (`inverse(forward(x)) = n·x`), matching FFTW. The convenience wrappers
-//! [`fft_forward`] / [`fft_inverse`] hide the scaling.
+//! (`inverse(forward(x)) = n·x`), matching FFTW.
 //!
 //! ```
-//! use stitch_fft::{fft_forward, fft_inverse, C64, c64};
+//! use stitch_fft::{c64, Direction, Planner, C64};
 //! let x: Vec<C64> = (0..12).map(|k| c64(k as f64, 0.0)).collect();
-//! let back = fft_inverse(&fft_forward(&x));
-//! assert!(back.iter().zip(&x).all(|(a, b)| (*a - *b).abs() < 1e-9));
+//! let planner = Planner::default();
+//! let (mut spec, mut back) = (vec![C64::ZERO; 12], vec![C64::ZERO; 12]);
+//! planner.plan(12, Direction::Forward).process(&x, &mut spec);
+//! planner.plan(12, Direction::Inverse).process(&spec, &mut back);
+//! assert!(back.iter().zip(&x).all(|(a, b)| (a.scale(1.0 / 12.0) - *b).abs() < 1e-9));
 //! ```
 
 #![warn(missing_docs)]
@@ -58,6 +60,6 @@ pub use backend::{BackendChoice, ComputeBackend};
 pub use bluestein::BluesteinPlan;
 pub use complex::{c64, Float, C32, C64};
 pub use fft2d::{transpose, Fft2d};
-pub use plan::{fft_forward, fft_inverse, global_planner, FftPlan, PlanMode, Planner};
+pub use plan::{FftPlan, PlanMode, Planner};
 pub use radix::{dft_naive, Direction, MixedRadixPlan};
-pub use real::RealFft2d;
+pub use real::{RealFft2d, RowBand};

@@ -11,11 +11,11 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::bluestein::BluesteinPlan;
-use crate::complex::{c64, Cx, Float, Lane, C64};
+use crate::complex::{c64, Cx, Float, Lane};
 use crate::factor::{is_smooth, radix_schedule};
 use crate::radix::{Direction, MixedRadixPlan};
 
@@ -112,8 +112,7 @@ impl<T: Float> FftPlan<T> {
 
 /// Plans 1-D FFTs and caches them by `(len, direction, precision)`.
 ///
-/// A `Planner` is cheap to clone conceptually — use one per process (or
-/// [`global_planner`]) so planning cost is paid once, as the pipeline
+/// Use one per process so planning cost is paid once, as the pipeline
 /// implementations in `stitch-core` do.
 pub struct Planner {
     mode: PlanMode,
@@ -227,46 +226,10 @@ fn schedule_candidates(default: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Process-wide planner in Estimate mode. The pipeline implementations use
-/// per-stitcher planners; the global one serves quick one-off transforms.
-pub fn global_planner() -> &'static Planner {
-    static PLANNER: OnceLock<Planner> = OnceLock::new();
-    PLANNER.get_or_init(Planner::default)
-}
-
-/// Convenience: forward FFT of `input` (allocating).
-pub fn fft_forward(input: &[C64]) -> Vec<C64> {
-    let mut out = vec![C64::ZERO; input.len()];
-    if input.is_empty() {
-        return out;
-    }
-    global_planner()
-        .plan(input.len(), Direction::Forward)
-        .process(input, &mut out);
-    out
-}
-
-/// Convenience: *scaled* inverse FFT of `input` (allocating), so
-/// `fft_inverse(fft_forward(x)) ≈ x`.
-pub fn fft_inverse(input: &[C64]) -> Vec<C64> {
-    let n = input.len();
-    let mut out = vec![C64::ZERO; n];
-    if n == 0 {
-        return out;
-    }
-    global_planner()
-        .plan(n, Direction::Inverse)
-        .process(input, &mut out);
-    let s = 1.0 / n as f64;
-    for v in &mut out {
-        *v = v.scale(s);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::C64;
     use crate::radix::dft_naive;
 
     fn ramp(n: usize) -> Vec<C64> {
@@ -329,19 +292,6 @@ mod tests {
         let p = Planner::new(PlanMode::Patient);
         p.plan::<f32>(360, Direction::Forward);
         assert!(p.planning_nanos() > 0);
-    }
-
-    #[test]
-    fn convenience_round_trip() {
-        let x = ramp(90);
-        let back = fft_inverse(&fft_forward(&x));
-        assert!(max_err(&back, &x) < 1e-9);
-    }
-
-    #[test]
-    fn empty_input_ok() {
-        assert!(fft_forward(&[]).is_empty());
-        assert!(fft_inverse(&[]).is_empty());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! is the compute backend's choice ([`crate::backend::FftLanes`]); the
 //! arithmetic per lane is the same in all of them.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::backend::{self, FftLanes};
@@ -171,6 +172,54 @@ impl<T: Float> RealFft<T> {
     }
 }
 
+/// `rows` rows of a `height`-row surface from `start`, wrapping past the
+/// last row to row 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowBand {
+    start: usize,
+    rows: usize,
+    height: usize,
+}
+
+impl RowBand {
+    /// Panics unless the band fits the surface.
+    pub fn new(start: usize, rows: usize, height: usize) -> RowBand {
+        assert!(start < height && rows <= height, "band outside the surface");
+        RowBand {
+            start,
+            rows,
+            height,
+        }
+    }
+
+    /// Every row of a `height`-row surface.
+    pub fn all(height: usize) -> RowBand {
+        RowBand::new(0, height, height)
+    }
+
+    /// How many rows the band holds.
+    pub fn rows(self) -> usize {
+        self.rows
+    }
+
+    /// The rows outside the band.
+    pub fn rest(self) -> RowBand {
+        let start = (self.start + self.rows) % self.height;
+        RowBand::new(start, self.height - self.rows, self.height)
+    }
+
+    /// The band's rows as two ascending ranges, lower rows first (the
+    /// second is empty unless the band wraps).
+    pub fn ranges(self) -> [Range<usize>; 2] {
+        let end = self.start + self.rows;
+        if end <= self.height {
+            [self.start..end, 0..0]
+        } else {
+            [0..end - self.height, self.start..self.height]
+        }
+    }
+}
+
 /// A planned 2-D real-input FFT at precision `T`: `w × h` reals →
 /// `(w/2+1) × h` complex (row-major, the reduced axis is the fast one).
 /// The product runs it at `f32`; `f64` is the reference.
@@ -224,8 +273,13 @@ impl<T: Float> RealFft2d<T> {
             Direction::Forward => &self.col_fwd,
             Direction::Inverse => &self.col_inv,
         };
-        self.height as u64 * self.row.real_mults(dir)
-            + self.spectrum_width() as u64 * col.real_mults()
+        self.row_pass_mults(dir, self.height) + self.spectrum_width() as u64 * col.real_mults()
+    }
+
+    /// Real multiplications the row pass in direction `dir` performs over
+    /// `rows` rows.
+    pub fn row_pass_mults(&self, dir: Direction, rows: usize) -> u64 {
+        rows as u64 * self.row.real_mults(dir)
     }
 
     /// Forward: `input.len() == w·h` (row-major reals) →
@@ -239,7 +293,22 @@ impl<T: Float> RealFft2d<T> {
     /// trip is the identity. **Consumes its input**: the column pass runs
     /// in place, so `spectrum` holds intermediate values afterwards.
     pub fn inverse(&self, spectrum: &mut [Cx<T>], output: &mut [T]) {
-        self.inverse_on(backend::active().fft_lanes(), spectrum, output);
+        self.inverse_band(spectrum, output, RowBand::all(self.height));
+    }
+
+    /// [`RealFft2d::inverse`] onto `band`'s rows of `output` only, each
+    /// the whole inverse's to the bit; the spectrum is left column-passed
+    /// for [`RealFft2d::inverse_rest`].
+    pub fn inverse_band(&self, spectrum: &mut [Cx<T>], output: &mut [T], band: RowBand) {
+        let lanes = backend::active().fft_lanes();
+        self.inverse_on(lanes, spectrum, output, true, band);
+    }
+
+    /// Finishes [`RealFft2d::inverse_band`] over `band`: the rows outside
+    /// it, without a second column pass.
+    pub fn inverse_rest(&self, spectrum: &mut [Cx<T>], output: &mut [T], band: RowBand) {
+        let lanes = backend::active().fft_lanes();
+        self.inverse_on(lanes, spectrum, output, false, band.rest());
     }
 
     /// [`RealFft2d::forward`] on the given lanes.
@@ -257,18 +326,31 @@ impl<T: Float> RealFft2d<T> {
         }
     }
 
-    /// [`RealFft2d::inverse`] on the given lanes.
-    pub(crate) fn inverse_on(&self, lanes: FftLanes, spectrum: &mut [Cx<T>], output: &mut [T]) {
+    /// The inverse on the given lanes: the column pass when `columns`,
+    /// then the row pass over `band`.
+    pub(crate) fn inverse_on(
+        &self,
+        lanes: FftLanes,
+        spectrum: &mut [Cx<T>],
+        output: &mut [T],
+        columns: bool,
+        band: RowBand,
+    ) {
         assert_eq!(spectrum.len(), self.spectrum_len());
         assert_eq!(output.len(), self.width * self.height);
+        assert_eq!(band.height, self.height, "band of another surface");
         match lanes {
-            FftLanes::One => self.inverse_lanes::<T>(spectrum, output),
+            FftLanes::One => self.inverse_lanes::<T>(spectrum, output, columns, band),
             #[cfg(target_arch = "x86_64")]
             FftLanes::WideAvx2 if backend::simd_supported() => {
                 // SAFETY: AVX2 confirmed on this host.
-                unsafe { backend::simd::real_fft2d_inverse_avx2(self, spectrum, output) }
+                unsafe {
+                    backend::simd::real_fft2d_inverse_avx2(self, spectrum, output, columns, band)
+                }
             }
-            FftLanes::Wide | FftLanes::WideAvx2 => self.inverse_lanes::<T::Wide>(spectrum, output),
+            FftLanes::Wide | FftLanes::WideAvx2 => {
+                self.inverse_lanes::<T::Wide>(spectrum, output, columns, band)
+            }
         }
     }
 
@@ -338,21 +420,28 @@ impl<T: Float> RealFft2d<T> {
         self.columns(&self.col_fwd, output, panel, scratch);
     }
 
-    /// [`RealFft2d::inverse`] over lane type `L`.
+    /// [`RealFft2d::inverse_on`] over lane type `L`. A lane's arithmetic
+    /// does not depend on which rows share its panel, so a band's rows
+    /// come out as the whole inverse's do.
     #[inline(always)]
     pub(crate) fn inverse_lanes<L: Lane<Scalar = T>>(
         &self,
         spectrum: &mut [Cx<T>],
         output: &mut [T],
+        columns: bool,
+        band: RowBand,
     ) {
         let (w, h, sw) = (self.width, self.height, self.spectrum_width());
         let mut buf = self.take_scratch::<L>();
         let (panel, scratch) = buf.slice().split_at_mut(self.panel_len());
         // Unscaled inverse c2c along columns; 1/h rides in the rows' scale.
-        self.columns(&self.col_inv, spectrum, panel, scratch);
+        if columns {
+            self.columns(&self.col_inv, spectrum, panel, scratch);
+        }
         // c2r along rows, lane = row.
-        for y0 in (0..h).step_by(L::N) {
-            let valid = (h - y0).min(L::N);
+        let blocks = |r: Range<usize>| r.clone().step_by(L::N).map(move |y0| (y0, r.end));
+        for (y0, end) in band.ranges().into_iter().flat_map(blocks) {
+            let valid = (end - y0).min(L::N);
             let spec = |j: usize| Cx::from_fn(|l| spectrum[(y0 + l.min(valid - 1)) * sw + j]);
             let rows = &mut output[y0 * w..(y0 + valid) * w];
             let store = |i: usize, v: L| {
@@ -373,7 +462,16 @@ mod tests {
     use super::*;
     use crate::complex::{c64, C64};
     use crate::fft2d::tests::dft2d_naive;
-    use crate::plan::fft_forward;
+
+    /// The complex forward FFT of a real signal, planned by a default
+    /// planner: what the half spectrum must match.
+    fn fft_forward(x: &[f64]) -> Vec<C64> {
+        let x: Vec<C64> = x.iter().map(|&v| c64(v, 0.0)).collect();
+        let mut out = vec![C64::ZERO; x.len()];
+        let plan = Planner::default().plan(x.len(), Direction::Forward);
+        plan.process(&x, &mut out);
+        out
+    }
     use crate::vectorops::ncc_scalar;
 
     fn signal(n: usize) -> Vec<f64> {
@@ -389,7 +487,7 @@ mod tests {
             let r = RealFft2d::new(&Planner::default(), n, 1);
             let mut half = vec![C64::ZERO; r.spectrum_len()];
             r.forward(&x, &mut half);
-            let full = fft_forward(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
+            let full = fft_forward(&x);
             for j in 0..r.spectrum_len() {
                 assert!((half[j] - full[j]).abs() < 1e-8 * n as f64, "n={n} j={j}");
             }
@@ -403,7 +501,7 @@ mod tests {
             let r = RealFft2d::new(&Planner::default(), n, 1);
             let mut half = vec![C64::ZERO; r.spectrum_len()];
             r.forward(&x, &mut half);
-            let full = fft_forward(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
+            let full = fft_forward(&x);
             for j in 0..r.spectrum_len() {
                 assert!(
                     (half[j] - full[j]).abs() < 1e-9 * n.max(4) as f64,
@@ -459,7 +557,7 @@ mod tests {
             );
             let mut back = vec![L::Scalar::ZERO; x.len()];
             let mut spec: Vec<_> = want.iter().map(|&z| Cx::from_c64(z)).collect();
-            r.inverse_lanes::<L>(&mut spec, &mut back);
+            r.inverse_lanes::<L>(&mut spec, &mut back, true, RowBand::all(h));
             let err = back.iter().zip(x).map(|(a, b)| (a.to_f64() - b).abs());
             assert!(err.fold(0.0, f64::max) < tol * 10.0, "inverse {what}");
         }

@@ -26,6 +26,7 @@
 //!   the same moments.
 
 use crate::complex::{Cx, Float};
+use crate::real::RowBand;
 
 /// Lanes of the vector-shaped loops. Four independent accumulator chains
 /// keep a reduction free of a serial dependency, the same trick as the
@@ -101,9 +102,9 @@ pub fn ncc_vectorized<T: Float>(a: &[Cx<T>], b: &[Cx<T>], out: &mut [Cx<T>]) {
 pub const PEAK_SUPPRESSION_RADIUS: usize = 2;
 
 /// The top-k reduction of PCIAM (Fig 2 step 5, widened from the single
-/// max): up to `k` distinct maxima of `key` over `data` viewed as a
-/// row-major surface of width `width`, strongest first, as
-/// `(flat index, key)`. The one copy shared by every surface on the host
+/// max): up to `k` distinct maxima of `key` over the rows of `band` of
+/// `data` viewed as a row-major surface of width `width` (the other rows
+/// are never read), strongest first, as `(flat index, key)`. The one copy shared by every surface on the host
 /// (`key` = `|v|` of an `f32` or `f64` surface, `C64::norm_sqr` of the
 /// complex reference's) and by the simulated device's kernel.
 ///
@@ -117,6 +118,7 @@ pub const PEAK_SUPPRESSION_RADIUS: usize = 2;
 pub fn top_peaks_into<T: Copy>(
     data: &[T],
     width: usize,
+    band: RowBand,
     k: usize,
     key: impl Fn(T) -> f64,
     cand: &mut Vec<(usize, f64)>,
@@ -127,16 +129,19 @@ pub fn top_peaks_into<T: Copy>(
     cand.clear();
     cand.reserve(gather + 1);
     let mut floor = f64::MIN;
-    for (i, &v) in data.iter().enumerate() {
-        let m = key(v);
-        if m <= floor {
-            continue;
-        }
-        let pos = cand.partition_point(|&(_, cm)| cm >= m);
-        cand.insert(pos, (i, m));
-        if cand.len() > gather {
-            cand.pop();
-            floor = cand[gather - 1].1;
+    for rows in band.ranges() {
+        let base = rows.start * width;
+        for (i, &v) in data[base..rows.end * width].iter().enumerate() {
+            let m = key(v);
+            if m <= floor {
+                continue;
+            }
+            let pos = cand.partition_point(|&(_, cm)| cm >= m);
+            cand.insert(pos, (base + i, m));
+            if cand.len() > gather {
+                cand.pop();
+                floor = cand[gather - 1].1;
+            }
         }
     }
     let r = PEAK_SUPPRESSION_RADIUS;
@@ -327,13 +332,22 @@ mod tests {
         let (mut cand, mut out) = (Vec::new(), Vec::new());
         for (case, rows) in PINNED.iter().enumerate() {
             let (real, w) = peak_surface(case);
+            let h = real.len() / w;
             let complex: Vec<C64> = real.iter().map(|&v| c64(v, 0.0)).collect();
             for (&k, want) in [1usize, 3, 8].iter().zip(rows) {
-                top_peaks_into(&real, w, k, f64::abs, &mut cand, &mut out);
+                top_peaks_into(&real, w, RowBand::all(h), k, f64::abs, &mut cand, &mut out);
                 let got: Vec<usize> = out.iter().map(|p| p.0).collect();
                 assert_eq!(&got, want, "real case={case} k={k}");
                 assert!(out.iter().all(|&(i, m)| m == real[i].abs()));
-                top_peaks_into(&complex, w, k, C64::norm_sqr, &mut cand, &mut out);
+                top_peaks_into(
+                    &complex,
+                    w,
+                    RowBand::all(h),
+                    k,
+                    C64::norm_sqr,
+                    &mut cand,
+                    &mut out,
+                );
                 let got: Vec<usize> = out.iter().map(|p| p.0).collect();
                 assert_eq!(&got, want, "complex case={case} k={k}");
             }
@@ -347,8 +361,29 @@ mod tests {
         data[5 * 10 + 6] = 9.0; // within radius — suppressed
         data[10 + 1] = 8.0;
         let (mut cand, mut peaks) = (Vec::new(), Vec::new());
-        top_peaks_into(&data, 10, 3, f64::abs, &mut cand, &mut peaks);
+        top_peaks_into(
+            &data,
+            10,
+            RowBand::all(10),
+            3,
+            f64::abs,
+            &mut cand,
+            &mut peaks,
+        );
         assert_eq!(peaks[0], (55, 10.0));
         assert_eq!(peaks[1], (11, 8.0));
+        // a band wrapping from row 8 past row 9 to rows 0..=1 never sees
+        // row 5; equal keys keep the lower index
+        data[9 * 10 + 3] = 8.0;
+        top_peaks_into(
+            &data,
+            10,
+            RowBand::new(8, 4, 10),
+            3,
+            f64::abs,
+            &mut cand,
+            &mut peaks,
+        );
+        assert_eq!(peaks[..2], [(11, 8.0), (93, 8.0)]);
     }
 }

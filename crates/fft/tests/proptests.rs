@@ -4,9 +4,27 @@
 
 use proptest::prelude::*;
 use stitch_fft::{
-    c64, dft_naive, fft_forward, fft_inverse, BluesteinPlan, Direction, Fft2d, MixedRadixPlan,
-    Planner, RealFft2d, C64,
+    c64, dft_naive, BluesteinPlan, Direction, Fft2d, MixedRadixPlan, Planner, RealFft2d, C64,
 };
+
+/// The forward FFT of `input`, planned by a default planner.
+fn fft_forward(input: &[C64]) -> Vec<C64> {
+    let mut out = vec![C64::ZERO; input.len()];
+    Planner::default()
+        .plan(input.len(), Direction::Forward)
+        .process(input, &mut out);
+    out
+}
+
+/// The inverse FFT of `input`, scaled so it undoes [`fft_forward`].
+fn fft_inverse(input: &[C64]) -> Vec<C64> {
+    let mut out = vec![C64::ZERO; input.len()];
+    Planner::default()
+        .plan(input.len(), Direction::Inverse)
+        .process(input, &mut out);
+    let s = 1.0 / input.len() as f64;
+    out.iter().map(|v| v.scale(s)).collect()
+}
 
 fn max_err(a: &[C64], b: &[C64]) -> f64 {
     a.iter()
@@ -236,6 +254,7 @@ proptest! {
     #[test]
     fn top_peaks_sorted_distinct_and_key_agnostic(seed in 0u64..5000, k in 1usize..8) {
         use stitch_fft::vectorops::{top_peaks_into, PEAK_SUPPRESSION_RADIUS};
+        use stitch_fft::RowBand;
         let (w, h) = (24usize, 16usize);
         // integer-valued so squaring cannot merge distinct magnitudes
         let real: Vec<f64> = (0..w * h)
@@ -246,8 +265,8 @@ proptest! {
             .collect();
         let complex: Vec<C64> = real.iter().map(|&v| c64(v, 0.0)).collect();
         let (mut cand, mut by_abs, mut by_sqr) = (Vec::new(), Vec::new(), Vec::new());
-        top_peaks_into(&real, w, k, f64::abs, &mut cand, &mut by_abs);
-        top_peaks_into(&complex, w, k, C64::norm_sqr, &mut cand, &mut by_sqr);
+        top_peaks_into(&real, w, RowBand::all(h), k, f64::abs, &mut cand, &mut by_abs);
+        top_peaks_into(&complex, w, RowBand::all(h), k, C64::norm_sqr, &mut cand, &mut by_sqr);
         prop_assert!(!by_abs.is_empty() && by_abs.len() <= k);
         let indices = |p: &[(usize, f64)]| p.iter().map(|&(i, _)| i).collect::<Vec<_>>();
         prop_assert_eq!(indices(&by_abs), indices(&by_sqr));

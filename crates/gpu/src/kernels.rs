@@ -13,7 +13,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use stitch_fft::vectorops::top_peaks_into;
-use stitch_fft::{RealFft2d, C32};
+use stitch_fft::{RealFft2d, RowBand, C32};
 
 use crate::memory::DeviceBuffer;
 use crate::profile::SpanKind;
@@ -68,13 +68,15 @@ impl Stream {
     }
 
     /// Kernel: inverse 2-D FFT of the half spectrum `spectrum` (consumed:
-    /// the transform works in it) into the real `width × height` surface
-    /// `surface`. Flagged as an FFT, like [`Stream::fft2d_forward`].
+    /// the transform works in it) onto the rows of `band` of the real
+    /// `width × height` surface `surface` ([`RealFft2d::inverse_band`]).
+    /// Flagged as an FFT, like [`Stream::fft2d_forward`].
     pub fn fft2d_inverse(
         &self,
         plan: &Arc<RealFft2d<f32>>,
         spectrum: &DeviceBuffer<C32>,
         surface: &DeviceBuffer<f32>,
+        band: RowBand,
     ) {
         let n = plan.width() * plan.height();
         assert!(
@@ -86,7 +88,7 @@ impl Stream {
         self.enqueue(SpanKind::Kernel, true, "fft2d_inv", 0, move |tok| {
             spectrum.map(tok, |s| {
                 surface.map(tok, |o| {
-                    plan.inverse(&mut s[..plan.spectrum_len()], &mut o[..n])
+                    plan.inverse_band(&mut s[..plan.spectrum_len()], &mut o[..n], band)
                 });
             });
         });
@@ -118,16 +120,18 @@ impl Stream {
         });
     }
 
-    /// Kernel + copy-back: top-`k` |·| maxima over `buf[..len]` viewed as a
-    /// row-major image of width `width`, suppressing maxima within a small
-    /// Chebyshev radius of a stronger one. Only the tiny `(index, value)`
-    /// list crosses back to the host ("minimizes transfers from device to
-    /// host memory by only copying the result of the parallel reduction").
+    /// Kernel + copy-back: top-`k` |·| maxima over the rows of `band` of
+    /// `buf[..len]` viewed as a row-major image of width `width`,
+    /// suppressing maxima within a small Chebyshev radius of a stronger
+    /// one. Only the tiny `(index, value)` list crosses back to the host
+    /// ("minimizes transfers from device to host memory by only copying
+    /// the result of the parallel reduction").
     pub fn top_abs_peaks(
         &self,
         buf: &DeviceBuffer<f32>,
         len: usize,
         width: usize,
+        band: RowBand,
         k: usize,
     ) -> HostFuture<Vec<MaxLoc>> {
         assert!(buf.len() >= len && width > 0 && k >= 1);
@@ -137,7 +141,7 @@ impl Stream {
             let (mut cand, mut peaks) = (Vec::new(), Vec::new());
             buf.map(tok, |d| {
                 let magnitude = |v: f32| f64::from(v.abs());
-                top_peaks_into(&d[..len], width, k, magnitude, &mut cand, &mut peaks)
+                top_peaks_into(&d[..len], width, band, k, magnitude, &mut cand, &mut peaks)
             });
             let out = peaks
                 .into_iter()
@@ -175,7 +179,7 @@ mod tests {
         plan.forward(&input, &mut reference);
         assert_eq!(got, reference, "same code, same bits");
         // the inverse is scaled: forward ∘ inverse is the identity
-        s.fft2d_inverse(&plan, &spec, &real);
+        s.fft2d_inverse(&plan, &spec, &real, RowBand::all(h));
         let back = s.d2h(&real).wait();
         for (b, &p) in back.iter().zip(&pixels) {
             assert!((b - f32::from(p)).abs() < 1e-3);
@@ -220,8 +224,8 @@ mod tests {
         let pair = dev.alloc::<C32>(plan.spectrum_len()).unwrap();
         // note: shifted as "a", base as "b"
         s.ncc(&spectra[1], &spectra[0], &pair, plan.spectrum_len());
-        s.fft2d_inverse(&plan, &pair, &real);
-        let peaks = s.top_abs_peaks(&real, n, n, 1).wait();
+        s.fft2d_inverse(&plan, &pair, &real, RowBand::all(1));
+        let peaks = s.top_abs_peaks(&real, n, n, RowBand::all(1), 1).wait();
         assert_eq!(peaks[0].index, shift);
     }
 }

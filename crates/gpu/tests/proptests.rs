@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use stitch_fft::RowBand;
 use stitch_gpu::{Device, DeviceConfig, MaxLoc};
 
 fn device(bytes: usize) -> Device {
@@ -71,7 +72,7 @@ proptest! {
         let s = dev.create_stream("t");
         let buf = dev.alloc::<f32>(values.len()).unwrap();
         s.h2d(Arc::new(values.clone()), &buf);
-        let MaxLoc { index, value } = s.top_abs_peaks(&buf, values.len(), values.len(), 1).wait()[0];
+        let MaxLoc { index, value } = s.top_abs_peaks(&buf, values.len(), values.len(), RowBand::all(1), 1).wait()[0];
         let host_best = values
             .iter()
             .enumerate()
@@ -123,7 +124,7 @@ proptest! {
             .collect();
         let buf = dev.alloc::<f32>(w * h).unwrap();
         s.h2d(Arc::new(host), &buf);
-        let peaks = s.top_abs_peaks(&buf, w * h, w, k).wait();
+        let peaks = s.top_abs_peaks(&buf, w * h, w, RowBand::all(h), k).wait();
         prop_assert!(!peaks.is_empty() && peaks.len() <= k);
         for pair in peaks.windows(2) {
             prop_assert!(pair[0].value >= pair[1].value, "descending order");

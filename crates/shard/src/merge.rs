@@ -116,6 +116,7 @@ pub fn register_seams_on(
         let pooled = contexts.lock().pop();
         let mut ctx = pooled.unwrap_or_else(|| {
             PciamContext::with_pool(planner, w, h, Arc::clone(&counters), pool.clone())
+                .with_stage(source.nominal_overlap())
         });
         // a pair with a failed endpoint is void, as in the shard stitchers
         let d = match (fetch(&mut ctx, pair.a), fetch(&mut ctx, pair.b)) {
@@ -173,6 +174,8 @@ pub fn merge_results(
         merged.ops.ccf_probes += local.ops.ccf_probes;
         merged.ops.ccf_pixels += local.ops.ccf_pixels;
         merged.ops.fft_real_mults += local.ops.fft_real_mults;
+        merged.ops.windowed_pairs += local.ops.windowed_pairs;
+        merged.ops.window_fallbacks += local.ops.window_fallbacks;
         merged.health.total_retries += local.health.total_retries;
         peak_live = peak_live.max(local.peak_live_tiles);
     }

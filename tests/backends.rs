@@ -14,8 +14,10 @@
 
 mod f64_reference;
 
+use std::sync::Arc;
 use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
-use stitch_core::{OpCounters, PairKind, PciamContext};
+
+use stitch_core::{OpCounters, OpCounts, PairKind, PciamContext};
 use stitch_fft::backend::{self, BackendChoice};
 use stitch_fft::{PlanMode, Planner, RealFft2d, C32};
 use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
@@ -53,12 +55,43 @@ fn all_backends_bit_identical_across_sweep() {
     );
 }
 
-/// Runs `pairs` full PCIAM pair computations after `warmup` of the same
-/// under the currently selected backend, returning the heap allocations
-/// the measured iterations performed on this thread. Mirrors the
-/// conformance suite's probe; the warmup also absorbs the backend
-/// module's one-time `STITCH_BACKEND` environment read.
-fn steady_state_pair_allocations(warmup: usize, pairs: usize) -> u64 {
+/// Runs `pairs` full PCIAM computations of the west pair `(a, b)` after
+/// `warmup` of the same under the currently selected backend, searching
+/// within the stage window of `overlap` if given, and returns the heap
+/// allocations the measured iterations performed on this thread and the
+/// run's counts. Mirrors the conformance suite's probe; the warmup also
+/// absorbs the backend module's one-time `STITCH_BACKEND` environment
+/// read.
+fn steady_state_pair_allocations(
+    warmup: usize,
+    pairs: usize,
+    (a, b): &(Image<u16>, Image<u16>),
+    overlap: Option<f64>,
+) -> (u64, OpCounts) {
+    let (w, h) = a.dims();
+    let planner = Planner::new(PlanMode::Estimate);
+    let counters = OpCounters::new_shared();
+    let mut ctx = PciamContext::new(&planner, w, h, Arc::clone(&counters)).with_stage(overlap);
+    let run_pair = |ctx: &mut PciamContext| {
+        let fa = ctx.forward_fft(a);
+        let fb = ctx.forward_fft(b);
+        ctx.displacement_oriented(&fa, &fb, a, b, Some(PairKind::West))
+    };
+    let mut sink = Vec::with_capacity(warmup + pairs);
+    for _ in 0..warmup {
+        sink.push(run_pair(&mut ctx));
+    }
+    let before = CountingAllocator::thread_allocations();
+    for _ in 0..pairs {
+        sink.push(run_pair(&mut ctx));
+    }
+    let measured = CountingAllocator::thread_allocations() - before;
+    assert!(sink.windows(2).all(|p| p[0] == p[1]), "unstable result");
+    (measured, counters.snapshot())
+}
+
+/// A 64×48 west pair of the conformance suite's probe.
+fn toy_pair() -> (Image<u16>, Image<u16>) {
     let (w, h) = (64usize, 48usize);
     let scene = Scene::generate(
         w as f64 * 3.0,
@@ -71,37 +104,35 @@ fn steady_state_pair_allocations(warmup: usize, pairs: usize) -> u64 {
     );
     let a = scene.render_region(w as f64, h as f64, w, h, 0.02, 30.0, 1);
     let b = scene.render_region(w as f64 * 1.75, h as f64 + 2.0, w, h, 0.02, 30.0, 2);
-    let planner = Planner::new(PlanMode::Estimate);
-    let mut ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
-    let run_pair = |ctx: &mut PciamContext| {
-        let fa = ctx.forward_fft(&a);
-        let fb = ctx.forward_fft(&b);
-        ctx.displacement_oriented(&fa, &fb, &a, &b, Some(PairKind::West))
-    };
-    let mut sink = Vec::with_capacity(warmup + pairs);
-    for _ in 0..warmup {
-        sink.push(run_pair(&mut ctx));
-    }
-    let before = CountingAllocator::thread_allocations();
-    for _ in 0..pairs {
-        sink.push(run_pair(&mut ctx));
-    }
-    let measured = CountingAllocator::thread_allocations() - before;
-    assert!(sink.windows(2).all(|p| p[0] == p[1]), "unstable result");
-    measured
+    (a, b)
 }
 
+/// The toy pair over the whole surface; a 232×174 pair (scanned at 10 %
+/// overlap) within its stage window, once where the window holds and
+/// once told 30 %, so the truth is outside and every pair falls back.
 #[test]
 fn every_backend_is_allocation_free_in_steady_state() {
     let _guard = serial_guard();
+    let (toy, tall) = (toy_pair(), west_pair(232, 174, 29));
     for choice in choices() {
         backend::select(choice);
         let name = backend::resolved_name(choice);
-        let allocs = steady_state_pair_allocations(3, 5);
-        assert_eq!(
-            allocs, 0,
-            "backend {name}: steady-state pair computation allocated {allocs} times"
-        );
+        for (pair, overlap, fallbacks) in [
+            (&toy, None, 0),
+            (&tall, Some(0.1), 0),
+            (&tall, Some(0.3), 8),
+        ] {
+            let (allocs, ops) = steady_state_pair_allocations(3, 5, pair, overlap);
+            assert_eq!(
+                allocs, 0,
+                "backend {name} at {overlap:?}: steady-state pair computation allocated {allocs} times"
+            );
+            let windowed = if overlap.is_some() { 8 } else { 0 };
+            assert_eq!(
+                (ops.windowed_pairs, ops.window_fallbacks),
+                (windowed, fallbacks)
+            );
+        }
     }
     backend::select(BackendChoice::Auto);
 }

@@ -211,53 +211,61 @@ fn wrong_sized_tile_aborts_with_the_tile_named() {
 
 /// The phase-1 line of `stitch stitch` prints the CCF counters of
 /// `StitchResult::ops`: probes and the overlap pixels they visited, then
-/// probes per pair and pixels per probe.
+/// probes per pair and pixels per probe; then the pairs searched within
+/// their stage window and the fallbacks. 64×48 tiles are too short for a
+/// window, 160×140 ones take it.
 #[test]
 fn phase1_line_prints_the_ccf_counters() {
     use stitching::core::{DirSource, SimpleCpuStitcher, Stitcher, TileSource};
 
-    let dir = std::env::temp_dir().join("stitch_cli_it_ccf_counters");
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_s = dir.display().to_string();
-    let cmd = parse(&argv(&format!(
-        "generate --out {dir_s} --rows 3 --cols 4 --tile-width 64 --tile-height 48"
-    )))
-    .unwrap();
-    assert_eq!(run(cmd), 0);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_stitch"))
-        .args(["stitch", "--dataset", &dir_s, "--impl", "simple-cpu"])
-        .output()
+    for (w, h) in [(64, 48), (160, 140)] {
+        let dir = std::env::temp_dir().join(format!("stitch_cli_it_ccf_counters_{w}x{h}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.display().to_string();
+        let cmd = parse(&argv(&format!(
+            "generate --out {dir_s} --rows 3 --cols 4 --tile-width {w} --tile-height {h}"
+        )))
         .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("phase 1:"))
-        .unwrap_or_else(|| panic!("no phase-1 line in {stdout}"));
-    let ccf = line
-        .split("CCF ")
-        .nth(1)
-        .unwrap_or_else(|| panic!("{line}"));
-    let words: Vec<&str> = ccf.split_whitespace().collect();
+        assert_eq!(run(cmd), 0);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_stitch"))
+            .args(["stitch", "--dataset", &dir_s, "--impl", "simple-cpu"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("phase 1:"))
+            .unwrap_or_else(|| panic!("no phase-1 line in {stdout}"));
+        let ccf = line
+            .split("CCF ")
+            .nth(1)
+            .unwrap_or_else(|| panic!("{line}"));
+        let words: Vec<&str> = ccf.split_whitespace().collect();
 
-    let source = DirSource::open(&dir).unwrap();
-    let pairs = source.shape().pairs() as f64;
-    let ops = SimpleCpuStitcher::default()
-        .compute_displacements(&source)
-        .ops;
-    assert!(
-        ops.ccf_probes > 0 && ops.ccf_pixels > ops.ccf_probes,
-        "{ops:?}"
-    );
-    let want = [
-        ops.ccf_probes.to_string(),
-        ops.ccf_pixels.to_string(),
-        format!("{:.1}", ops.ccf_probes as f64 / pairs),
-        format!("{:.1}", ops.ccf_pixels as f64 / ops.ccf_probes as f64),
-    ];
-    let got = [words[0], words[3], words[5], words[9]];
-    assert_eq!(got, want.each_ref().map(String::as_str), "{line}");
-    std::fs::remove_dir_all(&dir).ok();
+        let source = DirSource::open(&dir).unwrap();
+        let pairs = source.shape().pairs() as f64;
+        let ops = SimpleCpuStitcher::default()
+            .compute_displacements(&source)
+            .ops;
+        assert!(
+            ops.ccf_probes > 0 && ops.ccf_pixels > ops.ccf_probes,
+            "{ops:?}"
+        );
+        let windowed = if h >= 132 { pairs as u64 } else { 0 };
+        assert_eq!(ops.windowed_pairs, windowed, "{ops:?}");
+        let want = [
+            ops.ccf_probes.to_string(),
+            ops.ccf_pixels.to_string(),
+            format!("{:.1}", ops.ccf_probes as f64 / pairs),
+            format!("{:.1}", ops.ccf_pixels as f64 / ops.ccf_probes as f64),
+            ops.windowed_pairs.to_string(),
+            ops.window_fallbacks.to_string(),
+        ];
+        let got = [words[0], words[3], words[5], words[9], words[16], words[18]];
+        assert_eq!(got, want.each_ref().map(String::as_str), "{line}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! disagreement is the precision's doing.
 
 use stitch_fft::vectorops::{ncc_scalar, top_peaks_into};
-use stitch_fft::{Planner, RealFft2d, C64};
+use stitch_fft::{Planner, RealFft2d, RowBand, C64};
 use stitch_image::Image;
 
 /// The top-`k` correlation peaks of the pair `(a, b)`, strongest first, as
@@ -25,6 +25,14 @@ pub fn peaks(planner: &Planner, a: &Image<u16>, b: &Image<u16>, k: usize) -> Vec
     let mut surface = vec![0.0; w * h];
     plan.inverse(&mut ncc, &mut surface);
     let (mut cand, mut peaks) = (Vec::new(), Vec::new());
-    top_peaks_into(&surface, w, k, f64::abs, &mut cand, &mut peaks);
+    top_peaks_into(
+        &surface,
+        w,
+        RowBand::all(h),
+        k,
+        f64::abs,
+        &mut cand,
+        &mut peaks,
+    );
     peaks.into_iter().map(|(i, _)| i).collect()
 }
