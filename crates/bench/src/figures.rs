@@ -270,7 +270,7 @@ fn fig5(_: &Args) -> Vec<ResultTable> {
         &["tiles", "time/tile", "spills", "faults"],
     );
     for tiles in [16usize, 32, 48, 64, 96] {
-        let budget = budget_tiles * PciamContext::spectrum_bytes(w, h);
+        let budget = budget_tiles * PciamContext::spectrum_bytes((w, h), None);
         let mut store = SpillStore::new(budget).expect("spill store");
         let t0 = Instant::now();
         let mut handles = Vec::new();
@@ -619,7 +619,7 @@ fn ablation(args: &Args) -> Vec<ResultTable> {
         real.forward(&input, &mut spec);
     }
     let ms = t0.elapsed().as_secs_f64() / reps as f64 * 1e3;
-    let bytes = PciamContext::spectrum_bytes(w, h);
+    let bytes = PciamContext::spectrum_bytes((w, h), None);
     r.row("real-to-complex", &[format!("{ms:.2}"), bytes.to_string()]);
     r.note("r2c halves the spectrum memory footprint (the paper's stated second win)");
     r.note("the r2c row is the product's transform: single precision halves it again");

@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use stitch_core::{
     AbsolutePositions, FailurePolicy, FaultTracker, GlobalOptimizer, GridShape, OpCounters,
-    PairLedger, PciamContext, PooledSpectrum, StitchError, StitchResult, TileId, TileSource,
+    PairLedger, PciamContext, PooledSpectrum, SpectrumPool, StitchError, StitchResult, TileId,
+    TileSource,
 };
 use stitch_fft::{PlanMode, Planner};
 use stitch_image::Image;
@@ -100,10 +101,23 @@ impl IncrementalStitcher {
         cfg: IncrementalConfig,
         canvas: Arc<SharedCanvas>,
     ) -> IncrementalStitcher {
+        IncrementalStitcher::on_stage(shape, (tile_dims, None), cfg, canvas)
+    }
+
+    /// [`IncrementalStitcher::new`] on a stage at nominal `overlap`, whose
+    /// pairs are searched as the batch stitchers search them.
+    fn on_stage(
+        shape: GridShape,
+        (tile_dims, overlap): ((usize, usize), Option<f64>),
+        cfg: IncrementalConfig,
+        canvas: Arc<SharedCanvas>,
+    ) -> IncrementalStitcher {
         let (w, h) = tile_dims;
         assert!(w > 0 && h > 0, "tile dims must be positive");
         let planner = Planner::new(PlanMode::Estimate);
-        let ctx = PciamContext::new(&planner, w, h, OpCounters::new_shared());
+        let pool = SpectrumPool::new(PciamContext::spectrum_len(tile_dims, overlap));
+        let counters = OpCounters::new_shared();
+        let ctx = PciamContext::with_pool(&planner, tile_dims, overlap, counters, pool);
         IncrementalStitcher {
             shape,
             tile_dims,
@@ -268,8 +282,8 @@ pub fn run_incremental(
     policy: &FailurePolicy,
 ) -> Result<IncrementalOutcome, StitchError> {
     let shape = source.shape();
-    let mut inc = IncrementalStitcher::new(shape, source.tile_dims(), cfg, canvas);
-    inc.ctx = inc.ctx.with_stage(source.nominal_overlap());
+    let stage = (source.tile_dims(), source.nominal_overlap());
+    let mut inc = IncrementalStitcher::on_stage(shape, stage, cfg, canvas);
     let tracker = FaultTracker::new(shape);
     for id in order {
         match tracker.load(source, id, &policy.retry) {

@@ -20,7 +20,6 @@ use stitch_trace::TraceHandle;
 
 use crate::fault::{FailurePolicy, StitchError};
 use crate::hostpool::SpectrumPool;
-use crate::pciam::PciamContext;
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -60,7 +59,7 @@ impl Stitcher for FijiStyleStitcher {
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
         let frame = Phase1::start(source, policy, &self.trace);
-        let (shape, (w, h)) = (source.shape(), source.tile_dims());
+        let shape = source.shape();
         // enumerate all pairs: (a, b, kind) with a west/north of b
         let mut pairs: Vec<(TileId, TileId, PairKind)> = Vec::with_capacity(shape.pairs());
         for id in shape.ids() {
@@ -74,7 +73,7 @@ impl Stitcher for FijiStyleStitcher {
         let result = Mutex::new(StitchResult::empty(shape));
         let cursor = AtomicUsize::new(0);
         let planner = Planner::new(PlanMode::Estimate);
-        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+        let pool = SpectrumPool::new(frame.spectrum_len());
 
         std::thread::scope(|scope| {
             for worker in 0..self.threads.min(pairs.len()).max(1) {

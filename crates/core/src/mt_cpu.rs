@@ -19,7 +19,6 @@ use stitch_trace::TraceHandle;
 
 use crate::fault::{FailurePolicy, StitchError};
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
-use crate::pciam::PciamContext;
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -76,7 +75,7 @@ impl Stitcher for MtCpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let (shape, (w, h)) = (source.shape(), source.tile_dims());
+        let shape = source.shape();
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
@@ -86,7 +85,7 @@ impl Stitcher for MtCpuStitcher {
         let bands = row_bands(shape.rows, self.threads);
         // one pool shared by all band workers: transforms released by one
         // band are recycled by whichever band acquires next
-        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+        let pool = SpectrumPool::new(frame.spectrum_len());
 
         std::thread::scope(|scope| {
             for (band, &(r0, r1)) in bands.iter().enumerate() {

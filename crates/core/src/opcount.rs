@@ -36,6 +36,8 @@ pub struct OpCounters {
     fft_real_mults: AtomicU64,
     windowed_pairs: AtomicU64,
     window_fallbacks: AtomicU64,
+    coarse_pairs: AtomicU64,
+    coarse_fallbacks: AtomicU64,
 }
 
 impl OpCounters {
@@ -79,12 +81,15 @@ impl OpCounters {
         self.fft_real_mults.fetch_add(mults, Ordering::Relaxed);
     }
 
-    /// Records a pair searched within its stage window, and whether it
-    /// fell back to the whole surface.
-    pub fn count_windowed_pair(&self, fell_back: bool) {
-        self.windowed_pairs.fetch_add(1, Ordering::Relaxed);
-        self.window_fallbacks
-            .fetch_add(u64::from(fell_back), Ordering::Relaxed);
+    /// Records a pair searched within its stage window — `coarse`: with
+    /// its Fourier half on binned tiles — and whether it fell back.
+    pub fn count_windowed_pair(&self, coarse: bool, fell_back: bool) {
+        let (pairs, fallbacks) = match coarse {
+            true => (&self.coarse_pairs, &self.coarse_fallbacks),
+            false => (&self.windowed_pairs, &self.window_fallbacks),
+        };
+        pairs.fetch_add(1, Ordering::Relaxed);
+        fallbacks.fetch_add(u64::from(fell_back), Ordering::Relaxed);
     }
 
     /// Records a max reduction.
@@ -114,6 +119,8 @@ impl OpCounters {
             fft_real_mults: self.fft_real_mults.load(Ordering::Relaxed),
             windowed_pairs: self.windowed_pairs.load(Ordering::Relaxed),
             window_fallbacks: self.window_fallbacks.load(Ordering::Relaxed),
+            coarse_pairs: self.coarse_pairs.load(Ordering::Relaxed),
+            coarse_fallbacks: self.coarse_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -123,17 +130,20 @@ impl OpCounters {
 pub struct OpCounts {
     /// Tile reads.
     pub reads: u64,
-    /// Forward 2-D FFTs.
+    /// Forward 2-D FFTs, each at the resolution it ran: one per tile,
+    /// and two more per coarse fallback.
     pub forward_ffts: u64,
     /// Element-wise NCC multiplies.
     pub elementwise_mults: u64,
     /// Inverse 2-D FFTs: one per pair, and one more per window fallback
-    /// (the pass that finishes the rows the windowed one skipped).
+    /// (the pass that finishes the rows the windowed one skipped) and
+    /// per coarse fallback.
     pub inverse_ffts: u64,
-    /// Max reductions: one per pair, and one more per window fallback.
-    pub max_reductions: u64,
-    /// CCF candidate groups: one per pair, and one more per window
+    /// Max reductions: one per pair, and one more per window or coarse
     /// fallback.
+    pub max_reductions: u64,
+    /// CCF candidate groups: one per pair, and one more per window or
+    /// coarse fallback.
     pub ccf_groups: u64,
     /// CCF kernel evaluations inside those groups (memo hits excluded):
     /// a pure function of the tiles, like the pixel count below.
@@ -142,17 +152,23 @@ pub struct OpCounts {
     pub ccf_pixels: u64,
     /// Real multiplications inside the 2-D FFTs above, forward and
     /// inverse: each plan's plan-time count, so a pure function of grid
-    /// and tile size — the deterministic measure of FFT *work*. An
-    /// inverse counts the rows it ran. A GPU schedule's window fallback
-    /// recomputes the whole surface on the host but is counted as the
-    /// CPU path's work, the rows the window skipped, so every schedule
-    /// counts the same.
+    /// and tile size — the deterministic measure of FFT *work*. A
+    /// transform counts at the resolution it ran, an inverse the rows it
+    /// ran. A GPU schedule's window fallback replays the window on the
+    /// host uncounted and is counted as the CPU path's work, the rows the
+    /// window skipped, so every schedule counts the same.
     pub fft_real_mults: u64,
-    /// Pairs searched within their stage window (DESIGN.md § PCIAM).
+    /// Pairs searched within their stage window at full resolution
+    /// (DESIGN.md § PCIAM); a coarse fallback's redo is one.
     pub windowed_pairs: u64,
     /// Windowed pairs whose winner did not convince, searched again over
     /// the whole surface.
     pub window_fallbacks: u64,
+    /// Pairs whose Fourier half ran on 2×2-binned tiles (DESIGN.md §
+    /// PCIAM "Coarse-to-fine").
+    pub coarse_pairs: u64,
+    /// Coarse pairs whose winner was doubtful, redone at full resolution.
+    pub coarse_fallbacks: u64,
 }
 
 impl OpCounts {

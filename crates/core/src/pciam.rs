@@ -62,65 +62,95 @@ type MemoSlot = (u64, (i64, i64), f64);
 /// twice over.
 const STAGE_REPEATABILITY: i64 = 16;
 
-/// Where a pair's answer can lie on a stage that stepped by the tile size
-/// times `1 − overlap`: within [`STAGE_REPEATABILITY`] of that step per
-/// axis. Its `dy` range names the surface rows worth computing; the CCF
-/// search reaches as far again beyond it, so that a truth just outside
-/// shows itself (DESIGN.md § PCIAM).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct StageWindow {
-    /// The nominal step, the window's centre.
-    step: (i64, i64),
-    rows: RowBand,
+/// The stage window of a `kind` pair of `width × height` tiles on a stage
+/// at nominal `overlap`: where its answer can lie on a stage that stepped
+/// by the tile size times `1 − overlap`, within [`STAGE_REPEATABILITY`]
+/// of that step per axis. As the step and the surface rows its `dy` range
+/// falls on; `None` without an overlap in `(0, 1)` or when those rows
+/// would pass a quarter of the surface (under 132 rows).
+fn stage_window(
+    (width, height): (usize, usize),
+    kind: PairKind,
+    overlap: Option<f64>,
+) -> Option<((i64, i64), RowBand)> {
+    let r = STAGE_REPEATABILITY;
+    let band = 2 * r as usize + 1;
+    let overlap = overlap.filter(|o| *o > 0.0 && *o < 1.0)?;
+    if 4 * band > height {
+        return None;
+    }
+    let step = |n: usize| (n as f64 * (1.0 - overlap)).round() as i64;
+    let step = match kind {
+        PairKind::West => (step(width), 0),
+        PairKind::North => (0, step(height)),
+    };
+    let start = (step.1 - r).rem_euclid(height as i64) as usize;
+    Some((step, RowBand::new(start, band, height)))
 }
 
-impl StageWindow {
-    /// The window of a `kind` pair of `width × height` tiles on a stage
-    /// at nominal `overlap`, the one place a window is derived; `None`
-    /// without an overlap in `(0, 1)` or when its rows would pass a
-    /// quarter of the surface (under 132 rows).
+/// The resolution factor of the Fourier half of PCIAM for `width ×
+/// height` tiles on a stage at nominal `overlap`: 2 when the 2×2-binned
+/// tile would take a stage window (even sides, at least 264 rows), and
+/// otherwise 1. A rule of the geometry, not an option (DESIGN.md § PCIAM
+/// "Coarse-to-fine").
+pub(crate) fn resolution((width, height): (usize, usize), overlap: Option<f64>) -> usize {
+    let binned = stage_window((width / 2, height / 2), PairKind::North, overlap);
+    1 + usize::from(width % 2 == 0 && height % 2 == 0 && binned.is_some())
+}
+
+/// How one pair is searched: its Fourier half at `1/factor` resolution
+/// over `rows` of the surface, its CCF within `2R` of the stage's nominal
+/// step, if the stage gives a window — so that a truth just outside the
+/// window shows itself (DESIGN.md § PCIAM).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Search {
+    factor: usize,
+    /// The surface rows the inverse computes.
+    pub(crate) rows: RowBand,
+    /// The nominal step, the full-resolution window's centre.
+    step: Option<(i64, i64)>,
+}
+
+impl Search {
+    /// The search of a `kind` pair (`None`: unoriented) of `dims` tiles
+    /// whose Fourier half runs at `factor` on a stage at nominal
+    /// `overlap`, the one place a search is derived: at factor 2 the
+    /// inverse covers the binned tile's own window rows.
     pub(crate) fn new(
-        (width, height): (usize, usize),
-        kind: PairKind,
+        dims: (usize, usize),
+        kind: Option<PairKind>,
         overlap: Option<f64>,
-    ) -> Option<Self> {
-        let r = STAGE_REPEATABILITY;
-        let band = 2 * r as usize + 1;
-        let overlap = overlap.filter(|o| *o > 0.0 && *o < 1.0)?;
-        if 4 * band > height {
-            return None;
+        factor: usize,
+    ) -> Search {
+        let window = |dims| kind.and_then(|kind| stage_window(dims, kind, overlap));
+        let coarse = (dims.0 / factor, dims.1 / factor);
+        Search {
+            factor,
+            rows: window(coarse).map_or(RowBand::all(coarse.1), |(_, rows)| rows),
+            step: window(dims).map(|(step, _)| step),
         }
-        let step = |n: usize| (n as f64 * (1.0 - overlap)).round() as i64;
-        let step = match kind {
-            PairKind::West => (step(width), 0),
-            PairKind::North => (0, step(height)),
-        };
-        let start = (step.1 - r).rem_euclid(height as i64) as usize;
-        Some(StageWindow {
-            step,
-            rows: RowBand::new(start, band, height),
-        })
     }
 
-    /// The surface rows the window's `dy` range falls on (mod `height`).
-    pub(crate) fn rows(&self) -> RowBand {
-        self.rows
-    }
-
-    /// How far `(dx, dy)` lies from the nominal step, on the farther axis.
+    /// How far `(dx, dy)` lies from the nominal step, on the farther axis
+    /// (0 without a window).
     fn offset(&self, dx: i64, dy: i64) -> i64 {
-        (dx - self.step.0).abs().max((dy - self.step.1).abs())
+        self.step
+            .map_or(0, |(x, y)| (dx - x).abs().max((dy - y).abs()))
     }
 
-    /// Whether windowed winner `d` is too weak to keep: below
-    /// [`CONVINCING_CCF`], or not inside the window — on its edge, where
-    /// a climb toward a truth outside may stop, or beyond it, where the
-    /// search only looks to tell a truth just outside from one inside.
-    /// Counts the pair and the fallback.
-    fn falls_back(&self, d: &Displacement, ops: &OpCounters) -> bool {
+    /// Whether windowed winner `d` is set aside, counting the pair: below
+    /// [`CONVINCING_CCF`], or not inside the window — on its edge, where a
+    /// climb toward a truth outside may stop, or beyond it. At factor 1 it
+    /// is set aside for the whole surface's answer; at factor 2, as is one
+    /// whose climb did not `converge`, for a redo at factor 1.
+    fn falls_back(&self, d: &Displacement, converged: bool, ops: &OpCounters) -> bool {
+        if self.step.is_none() {
+            return false;
+        }
         let weak = d.correlation < CONVINCING_CCF || self.offset(d.x, d.y) >= STAGE_REPEATABILITY;
-        ops.count_windowed_pair(weak);
-        weak
+        let doubtful = weak || (self.factor == 2 && !converged);
+        ops.count_windowed_pair(self.factor == 2, doubtful);
+        doubtful
     }
 }
 
@@ -171,6 +201,11 @@ struct PairScratch {
 /// picks the winner is exact integer co-moments of the `u16` pixels and
 /// one `f64` division (DESIGN.md § "Precision").
 ///
+/// On a stage whose tiles qualify ([`resolution`] 2), the Fourier half —
+/// transforms, NCC, surface, peaks, and the spectra of the pool — runs on
+/// 2×2-binned tiles, the CCF at full resolution, and a doubtful pair is
+/// redone by a factor-1 context this one holds.
+///
 /// Each step is timed where it is counted: a context built
 /// [`traced`](PciamContext::traced) stamps `fft_fwd`, `ncc`, `fft_inv`,
 /// `peak` and `ccf` spans on its track; an untraced one stays
@@ -178,94 +213,141 @@ struct PairScratch {
 pub struct PciamContext {
     width: usize,
     height: usize,
+    /// The Fourier half runs on tiles binned by this factor
+    /// ([`resolution`]): the transforms, buffers and pool below are
+    /// `width/factor × height/factor`.
+    factor: usize,
     fft: RealFft2d<f32>,
-    /// NCC output, [`PciamContext::spectrum_len`] bins; the inverse
-    /// transform works in it.
+    /// NCC output, one spectrum; the inverse transform works in it.
+    /// Allocated on first use, like the two below.
     work: Vec<C32>,
-    /// The correlation surface, `width × height`.
+    /// The correlation surface.
     surface: Vec<f32>,
-    /// A tile widened to `f32` (exactly), `width × height`.
+    /// A tile binned (or widened) to `f32`, exactly.
     real_in: Vec<f32>,
     pool: SpectrumPool,
     pair: PairScratch,
     meter: Meter,
     /// The stage's nominal overlap: with it, oriented pairs are searched
-    /// within their [`StageWindow`].
+    /// within their stage window.
     overlap: Option<f64>,
+    /// At factor 2, the factor-1 context on the same stage that redoes a
+    /// doubtful pair: planned with this one, its buffers allocated on
+    /// its first redo.
+    fine: Option<Box<PciamContext>>,
 }
 
 impl PciamContext {
-    /// Element count of one tile spectrum over `width × height` tiles.
-    /// Every spectrum pool and device transform buffer takes its size from
+    /// Element count of one tile spectrum over `width × height` tiles on
+    /// a stage at nominal `overlap` (`None`: no stage): the spectrum at
+    /// the [`resolution`] those tiles' Fourier half runs at. Every
+    /// spectrum pool and device transform buffer takes its size from
     /// here.
-    pub fn spectrum_len(width: usize, height: usize) -> usize {
-        stitch_fft::real::spectrum_len(width) * height
+    pub fn spectrum_len((width, height): (usize, usize), overlap: Option<f64>) -> usize {
+        let factor = resolution((width, height), overlap);
+        stitch_fft::real::spectrum_len(width / factor) * (height / factor)
     }
 
-    /// Bytes of one tile spectrum over `width × height` tiles: the one
-    /// source every memory budget and reservation prices a spectrum by.
-    pub fn spectrum_bytes(width: usize, height: usize) -> usize {
-        Self::spectrum_len(width, height) * std::mem::size_of::<C32>()
+    /// Bytes of one tile spectrum, as [`PciamContext::spectrum_len`]: the
+    /// one source every memory budget and reservation prices a spectrum
+    /// by.
+    pub fn spectrum_bytes(dims: (usize, usize), overlap: Option<f64>) -> usize {
+        Self::spectrum_len(dims, overlap) * std::mem::size_of::<C32>()
     }
 
-    /// Builds a context for `width × height` tiles with a private
-    /// spectrum pool. Plans come from (and are cached by) `planner`.
+    /// Builds a context for `width × height` tiles, without a stage, with
+    /// a private spectrum pool. Plans come from (and are cached by)
+    /// `planner`.
     pub fn new(planner: &Planner, width: usize, height: usize, counters: Arc<OpCounters>) -> Self {
-        let pool = SpectrumPool::new(Self::spectrum_len(width, height));
-        Self::with_pool(planner, width, height, counters, pool)
+        let pool = SpectrumPool::new(Self::spectrum_len((width, height), None));
+        Self::with_pool(planner, (width, height), None, counters, pool)
     }
 
-    /// Like [`PciamContext::new`] but recycling spectra through a shared
-    /// pool — the multi-threaded stitchers hand one pool to every worker
-    /// so buffers released by one thread serve another's next tile. The
-    /// pool must hold buffers of [`PciamContext::spectrum_len`] elements.
+    /// A context for `dims` tiles on a stage at nominal `overlap` (`None`:
+    /// no stage), recycling spectra through `pool` — the multi-threaded
+    /// stitchers hand one pool to every worker so buffers released by one
+    /// thread serve another's next tile. The pool must hold buffers of
+    /// [`PciamContext::spectrum_len`] elements. On a stage it searches
+    /// every oriented pair within its stage window, at the stage's
+    /// [`resolution`].
     pub fn with_pool(
         planner: &Planner,
-        width: usize,
-        height: usize,
+        dims: (usize, usize),
+        overlap: Option<f64>,
         counters: Arc<OpCounters>,
         pool: SpectrumPool,
     ) -> Self {
-        let len = Self::spectrum_len(width, height);
+        let factor = resolution(dims, overlap);
+        let len = Self::spectrum_len(dims, overlap);
         assert_eq!(pool.buf_len(), len, "pool sized for other tiles");
+        let meter = Meter::new(counters, &TraceHandle::disabled(), String::new());
+        let fine = (factor == 2)
+            .then(|| Box::new(Self::full_resolution(planner, dims, overlap, meter.clone())));
         PciamContext {
-            width,
-            height,
-            fft: RealFft2d::new(planner, width, height),
-            work: C32::zeroed_vec(len),
-            surface: vec![0.0; width * height],
-            real_in: vec![0.0; width * height],
-            pool,
-            pair: PairScratch::default(),
-            meter: Meter::new(counters, &TraceHandle::disabled(), String::new()),
-            overlap: None,
+            fine,
+            ..Self::build(planner, dims, overlap, factor, pool, meter)
         }
     }
 
-    /// Searches every oriented pair within the [`StageWindow`] of a stage
-    /// at nominal `overlap` (`None`: the whole surface, always).
-    pub fn with_stage(mut self, overlap: Option<f64>) -> Self {
-        self.overlap = overlap;
-        self
+    /// The factor-1 context on a stage at nominal `overlap` that redoes
+    /// the doubtful pairs of a factor-2 one (and a GPU schedule's on its
+    /// host), counting and stamping on `meter`.
+    pub(crate) fn full_resolution(
+        planner: &Planner,
+        dims: (usize, usize),
+        overlap: Option<f64>,
+        meter: Meter,
+    ) -> Self {
+        let pool = SpectrumPool::new(Self::spectrum_len(dims, None));
+        Self::build(planner, dims, overlap, 1, pool, meter)
+    }
+
+    fn build(
+        planner: &Planner,
+        (width, height): (usize, usize),
+        overlap: Option<f64>,
+        factor: usize,
+        pool: SpectrumPool,
+        meter: Meter,
+    ) -> Self {
+        PciamContext {
+            width,
+            height,
+            factor,
+            fft: RealFft2d::new(planner, width / factor, height / factor),
+            work: Vec::new(),
+            surface: Vec::new(),
+            real_in: Vec::new(),
+            pool,
+            pair: PairScratch::default(),
+            meter,
+            overlap,
+            fine: None,
+        }
     }
 
     /// Stamps every step this context runs as a span of its layer on
     /// `track` of `trace`.
     pub fn traced(mut self, trace: &TraceHandle, track: String) -> Self {
         self.meter = Meter::new(Arc::clone(&self.meter.counters), trace, track);
+        if let Some(fine) = &mut self.fine {
+            fine.meter = self.meter.clone();
+        }
         self
     }
 
-    /// Step 2 of Fig 2: the forward 2-D FFT of a tile. The returned
-    /// spectrum's storage comes from (and returns to) the context's
-    /// [`SpectrumPool`] — drop it and the next tile reuses the memory.
+    /// Step 2 of Fig 2: the forward 2-D FFT of a tile, binned to the
+    /// context's resolution. The returned spectrum's storage comes from
+    /// (and returns to) the context's [`SpectrumPool`] — drop it and the
+    /// next tile reuses the memory.
     pub fn forward_fft(&mut self, img: &Image<u16>) -> PooledSpectrum {
         assert_eq!(img.dims(), (self.width, self.height), "tile dims mismatch");
         let _span = self.meter.span("fft_fwd");
         let mut spec = self.pool.acquire();
-        for (r, &p) in self.real_in.iter_mut().zip(img.pixels()) {
-            *r = f32::from(p);
+        if self.real_in.is_empty() {
+            self.real_in = vec![0.0; self.fft.width() * self.fft.height()];
         }
+        stitch_fft::bin_into(img.pixels(), self.width, self.factor, &mut self.real_in);
         self.fft.forward(&self.real_in, &mut spec);
         self.meter.counters.count_forward_fft(&self.fft);
         spec
@@ -273,9 +355,10 @@ impl PciamContext {
 
     /// Steps 4–7 of Fig 2: NCC, inverse FFT, max reduction. Returns up to
     /// `k` distinct peaks (suppressing near-duplicates) as flat index and
-    /// magnitude, strongest first. Indices are row-major over the tile.
+    /// magnitude, strongest first. Indices are row-major over the
+    /// surface, which is the tile's at factor 1.
     pub fn correlation_peaks(&mut self, fa: &[C32], fb: &[C32], k: usize) -> Vec<(usize, f64)> {
-        self.correlation_peaks_into(fa, fb, k, RowBand::all(self.height));
+        self.correlation_peaks_into(fa, fb, k, RowBand::all(self.fft.height()));
         self.pair.peaks.clone()
     }
 
@@ -284,6 +367,10 @@ impl PciamContext {
     fn correlation_peaks_into(&mut self, fa: &[C32], fb: &[C32], k: usize, band: RowBand) {
         assert_eq!(fa.len(), self.pool.buf_len());
         assert_eq!(fb.len(), self.pool.buf_len());
+        if self.work.is_empty() {
+            self.work = C32::zeroed_vec(self.pool.buf_len());
+            self.surface = vec![0.0; self.fft.width() * self.fft.height()];
+        }
         let meter = &self.meter;
         // The NCC is the paper's first hand-vectorized kernel (§IV-A) and
         // goes through the process-wide compute backend.
@@ -299,15 +386,23 @@ impl PciamContext {
         self.peaks_in(band, k);
     }
 
-    /// The rows [`PciamContext::correlation_peaks_into`] skipped, then
-    /// the whole surface's peaks.
-    fn full_surface_peaks(&mut self, band: RowBand, k: usize) {
+    /// The whole-surface answer of a pair whose windowed winner fell back
+    /// (factor 1): the rows the window's inverse skipped, then the CCF
+    /// over the whole surface's peaks.
+    fn whole_surface(
+        &mut self,
+        band: RowBand,
+        (a, b): (&Image<u16>, &Image<u16>),
+        kind: Option<PairKind>,
+    ) -> Displacement {
         let span = self.meter.span("fft_inv");
         self.fft
             .inverse_rest(&mut self.work, &mut self.surface, band);
         self.meter.counters.count_inverse_rest(&self.fft, band);
         drop(span);
-        self.peaks_in(RowBand::all(self.height), k);
+        self.peaks_in(RowBand::all(self.height), DEFAULT_PEAK_COUNT);
+        let whole = Search::new((self.width, self.height), None, None, 1);
+        self.resolve((a, b), kind, &whole).0
     }
 
     /// Step 7 of Fig 2 over the surface rows of `band`.
@@ -315,7 +410,8 @@ impl PciamContext {
         let (meter, PairScratch { cand, peaks, .. }) = (&self.meter, &mut self.pair);
         let _span = meter.span("peak");
         let magnitude = |v: f32| f64::from(v.abs());
-        top_peaks_into(&self.surface, self.width, band, k, magnitude, cand, peaks);
+        let width = self.fft.width();
+        top_peaks_into(&self.surface, width, band, k, magnitude, cand, peaks);
         meter.counters.count_max_reduction();
     }
 
@@ -328,10 +424,11 @@ impl PciamContext {
     /// production tool applies; `None` is unconstrained. `fa` / `fb`
     /// are what [`PciamContext::forward_fft`] returned for the two tiles.
     ///
-    /// A context [`with_stage`](PciamContext::with_stage) searches an
-    /// oriented pair within its [`StageWindow`], if any: the inverse and
-    /// the peak search cover its rows, no candidate leaves it. A winner
-    /// below [`CONVINCING_CCF`] is set aside for the whole surface's.
+    /// A context on a stage searches an oriented pair within its stage
+    /// window, if any: the inverse and the peak search cover its
+    /// rows, no candidate leaves it. At factor 1 a weak windowed winner
+    /// is set aside for the whole surface's; at factor 2 a doubtful one
+    /// for the factor-1 context's answer, as is an unoriented pair.
     pub fn displacement_oriented(
         &mut self,
         fa: &PooledSpectrum,
@@ -341,50 +438,88 @@ impl PciamContext {
         kind: Option<PairKind>,
     ) -> Displacement {
         let dims = (self.width, self.height);
-        let window = kind.and_then(|kind| StageWindow::new(dims, kind, self.overlap));
-        let band = window.map_or(RowBand::all(self.height), |w| w.rows());
-        self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT, band);
-        let d = self.resolve(img_a, img_b, kind, window);
-        if !window.is_some_and(|w| w.falls_back(&d, &self.meter.counters)) {
+        let search = Search::new(dims, kind, self.overlap, self.factor);
+        if let Some(fine) = self.fine.as_mut().filter(|_| search.step.is_none()) {
+            return fine.pciam(img_a, img_b, kind);
+        }
+        self.correlation_peaks_into(fa, fb, DEFAULT_PEAK_COUNT, search.rows);
+        let (d, converged) = self.resolve((img_a, img_b), kind, &search);
+        if !search.falls_back(&d, converged, &self.meter.counters) {
             return d;
         }
-        self.full_surface_peaks(band, DEFAULT_PEAK_COUNT);
-        self.resolve(img_a, img_b, kind, None)
+        match &mut self.fine {
+            Some(fine) => fine.pciam(img_a, img_b, kind),
+            None => self.whole_surface(search.rows, (img_a, img_b), kind),
+        }
     }
 
     /// Step 8 onwards over the peaks in `self.pair.peaks`.
     fn resolve(
         &mut self,
-        img_a: &Image<u16>,
-        img_b: &Image<u16>,
+        pair: (&Image<u16>, &Image<u16>),
         kind: Option<PairKind>,
-        window: Option<StageWindow>,
-    ) -> Displacement {
+        search: &Search,
+    ) -> (Displacement, bool) {
         let PairScratch { peaks, ccf, .. } = &mut self.pair;
         let peaks = peaks.iter().map(|&(i, _)| i);
-        resolve_peaks_oriented_into(peaks, img_a, img_b, kind, window, ccf, &self.meter)
+        resolve_peaks_oriented_into(peaks, pair, kind, search, ccf, &self.meter)
     }
 
-    /// Convenience: the whole of Fig 2 for a pair of images.
-    pub fn pciam(&mut self, img_a: &Image<u16>, img_b: &Image<u16>) -> Displacement {
-        let fa = self.forward_fft(img_a);
-        let fb = self.forward_fft(img_b);
-        self.displacement_oriented(&fa, &fb, img_a, img_b, None)
-    }
-
-    /// [`PciamContext::pciam`] for a `kind` pair.
-    #[cfg(test)]
-    fn pciam_oriented(&mut self, a: &Image<u16>, b: &Image<u16>, kind: PairKind) -> Displacement {
+    /// Convenience: the whole of Fig 2 for a `kind` pair of images (see
+    /// [`PciamContext::displacement_oriented`]); the redo of a factor-2
+    /// context's doubtful pair runs this on its factor-1 context.
+    pub fn pciam(
+        &mut self,
+        a: &Image<u16>,
+        b: &Image<u16>,
+        kind: Option<PairKind>,
+    ) -> Displacement {
         let (fa, fb) = (self.forward_fft(a), self.forward_fft(b));
-        self.displacement_oriented(&fa, &fb, a, b, Some(kind))
+        self.displacement_oriented(&fa, &fb, a, b, kind)
+    }
+
+    /// A GPU schedule's host side of a `kind` pair, on a CCF worker's
+    /// [`full_resolution`](PciamContext::full_resolution) context: the CCF
+    /// over the `peaks` of the device surface searched as `search`, and
+    /// for a winner that falls back the CPU path's own fallback, counted
+    /// as the CPU counts it — at factor 2 the redo; at factor 1 a replay
+    /// of the window, uncounted, then the whole surface.
+    pub(crate) fn resolve_device(
+        &mut self,
+        peaks: impl Iterator<Item = usize>,
+        (a, b): (&Image<u16>, &Image<u16>),
+        kind: PairKind,
+        search: Search,
+    ) -> Displacement {
+        let (ccf, kind) = (&mut self.pair.ccf, Some(kind));
+        let (d, converged) =
+            resolve_peaks_oriented_into(peaks, (a, b), kind, &search, ccf, &self.meter);
+        if !search.falls_back(&d, converged, &self.meter.counters) {
+            return d;
+        }
+        if search.factor == 2 {
+            return self.pciam(a, b, kind);
+        }
+        let counted = std::mem::take(&mut self.meter);
+        let (fa, fb) = (self.forward_fft(a), self.forward_fft(b));
+        self.correlation_peaks_into(&fa, &fb, DEFAULT_PEAK_COUNT, search.rows);
+        self.meter = counted;
+        self.whole_surface(search.rows, (a, b), kind)
     }
 }
 
 /// Converts a correlation-peak index into the four signed displacement
-/// candidates implied by FFT periodicity (Fig 2 steps 8–11).
-pub fn peak_candidates(peak: usize, width: usize, height: usize) -> [(i64, i64); 4] {
-    let x = (peak % width) as i64;
-    let y = (peak / width) as i64;
+/// candidates implied by FFT periodicity (Fig 2 steps 8–11) on `width ×
+/// height` tiles whose surface ran at `1/factor` resolution: peak `(x, y)`
+/// of the binned surface stands for `(factor·x, factor·y)` of the tile's.
+pub fn peak_candidates(
+    peak: usize,
+    (width, height): (usize, usize),
+    factor: usize,
+) -> [(i64, i64); 4] {
+    let cols = width / factor;
+    let x = (factor * (peak % cols)) as i64;
+    let y = (factor * (peak / cols)) as i64;
     let w = width as i64;
     let h = height as i64;
     [(x, y), (x - w, y), (x, y - h), (x - w, y - h)]
@@ -415,31 +550,32 @@ pub fn resolve_peaks_oriented(
 ) -> Displacement {
     assert_eq!(img_a.dims(), (width, height), "tile dims mismatch");
     let (peaks, mut scratch) = (peaks.iter().copied(), CcfScratch::default());
-    let meter = Meter::default();
-    resolve_peaks_oriented_into(peaks, img_a, img_b, kind, None, &mut scratch, &meter)
+    let (meter, whole) = (Meter::default(), Search::new(img_a.dims(), None, None, 1));
+    resolve_peaks_oriented_into(peaks, (img_a, img_b), kind, &whole, &mut scratch, &meter).0
 }
 
-/// Allocation-free core of [`resolve_peaks_oriented`], scoring nothing
-/// outside `window`: works in the caller's `scratch`, counts the group
-/// and its probes on `meter` and stamps it there as `ccf`.
+/// Allocation-free core of [`resolve_peaks_oriented`] over the peaks of
+/// a surface at `search`'s resolution, scoring nothing outside its
+/// window: works in the caller's `scratch`, counts the group and its
+/// probes on `meter` and stamps it there as `ccf`. Also says whether the
+/// winner's climb reached a local maximum.
 pub(crate) fn resolve_peaks_oriented_into(
     peaks: impl Iterator<Item = usize>,
-    a: &Image<u16>,
-    b: &Image<u16>,
+    (a, b): (&Image<u16>, &Image<u16>),
     kind: Option<PairKind>,
-    window: Option<StageWindow>,
+    search: &Search,
     scratch: &mut CcfScratch,
     meter: &Meter,
-) -> Displacement {
+) -> (Displacement, bool) {
     let _span = meter.span("ccf");
-    let (width, height) = a.dims();
+    let (dims, factor) = (a.dims(), search.factor);
     scratch.generation += 1;
     let (scored, memo, generation) = (&mut scratch.scored, &mut *scratch.memo, scratch.generation);
     let mut scorer = Scorer {
         a,
         b,
         kind,
-        window,
+        search: *search,
         memo,
         generation,
         probes: 0,
@@ -448,11 +584,11 @@ pub(crate) fn resolve_peaks_oriented_into(
     // without a usable overlap (degenerate tiny tiles): the strongest raw
     // peak, with zero confidence
     let mut peaks = peaks.peekable();
-    let (dx, dy) = peak_candidates(peaks.peek().copied().unwrap_or(0), width, height)[0];
+    let (dx, dy) = peak_candidates(peaks.peek().copied().unwrap_or(0), dims, factor)[0];
     let fallback = Displacement::new(dx, dy, 0.0);
     scored.clear();
     for peak in peaks {
-        for (dx, dy) in peak_candidates(peak, width, height) {
+        for (dx, dy) in peak_candidates(peak, dims, factor) {
             scored.extend(scorer.score(dx, dy));
         }
     }
@@ -461,17 +597,17 @@ pub(crate) fn resolve_peaks_oriented_into(
         sb.total_cmp(sa).then((da.x, da.y).cmp(&(db.x, db.y)))
     });
     scored.dedup_by_key(|(_, d)| (d.x, d.y));
-    let mut best: Option<(f64, Displacement)> = None;
+    let mut best: Option<((f64, Displacement), bool)> = None;
     for &cand in scored.iter() {
-        if best.is_none_or(|leader| climb_gate(cand.0, leader)) {
+        if best.is_none_or(|(leader, _)| climb_gate(cand.0, leader)) {
             let refined = scorer.climb(cand);
-            if best.is_none_or(|(leader, _)| refined.0 > leader) {
+            if best.is_none_or(|((leader, _), _)| refined.0 .0 > leader) {
                 best = Some(refined);
             }
         }
     }
     meter.counters.count_ccf_group(scorer.probes, scorer.pixels);
-    best.map_or(fallback, |(_, d)| d)
+    best.map_or((fallback, true), |((_, d), converged)| (d, converged))
 }
 
 /// The one place a pair's CCF is evaluated: holds the tiles and the
@@ -481,7 +617,7 @@ struct Scorer<'a> {
     a: &'a Image<u16>,
     b: &'a Image<u16>,
     kind: Option<PairKind>,
-    window: Option<StageWindow>,
+    search: Search,
     memo: &'a mut [MemoSlot],
     generation: u64,
     /// CCF kernel evaluations so far, and the overlap pixels they visited.
@@ -500,10 +636,7 @@ impl Scorer<'_> {
             Some(PairKind::North) if dy < 1 => return None,
             _ => {}
         }
-        if self
-            .window
-            .is_some_and(|w| w.offset(dx, dy) > 2 * STAGE_REPEATABILITY)
-        {
+        if self.search.offset(dx, dy) > 2 * STAGE_REPEATABILITY {
             return None;
         }
         let (w, h) = self.a.dims();
@@ -536,8 +669,8 @@ impl Scorer<'_> {
     /// (bounded steps): the CCF landscape around the truth is smooth, so a
     /// short greedy walk snaps a peak that landed a pixel or two off onto
     /// it (the same translation refinement the NIST tool grew).
-    fn climb(&mut self, start: (f64, Displacement)) -> (f64, Displacement) {
-        const MAX_STEPS: usize = 8;
+    /// Also says whether it got there within [`MAX_STEPS`].
+    fn climb(&mut self, start: (f64, Displacement)) -> ((f64, Displacement), bool) {
         /// Search radius per step. Radius 2 jumps over the single-pixel
         /// saddles that trap a radius-1 climb on smooth content.
         const RADIUS: i64 = 2;
@@ -557,58 +690,21 @@ impl Scorer<'_> {
                 }
             }
             if (best.1.x, best.1.y) == (center.x, center.y) {
-                break;
+                return (best, true);
             }
         }
-        best
+        (best, false)
     }
 }
+
+/// Steps of one hill-climb.
+const MAX_STEPS: usize = 8;
 
 /// A leader whose refined correlation is below this has not matched one
 /// scene in both tiles and does not close the search: census truths
 /// correlate above 0.8 where the overlap is workable, and the right
 /// answers a bare fraction test lost sat behind leaders at 0.19 and 0.25.
 const CONVINCING_CCF: f64 = 0.5;
-
-/// A GPU schedule's host side of its pairs, one per CCF worker: the
-/// CCF over the peaks of a device surface searched over a window's rows,
-/// and, for a pair whose windowed winner falls back, the whole surface
-/// recomputed on a host context (built on the first fallback, reused
-/// after; the device runs these kernels with a default planner's plans,
-/// so the bits are its). A fallback is counted as the CPU path's work.
-#[derive(Default)]
-pub(crate) struct DeviceCcf {
-    scratch: CcfScratch,
-    host: Option<PciamContext>,
-}
-
-impl DeviceCcf {
-    /// The displacement of a `kind` pair from its device `peaks`.
-    pub(crate) fn resolve(
-        &mut self,
-        peaks: impl Iterator<Item = usize>,
-        (a, b): (&Image<u16>, &Image<u16>),
-        kind: PairKind,
-        window: Option<StageWindow>,
-        meter: &Meter,
-    ) -> Displacement {
-        let (scratch, kind) = (&mut self.scratch, Some(kind));
-        let d = resolve_peaks_oriented_into(peaks, a, b, kind, window, scratch, meter);
-        let Some(window) = window.filter(|w| w.falls_back(&d, &meter.counters)) else {
-            return d;
-        };
-        let (w, h) = a.dims();
-        let host = self.host.get_or_insert_with(|| {
-            PciamContext::new(&Planner::default(), w, h, OpCounters::new_shared())
-        });
-        let (fa, fb) = (host.forward_fft(a), host.forward_fft(b));
-        host.correlation_peaks_into(&fa, &fb, DEFAULT_PEAK_COUNT, RowBand::all(h));
-        meter.counters.count_inverse_rest(&host.fft, window.rows());
-        meter.counters.count_max_reduction();
-        let peaks = host.pair.peaks.iter().map(|&(i, _)| i);
-        resolve_peaks_oriented_into(peaks, a, b, kind, None, scratch, meter)
-    }
-}
 
 /// Behind a convincing leader, a candidate is climbed only from this
 /// fraction of the leader's refined significance. That shuts out starts
@@ -746,7 +842,7 @@ mod tests {
     fn recovers_known_shift_east() {
         let (w, h) = (96, 64);
         let (a, b) = scene_pair(w, h, 77, 3, 0.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (77, 3), "corr={}", d.correlation);
         assert!(d.correlation > 0.8);
     }
@@ -757,7 +853,7 @@ mod tests {
         // case the signed candidates exist for
         let (w, h) = (96, 64);
         let (a, b) = scene_pair(w, h, 76, -4, 0.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (76, -4));
     }
 
@@ -765,7 +861,7 @@ mod tests {
     fn recovers_shift_south() {
         let (w, h) = (64, 96);
         let (a, b) = scene_pair(w, h, -2, 75, 0.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (-2, 75));
     }
 
@@ -773,7 +869,7 @@ mod tests {
     fn robust_to_sensor_noise() {
         let (w, h) = (96, 64);
         let (a, b) = scene_pair(w, h, 75, 2, 80.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (75, 2));
     }
 
@@ -781,15 +877,48 @@ mod tests {
     fn zero_shift_is_identity() {
         let (w, h) = (48, 48);
         let (a, b) = scene_pair(w, h, 0, 0, 0.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (0, 0));
         assert!(d.correlation > 0.99);
     }
 
     #[test]
     fn candidates_cover_all_sign_combinations() {
-        let c = peak_candidates(5 + 3 * 16, 16, 12); // x=5, y=3
+        let c = peak_candidates(5 + 3 * 16, (16, 12), 1); // x=5, y=3
         assert_eq!(c, [(5, 3), (-11, 3), (5, -9), (-11, -9)]);
+    }
+
+    /// A peak of a 2×2-binned surface stands for twice its coordinates on
+    /// the tile, each wrapped by the tile's own sides.
+    #[test]
+    fn binned_peaks_map_to_full_resolution_candidates() {
+        let c = peak_candidates(5 + 3 * 8, (16, 12), 2); // binned x=5, y=3
+        assert_eq!(c, [(10, 6), (-6, 6), (10, -6), (-6, -6)]);
+        // the last binned row and column: both axes wrap to −2
+        let c = peak_candidates(7 + 5 * 8, (16, 12), 2);
+        assert_eq!(c[3], (-2, -2));
+    }
+
+    #[test]
+    fn only_a_stage_whose_binned_tile_takes_a_window_runs_at_factor_2() {
+        let at = |w, h, overlap| resolution((w, h), overlap);
+        assert_eq!(at(1392, 1040, Some(0.1)), 2);
+        assert_eq!(at(528, 264, Some(0.1)), 2);
+        // the other benchmark plates, a binned tile under 132 rows
+        assert_eq!(at(232, 174, Some(0.15)), 1);
+        assert_eq!(at(256, 192, Some(0.15)), 1);
+        assert_eq!(at(96, 72, Some(0.25)), 1);
+        assert_eq!(at(528, 262, Some(0.1)), 1);
+        // odd sides, no stage, no overlap
+        assert_eq!(at(1391, 1040, Some(0.1)), 1);
+        assert_eq!(at(1392, 1041, Some(0.1)), 1);
+        assert_eq!(at(1392, 1040, None), 1);
+        assert_eq!(at(1392, 1040, Some(0.0)), 1);
+        assert_eq!(
+            PciamContext::spectrum_len((1392, 1040), Some(0.1)),
+            349 * 520
+        );
+        assert_eq!(PciamContext::spectrum_len((1392, 1040), None), 697 * 1040);
     }
 
     #[test]
@@ -850,7 +979,7 @@ mod tests {
         let counters = OpCounters::new_shared();
         let mut ctx = PciamContext::new(&Planner::default(), w, h, Arc::clone(&counters));
         let (a, b) = scene_pair(w, h, 20, 1, 0.0);
-        ctx.pciam(&a, &b);
+        ctx.pciam(&a, &b, None);
         let s = counters.snapshot();
         assert_eq!(s.forward_ffts, 2);
         assert_eq!(s.elementwise_mults, 1);
@@ -864,19 +993,19 @@ mod tests {
         // 58×42 → prime-ish factors, exercises Bluestein inside the 2-D FFT
         let (w, h) = (58, 41);
         let (a, b) = scene_pair(w, h, 43, 2, 0.0);
-        let d = ctx(w, h).pciam(&a, &b);
+        let d = ctx(w, h).pciam(&a, &b, None);
         assert_eq!((d.x, d.y), (43, 2));
     }
 
     #[test]
     fn spectrum_len_is_the_half_spectrum() {
         // (w/2+1)·h bins, odd widths included
-        assert_eq!(PciamContext::spectrum_len(96, 64), 49 * 64);
-        assert_eq!(PciamContext::spectrum_len(87, 58), 44 * 58);
+        assert_eq!(PciamContext::spectrum_len((96, 64), None), 49 * 64);
+        assert_eq!(PciamContext::spectrum_len((87, 58), None), 44 * 58);
         for (w, h) in [(96usize, 64usize), (87, 58)] {
             let img = Image::from_fn(w, h, |x, y| (x * 31 + y * 17) as u16);
             let len = ctx(w, h).forward_fft(&img).len();
-            assert_eq!(len, PciamContext::spectrum_len(w, h), "{w}x{h}");
+            assert_eq!(len, PciamContext::spectrum_len((w, h), None), "{w}x{h}");
         }
     }
 
@@ -885,7 +1014,7 @@ mod tests {
     fn rejects_a_pool_sized_for_other_tiles() {
         let pool = SpectrumPool::new(96 * 64);
         let counters = OpCounters::new_shared();
-        PciamContext::with_pool(&Planner::default(), 96, 64, counters, pool);
+        PciamContext::with_pool(&Planner::default(), (96, 64), None, counters, pool);
     }
 
     #[test]
@@ -943,7 +1072,7 @@ mod tests {
             a,
             b,
             kind,
-            window: None,
+            search: Search::new(a.dims(), None, None, 1),
             memo,
             generation: 1,
             probes: 0,
@@ -970,7 +1099,7 @@ mod tests {
         let truth = scorer.score(-3, 53).unwrap();
         let junk = scorer.score(-56, 16).unwrap();
         assert!(junk.0 < 0.0, "{junk:?}");
-        let slid = scorer.climb(junk);
+        let (slid, _) = scorer.climb(junk);
         assert_eq!((slid.1.x, slid.1.y), (-65, 2));
         assert!(slid.0 > truth.0, "{slid:?} vs {truth:?}");
         assert!(!climb_gate(junk.0, truth));
@@ -1034,9 +1163,10 @@ mod tests {
                 memo: vec![(0, (0, 0), 0.0); 2].into(),
                 ..CcfScratch::default()
             };
+            let whole = Search::new((64, 48), None, None, 1);
             let direct =
-                resolve_peaks_oriented_into(peaks, &a, &b, kind, None, &mut scratch, &tiny);
-            assert_eq!(direct, d, "seed {seed}");
+                resolve_peaks_oriented_into(peaks, (&a, &b), kind, &whole, &mut scratch, &tiny);
+            assert_eq!(direct.0, d, "seed {seed}");
         }
         let (full, tiny) = (
             full.snapshot().ccf_probes,
@@ -1078,14 +1208,17 @@ mod tests {
     /// A context searching within the stage window of `overlap`, counting
     /// on `counters`.
     fn staged(w: usize, h: usize, overlap: f64, counters: &Arc<OpCounters>) -> PciamContext {
-        PciamContext::new(&Planner::default(), w, h, Arc::clone(counters)).with_stage(Some(overlap))
+        let pool = SpectrumPool::new(PciamContext::spectrum_len((w, h), Some(overlap)));
+        let (dims, counters) = ((w, h), Arc::clone(counters));
+        PciamContext::with_pool(&Planner::default(), dims, Some(overlap), counters, pool)
     }
 
     #[test]
     fn the_window_needs_132_rows_and_an_overlap() {
-        let west = StageWindow::new((232, 174), PairKind::West, Some(0.15)).unwrap();
+        let search = |kind, dims| Search::new(dims, Some(kind), Some(0.15), 1);
+        let west = search(PairKind::West, (232, 174));
         // dy in [-16, 16]: rows 158..174 then 0..=16, lower rows first
-        assert_eq!(west.rows().ranges(), [0..17, 158..174]);
+        assert_eq!(west.rows.ranges(), [0..17, 158..174]);
         // centred on the step (197, 0); a winner on the edge or past it
         // falls back, as does a weak one
         assert_eq!(
@@ -1093,15 +1226,22 @@ mod tests {
             (16, 17)
         );
         let counters = OpCounters::new_shared();
-        let falls = |x, y, ccf| west.falls_back(&Displacement::new(x, y, ccf), &counters);
+        let falls = |x, y, ccf| west.falls_back(&Displacement::new(x, y, ccf), true, &counters);
         assert!(!falls(197 + 15, -15, 0.9) && falls(197 - 16, 0, 0.9) && falls(197, 0, 0.4));
         assert_eq!(counters.snapshot().window_fallbacks, 2);
-        let north = StageWindow::new((232, 174), PairKind::North, Some(0.15)).unwrap();
-        assert_eq!(north.rows().ranges(), [132..165, 0..0]);
+        let north = search(PairKind::North, (232, 174));
+        assert_eq!(north.rows.ranges(), [132..165, 0..0]);
         assert_eq!(north.offset(-16, 150), 16);
-        assert!(StageWindow::new((64, 132), PairKind::West, Some(0.1)).is_some());
-        assert!(StageWindow::new((64, 131), PairKind::West, Some(0.1)).is_none());
-        assert!(StageWindow::new((64, 200), PairKind::West, Some(0.0)).is_none());
+        let window = |dims, overlap| stage_window(dims, PairKind::West, Some(overlap));
+        assert!(window((64, 132), 0.1).is_some());
+        assert!(window((64, 131), 0.1).is_none());
+        assert!(window((64, 200), 0.0).is_none());
+        // no window: the whole surface, nothing refused, nothing set aside
+        let unstaged = Search::new((64, 131), Some(PairKind::West), Some(0.1), 1);
+        assert_eq!(
+            (unstaged.rows, unstaged.offset(-60, 99)),
+            (RowBand::all(131), 0)
+        );
     }
 
     /// A windowed pair that holds: the inverse counts only the rows it
@@ -1112,7 +1252,7 @@ mod tests {
         let (a, b) = scene_pair(w, h, 145, -3, 20.0);
         let counters = OpCounters::new_shared();
         let mut ctx = staged(w, h, 0.1, &counters);
-        let d = ctx.pciam_oriented(&a, &b, PairKind::West);
+        let d = ctx.pciam(&a, &b, Some(PairKind::West));
         assert_eq!((d.x, d.y), (145, -3));
         assert_eq!(d, west(&a, &b), "the full surface's answer");
         let s = counters.snapshot();
@@ -1135,7 +1275,7 @@ mod tests {
         let (a, b) = rough_pair(w, h, 100, 3, 5150);
         let counters = OpCounters::new_shared();
         let mut ctx = staged(w, h, 0.1, &counters);
-        let d = ctx.pciam_oriented(&a, &b, PairKind::West);
+        let d = ctx.pciam(&a, &b, Some(PairKind::West));
         assert_eq!(d, west(&a, &b), "the full surface's answer");
         assert_eq!((d.x, d.y), (100, 3));
         let s = counters.snapshot();
@@ -1154,12 +1294,106 @@ mod tests {
         let (a, b) = census_pair(CHANNEL_REPLAY, 6042, (26, 27));
         let (w, h) = a.dims();
         let mut ctx = staged(w, h, 0.15, &OpCounters::new_shared());
-        let d = ctx.pciam_oriented(&a, &b, PairKind::West);
+        let d = ctx.pciam(&a, &b, Some(PairKind::West));
         assert_eq!((d.x, d.y), (202, 1));
-        let window = StageWindow::new((w, h), PairKind::West, Some(0.15)).unwrap();
+        let window = Search::new((w, h), Some(PairKind::West), Some(0.15), 1);
         let (fa, fb) = (ctx.forward_fft(&a), ctx.forward_fft(&b));
-        ctx.correlation_peaks_into(&fa, &fb, DEFAULT_PEAK_COUNT, window.rows());
-        let d = ctx.resolve(&a, &b, Some(PairKind::West), None);
+        ctx.correlation_peaks_into(&fa, &fb, DEFAULT_PEAK_COUNT, window.rows);
+        let whole = Search::new((w, h), None, None, 1);
+        let (d, _) = ctx.resolve((&a, &b), Some(PairKind::West), &whole);
         assert_eq!((d.x, d.y), (112, 8));
+    }
+
+    /// A coarse winner that holds is the factor-1 context's answer, from
+    /// transforms that ran and counted at the binned size.
+    #[test]
+    fn a_coarse_pair_that_holds_is_the_full_resolution_answer() {
+        let (w, h) = (320, 264);
+        let (a, b) = rough_pair(w, h, 240, 2, 5150);
+        let counters = OpCounters::new_shared();
+        let mut ctx = staged(w, h, 0.25, &counters);
+        assert_eq!(ctx.factor, 2);
+        let d = ctx.pciam(&a, &b, Some(PairKind::West));
+        assert_eq!((d.x, d.y), (240, 2));
+        let fine = PciamContext::full_resolution(
+            &Planner::default(),
+            (w, h),
+            Some(0.25),
+            Meter::default(),
+        );
+        assert_eq!(d, { fine }.pciam(&a, &b, Some(PairKind::West)));
+        let s = counters.snapshot();
+        assert_eq!(
+            (s.coarse_pairs, s.coarse_fallbacks, s.windowed_pairs),
+            (1, 0, 0)
+        );
+        let plan = RealFft2d::<f32>::new(&Planner::default(), w / 2, h / 2);
+        let skipped = plan.row_pass_mults(Direction::Inverse, h / 2 - 33);
+        let full = 2 * plan.real_mults(Direction::Forward) + plan.real_mults(Direction::Inverse);
+        assert_eq!(s.fft_real_mults, full - skipped);
+    }
+
+    /// Told a stage it was not scanned on, a coarse pair's winner is weak
+    /// and the pair is redone by the factor-1 context, whose own window
+    /// falls back in turn: the answer is that context's, bit for bit, and
+    /// the whole surface's.
+    #[test]
+    fn a_doubtful_coarse_pair_is_the_factor_1_contexts_answer() {
+        let (w, h) = (320, 264);
+        let (a, b) = rough_pair(w, h, 240, 2, 5150);
+        let counters = OpCounters::new_shared();
+        let d = staged(w, h, 0.45, &counters).pciam(&a, &b, Some(PairKind::West));
+        let mut fine = PciamContext::full_resolution(
+            &Planner::default(),
+            (w, h),
+            Some(0.45),
+            Meter::default(),
+        );
+        assert_eq!(d, fine.pciam(&a, &b, Some(PairKind::West)));
+        assert_eq!(d, west(&a, &b), "the full surface's answer");
+        let s = counters.snapshot();
+        let fallbacks = [
+            s.coarse_pairs,
+            s.coarse_fallbacks,
+            s.windowed_pairs,
+            s.window_fallbacks,
+        ];
+        assert_eq!(fallbacks, [1, 1, 1, 1]);
+        assert_eq!((s.forward_ffts, s.inverse_ffts, s.ccf_groups), (4, 3, 3));
+    }
+
+    /// A climb that has not reached a local maximum within `MAX_STEPS`
+    /// says so, and a coarse winner from it is redone however well it
+    /// correlates; a factor-1 window ignores it, as it always has.
+    #[test]
+    fn a_climb_that_has_not_converged_falls_back() {
+        // one broad bump: the significance rises all the way to the truth
+        let bump = |x: f64, y: f64| {
+            let r2 = ((x - 150.0).powi(2) + (y - 60.0).powi(2)) / (2.0 * 70.0 * 70.0);
+            (20_000.0 * (-r2).exp()) as u16
+        };
+        let a = Image::from_fn(200, 150, |x, y| bump(x as f64, y as f64));
+        let b = Image::from_fn(200, 150, |x, y| bump(x as f64 + 100.0, y as f64));
+        let mut scratch = CcfScratch::default();
+        let mut scorer = scorer(&a, &b, Some(PairKind::West), &mut scratch.memo);
+        let far = scorer.score(100 + 30, 0).unwrap();
+        let (stopped, converged) = scorer.climb(far);
+        assert!(!converged, "{stopped:?}");
+        assert_eq!(stopped.1.x, 100 + 30 - 2 * MAX_STEPS as i64);
+        let (near, converged) = scorer.climb(stopped);
+        assert!(converged && (near.1.x, near.1.y) == (100, 0), "{near:?}");
+
+        let counters = OpCounters::new_shared();
+        let strong = Displacement::new(288, 0, 0.99);
+        let coarse = Search::new((320, 264), Some(PairKind::West), Some(0.1), 2);
+        assert!(coarse.falls_back(&strong, false, &counters));
+        assert!(!coarse.falls_back(&strong, true, &counters));
+        let windowed = Search::new((320, 264), Some(PairKind::West), Some(0.1), 1);
+        assert!(!windowed.falls_back(&strong, false, &counters));
+        let s = counters.snapshot();
+        assert_eq!(
+            [s.coarse_pairs, s.coarse_fallbacks, s.windowed_pairs],
+            [2, 1, 1]
+        );
     }
 }

@@ -84,17 +84,22 @@ impl<'a> Phase1<'a> {
 
     /// A kernel context over the run's tiles that counts on the run's
     /// counters and stamps on `track`, recycling spectra through `pool`,
-    /// and searches within the source's stage window.
+    /// and searches on the source's stage.
     pub(crate) fn context(
         &self,
         planner: &Planner,
         pool: SpectrumPool,
         track: String,
     ) -> PciamContext {
-        let (w, h) = self.source.tile_dims();
-        PciamContext::with_pool(planner, w, h, Arc::clone(&self.counters), pool)
+        let (dims, overlap) = (self.source.tile_dims(), self.source.nominal_overlap());
+        PciamContext::with_pool(planner, dims, overlap, Arc::clone(&self.counters), pool)
             .traced(self.trace, track)
-            .with_stage(self.source.nominal_overlap())
+    }
+
+    /// Elements of one spectrum of the run's tiles on the source's stage
+    /// ([`PciamContext::spectrum_len`]).
+    pub(crate) fn spectrum_len(&self) -> usize {
+        PciamContext::spectrum_len(self.source.tile_dims(), self.source.nominal_overlap())
     }
 
     /// Reads tile `id` with the policy's retries, as a `read` span on
@@ -109,10 +114,10 @@ impl<'a> Phase1<'a> {
     }
 
     /// Books the run into `result`: elapsed time, op counts (the stage
-    /// window's two also as trace counters), the peak of live transforms
-    /// (also the `peak_live_tiles` gauge) and tile health,
-    /// which fails the run when a tile was lost and the policy forbids
-    /// partial output.
+    /// window's two and the coarse search's two also as trace counters),
+    /// the peak of live transforms (also the `peak_live_tiles` gauge) and
+    /// tile health, which fails the run when a tile was lost and the
+    /// policy forbids partial output.
     pub(crate) fn finish(
         self,
         mut result: StitchResult,
@@ -127,6 +132,9 @@ impl<'a> Phase1<'a> {
         self.trace.add_counter("windowed_pairs", ops.windowed_pairs);
         self.trace
             .add_counter("window_fallbacks", ops.window_fallbacks);
+        self.trace.add_counter("coarse_pairs", ops.coarse_pairs);
+        self.trace
+            .add_counter("coarse_fallbacks", ops.coarse_fallbacks);
         result.health = self.tracker.finish(self.policy)?;
         Ok(result)
     }

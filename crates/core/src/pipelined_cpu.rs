@@ -39,7 +39,6 @@ use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::pairgraph::PairLedger;
-use crate::pciam::PciamContext;
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -194,7 +193,7 @@ impl Stitcher for PipelinedCpuStitcher {
         source: &dyn TileSource,
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
-        let (shape, (w, h)) = (source.shape(), source.tile_dims());
+        let shape = source.shape();
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
@@ -212,7 +211,7 @@ impl Stitcher for PipelinedCpuStitcher {
         // spectra released by bookkeeping recycle through a pool shared by
         // all fft/displacement workers (externally owned when the batch
         // scheduler injected a quota pool)
-        let spectrum_len = PciamContext::spectrum_len(w, h);
+        let spectrum_len = frame.spectrum_len();
         let spectra = match &self.shared_spectra {
             Some(p) => {
                 assert_eq!(
@@ -472,7 +471,7 @@ mod tests {
     #[test]
     fn fft_stage_panic_is_an_error_not_a_hang() {
         for threads in [1, 2] {
-            let spectra = SpectrumPool::new(PciamContext::spectrum_len(64, 48));
+            let spectra = SpectrumPool::new(crate::PciamContext::spectrum_len((64, 48), None));
             let stitcher = PipelinedCpuStitcher {
                 shared_spectra: Some(spectra.clone()),
                 fft_panic_at: Some(TileId::new(1, 2)),

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stitch_fft::{RealFft2d, RowBand, C32};
+use stitch_fft::{RealFft2d, C32};
 use stitch_gpu::{Device, Event, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -49,7 +49,7 @@ use stitch_trace::TraceHandle;
 use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::{GridShape, Traversal};
 use crate::pairgraph::PairLedger;
-use crate::pciam::{DeviceCcf, PciamContext, StageWindow, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolution, PciamContext, Search, DEFAULT_PEAK_COUNT};
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -146,14 +146,14 @@ struct TransformedShare {
 }
 
 /// Stage 5 → 6 payload: reduction scalars back on the host, and the
-/// window they were searched in.
+/// search they came from.
 struct CcfTask {
     peaks: Vec<usize>,
     a: Arc<Image<u16>>,
     b: Arc<Image<u16>>,
     kind: PairKind,
     slot: usize,
-    window: Option<StageWindow>,
+    search: Search,
 }
 
 /// One device's slice of the grid: owned columns `[col_lo, col_hi)` plus
@@ -226,9 +226,13 @@ impl PipelinedGpuStitcher {
         let (source, counters) = (frame.source, &frame.counters);
         let shape = source.shape();
         let (w, h) = source.tile_dims();
-        let n = w * h;
-        let spectrum_len = PciamContext::spectrum_len(w, h);
-        let plan = Arc::new(RealFft2d::new(device.planner(), w, h));
+        // the Fourier half runs on tiles binned by `factor`, the CCF on
+        // the full-resolution host images
+        let overlap = source.nominal_overlap();
+        let factor = resolution((w, h), overlap);
+        let (n, cw, ch) = (w * h, w / factor, h / factor);
+        let spectrum_len = frame.spectrum_len();
+        let plan = Arc::new(RealFft2d::new(device.planner(), cw, ch));
         let part_cols = partition.col_hi - partition.read_lo();
         let pool_size = self
             .config
@@ -305,7 +309,7 @@ impl PipelinedGpuStitcher {
         {
             let w34 = q34.writer();
             let stream = device.create_stream("fft");
-            let real = device.alloc::<f32>(n).expect("fft workspace");
+            let real = device.alloc::<f32>(cw * ch).expect("fft workspace");
             let plan = Arc::clone(&plan);
             #[cfg(test)]
             let fft_panic_at = self.fft_panic_at;
@@ -320,7 +324,7 @@ impl PipelinedGpuStitcher {
                 #[cfg(test)]
                 assert_ne!(Some(t.id), fft_panic_at, "injected fft-stage panic");
                 stream.wait_event(&t.copied);
-                stream.fft2d_forward(&plan, t.staging, &real, t.buf.buffer());
+                stream.fft2d_forward((&plan, factor), t.staging, &real, t.buf.buffer());
                 counters.count_forward_fft(&plan);
                 let transformed = stream.record_event();
                 w34.push(TransformedMsg::Tile(TransformedTile {
@@ -368,10 +372,10 @@ impl PipelinedGpuStitcher {
             let w56 = q56.writer();
             let stream = device.create_stream("disp");
             let pair_buf = device.alloc::<C32>(spectrum_len).expect("pair buffer");
-            let surface = device.alloc::<f32>(n).expect("correlation surface");
+            let surface = device.alloc::<f32>(cw * ch).expect("correlation surface");
             let displacer = move |task: PairTask| {
-                let window = StageWindow::new((w, h), task.kind, source.nominal_overlap());
-                let band = window.map_or(RowBand::all(h), |w| w.rows());
+                let search = Search::new((w, h), Some(task.kind), overlap, factor);
+                let band = search.rows;
                 stream.wait_event(&task.a.transformed);
                 stream.wait_event(&task.b.transformed);
                 let (fa, fb) = (task.a.buf.buffer(), task.b.buf.buffer());
@@ -380,7 +384,7 @@ impl PipelinedGpuStitcher {
                 stream.fft2d_inverse(&plan, &pair_buf, &surface, band);
                 counters.count_inverse_fft(&plan, band);
                 let peaks = stream
-                    .top_abs_peaks(&surface, n, w, band, DEFAULT_PEAK_COUNT)
+                    .top_abs_peaks(&surface, cw * ch, cw, band, DEFAULT_PEAK_COUNT)
                     .wait();
                 counters.count_max_reduction();
                 // device buffers release here (Arc drop) — after the
@@ -391,7 +395,7 @@ impl PipelinedGpuStitcher {
                     b: task.b.img.clone(),
                     kind: task.kind,
                     slot: task.slot,
-                    window,
+                    search,
                 });
             };
             pipeline.add_stage_with(&stage("disp"), q45.clone(), [displacer]);
@@ -457,13 +461,18 @@ impl Stitcher for PipelinedGpuStitcher {
                 })
                 .collect();
             // Stage 6 — CCF workers (host), shared by all pipelines.
+            let (dims, overlap) = (source.tile_dims(), source.nominal_overlap());
             let ccf_workers = (0..self.config.ccf_threads).map(|worker| {
-                let meter = frame.meter(format!("ccf.{worker}"));
-                // per-worker CCF scratch, reused across pairs
-                let mut ccf = DeviceCcf::default();
+                // per-worker host context planned as the device is, reused
+                // across pairs: the CCF and its fallback
+                let (planner, meter) = (
+                    self.devices[0].planner(),
+                    frame.meter(format!("ccf.{worker}")),
+                );
+                let mut host = PciamContext::full_resolution(planner, dims, overlap, meter);
                 move |task: CcfTask| {
                     let (peaks, pair) = (task.peaks.iter().copied(), (&*task.a, &*task.b));
-                    let d = ccf.resolve(peaks, pair, task.kind, task.window, &meter);
+                    let d = host.resolve_device(peaks, pair, task.kind, task.search);
                     result.lock().set(task.kind, task.slot, d);
                 }
             });

@@ -15,7 +15,6 @@ use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
 use crate::pairgraph::PairLedger;
-use crate::pciam::PciamContext;
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -66,8 +65,8 @@ impl Stitcher for SimpleCpuStitcher {
         policy: &FailurePolicy,
     ) -> Result<StitchResult, StitchError> {
         let frame = Phase1::start(source, policy, &self.trace);
-        let (shape, (w, h)) = (source.shape(), source.tile_dims());
-        let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+        let shape = source.shape();
+        let pool = SpectrumPool::new(frame.spectrum_len());
         let planner = Planner::new(self.plan_mode);
         let mut ctx = frame.context(&planner, pool, "cpu/main".into());
         let mut result = StitchResult::empty(shape);

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use stitch_fft::{RealFft2d, RowBand, C32};
+use stitch_fft::{RealFft2d, C32};
 use stitch_gpu::{Device, PooledBuffer};
 use stitch_image::Image;
 use stitch_trace::TraceHandle;
@@ -19,7 +19,7 @@ use stitch_trace::TraceHandle;
 use crate::fault::{FailurePolicy, StitchError};
 use crate::grid::Traversal;
 use crate::pairgraph::PairLedger;
-use crate::pciam::{DeviceCcf, PciamContext, StageWindow, DEFAULT_PEAK_COUNT};
+use crate::pciam::{resolution, PciamContext, Search, DEFAULT_PEAK_COUNT};
 use crate::phase1::Phase1;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};
@@ -61,26 +61,30 @@ impl Stitcher for SimpleGpuStitcher {
         if shape.tiles() == 0 {
             return Ok(StitchResult::empty(shape));
         }
-        let n = w * h;
         let frame = Phase1::start(source, policy, &self.trace);
-        let (counters, meter) = (&frame.counters, frame.meter("cpu/main".into()));
+        let counters = &frame.counters;
+        // the Fourier half runs on tiles binned by `factor`, the CCF on
+        // the full-resolution host images
+        let overlap = source.nominal_overlap();
+        let factor = resolution((w, h), overlap);
+        let (n, cw, ch) = (w * h, w / factor, h / factor);
         let mut result = StitchResult::empty(shape);
 
         // §IV-A: "allocates a pool of buffers in GPU memory for FFT
         // transforms ... to help manage the limited memory available"
         let pool_size = 2 * shape.rows.min(shape.cols) + 4;
-        let spectrum_len = PciamContext::spectrum_len(w, h);
+        let spectrum_len = frame.spectrum_len();
         let pool = self
             .device
             .buffer_pool::<C32>(spectrum_len, pool_size)
             .expect("transform pool fits device memory");
         let stream = self.device.create_stream("default");
-        let plan = Arc::new(RealFft2d::new(self.device.planner(), w, h));
+        let plan = Arc::new(RealFft2d::new(self.device.planner(), cw, ch));
         let staging = Arc::new(self.device.alloc::<u16>(n).expect("staging buffer"));
-        // one real workspace serves both transforms (the widened tile of
+        // one real workspace serves both transforms (the binned tile of
         // the forward one, the correlation surface of the inverse one):
         // every operation below is synchronous on one stream
-        let real = self.device.alloc::<f32>(n).expect("real workspace");
+        let real = self.device.alloc::<f32>(cw * ch).expect("real workspace");
         let pair_buf = self.device.alloc::<C32>(spectrum_len).expect("pair buffer");
 
         let mut ledger: PairLedger<DeviceTile> = PairLedger::new(shape);
@@ -88,7 +92,9 @@ impl Stitcher for SimpleGpuStitcher {
         // h2d below means the upload buffer is unique again right after
         // each synchronize, so one allocation serves every tile
         let mut upload: Arc<Vec<u16>> = Arc::new(vec![0u16; n]);
-        let mut ccf = DeviceCcf::default();
+        // the host's CCF, and its fallback, on a context planned as the device is
+        let meter = frame.meter("cpu/main".into());
+        let mut host = PciamContext::full_resolution(self.device.planner(), (w, h), overlap, meter);
 
         for id in Traversal::ChainedDiagonal.order(shape) {
             // read tile (host), copy synchronously, transform
@@ -103,15 +109,15 @@ impl Stitcher for SimpleGpuStitcher {
             }
             stream.h2d(Arc::clone(&upload), &staging);
             stream.synchronize(); // synchronous cudaMemcpy
-            stream.fft2d_forward(&plan, Arc::clone(&staging), &real, &buf);
+            stream.fft2d_forward((&plan, factor), Arc::clone(&staging), &real, &buf);
             stream.synchronize();
             counters.count_forward_fft(&plan);
 
             // complete ready pairs, one fully synchronous op at a time;
             // a released endpoint recycles its device buffer
             ledger.arrive(id, DeviceTile { img, buf }, |ta, tb, kind, slot| {
-                let window = StageWindow::new((w, h), kind, source.nominal_overlap());
-                let band = window.map_or(RowBand::all(h), |w| w.rows());
+                let search = Search::new((w, h), Some(kind), overlap, factor);
+                let band = search.rows;
                 stream.ncc(ta.buf.buffer(), tb.buf.buffer(), &pair_buf, spectrum_len);
                 stream.synchronize();
                 counters.count_elementwise();
@@ -119,12 +125,12 @@ impl Stitcher for SimpleGpuStitcher {
                 stream.synchronize();
                 counters.count_inverse_fft(&plan, band);
                 let peaks = stream
-                    .top_abs_peaks(&real, n, w, band, DEFAULT_PEAK_COUNT)
+                    .top_abs_peaks(&real, cw * ch, cw, band, DEFAULT_PEAK_COUNT)
                     .wait();
                 counters.count_max_reduction();
                 // CCF disambiguation on the CPU (host images)
                 let peaks = peaks.iter().map(|p| p.index);
-                let d = ccf.resolve(peaks, (&ta.img, &tb.img), kind, window, &meter);
+                let d = host.resolve_device(peaks, (&ta.img, &tb.img), kind, search);
                 result.set(kind, slot, d);
             });
         }

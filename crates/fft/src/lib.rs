@@ -62,4 +62,4 @@ pub use complex::{c64, Float, C32, C64};
 pub use fft2d::{transpose, Fft2d};
 pub use plan::{FftPlan, PlanMode, Planner};
 pub use radix::{dft_naive, Direction, MixedRadixPlan};
-pub use real::{RealFft2d, RowBand};
+pub use real::{bin_into, RealFft2d, RowBand};

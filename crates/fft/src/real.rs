@@ -40,6 +40,28 @@ pub fn spectrum_len(n: usize) -> usize {
     n / 2 + 1
 }
 
+/// The `f32` input of a transform at `1/factor` (1 or 2) of the resolution
+/// of a `u16` tile `width` pixels wide: each value the sum of one `factor
+/// × factor` block, exact in `f32`, so no order of additions can show.
+pub fn bin_into(pixels: &[u16], width: usize, factor: usize, out: &mut [f32]) {
+    if factor == 1 {
+        out.iter_mut()
+            .zip(pixels)
+            .for_each(|(o, &p)| *o = f32::from(p));
+        return;
+    }
+    for (rows, out) in pixels
+        .chunks_exact(2 * width)
+        .zip(out.chunks_exact_mut(width / 2))
+    {
+        let (upper, lower) = rows.split_at(width);
+        let blocks = upper.chunks_exact(2).zip(lower.chunks_exact(2));
+        for (o, (u, l)) in out.iter_mut().zip(blocks) {
+            *o = (u32::from(u[0]) + u32::from(u[1]) + u32::from(l[0]) + u32::from(l[1])) as f32;
+        }
+    }
+}
+
 /// The row transform of [`RealFft2d`]: a planned 1-D real-input FFT
 /// (forward: `n` reals → `n/2+1` complex; inverse: back to `n` reals).
 struct RealFft<T> {

@@ -29,24 +29,25 @@ pub struct MaxLoc {
 }
 
 impl Stream {
-    /// Kernel: forward real-input 2-D FFT of a `u16` tile. Widens
-    /// `staging` into the `width × height` workspace `real` and
-    /// transforms that into the half spectrum `out` (`plan.spectrum_len()`
-    /// bins). Flagged as an FFT so the device's Fermi serialization
-    /// applies. Build `plan` from the device's plan cache
-    /// ([`crate::Device::planner`]).
+    /// Kernel: forward real-input 2-D FFT of a `u16` tile at `1/factor`
+    /// of its resolution. Bins `staging` ([`stitch_fft::bin_into`]) into
+    /// the `width × height` workspace `real` of `plan` and transforms that
+    /// into the half spectrum `out` (`plan.spectrum_len()` bins). Flagged
+    /// as an FFT so the device's Fermi serialization applies. Build `plan`
+    /// from the device's plan cache ([`crate::Device::planner`]).
     ///
     /// `staging` is held until the kernel has executed, so a pooled lease
     /// handed over here returns to its pool only once it has been read.
     pub fn fft2d_forward(
         &self,
-        plan: &Arc<RealFft2d<f32>>,
+        (plan, factor): (&Arc<RealFft2d<f32>>, usize),
         staging: impl Deref<Target = DeviceBuffer<u16>> + Send + 'static,
         real: &DeviceBuffer<f32>,
         out: &DeviceBuffer<C32>,
     ) {
         let n = plan.width() * plan.height();
-        assert!(staging.len() >= n, "fft2d_forward staging too small");
+        let tile = n * factor * factor;
+        assert!(staging.len() >= tile, "fft2d_forward staging too small");
         assert!(real.len() >= n, "fft2d_forward workspace too small");
         assert!(
             out.len() >= plan.spectrum_len(),
@@ -56,9 +57,8 @@ impl Stream {
         self.enqueue(SpanKind::Kernel, true, "fft2d_fwd", 0, move |tok| {
             staging.map(tok, |s| {
                 real.map(tok, |r| {
-                    for (dst, &p) in r.iter_mut().zip(&s[..n]) {
-                        *dst = f32::from(p);
-                    }
+                    let width = plan.width() * factor;
+                    stitch_fft::bin_into(&s[..tile], width, factor, &mut r[..n]);
                     out.map(tok, |o| {
                         plan.forward(&r[..n], &mut o[..plan.spectrum_len()])
                     });
@@ -172,7 +172,7 @@ mod tests {
         let real = dev.alloc::<f32>(w * h).unwrap();
         let spec = dev.alloc::<C32>(plan.spectrum_len()).unwrap();
         s.h2d(Arc::new(pixels.clone()), &staging);
-        s.fft2d_forward(&plan, Arc::clone(&staging), &real, &spec);
+        s.fft2d_forward((&plan, 1), Arc::clone(&staging), &real, &spec);
         let got = s.d2h(&spec).wait();
         let input: Vec<f32> = pixels.iter().map(|&p| f32::from(p)).collect();
         let mut reference = vec![C32::ZERO; plan.spectrum_len()];
@@ -218,7 +218,7 @@ mod tests {
         let spectra = [base, shifted].map(|signal| {
             let spec = dev.alloc::<C32>(plan.spectrum_len()).unwrap();
             s.h2d(Arc::new(signal), &staging);
-            s.fft2d_forward(&plan, Arc::clone(&staging), &real, &spec);
+            s.fft2d_forward((&plan, 1), Arc::clone(&staging), &real, &spec);
             spec
         });
         let pair = dev.alloc::<C32>(plan.spectrum_len()).unwrap();

@@ -16,7 +16,8 @@
 //! ```
 //! use stitch_image::{Image, tiff};
 //! let img = Image::from_fn(32, 16, |x, y| (x * y) as u16);
-//! let bytes = tiff::encode_tiff(&img);
+//! let mut bytes = Vec::new();
+//! tiff::write_to(&mut bytes, &img).unwrap();
 //! assert_eq!(tiff::decode_tiff(&bytes).unwrap(), img);
 //! ```
 

@@ -13,17 +13,10 @@ use crate::tiff::write_samples;
 /// Streams `img` as binary PGM (`P5`, maxval 65535): the header, then the
 /// big-endian samples through one small buffer, so no second copy of the
 /// image is ever built.
-fn write_to(out: &mut impl Write, img: &Image<u16>) -> std::io::Result<()> {
+pub fn write_to(out: &mut impl Write, img: &Image<u16>) -> Result<()> {
     let (w, h) = img.dims();
     write!(out, "P5\n{w} {h}\n65535\n")?;
-    write_samples(out, img.pixels(), u16::to_be_bytes)
-}
-
-/// Encodes a 16-bit grayscale image as binary PGM (`P5`, maxval 65535).
-pub fn encode_pgm(img: &Image<u16>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(img.len() * 2 + 32);
-    write_to(&mut out, img).expect("writing to a Vec cannot fail");
-    out
+    Ok(write_samples(out, img.pixels(), u16::to_be_bytes)?)
 }
 
 /// Decodes a binary PGM (`P5`) with maxval ≤ 65535.
@@ -84,11 +77,9 @@ pub fn decode_pgm(bytes: &[u8]) -> Result<Image<u16>> {
     Ok(Image::from_vec(w, h, data))
 }
 
-/// Writes an image to disk as binary PGM — the bytes of [`encode_pgm`],
-/// streamed to the file instead of assembled in memory first.
+/// Writes an image to disk as binary PGM ([`write_to`]).
 pub fn write_pgm(path: impl AsRef<Path>, img: &Image<u16>) -> Result<()> {
-    write_to(&mut fs::File::create(path)?, img)?;
-    Ok(())
+    write_to(&mut fs::File::create(path)?, img)
 }
 
 /// Reads a binary PGM from disk.
@@ -100,6 +91,13 @@ pub fn read_pgm(path: impl AsRef<Path>) -> Result<Image<u16>> {
 mod tests {
     use super::*;
     use crate::tiff::WRITE_BUF;
+
+    /// The PGM bytes of `img`, in memory.
+    fn encode_pgm(img: &Image<u16>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_to(&mut out, img).unwrap();
+        out
+    }
 
     #[test]
     fn round_trip() {

@@ -230,10 +230,12 @@ pub(crate) const WRITE_BUF: usize = 64 << 10;
 
 /// Writes `pixels` as two bytes each, `bytes` apart, converting through
 /// one buffer of [`WRITE_BUF`] bytes: the body of both image writers.
+/// `bytes` is inlined into the loop, so a byte order is a copy or a swap
+/// per sample, not a call.
 pub(crate) fn write_samples(
     out: &mut impl Write,
     pixels: &[u16],
-    bytes: fn(u16) -> [u8; 2],
+    bytes: impl Fn(u16) -> [u8; 2],
 ) -> std::io::Result<()> {
     let mut buf = [0u8; WRITE_BUF];
     for chunk in pixels.chunks(WRITE_BUF / 2) {
@@ -266,15 +268,23 @@ fn layout(width: usize, height: usize) -> Result<(u32, u32)> {
 /// header, pixels, IFD — converting through one small buffer
 /// ([`write_samples`]), so no second copy of the image is ever built.
 /// Refuses what [`layout`] refuses before writing a byte.
-fn write_to(out: &mut impl Write, img: &Image<u16>) -> Result<()> {
+pub fn write_to(out: &mut impl Write, img: &Image<u16>) -> Result<()> {
     let (w, h) = img.dims();
     let (pixel_bytes, ifd_off) = layout(w, h)?;
     let mut header = Vec::from(*b"II");
     header.extend_from_slice(&42u16.to_le_bytes());
     header.extend_from_slice(&ifd_off.to_le_bytes());
     out.write_all(&header)?;
-    // pixel data (one strip), then the IFD
-    write_samples(out, img.pixels(), u16::to_le_bytes)?;
+    // pixel data (one strip), then the IFD; a little-endian host's pixels
+    // already lie in memory as the file holds them
+    if cfg!(target_endian = "little") {
+        let px = img.pixels();
+        // SAFETY: a `u16` is two initialised bytes with no padding, so the
+        // slice's memory is `2 · len` readable bytes at `u8` alignment
+        out.write_all(unsafe { std::slice::from_raw_parts(px.as_ptr().cast(), px.len() * 2) })?;
+    } else {
+        write_samples(out, img.pixels(), u16::to_le_bytes)?;
+    }
     let n_tags = 9u16;
     let mut ifd = Vec::from(n_tags.to_le_bytes());
     let mut tag = |id: u16, typ: u16, count: u32, value: u32| {
@@ -302,23 +312,13 @@ fn write_to(out: &mut impl Write, img: &Image<u16>) -> Result<()> {
     Ok(())
 }
 
-/// Encodes a 16-bit grayscale image as an uncompressed little-endian
-/// single-strip TIFF. Panics on an image [`write_tiff`] refuses (a file
-/// past 4 GiB).
-pub fn encode_tiff(img: &Image<u16>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(img.len() * 2 + 8 + 2 + 9 * 12 + 4);
-    write_to(&mut out, img).expect("a classic TIFF cannot hold an image past 4 GiB");
-    out
-}
-
 /// Reads a TIFF file from disk.
 pub fn read_tiff(path: impl AsRef<Path>) -> Result<Image<u16>> {
     decode_tiff(&fs::read(path)?)
 }
 
-/// Writes an image to disk as TIFF — the bytes of [`encode_tiff`],
-/// streamed to the file instead of assembled in memory first. An image
-/// whose file would pass 4 GiB is refused before the file is created.
+/// Writes an image to disk as TIFF ([`write_to`]). An image whose file
+/// would pass 4 GiB is refused before the file is created.
 pub fn write_tiff(path: impl AsRef<Path>, img: &Image<u16>) -> Result<()> {
     layout(img.width(), img.height())?;
     write_to(&mut fs::File::create(path)?, img)
@@ -327,6 +327,13 @@ pub fn write_tiff(path: impl AsRef<Path>, img: &Image<u16>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The TIFF bytes of `img`, in memory.
+    fn encode_tiff(img: &Image<u16>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_to(&mut out, img).unwrap();
+        out
+    }
 
     /// A 46 341² mosaic's strip is 4 294 976 562 bytes, past `u32`: refused
     /// from its size alone. 46 340² still fits.

@@ -208,14 +208,18 @@ impl StitchJob {
 
     /// Host-memory bytes the scheduler reserves before running this job:
     /// the bounded spectrum-pool quota (`quota ×`
-    /// [`PciamContext::spectrum_bytes`]) plus the in-flight tile images the
-    /// transform pool admits. This is the admission-control cost model —
-    /// intentionally a ceiling, so the budget is never over-committed by
-    /// jobs that allocate less.
+    /// [`PciamContext::spectrum_bytes`] on the stage of the job's source)
+    /// plus the in-flight tile images the transform pool admits. This is
+    /// the admission-control cost model — intentionally a ceiling, so the
+    /// budget is never over-committed by jobs that allocate less.
     pub fn estimated_bytes(&self) -> usize {
         let (w, h) = (self.scan.tile_width, self.scan.tile_height);
+        let overlap = match &self.source {
+            Some(source) => source.as_dyn().nominal_overlap(),
+            None => Some(self.scan.overlap),
+        };
         let quota = self.spectrum_quota();
-        let spectra = quota * PciamContext::spectrum_bytes(w, h);
+        let spectra = quota * PciamContext::spectrum_bytes((w, h), overlap);
         let tiles = quota * w * h * std::mem::size_of::<u16>();
         spectra + tiles
     }

@@ -755,7 +755,7 @@ fn run_job(inner: &Arc<SchedInner>, job: StitchJob, handle: JobHandle, guard: Jo
         }
         // the arbitrated substrates: a bounded per-job pool quota and the
         // shared FFT plan cache
-        let buf_len = PciamContext::spectrum_len(job.scan.tile_width, job.scan.tile_height);
+        let buf_len = PciamContext::spectrum_len(source.tile_dims(), source.nominal_overlap());
         let stitcher = job.variant.build(&Resources {
             threads: job.threads,
             devices: inner.device.iter().cloned().collect(),

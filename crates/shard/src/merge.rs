@@ -77,7 +77,8 @@ pub fn register_seams_on(
 ) -> Result<SeamOutcome, StitchError> {
     let (w, h) = source.tile_dims();
     let counters = OpCounters::new_shared();
-    let pool = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+    let (dims, overlap) = ((w, h), source.nominal_overlap());
+    let pool = SpectrumPool::new(PciamContext::spectrum_len(dims, overlap));
     let contexts = Mutex::new(Vec::new());
     let tracker = FaultTracker::new(plan.grid);
     let pairs = plan.seam_pairs();
@@ -115,8 +116,7 @@ pub fn register_seams_on(
     let registered = par_map(workers, pairs, |pair| {
         let pooled = contexts.lock().pop();
         let mut ctx = pooled.unwrap_or_else(|| {
-            PciamContext::with_pool(planner, w, h, Arc::clone(&counters), pool.clone())
-                .with_stage(source.nominal_overlap())
+            PciamContext::with_pool(planner, dims, overlap, Arc::clone(&counters), pool.clone())
         });
         // a pair with a failed endpoint is void, as in the shard stitchers
         let d = match (fetch(&mut ctx, pair.a), fetch(&mut ctx, pair.b)) {
@@ -176,6 +176,8 @@ pub fn merge_results(
         merged.ops.fft_real_mults += local.ops.fft_real_mults;
         merged.ops.windowed_pairs += local.ops.windowed_pairs;
         merged.ops.window_fallbacks += local.ops.window_fallbacks;
+        merged.ops.coarse_pairs += local.ops.coarse_pairs;
+        merged.ops.coarse_fallbacks += local.ops.coarse_fallbacks;
         merged.health.total_retries += local.health.total_retries;
         peak_live = peak_live.max(local.peak_live_tiles);
     }

@@ -66,7 +66,7 @@ pub fn pciam_displacement(a: &Image<u16>, b: &Image<u16>) -> Displacement {
         a.height(),
         Arc::new(OpCounters::default()),
     );
-    ctx.pciam(a, b)
+    ctx.pciam(a, b, None)
 }
 
 /// A deterministic, well-textured analytic scene for rendering tile

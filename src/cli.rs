@@ -952,7 +952,8 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                     println!(
                         "phase 1: {pairs} pairs in {:.2?} ({} forward FFTs, peak {} live tiles; \
                          CCF {} probes over {} px: {:.1} probes per pair, {:.1} px per probe; \
-                         stage window on {} pairs, {} fell back)",
+                         stage window on {} pairs, {} fell back; \
+                         coarse search on {} pairs, {} redone)",
                         result.elapsed,
                         ops.forward_ffts,
                         result.peak_live_tiles,
@@ -961,7 +962,9 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                         ops.ccf_probes as f64 / pairs.max(1) as f64,
                         ops.ccf_pixels as f64 / ops.ccf_probes.max(1) as f64,
                         ops.windowed_pairs,
-                        ops.window_fallbacks
+                        ops.window_fallbacks,
+                        ops.coarse_pairs,
+                        ops.coarse_fallbacks
                     );
                     let positions = pass.positions.expect("a pass that is never stopped solves");
                     let mosaics = out.zip(pass.mosaic).into_iter().collect();

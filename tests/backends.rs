@@ -17,7 +17,7 @@ mod f64_reference;
 use std::sync::Arc;
 use stitch_core::pciam::{resolve_peaks_oriented, DEFAULT_PEAK_COUNT};
 
-use stitch_core::{OpCounters, OpCounts, PairKind, PciamContext};
+use stitch_core::{OpCounters, OpCounts, PairKind, PciamContext, SpectrumPool};
 use stitch_fft::backend::{self, BackendChoice};
 use stitch_fft::{PlanMode, Planner, RealFft2d, C32};
 use stitch_image::{Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
@@ -71,7 +71,8 @@ fn steady_state_pair_allocations(
     let (w, h) = a.dims();
     let planner = Planner::new(PlanMode::Estimate);
     let counters = OpCounters::new_shared();
-    let mut ctx = PciamContext::new(&planner, w, h, Arc::clone(&counters)).with_stage(overlap);
+    let pool = SpectrumPool::new(PciamContext::spectrum_len((w, h), overlap));
+    let mut ctx = PciamContext::with_pool(&planner, (w, h), overlap, Arc::clone(&counters), pool);
     let run_pair = |ctx: &mut PciamContext| {
         let fa = ctx.forward_fft(a);
         let fb = ctx.forward_fft(b);
@@ -110,28 +111,40 @@ fn toy_pair() -> (Image<u16>, Image<u16>) {
 /// The toy pair over the whole surface; a 232×174 pair (scanned at 10 %
 /// overlap) within its stage window, once where the window holds and
 /// once told 30 %, so the truth is outside and every pair falls back.
+/// Then a paper-size pair whose Fourier half runs on binned tiles, after
+/// one warm-up pair: told its overlap, no pair is redone; told 30 %,
+/// every pair is redone at full resolution and falls back there too.
 #[test]
 fn every_backend_is_allocation_free_in_steady_state() {
     let _guard = serial_guard();
-    let (toy, tall) = (toy_pair(), west_pair(232, 174, 29));
+    let (toy, tall, paper) = (
+        toy_pair(),
+        west_pair(232, 174, 29),
+        west_pair(1392, 1040, 7),
+    );
     for choice in choices() {
         backend::select(choice);
         let name = backend::resolved_name(choice);
-        for (pair, overlap, fallbacks) in [
-            (&toy, None, 0),
-            (&tall, Some(0.1), 0),
-            (&tall, Some(0.3), 8),
-        ] {
-            let (allocs, ops) = steady_state_pair_allocations(3, 5, pair, overlap);
+        let runs = [
+            (&toy, None, (3, 5), [0, 0, 0, 0]),
+            (&tall, Some(0.1), (3, 5), [8, 0, 0, 0]),
+            (&tall, Some(0.3), (3, 5), [8, 8, 0, 0]),
+            (&paper, Some(0.1), (1, 3), [0, 0, 4, 0]),
+            (&paper, Some(0.3), (1, 3), [4, 4, 4, 4]),
+        ];
+        for (pair, overlap, (warmup, pairs), want) in runs {
+            let (allocs, ops) = steady_state_pair_allocations(warmup, pairs, pair, overlap);
             assert_eq!(
                 allocs, 0,
                 "backend {name} at {overlap:?}: steady-state pair computation allocated {allocs} times"
             );
-            let windowed = if overlap.is_some() { 8 } else { 0 };
-            assert_eq!(
-                (ops.windowed_pairs, ops.window_fallbacks),
-                (windowed, fallbacks)
-            );
+            let got = [
+                ops.windowed_pairs,
+                ops.window_fallbacks,
+                ops.coarse_pairs,
+                ops.coarse_fallbacks,
+            ];
+            assert_eq!(got, want, "backend {name} at {overlap:?}");
         }
     }
     backend::select(BackendChoice::Auto);

@@ -218,12 +218,14 @@ fn wrong_sized_tile_aborts_with_the_tile_named() {
 fn phase1_line_prints_the_ccf_counters() {
     use stitching::core::{DirSource, SimpleCpuStitcher, Stitcher, TileSource};
 
-    for (w, h) in [(64, 48), (160, 140)] {
+    // toy tiles, tiles that take the stage window, and a 2×2 plate of
+    // paper tiles whose Fourier half runs binned
+    for (w, h, rows, cols) in [(64, 48, 3, 4), (160, 140, 3, 4), (1392, 1040, 2, 2)] {
         let dir = std::env::temp_dir().join(format!("stitch_cli_it_ccf_counters_{w}x{h}"));
         let _ = std::fs::remove_dir_all(&dir);
         let dir_s = dir.display().to_string();
         let cmd = parse(&argv(&format!(
-            "generate --out {dir_s} --rows 3 --cols 4 --tile-width {w} --tile-height {h}"
+            "generate --out {dir_s} --rows {rows} --cols {cols} --tile-width {w} --tile-height {h}"
         )))
         .unwrap();
         assert_eq!(run(cmd), 0);
@@ -252,8 +254,18 @@ fn phase1_line_prints_the_ccf_counters() {
             ops.ccf_probes > 0 && ops.ccf_pixels > ops.ccf_probes,
             "{ops:?}"
         );
-        let windowed = if h >= 132 { pairs as u64 } else { 0 };
+        let windowed = if (132..264).contains(&h) {
+            pairs as u64
+        } else {
+            0
+        };
         assert_eq!(ops.windowed_pairs, windowed, "{ops:?}");
+        let coarse = if h >= 264 { pairs as u64 } else { 0 };
+        assert_eq!(
+            (ops.coarse_pairs, ops.coarse_fallbacks),
+            (coarse, 0),
+            "{ops:?}"
+        );
         let want = [
             ops.ccf_probes.to_string(),
             ops.ccf_pixels.to_string(),
@@ -261,8 +273,12 @@ fn phase1_line_prints_the_ccf_counters() {
             format!("{:.1}", ops.ccf_pixels as f64 / ops.ccf_probes as f64),
             ops.windowed_pairs.to_string(),
             ops.window_fallbacks.to_string(),
+            ops.coarse_pairs.to_string(),
+            ops.coarse_fallbacks.to_string(),
         ];
-        let got = [words[0], words[3], words[5], words[9], words[16], words[18]];
+        let got = [
+            words[0], words[3], words[5], words[9], words[16], words[18], words[24], words[26],
+        ];
         assert_eq!(got, want.each_ref().map(String::as_str), "{line}");
         std::fs::remove_dir_all(&dir).ok();
     }

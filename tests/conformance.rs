@@ -271,6 +271,167 @@ fn truths_just_outside_the_window_fall_back_to_the_whole_surface() {
     assert!(fallbacks >= 3, "{fallbacks} fallbacks");
 }
 
+/// A plate of paper tiles against the benchmark's optics ([`OPTICS`]):
+/// overlap, stage jitter (px), colony count as a fraction of the
+/// specimen's, and the specimen's texture amplitude if not its own.
+#[derive(Clone, Copy)]
+struct Variation {
+    overlap: f64,
+    jitter: f64,
+    colonies: f64,
+    texture: Option<f64>,
+}
+
+/// The ledger's `paper_tile` rows: 10 % overlap, ±3 px.
+const OPTICS: Variation = Variation {
+    overlap: 0.10,
+    jitter: 3.0,
+    colonies: 1.0,
+    texture: None,
+};
+
+/// A 3×3 plate of paper tiles as `vary` says, scanned with `seed`; its
+/// specimen is the one stitchbench builds from seed 2014 for that plate.
+fn paper_plate(seed: u64, vary: Variation) -> SyntheticPlate {
+    let scan = |seed| ScanConfig {
+        stage_jitter: vary.jitter,
+        backlash_x: 1.5,
+        noise_sigma: 50.0,
+        vignette: 0.03,
+        ..ScanConfig::for_grid(3, 3, 1392, 1040, vary.overlap, seed)
+    };
+    let mut specimen = stitch_image::ChannelConfig::for_channel(&scan(2014), 0).scene;
+    specimen.colony_count = (specimen.colony_count as f64 * vary.colonies).round() as usize;
+    specimen.texture_amplitude = vary.texture.unwrap_or(specimen.texture_amplitude);
+    SyntheticPlate::generate_with_scene(scan(seed), specimen)
+}
+
+/// The plates binning alone got wrong (DESIGN.md § PCIAM
+/// "Coarse-to-fine"): a thin overlap, a stage worse than the window,
+/// sparse colonies and none at all.
+const COARSE_ROWS: [(&str, Variation); 4] = [
+    (
+        "5 % overlap",
+        Variation {
+            overlap: 0.05,
+            ..OPTICS
+        },
+    ),
+    (
+        "±10 px",
+        Variation {
+            jitter: 10.0,
+            ..OPTICS
+        },
+    ),
+    (
+        "colonies ×0.1",
+        Variation {
+            colonies: 0.1,
+            ..OPTICS
+        },
+    ),
+    (
+        "colony-free, texture 60",
+        Variation {
+            colonies: 0.0,
+            texture: Some(60.0),
+            ..OPTICS
+        },
+    ),
+];
+
+/// Stitches `plate` with Simple-CPU, feeds each pair's `(dx, dy)` to
+/// `digest` in grid order, and returns the run's counts.
+fn digest_pairs(plate: SyntheticPlate, digest: &mut stitch_image::Fnv64) -> OpCounts {
+    let source = SyntheticSource::new(plate);
+    let result = SimpleCpuStitcher::default().compute_displacements(&source);
+    let shape = source.shape();
+    for id in shape.ids() {
+        for d in [result.west_of(id), result.north_of(id)]
+            .into_iter()
+            .flatten()
+        {
+            digest.write_u64(d.x as u64);
+            digest.write_u64(d.y as u64);
+        }
+    }
+    result.ops
+}
+
+/// The coarse search on the plates where binning alone went wrong: a
+/// thin overlap, a stage worse than the window, sparse colonies and no
+/// colonies at all. Every displacement is the full-resolution path's —
+/// the digest was taken from a build without the coarse search — and the
+/// doubtful pairs that prove it are there: redone on the last three
+/// kinds, none at the benchmark's optics.
+#[test]
+fn coarse_search_moves_no_displacement() {
+    const FULL_RESOLUTION_DIGEST: u64 = 0x16a3_deca_6ce5_d3bf;
+    let mut digest = stitch_image::Fnv64::new();
+    for (i, (name, vary)) in COARSE_ROWS.into_iter().enumerate() {
+        let mut redone = 0;
+        for seed in [6042, 6043] {
+            let ops = digest_pairs(paper_plate(seed, vary), &mut digest);
+            assert_eq!(ops.coarse_pairs, 12, "{name} / {seed}");
+            redone += ops.coarse_fallbacks;
+        }
+        assert!(i == 0 || redone > 0, "{name}: no pair redone");
+    }
+    assert_eq!(
+        digest.finish(),
+        FULL_RESOLUTION_DIGEST,
+        "{:016x}",
+        digest.finish()
+    );
+    let ops = digest_pairs(paper_plate(6044, OPTICS), &mut stitch_image::Fnv64::new());
+    assert_eq!((ops.coarse_pairs, ops.coarse_fallbacks), (12, 0));
+}
+
+/// The census behind the coarse search (EXPERIMENTS.md "Coarse-to-fine"):
+/// per row of eight 3×3 paper plates, the pairs, how many were redone at
+/// full resolution, and the FNV digest of every pair's `(dx, dy)` — diff
+/// the digests against a build without the coarse search to see whether
+/// any displacement moved.
+///
+/// `cargo test --release --test conformance -- --ignored --nocapture coarse_census`
+#[test]
+#[ignore = "minutes in release"]
+fn coarse_census() {
+    let mut rows: Vec<(String, Variation, std::ops::Range<u64>)> = Vec::new();
+    for overlap in [0.04, 0.05, 0.075, 0.10, 0.15, 0.20] {
+        let name = format!("{:.1} % overlap", overlap * 100.0);
+        rows.push((name, Variation { overlap, ..OPTICS }, 6042..6050));
+    }
+    for jitter in [8.0, 10.0, 12.0] {
+        let name = format!("±{jitter} px");
+        rows.push((name, Variation { jitter, ..OPTICS }, 6042..6050));
+    }
+    for colonies in [0.25, 0.1] {
+        let name = format!("colonies ×{colonies}");
+        rows.push((name, Variation { colonies, ..OPTICS }, 6042..6050));
+    }
+    for texture in [60.0, 30.0] {
+        let name = format!("colony-free, texture {texture}");
+        let vary = Variation {
+            colonies: 0.0,
+            texture: Some(texture),
+            ..OPTICS
+        };
+        rows.push((name, vary, 6042..6050));
+    }
+    rows.push(("10.0 % overlap, 12 more scans".into(), OPTICS, 6050..6062));
+    println!("row\tpairs\tredone\tdxdy_fnv");
+    for (name, vary, seeds) in rows {
+        let (mut digest, mut pairs, mut redone) = (stitch_image::Fnv64::new(), 0, 0);
+        for seed in seeds {
+            let ops = digest_pairs(paper_plate(seed, vary), &mut digest);
+            (pairs, redone) = (pairs + ops.coarse_pairs, redone + ops.coarse_fallbacks);
+        }
+        println!("{name}\t{pairs}\t{redone}\t{:016x}", digest.finish());
+    }
+}
+
 #[test]
 fn all_variants_bit_identical_across_sweep() {
     let cases = sweep();
@@ -757,7 +918,7 @@ mod census {
             let (w, h) = self.a.dims();
             let mut scored: Vec<_> = peaks
                 .iter()
-                .flat_map(|&p| peak_candidates(p, w, h))
+                .flat_map(|&p| peak_candidates(p, (w, h), 1))
                 .filter_map(|(dx, dy)| self.score(dx, dy))
                 .collect();
             scored.sort_by(|(sa, da), (sb, db)| {

@@ -449,7 +449,7 @@ fn assert_read_stage_panic(err: StitchError, read_stage: &str, case: &str) {
 fn pipelined_cpu_contains_a_panicking_read() {
     for threads in [1, 2] {
         let (w, h) = (64, 48);
-        let spectra = SpectrumPool::new(PciamContext::spectrum_len(w, h));
+        let spectra = SpectrumPool::new(PciamContext::spectrum_len((w, h), None));
         let pool = spectra.clone();
         let err = within_10s(move || {
             let resources = Resources {

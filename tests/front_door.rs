@@ -122,7 +122,10 @@ fn image_files() -> [Vec<u8>; 3] {
     let img = Image::from_fn(7, 5, |x, y| (x * 257 + y * 7919) as u16);
     let mut pgm8 = b"P5\n# 8-bit\n6 4\n255\n".to_vec();
     pgm8.extend((0..24u8).map(|i| i * 10));
-    [tiff::encode_tiff(&img), pgm::encode_pgm(&img), pgm8]
+    let (mut tif, mut pgm16) = (Vec::new(), Vec::new());
+    tiff::write_to(&mut tif, &img).unwrap();
+    pgm::write_to(&mut pgm16, &img).unwrap();
+    [tif, pgm16, pgm8]
 }
 
 /// A 74-byte TIFF whose IFD claims 2^30 × 2^30 16-bit pixels.

@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn peak_candidates_are_residues(w in 2usize..64, h in 2usize..64, idx_seed in 0usize..10_000) {
         let idx = idx_seed % (w * h);
-        for (dx, dy) in peak_candidates(idx, w, h) {
+        for (dx, dy) in peak_candidates(idx, (w, h), 1) {
             prop_assert_eq!(dx.rem_euclid(w as i64), (idx % w) as i64);
             prop_assert_eq!(dy.rem_euclid(h as i64), (idx / w) as i64);
             // |x − w| == w exactly when the residue is zero
