@@ -58,10 +58,32 @@ impl Cell {
         3.5 * self.sx.max(self.sy)
     }
 
+    /// The factors of [`Cell::eval_at_plane`] that no pixel changes, each
+    /// computed by the same expression, and its exponent's quadratic form.
+    fn at_plane(&self, plane: f64, defocus: f64) -> PlaneCell {
+        let dz = (plane - self.z) * defocus;
+        let f2 = 1.0 + dz * dz;
+        let (den_u, den_v) = (2.0 * self.sx * self.sx * f2, 2.0 * self.sy * self.sy * f2);
+        let (c, s) = (self.cos_t, self.sin_t);
+        PlaneCell {
+            cell: *self,
+            den_u,
+            den_v,
+            amp_f2: self.amp / f2,
+            form: [
+                c * c / den_u + s * s / den_v,
+                c * s * (1.0 / den_u - 1.0 / den_v),
+                s * s / den_u + c * c / den_v,
+            ],
+        }
+    }
+
     /// Intensity contribution as imaged from focal plane `plane`: an
     /// out-of-focus cell blurs (σ grows with the defocus distance) and dims
     /// (peak falls as 1/blur², conserving integrated energy) — the standard
-    /// thin-lens defocus approximation.
+    /// thin-lens defocus approximation. The per-point oracle of
+    /// [`Scene::render_region_plane`].
+    #[cfg(test)]
     fn eval_at_plane(&self, px: f64, py: f64, plane: f64, defocus: f64) -> f64 {
         let dz = (plane - self.z) * defocus;
         let f2 = 1.0 + dz * dz;
@@ -75,6 +97,36 @@ impl Cell {
         } else {
             self.amp / f2 * e.exp()
         }
+    }
+}
+
+/// A cell seen from one focal plane: the denominators `2·sx²·f2`, `2·sy²·f2`,
+/// the dimmed peak `amp / f2`, and `e = −(a·dx² + 2b·dx·dy + c·dy²)` as the
+/// form `[a, b, c]`, which decides where the cell is evaluated, not what it adds.
+#[derive(Clone, Copy)]
+struct PlaneCell {
+    cell: Cell,
+    den_u: f64,
+    den_v: f64,
+    amp_f2: f64,
+    form: [f64; 3],
+}
+
+impl PlaneCell {
+    /// The cell on row `py`: itself, `dy·sin_t`, `dy·cos_t` and the `dx`
+    /// interval outside which its exponent is below −12.5, so that
+    /// [`Cell::eval_at_plane`] adds exactly `0.0`; `None` if the whole row
+    /// is. Rounding moves the bounds only where `e` is a hair from −12.5.
+    fn on_row(self, py: f64) -> Option<(PlaneCell, f64, f64, f64, f64)> {
+        let dy = py - self.cell.y;
+        let [a, b, c] = self.form;
+        let (b, k) = (b * dy, c * dy * dy);
+        let disc = b * b - a * (k - 12.5);
+        if disc < 0.0 {
+            return None;
+        }
+        let (dy_sin, dy_cos, root) = (dy * self.cell.sin_t, dy * self.cell.cos_t, disc.sqrt());
+        Some((self, dy_sin, dy_cos, (-b - root) / a, (-b + root) / a))
     }
 }
 
@@ -131,8 +183,6 @@ pub struct Scene {
     bucket: f64,
     buckets_x: usize,
     buckets_y: usize,
-    /// Number of focal planes this scene was generated for (1 = flat).
-    z_planes: usize,
     /// Defocus blur growth per plane of distance from a cell's focal depth.
     defocus: f64,
     /// bucket index → indices into `cells`
@@ -216,25 +266,14 @@ impl Scene {
             bucket,
             buckets_x,
             buckets_y,
-            z_planes,
             defocus,
             index,
         }
     }
 
-    /// Plate dimensions in pixels.
-    pub fn dims(&self) -> (f64, f64) {
-        (self.width, self.height)
-    }
-
     /// Total cell count.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of focal planes the scene was generated for.
-    pub fn z_planes(&self) -> usize {
-        self.z_planes
     }
 
     /// Noise-free scene intensity at a plate point, seen from plane 0.
@@ -300,9 +339,12 @@ impl Scene {
     ///
     /// Every factor of one coordinate is evaluated once: the illumination
     /// `sin`, texture column, bucket and `dx²` per column, the `cos`,
-    /// texture row, bucket row and `dy²` per row. Each pixel then sums the
-    /// same terms in the same order as the per-point formula, and draws its
-    /// noise in raster order, so the output is that formula's bit for bit.
+    /// texture row, bucket row and `dy²` per row, each cell's plane factors
+    /// per call. A row keeps the cells of its buckets that reach it, and a
+    /// pixel evaluates those whose `dx` interval holds it: any other adds
+    /// exactly `0.0`. Each pixel then sums the same terms in the same order
+    /// as the per-point formula, and draws its noise in raster order, so
+    /// the output is that formula's bit for bit.
     #[allow(clippy::too_many_arguments)] // mirrors the microscope's knobs
     pub fn render_region_plane(
         &self,
@@ -320,6 +362,9 @@ impl Scene {
         let cx = w as f64 / 2.0;
         let cy = h as f64 / 2.0;
         let r_max2 = cx * cx + cy * cy;
+        // bucket indices below are relative to the region's first bucket
+        let bx0 = self.bucket_of(x0, self.buckets_x);
+        let by0 = self.bucket_of(y0, self.buckets_y);
         let columns: Vec<(f64, f64, i64, usize, f64)> = (0..w)
             .map(|x| {
                 let px = x0 + x as f64;
@@ -329,18 +374,33 @@ impl Scene {
                     px,
                     sin,
                     px.floor() as i64,
-                    self.bucket_of(px, self.buckets_x),
+                    self.bucket_of(px, self.buckets_x) - bx0,
                     dx * dx,
                 )
             })
             .collect();
+        let nbx = columns.last().map_or(0, |c| c.3 + 1);
+        let nby = h.checked_sub(1).map_or(0, |last| {
+            self.bucket_of(y0 + last as f64, self.buckets_y) - by0 + 1
+        });
+        // each touched bucket's cells at this plane, in index order, and
+        // per row the ones that reach it
+        let at_plane = |&ci: &u32| self.cells[ci as usize].at_plane(plane, self.defocus);
+        let buckets: Vec<Vec<PlaneCell>> = (by0..by0 + nby)
+            .flat_map(|by| &self.index[by * self.buckets_x + bx0..][..nbx])
+            .map(|list| list.iter().map(at_plane).collect())
+            .collect();
+        let mut kept = vec![Vec::new(); nbx];
         let mut data = Vec::with_capacity(w * h);
         for y in 0..h {
             let py = y0 + y as f64;
             let cos = (2.0 * PI * py / self.height).cos();
             let tex_y = py.floor() as i64;
-            let row0 = self.bucket_of(py, self.buckets_y) * self.buckets_x;
-            let buckets = &self.index[row0..row0 + self.buckets_x];
+            let row0 = (self.bucket_of(py, self.buckets_y) - by0) * nbx;
+            for (row, bucket) in kept.iter_mut().zip(&buckets[row0..]) {
+                row.clear();
+                row.extend(bucket.iter().filter_map(|c| c.on_row(py)));
+            }
             let dy = y as f64 - cy;
             let dy2 = dy * dy;
             data.extend(columns.iter().map(|&(px, sin, tex_x, bx, dx2)| {
@@ -348,8 +408,19 @@ impl Scene {
                 if p.texture_amplitude > 0.0 {
                     v += p.texture_amplitude * plate_texture(tex_x, tex_y, p.seed);
                 }
-                for &ci in &buckets[bx] {
-                    v += self.cells[ci as usize].eval_at_plane(px, py, plane, self.defocus);
+                for (c, dy_sin, dy_cos, lo, hi) in &kept[bx] {
+                    let dx = px - c.cell.x;
+                    if dx < *lo || dx > *hi {
+                        continue;
+                    }
+                    // `eval_at_plane`'s expressions, operand for operand
+                    let u = dx * c.cell.cos_t + dy_sin;
+                    let t = -dx * c.cell.sin_t + dy_cos;
+                    let e = -(u * u / c.den_u + t * t / c.den_v);
+                    if e < -12.0 {
+                        continue; // NaN falls through, as in `eval_at_plane`
+                    }
+                    v += c.amp_f2 * e.exp();
                 }
                 if vignette > 0.0 {
                     v *= 1.0 - vignette * (dx2 + dy2) / r_max2;
@@ -592,17 +663,9 @@ pub struct SyntheticPlate {
 
 impl SyntheticPlate {
     /// Synthesizes a plate with default scene density scaled to the plate
-    /// area.
+    /// area: channel 0 of [`ChannelConfig::for_channel`].
     pub fn generate(config: ScanConfig) -> SyntheticPlate {
-        let (pw, ph) = config.plate_dims();
-        // Keep feature density roughly constant: one colony per ~160×160 px
-        // patch, regardless of plate size.
-        let colonies = ((pw * ph) / (160.0 * 160.0)).ceil() as usize;
-        let params = SceneParams {
-            colony_count: colonies.max(4),
-            seed: config.seed ^ 0x5ce11e,
-            ..SceneParams::default()
-        };
+        let params = ChannelConfig::for_channel(&config, 0).scene;
         Self::generate_with_scene(config, params)
     }
 
@@ -735,6 +798,7 @@ impl ChannelConfig {
     /// filter-wheel systems show.
     pub fn for_channel(base: &ScanConfig, channel: usize) -> ChannelConfig {
         let (pw, ph) = base.plate_dims();
+        // one colony per ~160×160 px patch, whatever the plate size
         let colonies = ((pw * ph) / (160.0 * 160.0)).ceil() as usize;
         ChannelConfig {
             name: format!("ch{channel:02}"),
@@ -1343,22 +1407,49 @@ mod tests {
             seed: 5,
             ..SceneParams::default()
         };
-        let flat = Scene::generate(400.0, 300.0, params.clone());
-        let volume = Scene::generate_volume(400.0, 300.0, params, 4, 0.35);
-        // inside, fractional, negative and past-the-edge origins; a bucket
-        // boundary (the buckets are ≥ 64 px) inside most regions
-        let origins = [
-            (10.0, 20.0),
-            (-7.0, -3.0),
-            (33.25, 61.5),
-            (-12.5, 250.75),
-            (370.0, 280.0),
+        let crowded = SceneParams {
+            colony_count: 200,
+            ..params.clone()
+        };
+        let scenes = [
+            (
+                "flat",
+                Scene::generate(400.0, 300.0, params.clone()),
+                &[0.0, 2.0][..],
+            ),
+            (
+                "volume",
+                Scene::generate_volume(400.0, 300.0, params.clone(), 4, 0.35),
+                &[0.0, 2.0],
+            ),
+            (
+                "deep",
+                Scene::generate_volume(400.0, 300.0, params, 12, 0.35),
+                &[0.0, 5.5, 11.0],
+            ),
+            (
+                "crowded",
+                Scene::generate_volume(400.0, 300.0, crowded, 4, 0.35),
+                &[0.0, 2.0],
+            ),
         ];
-        for (name, scene) in [("flat", &flat), ("volume", &volume)] {
-            for &origin in &origins {
-                for (vignette, noise) in [(0.0, 0.0), (0.3, 0.0), (0.0, 45.0), (0.04, 60.0)] {
-                    for plane in [0.0, 2.0] {
-                        let (w, h) = (71, 53);
+        // inside, fractional, negative and past-the-edge origins, with a
+        // bucket boundary (the buckets are ≥ 64 px) inside most regions,
+        // under every optics; and one region wider and taller than the
+        // plate, past all four edges, under the benchmark's optics
+        let small = [(0.0, 0.0), (0.3, 0.0), (0.0, 45.0), (0.04, 60.0)];
+        let regions = [
+            ((10.0, 20.0), (71, 53), &small[..]),
+            ((-7.0, -3.0), (71, 53), &small),
+            ((33.25, 61.5), (71, 53), &small),
+            ((-12.5, 250.75), (71, 53), &small),
+            ((370.0, 280.0), (71, 53), &small),
+            ((-30.5, -20.25), (463, 341), &small[3..]),
+        ];
+        for (name, scene, planes) in &scenes {
+            for &(origin, (w, h), optics) in &regions {
+                for &(vignette, noise) in optics {
+                    for &plane in *planes {
                         let got = scene.render_region_plane(
                             origin.0, origin.1, w, h, plane, vignette, noise, 9,
                         );
@@ -1370,6 +1461,32 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any region, plane and optics of a stacked scene render as the
+        /// per-point formula does, byte for byte.
+        #[test]
+        fn any_region_renders_as_the_per_point_formula(
+            x0 in -150.0f64..450.0,
+            y0 in -120.0f64..340.0,
+            w in 1usize..=97,
+            h in 1usize..=71,
+            plane in 0.0f64..6.0,
+            vignette in 0.0f64..0.8,
+            noisy in proptest::prelude::any::<bool>(),
+            noise in 0.0f64..80.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let noise = if noisy { noise } else { 0.0 };
+            let params = SceneParams { colony_count: 40, seed: 11, ..SceneParams::default() };
+            let scene = Scene::generate_volume(400.0, 300.0, params, 6, 0.35);
+            let got = scene.render_region_plane(x0, y0, w, h, plane, vignette, noise, seed);
+            let want = render_per_point(&scene, (x0, y0), w, h, plane, vignette, noise, seed);
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

@@ -2,9 +2,11 @@
 //! every daemon job's tiles and every test plate come out of
 //! `Scene::render_region_plane`, so its bytes are pinned here: the values
 //! were taken from the build before the renderer hoisted its per-column
-//! and per-row factors, and must never move. The CI `backends` job pins
-//! the same renderer at the file level — `stitch generate` on three
-//! configurations against `golden/generate.sha256` beside this file.
+//! and per-row factors (the channel-replay stack's, before it culled the
+//! cells that cannot reach a pixel), and must never move. The CI
+//! `backends` job pins the same renderer at the file level — `stitch
+//! generate` on four configurations against `golden/generate.sha256`
+//! beside this file.
 
 use stitch_image::{Fnv64, Image, MultiChannelPlate, MultiScanConfig, ScanConfig, SyntheticPlate};
 
@@ -79,5 +81,33 @@ fn vignetted_channel_stack_is_pinned() {
         digest(&tiles),
         0xdb7b_dd8e_4675_ff56,
         "2 channels x 3 planes"
+    );
+}
+
+#[test]
+fn channel_replay_stack_is_pinned() {
+    // `channel_replay`'s tile, overlap, optics and stack (3 channels × 6
+    // planes, vignette 0.3, noise 50) on a 2×2 grid: the deepest defocus
+    // any benchmark renders
+    let base = ScanConfig {
+        vignette: 0.3,
+        noise_sigma: 50.0,
+        ..ScanConfig::for_grid(2, 2, 232, 174, 0.15, 2014)
+    };
+    let plate = MultiChannelPlate::generate(MultiScanConfig::for_channels(base, 3, 6));
+    let mut tiles = Vec::new();
+    for ch in 0..3 {
+        for z in 0..6 {
+            for r in 0..2 {
+                for c in 0..2 {
+                    tiles.push(plate.render_tile(ch, z, r, c));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest(&tiles),
+        0xb17c_b856_0cae_6096,
+        "3 channels x 6 planes of 232x174"
     );
 }
