@@ -27,6 +27,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use stitch_image::par::{default_workers, par_map};
 use stitch_image::{
     tiff, FlatField, FlatFieldEstimator, Image, MultiChannelPlate, MultiGridManifest,
 };
@@ -36,7 +37,6 @@ use crate::compose::{Blend, Composer};
 use crate::fault::{FailurePolicy, SourceError, StitchError};
 use crate::global_opt::AbsolutePositions;
 use crate::grid::GridShape;
-use crate::par::{default_workers, par_map};
 use crate::pass::run_pass;
 use crate::source::TileSource;
 use crate::stitcher::{StitchResult, Stitcher};

@@ -17,12 +17,12 @@
 //! pixel from the tiles covering that pixel alone, so the split never
 //! reaches the pixels: any worker count gives the serial bytes.
 
+use stitch_image::par::{default_workers, par_map};
 use stitch_image::{round_to_u16, Image};
 use stitch_trace::TraceHandle;
 
 use crate::fault::{load_with_retry, RetryPolicy};
 use crate::global_opt::AbsolutePositions;
-use crate::par::{default_workers, par_map};
 use crate::source::TileSource;
 use crate::types::TileId;
 

@@ -54,7 +54,6 @@ pub mod hostpool;
 pub mod mt_cpu;
 pub mod opcount;
 pub mod pairgraph;
-pub mod par;
 pub mod pass;
 pub mod pciam;
 mod phase1;
@@ -84,7 +83,6 @@ pub use hostpool::{PooledSpectrum, SpectrumPool, WeakSpectrumPool};
 pub use mt_cpu::MtCpuStitcher;
 pub use opcount::{OpCounters, OpCounts};
 pub use pairgraph::PairLedger;
-pub use par::{default_workers, par_map};
 pub use pass::{run_pass, MosaicSpec, Pass, Resources, Variant};
 pub use pciam::PciamContext;
 #[doc(hidden)]
@@ -95,6 +93,7 @@ pub use quality::{correlation_stats, coverage, seam_error, CorrelationStats, Sea
 pub use simple_cpu::SimpleCpuStitcher;
 pub use simple_gpu::SimpleGpuStitcher;
 pub use source::{DirSource, MemorySource, SubgridSource, SyntheticSource, TileSource};
+pub use stitch_image::par::{default_workers, par_map};
 pub use stitcher::{truth_vectors, StitchResult, Stitcher, TruthVector};
 pub use types::{Displacement, PairKind, TileId};
 

@@ -8,6 +8,7 @@
 //!   strips, both byte orders on read);
 //! * [`pgm`] — binary PGM for quick visual output of composed plates;
 //! * [`Fnv64`] — the workspace's one content digest (FNV-1a 64);
+//! * [`par`] — the one order-preserving data-parallel map;
 //! * [`opts`] — the one reader for option text (`--flag value`, `key=value`)
 //!   and the one range check on plate geometry;
 //! * [`synth`] — procedural cell-colony plate generator with ground-truth
@@ -28,6 +29,7 @@ pub mod error;
 pub mod flatfield;
 pub mod image;
 pub mod opts;
+pub mod par;
 pub mod pgm;
 pub mod synth;
 pub mod tiff;

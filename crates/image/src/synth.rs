@@ -19,7 +19,6 @@
 
 use std::f64::consts::PI;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -28,6 +27,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::{ImageError, Result};
 use crate::image::{round_to_u16, Image};
 use crate::opts::{Dims, Options};
+use crate::par::{default_workers, par_map};
 use crate::tiff;
 
 /// One fluorescent cell: an oriented anisotropic Gaussian blob.
@@ -570,6 +570,13 @@ impl ScanConfig {
         Ok(())
     }
 
+    /// The grid's `manifest.tsv` header line.
+    fn manifest_header(&self) -> String {
+        let (rows, cols) = (self.grid_rows, self.grid_cols);
+        let (w, h, overlap) = (self.tile_width, self.tile_height, self.overlap);
+        format!("# rows={rows} cols={cols} tile_w={w} tile_h={h} overlap={overlap}")
+    }
+
     /// Compact one-line description of the scan geometry — the key test
     /// harnesses use to identify a sweep case in failure reports.
     pub fn label(&self) -> String {
@@ -744,33 +751,50 @@ impl SyntheticPlate {
     }
 
     /// Writes every tile as TIFF plus a `manifest.tsv` with the ground
-    /// truth into `dir` (created if needed). Returns the number of tiles
-    /// written. This produces the on-disk dataset the end-to-end pipelines
-    /// read, so disk I/O is really exercised.
+    /// truth into `dir` (created if needed), rendering on every core.
+    /// Returns the number of tiles written. This produces the on-disk
+    /// dataset the end-to-end pipelines read, so disk I/O is really
+    /// exercised.
     pub fn write_to_dir(&self, dir: impl AsRef<Path>) -> Result<usize> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut manifest = fs::File::create(dir.join("manifest.tsv"))?;
-        writeln!(
-            manifest,
-            "# rows={} cols={} tile_w={} tile_h={} overlap={}",
-            self.config.grid_rows,
-            self.config.grid_cols,
-            self.config.tile_width,
-            self.config.tile_height,
-            self.config.overlap
-        )?;
-        for r in 0..self.config.grid_rows {
-            for c in 0..self.config.grid_cols {
-                let name = Self::tile_file_name(0, 0, r, c);
-                let tile = self.render_tile(r, c);
-                tiff::write_tiff(dir.join(&name), &tile)?;
-                let (x, y) = self.true_position(r, c);
-                writeln!(manifest, "{r}\t{c}\t{x}\t{y}\t{name}")?;
-            }
-        }
-        Ok(self.config.tiles())
+        self.write_with(dir.as_ref(), default_workers())
     }
+
+    /// [`Self::write_to_dir`] on up to `workers` threads.
+    pub(crate) fn write_with(&self, dir: &Path, workers: usize) -> Result<usize> {
+        let (cfg, header) = (&self.config, self.config.manifest_header());
+        let dims = [1, 1, cfg.grid_rows, cfg.grid_cols];
+        write_dataset(dir, workers, header, dims, |[_, _, r, c]| {
+            let (x, y) = self.true_position(r, c);
+            (format!("{r}\t{c}\t{x}\t{y}"), self.render_tile(r, c))
+        })
+    }
+}
+
+/// Writes `channels × planes × rows × cols` images as TIFF on up to
+/// `workers` threads, then `manifest.tsv`: `header`, and the fields
+/// `image` gives with each file's name, in that nesting order. Each image
+/// is a pure function of its `[channel, plane, row, col]`, so the files
+/// are the same bytes on any number of workers.
+fn write_dataset(
+    dir: &Path,
+    workers: usize,
+    header: String,
+    [channels, planes, rows, cols]: [usize; 4],
+    image: impl Fn([usize; 4]) -> (String, Image<u16>) + Sync,
+) -> Result<usize> {
+    fs::create_dir_all(dir)?;
+    let images = channels * planes * rows * cols;
+    let lines = par_map(workers, 0..images, |i| -> Result<String> {
+        let (ch, z) = (i / (planes * rows * cols), i / (rows * cols) % planes);
+        let (r, c) = (i / cols % rows, i % cols);
+        let (fields, tile) = image([ch, z, r, c]);
+        let name = SyntheticPlate::tile_file_name(ch, z, r, c);
+        tiff::write_tiff(dir.join(&name), &tile)?;
+        Ok(format!("{fields}\t{name}\n"))
+    });
+    let lines: String = lines.into_iter().collect::<Result<_>>()?;
+    fs::write(dir.join("manifest.tsv"), header + "\n" + &lines)?;
+    Ok(images)
 }
 
 /// Per-channel imaging parameters of a multi-channel acquisition: each
@@ -948,37 +972,22 @@ impl MultiChannelPlate {
 
     /// Writes every image as TIFF plus a `manifest.tsv` (extended header
     /// with `channels=`/`z_planes=`, seven-field lines carrying channel and
-    /// plane) into `dir`. Returns the number of images written.
+    /// plane) into `dir`, rendering on every core. Returns the number of
+    /// images written.
     pub fn write_to_dir(&self, dir: impl AsRef<Path>) -> Result<usize> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let base = &self.config.base;
-        let mut manifest = fs::File::create(dir.join("manifest.tsv"))?;
-        writeln!(
-            manifest,
-            "# rows={} cols={} tile_w={} tile_h={} overlap={} channels={} z_planes={}",
-            base.grid_rows,
-            base.grid_cols,
-            base.tile_width,
-            base.tile_height,
-            base.overlap,
-            self.channels(),
-            self.z_planes()
-        )?;
-        for ch in 0..self.channels() {
-            for z in 0..self.z_planes() {
-                for r in 0..base.grid_rows {
-                    for c in 0..base.grid_cols {
-                        let name = SyntheticPlate::tile_file_name(ch, z, r, c);
-                        let tile = self.render_tile(ch, z, r, c);
-                        tiff::write_tiff(dir.join(&name), &tile)?;
-                        let (x, y) = self.true_position(r, c);
-                        writeln!(manifest, "{ch}\t{z}\t{r}\t{c}\t{x}\t{y}\t{name}")?;
-                    }
-                }
-            }
-        }
-        Ok(self.config.images())
+        self.write_with(dir.as_ref(), default_workers())
+    }
+
+    /// [`Self::write_to_dir`] on up to `workers` threads.
+    pub(crate) fn write_with(&self, dir: &Path, workers: usize) -> Result<usize> {
+        let (base, channels, planes) = (&self.config.base, self.channels(), self.z_planes());
+        let header = base.manifest_header() + &format!(" channels={channels} z_planes={planes}");
+        let dims = [channels, planes, base.grid_rows, base.grid_cols];
+        write_dataset(dir, workers, header, dims, |[ch, z, r, c]| {
+            let (x, y) = self.true_position(r, c);
+            let fields = format!("{ch}\t{z}\t{r}\t{c}\t{x}\t{y}");
+            (fields, self.render_tile(ch, z, r, c))
+        })
     }
 }
 
@@ -1505,6 +1514,59 @@ mod tests {
         assert_eq!(m.truth[4], plate.true_position(1, 1));
         let img = tiff::read_tiff(m.file(2, 1, 1, 2)).unwrap();
         assert_eq!(img, plate.render_tile(2, 1, 1, 2));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The number of workers never reaches the dataset: at 1 and at 4 every
+    /// file decodes to exactly its `render_tile` and `manifest.tsv` lists
+    /// the images in the serial loop's order.
+    #[test]
+    fn parallel_generation_writes_the_serial_dataset() {
+        let dir = std::env::temp_dir().join(format!("stitch_synth_par_{}", std::process::id()));
+        let single = SyntheticPlate::generate(small_config());
+        let mut cfg = MultiScanConfig::for_channels(small_config(), 2, 3);
+        (cfg.base.grid_rows, cfg.base.grid_cols) = (2, 3);
+        let multi = MultiChannelPlate::generate(cfg);
+        let mut single_manifest = String::from("# rows=3 cols=4 tile_w=64 tile_h=48 overlap=0.1\n");
+        for (r, c) in (0..3).flat_map(|r| (0..4).map(move |c| (r, c))) {
+            let (x, y) = single.true_position(r, c);
+            let name = SyntheticPlate::tile_file_name(0, 0, r, c);
+            single_manifest.push_str(&format!("{r}\t{c}\t{x}\t{y}\t{name}\n"));
+        }
+        let mut multi_manifest =
+            String::from("# rows=2 cols=3 tile_w=64 tile_h=48 overlap=0.1 channels=2 z_planes=3\n");
+        let ids = (0..2).flat_map(|ch| {
+            (0..3).flat_map(move |z| (0..2).flat_map(move |r| (0..3).map(move |c| (ch, z, r, c))))
+        });
+        for (ch, z, r, c) in ids.clone() {
+            let (x, y) = multi.true_position(r, c);
+            let name = SyntheticPlate::tile_file_name(ch, z, r, c);
+            multi_manifest.push_str(&format!("{ch}\t{z}\t{r}\t{c}\t{x}\t{y}\t{name}\n"));
+        }
+        for workers in [1, 4] {
+            let _ = fs::remove_dir_all(&dir);
+            assert_eq!(single.write_with(&dir.join("single"), workers).unwrap(), 12);
+            assert_eq!(multi.write_with(&dir.join("multi"), workers).unwrap(), 36);
+            let read = |name: &str| fs::read_to_string(dir.join(name).join("manifest.tsv"));
+            assert_eq!(
+                read("single").unwrap(),
+                single_manifest,
+                "{workers} workers"
+            );
+            assert_eq!(read("multi").unwrap(), multi_manifest, "{workers} workers");
+            let m = GridManifest::load(dir.join("single")).unwrap();
+            for (r, c) in (0..3).flat_map(|r| (0..4).map(move |c| (r, c))) {
+                assert_eq!(
+                    tiff::read_tiff(m.file(r, c)).unwrap(),
+                    single.render_tile(r, c)
+                );
+            }
+            let m = MultiGridManifest::load(dir.join("multi")).unwrap();
+            for (ch, z, r, c) in ids.clone() {
+                let tile = tiff::read_tiff(m.file(ch, z, r, c)).unwrap();
+                assert_eq!(tile, multi.render_tile(ch, z, r, c), "{workers} workers");
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,8 +5,10 @@
 //! single-image files, uncompressed, 8- or 16-bit grayscale, strip layout,
 //! either byte order on read (always little-endian on write).
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::{ImageError, Result};
@@ -26,50 +28,68 @@ const TAG_STRIP_BYTE_COUNTS: u16 = 279;
 const TYPE_SHORT: u16 = 3;
 const TYPE_LONG: u16 = 4;
 
-#[derive(Clone, Copy, PartialEq)]
-enum ByteOrder {
-    Little,
-    Big,
+/// Bytes of file one header or IFD read brings in.
+const PAGE: usize = 4 << 10;
+
+/// A TIFF as [`decode`] reads it. `page` holds the file's bytes from `at`:
+/// all of them for a file in memory, or up to [`PAGE`] of an open `file`,
+/// reloaded with a positioned read at the first word it lacks. Every read
+/// is checked against `len` before it is made, so both answer alike.
+struct Reader<'a> {
+    file: Option<fs::File>,
+    len: usize,
+    page: Cow<'a, [u8]>,
+    at: usize,
+    /// Whether the file is big-endian (`MM`).
+    big: bool,
 }
 
-impl ByteOrder {
-    fn sample(self, b: [u8; 2]) -> u16 {
-        match self {
-            ByteOrder::Little => u16::from_le_bytes(b),
-            ByteOrder::Big => u16::from_be_bytes(b),
+impl Reader<'_> {
+    /// The `N` bytes at `off`.
+    fn bytes<const N: usize>(&mut self, off: usize) -> Result<[u8; N]> {
+        let end = (off.checked_add(N).filter(|&end| end <= self.len))
+            .ok_or_else(|| ImageError::Format("truncated file".into()))?;
+        let missing = off < self.at || end > self.at + self.page.len();
+        if let (Some(file), true) = (&self.file, missing) {
+            let page = self.page.to_mut();
+            page.resize(PAGE.min(self.len - off), 0);
+            file.read_exact_at(page, off as u64)?;
+            self.at = off;
+        }
+        let word = &self.page[off - self.at..end - self.at];
+        Ok(std::array::from_fn(|i| word[i]))
+    }
+
+    fn u16_at(&mut self, off: usize) -> Result<u16> {
+        let v = u16::from_le_bytes(self.bytes(off)?);
+        Ok(if self.big { v.swap_bytes() } else { v })
+    }
+
+    fn u32_at(&mut self, off: usize) -> Result<u32> {
+        let v = u32::from_le_bytes(self.bytes(off)?);
+        Ok(if self.big { v.swap_bytes() } else { v })
+    }
+
+    /// Value `k` of `values`, a SHORT or LONG widened to `u32`.
+    fn value(&mut self, values: Values, k: usize) -> Result<u32> {
+        let off = values.at + values.size * k;
+        if values.size == 2 {
+            Ok(self.u16_at(off)? as u32)
+        } else {
+            self.u32_at(off)
         }
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    order: ByteOrder,
+/// `count` values of `size` bytes from `at`: one IFD entry's values.
+#[derive(Clone, Copy)]
+struct Values {
+    at: usize,
+    size: usize,
+    count: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn u16_at(&self, off: usize) -> Result<u16> {
-        let b = self
-            .bytes
-            .get(off..)
-            .and_then(|b| b.get(..2))
-            .ok_or_else(|| ImageError::Format("truncated file".into()))?;
-        Ok(self.order.sample([b[0], b[1]]))
-    }
-
-    fn u32_at(&self, off: usize) -> Result<u32> {
-        let b = self
-            .bytes
-            .get(off..)
-            .and_then(|b| b.get(..4))
-            .ok_or_else(|| ImageError::Format("truncated file".into()))?;
-        Ok(match self.order {
-            ByteOrder::Little => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            ByteOrder::Big => u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-        })
-    }
-}
-
-/// The scalar tags decoding reads, in the order [`decode_tiff`] keeps them.
+/// The scalar tags decoding reads, in the order [`decode`] keeps them.
 const SCALAR_TAGS: [u16; 6] = [
     TAG_IMAGE_WIDTH,
     TAG_IMAGE_LENGTH,
@@ -79,18 +99,38 @@ const SCALAR_TAGS: [u16; 6] = [
     TAG_PHOTOMETRIC,
 ];
 
+/// The memory of `px` as bytes.
+fn bytes_mut(px: &mut [u16]) -> &mut [u8] {
+    // SAFETY: a `u16` is two initialised bytes with no padding and any two
+    // bytes are a `u16`, so `px`'s memory is `2 · len` writable bytes at
+    // `u8` alignment, borrowed for as long as `px`
+    unsafe { std::slice::from_raw_parts_mut(px.as_mut_ptr().cast(), px.len() * 2) }
+}
+
 /// Decodes a TIFF byte stream into a 16-bit grayscale image (8-bit files
 /// are widened with their values preserved, not rescaled).
 pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
-    if bytes.len() < 8 {
+    decode(None, bytes.len(), Cow::Borrowed(bytes))
+}
+
+/// The one decoder behind [`decode_tiff`] and [`read_tiff`]: a [`Reader`]
+/// of `len` bytes, `file`-backed or all in `page`.
+fn decode(file: Option<fs::File>, len: usize, page: Cow<[u8]>) -> Result<Image<u16>> {
+    let mut cur = Reader {
+        file,
+        len,
+        page,
+        at: 0,
+        big: false,
+    };
+    if len < 8 {
         return Err(ImageError::Format("shorter than TIFF header".into()));
     }
-    let order = match &bytes[0..2] {
-        b"II" => ByteOrder::Little,
-        b"MM" => ByteOrder::Big,
+    cur.big = match &cur.bytes(0)? {
+        b"II" => false,
+        b"MM" => true,
         _ => return Err(ImageError::Format("bad byte-order mark".into())),
     };
-    let cur = Cursor { bytes, order };
     if cur.u16_at(2)? != 42 {
         return Err(ImageError::Format("bad magic (expected 42)".into()));
     }
@@ -98,45 +138,41 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     let n_entries = cur.u16_at(ifd_off)? as usize;
     // Nothing is reserved on a header's word: only the tags decoding reads
     // are kept, each the first time it appears (SHORT and LONG widened to
-    // u32) — one value for a scalar, and a strip table grown value by value
-    // as it is read, so a lying count runs into the end of the file, not
-    // into the allocator.
+    // u32) — one value for a scalar, and for a strip table where its values
+    // lie, once its last value (so every value) is found in the file.
     let mut scalars = [None; SCALAR_TAGS.len()];
-    let mut strips: [Option<Vec<u32>>; 2] = [None, None];
+    let mut strips: [Option<Values>; 2] = [None, None];
     for i in 0..n_entries {
         let e = ifd_off + 2 + i * 12;
         let tag = cur.u16_at(e)?;
         let typ = cur.u16_at(e + 2)?;
         let count = cur.u32_at(e + 4)? as usize;
-        let elem_size = match typ {
+        let size = match typ {
             TYPE_SHORT => 2usize,
             TYPE_LONG => 4usize,
             // other types (rationals etc.) are skipped — not needed for pixels
             _ => continue,
         };
-        let inline = elem_size.checked_mul(count).is_some_and(|total| total <= 4);
-        let value_at = |k: usize| -> Result<u32> {
-            let val_off = if inline {
+        let inline = size.checked_mul(count).is_some_and(|total| total <= 4);
+        let values = |cur: &mut Reader| -> Result<Values> {
+            let at = if inline {
                 e + 8
             } else {
                 cur.u32_at(e + 8)? as usize
             };
-            if elem_size == 2 {
-                Ok(cur.u16_at(val_off + 2 * k)? as u32)
-            } else {
-                cur.u32_at(val_off + 4 * k)
-            }
+            Ok(Values { at, size, count })
         };
         if let Some(slot) = SCALAR_TAGS.iter().position(|&t| t == tag) {
             if scalars[slot].is_none() && count > 0 {
-                scalars[slot] = Some(value_at(0)?);
+                let values = values(&mut cur)?;
+                scalars[slot] = Some(cur.value(values, 0)?);
             }
         } else if let TAG_STRIP_OFFSETS | TAG_STRIP_BYTE_COUNTS = tag {
             let table = &mut strips[(tag == TAG_STRIP_BYTE_COUNTS) as usize];
             if table.is_none() {
-                let mut values = Vec::new();
-                for k in 0..count {
-                    values.push(value_at(k)?);
+                let values = values(&mut cur)?;
+                if let Some(last) = count.checked_sub(1) {
+                    cur.value(values, last)?;
                 }
                 *table = Some(values);
             }
@@ -167,7 +203,7 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     let [offsets, counts] = strips;
     let offsets = offsets.ok_or_else(|| ImageError::Format("no strip offsets".into()))?;
     let counts = counts.ok_or_else(|| ImageError::Format("no strip byte counts".into()))?;
-    if offsets.len() != counts.len() {
+    if offsets.count != counts.count {
         return Err(ImageError::Format(
             "strip offset/count length mismatch".into(),
         ));
@@ -178,49 +214,45 @@ pub fn decode_tiff(bytes: &[u8]) -> Result<Image<u16>> {
     let expected = width
         .checked_mul(height)
         .and_then(|px| px.checked_mul(bytes_per_px))
-        .filter(|&n| n <= bytes.len())
+        .filter(|&n| n <= len)
         .ok_or_else(|| {
             ImageError::Format(format!(
-                "pixel data truncated: {width}x{height} at {bits} bits in a {}-byte file",
-                bytes.len()
+                "pixel data truncated: {width}x{height} at {bits} bits in a {len}-byte file"
             ))
         })?;
-    // One pass from the file's bytes to pixels. Strips may overlap or
-    // repeat, bytes past the image are not read, and a strip may end in the
-    // middle of a sample: the odd byte pairs with the next strip's first.
-    let mut data = Vec::with_capacity(width * height);
-    let mut wanted = expected;
-    let mut odd: Option<u8> = None;
-    for (&off, &cnt) in offsets.iter().zip(&counts) {
-        let off = off as usize;
-        let strip = off
-            .checked_add(cnt as usize)
-            .and_then(|end| bytes.get(off..end))
-            .ok_or_else(|| ImageError::Format("strip beyond end of file".into()))?;
-        let mut strip = &strip[..strip.len().min(wanted)];
-        wanted -= strip.len();
-        if bits == 8 {
-            data.extend(strip.iter().map(|&b| b as u16));
-            continue;
+    // Each strip is copied straight into the pixels' bytes, in table order:
+    // strips may overlap or repeat, bytes past the image are not read, and a
+    // strip may end in the middle of a sample — its odd byte pairs with the
+    // next strip's first, as in the concatenated strips.
+    let mut data = vec![0u16; width * height];
+    let dst = &mut bytes_mut(&mut data)[..expected];
+    let mut filled = 0;
+    for k in 0..offsets.count {
+        let off = cur.value(offsets, k)? as usize;
+        let cnt = cur.value(counts, k)? as usize;
+        if off.checked_add(cnt).is_none_or(|end| end > len) {
+            return Err(ImageError::Format("strip beyond end of file".into()));
         }
-        if let (Some(first), [second, rest @ ..]) = (odd, strip) {
-            data.push(order.sample([first, *second]));
-            (odd, strip) = (None, rest);
+        let part = &mut dst[filled..filled + cnt.min(expected - filled)];
+        match &cur.file {
+            Some(file) => file.read_exact_at(part, off as u64)?,
+            None => part.copy_from_slice(&cur.page[off..off + part.len()]),
         }
-        if odd.is_none() {
-            let pairs = strip.chunks_exact(2);
-            odd = pairs.remainder().first().copied();
-            match order {
-                ByteOrder::Little => data.extend(pairs.map(|p| u16::from_le_bytes([p[0], p[1]]))),
-                ByteOrder::Big => data.extend(pairs.map(|p| u16::from_be_bytes([p[0], p[1]]))),
-            }
-        }
+        filled += part.len();
     }
-    if wanted > 0 {
+    if filled < expected {
         return Err(ImageError::Format(format!(
-            "pixel data truncated: {} < {expected}",
-            expected - wanted
+            "pixel data truncated: {filled} < {expected}"
         )));
+    }
+    if bits == 8 {
+        // widen in place from the back: sample i's byte is byte i of the
+        // buffer, inside sample i/2 ≤ i, which the walk down writes later
+        for i in (0..data.len()).rev() {
+            data[i] = u16::from(data[i / 2].to_ne_bytes()[i % 2]);
+        }
+    } else if cur.big != cfg!(target_endian = "big") {
+        data.iter_mut().for_each(|px| *px = px.swap_bytes());
     }
     Ok(Image::from_vec(width, height, data))
 }
@@ -312,9 +344,18 @@ pub fn write_to(out: &mut impl Write, img: &Image<u16>) -> Result<()> {
     Ok(())
 }
 
-/// Reads a TIFF file from disk.
+/// Reads a TIFF file from disk with positioned reads: the same decoder
+/// and answers as [`decode_tiff`] on the file's bytes, with every strip
+/// copied once, straight into the image.
 pub fn read_tiff(path: impl AsRef<Path>) -> Result<Image<u16>> {
-    decode_tiff(&fs::read(path)?)
+    let file = fs::File::open(path)?;
+    // past `usize` the file holds every offset a decoder can ask for
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+    decode(
+        Some(file),
+        len,
+        Cow::Owned(Vec::with_capacity(PAGE.min(len))),
+    )
 }
 
 /// Writes an image to disk as TIFF ([`write_to`]). An image whose file

@@ -1,8 +1,57 @@
 //! Property-based tests for the image substrate: codec round trips over
-//! arbitrary images and scene-rendering invariants.
+//! arbitrary images, the TIFF reader's two stores against each other, and
+//! scene-rendering invariants.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::Path;
 
 use proptest::prelude::*;
 use stitch_image::{pgm, tiff, Image, ScanConfig, Scene, SceneParams, SyntheticPlate};
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest single request.
+struct NoteLargest;
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: delegates verbatim to `System`; the note is allocation-free
+// (const-initialised TLS without a destructor).
+unsafe impl GlobalAlloc for NoteLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: NoteLargest = NoteLargest;
+
+/// `f`'s result and the largest single allocation it made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 prop_compose! {
     fn arb_image()(w in 1usize..48, h in 1usize..48, seed in any::<u64>()) -> Image<u16> {
@@ -23,6 +72,230 @@ fn encode<E: std::fmt::Debug>(
     let mut out = Vec::new();
     write(&mut out, img).unwrap();
     out
+}
+
+/// A TIFF of `data` at offset 8 whose pixels are the strips `(offset,
+/// byte count)`: width and height as LONGs, bits per sample as a SHORT,
+/// strip offsets as LONGs and the byte counts as SHORTs when `short`, each
+/// table inline when it fits in four bytes, in either byte order.
+fn striped_tiff(
+    big: bool,
+    short: bool,
+    (w, h, bits): (u32, u32, u32),
+    data: &[u8],
+    strips: &[(u32, u32)],
+) -> Vec<u8> {
+    let u16b = |v: u32| {
+        if big {
+            (v as u16).to_be_bytes()
+        } else {
+            (v as u16).to_le_bytes()
+        }
+    };
+    let u32b = |v: u32| {
+        if big {
+            v.to_be_bytes()
+        } else {
+            v.to_le_bytes()
+        }
+    };
+    let n = strips.len() as u32;
+    let count_size = if short { 2 } else { 4 };
+    let offsets_at = 8 + data.len() as u32;
+    let counts_at = offsets_at + 4 * n;
+    let ifd_off = counts_at + count_size * n;
+    let mut b = Vec::new();
+    b.extend_from_slice(if big { b"MM" } else { b"II" });
+    b.extend_from_slice(&u16b(42));
+    b.extend_from_slice(&u32b(ifd_off));
+    b.extend_from_slice(data);
+    strips
+        .iter()
+        .for_each(|&(off, _)| b.extend_from_slice(&u32b(off)));
+    for &(_, cnt) in strips {
+        match short {
+            true => b.extend_from_slice(&u16b(cnt)),
+            false => b.extend_from_slice(&u32b(cnt)),
+        }
+    }
+    // a value field holds its values left-justified
+    let field = |typ: u16, count: u32, at: u32, values: &[u32]| -> [u8; 4] {
+        let size = if typ == 3 { 2 } else { 4 };
+        if size * count > 4 {
+            return u32b(at);
+        }
+        let mut f = [0u8; 4];
+        for (k, &v) in values.iter().enumerate() {
+            match typ {
+                3 => f[2 * k..2 * k + 2].copy_from_slice(&u16b(v)),
+                _ => f.copy_from_slice(&u32b(v)),
+            }
+        }
+        f
+    };
+    let offsets: Vec<u32> = strips.iter().map(|s| s.0).collect();
+    let counts: Vec<u32> = strips.iter().map(|s| s.1).collect();
+    let count_type = if short { 3 } else { 4 };
+    let tags = [
+        (256u16, 4u16, 1, field(4, 1, 0, &[w])),
+        (257, 4, 1, field(4, 1, 0, &[h])),
+        (258, 3, 1, field(3, 1, 0, &[bits])),
+        (273, 4, n, field(4, n, offsets_at, &offsets)),
+        (279, count_type, n, field(count_type, n, counts_at, &counts)),
+    ];
+    b.extend_from_slice(&u16b(tags.len() as u32));
+    for (tag, typ, count, value) in tags {
+        b.extend_from_slice(&u16b(tag as u32));
+        b.extend_from_slice(&u16b(typ as u32));
+        b.extend_from_slice(&u32b(count));
+        b.extend_from_slice(&value);
+    }
+    b.extend_from_slice(&u32b(0));
+    b
+}
+
+/// The pixels of [`striped_tiff`]'s file by the definition: its strips
+/// concatenated in table order and clipped to the image, then read as
+/// samples of the file's byte order.
+fn concatenated(
+    file: &[u8],
+    big: bool,
+    (w, h, bits): (u32, u32, u32),
+    strips: &[(u32, u32)],
+) -> Result<Image<u16>, String> {
+    let expected = (w * h * bits / 8) as usize;
+    let mut raw = Vec::new();
+    for &(off, cnt) in strips {
+        let strip = (file.get(off as usize..(off + cnt) as usize))
+            .ok_or("malformed image: strip beyond end of file")?;
+        raw.extend_from_slice(&strip[..strip.len().min(expected - raw.len())]);
+    }
+    if raw.len() < expected {
+        let why = format!(
+            "malformed image: pixel data truncated: {} < {expected}",
+            raw.len()
+        );
+        return Err(why);
+    }
+    let px = match (bits, big) {
+        (8, _) => raw.iter().map(|&b| b as u16).collect(),
+        (_, true) => raw
+            .chunks_exact(2)
+            .map(|p| u16::from_be_bytes([p[0], p[1]]))
+            .collect(),
+        (_, false) => raw
+            .chunks_exact(2)
+            .map(|p| u16::from_le_bytes([p[0], p[1]]))
+            .collect(),
+    };
+    Ok(Image::from_vec(w as usize, h as usize, px))
+}
+
+/// `read_tiff` on the file at `path`, which holds `bytes`, and
+/// `decode_tiff` on `bytes`: the one answer both give (the image, or the
+/// error's message). Neither makes an allocation larger than twice the
+/// file (an 8-bit file's samples widen to two bytes) or a short error
+/// string.
+fn one_answer(path: &Path, bytes: &[u8]) -> (Result<Image<u16>, String>, usize) {
+    let (from_file, file_peak) = largest_allocation(|| tiff::read_tiff(path));
+    let (from_bytes, bytes_peak) = largest_allocation(|| tiff::decode_tiff(bytes));
+    let (from_file, from_bytes) = (
+        from_file.map_err(|e| e.to_string()),
+        from_bytes.map_err(|e| e.to_string()),
+    );
+    assert_eq!(from_file, from_bytes, "{} bytes", bytes.len());
+    let peak = file_peak.max(bytes_peak);
+    assert!(
+        peak <= (2 * bytes.len()).max(256),
+        "{peak} B for {} B",
+        bytes.len()
+    );
+    (from_file, peak)
+}
+
+prop_compose! {
+    /// A striped TIFF, its geometry and strip table: the pixel bytes (a
+    /// little short of the image or past it), in half the files behind
+    /// 4–9 KB of other bytes (so a file reader's page is reloaded, forward
+    /// and back), cut at random points (odd-length strips), some strips
+    /// swapped (out of order), one maybe repeated, one maybe anywhere in
+    /// or past the file.
+    fn arb_striped()(
+        w in 1u32..12,
+        h in 1u32..12,
+        eight in any::<bool>(),
+        big in any::<bool>(),
+        short in any::<bool>(),
+        extra in 0u32..6,
+        lead in (any::<bool>(), 4000u32..9000),
+        cuts in collection::vec(0u32..1000, 0..5),
+        swaps in collection::vec((0usize..8, 0usize..8), 0..3),
+        repeat in 0usize..12,
+        stray in (0u32..400, 0u32..40, any::<bool>()),
+        seed in any::<u64>(),
+    ) -> (Vec<u8>, bool, (u32, u32, u32), Vec<(u32, u32)>) {
+        let bits = if eight { 8 } else { 16 };
+        // up to two bytes short of the image (truncated) or four past it
+        let span = (w * h * bits / 8 + extra).saturating_sub(2);
+        let lead = if lead.0 { lead.1 } else { 0 };
+        let data: Vec<u8> = (0..(lead + span) as u64 + 16)
+            .map(|i| (i.wrapping_add(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        let mut ends: Vec<u32> = cuts.iter().map(|c| c % (span + 1)).chain([0, span]).collect();
+        ends.sort_unstable();
+        let at = 8 + lead;
+        let mut strips: Vec<(u32, u32)> = ends.windows(2).map(|e| (at + e[0], e[1] - e[0])).collect();
+        for (i, j) in swaps {
+            let n = strips.len();
+            strips.swap(i % n, j % n);
+        }
+        if repeat < strips.len() {
+            strips.insert(repeat, strips[repeat]);
+        }
+        if stray.2 {
+            strips.push((stray.0 * (lead + 400) / 400, stray.1));
+        }
+        let file = striped_tiff(big, short, (w, h, bits), &data, &strips);
+        (file, big, (w, h, bits), strips)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `read_tiff` and `decode_tiff` are one decoder: on a striped file,
+    /// every truncation of it and byte flips in it they give the same image
+    /// or the same error. The whole file decodes to its concatenated
+    /// strips, and a 16-bit one with no allocation larger than the file.
+    #[test]
+    fn reader_stores_agree(
+        striped in arb_striped(),
+        flips in collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        let (file, big, geometry, strips) = striped;
+        let dir = std::env::temp_dir().join(format!("stitch_reader_parity_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.tif");
+        std::fs::write(&path, &file).unwrap();
+        let (whole, peak) = one_answer(&path, &file);
+        prop_assert_eq!(&whole, &concatenated(&file, big, geometry, &strips));
+        if geometry.2 == 16 {
+            prop_assert!(peak <= file.len().max(256), "{} B for {} B", peak, file.len());
+        }
+        let truncated = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for cut in (0..file.len()).rev() {
+            truncated.set_len(cut as u64).unwrap();
+            let _ = one_answer(&path, &file[..cut]);
+        }
+        let mut flipped = file.clone();
+        for (at, bits) in flips {
+            let n = flipped.len();
+            flipped[at % n] ^= bits;
+        }
+        std::fs::write(&path, &flipped).unwrap();
+        let _ = one_answer(&path, &flipped);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {

@@ -51,11 +51,11 @@ pub use report::{kernel_density, LayerStat, QueueStat, RunReport, StageStat};
 
 /// The layer categories [`RunReport::layers`] totals, in the order a tile
 /// meets them: phase 1 as Table I prices it (`read`, `fft_fwd`, `ncc`,
-/// `fft_inv`, `peak`, `ccf`), a shard seam pair's registration, then
-/// phases 2 and 3. A span carries one only where no other layer span nests
-/// inside it, so totals never count a nanosecond twice; wrappers keep a
-/// category of their own (`"stage"`, `"compute"`).
-pub const LAYERS: [&str; 9] = [
+/// `fft_inv`, `peak`, `ccf`), a shard seam pair's registration, phases 2
+/// and 3, then the mosaic's write. A span carries one only where no other
+/// layer span nests inside it, so totals never count a nanosecond twice;
+/// wrappers keep a category of their own (`"stage"`, `"compute"`).
+pub const LAYERS: [&str; 10] = [
     "read",
     "fft_fwd",
     "ncc",
@@ -65,6 +65,7 @@ pub const LAYERS: [&str; 9] = [
     "seam_register",
     "solve",
     "compose",
+    "write",
 ];
 
 /// One recorded interval on the merged timeline.

@@ -471,8 +471,14 @@ fn emit_with<E: std::fmt::Display>(
 }
 
 /// Streams `image` to disk as TIFF when `path` ends in `.tif`/`.tiff`, as
-/// PGM otherwise.
-fn emit_image(what: &str, path: &Path, image: &Image<u16>) -> Result<(), Failure> {
+/// PGM otherwise, timed as a `write` layer span.
+fn emit_image(
+    what: &str,
+    path: &Path,
+    image: &Image<u16>,
+    trace: &TraceHandle,
+) -> Result<(), Failure> {
+    let _span = trace.layer("write", "write");
     let what = format!("{what}, {}x{}", image.width(), image.height());
     emit_with(&what, path, |path| {
         match path.extension().and_then(|e| e.to_str()) {
@@ -817,7 +823,7 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                 (&out, canvas_mosaic.as_ref().or(outcome.mosaic.as_ref()))
             {
                 let what = format!("mosaic (banded, {band_rows} rows/band)");
-                emit_image(&what, path, mosaic)?;
+                emit_image(&what, path, mosaic, &trace)?;
             }
             if let (Some(path), Some(canvas)) = (&preview_out, &canvas) {
                 let scale = preview_scale.min(canvas.max_scale());
@@ -825,7 +831,7 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                 let overview = canvas.get_region(scale, 0, 0, pw, ph);
                 let chunks = canvas.stats().live_chunks;
                 let what = format!("scale-{scale} overview ({chunks} live canvas chunks)");
-                emit_image(&what, path, &overview)?;
+                emit_image(&what, path, &overview, &trace)?;
             }
             if let Some(path) = trace_out {
                 emit("trace", &path, trace.to_chrome_json())?;
@@ -990,7 +996,7 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
                 emit("phase 2: positions", &path, positions_tsv(&positions))?;
             }
             for (path, mosaic) in &mosaics {
-                emit_image("phase 3: mosaic", path, mosaic)?;
+                emit_image("phase 3: mosaic", path, mosaic, &trace)?;
             }
             if let Some(path) = trace_out {
                 emit("trace", &path, trace.to_chrome_json())?;

@@ -26,17 +26,20 @@ fn generate_then_info_then_stitch() {
     let cmd = parse(&argv(&format!("info --dataset {dir_s}"))).unwrap();
     assert_eq!(run(cmd), 0);
 
-    // stitch with outputs
+    // stitch with outputs: the mosaic's write is one `write` layer span
     let mosaic = dir.join("mosaic.pgm");
-    let pos = dir.join("pos.tsv");
+    let (pos, report) = (dir.join("pos.tsv"), dir.join("report.json"));
     let cmd = parse(&argv(&format!(
-        "stitch --dataset {dir_s} --impl simple-cpu --out {} --positions {}",
+        "stitch --dataset {dir_s} --impl simple-cpu --out {} --positions {} --run-report {}",
         mosaic.display(),
-        pos.display()
+        pos.display(),
+        report.display()
     )))
     .unwrap();
     assert_eq!(run(cmd), 0);
     assert!(mosaic.exists());
+    let reported = std::fs::read_to_string(&report).unwrap();
+    assert!(reported.contains("\"write\":{\"count\":1,"), "{reported}");
     let tsv = std::fs::read_to_string(&pos).unwrap();
     assert!(tsv.starts_with("row\tcol\tx\ty\n"));
     assert_eq!(tsv.lines().count(), 1 + 6, "header + one line per tile");
@@ -66,20 +69,24 @@ fn generate_then_stitch_multichannel_stack() {
 
     // stitch: the extended manifest flips the CLI into channel mode with
     // no extra flags — one mosaic per (channel, plane), each compose traced
+    // and each file's write a `write` layer span
     let mosaic = dir.join("m.pgm");
     let (pos, trace) = (dir.join("pos.tsv"), dir.join("trace.json"));
+    let report = dir.join("report.json");
     let stitch = |out: &str| {
         let cmd = parse(&argv(&format!(
-            "stitch --dataset {dir_s} --impl simple-cpu --positions {} --trace-json {} {out}",
+            "stitch --dataset {dir_s} --impl simple-cpu --positions {} --trace-json {} \
+             --run-report {} {out}",
             pos.display(),
-            trace.display()
+            trace.display(),
+            report.display()
         )))
         .unwrap();
         assert_eq!(run(cmd), 0);
         let read = |p| std::fs::read_to_string(p).unwrap();
-        (read(&pos), read(&trace))
+        (read(&pos), read(&trace), read(&report))
     };
-    let (tsv, traced) = stitch(&format!("--out {}", mosaic.display()));
+    let (tsv, traced, reported) = stitch(&format!("--out {}", mosaic.display()));
     for label in ["c00_z00", "c00_z01", "c01_z00", "c01_z01"] {
         assert!(
             dir.join(format!("m_{label}.pgm")).exists(),
@@ -88,10 +95,13 @@ fn generate_then_stitch_multichannel_stack() {
     }
     assert_eq!(tsv.lines().count(), 1 + 6, "one shared frame for all units");
     assert!(traced.contains("\"compose\""), "unit composes are traced");
+    assert!(reported.contains("\"write\":{\"count\":4,"), "{reported}");
     // without --out the same frame is solved and not one unit is composed
-    let (positions_only, traced) = stitch("");
+    // or written
+    let (positions_only, traced, reported) = stitch("");
     assert_eq!(positions_only, tsv);
     assert!(traced.contains("\"solve\"") && !traced.contains("compose"));
+    assert!(!reported.contains("\"write\""), "{reported}");
 
     // max-z + flat-field correction: one projection per channel
     let cmd = parse(&argv(&format!(

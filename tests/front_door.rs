@@ -502,17 +502,36 @@ fn degenerate_inputs_sized_from_headers_are_errors_not_aborts() {
         Err(ImageError::Format(_)) => {}
         other => panic!("{what}: expected a format error, got {other:?}"),
     };
-    format_error(
-        tiff::decode_tiff(&lying_tiff()),
-        "74-byte TIFF claiming 2^60 pixels",
-    );
     // 26 bytes: one IFD entry whose value count is u32::MAX
     let mut counted = b"II\x2a\x00\x08\x00\x00\x00\x01\x00".to_vec();
     counted.extend(273u16.to_le_bytes());
     counted.extend(4u16.to_le_bytes());
     counted.extend(u32::MAX.to_le_bytes());
     counted.extend([0; 8]);
-    format_error(tiff::decode_tiff(&counted), "IFD entry with 2^32 values");
+    // a well-formed 7x5 tile whose one strip starts past the end of the file
+    let mut past_eof = image_files()[0].clone();
+    let strip_offset = 8 + 7 * 5 * 2 + 2 + 5 * 12 + 8;
+    past_eof[strip_offset..strip_offset + 4].copy_from_slice(&4096u32.to_le_bytes());
+    // each refused alike from memory and from a file, within the input's size
+    let dir = temp_dir("hostile_tiffs");
+    for (bytes, what) in [
+        (lying_tiff(), "74-byte TIFF claiming 2^60 pixels"),
+        (counted, "IFD entry with 2^32 values"),
+        (past_eof, "strip past the end of the file"),
+    ] {
+        let path = dir.join("t.tif");
+        std::fs::write(&path, &bytes).unwrap();
+        let len = bytes.len();
+        let read = bounded("read_tiff", len, 16, || tiff::read_tiff(&path));
+        let decoded = bounded("decode_tiff", len, 16, || tiff::decode_tiff(&bytes));
+        assert_eq!(
+            read.as_ref().map_err(ToString::to_string),
+            decoded.as_ref().map_err(ToString::to_string),
+            "{what}"
+        );
+        format_error(read, what);
+    }
+    std::fs::remove_dir_all(&dir).ok();
     format_error(
         pgm::decode_pgm(b"P5\n4294967296 4294967296\n65535\n\x00\x00"),
         "PGM whose w*h*2 overflows",
