@@ -317,16 +317,16 @@ impl Composer {
         w: usize,
         h: usize,
     ) -> Image<u16> {
-        let mut pixels = vec![0; w * h];
+        let mut mosaic = Image::new(w, h);
         let (_, th) = source.tile_dims();
         let mut slots = vec![Slot::Unread; self.positions.shape.tiles()];
         // a tile row, or as many rows as occupy every worker
         let rows = th.max((self.workers * PIXELS_PER_WORKER).div_ceil(w.max(1)));
-        let bands = pixels.chunks_mut(rows * w.max(1));
+        let bands = mosaic.pixels_mut().chunks_mut(rows * w.max(1));
         for (y, band) in (y0..).step_by(rows).zip(bands) {
             self.compose_rows(source, &mut slots, x0, y, w, band);
         }
-        Image::from_vec(w, h, pixels)
+        mosaic
     }
 
     /// Composes the rows `out` holds — `w` columns from `x0`, starting at
@@ -411,9 +411,9 @@ impl Composer {
         let mut slots = vec![Slot::Unread; self.positions.shape.tiles()];
         for y in (0..mh).step_by(band_rows.max(1)) {
             let h = band_rows.max(1).min(mh - y);
-            let mut band = vec![0; mw * h];
-            self.compose_rows(source, &mut slots, 0, y, mw, &mut band);
-            sink(y, Image::from_vec(mw, h, band));
+            let mut band = Image::new(mw, h);
+            self.compose_rows(source, &mut slots, 0, y, mw, band.pixels_mut());
+            sink(y, band);
         }
     }
 }

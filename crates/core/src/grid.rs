@@ -43,6 +43,12 @@ impl GridShape {
         self.rows * (self.cols - 1) + (self.rows - 1) * self.cols
     }
 
+    /// The transform pool bound, `4·min(rows, cols) + 8`: the most spectra
+    /// any variant holds live at once over this grid.
+    pub fn transform_pool(&self) -> usize {
+        4 * self.rows.min(self.cols) + 8
+    }
+
     /// Flat row-major index of a tile.
     pub fn index(&self, id: TileId) -> usize {
         debug_assert!(id.row < self.rows && id.col < self.cols);

@@ -1,36 +1,29 @@
 //! Host-side spectrum buffer pool (paper §IV-A memory discipline).
 //!
-//! The GPU side already recycles device buffers through
-//! `stitch_gpu::memory`'s pool; this module is the host mirror. Tile
-//! spectra are the dominant host allocation of the CPU stitchers — one
+//! Tile spectra are the dominant host allocation of the CPU stitchers — one
 //! `Vec<C32>` half spectrum per forward transform — and each is dropped as
-//! soon as the pair refcount hits zero. [`SpectrumPool`] keeps those
-//! buffers on a free list instead: a [`PooledSpectrum`] hands its storage
-//! back to the pool on drop, so at steady state the hot path performs
-//! **zero** heap allocations (asserted by the counting allocator in the
-//! conformance suite).
+//! soon as the pair refcount hits zero. A [`PooledSpectrum`] hands its
+//! storage back on drop, so at steady state the hot path performs **zero**
+//! heap allocations (asserted by the counting allocator in the
+//! conformance suite). A spectrum of 1 MiB or more goes back to the
+//! process-wide [`stitch_image::buf`] recycler, where the next pass — or
+//! another pool — takes it; a smaller one waits on this pool's free list.
 //!
-//! Pools come in two flavours:
-//!
-//! * **Elastic** ([`SpectrumPool::new`]): `acquire` never blocks, it
-//!   allocates when the free list is empty. Backpressure is not this
-//!   layer's job — the pipelined stitchers already bound in-flight tiles
-//!   with a semaphore, so the pool's population converges to that bound
-//!   after warmup.
-//! * **Bounded** ([`SpectrumPool::bounded`]): the population (buffers on
-//!   the free list plus buffers on loan) never exceeds a hard cap;
-//!   `acquire` blocks until a lease is returned once the cap is reached.
-//!   This is the enforcement point for the batch scheduler's per-job
-//!   memory quotas — a job simply *cannot* allocate past its lease
-//!   budget, no matter how its stages interleave.
+//! An **elastic** pool ([`SpectrumPool::new`]) never blocks: the pipelined
+//! stitchers already bound in-flight tiles with a semaphore. A **bounded**
+//! one ([`SpectrumPool::bounded`]) never has more than its cap of buffers
+//! on loan or free, and `acquire` blocks at the cap: the batch scheduler's
+//! per-job memory quota.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use stitch_fft::C32;
+use stitch_image::buf;
 
 struct PoolState {
+    /// Returned buffers under [`buf::MIN_BYTES`]; larger ones go back to
+    /// the recycler.
     free: Vec<Vec<C32>>,
     /// Buffers in existence: free-list entries plus outstanding leases.
     /// Detaching a buffer with `into_vec` removes it from the population
@@ -43,8 +36,6 @@ struct PoolShared {
     cap: Option<usize>,
     state: Mutex<PoolState>,
     returned: Condvar,
-    created: AtomicU64,
-    reused: AtomicU64,
 }
 
 impl PoolShared {
@@ -91,8 +82,6 @@ impl SpectrumPool {
                     population: 0,
                 }),
                 returned: Condvar::new(),
-                created: AtomicU64::new(0),
-                reused: AtomicU64::new(0),
             }),
         }
     }
@@ -107,17 +96,16 @@ impl SpectrumPool {
         self.shared.cap
     }
 
-    /// Takes a buffer from the free list, or allocates one when the list
-    /// is empty. An elastic pool never blocks; a bounded pool at its cap
-    /// blocks until a lease is returned. The contents are **unspecified**
-    /// — producers must overwrite every element, which every
-    /// `forward_fft` path does.
+    /// Takes a buffer from the free list, or from the recycler when the
+    /// list is empty. An elastic pool never blocks; a bounded pool at its
+    /// cap blocks until a lease is returned. The contents are
+    /// **unspecified** — producers must overwrite every element, which
+    /// every `forward_fft` path does.
     pub fn acquire(&self) -> PooledSpectrum {
         let mut state = self.shared.lock();
         loop {
             if let Some(buf) = state.free.pop() {
                 debug_assert_eq!(buf.len(), self.shared.buf_len);
-                self.shared.reused.fetch_add(1, Ordering::Relaxed);
                 return self.wrap(buf);
             }
             match self.shared.cap {
@@ -131,8 +119,7 @@ impl SpectrumPool {
                 _ => {
                     state.population += 1;
                     drop(state);
-                    self.shared.created.fetch_add(1, Ordering::Relaxed);
-                    return self.wrap(C32::zeroed_vec(self.shared.buf_len));
+                    return self.wrap(buf::take(self.shared.buf_len));
                 }
             }
         }
@@ -143,23 +130,6 @@ impl SpectrumPool {
             data,
             pool: Arc::clone(&self.shared),
         }
-    }
-
-    /// How many buffers the pool has allocated over its lifetime — the
-    /// pool's high-water population, and the number the paper's
-    /// allocate-once discipline says should stop growing after warmup.
-    pub fn created(&self) -> u64 {
-        self.shared.created.load(Ordering::Relaxed)
-    }
-
-    /// How many acquisitions were served from the free list.
-    pub fn reused(&self) -> u64 {
-        self.shared.reused.load(Ordering::Relaxed)
-    }
-
-    /// Buffers currently sitting on the free list.
-    pub fn idle(&self) -> usize {
-        self.shared.lock().free.len()
     }
 
     /// Buffers currently on loan (acquired and not yet returned or
@@ -225,14 +195,16 @@ impl Drop for PooledSpectrum {
     fn drop(&mut self) {
         let data = std::mem::take(&mut self.data);
         let mut state = self.pool.lock();
-        if data.len() == self.pool.buf_len {
+        let recycled = data.len() * std::mem::size_of::<C32>() >= buf::MIN_BYTES;
+        if data.len() == self.pool.buf_len && !recycled {
             state.free.push(data);
         } else {
-            // Detached via into_vec — the buffer leaves the population
-            // so a bounded pool can allocate a replacement.
+            // Recycled, or detached via into_vec: the buffer leaves the
+            // population so a bounded pool can take a replacement.
             state.population = state.population.saturating_sub(1);
+            drop(state);
+            buf::give(data);
         }
-        drop(state);
         self.pool.returned.notify_one();
     }
 }
@@ -246,6 +218,11 @@ mod tests {
         pool.shared.lock().population
     }
 
+    /// Buffers on the free list.
+    fn idle(pool: &SpectrumPool) -> usize {
+        pool.shared.lock().free.len()
+    }
+
     #[test]
     fn drop_returns_storage_to_pool() {
         let pool = SpectrumPool::new(16);
@@ -254,11 +231,23 @@ mod tests {
             b[0] = C32 { re: 1.0, im: 0.0 };
             b.as_ptr() as usize
         };
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(idle(&pool), 1);
         let b2 = pool.acquire();
         assert_eq!(b2.as_ptr() as usize, ptr, "storage must be recycled");
-        assert_eq!(pool.created(), 1);
-        assert_eq!(pool.reused(), 1);
+        assert_eq!(population(&pool), 1);
+    }
+
+    #[test]
+    fn large_buffers_go_back_to_the_recycler() {
+        let len = buf::MIN_BYTES / std::mem::size_of::<C32>();
+        let pool = SpectrumPool::bounded(len, 1);
+        let held = pool.acquire();
+        assert_eq!(held.len(), len);
+        drop(held);
+        assert_eq!(idle(&pool), 0, "a large buffer never waits idle here");
+        assert_eq!(population(&pool), 0, "and leaves the population");
+        assert!(buf::usage().peak >= buf::MIN_BYTES);
+        drop(pool.acquire());
     }
 
     #[test]
@@ -267,11 +256,11 @@ mod tests {
         let a = pool.acquire();
         let b = pool.acquire();
         assert_ne!(a.as_ptr(), b.as_ptr());
-        assert_eq!(pool.created(), 2);
+        assert_eq!(population(&pool), 2);
         assert_eq!(pool.leased(), 2);
         drop(a);
         drop(b);
-        assert_eq!(pool.idle(), 2);
+        assert_eq!(idle(&pool), 2);
         assert_eq!(pool.leased(), 0);
     }
 
@@ -280,7 +269,7 @@ mod tests {
         let pool = SpectrumPool::new(4);
         let v = pool.acquire().into_vec();
         assert_eq!(v.len(), 4);
-        assert_eq!(pool.idle(), 0, "detached buffer must not return");
+        assert_eq!(idle(&pool), 0, "detached buffer must not return");
         assert_eq!(population(&pool), 0, "detached buffer leaves population");
     }
 
@@ -289,7 +278,7 @@ mod tests {
         let pool = SpectrumPool::new(4);
         let clone = pool.clone();
         drop(clone.acquire());
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(idle(&pool), 1);
     }
 
     #[test]
@@ -300,8 +289,7 @@ mod tests {
         assert_eq!(population(&pool), 2);
         drop(a);
         let c = pool.acquire(); // the freed lease, not a third buffer
-        assert_eq!(population(&pool), 2);
-        assert_eq!(pool.created(), 2, "no allocation past the cap");
+        assert_eq!(population(&pool), 2, "no allocation past the cap");
         drop(b);
         drop(c);
         assert_eq!(pool.leased(), 0);
@@ -320,7 +308,7 @@ mod tests {
         assert!(!waiter.is_finished(), "acquire must block at the cap");
         drop(held);
         assert_eq!(waiter.join().unwrap(), 4);
-        assert_eq!(pool.created(), 1, "the blocked acquire reused storage");
+        assert_eq!(population(&pool), 1, "the blocked acquire reused storage");
     }
 
     #[test]
@@ -331,7 +319,7 @@ mod tests {
         // The cap slot came back even though the storage never will.
         assert_eq!(population(&pool), 0, "detached lease frees its slot");
         let _b = pool.acquire();
-        assert_eq!(pool.created(), 2);
+        assert_eq!(population(&pool), 1);
     }
 
     #[test]
@@ -358,6 +346,5 @@ mod tests {
             drop(held);
         });
         assert_eq!(population(&bounded), 5);
-        assert_eq!(bounded.created(), 5);
     }
 }

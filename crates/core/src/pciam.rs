@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use stitch_fft::vectorops::top_peaks_into;
 use stitch_fft::{Planner, RealFft2d, RowBand, C32};
-use stitch_image::Image;
+use stitch_image::{buf, Image};
 use stitch_trace::TraceHandle;
 
 use crate::hostpool::{PooledSpectrum, SpectrumPool};
@@ -219,7 +219,8 @@ pub struct PciamContext {
     factor: usize,
     fft: RealFft2d<f32>,
     /// NCC output, one spectrum; the inverse transform works in it.
-    /// Allocated on first use, like the two below.
+    /// Taken from the recycler on first use, like the two below, and
+    /// given back on drop.
     work: Vec<C32>,
     /// The correlation surface.
     surface: Vec<f32>,
@@ -283,10 +284,9 @@ impl PciamContext {
         let meter = Meter::new(counters, &TraceHandle::disabled(), String::new());
         let fine = (factor == 2)
             .then(|| Box::new(Self::full_resolution(planner, dims, overlap, meter.clone())));
-        PciamContext {
-            fine,
-            ..Self::build(planner, dims, overlap, factor, pool, meter)
-        }
+        let mut ctx = Self::build(planner, dims, overlap, factor, pool, meter);
+        ctx.fine = fine;
+        ctx
     }
 
     /// The factor-1 context on a stage at nominal `overlap` that redoes
@@ -345,7 +345,7 @@ impl PciamContext {
         let _span = self.meter.span("fft_fwd");
         let mut spec = self.pool.acquire();
         if self.real_in.is_empty() {
-            self.real_in = vec![0.0; self.fft.width() * self.fft.height()];
+            self.real_in = buf::take(self.fft.width() * self.fft.height());
         }
         stitch_fft::bin_into(img.pixels(), self.width, self.factor, &mut self.real_in);
         self.fft.forward(&self.real_in, &mut spec);
@@ -368,8 +368,8 @@ impl PciamContext {
         assert_eq!(fa.len(), self.pool.buf_len());
         assert_eq!(fb.len(), self.pool.buf_len());
         if self.work.is_empty() {
-            self.work = C32::zeroed_vec(self.pool.buf_len());
-            self.surface = vec![0.0; self.fft.width() * self.fft.height()];
+            self.work = buf::take(self.pool.buf_len());
+            self.surface = buf::take(self.fft.width() * self.fft.height());
         }
         let meter = &self.meter;
         // The NCC is the paper's first hand-vectorized kernel (§IV-A) and
@@ -505,6 +505,14 @@ impl PciamContext {
         self.correlation_peaks_into(&fa, &fb, DEFAULT_PEAK_COUNT, search.rows);
         self.meter = counted;
         self.whole_surface(search.rows, (a, b), kind)
+    }
+}
+
+impl Drop for PciamContext {
+    fn drop(&mut self) {
+        buf::give(std::mem::take(&mut self.work));
+        buf::give(std::mem::take(&mut self.surface));
+        buf::give(std::mem::take(&mut self.real_in));
     }
 }
 

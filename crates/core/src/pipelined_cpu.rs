@@ -67,10 +67,11 @@ pub struct PipelinedCpuConfig {
     pub threads: usize,
     /// Reader threads.
     pub read_threads: usize,
-    /// Transform pool size (max in-flight tiles); `None` sizes it from the
-    /// grid (`4·min_dim + 8` — host RAM affords slack well beyond the
-    /// paper's "exceed the smallest grid dimension" minimum, and a tight
-    /// pool stalls the reader on recycle latency).
+    /// Transform pool size (max in-flight tiles, at least 4); `None` sizes
+    /// it from the grid ([`crate::GridShape::transform_pool`] — host RAM
+    /// affords slack well beyond the paper's "exceed the smallest grid
+    /// dimension" minimum, and a tight pool stalls the reader on recycle
+    /// latency).
     pub pool_size: Option<usize>,
     /// Inert; see [`TransformKind`].
     #[doc(hidden)]
@@ -205,8 +206,7 @@ impl Stitcher for PipelinedCpuStitcher {
         let pool_size = self
             .config
             .pool_size
-            .unwrap_or(4 * shape.rows.min(shape.cols) + 8)
-            .max(4);
+            .map_or(shape.transform_pool(), |n| n.max(4));
         let pool = Arc::new(Semaphore::new(pool_size));
         // spectra released by bookkeeping recycle through a pool shared by
         // all fft/displacement workers (externally owned when the batch

@@ -309,30 +309,6 @@ impl<T: Float> Cx<T> {
         im: T::ZERO,
     };
 
-    /// `len` zeros as one zeroed allocation. `vec![Cx::ZERO; len]` writes
-    /// every element; a zeroed block from the allocator does not, and a
-    /// large one comes straight from the kernel's zero pages — a spectrum
-    /// buffer costs nothing until its first write.
-    pub fn zeroed_vec(len: usize) -> Vec<Cx<T>> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let layout = std::alloc::Layout::array::<Cx<T>>(len).expect("buffer size overflows");
-        // SAFETY: `layout` has non-zero size. `Cx` is `#[repr(C)]` over two
-        // `f64`s or two `f32`s (the only `Float`s) and all-zero bits are
-        // `0.0 + 0.0i` in both, so the zeroed block holds `len`
-        // initialised zeros. It comes from the global allocator with the
-        // size and alignment `Vec<Cx<T>>` frees it with, and a null return
-        // never reaches `from_raw_parts`.
-        unsafe {
-            let ptr = std::alloc::alloc_zeroed(layout).cast::<Cx<T>>();
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Vec::from_raw_parts(ptr, len, len)
-        }
-    }
-
     /// `z` rounded to this precision, part by part.
     #[inline(always)]
     pub fn from_c64(z: C64) -> Cx<T> {
@@ -454,6 +430,5 @@ mod tests {
         assert_eq!((s.re, s.im), (0.1f32, f32::NEG_INFINITY));
         assert!(!s.is_finite() && C32::from_c64(c64(0.1, 2.0)).is_finite());
         assert_eq!(s.to_c64().re, f64::from(0.1f32));
-        assert!(C32::zeroed_vec(5).iter().all(|&v| v == C32::ZERO));
     }
 }

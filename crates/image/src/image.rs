@@ -2,7 +2,11 @@
 //!
 //! The microscopy tiles the paper processes are 16-bit grayscale
 //! (1392×1040, 2.76 MB each); [`Image<u16>`] is the working representation
-//! throughout the system, with `f64` views for the numeric kernels.
+//! throughout the system, with `f64` views for the numeric kernels. A
+//! large image's buffer comes from, and on drop goes back to, the
+//! [`buf`](crate::buf) recycler.
+
+use crate::buf;
 
 /// A row-major 2-D raster. Pixel `(x, y)` lives at index `y * width + x`.
 #[derive(Clone, PartialEq, Debug)]
@@ -13,12 +17,13 @@ pub struct Image<T> {
 }
 
 impl<T: Copy + Default> Image<T> {
-    /// Creates a `width × height` image filled with `T::default()`.
+    /// Creates a `width × height` image filled with `T::default()`, on a
+    /// recycled buffer when it is large ([`buf::take`]).
     pub fn new(width: usize, height: usize) -> Image<T> {
         Image {
             width,
             height,
-            data: vec![T::default(); width * height],
+            data: buf::take(width * height),
         }
     }
 
@@ -140,8 +145,8 @@ impl<T: Copy + Default> Image<T> {
     }
 
     /// Consumes the image, returning its buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<T> {
+        std::mem::take(&mut self.data)
     }
 
     /// Copies the rectangle `(x0, y0) .. (x0+w, y0+h)` into a new image.
@@ -166,6 +171,12 @@ impl<T: Copy + Default> Image<T> {
             height: self.height,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
+    }
+}
+
+impl<T> Drop for Image<T> {
+    fn drop(&mut self) {
+        buf::give(std::mem::take(&mut self.data));
     }
 }
 

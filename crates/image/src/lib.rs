@@ -4,6 +4,7 @@
 //! ICPP 2014 stitching paper's stack:
 //!
 //! * [`Image`] — row-major 2-D raster, 16-bit grayscale working type;
+//! * [`buf`] — the one process-wide recycler for buffers of 1 MiB or more;
 //! * [`tiff`] — minimal TIFF 6.0 baseline codec (uncompressed grayscale
 //!   strips, both byte orders on read);
 //! * [`pgm`] — binary PGM for quick visual output of composed plates;
@@ -24,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod buf;
 pub mod digest;
 pub mod error;
 pub mod flatfield;

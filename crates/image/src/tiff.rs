@@ -224,8 +224,9 @@ fn decode(file: Option<fs::File>, len: usize, page: Cow<[u8]>) -> Result<Image<u
     // strips may overlap or repeat, bytes past the image are not read, and a
     // strip may end in the middle of a sample — its odd byte pairs with the
     // next strip's first, as in the concatenated strips.
-    let mut data = vec![0u16; width * height];
-    let dst = &mut bytes_mut(&mut data)[..expected];
+    let mut img = Image::new(width, height);
+    let data = img.pixels_mut();
+    let dst = &mut bytes_mut(data)[..expected];
     let mut filled = 0;
     for k in 0..offsets.count {
         let off = cur.value(offsets, k)? as usize;
@@ -254,7 +255,7 @@ fn decode(file: Option<fs::File>, len: usize, page: Cow<[u8]>) -> Result<Image<u
     } else if cur.big != cfg!(target_endian = "big") {
         data.iter_mut().for_each(|px| *px = px.swap_bytes());
     }
-    Ok(Image::from_vec(width, height, data))
+    Ok(img)
 }
 
 /// Bytes of pixel data converted per `write` call.

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use stitch_canvas::SharedCanvas;
-use stitch_core::{AbsolutePositions, PciamContext, StitchResult, TileSource};
+use stitch_core::{AbsolutePositions, GridShape, PciamContext, StitchResult, TileSource};
 use stitch_image::{Image, ScanConfig};
 use stitch_trace::RunReport;
 
@@ -225,11 +225,11 @@ impl StitchJob {
     }
 
     /// Spectrum-pool lease quota for this job: the pipelined transform
-    /// pool bound (`4·min_dim + 8`, the most buffers any variant holds
-    /// live at once) plus one slack buffer per compute thread.
+    /// pool bound ([`GridShape::transform_pool`], the most buffers any
+    /// variant holds live at once) plus one slack buffer per compute
+    /// thread.
     pub fn spectrum_quota(&self) -> usize {
-        let min_dim = self.scan.grid_rows.min(self.scan.grid_cols);
-        (4 * min_dim + 8).max(4) + self.threads
+        GridShape::new(self.scan.grid_rows, self.scan.grid_cols).transform_pool() + self.threads
     }
 }
 

@@ -111,7 +111,7 @@ pub fn pipelined_cpu_ns(
     let order = Traversal::ChainedDiagonal.order(shape);
     // host RAM affords a pool far beyond the minimum (the GPU's 6 GB is
     // what makes pools tight; 48 GB is not)
-    let pool_size = 4 * shape.rows.min(shape.cols) + 8;
+    let pool_size = shape.transform_pool();
 
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     enum Task {

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // const-initialized Cell: no lazy init, no destructor — safe to
@@ -62,6 +63,12 @@ impl CountingAllocator {
         BYTES_ALLOCATED.load(Ordering::Relaxed)
     }
 
+    /// Heap allocations process-wide of 1 MiB or more
+    /// ([`stitch_image::buf::MIN_BYTES`]): blocks the recycler makes once.
+    pub fn large_allocations() -> u64 {
+        LARGE_ALLOCATIONS.load(Ordering::Relaxed)
+    }
+
     /// Heap allocations performed by the *calling thread* only.
     pub fn thread_allocations() -> u64 {
         THREAD_ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
@@ -83,6 +90,9 @@ impl Default for CountingAllocator {
 fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     BYTES_ALLOCATED.fetch_add(bytes as u64, Ordering::Relaxed);
+    if bytes >= stitch_image::buf::MIN_BYTES {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
     // try_with: the TLS slot has no destructor, but stay panic-free
     // during thread teardown regardless.
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));

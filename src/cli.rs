@@ -998,6 +998,11 @@ fn execute(cmd: Command) -> Result<i32, Failure> {
             for (path, mosaic) in &mosaics {
                 emit_image("phase 3: mosaic", path, mosaic, &trace)?;
             }
+            // the one memory high-water of the run: the buffer recycler's
+            let recycled = stitch_image::buf::usage();
+            let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+            trace.set_gauge("memory.recycled_peak_mb", mib(recycled.peak));
+            trace.set_gauge("memory.recycled_idle_mb", mib(recycled.idle));
             if let Some(path) = trace_out {
                 emit("trace", &path, trace.to_chrome_json())?;
             }

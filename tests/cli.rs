@@ -40,6 +40,13 @@ fn generate_then_info_then_stitch() {
     assert!(mosaic.exists());
     let reported = std::fs::read_to_string(&report).unwrap();
     assert!(reported.contains("\"write\":{\"count\":1,"), "{reported}");
+    // the buffer recycler's high-water and idle bytes are gauges
+    for gauge in ["memory.recycled_peak_mb", "memory.recycled_idle_mb"] {
+        assert!(
+            reported.contains(&format!("\"{gauge}\":")),
+            "{gauge}: {reported}"
+        );
+    }
     let tsv = std::fs::read_to_string(&pos).unwrap();
     assert!(tsv.starts_with("row\tcol\tx\ty\n"));
     assert_eq!(tsv.lines().count(), 1 + 6, "header + one line per tile");
