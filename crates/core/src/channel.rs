@@ -271,25 +271,37 @@ impl TileSource for MaxZSource {
 }
 
 /// A flat-field-corrected view of a [`TileSource`]: every loaded tile is
-/// divided by the channel's estimated illumination gain. Wrapping with the
+/// divided by the channel's estimated illumination gain, in place, as a
+/// `flatfield` span on the loading thread's track. Wrapping with the
 /// identity field is a bit-exact no-op.
 #[derive(Clone)]
 pub struct CorrectedSource {
     inner: Arc<dyn TileSource>,
     flat: Arc<FlatField>,
+    trace: TraceHandle,
 }
 
 impl CorrectedSource {
-    /// Wraps `inner`, correcting with `flat`. Panics if the field was
-    /// estimated for different tile dimensions.
-    pub fn new(inner: Arc<dyn TileSource>, flat: Arc<FlatField>) -> CorrectedSource {
+    /// Wraps `inner`, correcting with `flat` and tracing on `trace`.
+    /// Panics if the field was estimated for different tile dimensions.
+    pub fn new(
+        inner: Arc<dyn TileSource>,
+        flat: Arc<FlatField>,
+        trace: TraceHandle,
+    ) -> CorrectedSource {
         assert_eq!(
             flat.dims(),
             inner.tile_dims(),
             "flat field dims must match tile dims"
         );
-        CorrectedSource { inner, flat }
+        CorrectedSource { inner, flat, trace }
     }
+}
+
+/// The calling thread's `flatfield` track (nothing formatted when off).
+fn flatfield_track(trace: &TraceHandle) -> String {
+    let thread = || format!("flatfield/{:?}", std::thread::current().id());
+    trace.is_enabled().then(thread).unwrap_or_default()
 }
 
 impl TileSource for CorrectedSource {
@@ -302,7 +314,11 @@ impl TileSource for CorrectedSource {
     }
 
     fn load(&self, id: TileId) -> Result<Image<u16>, SourceError> {
-        Ok(self.flat.apply(&self.inner.load(id)?))
+        let mut tile = self.inner.load(id)?;
+        let track = flatfield_track(&self.trace);
+        let _span = self.trace.layer(&track, "flatfield");
+        self.flat.correct_in_place(&mut tile);
+        Ok(tile)
     }
 
     fn nominal_overlap(&self) -> Option<f64> {
@@ -454,6 +470,7 @@ pub struct ChannelSession {
     source: Arc<dyn MultiTileSource>,
     plan: ChannelPlan,
     flats: Vec<Arc<FlatField>>,
+    trace: TraceHandle,
 }
 
 impl ChannelSession {
@@ -462,11 +479,23 @@ impl ChannelSession {
         source: Arc<dyn MultiTileSource>,
         plan: ChannelPlan,
     ) -> Result<ChannelSession, StitchError> {
+        ChannelSession::traced(source, plan, &TraceHandle::disabled())
+    }
+
+    /// [`ChannelSession::new`] with each channel's fit, and every tile its
+    /// corrected sources load, a `flatfield` span on `trace`.
+    pub fn traced(
+        source: Arc<dyn MultiTileSource>,
+        plan: ChannelPlan,
+        trace: &TraceHandle,
+    ) -> Result<ChannelSession, StitchError> {
         plan.validate(source.as_ref())?;
         let (w, h) = source.tile_dims();
         let mut flats = Vec::with_capacity(source.channels());
         for ch in 0..source.channels() {
             let flat = if plan.correct_illumination {
+                let track = flatfield_track(trace);
+                let _span = trace.layer(&track, "flatfield");
                 estimate_channel_flat_field(source.as_ref(), ch)?
             } else {
                 FlatField::identity(w, h)
@@ -477,6 +506,7 @@ impl ChannelSession {
             source,
             plan,
             flats,
+            trace: trace.clone(),
         })
     }
 
@@ -529,11 +559,11 @@ impl ChannelSession {
             Some(z) => Arc::new(PlaneSource::new(Arc::clone(&self.source), unit.channel, z)),
             None => Arc::new(MaxZSource::new(Arc::clone(&self.source), unit.channel)),
         };
-        let flat = &self.flats[unit.channel];
+        let flat = Arc::clone(&self.flats[unit.channel]);
         if flat.is_identity() {
             base
         } else {
-            Arc::new(CorrectedSource::new(base, Arc::clone(flat)))
+            Arc::new(CorrectedSource::new(base, flat, self.trace.clone()))
         }
     }
 

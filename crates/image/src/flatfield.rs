@@ -34,6 +34,11 @@ pub struct FlatField {
     /// Dark-field offset (the synthetic sensor has none, but the BaSiC
     /// application model retains the term).
     dark: f64,
+    /// The gain over the quadrant `x ≤ w/2, y ≤ h/2`, `w/2 + 1` values a
+    /// row (empty for the identity). The field is mirror-symmetric bit for
+    /// bit — `dx` at `x` and at `w − x` are exact negatives — so pixel
+    /// `(x, y)` reads entry `(min(x, w − x), min(y, h − y))`.
+    quarter: Vec<f64>,
 }
 
 impl FlatField {
@@ -44,11 +49,30 @@ impl FlatField {
 
     /// The exact identity field: `apply` returns the input unchanged.
     pub fn identity(width: usize, height: usize) -> FlatField {
+        FlatField::radial(width, height, 0.0, 0.0)
+    }
+
+    /// The field `gain = 1 − falloff·(dx² + dy²) / r²_max` from the tile
+    /// center, its quarter tabulated once with `dx²` hoisted per column.
+    fn radial(width: usize, height: usize, falloff: f64, dark: f64) -> FlatField {
+        let mut quarter = Vec::new();
+        if falloff != 0.0 || dark != 0.0 {
+            let (cx, cy) = (width as f64 / 2.0, height as f64 / 2.0);
+            let r_max2 = cx * cx + cy * cy;
+            let dx2: Vec<f64> = (0..=width / 2)
+                .map(|x| (x as f64 - cx) * (x as f64 - cx))
+                .collect();
+            for y in 0..=height / 2 {
+                let dy2 = (y as f64 - cy) * (y as f64 - cy);
+                quarter.extend(dx2.iter().map(|&dx2| 1.0 - falloff * (dx2 + dy2) / r_max2));
+            }
+        }
         FlatField {
             width,
             height,
-            falloff: 0.0,
-            dark: 0.0,
+            falloff,
+            dark,
+            quarter,
         }
     }
 
@@ -68,8 +92,8 @@ impl FlatField {
         self.falloff
     }
 
-    /// Bright-field gain at a pixel (1 at the optical center): the formula
-    /// [`FlatField::apply`]'s row loop evaluates, one pixel at a time.
+    /// Bright-field gain at a pixel (1 at the optical center): the
+    /// per-pixel formula the quarter table holds.
     #[cfg(test)]
     fn gain_at(&self, x: usize, y: usize) -> f64 {
         if self.falloff == 0.0 {
@@ -82,39 +106,42 @@ impl FlatField {
         1.0 - self.falloff * (dx * dx + dy * dy) / (cx * cx + cy * cy)
     }
 
-    /// Corrects one tile: `round((v − dark) / gain)`, clamped to u16, with
-    /// `gain = 1 − falloff·(dx² + dy²) / r²_max` from the tile center.
+    /// Corrects one tile: `round((v − dark) / gain)`, clamped to u16.
     /// The identity field returns the input bit-for-bit.
-    ///
-    /// A row loop over a pre-sized buffer with `dx²` hoisted per column and
-    /// [`round_to_u16`] for the conversion: no call per pixel, so it
-    /// compiles to straight-line vector code. The operations and their
-    /// order are those of the per-pixel formula above.
     pub fn apply(&self, img: &Image<u16>) -> Image<u16> {
+        let mut out = img.clone();
+        self.correct_in_place(&mut out);
+        out
+    }
+
+    /// [`FlatField::apply`] on the tile's own pixels: one division per
+    /// pixel by the tabulated gain, each row read from the quarter table
+    /// forwards up to the center column and mirrored past it, and
+    /// [`round_to_u16`] for the conversion, so the row loop vectorises.
+    pub fn correct_in_place(&self, img: &mut Image<u16>) {
         assert_eq!(
             img.dims(),
             (self.width, self.height),
             "flat field estimated for different tile dims"
         );
         if self.is_identity() || img.is_empty() {
-            return img.clone();
+            return;
         }
-        let (cx, cy) = (self.width as f64 / 2.0, self.height as f64 / 2.0);
-        let r_max2 = cx * cx + cy * cy;
-        let dx2: Vec<f64> = (0..self.width)
-            .map(|x| (x as f64 - cx) * (x as f64 - cx))
-            .collect();
-        let mut out = vec![0u16; img.len()];
-        let rows = img.pixels().chunks_exact(self.width);
-        for (y, (src, dst)) in rows.zip(out.chunks_exact_mut(self.width)).enumerate() {
-            let dy = y as f64 - cy;
-            let dy2 = dy * dy;
-            for ((o, &p), &dx2) in dst.iter_mut().zip(src).zip(&dx2) {
-                let gain = 1.0 - self.falloff * (dx2 + dy2) / r_max2;
-                *o = round_to_u16((p as f64 - self.dark) / gain);
-            }
+        let (w, h, dark) = (self.width, self.height, self.dark);
+        let qw = w / 2 + 1;
+        for (y, row) in img.pixels_mut().chunks_exact_mut(w).enumerate() {
+            let gains = &self.quarter[y.min(h - y) * qw..][..qw];
+            let (left, right) = row.split_at_mut(qw.min(w));
+            divide(left, gains.iter(), dark);
+            divide(right, gains[1..=right.len()].iter().rev(), dark);
         }
-        Image::from_vec(self.width, self.height, out)
+    }
+}
+
+/// `px[i] = round((px[i] − dark) / gain[i])`, clamped to u16.
+fn divide<'a>(px: &mut [u16], gains: impl Iterator<Item = &'a f64>, dark: f64) {
+    for (p, g) in px.iter_mut().zip(gains) {
+        *p = round_to_u16((f64::from(*p) - dark) / g);
     }
 }
 
@@ -161,11 +188,6 @@ impl FlatFieldEstimator {
         self.tiles += other.tiles;
     }
 
-    /// Number of tiles accumulated so far.
-    pub fn tiles(&self) -> usize {
-        self.tiles
-    }
-
     /// Least-squares fit of the radial model to the stack's lower envelope.
     /// With no tiles, a negative fitted falloff, or a fit below
     /// [`FlatField::FLATNESS_PRIOR`], returns the exact identity.
@@ -206,12 +228,7 @@ impl FlatFieldEstimator {
         if falloff < FlatField::FLATNESS_PRIOR {
             return FlatField::identity(self.width, self.height);
         }
-        FlatField {
-            width: self.width,
-            height: self.height,
-            falloff,
-            dark: 0.0,
-        }
+        FlatField::radial(self.width, self.height, falloff, 0.0)
     }
 }
 
@@ -303,12 +320,7 @@ mod tests {
         for (w, h) in [(1usize, 1usize), (7, 5), (96, 64), (33, 2)] {
             for falloff in [0.01, 0.3, 0.4137, 0.95] {
                 for dark in [0.0, 12.5] {
-                    let f = FlatField {
-                        width: w,
-                        height: h,
-                        falloff,
-                        dark,
-                    };
+                    let f = FlatField::radial(w, h, falloff, dark);
                     let img =
                         Image::from_fn(w, h, |x, y| ((x * 7919 + y * 104_729) % 65_536) as u16);
                     let want = Image::from_fn(w, h, |x, y| {
@@ -319,23 +331,47 @@ mod tests {
                 }
             }
         }
-        // random tiles, dims, falloffs and dark levels
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
-        for _ in 0..400 {
-            let (w, h) = (rng.gen_range(1..40usize), rng.gen_range(1..30usize));
-            let f = FlatField {
-                width: w,
-                height: h,
-                falloff: rng.gen_range(0.01..0.95),
-                dark: rng.gen_range(-50.0..500.0),
-            };
-            let img = Image::from_fn(w, h, |_, _| rng.gen_range(0..=u16::MAX));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any field the estimator can return, on any tile — odd and even
+        /// dims, with or without a dark offset, pixels over the whole u16
+        /// range with both ends frequent — corrects to the per-pixel
+        /// formula bit for bit, through `apply` and in place.
+        #[test]
+        fn apply_is_the_per_pixel_formula(
+            w in 1usize..=97,
+            h in 1usize..=71,
+            falloff in 0.01f64..=0.95,
+            dark_on in proptest::prelude::any::<bool>(),
+            dark in 0.0f64..=400.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let img = Image::from_fn(w, h, |_, _| match rng.gen_range(0..8) {
+                0 => 0,
+                1 => u16::MAX,
+                _ => rng.gen_range(0..=u16::MAX),
+            });
+            // the dark offset is nudged by less than one level so that one
+            // pixel's quotient lands on a rounding tie, where a division and
+            // a multiplication by the reciprocal round apart
+            let (x, y) = (rng.gen_range(0..w), rng.gen_range(0..h));
+            let v = img.get(x, y) as f64;
+            let g = FlatField::radial(w, h, falloff, 0.0).gain_at(x, y);
+            let tie = ((v - dark) / g).floor() + 0.5;
+            let f = FlatField::radial(w, h, falloff, if dark_on { v - tie * g } else { 0.0 });
             let want = Image::from_fn(w, h, |x, y| {
                 let v = (img.get(x, y) as f64 - f.dark) / f.gain_at(x, y);
                 v.clamp(0.0, 65535.0).round() as u16
             });
-            assert_eq!(f.apply(&img), want, "{f:?}");
+            let mut in_place = img.clone();
+            f.correct_in_place(&mut in_place);
+            proptest::prop_assert_eq!(&f.apply(&img), &want);
+            proptest::prop_assert_eq!(&in_place, &want);
         }
     }
 

@@ -183,15 +183,19 @@ impl<T> Drop for Image<T> {
 /// The one `f64 → u16` pixel conversion: clamp to `[0, 65535]`, round half
 /// away from zero. Equal to `v.clamp(0.0, 65535.0).round() as u16` for
 /// every `f64`, NaN (→ 0) and ±∞ included — but `f64::round` is a libm
-/// call on the baseline x86-64 target, and that call keeps the pixel loop
-/// around it scalar. Here the clamped value truncates exactly (it is
-/// non-negative, so `as` is floor), its fraction `v − t` is exact, and a
-/// fraction of one half or more rounds up.
+/// call on the baseline x86-64 target, and a saturating `as` cast is a
+/// compare-and-select chain LLVM leaves scalar; either keeps the pixel
+/// loop around it scalar. Here every step has a packed SSE2 form: `max`
+/// drops a NaN operand (so NaN → 0), the clamped value truncates exactly
+/// (it is non-negative, so truncation is floor), its fraction `v − t` is
+/// exact, and a fraction of one half or more rounds up.
 #[inline]
+#[allow(clippy::manual_clamp)] // `clamp` keeps a NaN, which the cast below must not see
 pub fn round_to_u16(v: f64) -> u16 {
-    let v = v.clamp(0.0, 65535.0);
-    let t = v as u32;
-    (t + u32::from(v - t as f64 >= 0.5)) as u16
+    let v = v.max(0.0).min(65535.0);
+    // SAFETY: `v` is finite and in [0, 65535], so it truncates into an i32
+    let t = unsafe { v.to_int_unchecked::<i32>() };
+    (t + i32::from(v - f64::from(t) >= 0.5)) as u16
 }
 
 impl Image<u16> {

@@ -52,10 +52,14 @@ pub use report::{kernel_density, LayerStat, QueueStat, RunReport, StageStat};
 /// The layer categories [`RunReport::layers`] totals, in the order a tile
 /// meets them: phase 1 as Table I prices it (`read`, `fft_fwd`, `ncc`,
 /// `fft_inv`, `peak`, `ccf`), a shard seam pair's registration, phases 2
-/// and 3, then the mosaic's write. A span carries one only where no other
-/// layer span nests inside it, so totals never count a nanosecond twice;
-/// wrappers keep a category of their own (`"stage"`, `"compute"`).
-pub const LAYERS: [&str; 10] = [
+/// and 3, then the mosaic's write; last, the multi-channel path's
+/// `flatfield` (a channel's fit and each tile's correction). A span carries
+/// one only where no other layer span nests inside it, so totals never
+/// count a nanosecond twice; wrappers keep a category of their own
+/// (`"stage"`, `"compute"`). The one exception is `flatfield`: a corrected
+/// source corrects inside the load it serves, so a phase-1 `read` of a
+/// corrected tile includes that tile's `flatfield` span.
+pub const LAYERS: [&str; 11] = [
     "read",
     "fft_fwd",
     "ncc",
@@ -66,6 +70,7 @@ pub const LAYERS: [&str; 10] = [
     "solve",
     "compose",
     "write",
+    "flatfield",
 ];
 
 /// One recorded interval on the merged timeline.

@@ -1047,7 +1047,7 @@ fn stitch_channels(
         Arc::new(MultiDirSource::open(dataset).map_err(because("cannot open dataset"))?);
     let (channels, z_planes) = (source.channels(), source.z_planes());
     let corrected = plan.correct_illumination;
-    let session = ChannelSession::new(source, plan).map_err(|e| (1, e.to_string()))?;
+    let session = ChannelSession::traced(source, plan, trace).map_err(|e| (1, e.to_string()))?;
     println!(
         "stitching {} ({} channel(s) x {} plane(s), registering on channel {}{}) with {}",
         dataset.display(),

@@ -8,7 +8,7 @@ use stitch_core::{
     run_channel_plan, Blend, ChannelPlan, ChannelSession, MultiSyntheticSource, SimpleCpuStitcher,
     ZMode,
 };
-use stitch_image::{MultiChannelPlate, MultiScanConfig, ScanConfig};
+use stitch_image::{Fnv64, MultiChannelPlate, MultiScanConfig, ScanConfig};
 use stitch_testkit::channels::IMPROVEMENT_THRESHOLD;
 use stitch_testkit::run_channel_differential;
 
@@ -106,4 +106,47 @@ fn maxz_mode_produces_one_mosaic_per_channel() {
     for (unit, _) in &run.mosaics {
         assert!(unit.plane.is_none(), "max-z units carry no plane index");
     }
+}
+
+/// `channel_replay`'s geometry — 232×174 tiles at 15 % overlap and a
+/// strong vignette — corrected and replayed over every unit, pinned by one
+/// FNV-1a digest over the mosaics in unit order. The CLI's pass golden can
+/// only run the generator's default vignette, a field the correction
+/// barely touches.
+#[test]
+fn channel_replay_corrected_mosaics_are_pinned() {
+    let scan = ScanConfig {
+        grid_rows: 2,
+        grid_cols: 3,
+        tile_width: 232,
+        tile_height: 174,
+        overlap: 0.15,
+        noise_sigma: 50.0,
+        vignette: 0.3,
+        seed: 2014,
+        ..ScanConfig::default()
+    };
+    let plate = MultiChannelPlate::generate(MultiScanConfig::for_channels(scan, 3, 2));
+    let plan = ChannelPlan {
+        correct_illumination: true,
+        ..ChannelPlan::default()
+    };
+    let session = ChannelSession::new(Arc::new(MultiSyntheticSource::new(plate)), plan).unwrap();
+    for channel in 0..3 {
+        assert!(!session.flat(channel).is_identity(), "channel {channel}");
+    }
+    let run = run_channel_plan(&session, &SimpleCpuStitcher::default(), Blend::Overlay).unwrap();
+    assert_eq!(run.mosaics.len(), 6);
+    let mut digest = Fnv64::new();
+    for (_, mosaic) in &run.mosaics {
+        digest.write_u64(mosaic.width() as u64);
+        digest.write_u64(mosaic.height() as u64);
+        digest.write_u16s(mosaic.pixels());
+    }
+    assert_eq!(
+        digest.finish(),
+        0x3020_bd3f_c9a8_d280,
+        "{:#018x}",
+        digest.finish()
+    );
 }

@@ -103,6 +103,10 @@ fn generate_then_stitch_multichannel_stack() {
     assert_eq!(tsv.lines().count(), 1 + 6, "one shared frame for all units");
     assert!(traced.contains("\"compose\""), "unit composes are traced");
     assert!(reported.contains("\"write\":{\"count\":4,"), "{reported}");
+    assert!(
+        !reported.contains("flatfield"),
+        "nothing corrected: {reported}"
+    );
     // without --out the same frame is solved and not one unit is composed
     // or written
     let (positions_only, traced, reported) = stitch("");
@@ -110,14 +114,18 @@ fn generate_then_stitch_multichannel_stack() {
     assert!(traced.contains("\"solve\"") && !traced.contains("compose"));
     assert!(!reported.contains("\"write\""), "{reported}");
 
-    // max-z + flat-field correction: one projection per channel
+    // max-z + flat-field correction: one projection per channel, each
+    // channel's fit and tile correction a `flatfield` layer span
     let cmd = parse(&argv(&format!(
         "stitch --dataset {dir_s} --impl simple-cpu --maxz --correct-illumination \
-         --ref-channel 1 --out {}",
-        mosaic.display()
+         --ref-channel 1 --out {} --run-report {}",
+        mosaic.display(),
+        report.display()
     )))
     .unwrap();
     assert_eq!(run(cmd), 0);
+    let reported = std::fs::read_to_string(&report).unwrap();
+    assert!(reported.contains("\"flatfield\":{\"count\":"), "{reported}");
     assert!(dir.join("m_c00_maxz.pgm").exists());
     assert!(dir.join("m_c01_maxz.pgm").exists());
     let img = stitching::image::pgm::read_pgm(dir.join("m_c01_maxz.pgm")).unwrap();
